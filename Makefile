@@ -49,7 +49,9 @@ trace-replay:
 
 ## Wall-clock performance baseline: DES-kernel events/sec, per-experiment
 ## wall-clock, and 64-seed sweep throughput (serial vs parallel). Writes
-## BENCH_baseline.json — the perf trajectory future PRs are gated on.
+## BENCH_baseline.json — the numbers `bench-compare` gates against. A perf
+## PR records its own append-only snapshot beside it instead of overwriting:
+## `BENCH_OUT=$(CURDIR)/BENCH_pr<N>.json make bench`.
 bench:
 	$(CARGO) bench -p faasim-bench --bench wallclock
 

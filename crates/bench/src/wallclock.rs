@@ -394,6 +394,7 @@ fn base_kernel_benches() -> Vec<KernelBench> {
             sim.run();
             sim.stats().events_processed
         }),
+        kernel_bench("kernel/censor_40k_docs", censor_docs),
         kernel_bench("kernel/link_fanin_100k_flows", || {
             link_fanin_at_scale(100_000)
         }),
@@ -401,6 +402,27 @@ fn base_kernel_benches() -> Vec<KernelBench> {
             link_fanin_at_scale(1_000_000)
         }),
     ]
+}
+
+/// The prediction-serving case study's host-side text work in isolation:
+/// a paper-scale `prediction::run` censors 40 080 hundred-word documents
+/// (1 002 ten-document batches in each of four deployments) against the
+/// 500-word blacklist, and none of that is simulation. `events` is the
+/// document count, so the score is documents per host second.
+fn censor_docs() -> u64 {
+    const DOCS: u64 = 40_000;
+    let model = faasim_ml::DirtyWordModel::synthetic(500);
+    let batch: Vec<String> = (0..10)
+        .map(|i| faasim_ml::synthetic_document(500, 100, BENCH_SEED * 1000 + i))
+        .collect();
+    let mut dirty = 0usize;
+    for _ in 0..DOCS / batch.len() as u64 {
+        for doc in &batch {
+            dirty += std::hint::black_box(model.censor(std::hint::black_box(doc))).dirty_count;
+        }
+    }
+    assert!(dirty > 0, "the documents must exercise the rewrite path");
+    DOCS
 }
 
 /// The virtual-time fair-queueing stress: `n` staggered flows pile onto

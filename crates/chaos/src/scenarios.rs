@@ -400,6 +400,12 @@ impl Scenario for LinkChurn {
                 link.active_flows()
             ));
         }
+        // A bare `Sim` has no `Cloud` to tear it down: every task must
+        // have run to completion, or the sweep leaks one sim per seed.
+        let parked = sim.stats().tasks_alive;
+        if parked != 0 {
+            violations.push(format!("{parked} tasks still parked after drain"));
+        }
         RunReport {
             digest: recorder.digest(),
             bill: String::new(),

@@ -174,6 +174,16 @@ impl Cloud {
     }
 }
 
+/// Tasks parked on this cloud's sim (queue triggers, server loops, pending
+/// callbacks) hold clones of the sim and of the services, which would keep
+/// the whole cloud — buckets, queues, recorder — alive forever. Handles
+/// cloned out of a dropped cloud stay readable but nothing runs on them.
+impl Drop for Cloud {
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +202,70 @@ mod tests {
         });
         assert!(cloud.ledger.total() > 0.0);
         assert_eq!(cloud.recorder.counter("blob.put"), 1);
+    }
+
+    /// The shape every experiment leaves behind: a live queue trigger, a
+    /// `loop { recv }` server owning its socket, a pending callback and a
+    /// transfer still on the wire. Dropping the cloud must free what those
+    /// parked tasks pinned — they hold the sim and the services, which hold
+    /// the sim — instead of leaking the whole cloud.
+    #[test]
+    fn dropping_a_cloud_frees_its_parked_tasks() {
+        use faasim_faas::{add_queue_trigger, FunctionSpec};
+        use faasim_queue::QueueConfig;
+        use faasim_simcore::SimDuration;
+
+        let pinned = Rc::new(());
+        let weak = Rc::downgrade(&pinned);
+        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 3);
+        cloud.queue.create_queue("in", QueueConfig::default());
+        cloud.blob.create_bucket("results");
+        let (blob, p) = (cloud.blob.clone(), pinned.clone());
+        cloud.faas.register(FunctionSpec::new(
+            "f",
+            128,
+            SimDuration::from_secs(5),
+            move |ctx, payload| {
+                let (blob, _p) = (blob.clone(), p.clone());
+                async move {
+                    blob.put(ctx.host(), "results", "k", payload).await.expect("bucket");
+                    Ok(Bytes::new())
+                }
+            },
+        ));
+        let _trigger = add_queue_trigger(&cloud.faas, &cloud.queue, &cloud.fabric, "f", "in", 10);
+        let server = cloud.client_host();
+        let sock = cloud.fabric.bind(&server, 7000).expect("bind");
+        let p = pinned.clone();
+        cloud.sim.spawn(async move {
+            let _p = p;
+            loop {
+                let req = sock.recv().await;
+                sock.reply(&req, Bytes::new()).await;
+            }
+        });
+        let (sim, p) = (cloud.sim.clone(), pinned.clone());
+        cloud.sim.call_after(SimDuration::from_secs(86_400), move || drop((sim, p)));
+        let (host, p) = (cloud.client_host(), pinned);
+        cloud.sim.spawn(async move {
+            host.nic_transfer(1 << 50).await;
+            drop(p);
+        });
+        // One triggered invocation, then stop with everything mid-flight
+        // (`block_on` would run the day-long callback to completion).
+        let (queue, producer) = (cloud.queue.clone(), cloud.client_host());
+        cloud.sim.spawn(async move {
+            queue.send(&producer, "in", Bytes::from_static(b"doc")).await.expect("send");
+        });
+        cloud.sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(cloud.recorder.counter("blob.put"), 1);
+        assert!(cloud.sim.stats().tasks_alive >= 3);
+        assert!(weak.strong_count() >= 4);
+
+        let sim = cloud.sim.clone();
+        drop(cloud);
+        assert_eq!(sim.stats().tasks_alive, 0);
+        assert!(weak.upgrade().is_none(), "the dropped cloud is still pinned");
     }
 
     #[test]

@@ -231,7 +231,9 @@ fn run_lambda(
                 let docs = decode_batch(&payload).expect("batch payload");
                 let mut censored = Vec::with_capacity(docs.len());
                 for doc in &docs {
-                    let doc = doc.to_vec();
+                    // A decoded frame is a slice of the batch body, so this
+                    // is a refcount bump, not a copy of the document.
+                    let doc = doc.bytes();
                     let text = std::str::from_utf8(&doc).expect("utf8 docs");
                     let out = model.censor(text);
                     censored.push(faasim_payload::Payload::from(out.text.into_bytes()));
@@ -329,7 +331,7 @@ fn run_ec2_sqs(
                 .await
                 .expect("receive");
             for m in &got {
-                let body = m.body.to_vec();
+                let body = m.body.bytes();
                 let text = std::str::from_utf8(&body).expect("utf8");
                 let _ = model.censor(text);
                 vm2.cpu_work(per_doc).await;
@@ -371,7 +373,7 @@ fn run_ec2_zmq(
     cloud.sim.spawn(async move {
         loop {
             let req = server_sock.recv().await;
-            let body = req.payload.to_vec();
+            let body = req.payload.bytes();
             let text = std::str::from_utf8(&body).expect("utf8");
             let out = model.censor(text);
             server_vm.cpu_work(per_doc).await;
@@ -518,7 +520,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                     }
                 }
                 for body in &bodies {
-                    let key = String::from_utf8_lossy(&body.to_vec()).into_owned();
+                    let key = String::from_utf8_lossy(&body.bytes()).into_owned();
                     ctx.cpu(per_doc).await;
                     let host = ctx.host().clone();
                     let value = Payload::inline(format!("censored:{key}"));

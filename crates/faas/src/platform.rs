@@ -1031,6 +1031,29 @@ mod tests {
         assert!((cold_ms - 5302.0).abs() < 10.0, "cold invoke {cold_ms} ms");
     }
 
+    /// The per-invocation copy of a spec is a refcount bump on the
+    /// registry's `Rc`, never a clone of the spec and its name: while a
+    /// handler runs, the registered spec has exactly one extra owner.
+    #[test]
+    fn invocations_share_the_registered_spec() {
+        let (sim, platform, _, _) = setup();
+        let owners = Rc::new(std::cell::Cell::new(0));
+        let (p, seen) = (platform.clone(), owners.clone());
+        platform.register(FunctionSpec::new(
+            "shared",
+            128,
+            SimDuration::from_secs(60),
+            move |_ctx, payload| {
+                seen.set(Rc::strong_count(&p.state.borrow().functions["shared"]));
+                async move { Ok(payload) }
+            },
+        ));
+        let p = platform.clone();
+        sim.block_on(async move { p.invoke("shared", Bytes::new()).await });
+        assert_eq!(owners.get(), 2);
+        assert_eq!(Rc::strong_count(&platform.state.borrow().functions["shared"]), 1);
+    }
+
     #[test]
     fn unknown_function_errors() {
         let (sim, platform, _, _) = setup();

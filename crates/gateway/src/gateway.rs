@@ -562,6 +562,35 @@ mod tests {
         assert_eq!(gw.in_flight(), 0, "everything drained");
     }
 
+    /// A cloud dropped with requests still in flight: the parked tasks'
+    /// `Admission`s release mid-teardown (stats, breaker and the
+    /// in-flight semaphore all re-entered from `drop`), and the gateway
+    /// handle that outlives the cloud reads a drained, conserved front door.
+    #[test]
+    fn admissions_release_when_the_cloud_is_dropped_mid_flight() {
+        let cloud = cloud(9);
+        let gw = gateway(&cloud, vec![TenantConfig::default()]);
+        for _ in 0..3 {
+            let gw2 = gw.clone();
+            cloud.sim.spawn(async move {
+                let _ = gw2.invoke(0, "work", Payload::new()).await;
+            });
+        }
+        let gw2 = gw.clone();
+        cloud.sim.spawn(async move {
+            let _held = gw2.try_admit(0).expect("admitted");
+            std::future::pending::<()>().await;
+        });
+        cloud.sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(gw.in_flight(), 4);
+
+        drop(cloud);
+        assert_eq!(gw.in_flight(), 0);
+        let st = gw.tenant_stats(0);
+        assert!(st.conserved(), "{st:?}");
+        assert_eq!(st.in_flight, 0);
+    }
+
     #[test]
     fn load_shedder_drops_low_priority_first() {
         let cloud = cloud(8);

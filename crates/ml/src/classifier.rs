@@ -4,12 +4,44 @@
 //! punctuation — "our model in this experiment is a simple blacklist of
 //! dirty words".
 
-use std::collections::HashSet;
+use faasim_simcore::FxHashSet;
+
+/// Tokens up to this long have their core built on the stack. Real words
+/// fit; a longer token's core goes to the heap, so a blacklisted word of
+/// any length still matches.
+const CORE_STACK: usize = 64;
+
+/// A token's core — its ASCII-alphanumeric bytes, lowercased — built in
+/// `stack`, or in `spill` when the token is too long for it.
+fn core_of<'a>(
+    token: &[u8],
+    stack: &'a mut [u8; CORE_STACK],
+    spill: &'a mut Vec<u8>,
+) -> &'a [u8] {
+    let core = token
+        .iter()
+        .filter(|b| b.is_ascii_alphanumeric())
+        .map(u8::to_ascii_lowercase);
+    if token.len() <= CORE_STACK {
+        let mut n = 0usize;
+        for b in core {
+            stack[n] = b;
+            n += 1;
+        }
+        &stack[..n]
+    } else {
+        spill.clear();
+        spill.extend(core);
+        spill
+    }
+}
 
 /// The blacklist "model".
 #[derive(Clone, Debug)]
 pub struct DirtyWordModel {
-    blacklist: HashSet<String>,
+    /// Lowercased words as bytes, so a token's filtered core — built
+    /// without going through `str` — probes the set by borrowed slice.
+    blacklist: FxHashSet<Box<[u8]>>,
 }
 
 /// Result of censoring one document.
@@ -33,7 +65,7 @@ impl DirtyWordModel {
         DirtyWordModel {
             blacklist: words
                 .into_iter()
-                .map(|w| w.as_ref().to_ascii_lowercase())
+                .map(|w| w.as_ref().to_ascii_lowercase().into_bytes().into_boxed_slice())
                 .collect(),
         }
     }
@@ -62,38 +94,50 @@ impl DirtyWordModel {
 
     /// Classify one word.
     pub fn is_dirty(&self, word: &str) -> bool {
-        self.blacklist.contains(&word.to_ascii_lowercase())
+        self.blacklist
+            .contains(word.to_ascii_lowercase().as_bytes())
     }
 
     /// Censor a document: dirty words are replaced by punctuation marks of
     /// the same length.
+    ///
+    /// Tokens are the runs between ASCII spaces; a token is dirty when its
+    /// ASCII-alphanumeric bytes, lowercased, are blacklisted. Byte-level,
+    /// with one allocation (the output): it starts as a copy of the input —
+    /// separators and clean tokens are already right — and only a dirty
+    /// token's alphanumeric bytes are overwritten, which leaves every
+    /// multi-byte character intact.
     pub fn censor(&self, text: &str) -> Censored {
-        let mut out = String::with_capacity(text.len());
+        let mut out = text.as_bytes().to_vec();
         let mut dirty = 0usize;
         let mut words = 0usize;
-        for (i, token) in text.split(' ').enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            if token.is_empty() {
-                continue;
-            }
-            words += 1;
-            let core: String = token
-                .chars()
-                .filter(|c| c.is_ascii_alphanumeric())
-                .collect();
-            if !core.is_empty() && self.is_dirty(&core) {
-                dirty += 1;
-                for c in token.chars() {
-                    out.push(if c.is_ascii_alphanumeric() { '*' } else { c });
+        let mut stack = [0u8; CORE_STACK];
+        let mut spill: Vec<u8> = Vec::new();
+        let mut start = 0usize;
+        for token in text.as_bytes().split(|&b| b == b' ') {
+            let end = start + token.len();
+            if !token.is_empty() {
+                words += 1;
+                // A token of lowercase letters and digits — most of any
+                // text — is its own core and probes the set in place.
+                let core = if token.iter().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
+                    token
+                } else {
+                    core_of(token, &mut stack, &mut spill)
+                };
+                if !core.is_empty() && self.blacklist.contains(core) {
+                    dirty += 1;
+                    for b in &mut out[start..end] {
+                        if b.is_ascii_alphanumeric() {
+                            *b = b'*';
+                        }
+                    }
                 }
-            } else {
-                out.push_str(token);
             }
+            start = end + 1;
         }
         Censored {
-            text: out,
+            text: String::from_utf8(out).expect("only ASCII bytes were replaced, by ASCII"),
             dirty_count: dirty,
             word_count: words,
         }
@@ -129,6 +173,89 @@ pub fn synthetic_document(blacklist_size: usize, words: usize, seed: u64) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original `char`/`String` implementation, kept as the reference
+    /// the byte-level [`DirtyWordModel::censor`] must agree with.
+    fn censor_oracle(model: &DirtyWordModel, text: &str) -> Censored {
+        let mut out = String::with_capacity(text.len());
+        let mut dirty = 0usize;
+        let mut words = 0usize;
+        for (i, token) in text.split(' ').enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            if token.is_empty() {
+                continue;
+            }
+            words += 1;
+            let core: String = token
+                .chars()
+                .filter(|c| c.is_ascii_alphanumeric())
+                .collect();
+            if !core.is_empty() && model.is_dirty(&core) {
+                dirty += 1;
+                for c in token.chars() {
+                    out.push(if c.is_ascii_alphanumeric() { '*' } else { c });
+                }
+            } else {
+                out.push_str(token);
+            }
+        }
+        Censored {
+            text: out,
+            dirty_count: dirty,
+            word_count: words,
+        }
+    }
+
+    /// Document fragments the differential test splices together: dirty
+    /// words in mixed case and with punctuation or non-ASCII characters
+    /// inside them, near misses, single and repeated separators, tabs and
+    /// newlines (which are *not* separators), and bare punctuation.
+    const FRAGMENTS: [&str; 20] = [
+        " ", " ", "  ", "darn", "DaRn", "d'ar-n", "d\u{e9}arn", "he\u{4e16}ck", "heck!", "darnx", "x", "dar",
+        "\t", "\n", "?!", "\u{e9}", "clean42", "9", "-", "Heck",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn byte_level_censor_matches_the_oracle(
+            picks in prop::collection::vec((0usize..FRAGMENTS.len() + 2, 1usize..4), 0..40),
+        ) {
+            // Two words longer than the stack buffer: one blacklisted, one
+            // that differs from it only past the buffer's end.
+            let long_dirty = "Ab3".repeat(CORE_STACK / 2);
+            let long_clean = format!("{}z", &long_dirty[..long_dirty.len() - 1]);
+            let model = DirtyWordModel::new(["darn", "heck", "x", long_dirty.as_str()]);
+            let mut doc = String::new();
+            for (pick, times) in picks {
+                let fragment = match pick.checked_sub(FRAGMENTS.len()) {
+                    None => FRAGMENTS[pick],
+                    Some(0) => long_dirty.as_str(),
+                    Some(_) => long_clean.as_str(),
+                };
+                for _ in 0..times {
+                    doc.push_str(fragment);
+                }
+            }
+            prop_assert_eq!(model.censor(&doc), censor_oracle(&model, &doc));
+        }
+    }
+
+    #[test]
+    fn tokens_longer_than_the_stack_buffer() {
+        let long = "w".repeat(CORE_STACK + 9);
+        let model = DirtyWordModel::new([long.as_str()]);
+        let doc = format!("a {}- {}w  {long}", long.to_uppercase(), long);
+        let out = model.censor(&doc);
+        assert_eq!(out, censor_oracle(&model, &doc));
+        assert_eq!(out.dirty_count, 2);
+        assert_eq!(out.word_count, 4);
+        assert!(out.text.ends_with(&"*".repeat(long.len())));
+    }
 
     #[test]
     fn censors_dirty_words_preserving_shape() {

@@ -13,8 +13,10 @@
 //! - [`DirtyWordModel`]: the blacklist classifier from the prediction-
 //!   serving case study.
 //!
-//! This crate is pure computation: no simulator dependency, usable on its
-//! own. The `faasim` core runs these workloads *on* the simulated cloud.
+//! This crate is pure computation, usable on its own: it never touches a
+//! `Sim`, and takes from `faasim-simcore` only the workspace's one
+//! deterministic hasher. The `faasim` core runs these workloads *on* the
+//! simulated cloud.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

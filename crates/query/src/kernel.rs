@@ -25,6 +25,7 @@
 //! multi-pattern `GROUP BY` cardinality shortcut: a terabyte of repeated
 //! log lines costs O(patterns) kernel work.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::{Aggregate, QueryError};
@@ -84,9 +85,18 @@ fn contains(hay: &[u8], needle: &[u8]) -> bool {
 
 /// The nth whitespace-separated field, decoded like the record model
 /// specifies (lossy UTF-8, Unicode whitespace).
-fn nth_field(line: &[u8], field: usize) -> Option<String> {
-    let text = String::from_utf8_lossy(line);
-    text.split_whitespace().nth(field).map(str::to_owned)
+///
+/// Borrows from `line` when it is valid UTF-8 — every scanned line of a
+/// text corpus — and allocates only for a line that needed replacement
+/// characters.
+fn nth_field(line: &[u8], field: usize) -> Option<Cow<'_, str>> {
+    match String::from_utf8_lossy(line) {
+        Cow::Borrowed(text) => text.split_whitespace().nth(field).map(Cow::Borrowed),
+        Cow::Owned(text) => text
+            .split_whitespace()
+            .nth(field)
+            .map(|value| Cow::Owned(value.to_owned())),
+    }
 }
 
 /// Clamped add: the counting kernels never report more than `limit`
@@ -151,7 +161,13 @@ impl ScanKernel for GroupCount {
     fn visit(&mut self, line: &[u8], n: u64) {
         if let Some(value) = nth_field(line, self.field) {
             self.matched = true;
-            *self.groups.entry(value).or_default() += n;
+            // get_mut-first: only a group's first line pays for a key.
+            match self.groups.get_mut(value.as_ref()) {
+                Some(count) => *count += n,
+                None => {
+                    self.groups.insert(value.into_owned(), n);
+                }
+            }
         }
     }
 
@@ -249,6 +265,22 @@ mod tests {
             k.finish().unwrap(),
             vec![("/a".to_owned(), 3.0), ("/b".to_owned(), 1.0)]
         );
+    }
+
+    #[test]
+    fn invalid_utf8_fields_decode_lossily_and_still_group() {
+        let mut k = kernel_for(&Aggregate::GroupCount { field: 1 }, None);
+        k.visit(b"GET /\xff 200", 2);
+        k.visit(b"PUT /\xff 500", 3);
+        k.visit(b"GET /ok 200", 1);
+        assert_eq!(
+            k.finish().unwrap(),
+            vec![("/ok".to_owned(), 1.0), ("/\u{fffd}".to_owned(), 5.0)]
+        );
+        let mut k = kernel_for(&Aggregate::SumField { field: 1 }, None);
+        k.visit(b"\xff 2.5", 4);
+        k.visit(b"a \xff", 1);
+        assert_eq!(k.finish().unwrap(), vec![(String::new(), 10.0)]);
     }
 
     #[test]

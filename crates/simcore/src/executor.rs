@@ -162,6 +162,25 @@ struct Inner {
     fire_batch: RefCell<Vec<TimerAction>>,
 }
 
+impl Inner {
+    /// Recycle the flag slot of a wake-timer that left the wheel, making
+    /// its token stale. Returns whether the timer had been canceled. One
+    /// flags borrow for both.
+    #[inline]
+    fn release_timer_flag(&self, token: TimerToken) -> bool {
+        let canceled = {
+            let mut flags = self.timer_flags.borrow_mut();
+            let f = &mut flags[token.index as usize];
+            let canceled = f.canceled;
+            f.gen = f.gen.wrapping_add(1);
+            f.canceled = false;
+            canceled
+        };
+        self.timer_free.borrow_mut().push(token.index);
+        canceled
+    }
+}
+
 /// Handle to the simulation. Cheap to clone; all clones share one virtual
 /// clock and scheduler.
 #[derive(Clone)]
@@ -610,18 +629,7 @@ impl Sim {
                         .set(inner.events_processed.get() + 1);
                     match entry.item {
                         TimerAction::Wake(w, token) => {
-                            // One flags borrow: release the slot and learn
-                            // whether the timer was canceled in flight.
-                            let fire = {
-                                let mut flags = inner.timer_flags.borrow_mut();
-                                let f = &mut flags[token.index as usize];
-                                let canceled = f.canceled;
-                                f.gen = f.gen.wrapping_add(1);
-                                f.canceled = false;
-                                !canceled
-                            };
-                            inner.timer_free.borrow_mut().push(token.index);
-                            if fire {
+                            if !inner.release_timer_flag(token) {
                                 batch.push(TimerAction::Wake(w, token));
                             }
                         }
@@ -676,6 +684,50 @@ impl Sim {
             self.drain_ready();
             if !self.fire_next_timers(horizon) {
                 break;
+            }
+        }
+    }
+
+    /// Tear the simulation down: drop every parked task, pending timer
+    /// and queued wake-up.
+    ///
+    /// Parked tasks and timer callbacks hold `Sim` clones (and, through
+    /// them, whatever services were built on the sim), so a `Sim` that
+    /// still has any is an `Rc` cycle nothing ever frees. Everything is
+    /// moved out of the executor's cells before it is dropped, so drop
+    /// handlers may re-enter the sim — cancel a timer, release a permit,
+    /// reschedule a link, spawn — and whatever they register is torn down
+    /// in turn. A task that is being polled right now (shutdown called
+    /// from inside it) is left alone. Idempotent; the clock and every
+    /// counter stay readable, and the sim stays usable.
+    pub fn shutdown(&self) {
+        let inner = &*self.inner;
+        loop {
+            let mut parked = Vec::new();
+            {
+                let mut tasks = inner.tasks.borrow_mut();
+                let mut free = inner.task_free.borrow_mut();
+                for (index, slot) in tasks.iter_mut().enumerate() {
+                    let next_gen = match slot {
+                        Slot::Occupied(TaskSlot { gen, fut: Some(_), .. }) => gen.wrapping_add(1),
+                        _ => continue,
+                    };
+                    // Vacate like a finished task would, so a stale waker
+                    // can never reach the slot's next occupant.
+                    parked.push(std::mem::replace(slot, Slot::Vacant { next_gen }));
+                    free.push(index as u32);
+                }
+            }
+            inner.tasks_alive.set(inner.tasks_alive.get() - parked.len());
+            let timers = inner.timers.borrow_mut().take_all();
+            for action in &timers {
+                if let TimerAction::Wake(_, token) = action {
+                    inner.release_timer_flag(*token);
+                }
+            }
+            inner.ready.queue.borrow_mut().clear();
+            if parked.is_empty() && timers.is_empty() {
+                return;
             }
         }
     }
@@ -1039,6 +1091,139 @@ mod tests {
             s.sleep_until(SimTime::ZERO).await;
             assert_eq!(s.now(), SimTime::from_nanos(1_000_000_000));
         });
+    }
+
+    /// A parked `loop { recv }` server, a parked sleeper and a pending
+    /// callback each pin an `Rc`; shutdown must free all three.
+    #[test]
+    fn shutdown_frees_parked_tasks_and_pending_callbacks() {
+        let sim = Sim::new(1);
+        let pinned = Rc::new(());
+        let weak = Rc::downgrade(&pinned);
+
+        let (tx, mut rx) = crate::channel::<u32>();
+        let (s, p) = (sim.clone(), pinned.clone());
+        sim.spawn(async move {
+            let _keep = (s, p);
+            while rx.recv().await.is_some() {}
+        });
+        let (s, p) = (sim.clone(), pinned.clone());
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_secs(3_600)).await;
+            drop(p);
+        });
+        let (s, p) = (sim.clone(), pinned);
+        sim.call_after(SimDuration::from_secs(7_200), move || drop((s, p)));
+        sim.run_until(SimTime::from_nanos(1_000));
+        assert_eq!(sim.stats().tasks_alive, 2);
+        assert_eq!(weak.strong_count(), 3);
+
+        sim.shutdown();
+        assert_eq!(sim.stats().tasks_alive, 0);
+        assert!(weak.upgrade().is_none(), "a parked task or callback survived");
+        // The far-future timers are gone: nothing drags the clock forward.
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000));
+        drop(tx);
+
+        // Idempotent, and the sim is still a working sim.
+        sim.shutdown();
+        let s = sim.clone();
+        let t = sim.block_on(async move {
+            s.sleep(SimDuration::from_secs(1)).await;
+            s.now()
+        });
+        assert_eq!(t, SimTime::from_nanos(1_000_001_000));
+        assert_eq!(sim.stats().tasks_alive, 0);
+    }
+
+    /// Drop handlers that call back into the sim while it is being torn
+    /// down: a `Sleep` cancels its timer, a `Transfer` returns its share
+    /// and reschedules the link, a `SemPermit` wakes the queued waiter, an
+    /// `Acquire` leaves the wait queue, and a guard registers a fresh
+    /// callback and task. None may panic on a held borrow, and what they
+    /// register must be torn down in turn.
+    #[test]
+    fn shutdown_tolerates_drop_handlers_that_reenter_the_sim() {
+        struct Respawn {
+            sim: Sim,
+            pinned: Rc<()>,
+        }
+        impl Drop for Respawn {
+            fn drop(&mut self) {
+                let (s, p) = (self.sim.clone(), self.pinned.clone());
+                self.sim.call_after(SimDuration::from_secs(1), move || drop((s, p)));
+                let (s, p) = (self.sim.clone(), self.pinned.clone());
+                self.sim.spawn_detached(async move {
+                    s.sleep(SimDuration::from_secs(1)).await;
+                    drop(p);
+                });
+            }
+        }
+
+        let sim = Sim::new(2);
+        let pinned = Rc::new(());
+        let weak = Rc::downgrade(&pinned);
+        let link = crate::FairShareLink::new(&sim, crate::mbps(1.0));
+        let sem = crate::Semaphore::new(1);
+
+        // Holds the only permit across a transfer far too big to finish.
+        let (l, m, p) = (link.clone(), sem.clone(), pinned.clone());
+        sim.spawn(async move {
+            let _permit = m.acquire(1).await;
+            let _keep = p;
+            l.transfer(1 << 40, None).await;
+        });
+        // Queued behind it.
+        let (m, p) = (sem.clone(), pinned.clone());
+        sim.spawn(async move {
+            let _keep = p;
+            let _permit = m.acquire(1).await;
+        });
+        // A second flow, so the canceled one has a share to hand back.
+        let l = link.clone();
+        sim.spawn(async move { l.transfer(1 << 40, Some(crate::mbps(0.1))).await });
+        // Parked on a sleep inside a timeout, owning the re-registering guard.
+        let (s, guard) = (sim.clone(), Respawn { sim: sim.clone(), pinned });
+        sim.spawn(async move {
+            let _guard = guard;
+            s.timeout(SimDuration::from_secs(900), std::future::pending::<()>()).await;
+        });
+        sim.run_until(SimTime::from_nanos(1_000_000));
+        assert_eq!(sim.stats().tasks_alive, 4);
+        assert_eq!(link.active_flows(), 2);
+
+        let cancels_before = sim.profile().timer_cancels;
+        sim.shutdown();
+        assert_eq!(sim.stats().tasks_alive, 0);
+        assert_eq!(link.active_flows(), 0);
+        assert_eq!(sem.available(), 1);
+        assert!(weak.upgrade().is_none(), "something registered mid-shutdown survived");
+        // Timers shutdown took out of the wheel are released, not
+        // canceled: their tokens are stale by the time the sleeps drop.
+        assert_eq!(sim.profile().timer_cancels, cancels_before);
+        sim.shutdown();
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000_000));
+    }
+
+    /// Shutdown from inside a task tears down everything but that task.
+    #[test]
+    fn shutdown_from_inside_a_task_spares_the_caller() {
+        let sim = Sim::new(3);
+        let s = sim.clone();
+        sim.spawn(async move { s.sleep(SimDuration::from_secs(60)).await });
+        let s = sim.clone();
+        let alive_after = sim.block_on(async move {
+            s.sleep(SimDuration::from_secs(1)).await;
+            s.shutdown();
+            let alive = s.stats().tasks_alive;
+            s.sleep(SimDuration::from_secs(1)).await;
+            alive
+        });
+        assert_eq!(alive_after, 1);
+        assert_eq!(sim.stats().tasks_alive, 0);
+        assert_eq!(sim.now(), SimTime::from_nanos(2_000_000_000));
     }
 
     use std::cell::Cell;

@@ -185,6 +185,24 @@ impl<T> TimerWheel<T> {
         e
     }
 
+    /// Remove every pending entry, in no particular order. The floor, the
+    /// buckets' allocations and the profiling counters stay, so the wheel
+    /// remains usable and its peaks remain reportable.
+    pub(crate) fn take_all(&mut self) -> Vec<T> {
+        if self.len == 0 {
+            return Vec::new(); // the common teardown: nothing to sweep for
+        }
+        let mut items = Vec::with_capacity(self.len);
+        items.extend(self.front.drain(..).map(|e| e.item));
+        for bucket in self.slots.iter_mut() {
+            items.extend(bucket.drain(..).map(|e| e.item));
+        }
+        items.extend(self.overflow.drain().map(|e| e.0.item));
+        self.occupied = [0; LEVELS];
+        self.len = 0;
+        items
+    }
+
     /// Bucket an entry into the wheel. Requires `at >= front_bound` and
     /// `at` within `front_bound`'s top-level lap.
     fn insert_wheel(&mut self, entry: WheelEntry<T>) {
@@ -396,6 +414,32 @@ mod tests {
         }
         assert!(wheel.peek_min().is_none_or(|e| e.at != at));
         Some((at, fired))
+    }
+
+    #[test]
+    fn take_all_empties_every_tier_and_leaves_a_working_wheel() {
+        let mut wheel = TimerWheel::new();
+        let mut oracle = HeapOracle::new();
+        // Front buffer, every wheel level, and the overflow heap.
+        let times = [5u64, 900, 1 << 12, 1 << 20, 1 << 33, 1 << 47, 1 << 57, 1 << 60, u64::MAX];
+        for (i, &at) in times.iter().enumerate() {
+            wheel.push(at, i as u64, i as u32);
+        }
+        assert_eq!(wheel.pop_min().map(|e| e.item), Some(0)); // fills `front`
+        wheel.push(6, 100, 100); // below the bound: lands in `front`
+        let mut taken = wheel.take_all();
+        taken.sort_unstable();
+        assert_eq!(taken, vec![1, 2, 3, 4, 5, 6, 7, 8, 100]);
+        assert!(wheel.is_empty());
+        assert!(wheel.pop_min().is_none());
+        assert_eq!(wheel.peak_len(), 9);
+        assert!(wheel.take_all().is_empty());
+
+        for (i, &at) in times.iter().enumerate().skip(1) {
+            wheel.push(at, 200 + i as u64, i as u32);
+            oracle.push(at, 200 + i as u64, i as u32);
+        }
+        assert_same_order(&mut wheel, &mut oracle);
     }
 
     #[test]
