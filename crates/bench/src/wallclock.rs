@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use faasim::blob::{BlobProfile, BlobStore};
+use faasim::faas::{FunctionId, FunctionSpec};
 use faasim::experiments::{
     agents_cmp, bandwidth, cold_starts, data_shipping, election, prediction, table1, training,
 };
@@ -29,7 +30,7 @@ use faasim::pricing::{Ledger, PriceBook};
 use faasim::query::{Aggregate, QueryProfile, QueryService, QuerySpec};
 use faasim::simcore::{gbps, mbps, FairShareLink, Recorder, Sim, SimDuration};
 use faasim_chaos::{sweep, CrdtSync, ParallelSweep};
-use faasim_trace::{replay, ReplayConfig};
+use faasim_trace::{function_name, replay, ReplayConfig};
 
 use crate::BENCH_SEED;
 
@@ -188,6 +189,7 @@ pub fn run_kernel_benches() -> Vec<KernelBench> {
         30,
     ));
     out.push(gateway_admission_bench());
+    out.push(platform_warm_hit_bench(12_000, 10));
     out.push(trace_replay_bench(false));
     out.push(trace_replay_bench(true));
     out.push(trace_replay_1m_bench());
@@ -247,6 +249,51 @@ fn gateway_admission_bench() -> KernelBench {
         );
         assert!(stats.totals.admitted > 0 && stats.totals.shed() > 0);
         DECISIONS
+    })
+}
+
+/// The platform's warm-hit path in isolation: `functions` no-op
+/// functions, each with one idle container, invoked by id one after
+/// another, round-robin, `rounds` times over. Nothing else runs, so the
+/// cost is the invocation path itself — concurrency gate, overhead sleep,
+/// warm-container pick, handler under its timeout, release, two ledger
+/// charges, two recorder samples — at the paper-scale replay's table
+/// sizes, where every pick lands on a different function and container
+/// than the one before. `events` is the invocation count.
+fn platform_warm_hit_bench(functions: u32, rounds: u32) -> KernelBench {
+    let mut profile = faasim::CloudProfile::aws_2018().exact();
+    // One round is `functions` × 302 ms of sim time, far past the real
+    // ten-minute keep-alive; this kernel wants warm hits only.
+    profile.faas.container_idle_timeout = SimDuration::from_hours(24);
+    let cloud = faasim::Cloud::new(profile, BENCH_SEED);
+    let per_app = ReplayConfig::paper_scale().trace.funcs_per_app;
+    let ids: Rc<[FunctionId]> = (0..functions)
+        .map(|i| {
+            cloud.faas.register(FunctionSpec::new(
+                function_name(i / per_app, i % per_app),
+                128,
+                SimDuration::from_secs(60),
+                |_ctx, payload| async move { Ok(payload) },
+            ))
+        })
+        .collect();
+    // Untimed: `round` 0 cold-starts one container per function.
+    let run_round = |expect_cold: bool| {
+        let (faas, ids) = (cloud.faas.clone(), ids.clone());
+        cloud.sim.block_on(async move {
+            for &id in ids.iter() {
+                let out = faas.invoke_id(id, Payload::new()).await;
+                assert_eq!(out.cold, expect_cold, "{id}: wrong kind of start");
+            }
+        });
+    };
+    run_round(true);
+    kernel_bench("kernel/platform_warm_hit_12k_functions", || {
+        for _ in 0..rounds {
+            run_round(false);
+        }
+        assert_eq!(cloud.faas.container_count(), functions as usize);
+        u64::from(functions) * u64::from(rounds)
     })
 }
 
@@ -925,6 +972,15 @@ mod tests {
         let b = gateway_admission_bench();
         assert_eq!(b.name, "gateway/admission_1m_decisions");
         assert_eq!(b.events, 1_000_000);
+    }
+
+    #[test]
+    fn platform_warm_hit_smoke() {
+        // The real kernel is 12 000 functions × 10 rounds; the helper
+        // asserts one cold start per function and warm hits ever after.
+        let b = platform_warm_hit_bench(600, 3);
+        assert_eq!(b.name, "kernel/platform_warm_hit_12k_functions");
+        assert_eq!(b.events, 1_800);
     }
 
     #[test]

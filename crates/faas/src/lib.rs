@@ -30,8 +30,8 @@ mod workflow;
 pub use codec::{decode_batch, encode_batch};
 pub use config::FaasProfile;
 pub use platform::{
-    FaasFaults, FaasPlatform, FnCtx, FnError, FunctionSpec, HandlerResult, InvokeOutcome,
-    PackingStats,
+    FaasFaults, FaasPlatform, FnCtx, FnError, FunctionId, FunctionSpec, HandlerResult,
+    InvokeOutcome, PackingStats,
 };
 pub use trigger::{add_blob_trigger, add_queue_trigger, BlobTriggerBuilder, TriggerHandle};
 pub use workflow::{Orchestrator, Step, Workflow, WorkflowError, WorkflowOutcome};

@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
@@ -63,6 +63,25 @@ impl std::error::Error for FnError {}
 
 /// Handler output.
 pub type HandlerResult = Result<Payload, FnError>;
+
+/// Dense handle for a registered function: what [`FaasPlatform::register`]
+/// returns and [`FaasPlatform::invoke_id`] takes. Ids are per platform,
+/// assigned in registration order, and survive re-registration of the
+/// same name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FunctionId(u32);
+
+impl FunctionId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for FunctionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "fn#{}", self.0)
+    }
+}
 
 type Handler = Rc<dyn Fn(FnCtx, Payload) -> LocalBoxFuture<'static, HandlerResult>>;
 
@@ -196,9 +215,24 @@ pub struct InvokeOutcome {
     pub container: u64,
 }
 
+impl InvokeOutcome {
+    /// The outcome of invoking a function the platform does not know.
+    fn not_found(func: String) -> InvokeOutcome {
+        InvokeOutcome {
+            result: Err(FnError::NotFound(func)),
+            exec: SimDuration::ZERO,
+            billed: SimDuration::ZERO,
+            total: SimDuration::ZERO,
+            cold: false,
+            host: HostId(u64::MAX),
+            container: u64::MAX,
+        }
+    }
+}
+
 struct Container {
     id: u64,
-    func: String,
+    func: FunctionId,
     host_idx: usize,
     host: Host,
     mem_mb: u64,
@@ -216,8 +250,10 @@ struct Container {
 /// Ordering key for the per-function idle-container index: the maximum
 /// element is exactly the container the MRU policy prefers — provisioned
 /// first, then latest `idle_since`, then lowest id (ties resolve to the
-/// earliest-placed container, matching the original linear scan).
-type WarmKey = (bool, SimTime, Reverse<u64>);
+/// earliest-placed container, matching the original linear scan). The
+/// trailing [`ContainerTable`] slot is where to find the container; ids
+/// are unique, so it never decides the order.
+type WarmKey = (bool, SimTime, Reverse<u64>, u32);
 
 /// Per-function idle-container index: a `Vec` kept sorted ascending by
 /// [`WarmKey`], so the MRU pick ([`WarmSet::pop_max`]) is a pop from the
@@ -232,10 +268,6 @@ type WarmKey = (bool, SimTime, Reverse<u64>);
 struct WarmSet(Vec<WarmKey>);
 
 impl WarmSet {
-    fn single(key: WarmKey) -> WarmSet {
-        WarmSet(vec![key])
-    }
-
     fn insert(&mut self, key: WarmKey) {
         match self.0.last() {
             Some(last) if *last > key => {
@@ -248,6 +280,75 @@ impl WarmSet {
 
     fn pop_max(&mut self) -> Option<WarmKey> {
         self.0.pop()
+    }
+}
+
+/// The live containers, in a slab: a container keeps its slot from
+/// placement to destruction, so a [`WarmKey`] or an in-flight invocation
+/// reaches it by index, and freed slots are reused. A slot number alone
+/// is only a hint — its tenant may have been destroyed and replaced — so
+/// lookups also take the container id and miss when it differs.
+///
+/// Slot order is placement history, not id order. Anything observable
+/// that folds over several containers (`f64` residency sums, "the first
+/// `n` containers of a function") sorts by id first, so bills and
+/// [`PackingStats`] do not depend on which slots happened to be free.
+#[derive(Default)]
+struct ContainerTable {
+    slots: Vec<Option<Container>>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl ContainerTable {
+    fn insert(&mut self, c: Container) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(c);
+                slot
+            }
+            None => {
+                self.slots.push(Some(c));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The container in `slot`, if it is still the one with this `id`.
+    fn get_mut(&mut self, slot: u32, id: u64) -> Option<&mut Container> {
+        self.slots
+            .get_mut(slot as usize)?
+            .as_mut()
+            .filter(|c| c.id == id)
+    }
+
+    /// The container in `slot`, for a caller that holds it busy (nothing
+    /// destroys a busy container but its own invocation).
+    fn occupant(&self, slot: u32) -> &Container {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a busy container is never destroyed")
+    }
+
+    fn remove(&mut self, slot: u32, id: u64) -> Option<Container> {
+        self.get_mut(slot, id)?;
+        self.free.push(slot);
+        self.live -= 1;
+        self.slots[slot as usize].take()
+    }
+
+    /// Every live container with its slot, in slot order.
+    fn iter_slots(&self) -> impl Iterator<Item = (u32, &Container)> {
+        (0..).zip(&self.slots).filter_map(|(slot, c)| Some((slot, c.as_ref()?)))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Container> {
+        self.slots.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Container> {
+        self.slots.iter_mut().flatten()
     }
 }
 
@@ -283,6 +384,14 @@ struct FnHost {
     mem_used_mb: u64,
 }
 
+impl FnHost {
+    /// Give back the room a destroyed container took.
+    fn vacate(&mut self, mem_mb: u64) {
+        self.containers = self.containers.saturating_sub(1);
+        self.mem_used_mb = self.mem_used_mb.saturating_sub(mem_mb);
+    }
+}
+
 /// Deterministic fault knobs for the FaaS platform. Zero by default; no
 /// RNG draws are consumed while every probability is zero, so enabling
 /// chaos never perturbs a fault-free run at the same seed.
@@ -294,26 +403,36 @@ pub struct FaasFaults {
     pub kill_prob: f64,
 }
 
-struct PlatformState {
-    functions: FxHashMap<String, Rc<FunctionSpec>>,
-    containers: Vec<Container>,
-    hosts: Vec<FnHost>,
-    /// Per-function index of idle containers, keyed so the set maximum is
-    /// the container `take_warm` must hand out. Entries are *hints*: they
-    /// are validated (and lazily corrected or discarded) when popped, so
-    /// eviction, reaping, crashes, and provisioned-concurrency changes
+/// Everything the platform keeps per registered function, indexed by
+/// [`FunctionId`].
+struct Function {
+    spec: Rc<FunctionSpec>,
+    /// Index of this function's idle containers, keyed so the set maximum
+    /// is the container `take_warm` must hand out. Entries are *hints*:
+    /// they are validated (and lazily corrected or discarded) when popped,
+    /// so eviction, reaping, crashes, and provisioned-concurrency changes
     /// never have to maintain the index.
-    warm_idle: FxHashMap<String, WarmSet>,
+    warm_idle: WarmSet,
+    /// Active provisioned-concurrency reservation:
+    /// (containers reserved, reserved-at, GB reserved).
+    reservation: Option<(usize, SimTime, f64)>,
+}
+
+struct PlatformState {
+    /// Name → id, consulted once per by-name call and never on the
+    /// [`FaasPlatform::invoke_id`] path.
+    names: FxHashMap<String, FunctionId>,
+    functions: Vec<Function>,
+    containers: ContainerTable,
+    hosts: Vec<FnHost>,
     /// GB·seconds of residency credited for already-destroyed containers.
     retired_gb_s: f64,
     /// GB·seconds spent executing handlers.
     busy_gb_s: f64,
     next_container: u64,
     rng: SimRng,
-    /// Active provisioned-concurrency reservations:
-    /// func -> (containers reserved, reserved-at, GB reserved).
-    provisioned: HashMap<String, (usize, SimTime, f64)>,
-    /// Async-invoke on-failure destinations.
+    /// Async-invoke on-failure destinations, by function name (a
+    /// destination may be set for a name that is never registered).
     failure_destinations: HashMap<String, (faasim_queue::QueueService, String)>,
     /// Lazily created control-plane host.
     control_host: Option<Host>,
@@ -382,15 +501,14 @@ impl FaasPlatform {
             recorder,
             hot,
             state: Rc::new(RefCell::new(PlatformState {
-                functions: FxHashMap::default(),
-                containers: Vec::new(),
+                names: FxHashMap::default(),
+                functions: Vec::new(),
+                containers: ContainerTable::default(),
                 hosts: Vec::new(),
-                warm_idle: FxHashMap::default(),
                 retired_gb_s: 0.0,
                 busy_gb_s: 0.0,
                 next_container: 0,
                 rng: sim.rng("faas.platform"),
-                provisioned: HashMap::new(),
                 failure_destinations: HashMap::new(),
                 control_host: None,
                 faults: FaasFaults::default(),
@@ -408,12 +526,14 @@ impl FaasPlatform {
         self.sim.clone()
     }
 
-    /// Register (or replace) a function.
+    /// Register (or replace) a function and return its id. Re-registering
+    /// a name swaps the spec in place: the id, the warm containers and any
+    /// provisioned reservation carry over.
     ///
     /// # Panics
     /// Panics if the spec exceeds the platform's memory ceiling — a
     /// deployment-time error in the real service too.
-    pub fn register(&self, spec: FunctionSpec) {
+    pub fn register(&self, spec: FunctionSpec) -> FunctionId {
         assert!(
             spec.memory_mb <= self.profile.max_memory_mb,
             "function {} requests {} MB > platform max {} MB",
@@ -422,15 +542,34 @@ impl FaasPlatform {
             self.profile.max_memory_mb
         );
         assert!(spec.memory_mb > 0, "zero-memory function");
-        self.state
-            .borrow_mut()
-            .functions
-            .insert(spec.name.clone(), Rc::new(spec));
+        let mut st = self.state.borrow_mut();
+        let st = &mut *st;
+        match st.names.entry(spec.name.clone()) {
+            Entry::Occupied(known) => {
+                let id = *known.get();
+                st.functions[id.index()].spec = Rc::new(spec);
+                id
+            }
+            Entry::Vacant(new) => {
+                let id = *new.insert(FunctionId(st.functions.len() as u32));
+                st.functions.push(Function {
+                    spec: Rc::new(spec),
+                    warm_idle: WarmSet::default(),
+                    reservation: None,
+                });
+                id
+            }
+        }
+    }
+
+    /// The id `name` was registered under, if it was.
+    pub fn function_id(&self, name: &str) -> Option<FunctionId> {
+        self.state.borrow().names.get(name).copied()
     }
 
     /// Number of live (warm or busy) containers.
     pub fn container_count(&self) -> usize {
-        self.state.borrow().containers.len()
+        self.state.borrow().containers.live
     }
 
     /// Number of function-host VMs currently in use.
@@ -464,27 +603,7 @@ impl FaasPlatform {
     /// are untouched; in-flight kills are [`FaasFaults::kill_prob`]'s
     /// job. Returns the number of containers evicted.
     pub fn evict_warm(&self) -> usize {
-        let now = self.sim.now();
-        let mut st = self.state.borrow_mut();
-        let mut removed: Vec<(usize, u64)> = Vec::new();
-        let mut retired = 0.0;
-        st.containers.retain(|c| {
-            if c.busy {
-                return true;
-            }
-            removed.push((c.host_idx, c.mem_mb));
-            retired += residency_gb_s(c, now);
-            false
-        });
-        st.retired_gb_s += retired;
-        for &(host_idx, mem_mb) in &removed {
-            if let Some(h) = st.hosts.get_mut(host_idx) {
-                h.containers = h.containers.saturating_sub(1);
-                h.mem_used_mb = h.mem_used_mb.saturating_sub(mem_mb);
-            }
-        }
-        drop(st);
-        let n = removed.len();
+        let n = self.destroy_idle(|_| true);
         self.recorder.add("faas.chaos_evicted", n as u64);
         n
     }
@@ -493,65 +612,69 @@ impl FaasPlatform {
     pub fn reap_idle(&self) {
         let now = self.sim.now();
         let timeout = self.profile.container_idle_timeout;
+        self.destroy_idle(|c| !c.provisioned && now.duration_since(c.idle_since) >= timeout);
+    }
+
+    /// Destroy every idle container `doomed` selects, crediting their
+    /// residency in id order; returns how many went.
+    fn destroy_idle(&self, doomed: impl Fn(&Container) -> bool) -> usize {
+        let now = self.sim.now();
         let mut st = self.state.borrow_mut();
-        let mut removed: Vec<(usize, u64)> = Vec::new();
+        let st = &mut *st;
+        let mut going: Vec<(u64, u32)> = st
+            .containers
+            .iter_slots()
+            .filter(|(_, c)| !c.busy && doomed(c))
+            .map(|(slot, c)| (c.id, slot))
+            .collect();
+        going.sort_unstable();
         let mut retired = 0.0;
-        st.containers.retain(|c| {
-            let keep =
-                c.provisioned || c.busy || now.duration_since(c.idle_since) < timeout;
-            if !keep {
-                removed.push((c.host_idx, c.mem_mb));
-                retired += residency_gb_s(c, now);
-            }
-            keep
-        });
-        st.retired_gb_s += retired;
-        for (host_idx, mem_mb) in removed {
-            if let Some(h) = st.hosts.get_mut(host_idx) {
-                h.containers = h.containers.saturating_sub(1);
-                h.mem_used_mb = h.mem_used_mb.saturating_sub(mem_mb);
-            }
+        for &(id, slot) in &going {
+            let c = st.containers.remove(slot, id).expect("selected above");
+            retired += residency_gb_s(&c, now);
+            st.hosts[c.host_idx].vacate(c.mem_mb);
         }
+        st.retired_gb_s += retired;
+        going.len()
     }
 
     /// Take an idle warm container for `func`, if any (provisioned first,
     /// then most recently used, matching observed Lambda behaviour).
     ///
-    /// Selection is O(log n) via the per-function [`WarmKey`] index rather
-    /// than a scan over every container — the difference between a toy run
-    /// and streaming a million-invocation trace over 10k+ functions.
-    /// Popped entries are validated against the container table: dangling
-    /// entries (evicted/reaped/crashed containers) are discarded, stale
-    /// keys (provisioned-concurrency changes) are corrected and re-queued,
-    /// and expired keep-alives are dropped for `reap_idle` to collect.
-    fn take_warm(&self, func: &str) -> Option<usize> {
+    /// Selection is a pop from the function's own [`WarmSet`] plus one
+    /// indexed load from the container table — no search and no string on
+    /// the way — the difference between a toy run and streaming a
+    /// million-invocation trace over 10k+ functions. Popped entries are
+    /// validated against the table: dangling entries (evicted, reaped or
+    /// crashed containers, whose slot may already have a new tenant) are
+    /// discarded, stale keys (provisioned-concurrency changes) are
+    /// corrected and re-queued, and expired keep-alives are dropped for
+    /// `reap_idle` to collect. Returns the container's slot.
+    fn take_warm(&self, func: FunctionId) -> Option<u32> {
         let now = self.sim.now();
         let timeout = self.profile.container_idle_timeout;
         let mut st = self.state.borrow_mut();
         let st = &mut *st;
-        let set = st.warm_idle.get_mut(func)?;
+        let set = &mut st.functions[func.index()].warm_idle;
         loop {
-            let (provisioned, idle_since, Reverse(id)) = set.pop_max()?;
-            // The container table stays sorted by id: ids are allocated
-            // monotonically and removals preserve order.
-            let Ok(pos) = st.containers.binary_search_by_key(&id, |c| c.id) else {
+            let (provisioned, idle_since, Reverse(id), slot) = set.pop_max()?;
+            let Some(c) = st.containers.get_mut(slot, id) else {
                 continue; // container destroyed since the entry was made
             };
-            let c = &mut st.containers[pos];
             if c.busy {
                 continue;
             }
             if c.provisioned != provisioned || c.idle_since != idle_since {
                 // Stale hint (e.g. demoted or re-promoted reservation):
                 // re-queue under its true key and look again.
-                set.insert((c.provisioned, c.idle_since, Reverse(id)));
+                set.insert((c.provisioned, c.idle_since, Reverse(id), slot));
                 continue;
             }
             if !c.provisioned && now.duration_since(c.idle_since) >= timeout {
                 continue; // past keep-alive: never hand out, reap later
             }
             c.busy = true;
-            return Some(pos);
+            return Some(slot);
         }
     }
 
@@ -560,7 +683,13 @@ impl FaasPlatform {
     pub fn packing_stats(&self) -> PackingStats {
         let now = self.sim.now();
         let st = self.state.borrow();
-        let live: f64 = st.containers.iter().map(|c| residency_gb_s(c, now)).sum();
+        let mut live: Vec<(u64, f64)> = st
+            .containers
+            .iter()
+            .map(|c| (c.id, residency_gb_s(c, now)))
+            .collect();
+        live.sort_unstable_by_key(|&(id, _)| id);
+        let live: f64 = live.iter().map(|&(_, gb_s)| gb_s).sum();
         PackingStats {
             busy_gb_seconds: st.busy_gb_s,
             resident_gb_seconds: st.retired_gb_s + live,
@@ -586,11 +715,12 @@ impl FaasPlatform {
 
     /// Place a new container for `func`, packing onto existing hosts
     /// fill-first (the behaviour behind §3(2)'s bandwidth collapse).
-    fn place_cold(&self, func: &str, memory_mb: u64) -> usize {
+    fn place_cold(&self, func: FunctionId, memory_mb: u64) -> u32 {
         self.place_container(func, memory_mb, false)
     }
 
-    fn place_container(&self, func: &str, memory_mb: u64, provisioned: bool) -> usize {
+    /// Returns the new container's slot.
+    fn place_container(&self, func: FunctionId, memory_mb: u64, provisioned: bool) -> u32 {
         let mut st = self.state.borrow_mut();
         let host_idx = st
             .hosts
@@ -614,9 +744,9 @@ impl FaasPlatform {
         st.next_container += 1;
         let host = st.hosts[host_idx].host.clone();
         let now = self.sim.now();
-        st.containers.push(Container {
+        let slot = st.containers.insert(Container {
             id,
-            func: func.to_owned(),
+            func,
             host_idx,
             host,
             mem_mb: memory_mb,
@@ -629,12 +759,11 @@ impl FaasPlatform {
         if provisioned {
             // Provisioned containers are born idle: index them so
             // `take_warm` can find them.
-            st.warm_idle
-                .entry(func.to_owned())
-                .or_default()
-                .insert((true, now, Reverse(id)));
+            st.functions[func.index()]
+                .warm_idle
+                .insert((true, now, Reverse(id), slot));
         }
-        st.containers.len() - 1
+        slot
     }
 
     /// Reserve `n` always-warm containers for `func` — the paper's §4
@@ -646,22 +775,17 @@ impl FaasPlatform {
     /// # Panics
     /// Panics if the function is not registered.
     pub fn set_provisioned_concurrency(&self, func: &str, n: usize) {
-        let spec = self
-            .state
-            .borrow()
-            .functions
-            .get(func)
-            .cloned()
+        let id = self
+            .function_id(func)
             .unwrap_or_else(|| panic!("no such function: {func}"));
-        self.release_provisioned_concurrency(func);
+        self.release_reservation(id);
+        let memory_mb = self.state.borrow().functions[id.index()].spec.memory_mb;
         for _ in 0..n {
-            self.place_container(func, spec.memory_mb, true);
+            self.place_container(id, memory_mb, true);
         }
-        let gb = n as f64 * spec.memory_mb as f64 / 1024.0;
-        self.state
-            .borrow_mut()
-            .provisioned
-            .insert(func.to_owned(), (n, self.sim.now(), gb));
+        let gb = n as f64 * memory_mb as f64 / 1024.0;
+        self.state.borrow_mut().functions[id.index()].reservation =
+            Some((n, self.sim.now(), gb));
         self.recorder.add("faas.provisioned_containers", n as u64);
     }
 
@@ -669,10 +793,17 @@ impl FaasPlatform {
     /// reserved GB-seconds. Containers stay warm only for the ordinary
     /// keep-alive window afterwards. No-op when nothing is reserved.
     pub fn release_provisioned_concurrency(&self, func: &str) {
-        let reservation = self.state.borrow_mut().provisioned.remove(func);
-        let Some((_, since, gb)) = reservation else {
-            return;
-        };
+        if let Some(id) = self.function_id(func) {
+            self.release_reservation(id);
+        }
+    }
+
+    /// Returns the number of containers the reservation held.
+    fn release_reservation(&self, func: FunctionId) -> Option<usize> {
+        let reservation = self.state.borrow_mut().functions[func.index()]
+            .reservation
+            .take();
+        let (n, since, gb) = reservation?;
         let gb_s = gb * self.sim.now().duration_since(since).as_secs_f64();
         self.ledger.charge(
             Service::Faas,
@@ -690,45 +821,58 @@ impl FaasPlatform {
                 }
             }
         }
+        Some(n)
     }
 
     /// Charge all outstanding provisioned reservations up to now (call at
     /// the end of an experiment so the bill is complete).
     pub fn finalize_provisioned_billing(&self) {
-        let funcs: Vec<String> = self.state.borrow().provisioned.keys().cloned().collect();
-        for func in funcs {
+        let functions = self.state.borrow().functions.len();
+        for func in (0..functions as u32).map(FunctionId) {
             // Charge and immediately re-reserve so behaviour is unchanged.
-            let (n, _, _) = self.state.borrow().provisioned[&func];
-            self.release_provisioned_concurrency(&func);
-            // Re-mark the same containers as provisioned without paying a
-            // new start.
+            let Some(n) = self.release_reservation(func) else {
+                continue;
+            };
+            // Re-mark the function's `n` oldest containers as provisioned
+            // without paying a new start.
             let mut st = self.state.borrow_mut();
-            let mut count = 0usize;
-            for c in st.containers.iter_mut() {
-                if c.func == func && count < n {
-                    c.provisioned = true;
-                    count += 1;
-                }
+            let st = &mut *st;
+            let mut mine: Vec<&mut Container> =
+                st.containers.iter_mut().filter(|c| c.func == func).collect();
+            mine.sort_unstable_by_key(|c| c.id);
+            for c in mine.into_iter().take(n) {
+                c.provisioned = true;
             }
-            let gb = st
-                .functions
-                .get(&func)
-                .map(|s| n as f64 * s.memory_mb as f64 / 1024.0)
-                .unwrap_or(0.0);
-            st.provisioned
-                .insert(func.clone(), (n, self.sim.now(), gb));
+            let f = &mut st.functions[func.index()];
+            let gb = n as f64 * f.spec.memory_mb as f64 / 1024.0;
+            f.reservation = Some((n, self.sim.now(), gb));
         }
     }
 
     /// Invoke `func` synchronously and await its outcome.
     pub async fn invoke(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
+        self.invoke_named(func, payload.into(), false).await
+    }
+
+    /// [`invoke`](Self::invoke) by the id [`register`](Self::register)
+    /// returned: the same invocation without the name lookup. An id this
+    /// platform never issued is [`FnError::NotFound`].
+    pub async fn invoke_id(&self, func: FunctionId, payload: impl Into<Payload>) -> InvokeOutcome {
         self.invoke_inner(func, payload.into(), false).await
     }
 
     /// Invoke via the queue-trigger path (adds the event-source dispatch
     /// overhead). Used by [`crate::trigger`].
     pub async fn invoke_triggered(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
-        self.invoke_inner(func, payload.into(), true).await
+        self.invoke_named(func, payload.into(), true).await
+    }
+
+    /// Resolve `func` once, then run the id path.
+    async fn invoke_named(&self, func: &str, payload: Payload, triggered: bool) -> InvokeOutcome {
+        match self.function_id(func) {
+            Some(id) => self.invoke_inner(id, payload, triggered).await,
+            None => InvokeOutcome::not_found(func.to_owned()),
+        }
     }
 
     /// Asynchronous invocation with Lambda's event-invoke semantics: the
@@ -746,8 +890,10 @@ impl FaasPlatform {
                 this.profile.async_retry_backoff,
             );
             let mut attempt = 0u32;
-            loop {
-                let out = this.invoke(&func, payload.clone()).await;
+            // An unregistered function fails at once, like `NotFound` below.
+            let id = this.function_id(&func);
+            while let Some(id) = id {
+                let out = this.invoke_id(id, payload.clone()).await;
                 match out.result {
                     Ok(_) => return,
                     Err(FnError::NotFound(_)) => break, // retrying won't help
@@ -803,21 +949,16 @@ impl FaasPlatform {
         }
     }
 
-    async fn invoke_inner(&self, func: &str, payload: Payload, triggered: bool) -> InvokeOutcome {
+    async fn invoke_inner(
+        &self,
+        func: FunctionId,
+        payload: Payload,
+        triggered: bool,
+    ) -> InvokeOutcome {
         let t0 = self.sim.now();
-        let spec = match self.state.borrow().functions.get(func) {
-            Some(s) => s.clone(),
-            None => {
-                return InvokeOutcome {
-                    result: Err(FnError::NotFound(func.to_owned())),
-                    exec: SimDuration::ZERO,
-                    billed: SimDuration::ZERO,
-                    total: SimDuration::ZERO,
-                    cold: false,
-                    host: HostId(u64::MAX),
-                    container: u64::MAX,
-                }
-            }
+        let spec = match self.state.borrow().functions.get(func.index()) {
+            Some(f) => f.spec.clone(),
+            None => return InvokeOutcome::not_found(func.to_string()),
         };
 
         // Account-level concurrency gate.
@@ -836,8 +977,8 @@ impl FaasPlatform {
         self.sim.sleep(overhead).await;
 
         // Container acquisition.
-        let (idx, cold) = match self.take_warm(func) {
-            Some(idx) => (idx, false),
+        let (slot, cold) = match self.take_warm(func) {
+            Some(slot) => (slot, false),
             None => {
                 let cold_extra = self.sample(Which::Cold);
                 self.sim.sleep(cold_extra).await;
@@ -846,7 +987,7 @@ impl FaasPlatform {
         };
         let (container_id, host, cache) = {
             let st = self.state.borrow();
-            let c = &st.containers[idx];
+            let c = st.containers.occupant(slot);
             (c.id, c.host.clone(), c.cache.clone())
         };
         if cold {
@@ -906,38 +1047,24 @@ impl FaasPlatform {
         };
         let exec = self.sim.now() - exec_start;
 
-        // Release the container (look it up by id: the vector may have
-        // shifted while we ran). A crashed container is destroyed instead
-        // of returning to the warm pool.
+        // Release the container back to its function's warm pool. A
+        // crashed container is destroyed instead.
         {
             let now = self.sim.now();
             let mut st = self.state.borrow_mut();
             let st = &mut *st;
             st.busy_gb_s += spec.memory_mb as f64 / 1024.0 * exec.as_secs_f64();
             if crashed {
-                if let Ok(pos) = st.containers.binary_search_by_key(&container_id, |c| c.id) {
-                    let c = st.containers.remove(pos);
+                if let Some(c) = st.containers.remove(slot, container_id) {
                     st.retired_gb_s += residency_gb_s(&c, now);
-                    if let Some(h) = st.hosts.get_mut(c.host_idx) {
-                        h.containers = h.containers.saturating_sub(1);
-                        h.mem_used_mb = h.mem_used_mb.saturating_sub(c.mem_mb);
-                    }
+                    st.hosts[c.host_idx].vacate(c.mem_mb);
                 }
-            } else if let Ok(pos) = st.containers.binary_search_by_key(&container_id, |c| c.id) {
-                let c = &mut st.containers[pos];
+            } else if let Some(c) = st.containers.get_mut(slot, container_id) {
                 c.busy = false;
                 c.idle_since = now;
-                let key = (c.provisioned, now, Reverse(c.id));
-                // get_mut-first: the per-invoke release must not pay a
-                // `String` allocation just to probe an existing entry.
-                match st.warm_idle.get_mut(func) {
-                    Some(set) => {
-                        set.insert(key);
-                    }
-                    None => {
-                        st.warm_idle.insert(func.to_owned(), WarmSet::single(key));
-                    }
-                }
+                st.functions[func.index()]
+                    .warm_idle
+                    .insert((c.provisioned, now, Reverse(container_id), slot));
             }
         }
 
@@ -1039,19 +1166,19 @@ mod tests {
         let (sim, platform, _, _) = setup();
         let owners = Rc::new(std::cell::Cell::new(0));
         let (p, seen) = (platform.clone(), owners.clone());
-        platform.register(FunctionSpec::new(
+        let id = platform.register(FunctionSpec::new(
             "shared",
             128,
             SimDuration::from_secs(60),
             move |_ctx, payload| {
-                seen.set(Rc::strong_count(&p.state.borrow().functions["shared"]));
+                seen.set(Rc::strong_count(&p.state.borrow().functions[0].spec));
                 async move { Ok(payload) }
             },
         ));
         let p = platform.clone();
         sim.block_on(async move { p.invoke("shared", Bytes::new()).await });
         assert_eq!(owners.get(), 2);
-        assert_eq!(Rc::strong_count(&platform.state.borrow().functions["shared"]), 1);
+        assert_eq!(Rc::strong_count(&platform.state.borrow().functions[id.index()].spec), 1);
     }
 
     #[test]
@@ -1060,6 +1187,104 @@ mod tests {
         let p = platform.clone();
         let out = sim.block_on(async move { p.invoke("ghost", Bytes::new()).await });
         assert!(matches!(out.result, Err(FnError::NotFound(_))));
+    }
+
+    #[test]
+    fn unissued_function_id_is_not_found() {
+        // An id from a platform with more functions than this one.
+        let (_other_sim, other, _, _) = setup();
+        other.register(noop_spec("a"));
+        let foreign = other.register(noop_spec("b"));
+        let (sim, platform, ledger, _) = setup();
+        assert_eq!(platform.function_id("b"), None);
+        let p = platform.clone();
+        let out = sim.block_on(async move { p.invoke_id(foreign, Bytes::new()).await });
+        assert_eq!(out.result, Err(FnError::NotFound("fn#1".into())));
+        assert_eq!(platform.container_count(), 0);
+        assert_eq!(ledger.total(), 0.0);
+    }
+
+    #[test]
+    fn reregistering_keeps_the_id_and_the_warm_containers() {
+        let (sim, platform, _, _) = setup();
+        let id = platform.register(noop_spec("f"));
+        platform.register(noop_spec("other"));
+        let p = platform.clone();
+        let first = sim.block_on(async move { p.invoke_id(id, Bytes::new()).await });
+        assert!(first.cold);
+        // The replacement answers differently but inherits id and pool.
+        let again = platform.register(FunctionSpec::new(
+            "f",
+            128,
+            SimDuration::from_secs(60),
+            |_ctx, _| async move { Ok(Bytes::from_static(b"v2")) },
+        ));
+        assert_eq!(again, id);
+        assert_eq!(platform.function_id("f"), Some(id));
+        let p = platform.clone();
+        let second = sim.block_on(async move { p.invoke("f", Bytes::new()).await });
+        assert!(!second.cold, "re-registering dropped the warm pool");
+        assert_eq!(second.container, first.container);
+        assert_eq!(second.result.unwrap().bytes(), Bytes::from_static(b"v2"));
+    }
+
+    #[test]
+    fn by_name_and_by_id_are_the_same_invocation() {
+        fn run(by_id: bool) -> (String, String) {
+            let (sim, platform, ledger, recorder) = setup();
+            platform.set_faults(FaasFaults { kill_prob: 0.3 });
+            let ids: Vec<FunctionId> = ["a", "b", "c"]
+                .iter()
+                .map(|name| platform.register(noop_spec(name)))
+                .collect();
+            let p = platform.clone();
+            sim.block_on(async move {
+                let futs: Vec<_> = (0..60usize)
+                    .map(|i| {
+                        let p = p.clone();
+                        let id = ids[i % 3];
+                        async move {
+                            if by_id {
+                                p.invoke_id(id, Bytes::new()).await
+                            } else {
+                                p.invoke(["a", "b", "c"][i % 3], Bytes::new()).await
+                            }
+                        }
+                    })
+                    .collect();
+                join_all(futs).await
+            });
+            (recorder.digest(), ledger.report())
+        }
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn stale_warm_entry_never_claims_the_slots_next_tenant() {
+        let (sim, platform, _, _) = setup();
+        let a = platform.register(noop_spec("a"));
+        let b = platform.register(noop_spec("b"));
+        let (p, s) = (platform.clone(), sim.clone());
+        sim.block_on(async move {
+            let first_a = p.invoke_id(a, Bytes::new()).await;
+            // Reap `a`'s container; its warm entry still names the slot.
+            s.sleep(SimDuration::from_mins(11)).await;
+            p.reap_idle();
+            assert_eq!(p.container_count(), 0);
+            // `b` cold-starts into the freed slot and goes idle there.
+            let first_b = p.invoke_id(b, Bytes::new()).await;
+            assert!(first_b.cold);
+            assert_eq!(p.state.borrow().containers.slots.len(), 1, "slot was not reused");
+            // `a` must not be handed `b`'s container through the old hint.
+            let second_a = p.invoke_id(a, Bytes::new()).await;
+            assert!(second_a.cold);
+            assert_ne!(second_a.container, first_b.container);
+            assert_ne!(second_a.container, first_a.container);
+            let second_b = p.invoke_id(b, Bytes::new()).await;
+            assert!(!second_b.cold);
+            assert_eq!(second_b.container, first_b.container);
+            assert_eq!(p.container_count(), 2);
+        });
     }
 
     #[test]

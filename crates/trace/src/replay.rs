@@ -17,6 +17,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use faasim::{Cloud, CloudProfile};
+use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec};
 use faasim_gateway::{Gateway, GatewayConfig, GatewayError, RetryingGateway, TenantConfig};
 use faasim_payload::Payload;
 use faasim_resilience::{BreakerConfig, Deadline, RetryError, RetryPolicy, RetryingInvoker};
@@ -427,7 +428,7 @@ struct Stats {
 /// How the replay reaches the platform: directly, through client
 /// retries, or through the gateway tier (with or without retries).
 enum Client {
-    Direct(faasim_faas::FaasPlatform),
+    Direct(FaasPlatform),
     Retry(RetryingInvoker),
     Gw(Gateway),
     GwRetry(RetryingGateway),
@@ -442,6 +443,9 @@ struct ReqCtx {
     /// Function names pre-rendered once (`app * funcs_per_app + func`),
     /// so the per-event path never formats a `String`.
     names: Vec<String>,
+    /// The ids the platform registered them under, same indexing: the
+    /// direct client invokes by id and never touches a name.
+    ids: Vec<FunctionId>,
     funcs_per_app: u32,
     latency_cap: usize,
     /// Set once the driver has spawned its last request; `done` flips
@@ -485,13 +489,14 @@ pub fn replay_with(
     // Register every function; the handler burns a fresh sample of the
     // function's execution-time distribution on each invocation.
     let exec_rng = Rc::new(RefCell::new(sim.rng("trace.exec")));
+    let mut ids = Vec::with_capacity((cfg.trace.apps * cfg.trace.funcs_per_app) as usize);
     for app in 0..cfg.trace.apps {
         for func in 0..cfg.trace.funcs_per_app {
             let prof = function_profile(&cfg.trace, seed, app, func);
             let rng = exec_rng.clone();
             let mean = prof.mean_exec.as_secs_f64();
             let cv = prof.exec_cv;
-            faas.register(faasim_faas::FunctionSpec::new(
+            ids.push(faas.register(FunctionSpec::new(
                 prof.name,
                 prof.memory_mb,
                 prof.timeout,
@@ -511,7 +516,7 @@ pub fn replay_with(
                         Ok(Payload::new())
                     }
                 },
-            ));
+            )));
         }
     }
 
@@ -576,6 +581,7 @@ pub fn replay_with(
         names: (0..cfg.trace.apps)
             .flat_map(|app| (0..funcs_per_app).map(move |func| function_name(app, func)))
             .collect(),
+        ids,
         funcs_per_app,
         latency_cap: cfg.latency_sample_cap,
         total: Cell::new(None),
@@ -615,7 +621,8 @@ pub fn replay_with(
                 );
                 ctx2.sim.spawn_detached(async move {
                     let t0 = ctx3.sim.now();
-                    let name = &ctx3.names[(ev.app * ctx3.funcs_per_app + ev.func) as usize];
+                    let func = (ev.app * ctx3.funcs_per_app + ev.func) as usize;
+                    let name = &ctx3.names[func];
                     // `ok` is the request's final outcome; `shed` marks a
                     // final outcome that was a gateway admission refusal
                     // (rather than an execution failure).
@@ -627,7 +634,7 @@ pub fn replay_with(
                             false,
                         ),
                         Client::Direct(faas) => {
-                            (faas.invoke(name, payload).await.result.is_ok(), false)
+                            (faas.invoke_id(ctx3.ids[func], payload).await.result.is_ok(), false)
                         }
                         Client::GwRetry(gw) => {
                             match gw
@@ -658,7 +665,7 @@ pub fn replay_with(
                         let agg = &mut st.per_app[ev.app as usize];
                         agg.completed += 1;
                         agg.lat_sum += latency;
-                        st.seen_funcs[(ev.app * ctx3.funcs_per_app + ev.func) as usize] = true;
+                        st.seen_funcs[func] = true;
                         if ok {
                             st.succeeded += 1;
                         } else {

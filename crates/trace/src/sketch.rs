@@ -10,8 +10,6 @@
 //! identical sketches in any order-preserving replay — exactly the
 //! property the seed-sweep determinism harness asserts.
 
-use std::collections::BTreeMap;
-
 /// Smallest value tracked with relative error; anything below (including
 /// zero) lands in a dedicated zero bucket reported as `0.0`.
 const MIN_TRACKED: f64 = 1e-9;
@@ -22,10 +20,13 @@ pub struct QuantileSketch {
     alpha: f64,
     gamma: f64,
     ln_gamma: f64,
-    /// Log-bucket counts, keyed by `ceil(ln(v) / ln γ)`. A `BTreeMap`
-    /// keeps iteration (and therefore quantile walks and `Debug` output)
-    /// deterministic.
-    buckets: BTreeMap<i32, u64>,
+    /// Log-bucket counts: `buckets[i]` counts bucket index `offset + i`,
+    /// where a value's index is `ceil(ln(v) / ln γ)`. The store spans
+    /// exactly the occupied index range (first and last entries are never
+    /// zero), so equal sample multisets give equal sketches whatever the
+    /// insertion order, and an insert is one indexed add.
+    buckets: Vec<u64>,
+    offset: i32,
     zeros: u64,
     count: u64,
     sum: f64,
@@ -43,7 +44,8 @@ impl QuantileSketch {
             alpha,
             gamma,
             ln_gamma: gamma.ln(),
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
+            offset: 0,
             zeros: 0,
             count: 0,
             sum: 0.0,
@@ -73,8 +75,26 @@ impl QuantileSketch {
             self.zeros += 1;
         } else {
             let idx = (v.ln() / self.ln_gamma).ceil() as i32;
-            *self.buckets.entry(idx).or_insert(0) += 1;
+            *self.bucket_mut(idx) += 1;
         }
+    }
+
+    /// The count for bucket `idx`, growing the store to reach it. Callers
+    /// add a nonzero amount, which keeps both ends of the store occupied.
+    fn bucket_mut(&mut self, idx: i32) -> &mut u64 {
+        if self.buckets.is_empty() {
+            self.offset = idx;
+        }
+        if idx < self.offset {
+            let grow = (self.offset - idx) as usize;
+            self.buckets.splice(0..0, vec![0; grow]);
+            self.offset = idx;
+        }
+        let i = (idx - self.offset) as usize;
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        &mut self.buckets[i]
     }
 
     /// Number of samples recorded.
@@ -117,7 +137,7 @@ impl QuantileSketch {
     /// Number of live buckets — the sketch's memory footprint, bounded by
     /// the data's dynamic range, not the sample count.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.zeros > 0)
+        self.buckets.iter().filter(|&&n| n > 0).count() + usize::from(self.zeros > 0)
     }
 
     /// Estimate the `q`-quantile using the same nearest-rank convention
@@ -134,7 +154,7 @@ impl QuantileSketch {
         if target < cum {
             return 0.0;
         }
-        for (&idx, &n) in &self.buckets {
+        for (idx, &n) in (self.offset..).zip(&self.buckets) {
             cum += n;
             if target < cum {
                 // Harmonic midpoint of (γ^(i-1), γ^i]: relative error to
@@ -174,8 +194,10 @@ impl QuantileSketch {
             (self.alpha - other.alpha).abs() < 1e-12,
             "cannot merge sketches with different error bounds"
         );
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        for (idx, &n) in (other.offset..).zip(&other.buckets) {
+            if n > 0 {
+                *self.bucket_mut(idx) += n;
+            }
         }
         self.zeros += other.zeros;
         self.count += other.count;
