@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare profile clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile clean
 
 ## Release build of the whole workspace.
 build:
@@ -62,6 +62,12 @@ bench:
 ## shrink the sweep for smoke runs with BENCH_SWEEP_SEEDS=<n>.
 bench-compare:
 	$(CARGO) bench -p faasim-bench --bench bench_compare
+
+## Perf trajectory: kernel events/sec across BENCH_baseline.json and every
+## committed BENCH_pr<N>.json, oldest first, each with its ratio to the
+## snapshot before it. Parses files only; fails on a malformed snapshot.
+bench-trend:
+	$(CARGO) bench -p faasim-bench --bench bench_trend
 
 ## Engine profile: run the replay kernels once and print the executor's
 ## SimProfile counters (task polls, timer pushes/fires/cancels, wheel

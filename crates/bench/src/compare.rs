@@ -163,6 +163,11 @@ const SWEEP_NOISE_FLOOR_SECS: f64 = 0.050;
 /// not a throughput trend worth holding future runs to.
 const MIN_PARALLEL_CORES: f64 = 4.0;
 
+/// The value recorded under `name` on one side of a comparison.
+fn lookup(side: &[(String, f64)], name: &str) -> Option<f64> {
+    side.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
 /// Diff `current` against `baseline` with a relative `tolerance`
 /// (0.25 = fail beyond 25% slower). Returns the human-readable report
 /// and every regression found. Entries present on only one side are
@@ -175,9 +180,6 @@ pub fn compare(
 ) -> (String, Vec<Regression>) {
     let mut out = String::new();
     let mut regressions = Vec::new();
-    let lookup = |side: &[(String, f64)], name: &str| -> Option<f64> {
-        side.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    };
 
     writeln!(
         out,
@@ -360,10 +362,79 @@ pub fn compare(
     (out, regressions)
 }
 
+/// `make bench-trend`: one table of kernel events/sec across the
+/// committed snapshots, oldest first — each cell followed by its ratio to
+/// the snapshot before it. A kernel a snapshot does not have (it was
+/// added or renamed later) prints `—`, and so does a ratio with nothing
+/// to its left to divide by.
+pub fn trend(snapshots: &[(String, BaselineNumbers)]) -> String {
+    let mut names: Vec<&str> = Vec::new();
+    for (_, numbers) in snapshots {
+        for (name, _) in &numbers.kernel {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+    }
+    let mut out = String::new();
+    write!(out, "{:<40}", "kernel bench (events/sec)").unwrap();
+    for (label, _) in snapshots {
+        write!(out, " {label:>16} {:>7}", "ratio").unwrap();
+    }
+    writeln!(out).unwrap();
+    for name in names {
+        write!(out, "{name:<40}").unwrap();
+        let mut previous = None;
+        for (_, numbers) in snapshots {
+            let now = lookup(&numbers.kernel, name);
+            let value = now.map_or("—".to_owned(), |v| format!("{v:.0}"));
+            let ratio = match (previous, now) {
+                (Some(before), Some(now)) if before > 0.0 => format!("{:.2}x", now / before),
+                _ => "—".to_owned(),
+            };
+            write!(out, " {value:>16} {ratio:>7}").unwrap();
+            previous = now;
+        }
+        writeln!(out).unwrap();
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wallclock::{ExperimentBench, KernelBench, SweepBench};
+
+    #[test]
+    fn trend_prints_ratios_and_dashes_for_missing_kernels() {
+        let snapshot = |label: &str, kernel: &[(&str, f64)]| {
+            let kernel = kernel.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
+            let numbers = BaselineNumbers {
+                kernel,
+                ..BaselineNumbers::default()
+            };
+            (label.to_owned(), numbers)
+        };
+        let table = trend(&[
+            snapshot("baseline", &[("kernel/old", 1000.0), ("kernel/gone", 50.0)]),
+            snapshot("pr1", &[("kernel/old", 1500.0)]),
+            snapshot("pr2", &[("kernel/old", 1200.0), ("kernel/new", 7.0)]),
+        ]);
+        let cells = |name: &str| -> Vec<String> {
+            let row = table.lines().find(|l| l.starts_with(name)).expect(name);
+            row.split_whitespace().skip(1).map(str::to_owned).collect()
+        };
+        // value, ratio per snapshot: 1500/1000 and 1200/1500.
+        assert_eq!(
+            cells("kernel/old"),
+            ["1000", "—", "1500", "1.50x", "1200", "0.80x"]
+        );
+        // Dropped after the baseline; the gap is not a ratio of zero.
+        assert_eq!(cells("kernel/gone"), ["50", "—", "—", "—", "—", "—"]);
+        // Added last: nothing to its left to compare with.
+        assert_eq!(cells("kernel/new"), ["—", "—", "—", "—", "7", "—"]);
+        assert_eq!(table.lines().count(), 4, "{table}");
+    }
 
     fn sample_current() -> Baseline {
         Baseline {

@@ -188,6 +188,7 @@ pub fn run_kernel_benches() -> Vec<KernelBench> {
         1024 * 1024 * 1024, // 30 synthetic objects of 1 GB -> the 30 GB paper scale
         30,
     ));
+    out.push(payload_line_count_bench(16 * 1024 * 1024, 8));
     out.push(gateway_admission_bench());
     out.push(platform_warm_hit_bench(12_000, 10));
     out.push(trace_replay_bench(false));
@@ -294,6 +295,20 @@ fn platform_warm_hit_bench(functions: u32, rounds: u32) -> KernelBench {
         }
         assert_eq!(cloud.faas.container_count(), functions as usize);
         u64::from(functions) * u64::from(rounds)
+    })
+}
+
+/// The count-only line walk in isolation: `Payload::line_count` over one
+/// inline access log of ~`bytes`, `passes` times over. No simulator, no
+/// closure, no carry buffer — the cost is the word-at-a-time newline
+/// scan itself. `events` is the lines counted, so the score is lines per
+/// host second (at ~18.5 bytes a line).
+fn payload_line_count_bench(bytes: usize, passes: u64) -> KernelBench {
+    let document = Payload::inline(inline_log_object(bytes, BENCH_SEED));
+    kernel_bench("kernel/payload_line_count_16mb", || {
+        (0..passes)
+            .map(|_| std::hint::black_box(&document).line_count())
+            .sum()
     })
 }
 
@@ -577,6 +592,9 @@ fn eager_reference_scan(objects: &[Vec<u8>]) -> u64 {
 ///   bytes — ranged reads, chunked folds, zero-allocation `CountAll`;
 /// - `query_scan_inline_100mb_eager`: the pre-streaming reference scan
 ///   over the identical corpus (fetch-all + distinct-line histogram);
+/// - `query_group_inline_100mb`: the streaming pipeline again, folding
+///   `GroupCount { field: 2 }` — field split and group probe per line on
+///   top of what `CountAll` pays;
 /// - `query_scan_synthetic_30gb`: the paper-scale corpus as symbolic
 ///   `Synthetic` payloads — the scan folds per-pattern results scaled by
 ///   the repeat count, so 30 GB is queried without materializing it.
@@ -622,6 +640,26 @@ fn query_scan_kernel_benches(
         "streaming and eager scans must count the same lines"
     );
 
+    let group = kernel_bench("kernel/query_group_inline_100mb", || {
+        let q = query.clone();
+        let c = client.clone();
+        let out = sim
+            .block_on(async move {
+                q.run(
+                    &c,
+                    QuerySpec::new("logs", "obj-", Aggregate::GroupCount { field: 2 }),
+                )
+                .await
+            })
+            .expect("query");
+        assert_eq!(out.rows.len(), 4, "the status field has four values");
+        out.rows.iter().map(|(_, count)| *count as u64).sum()
+    });
+    assert_eq!(
+        streaming.events, group.events,
+        "the groups must add up to the line count"
+    );
+
     let (sim, blob, query, client) = query_scan_world();
     let line = "GET /assets/app.js 200\n";
     let reps = synth_object_bytes / line.len() as u64;
@@ -646,7 +684,7 @@ fn query_scan_kernel_benches(
         out.rows[0].1 as u64
     });
 
-    vec![streaming, eager, synthetic]
+    vec![streaming, eager, group, synthetic]
 }
 
 /// One round of wall-clocking each experiment at `quick()` params;
@@ -949,18 +987,31 @@ mod tests {
         // ~200 KB inline and 2x1 MB synthetic but exercises the exact
         // same pipeline, reference scan, and line-count cross-check.
         let benches = query_scan_kernel_benches(100 * 1024, 2, 1024 * 1024, 2);
-        assert_eq!(benches.len(), 3);
+        assert_eq!(benches.len(), 4);
         let by_name: std::collections::BTreeMap<&str, &KernelBench> =
             benches.iter().map(|b| (b.name.as_str(), b)).collect();
         let streaming = by_name["kernel/query_scan_inline_100mb"];
         let eager = by_name["kernel/query_scan_inline_100mb_eager"];
+        let group = by_name["kernel/query_group_inline_100mb"];
         let synth = by_name["kernel/query_scan_synthetic_30gb"];
         // Identical corpus -> identical line counts (also asserted
         // inside the harness).
         assert_eq!(streaming.events, eager.events);
+        assert_eq!(streaming.events, group.events);
         assert!(streaming.events > 1_000);
         // 2 objects x 1 MB of the 23-byte log line.
         assert_eq!(synth.events, 2 * (1024 * 1024 / 23));
+    }
+
+    #[test]
+    fn payload_line_count_smoke() {
+        // The real kernel counts 16 MB eight times; every line of the
+        // generated log ends in a newline, so the count is exact.
+        let bytes = inline_log_object(64 * 1024, BENCH_SEED);
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count() as u64;
+        let b = payload_line_count_bench(64 * 1024, 3);
+        assert_eq!(b.name, "kernel/payload_line_count_16mb");
+        assert_eq!(b.events, 3 * lines);
     }
 
     #[test]

@@ -30,7 +30,10 @@ use std::fmt;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
+mod text;
+
 pub use bytes::Bytes;
+pub use text::{byte_positions, BytePositions};
 
 /// A cheaply cloneable payload: inline bytes, a synthetic repetition,
 /// or a concatenation of payloads. See the crate docs.
@@ -286,19 +289,23 @@ impl Payload {
     /// span chunk or repeat boundaries are stitched together exactly as
     /// a scan of the materialized bytes would see them; the
     /// differential tests below pin that equivalence.
-    pub fn for_each_line_run(&self, f: &mut dyn FnMut(&[u8], u64)) {
+    ///
+    /// A synthetic payload whose pattern holds *no* newline is one line
+    /// of `len()` bytes, and handing that line to `f` materializes it:
+    /// O(len) time and memory. [`Payload::line_count`] does not.
+    pub fn for_each_line_run(&self, mut f: impl FnMut(&[u8], u64)) {
         let mut carry: Vec<u8> = Vec::new();
-        self.walk_lines(&mut carry, f);
+        self.walk_lines(&mut carry, &mut f);
         if !carry.is_empty() {
             f(&carry, 1);
         }
     }
 
-    fn walk_lines(&self, carry: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], u64)) {
+    fn walk_lines<F: FnMut(&[u8], u64)>(&self, carry: &mut Vec<u8>, f: &mut F) {
         match &self.repr {
-            Repr::Inline(b) => scan_lines(b, carry, f),
+            Repr::Inline(b) => text::scan_lines(b, carry, f),
             Repr::Synthetic { pattern, repeats } => {
-                let Some(first_nl) = pattern.iter().position(|&c| c == b'\n') else {
+                let Some(first_nl) = byte_positions(pattern, b'\n').next() else {
                     // No newline in the pattern: the whole payload is a
                     // fragment of one line. O(len) — acceptable because
                     // line kernels over non-line data are not a hot path.
@@ -344,11 +351,30 @@ impl Payload {
 
     /// Number of non-empty `b'\n'`-separated lines — what
     /// `split(b'\n').filter(non_empty).count()` over the materialized
-    /// bytes returns, computed analytically for synthetic payloads.
+    /// bytes returns. A count-only walk: no line is ever assembled, so it
+    /// allocates nothing and a synthetic part costs O(|pattern|) whether
+    /// or not its pattern holds a newline.
     pub fn line_count(&self) -> u64 {
-        let mut n = 0u64;
-        self.for_each_line_run(&mut |_, count| n += count);
-        n
+        let mut open = false;
+        let ended = self.count_line_ends(&mut open);
+        ended + u64::from(open)
+    }
+
+    /// Lines that end inside this payload, given (and updating) whether a
+    /// non-empty line is open at its edge.
+    fn count_line_ends(&self, open: &mut bool) -> u64 {
+        match &self.repr {
+            Repr::Inline(b) => text::count_line_ends(b, open),
+            Repr::Synthetic { pattern, repeats } => {
+                // Every copy after the first starts in the state a copy
+                // leaves behind, so they all end the same number of lines.
+                let first = text::count_line_ends(pattern, open);
+                let mut after = *open;
+                let later = text::count_line_ends(pattern, &mut after);
+                first + later * (*repeats - 1)
+            }
+            Repr::Concat { parts, .. } => parts.iter().map(|p| p.count_line_ends(open)).sum(),
+        }
     }
 }
 
@@ -378,35 +404,18 @@ impl LineRunScanner {
     /// Scan the next chunk, visiting every *completed* non-empty line
     /// with its multiplicity. The trailing unterminated fragment is
     /// retained for the next `feed` (or `finish`).
-    pub fn feed(&mut self, chunk: &Payload, f: &mut dyn FnMut(&[u8], u64)) {
-        chunk.walk_lines(&mut self.carry, f);
+    pub fn feed(&mut self, chunk: &Payload, mut f: impl FnMut(&[u8], u64)) {
+        chunk.walk_lines(&mut self.carry, &mut f);
     }
 
     /// End of the stream: flush the final unterminated line, if any
     /// (matching how a scan of the whole materialized body treats a
     /// missing trailing newline).
-    pub fn finish(self, f: &mut dyn FnMut(&[u8], u64)) {
+    pub fn finish(self, mut f: impl FnMut(&[u8], u64)) {
         if !self.carry.is_empty() {
             f(&self.carry, 1);
         }
     }
-}
-
-fn scan_lines(b: &[u8], carry: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], u64)) {
-    let mut rest = b;
-    while let Some(pos) = rest.iter().position(|&c| c == b'\n') {
-        if carry.is_empty() {
-            if pos > 0 {
-                f(&rest[..pos], 1);
-            }
-        } else {
-            carry.extend_from_slice(&rest[..pos]);
-            f(carry, 1);
-            carry.clear();
-        }
-        rest = &rest[pos + 1..];
-    }
-    carry.extend_from_slice(rest);
 }
 
 /// Iterator over a payload's contiguous chunks (see [`Payload::chunks`]).
@@ -607,7 +616,7 @@ mod tests {
 
     fn line_multiset(p: &Payload) -> std::collections::BTreeMap<Vec<u8>, u64> {
         let mut out = std::collections::BTreeMap::new();
-        p.for_each_line_run(&mut |line, n| {
+        p.for_each_line_run(|line, n| {
             *out.entry(line.to_vec()).or_insert(0) += n;
         });
         out
@@ -683,6 +692,24 @@ mod tests {
     }
 
     #[test]
+    fn line_count_of_a_newline_free_synthetic_never_materializes() {
+        // 10 TB that is one line: the old carry-building walk would
+        // have allocated all of it to answer "1".
+        assert_eq!(Payload::synthetic("no-newline", 1 << 40).line_count(), 1);
+        assert_eq!(Payload::synthetic("\n", 1 << 40).line_count(), 0);
+        assert_eq!(Payload::synthetic("\nab", 1 << 40).line_count(), 1 << 40);
+        assert_eq!(Payload::synthetic("", 1 << 40).line_count(), 0);
+        assert_eq!(Payload::synthetic("no-newline", 0).line_count(), 0);
+        // The open line runs through both parts and ends in the third.
+        let p = Payload::concat([
+            Payload::from_static(b"x\nhead"),
+            Payload::synthetic("-", 1 << 40),
+            Payload::from_static(b"tail\n\nlast"),
+        ]);
+        assert_eq!(p.line_count(), 3);
+    }
+
+    #[test]
     fn line_runs_stitch_across_concat_boundaries() {
         // "ab" + "c\nd" + "e\n" materializes to "abc\nde\n": lines
         // [abc, de] even though no single part contains them.
@@ -692,7 +719,7 @@ mod tests {
             Payload::from_static(b"e\n"),
         ]);
         let mut got = Vec::new();
-        p.for_each_line_run(&mut |l, n| got.push((l.to_vec(), n)));
+        p.for_each_line_run(|l, n| got.push((l.to_vec(), n)));
         assert_eq!(got, vec![(b"abc".to_vec(), 1), (b"de".to_vec(), 1)]);
     }
 
@@ -797,9 +824,11 @@ mod proptests {
             // Line-kernel parity: multiset of (line, multiplicity)
             // visits equals a naive split of the materialized bytes.
             let mut got = std::collections::BTreeMap::new();
-            payload.for_each_line_run(&mut |line, n| {
+            payload.for_each_line_run(|line, n| {
                 *got.entry(line.to_vec()).or_insert(0u64) += n;
             });
+            // The count-only walk agrees with the visiting one.
+            prop_assert_eq!(payload.line_count(), got.values().sum::<u64>());
             prop_assert_eq!(got, naive_lines(&expected));
             prop_assert_eq!(
                 payload.line_count() as usize,
@@ -818,7 +847,7 @@ mod proptests {
             prop_assert_eq!(
                 {
                     let mut got = std::collections::BTreeMap::new();
-                    sliced.for_each_line_run(&mut |line, n| {
+                    sliced.for_each_line_run(|line, n| {
                         *got.entry(line.to_vec()).or_insert(0u64) += n;
                     });
                     got
