@@ -1,0 +1,186 @@
+//! Golden pins: cross-PR byte-identity as a test instead of a commit
+//! message. Each entry is an FNV-1a hash of a run's recorder digest and
+//! bill (plus the `{:?}` of the report for trace replays), blessed once
+//! and then held by every later change.
+//!
+//! A refactor that claims to be digest-neutral must leave this file
+//! untouched. A change that *means* to move a digest re-blesses: the
+//! failure message prints the full table in source form.
+
+use faasim_chaos::{experiment_scenarios, FaultPlan, NoisyNeighbor, Scenario};
+use faasim_resilience::RetryPolicy;
+use faasim_trace::{replay, GatewaySpec, ReplayConfig};
+
+const SEEDS: [u64; 2] = [5, 11];
+
+fn fnv1a(parts: &[&str]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for part in parts {
+        // A separator byte keeps ("ab", "c") and ("a", "bc") apart.
+        for &b in part.as_bytes().iter().chain(&[0xff]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Compare `actual` with `golden`; on any difference print the whole
+/// table as it should read in this file.
+fn assert_golden(what: &str, actual: &[(String, u64)], golden: &[(&str, u64)]) {
+    let same = actual.len() == golden.len()
+        && actual
+            .iter()
+            .zip(golden)
+            .all(|((name, hash), (gname, ghash))| name == gname && hash == ghash);
+    if !same {
+        let table: String = actual
+            .iter()
+            .map(|(name, hash)| format!("    (\"{name}\", 0x{hash:016x}),\n"))
+            .collect();
+        panic!("{what} drifted from the golden pins; the run now reads:\n{table}");
+    }
+}
+
+#[test]
+fn resilient_experiments_match_golden() {
+    let mut actual = Vec::new();
+    for hostile in [false, true] {
+        for scenario in experiment_scenarios(hostile) {
+            for seed in SEEDS {
+                let run = scenario.run(seed);
+                assert!(
+                    run.violations.is_empty(),
+                    "{} seed {seed}: {:?}",
+                    scenario.name(),
+                    run.violations
+                );
+                actual.push((
+                    format!("{}@{seed}", scenario.name()),
+                    fnv1a(&[&run.digest, &run.bill]),
+                ));
+            }
+        }
+    }
+    assert_golden("resilient experiments", &actual, GOLDEN_EXPERIMENTS);
+}
+
+#[test]
+fn noisy_neighbor_matches_golden() {
+    let mut actual = Vec::new();
+    for scenario in [NoisyNeighbor::default(), NoisyNeighbor::chaotic()] {
+        for seed in SEEDS {
+            let run = scenario.run(seed);
+            assert!(
+                run.violations.is_empty(),
+                "{} seed {seed}: {:?}",
+                scenario.name(),
+                run.violations
+            );
+            actual.push((
+                format!("{}@{seed}", scenario.name()),
+                fnv1a(&[&run.digest, &run.bill]),
+            ));
+        }
+    }
+    assert_golden("noisy neighbor", &actual, GOLDEN_NOISY_NEIGHBOR);
+}
+
+/// A 2 000-event replay in every client shape: gateway or not, client
+/// retries or not, each under the calm and the hostile plan.
+#[test]
+fn replay_client_shapes_match_golden() {
+    let mut actual = Vec::new();
+    for (gateway, gw_name) in [(false, "direct"), (true, "gateway")] {
+        for (retry, retry_name) in [(false, "once"), (true, "retry")] {
+            for (plan, plan_name) in [(FaultPlan::calm(), "calm"), (FaultPlan::hostile(), "hostile")] {
+                let mut cfg = ReplayConfig::small();
+                cfg.trace.max_events = 2_000;
+                cfg.gateway = gateway.then(GatewaySpec::default);
+                cfg.retry = retry.then(RetryPolicy::default);
+                for seed in SEEDS {
+                    let out = replay(&cfg, seed, &|cloud| plan.apply(cloud));
+                    let r = &out.report;
+                    assert_eq!(r.generated, 2_000);
+                    assert_eq!(r.invocations, 2_000);
+                    if retry && plan_name == "hostile" {
+                        // The retry layer really ran: more platform
+                        // executions than requests.
+                        assert!(r.attempts > r.invocations, "{gw_name}/{retry_name}: {r:?}");
+                        let counter = if gateway {
+                            "resil.gateway.attempts"
+                        } else {
+                            "resil.faas.attempts"
+                        };
+                        assert!(out.digest.contains(counter), "{counter} missing:\n{}", out.digest);
+                    }
+                    actual.push((
+                        format!("replay/{gw_name}/{retry_name}/{plan_name}@{seed}"),
+                        fnv1a(&[&out.digest, &out.bill, &format!("{r:?}")]),
+                    ));
+                }
+            }
+        }
+    }
+    assert_golden("replay client shapes", &actual, GOLDEN_REPLAY);
+}
+
+const GOLDEN_EXPERIMENTS: &[(&str, u64)] = &[
+    ("table1/calm@5", 0x4240aec282019e22),
+    ("table1/calm@11", 0x4240aec282019e22),
+    ("cold_starts/calm@5", 0xd8bbd09ed4726119),
+    ("cold_starts/calm@11", 0xd8bbd09ed4726119),
+    ("bandwidth/calm@5", 0x6a53838d058defba),
+    ("bandwidth/calm@11", 0x6a53838d058defba),
+    ("data_shipping/calm@5", 0x76d407a375a2a239),
+    ("data_shipping/calm@11", 0x76d407a375a2a239),
+    ("training/calm@5", 0x693a9555c59edcb9),
+    ("training/calm@11", 0x693a9555c59edcb9),
+    ("prediction/calm@5", 0x5e477960f89fb540),
+    ("prediction/calm@11", 0x5e477960f89fb540),
+    ("election/calm@5", 0x12600c9f581fd070),
+    ("election/calm@11", 0x12600c9f581fd070),
+    ("agents_cmp/calm@5", 0x331ae86f26535b83),
+    ("agents_cmp/calm@11", 0x331ae86f26535b83),
+    ("table1/hostile@5", 0x8069afdeaf8fb1f2),
+    ("table1/hostile@11", 0x566d0e43302ebf1e),
+    ("cold_starts/hostile@5", 0xd8bbd09ed4726119),
+    ("cold_starts/hostile@11", 0xd8bbd09ed4726119),
+    ("bandwidth/hostile@5", 0x6a53838d058defba),
+    ("bandwidth/hostile@11", 0x6a53838d058defba),
+    ("data_shipping/hostile@5", 0x76d407a375a2a239),
+    ("data_shipping/hostile@11", 0xd468a756407222a1),
+    ("training/hostile@5", 0x693a9555c59edcb9),
+    ("training/hostile@11", 0xbe5134e2ddba04ca),
+    ("prediction/hostile@5", 0x643f4f84c28b238c),
+    ("prediction/hostile@11", 0x22e1ed511c94832f),
+    ("election/hostile@5", 0x73d3963f652f62c6),
+    ("election/hostile@11", 0xadb00d933df84baa),
+    ("agents_cmp/hostile@5", 0x128decc4cf7276c4),
+    ("agents_cmp/hostile@11", 0xf5c570c6e553ad94),
+];
+
+const GOLDEN_NOISY_NEIGHBOR: &[(&str, u64)] = &[
+    ("noisy-neighbor/calm@5", 0x421db479b4619402),
+    ("noisy-neighbor/calm@11", 0xba390663241fd42e),
+    ("noisy-neighbor/hostile@5", 0x421db479b4619402),
+    ("noisy-neighbor/hostile@11", 0x5d1aeb3a5497d553),
+];
+
+const GOLDEN_REPLAY: &[(&str, u64)] = &[
+    ("replay/direct/once/calm@5", 0x04b137455fa974c5),
+    ("replay/direct/once/calm@11", 0xacedd6c6720960b1),
+    ("replay/direct/once/hostile@5", 0x7fb947a8cd026ce8),
+    ("replay/direct/once/hostile@11", 0x7f1afe29febde8d0),
+    ("replay/direct/retry/calm@5", 0x44def164613c526e),
+    ("replay/direct/retry/calm@11", 0x03e916c84445dca4),
+    ("replay/direct/retry/hostile@5", 0x4df4ad554dc56048),
+    ("replay/direct/retry/hostile@11", 0xcdc6569c6f62d6d2),
+    ("replay/gateway/once/calm@5", 0xa02869d772baa963),
+    ("replay/gateway/once/calm@11", 0x259982f5574cdc34),
+    ("replay/gateway/once/hostile@5", 0x3bf8f53e0aba1187),
+    ("replay/gateway/once/hostile@11", 0x8a2b52b8cb969388),
+    ("replay/gateway/retry/calm@5", 0x83a9cfaa4dbdfc5d),
+    ("replay/gateway/retry/calm@11", 0xd67d31a54cebe322),
+    ("replay/gateway/retry/hostile@5", 0xdabf6e663e1a15c8),
+    ("replay/gateway/retry/hostile@11", 0xbefdb874e571319f),
+];
