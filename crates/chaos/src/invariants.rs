@@ -1,29 +1,12 @@
 //! Cross-cutting invariants a chaotic run must still satisfy.
 //!
-//! The recorder/ledger-level checks live in `faasim-resilience` (so the
-//! core experiments can assert them without a dependency cycle); this
-//! module re-exports them and adds [`check_cloud`], the one-call bundle
-//! over a whole [`Cloud`].
+//! The recorder/ledger-level checks live in `faasim-resilience` and
+//! [`check_cloud`], the one-call bundle over a whole `Cloud`, in the
+//! core crate (so the core experiments can assert them without a
+//! dependency cycle); this module re-exports them.
 
-use faasim::Cloud;
-
+pub use faasim::experiments::check_cloud;
 pub use faasim_resilience::{ledger_consistent, message_conservation, queue_conservation};
-
-/// Run every global invariant against a cloud; returns the list of
-/// violations (empty means healthy).
-pub fn check_cloud(cloud: &Cloud) -> Vec<String> {
-    let mut violations = Vec::new();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        violations.push(v);
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        violations.push(v);
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        violations.push(v);
-    }
-    violations
-}
 
 #[cfg(test)]
 mod tests {

@@ -53,9 +53,9 @@ pub use parallel::ParallelSweep;
 // the core experiments can use it without a dependency cycle; re-export
 // the whole surface here so chaos users keep a single import path.
 pub use faasim_resilience::{
-    hedged, BreakerConfig, BreakerError, BreakerState, CircuitBreaker, Deadline, DeleteOutcome,
-    Effect, IdempotencyStore, RetryError, RetryPolicy, RetryingBlob, RetryingInvoker, RetryingKv,
-    RetryingQueue,
+    hedged, BreakerConfig, BreakerError, BreakerState, CircuitBreaker, Deadline, Effect,
+    IdempotencyStore, Invoke, RetryError, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker,
+    RetryingKv, RetryingQueue,
 };
 pub use scenarios::{CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline};
 pub use sweep::{sweep, RunReport, Scenario, SeedReport, SweepReport};

@@ -109,16 +109,18 @@ impl Scenario for CrdtSync {
             cloud.sim.spawn(async move {
                 let idx = (r - 1) as usize;
                 let my_key = format!("replica-{r}");
+                let unbounded = Deadline::unbounded();
                 for step in 0..increments_each {
                     states.borrow_mut()[idx].increment(r, 1);
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
                     // A publish that exhausts its retries is not fatal —
                     // the next step republishes a superseding snapshot.
-                    let _ = kv.put(&host, "crdt", &my_key, snapshot).await;
+                    let _ = kv.put(&host, "crdt", &my_key, snapshot, unbounded).await;
                     let peer = (r + step) % replicas + 1;
                     if peer != r {
+                        let peer_key = format!("replica-{peer}");
                         match kv
-                            .get(&host, "crdt", &format!("replica-{peer}"), Consistency::Eventual)
+                            .get(&host, "crdt", &peer_key, Consistency::Eventual, unbounded)
                             .await
                         {
                             Ok(item) => {
@@ -135,7 +137,7 @@ impl Scenario for CrdtSync {
                 // Quiesce: keep publishing + merging until propagated.
                 for _round in 0..20u64 {
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
-                    if kv.put(&host, "crdt", &my_key, snapshot).await.is_err() {
+                    if kv.put(&host, "crdt", &my_key, snapshot, unbounded).await.is_err() {
                         stuck
                             .borrow_mut()
                             .push(format!("replica {r}: quiesce publish exhausted retries"));
@@ -144,8 +146,9 @@ impl Scenario for CrdtSync {
                         if peer == r {
                             continue;
                         }
+                        let peer_key = format!("replica-{peer}");
                         if let Ok(item) = kv
-                            .get(&host, "crdt", &format!("replica-{peer}"), Consistency::Eventual)
+                            .get(&host, "crdt", &peer_key, Consistency::Eventual, unbounded)
                             .await
                         {
                             if let Some(other) = GCounter::decode(&item.value.bytes()) {
@@ -582,7 +585,7 @@ impl NoisyNeighbor {
                     sim2.spawn(async move {
                         let t0 = s.now();
                         let ok = client
-                            .invoke(VICTIM, "work", &Payload::zeros(512), Deadline::unbounded())
+                            .invoke((VICTIM, "work"), &Payload::zeros(512), Deadline::unbounded())
                             .await
                             .is_ok();
                         if !ok {

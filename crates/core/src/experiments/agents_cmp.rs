@@ -158,8 +158,6 @@ pub fn run(params: &AgentsCmpParams, seed: u64) -> AgentsCmpResult {
 /// fabric accounts for every message it accepted — including the
 /// chaos-dropped ones.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_resilience::{ledger_consistent, message_conservation, queue_conservation};
-
     const NODES: u64 = 5;
     const ROUNDS: usize = 2;
 
@@ -238,16 +236,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         .sim
         .run_until(cloud.sim.now() + SimDuration::from_secs(5));
 
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("agents_cmp: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("agents_cmp: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("agents_cmp: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("agents_cmp", &cloud);
     report
 }
 

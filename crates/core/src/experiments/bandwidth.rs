@@ -291,10 +291,7 @@ pub fn run_memory_sweep(params: &MemorySweepParams, seed: u64) -> MemorySweepRes
 /// conservation checks.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
     use faasim_payload::Payload;
-    use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, Deadline, RetryPolicy,
-        RetryingInvoker,
-    };
+    use faasim_resilience::{Deadline, RetryPolicy, RetryingInvoker};
 
     const CONCURRENCY: usize = 20;
     const TRANSFER_BYTES: u64 = 2_000_000;
@@ -369,16 +366,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
     });
     drop(rates);
     cloud.sim.run();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("bandwidth: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("bandwidth: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("bandwidth: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("bandwidth", &cloud);
     report
 }
 

@@ -169,10 +169,7 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
 /// still hold afterwards.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
     use faasim_payload::Payload;
-    use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, Deadline, RetryPolicy,
-        RetryingInvoker,
-    };
+    use faasim_resilience::{Deadline, RetryPolicy, RetryingInvoker};
 
     const INVOCATIONS: usize = 8;
     const PAYLOAD_BYTES: usize = 256;
@@ -233,16 +230,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
             format!("cold_starts/gap{i}: cold fraction {frac} out of range")
         });
         cloud.sim.run();
-        if let Some(v) = message_conservation(&cloud.recorder) {
-            report.violation(format!("cold_starts/gap{i}: {v}"));
-        }
-        if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-            report.violation(format!("cold_starts/gap{i}: {v}"));
-        }
-        if let Some(v) = ledger_consistent(&cloud.ledger) {
-            report.violation(format!("cold_starts/gap{i}: {v}"));
-        }
-        report.probe.capture(&cloud);
+        report.audit(&format!("cold_starts/gap{i}"), &cloud);
     }
     report
 }

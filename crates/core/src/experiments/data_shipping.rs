@@ -350,10 +350,7 @@ fn run_code_to_data(
 /// end-to-end invariant is an *exact* line count despite at-least-once
 /// execution.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, Deadline, RetryPolicy,
-        RetryingBlob,
-    };
+    use faasim_resilience::{Deadline, RetryPolicy, RetryingBlob};
 
     const DATASET_MB: u64 = 100;
     const OBJECT_MB: u64 = 10;
@@ -385,8 +382,9 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
             .sim
             .block_on(async move {
                 for i in 0..objects {
+                    let key = format!("part-{i:05}");
                     if let Err(e) = blob
-                        .put_payload(&host, "logs", &format!("part-{i:05}"), body.clone())
+                        .put(&host, "logs", &key, body.clone(), Deadline::unbounded())
                         .await
                     {
                         failures.push(format!("populate part-{i:05}: {e}"));
@@ -414,7 +412,10 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                     if next >= objects {
                         return Ok(Bytes::new());
                     }
-                    let body = match blob.get(ctx.host(), "logs", &format!("part-{next:05}")).await
+                    let key = format!("part-{next:05}");
+                    let body = match blob
+                        .get(ctx.host(), "logs", &key, Deadline::unbounded())
+                        .await
                     {
                         Ok(b) => b,
                         Err(e) => {
@@ -472,16 +473,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         )
     });
     cloud.sim.run();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("data_shipping: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("data_shipping: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("data_shipping: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("data_shipping", &cloud);
     report
 }
 

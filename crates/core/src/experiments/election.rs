@@ -338,8 +338,6 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
 /// highest id, and every leader kill still completes a failover round —
 /// inside a generous but bounded convergence budget.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_resilience::{ledger_consistent, message_conservation, queue_conservation};
-
     const NODES: u64 = 5;
     const ROUNDS: usize = 2;
 
@@ -409,16 +407,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         .sim
         .run_until(cloud.sim.now() + SimDuration::from_secs(5));
 
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("election: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("election: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("election: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("election", &cloud);
     report
 }
 

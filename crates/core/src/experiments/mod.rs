@@ -24,4 +24,4 @@ pub mod probe;
 pub mod table1;
 pub mod training;
 
-pub use probe::{ExperimentProbe, ResilientReport};
+pub use probe::{check_cloud, ExperimentProbe, ResilientReport};

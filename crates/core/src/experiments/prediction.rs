@@ -432,8 +432,8 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
     use faasim_payload::Payload;
     use faasim_queue::DeadLetterConfig;
     use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, BreakerConfig, BreakerError,
-        CircuitBreaker, Deadline, IdempotencyStore, RetryPolicy, RetryingBlob, RetryingQueue,
+        BreakerConfig, BreakerError, CircuitBreaker, Deadline, IdempotencyStore, RetryPolicy,
+        RetryingBlob, RetryingQueue,
     };
 
     const BATCHES: usize = 12;
@@ -468,7 +468,8 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         let blob = rblob.clone();
         let host = cloud.client_host();
         if let Err(e) = cloud.sim.block_on(async move {
-            blob.put_payload(&host, "models", "blacklist", Payload::zeros(100_000))
+            let model = Payload::zeros(100_000);
+            blob.put(&host, "models", "blacklist", model, Deadline::unbounded())
                 .await
         }) {
             report.violation(format!("prediction: upload model: {e}"));
@@ -508,7 +509,10 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                 // failed fetch fails the whole invocation, so the
                 // trigger leaves the batch to be redelivered.
                 match brk
-                    .call(|_: &_| true, blob.get(ctx.host(), "models", "blacklist"))
+                    .call(
+                        |_: &_| true,
+                        blob.get(ctx.host(), "models", "blacklist", Deadline::unbounded()),
+                    )
                     .await
                 {
                     Ok(_) => {}
@@ -599,16 +603,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         format!("prediction: {committed} committed effects for {BATCHES} batches")
     });
     cloud.sim.run();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("prediction: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("prediction: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("prediction: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("prediction", &cloud);
     report
 }
 

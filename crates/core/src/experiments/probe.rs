@@ -7,7 +7,22 @@
 //! Every experiment's result carries one of these; the chaos sweep
 //! harness applies the same standard to fault-injected runs.
 
+use faasim_resilience::{ledger_consistent, message_conservation, queue_conservation};
+
 use crate::cloud::Cloud;
+
+/// Run every global invariant against a cloud; returns the list of
+/// violations (empty means healthy).
+pub fn check_cloud(cloud: &Cloud) -> Vec<String> {
+    [
+        message_conservation(&cloud.recorder),
+        queue_conservation(&cloud.recorder, &cloud.queue),
+        ledger_consistent(&cloud.ledger),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
 /// Recorder digests and bills from each cloud an experiment built, in
 /// construction order. Two runs at the same seed must compare equal.
@@ -66,6 +81,16 @@ impl ResilientReport {
     /// Record a violation.
     pub fn violation(&mut self, msg: impl Into<String>) {
         self.violations.push(msg.into());
+    }
+
+    /// Close out one of the experiment's clouds once its workload has
+    /// fully run: record every [`check_cloud`] violation as
+    /// `"{label}: {violation}"`, then capture the determinism probe.
+    pub fn audit(&mut self, label: &str, cloud: &Cloud) {
+        let violations = check_cloud(cloud);
+        self.violations
+            .extend(violations.iter().map(|v| format!("{label}: {v}")));
+        self.probe.capture(cloud);
     }
 
     /// Record a violation unless `ok` holds.

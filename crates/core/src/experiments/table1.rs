@@ -338,10 +338,7 @@ fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Hi
 /// deadline, and the global conservation/ledger invariants must hold.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
     use faasim_payload::Payload;
-    use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, Deadline, RetryPolicy,
-        RetryingBlob, RetryingInvoker, RetryingKv,
-    };
+    use faasim_resilience::{Deadline, RetryPolicy, RetryingBlob, RetryingInvoker, RetryingKv};
 
     const PAYLOAD_BYTES: usize = 1_024;
     const INVOC_TRIALS: usize = 12;
@@ -426,13 +423,14 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                     // transients are absorbed inside the handler so a
                     // brownout surfaces as latency, not failure.
                     let key = format!("rio-{}", ctx.container_id());
+                    let unbounded = Deadline::unbounded();
                     let run = async {
                         match medium {
                             Medium::Blob => {
-                                blob.put_payload(ctx.host(), "bench", &key, payload.clone())
+                                blob.put(ctx.host(), "bench", &key, payload.clone(), unbounded)
                                     .await
                                     .map_err(|e| format!("put: {e}"))?;
-                                blob.get(ctx.host(), "bench", &key)
+                                blob.get(ctx.host(), "bench", &key, unbounded)
                                     .await
                                     .map_err(|e| format!("get: {e}"))?;
                             }
@@ -442,10 +440,11 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                                     "bench",
                                     &key,
                                     Bytes::from(payload.to_vec()),
+                                    unbounded,
                                 )
                                 .await
                                 .map_err(|e| format!("put: {e}"))?;
-                                kv.get(ctx.host(), "bench", &key, Consistency::Strong)
+                                kv.get(ctx.host(), "bench", &key, Consistency::Strong, unbounded)
                                     .await
                                     .map_err(|e| format!("get: {e}"))?;
                             }
@@ -496,20 +495,20 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
                 let deadline = Deadline::within(&sim, SimDuration::from_secs(60));
                 let done = match medium {
                     Medium::Blob => async {
-                        blob.put_payload(&host, "bench", label, p.clone())
+                        blob.put(&host, "bench", label, p.clone(), Deadline::unbounded())
                             .await
                             .map_err(|e| e.to_string())?;
-                        blob.get_within(&host, "bench", label, deadline)
+                        blob.get(&host, "bench", label, deadline)
                             .await
                             .map_err(|e| e.to_string())?;
                         Ok::<(), String>(())
                     }
                     .await,
                     Medium::Kv => async {
-                        kv.put_within(&host, "bench", label, Bytes::from(p.to_vec()), deadline)
+                        kv.put(&host, "bench", label, Bytes::from(p.to_vec()), deadline)
                             .await
                             .map_err(|e| e.to_string())?;
-                        kv.get_within(&host, "bench", label, Consistency::Strong, deadline)
+                        kv.get(&host, "bench", label, Consistency::Strong, deadline)
                             .await
                             .map_err(|e| e.to_string())?;
                         Ok::<(), String>(())
@@ -572,16 +571,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
 
     // Quiesce in-flight deliveries so conservation counters settle.
     cloud.sim.run();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("table1: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("table1: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("table1: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("table1", &cloud);
     report
 }
 

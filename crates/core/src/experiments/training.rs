@@ -267,10 +267,7 @@ fn run_ec2(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -> T
 /// advances atomically between awaits, so interrupted executions resume
 /// where they left off and the invariant is an exact iteration count.
 pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_resilience::{
-        ledger_consistent, message_conservation, queue_conservation, Deadline, RetryPolicy,
-        RetryingBlob,
-    };
+    use faasim_resilience::{Deadline, RetryPolicy, RetryingBlob};
 
     let params = TrainingParams {
         dataset_mb: 2_000, // 20 iterations: enough to span several kills
@@ -298,10 +295,10 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         let blob = rblob.clone();
         let host = cloud.client_host();
         let data = Payload::zeros(batch_bytes as usize);
-        if let Err(e) = cloud
-            .sim
-            .block_on(async move { blob.put_payload(&host, "training", "batch", data).await })
-        {
+        if let Err(e) = cloud.sim.block_on(async move {
+            blob.put(&host, "training", "batch", data, Deadline::unbounded())
+                .await
+        }) {
             report.violation(format!("training: populate batch: {e}"));
         }
     }
@@ -319,7 +316,10 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
             let d = d.clone();
             async move {
                 while d.get() < total_iters {
-                    if let Err(e) = blob.get(ctx.host(), "training", "batch").await {
+                    if let Err(e) = blob
+                        .get(ctx.host(), "training", "batch", Deadline::unbounded())
+                        .await
+                    {
                         return Err(FnError::Handler(format!("batch fetch: {e}")));
                     }
                     ctx.cpu(ref_work).await;
@@ -366,16 +366,7 @@ pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
         )
     });
     cloud.sim.run();
-    if let Some(v) = message_conservation(&cloud.recorder) {
-        report.violation(format!("training: {v}"));
-    }
-    if let Some(v) = queue_conservation(&cloud.recorder, &cloud.queue) {
-        report.violation(format!("training: {v}"));
-    }
-    if let Some(v) = ledger_consistent(&cloud.ledger) {
-        report.violation(format!("training: {v}"));
-    }
-    report.probe.capture(&cloud);
+    report.audit("training", &cloud);
     report
 }
 

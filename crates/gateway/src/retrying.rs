@@ -1,105 +1,47 @@
-//! A retrying client for the gateway, mirroring
-//! [`faasim_resilience::RetryingInvoker`]: typed sheds are backed off
-//! on, and when the shed names the instant capacity returns (a token
-//! refill, a breaker cooldown) the retry never fires earlier than that.
+//! The gateway as something [`Retrying`] can invoke through: typed
+//! sheds are backed off on, and when the shed names the instant
+//! capacity returns (a token refill, a breaker cooldown) the retry
+//! never fires earlier than that.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use faasim_faas::InvokeOutcome;
+use faasim_faas::{FnError, InvokeOutcome};
 use faasim_payload::Payload;
-use faasim_resilience::{Deadline, RetryError, RetryPolicy};
-use faasim_simcore::{Recorder, Sim, SimRng};
+use faasim_resilience::{Invoke, Retrying};
+use faasim_simcore::SimTime;
 
 use crate::gateway::{Gateway, GatewayError};
 
 /// A [`Gateway`] client that retries transient refusals (rate limits,
 /// load sheds, open breakers) and transient platform failures with
-/// backoff, inside a deadline budget. Cheap to clone; clones share the
-/// jitter RNG stream.
-#[derive(Clone)]
-pub struct RetryingGateway {
-    gateway: Gateway,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+/// backoff, inside a deadline budget: `invoke((tenant, func), ..)`.
+pub type RetryingGateway = Retrying<Gateway>;
+
+impl From<FnError> for GatewayError {
+    fn from(err: FnError) -> GatewayError {
+        GatewayError::Function(err)
+    }
 }
 
-impl RetryingGateway {
-    /// Wrap `gateway`; `label` names the jitter RNG stream.
-    pub fn new(
-        sim: &Sim,
-        gateway: &Gateway,
-        recorder: Recorder,
-        policy: RetryPolicy,
-        label: &str,
-    ) -> RetryingGateway {
-        RetryingGateway {
-            gateway: gateway.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
-        }
+impl Invoke for Gateway {
+    type Call<'a> = (u32, &'a str);
+    type Error = GatewayError;
+
+    fn attempts_counter(&self) -> &'static str {
+        "resil.gateway.attempts"
     }
 
-    /// Invoke `func` for `tenant` through the gateway until it
-    /// succeeds, exhausts the policy, or runs out of deadline budget.
-    pub async fn invoke(
+    async fn attempt(
         &self,
-        tenant: u32,
-        func: &str,
-        payload: &Payload,
-        deadline: Deadline,
-    ) -> Result<InvokeOutcome, RetryError<GatewayError>> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last: Option<RetryError<GatewayError>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let mut d = self.policy.delay(attempt - 1, &mut self.rng.borrow_mut());
-                // A typed shed can name when capacity returns; retrying
-                // earlier than that is guaranteed wasted work.
-                if let Some(RetryError::Exhausted { last: e, .. }) = &last {
-                    if let Some(at) = e.retry_after() {
-                        d = d.max(at.duration_since(self.sim.now()));
-                    }
-                }
-                if deadline.remaining(&self.sim) <= d {
-                    return Err(RetryError::DeadlineExceeded { attempts: attempt });
-                }
-                self.sim.sleep(d).await;
-            }
-            if deadline.is_expired(&self.sim) {
-                return Err(RetryError::DeadlineExceeded { attempts: attempt });
-            }
-            self.recorder.incr("resil.gateway.attempts");
-            match self.gateway.invoke(tenant, func, payload.clone()).await {
-                Ok(out) => match &out.result {
-                    Ok(_) => return Ok(out),
-                    Err(e) if e.is_transient() => {
-                        last = Some(RetryError::Exhausted {
-                            attempts: attempt + 1,
-                            last: GatewayError::Function(e.clone()),
-                        });
-                    }
-                    Err(e) => return Err(RetryError::Fatal(GatewayError::Function(e.clone()))),
-                },
-                Err(e) if e.is_transient() => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e,
-                    });
-                }
-                Err(e) => return Err(RetryError::Fatal(e)),
-            }
-        }
-        Err(last.expect("max_attempts >= 1 guarantees one attempt"))
+        (tenant, func): Self::Call<'_>,
+        payload: Payload,
+    ) -> Result<InvokeOutcome, GatewayError> {
+        self.invoke(tenant, func, payload).await
     }
 
-    /// The wrapped gateway, for probes and non-retried calls.
-    pub fn inner(&self) -> &Gateway {
-        &self.gateway
+    // A typed shed can name when capacity returns; retrying earlier
+    // than that is guaranteed wasted work.
+    fn retry_at(err: &GatewayError) -> Option<SimTime> {
+        err.is_transient()
+            .then(|| err.retry_after().unwrap_or(SimTime::ZERO))
     }
 }
 
@@ -109,6 +51,7 @@ mod tests {
     use crate::gateway::{GatewayConfig, TenantConfig};
     use faasim::{Cloud, CloudProfile};
     use faasim_faas::FunctionSpec;
+    use faasim_resilience::{Deadline, RetryPolicy};
     use faasim_simcore::SimDuration;
 
     #[test]
@@ -150,8 +93,8 @@ mod tests {
         cloud.sim.block_on(async move {
             // Burst of 1: the first call drains the bucket, the second
             // must be shed and then retried no earlier than the refill.
-            client.invoke(0, "work", &payload, Deadline::unbounded()).await.expect("first");
-            client.invoke(0, "work", &payload, Deadline::unbounded()).await.expect("second");
+            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("first");
+            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("second");
         });
         let st = gw.tenant_stats(0);
         assert_eq!(st.admitted, 2);
@@ -198,13 +141,12 @@ mod tests {
         let payload = Payload::inline("x");
         let sim = cloud.sim.clone();
         let got = cloud.sim.block_on(async move {
-            client.invoke(0, "work", &payload, Deadline::unbounded()).await.expect("first");
+            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("first");
             // retry_after is SimTime::MAX, so the deadline budget (not
             // the backoff spine) must end the loop.
             client
                 .invoke(
-                    0,
-                    "work",
+                    (0, "work"),
                     &payload,
                     Deadline::within(&sim, SimDuration::from_secs(60)),
                 )

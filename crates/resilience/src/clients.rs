@@ -1,15 +1,19 @@
-//! Resilient service clients: the raw services wrapped in a
-//! [`RetryPolicy`], so experiments can opt into the retry discipline
-//! that real serverless applications are forced to adopt.
+//! [`Retrying`]: any service handle wrapped in a [`RetryPolicy`], so
+//! experiments can opt into the retry discipline that real serverless
+//! applications are forced to adopt.
 //!
-//! Only *transient* errors (KV throttling, blob 503s, crashed or
-//! timed-out invocations, per-call timeouts) are retried; logic errors
-//! such as a missing table or a failed conditional write surface
-//! immediately as [`RetryError::Fatal`]. Every client also takes
-//! deadline-budgeted variants so retry loops cannot outlive the request
-//! they serve.
+//! There is one wrapper and one loop ([`RetryPolicy`]'s, in
+//! `retry.rs`); what differs per service is only which operations
+//! exist, which errors are transient, and whether an attempt may be
+//! abandoned mid-flight. Only *transient* errors (KV throttling, blob
+//! 503s, crashed or timed-out invocations, per-call timeouts) are
+//! retried; logic errors such as a missing table surface immediately as
+//! [`RetryError::Fatal`]. Every operation takes a [`Deadline`], so a
+//! retry loop cannot outlive the request it serves;
+//! [`Deadline::unbounded`] leaves the policy alone in charge.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -18,36 +22,76 @@ use faasim_faas::{FaasPlatform, FnError, InvokeOutcome};
 use faasim_kv::{Consistency, Item, KvError, KvStore};
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_queue::{MessageId, QueueError, QueueService, Receipt, ReceivedMessage};
-use faasim_simcore::{Recorder, Sim, SimDuration, SimRng};
+use faasim_queue::{MessageId, QueueError, QueueService};
+use faasim_simcore::{Recorder, Sim, SimRng, SimTime};
 
 use crate::deadline::Deadline;
-use crate::retry::{RetryError, RetryPolicy};
+use crate::retry::{any_time, RetryError, RetryPolicy};
 
-/// A [`KvStore`] client that retries transient failures with the given
+/// A service handle `S` whose calls retry transient failures under one
 /// policy. Cheap to clone; clones share the jitter RNG stream.
 #[derive(Clone)]
-pub struct RetryingKv {
-    kv: KvStore,
+pub struct Retrying<S> {
+    inner: S,
     sim: Sim,
     policy: RetryPolicy,
     rng: Rc<RefCell<SimRng>>,
     recorder: Recorder,
 }
 
-impl RetryingKv {
-    /// Wrap `kv`. `label` names the jitter RNG stream, so two clients
+impl<S: Clone> Retrying<S> {
+    /// Wrap `inner`. `label` names the jitter RNG stream, so two clients
     /// with different labels draw independent jitter.
-    pub fn new(sim: &Sim, kv: &KvStore, recorder: Recorder, policy: RetryPolicy, label: &str) -> RetryingKv {
-        RetryingKv {
-            kv: kv.clone(),
+    pub fn new(
+        sim: &Sim,
+        inner: &S,
+        recorder: Recorder,
+        policy: RetryPolicy,
+        label: &str,
+    ) -> Retrying<S> {
+        Retrying {
+            inner: inner.clone(),
             sim: sim.clone(),
             policy,
             rng: Rc::new(RefCell::new(sim.rng(label))),
             recorder,
         }
     }
+}
 
+impl<S> Retrying<S> {
+    /// The wrapped service, for operations that should not retry.
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
+
+    /// Run `op` through the retry loop inside `deadline`, counting each
+    /// attempt under `counter`. `race` and `retry_at` are
+    /// [`RetryPolicy::drive`]'s.
+    async fn retry<T, E, Fut>(
+        &self,
+        counter: &'static str,
+        deadline: Deadline,
+        race: bool,
+        retry_at: impl Fn(&E) -> Option<SimTime>,
+        mut op: impl FnMut() -> Fut,
+    ) -> Result<T, RetryError<E>>
+    where
+        Fut: Future<Output = Result<T, E>>,
+    {
+        self.policy
+            .drive(&self.sim, &self.rng, deadline, race, retry_at, || {
+                self.recorder.incr(counter);
+                op()
+            })
+            .await
+    }
+}
+
+/// A [`KvStore`] client that retries throttled requests.
+pub type RetryingKv = Retrying<KvStore>;
+
+impl Retrying<KvStore> {
     /// Retrying unconditional write. Returns the new version.
     pub async fn put(
         &self,
@@ -55,27 +99,13 @@ impl RetryingKv {
         table: &str,
         key: &str,
         value: Bytes,
-    ) -> Result<u64, RetryError<KvError>> {
-        self.put_within(caller, table, key, value, Deadline::unbounded())
-            .await
-    }
-
-    /// [`RetryingKv::put`] inside a deadline budget.
-    pub async fn put_within(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Bytes,
         deadline: Deadline,
     ) -> Result<u64, RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.put(caller, table, key, value.clone())
-            })
-            .await
+        let transient = |e: &KvError| any_time(e.is_transient());
+        self.retry("chaos.kv.attempts", deadline, true, transient, || {
+            self.inner.put(caller, table, key, value.clone())
+        })
+        .await
     }
 
     /// Retrying read.
@@ -85,106 +115,35 @@ impl RetryingKv {
         table: &str,
         key: &str,
         consistency: Consistency,
-    ) -> Result<Item, RetryError<KvError>> {
-        self.get_within(caller, table, key, consistency, Deadline::unbounded())
-            .await
-    }
-
-    /// [`RetryingKv::get`] inside a deadline budget.
-    pub async fn get_within(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        consistency: Consistency,
         deadline: Deadline,
     ) -> Result<Item, RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.get(caller, table, key, consistency)
-            })
-            .await
-    }
-
-    /// Retrying delete (idempotent, so retries are safe).
-    pub async fn delete(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-    ) -> Result<(), RetryError<KvError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
-                rec.incr("chaos.kv.attempts");
-                self.kv.delete(caller, table, key)
-            })
-            .await
-    }
-
-    /// The wrapped store, for operations that should not retry.
-    pub fn inner(&self) -> &KvStore {
-        &self.kv
+        let transient = |e: &KvError| any_time(e.is_transient());
+        self.retry("chaos.kv.attempts", deadline, true, transient, || {
+            self.inner.get(caller, table, key, consistency)
+        })
+        .await
     }
 }
 
-/// A [`BlobStore`] client that retries transient failures.
-#[derive(Clone)]
-pub struct RetryingBlob {
-    blob: BlobStore,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
-}
+/// A [`BlobStore`] client that retries 503s.
+pub type RetryingBlob = Retrying<BlobStore>;
 
-impl RetryingBlob {
-    /// Wrap `blob`; `label` names the jitter RNG stream.
-    pub fn new(
-        sim: &Sim,
-        blob: &BlobStore,
-        recorder: Recorder,
-        policy: RetryPolicy,
-        label: &str,
-    ) -> RetryingBlob {
-        RetryingBlob {
-            blob: blob.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
-        }
-    }
-
+impl Retrying<BlobStore> {
     /// Retrying object write (PUT is idempotent, so retries are safe).
     pub async fn put(
         &self,
         caller: &Host,
         bucket: &str,
         key: &str,
-        data: Bytes,
+        data: impl Into<Payload>,
+        deadline: Deadline,
     ) -> Result<(), RetryError<BlobError>> {
-        self.put_payload(caller, bucket, key, Payload::inline(data))
-            .await
-    }
-
-    /// Retrying write of a (possibly symbolic) [`Payload`].
-    pub async fn put_payload(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), RetryError<BlobError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run(&self.sim, &self.rng, BlobError::is_transient, || {
-                rec.incr("chaos.blob.attempts");
-                self.blob.put(caller, bucket, key, data.clone())
-            })
-            .await
+        let data = data.into();
+        let transient = |e: &BlobError| any_time(e.is_transient());
+        self.retry("chaos.blob.attempts", deadline, true, transient, || {
+            self.inner.put(caller, bucket, key, data.clone())
+        })
+        .await
     }
 
     /// Retrying object read.
@@ -193,82 +152,28 @@ impl RetryingBlob {
         caller: &Host,
         bucket: &str,
         key: &str,
-    ) -> Result<Payload, RetryError<BlobError>> {
-        self.get_within(caller, bucket, key, Deadline::unbounded()).await
-    }
-
-    /// [`RetryingBlob::get`] inside a deadline budget.
-    pub async fn get_within(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
         deadline: Deadline,
     ) -> Result<Payload, RetryError<BlobError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, BlobError::is_transient, || {
-                rec.incr("chaos.blob.attempts");
-                self.blob.get(caller, bucket, key)
-            })
-            .await
-    }
-
-    /// The wrapped store, for operations that should not retry.
-    pub fn inner(&self) -> &BlobStore {
-        &self.blob
+        let transient = |e: &BlobError| any_time(e.is_transient());
+        self.retry("chaos.blob.attempts", deadline, true, transient, || {
+            self.inner.get(caller, bucket, key)
+        })
+        .await
     }
 }
 
-/// What happened to a queue delete made through [`RetryingQueue`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DeleteOutcome {
-    /// The message was deleted; it will never be redelivered.
-    Deleted,
-    /// The receipt had gone stale (its visibility timeout elapsed, so
-    /// the message was — or will be — redelivered to someone else).
-    /// Not an error under at-least-once delivery: the redelivery's
-    /// processing must dedup via an idempotency key.
-    Stale,
-}
-
-/// A [`QueueService`] client with platform-realistic failure handling:
-/// stale receipts are a first-class outcome rather than an error, and
-/// every operation fits a deadline budget.
+/// A [`QueueService`] client whose sends fit a deadline budget.
 ///
 /// Note what is *not* promised: a send that times out at the caller may
 /// still have enqueued (that is how duplicate deliveries happen in the
 /// first place). The queue contract stays at-least-once; exactly-once
 /// observable effects come from pairing this client with an
 /// [`crate::IdempotencyStore`].
-#[derive(Clone)]
-pub struct RetryingQueue {
-    queue: QueueService,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
-}
+pub type RetryingQueue = Retrying<QueueService>;
 
-impl RetryingQueue {
-    /// Wrap `queue`; `label` names the jitter RNG stream.
-    pub fn new(
-        sim: &Sim,
-        queue: &QueueService,
-        recorder: Recorder,
-        policy: RetryPolicy,
-        label: &str,
-    ) -> RetryingQueue {
-        RetryingQueue {
-            queue: queue.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
-        }
-    }
-
-    /// Send one message inside `deadline`.
+impl Retrying<QueueService> {
+    /// Send one message inside `deadline`. No queue error is transient,
+    /// so only a per-call timeout is ever retried.
     pub async fn send(
         &self,
         caller: &Host,
@@ -276,177 +181,91 @@ impl RetryingQueue {
         body: &Payload,
         deadline: Deadline,
     ) -> Result<MessageId, RetryError<QueueError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, |_| false, || {
-                rec.incr("resil.queue.attempts");
-                self.queue.send(caller, queue, body.clone())
-            })
-            .await
-    }
-
-    /// Send up to a batch of messages as one request inside `deadline`.
-    pub async fn send_batch(
-        &self,
-        caller: &Host,
-        queue: &str,
-        bodies: Vec<Payload>,
-        deadline: Deadline,
-    ) -> Result<Vec<MessageId>, RetryError<QueueError>> {
-        let rec = self.recorder.clone();
-        self.policy
-            .run_within(&self.sim, &self.rng, deadline, |_| false, || {
-                rec.incr("resil.queue.attempts");
-                self.queue.send_batch(caller, queue, bodies.clone())
-            })
-            .await
-    }
-
-    /// Receive up to `max` messages, long-polling up to `wait` but never
-    /// past `deadline`. An expired deadline yields an empty batch (the
-    /// caller's loop condition decides what that means), matching an
-    /// empty long poll.
-    pub async fn receive(
-        &self,
-        caller: &Host,
-        queue: &str,
-        max: usize,
-        wait: SimDuration,
-        deadline: Deadline,
-    ) -> Result<Vec<ReceivedMessage>, RetryError<QueueError>> {
-        let budget = deadline.remaining(&self.sim);
-        if budget == SimDuration::ZERO {
-            return Ok(Vec::new());
-        }
-        self.recorder.incr("resil.queue.attempts");
-        self.queue
-            .receive(caller, queue, max, wait.min(budget))
-            .await
-            .map_err(RetryError::Fatal)
-    }
-
-    /// Delete one received message. A stale receipt (visibility timeout
-    /// elapsed before the delete landed) is reported as
-    /// [`DeleteOutcome::Stale`], not an error: the message will be
-    /// redelivered and must be deduplicated downstream.
-    pub async fn delete(
-        &self,
-        caller: &Host,
-        receipt: Receipt,
-    ) -> Result<DeleteOutcome, RetryError<QueueError>> {
-        self.recorder.incr("resil.queue.attempts");
-        match self.queue.delete(caller, receipt).await {
-            Ok(()) => Ok(DeleteOutcome::Deleted),
-            Err(QueueError::InvalidReceipt) => {
-                self.recorder.incr("resil.queue.stale_receipts");
-                Ok(DeleteOutcome::Stale)
-            }
-            Err(e) => Err(RetryError::Fatal(e)),
-        }
-    }
-
-    /// Delete each receipt individually (so one stale receipt cannot
-    /// poison a batch). Returns `(deleted, stale)` counts.
-    pub async fn delete_all(
-        &self,
-        caller: &Host,
-        receipts: Vec<Receipt>,
-    ) -> Result<(usize, usize), RetryError<QueueError>> {
-        let mut deleted = 0;
-        let mut stale = 0;
-        for r in receipts {
-            match self.delete(caller, r).await? {
-                DeleteOutcome::Deleted => deleted += 1,
-                DeleteOutcome::Stale => stale += 1,
-            }
-        }
-        Ok((deleted, stale))
-    }
-
-    /// The wrapped service, for operations that should not retry.
-    pub fn inner(&self) -> &QueueService {
-        &self.queue
+        self.retry("resil.queue.attempts", deadline, true, |_| None, || {
+            self.inner.send(caller, queue, body.clone())
+        })
+        .await
     }
 }
 
-/// A [`FaasPlatform`] client that retries transient invocation failures
-/// (crashed containers, platform timeouts) with backoff, inside a
-/// deadline budget — the platform-level at-least-once retry semantics
-/// of an async invoke, made explicit on the synchronous path.
-///
-/// Each attempt runs to completion (an in-flight invocation is never
-/// canceled from outside — the function's own timeout bounds it), so a
-/// retried invocation may execute the handler more than once. Pair with
-/// [`crate::IdempotencyStore`] for exactly-once observable effects.
-#[derive(Clone)]
-pub struct RetryingInvoker {
-    faas: FaasPlatform,
-    sim: Sim,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+/// Something a function can be invoked through — the platform itself, a
+/// gateway in front of it, or a caller's own composition of the two —
+/// as [`Retrying::invoke`] sees it.
+pub trait Invoke {
+    /// What names one call: a function, or a tenant and a function.
+    type Call<'a>: Copy;
+    /// What a refused or failed attempt reports. An admitted call whose
+    /// function failed is reported as its [`FnError`], converted.
+    type Error: From<FnError>;
+
+    /// The recorder counter bumped once per attempt.
+    fn attempts_counter(&self) -> &'static str;
+
+    /// Make one attempt and see it through.
+    fn attempt(
+        &self,
+        call: Self::Call<'_>,
+        payload: Payload,
+    ) -> impl Future<Output = Result<InvokeOutcome, Self::Error>>;
+
+    /// The earliest instant a retry after `err` can succeed
+    /// ([`SimTime::ZERO`] when the error does not say), or `None` when
+    /// retrying cannot help.
+    fn retry_at(err: &Self::Error) -> Option<SimTime>;
 }
 
-impl RetryingInvoker {
-    /// Wrap `faas`; `label` names the jitter RNG stream.
-    pub fn new(
-        sim: &Sim,
-        faas: &FaasPlatform,
-        recorder: Recorder,
-        policy: RetryPolicy,
-        label: &str,
-    ) -> RetryingInvoker {
-        RetryingInvoker {
-            faas: faas.clone(),
-            sim: sim.clone(),
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
-            recorder,
-        }
+impl Invoke for FaasPlatform {
+    type Call<'a> = &'a str;
+    type Error = FnError;
+
+    fn attempts_counter(&self) -> &'static str {
+        "resil.faas.attempts"
     }
 
-    /// Invoke `func` until it succeeds, exhausts the policy, or runs
-    /// out of deadline budget. Returns the successful outcome; the
+    async fn attempt(
+        &self,
+        func: Self::Call<'_>,
+        payload: Payload,
+    ) -> Result<InvokeOutcome, FnError> {
+        Ok(self.invoke(func, payload).await)
+    }
+
+    fn retry_at(err: &FnError) -> Option<SimTime> {
+        any_time(err.is_transient())
+    }
+}
+
+/// A [`FaasPlatform`] client that retries crashed and timed-out
+/// invocations — the platform-level at-least-once retry semantics of an
+/// async invoke, made explicit on the synchronous path.
+pub type RetryingInvoker = Retrying<FaasPlatform>;
+
+impl<S: Invoke> Retrying<S> {
+    /// Invoke until the function succeeds, the policy is exhausted, or
+    /// the deadline budget runs out. Returns the successful outcome; the
     /// outcomes of failed attempts are visible only in the ledger and
     /// counters, as in a real platform.
+    ///
+    /// Each attempt runs to completion (an in-flight invocation is never
+    /// canceled from outside — the function's own timeout bounds it), so
+    /// a retried invocation may execute the handler more than once. Pair
+    /// with [`crate::IdempotencyStore`] for exactly-once observable
+    /// effects.
     pub async fn invoke(
         &self,
-        func: &str,
+        call: S::Call<'_>,
         payload: &Payload,
         deadline: Deadline,
-    ) -> Result<InvokeOutcome, RetryError<FnError>> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last: Option<RetryError<FnError>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let d = self.policy.delay(attempt - 1, &mut self.rng.borrow_mut());
-                if deadline.remaining(&self.sim) <= d {
-                    return Err(RetryError::DeadlineExceeded { attempts: attempt });
-                }
-                self.sim.sleep(d).await;
-            }
-            if deadline.is_expired(&self.sim) {
-                return Err(RetryError::DeadlineExceeded { attempts: attempt });
-            }
-            self.recorder.incr("resil.faas.attempts");
-            let out = self.faas.invoke(func, payload.clone()).await;
+    ) -> Result<InvokeOutcome, RetryError<S::Error>> {
+        let counter = self.inner.attempts_counter();
+        self.retry(counter, deadline, false, S::retry_at, || async {
+            let out = self.inner.attempt(call, payload.clone()).await?;
             match &out.result {
-                Ok(_) => return Ok(out),
-                Err(e) if e.is_transient() => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e.clone(),
-                    });
-                }
-                Err(e) => return Err(RetryError::Fatal(e.clone())),
+                Ok(_) => Ok(out),
+                Err(e) => Err(e.clone().into()),
             }
-        }
-        Err(last.expect("max_attempts >= 1 guarantees one attempt"))
-    }
-
-    /// The wrapped platform, for non-retried operations.
-    pub fn inner(&self) -> &FaasPlatform {
-        &self.faas
+        })
+        .await
     }
 }
 
@@ -457,6 +276,7 @@ mod tests {
     use faasim_faas::{FaasFaults, FunctionSpec};
     use faasim_kv::KvFaults;
     use faasim_queue::{QueueConfig, QueueFaults};
+    use faasim_simcore::SimDuration;
 
     #[test]
     fn retrying_kv_survives_heavy_throttling() {
@@ -476,10 +296,13 @@ mod tests {
         let host = cloud.client_host();
         let ok = cloud.sim.block_on(async move {
             for i in 0..50u8 {
+                let key = format!("k{i}");
                 client
-                    .put(&host, "t", &format!("k{i}"), Bytes::from(vec![i]))
+                    .put(&host, "t", &key, Bytes::from(vec![i]), Deadline::unbounded())
                     .await?;
-                client.get(&host, "t", &format!("k{i}"), Consistency::Strong).await?;
+                client
+                    .get(&host, "t", &key, Consistency::Strong, Deadline::unbounded())
+                    .await?;
             }
             Ok::<(), RetryError<KvError>>(())
         });
@@ -503,7 +326,9 @@ mod tests {
         );
         let host = cloud.client_host();
         let got = cloud.sim.block_on(async move {
-            client.get(&host, "missing", "k", Consistency::Strong).await
+            client
+                .get(&host, "missing", "k", Consistency::Strong, Deadline::unbounded())
+                .await
         });
         assert!(matches!(got, Err(RetryError::Fatal(KvError::NoSuchTable(_)))));
         assert_eq!(cloud.recorder.counter("chaos.kv.attempts"), 1);
@@ -529,52 +354,13 @@ mod tests {
         let got = cloud.sim.block_on(async move {
             let deadline = Deadline::within(&sim, SimDuration::from_secs(3));
             client
-                .get_within(&host, "t", "k", Consistency::Strong, deadline)
+                .get(&host, "t", "k", Consistency::Strong, deadline)
                 .await
         });
         assert!(
             matches!(got, Err(e) if e.is_deadline()),
             "100% throttling must end on the budget, not 1000 attempts"
         );
-    }
-
-    #[test]
-    fn stale_receipts_are_an_outcome_not_an_error() {
-        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 13);
-        cloud.queue.create_queue(
-            "q",
-            QueueConfig {
-                visibility_timeout: SimDuration::from_millis(100),
-                ..QueueConfig::default()
-            },
-        );
-        let rq = RetryingQueue::new(
-            &cloud.sim,
-            &cloud.queue,
-            cloud.recorder.clone(),
-            RetryPolicy::default(),
-            "resil.q.test",
-        );
-        let host = cloud.client_host();
-        let sim = cloud.sim.clone();
-        cloud.sim.block_on(async move {
-            rq.send(&host, "q", &Payload::inline("m"), Deadline::unbounded())
-                .await
-                .expect("send");
-            let got = rq
-                .receive(&host, "q", 1, SimDuration::ZERO, Deadline::unbounded())
-                .await
-                .expect("receive");
-            assert_eq!(got.len(), 1);
-            // Outlive the visibility timeout, then try to delete.
-            sim.sleep(SimDuration::from_secs(1)).await;
-            let outcome = rq
-                .delete(&host, got[0].receipt.clone())
-                .await
-                .expect("delete");
-            assert_eq!(outcome, DeleteOutcome::Stale);
-        });
-        assert_eq!(cloud.recorder.counter("resil.queue.stale_receipts"), 1);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! deterministic primitive:
 //!
 //! - [`RetryPolicy`] — exponential backoff with bounded jitter and
-//!   per-call timeouts, plus [`RetryPolicy::run_within`], the
-//!   deadline-budgeted variant that keeps every retry, backoff sleep,
-//!   and per-call timeout inside a propagated [`Deadline`].
+//!   per-call timeouts, and the one retry loop behind every retrying
+//!   client: each retry, backoff sleep, and per-call timeout stays
+//!   inside a propagated [`Deadline`].
 //! - [`Deadline`] — an absolute virtual-time budget threaded through a
 //!   request's whole call tree, and [`hedged`], which races a duplicate
 //!   request against a slow primary without overrunning the budget.
@@ -22,10 +22,10 @@
 //! - [`IdempotencyStore`] — a KV-backed effect memo keyed by invocation
 //!   idempotency keys: at-least-once deliveries and platform retries
 //!   collapse to exactly-once *observable* effects.
-//! - [`RetryingKv`] / [`RetryingBlob`] / [`RetryingQueue`] /
-//!   [`RetryingInvoker`] — service clients wrapped in the retry
-//!   discipline, including stale-receipt handling on queue deletes and
-//!   platform-level invoke retries.
+//! - [`Retrying`] — any service handle wrapped in that loop:
+//!   [`RetryingKv`], [`RetryingBlob`], [`RetryingQueue`] and
+//!   [`RetryingInvoker`] are its aliases, and [`Invoke`] is what a front
+//!   door implements to be invoked through it.
 //!
 //! Everything draws randomness only from named simulation RNG streams
 //! (and only when jitter is non-zero), so a run under these wrappers is
@@ -42,7 +42,7 @@ mod invariants;
 mod retry;
 
 pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
-pub use clients::{DeleteOutcome, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue};
+pub use clients::{Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue};
 pub use deadline::{hedged, Deadline};
 pub use idempotency::{Effect, IdempotencyStore};
 pub use invariants::{ledger_consistent, message_conservation, queue_conservation};

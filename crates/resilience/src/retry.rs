@@ -1,20 +1,21 @@
-//! Exponential backoff with bounded jitter, plus a generic retry
-//! driver with optional per-call timeouts and deadline budgets.
+//! Exponential backoff with bounded jitter, and the workspace's one
+//! retry loop.
 //!
 //! The paper's §2 compositions only work because every client retries:
 //! SQS is at-least-once, DynamoDB throttles, S3 returns 503 SlowDown.
 //! [`RetryPolicy`] is that discipline made explicit — and, because the
 //! jitter comes from a named simulation RNG stream, made deterministic.
-//! [`RetryPolicy::run_within`] is the budgeted variant: every backoff
-//! sleep and per-call timeout is capped so the whole retry loop fits
-//! inside a propagated [`Deadline`].
+//! Every retrying client in the workspace ([`crate::Retrying`] over any
+//! service, [`RetryPolicy::run`] for ad-hoc calls) ends in the same
+//! loop here: every backoff sleep and per-call timeout is capped so the
+//! whole loop fits inside a propagated [`Deadline`].
 
 use std::cell::RefCell;
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
 
-use faasim_simcore::{Sim, SimDuration, SimRng};
+use faasim_simcore::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::deadline::Deadline;
 
@@ -144,7 +145,10 @@ impl RetryPolicy {
             1.0
         };
         let exp = attempt.min(i32::MAX as u32) as i32;
-        let raw = self.base.as_secs_f64() * factor.powi(exp);
+        // Saturate the growth before multiplying: `0.0 * inf` is NaN and
+        // `NaN.min(cap)` is `cap`, which would turn a zero base into the
+        // full cap once the power overflows.
+        let raw = self.base.as_secs_f64() * factor.powi(exp).min(f64::MAX);
         let capped = raw.min(self.cap.as_secs_f64());
         SimDuration::from_secs_f64(capped)
     }
@@ -197,6 +201,29 @@ impl RetryPolicy {
         rng: &Rc<RefCell<SimRng>>,
         deadline: Deadline,
         is_transient: impl Fn(&E) -> bool,
+        op: impl FnMut() -> Fut,
+    ) -> Result<T, RetryError<E>>
+    where
+        Fut: Future<Output = Result<T, E>>,
+    {
+        self.drive(sim, rng, deadline, true, |e| any_time(is_transient(e)), op)
+            .await
+    }
+
+    /// The retry loop. `race` says whether an attempt may be abandoned
+    /// mid-flight: a storage call is raced against the per-call timeout
+    /// and the remaining budget; an invocation never is (dropping its
+    /// future would strand a busy container), so the budget is only
+    /// checked between attempts. `retry_at` classifies a failed attempt:
+    /// `None` is fatal, `Some(t)` is transient and the retry must not
+    /// fire before `t` — the backoff sleep is stretched to reach it.
+    pub(crate) async fn drive<T, E, Fut>(
+        &self,
+        sim: &Sim,
+        rng: &Rc<RefCell<SimRng>>,
+        deadline: Deadline,
+        race: bool,
+        retry_at: impl Fn(&E) -> Option<SimTime>,
         mut op: impl FnMut() -> Fut,
     ) -> Result<T, RetryError<E>>
     where
@@ -204,26 +231,28 @@ impl RetryPolicy {
     {
         let attempts = self.max_attempts.max(1);
         let mut last: Option<RetryError<E>> = None;
+        let mut not_before = SimTime::ZERO;
         for attempt in 0..attempts {
             if attempt > 0 {
-                let d = self.delay(attempt - 1, &mut rng.borrow_mut());
+                let d = self
+                    .delay(attempt - 1, &mut rng.borrow_mut())
+                    .max(not_before.duration_since(sim.now()));
                 if deadline.remaining(sim) <= d {
                     return Err(RetryError::DeadlineExceeded { attempts: attempt });
                 }
                 sim.sleep(d).await;
             }
-            let remaining = deadline.remaining(sim);
-            if remaining == SimDuration::ZERO {
+            if deadline.is_expired(sim) {
                 return Err(RetryError::DeadlineExceeded { attempts: attempt });
             }
             // Cap the per-call race at whatever budget is left; an
             // unbounded deadline leaves the policy's own timeout (or
             // none) in charge.
             let limit = match (self.call_timeout, deadline.is_unbounded()) {
-                (Some(t), false) => Some(t.min(remaining)),
-                (Some(t), true) => Some(t),
-                (None, false) => Some(remaining),
-                (None, true) => None,
+                _ if !race => None,
+                (Some(t), false) => Some(t.min(deadline.remaining(sim))),
+                (None, false) => Some(deadline.remaining(sim)),
+                (timeout, true) => timeout,
             };
             let outcome = match limit {
                 Some(limit) => sim.timeout(limit, op()).await,
@@ -231,13 +260,16 @@ impl RetryPolicy {
             };
             match outcome {
                 Some(Ok(v)) => return Ok(v),
-                Some(Err(e)) if is_transient(&e) => {
-                    last = Some(RetryError::Exhausted {
-                        attempts: attempt + 1,
-                        last: e,
-                    });
-                }
-                Some(Err(e)) => return Err(RetryError::Fatal(e)),
+                Some(Err(e)) => match retry_at(&e) {
+                    Some(at) => {
+                        not_before = at;
+                        last = Some(RetryError::Exhausted {
+                            attempts: attempt + 1,
+                            last: e,
+                        });
+                    }
+                    None => return Err(RetryError::Fatal(e)),
+                },
                 None if deadline.is_expired(sim) => {
                     return Err(RetryError::DeadlineExceeded {
                         attempts: attempt + 1,
@@ -252,6 +284,12 @@ impl RetryPolicy {
         }
         Err(last.expect("max_attempts >= 1 guarantees one attempt"))
     }
+}
+
+/// [`RetryPolicy::drive`]'s verdict for an error with no opinion on
+/// *when* to retry: any time if `transient`, never otherwise.
+pub(crate) fn any_time(transient: bool) -> Option<SimTime> {
+    transient.then_some(SimTime::ZERO)
 }
 
 #[cfg(test)]
@@ -271,6 +309,23 @@ mod tests {
         assert_eq!(p.backoff(2), SimDuration::from_millis(200));
         assert_eq!(p.backoff(20), SimDuration::from_secs(10), "capped");
         assert_eq!(p.backoff(60), SimDuration::from_secs(10), "no overflow");
+    }
+
+    #[test]
+    fn zero_base_stays_zero_when_the_power_overflows() {
+        // factor^k reaches infinity at k = 1024 (factor 2) and k = 31
+        // (factor 1e10); a zero base must not jump to the cap there.
+        for factor in [2.0, 1e10] {
+            let p = RetryPolicy {
+                max_attempts: 2_000,
+                base: SimDuration::ZERO,
+                factor,
+                ..policy()
+            };
+            for k in (0..p.max_attempts).chain([u32::MAX]) {
+                assert_eq!(p.backoff(k), SimDuration::ZERO, "factor {factor}, attempt {k}");
+            }
+        }
     }
 
     #[test]

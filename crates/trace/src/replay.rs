@@ -5,8 +5,9 @@
 //!
 //! The driver task walks the lazy [`TraceGenerator`], sleeps to each
 //! arrival instant, and fires an invocation task per event — optionally
-//! through the resilience layer's [`RetryingInvoker`] so chaos plans can
-//! be absorbed the way a production client would. In-flight invocations
+//! through the gateway tier, and optionally under the resilience layer's
+//! [`Retrying`] so chaos plans can be absorbed the way a production
+//! client would. In-flight invocations
 //! are capped by a semaphore, so memory stays bounded by the cap (plus
 //! `O(apps + functions)` bookkeeping), never by trace length. A keep-alive
 //! reaper runs alongside, reclaiming idle containers mid-replay exactly
@@ -17,10 +18,10 @@ use std::fmt;
 use std::rc::Rc;
 
 use faasim::{Cloud, CloudProfile};
-use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec};
-use faasim_gateway::{Gateway, GatewayConfig, GatewayError, RetryingGateway, TenantConfig};
+use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome};
+use faasim_gateway::{Gateway, GatewayConfig, GatewayError, TenantConfig};
 use faasim_payload::Payload;
-use faasim_resilience::{BreakerConfig, Deadline, RetryError, RetryPolicy, RetryingInvoker};
+use faasim_resilience::{BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
 use faasim_simcore::{Semaphore, SimDuration, SimProfile, SimTime};
 
 use crate::sketch::QuantileSketch;
@@ -425,26 +426,55 @@ struct Stats {
     latencies: Vec<f64>,
 }
 
-/// How the replay reaches the platform: directly, through client
-/// retries, or through the gateway tier (with or without retries).
-enum Client {
-    Direct(FaasPlatform),
-    Retry(RetryingInvoker),
-    Gw(Gateway),
-    GwRetry(RetryingGateway),
+/// How a request reaches the platform: through the gateway tier when
+/// one is configured, straight in (by id, never touching a name)
+/// otherwise.
+#[derive(Clone)]
+struct FrontDoor {
+    faas: FaasPlatform,
+    gateway: Option<Gateway>,
+}
+
+impl Invoke for FrontDoor {
+    /// Tenant, then the function's platform id and its name.
+    type Call<'a> = (u32, FunctionId, &'a str);
+    type Error = GatewayError;
+
+    fn attempts_counter(&self) -> &'static str {
+        match &self.gateway {
+            Some(gw) => gw.attempts_counter(),
+            None => self.faas.attempts_counter(),
+        }
+    }
+
+    async fn attempt(
+        &self,
+        (tenant, id, name): Self::Call<'_>,
+        payload: Payload,
+    ) -> Result<InvokeOutcome, GatewayError> {
+        match &self.gateway {
+            Some(gw) => gw.invoke(tenant, name, payload).await,
+            None => Ok(self.faas.invoke_id(id, payload).await),
+        }
+    }
+
+    fn retry_at(err: &GatewayError) -> Option<SimTime> {
+        Gateway::retry_at(err)
+    }
 }
 
 /// Everything a spawned request task needs, bundled so the hot loop
 /// clones one `Rc` per invocation instead of a handful of handles.
 struct ReqCtx {
     sim: faasim_simcore::Sim,
-    client: Client,
+    door: FrontDoor,
+    /// The client-side retry layer around the door, when configured.
+    retry: Option<Retrying<FrontDoor>>,
     stats: RefCell<Stats>,
     /// Function names pre-rendered once (`app * funcs_per_app + func`),
     /// so the per-event path never formats a `String`.
     names: Vec<String>,
-    /// The ids the platform registered them under, same indexing: the
-    /// direct client invokes by id and never touches a name.
+    /// The ids the platform registered them under, same indexing.
     ids: Vec<FunctionId>,
     funcs_per_app: u32,
     latency_cap: usize,
@@ -453,15 +483,6 @@ struct ReqCtx {
     total: Cell<Option<u64>>,
     done: Cell<bool>,
     generated: Cell<u64>,
-}
-
-/// Whether a final retry-wrapper error was a gateway admission shed (as
-/// opposed to an exhausted run of execution failures).
-fn final_err_was_shed(err: &RetryError<GatewayError>) -> bool {
-    match err {
-        RetryError::Exhausted { last, .. } | RetryError::Fatal(last) => last.is_shed(),
-        _ => false,
-    }
 }
 
 /// Run `cfg` at `seed`, applying `chaos` to the freshly built cloud
@@ -544,7 +565,7 @@ pub fn replay_with(
         last_done: SimTime::ZERO,
         latencies: Vec::new(),
     };
-    // Build the front door (when configured) and pick the client stack.
+    // Build the front door, and the retry layer around it when configured.
     let gateway = cfg.gateway.as_ref().map(|spec| {
         Gateway::new(
             &sim,
@@ -555,28 +576,18 @@ pub fn replay_with(
             spec.resolve(&cfg.trace, cfg.max_in_flight.max(1), seed),
         )
     });
-    let client = match (&gateway, cfg.retry.clone()) {
-        (Some(gw), Some(policy)) => Client::GwRetry(RetryingGateway::new(
-            &sim,
-            gw,
-            cloud.recorder.clone(),
-            policy,
-            "trace.invoker",
-        )),
-        (Some(gw), None) => Client::Gw(gw.clone()),
-        (None, Some(policy)) => Client::Retry(RetryingInvoker::new(
-            &sim,
-            &faas,
-            cloud.recorder.clone(),
-            policy,
-            "trace.invoker",
-        )),
-        (None, None) => Client::Direct(faas.clone()),
+    let door = FrontDoor {
+        faas: faas.clone(),
+        gateway: gateway.clone(),
     };
+    let retry = cfg.retry.clone().map(|policy| {
+        Retrying::new(&sim, &door, cloud.recorder.clone(), policy, "trace.invoker")
+    });
     let inflight = Semaphore::new(cfg.max_in_flight.max(1));
     let ctx = Rc::new(ReqCtx {
         sim: sim.clone(),
-        client,
+        door,
+        retry,
         stats: RefCell::new(stats),
         names: (0..cfg.trace.apps)
             .flat_map(|app| (0..funcs_per_app).map(move |func| function_name(app, func)))
@@ -622,33 +633,21 @@ pub fn replay_with(
                 ctx2.sim.spawn_detached(async move {
                     let t0 = ctx3.sim.now();
                     let func = (ev.app * ctx3.funcs_per_app + ev.func) as usize;
-                    let name = &ctx3.names[func];
-                    // `ok` is the request's final outcome; `shed` marks a
-                    // final outcome that was a gateway admission refusal
-                    // (rather than an execution failure).
-                    let (ok, shed) = match &ctx3.client {
-                        Client::Retry(inv) => (
-                            inv.invoke(name, &payload, Deadline::unbounded())
-                                .await
-                                .is_ok(),
-                            false,
-                        ),
-                        Client::Direct(faas) => {
-                            (faas.invoke_id(ctx3.ids[func], payload).await.result.is_ok(), false)
-                        }
-                        Client::GwRetry(gw) => {
-                            match gw
-                                .invoke(ev.tenant, name, &payload, Deadline::unbounded())
-                                .await
-                            {
-                                Ok(_) => (true, false),
-                                Err(err) => (false, final_err_was_shed(&err)),
-                            }
-                        }
-                        Client::Gw(gw) => match gw.invoke(ev.tenant, name, payload).await {
-                            Ok(out) => (out.result.is_ok(), false),
-                            Err(err) => (false, err.is_shed()),
-                        },
+                    let call = (ev.tenant, ctx3.ids[func], ctx3.names[func].as_str());
+                    // The final attempt's outcome, or the error it ended on
+                    // (none when a retry layer gave up on a budget).
+                    let outcome = match &ctx3.retry {
+                        Some(retry) => retry
+                            .invoke(call, &payload, Deadline::unbounded())
+                            .await
+                            .map_err(RetryError::into_inner),
+                        None => ctx3.door.attempt(call, payload).await.map_err(Some),
+                    };
+                    // `shed` marks a failure that was a gateway admission
+                    // refusal rather than an execution failure.
+                    let (ok, shed) = match outcome {
+                        Ok(out) => (out.result.is_ok(), false),
+                        Err(last) => (false, last.is_some_and(|e| e.is_shed())),
                     };
                     let now = ctx3.sim.now();
                     let latency = now.duration_since(t0).as_secs_f64();
