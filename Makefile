@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc clean
 
 ## Release build of the whole workspace.
 build:
@@ -77,6 +77,14 @@ bench-trend:
 PROFILE_SCALE ?= 100k
 profile:
 	PROFILE_SCALE=$(PROFILE_SCALE) $(CARGO) bench -p faasim-bench --bench profile
+
+## Non-test source lines per crate: every `src/**/*.rs`, each counted up
+## to its first `#[cfg(test)]`. The meter for ROADMAP's subtraction pass.
+loc:
+	@for c in crates/*; do \
+		find $$c/src -name '*.rs' | xargs awk -v crate=$$c \
+			'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { printf "%7d  %s\n", n, crate }'; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 clean:
 	$(CARGO) clean
