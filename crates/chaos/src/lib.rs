@@ -53,7 +53,7 @@ pub use parallel::ParallelSweep;
 // the core experiments can use it without a dependency cycle; re-export
 // the whole surface here so chaos users keep a single import path.
 pub use faasim_resilience::{
-    hedged, BreakerConfig, BreakerError, BreakerState, CircuitBreaker, Deadline, Effect,
+    hedged, settled, BreakerConfig, BreakerError, BreakerState, CircuitBreaker, Deadline, Effect,
     IdempotencyStore, Invoke, RetryError, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker,
     RetryingKv, RetryingQueue,
 };

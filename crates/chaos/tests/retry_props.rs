@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
-use faasim_chaos::{Deadline, Invoke, RetryError, RetryPolicy, Retrying};
+use faasim_chaos::{settled, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
 use faasim_faas::{FnError, HandlerResult, InvokeOutcome};
 use faasim_gateway::{Gateway, GatewayError};
 use faasim_net::HostId;
@@ -209,7 +209,7 @@ impl Invoke for Scripted {
     }
 
     async fn attempt(&self, _: Self::Call<'_>, _: Payload) -> Result<InvokeOutcome, GatewayError> {
-        self.call().await
+        settled(self.call().await?)
     }
 
     fn retry_at(err: &GatewayError) -> Option<SimTime> {
@@ -271,8 +271,8 @@ async fn old_gateway_loop(
     Err(last.expect("max_attempts >= 1 guarantees one attempt"))
 }
 
-/// `RetryPolicy::run_within` as it stood before the loops were unified,
-/// verbatim but for `self`.
+/// `RetryPolicy::run_within`, today's `run`, as it stood before the loops
+/// were unified, verbatim but for `self`.
 async fn old_run_within<T, E, Fut>(
     policy: &RetryPolicy,
     sim: &Sim,
@@ -389,7 +389,8 @@ fn observe_unraced(
     };
     let client = Retrying::new(&sim, &door, recorder.clone(), policy.clone(), "diff.jitter");
     let rng = Rc::new(RefCell::new(sim.rng("diff.jitter")));
-    let (sim2, policy2, recorder2, door2) = (sim.clone(), policy.clone(), recorder.clone(), door.clone());
+    let (sim2, policy2, recorder2, door2) =
+        (sim.clone(), policy.clone(), recorder.clone(), door.clone());
     let (result, probe) = sim.block_on(async move {
         let call = |deadline| {
             let (client, sim, policy, rng, recorder, door) =
@@ -446,8 +447,8 @@ proptest! {
         prop_assert_eq!(new, old, "policy {:?}, script {:?}, budget {} ticks", policy, script, budget_ticks);
     }
 
-    /// `RetryPolicy::run_within` (the raced side) against its own old
-    /// body: attempts can now time out mid-flight.
+    /// `RetryPolicy::run` (the raced side) against its own old body,
+    /// `run_within`: attempts can now time out mid-flight.
     #[test]
     fn unified_loop_matches_the_old_run_within(
         max_attempts in 1u32..7,
@@ -485,7 +486,7 @@ proptest! {
                 };
                 let transient = |e: &&str| *e == "transient";
                 if unified {
-                    policy2.run_within(&sim2, &rng2, deadline, transient, op).await
+                    policy2.run(&sim2, &rng2, deadline, transient, op).await
                 } else {
                     old_run_within(&policy2, &sim2, &rng2, deadline, transient, op).await
                 }

@@ -5,7 +5,7 @@
 
 use faasim_faas::{FnError, InvokeOutcome};
 use faasim_payload::Payload;
-use faasim_resilience::{Invoke, Retrying};
+use faasim_resilience::{settled, Invoke, Retrying};
 use faasim_simcore::SimTime;
 
 use crate::gateway::{Gateway, GatewayError};
@@ -34,7 +34,7 @@ impl Invoke for Gateway {
         (tenant, func): Self::Call<'_>,
         payload: Payload,
     ) -> Result<InvokeOutcome, GatewayError> {
-        self.invoke(tenant, func, payload).await
+        settled(self.invoke(tenant, func, payload).await?)
     }
 
     // A typed shed can name when capacity returns; retrying earlier
@@ -93,8 +93,14 @@ mod tests {
         cloud.sim.block_on(async move {
             // Burst of 1: the first call drains the bucket, the second
             // must be shed and then retried no earlier than the refill.
-            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("first");
-            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("second");
+            client
+                .invoke((0, "work"), &payload, Deadline::unbounded())
+                .await
+                .expect("first");
+            client
+                .invoke((0, "work"), &payload, Deadline::unbounded())
+                .await
+                .expect("second");
         });
         let st = gw.tenant_stats(0);
         assert_eq!(st.admitted, 2);
@@ -141,7 +147,10 @@ mod tests {
         let payload = Payload::inline("x");
         let sim = cloud.sim.clone();
         let got = cloud.sim.block_on(async move {
-            client.invoke((0, "work"), &payload, Deadline::unbounded()).await.expect("first");
+            client
+                .invoke((0, "work"), &payload, Deadline::unbounded())
+                .await
+                .expect("first");
             // retry_after is SimTime::MAX, so the deadline budget (not
             // the backoff spine) must end the loop.
             client

@@ -24,6 +24,7 @@ use faasim_net::Host;
 use faasim_payload::Payload;
 use faasim_simcore::{Recorder, Sim, SimRng};
 
+use crate::deadline::Deadline;
 use crate::retry::{RetryError, RetryPolicy};
 
 /// The committed outcome of [`IdempotencyStore::execute`].
@@ -100,7 +101,7 @@ impl IdempotencyStore {
         let value = op().await;
         let committed = self
             .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
+            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
                 self.kv.put_if(
                     caller,
                     &self.table,
@@ -140,7 +141,7 @@ impl IdempotencyStore {
     async fn read(&self, caller: &Host, key: &str) -> Result<Option<Payload>, RetryError<KvError>> {
         let got = self
             .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
+            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
                 self.kv.get(caller, &self.table, key, Consistency::Strong)
             })
             .await;
@@ -160,7 +161,7 @@ impl IdempotencyStore {
     ) -> Result<Vec<(String, Payload)>, RetryError<KvError>> {
         let rows = self
             .policy
-            .run(&self.sim, &self.rng, KvError::is_transient, || {
+            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
                 self.kv.scan_prefix(caller, &self.table, prefix)
             })
             .await?;

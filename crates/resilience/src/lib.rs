@@ -42,7 +42,9 @@ mod invariants;
 mod retry;
 
 pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
-pub use clients::{Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue};
+pub use clients::{
+    settled, Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
+};
 pub use deadline::{hedged, Deadline};
 pub use idempotency::{Effect, IdempotencyStore};
 pub use invariants::{ledger_consistent, message_conservation, queue_conservation};

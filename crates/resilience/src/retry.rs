@@ -35,8 +35,7 @@ pub enum RetryError<E> {
         attempts: u32,
     },
     /// The deadline budget ran out before an attempt could succeed.
-    /// Only produced by [`RetryPolicy::run_within`] and the budgeted
-    /// clients built on it.
+    /// Only produced under a bounded [`Deadline`].
     DeadlineExceeded {
         /// Attempts made before the budget expired.
         attempts: u32,
@@ -170,32 +169,18 @@ impl RetryPolicy {
         SimDuration::from_secs_f64(b.as_secs_f64() * scale)
     }
 
-    /// Drive `op` to success or final failure. Each call to `op` builds
-    /// a fresh attempt future; `is_transient` decides whether an error
-    /// is worth retrying. The shared `rng` is only borrowed between
-    /// attempts (never across an `.await`), so one stream can serve
-    /// many concurrent callers.
-    pub async fn run<T, E, Fut>(
-        &self,
-        sim: &Sim,
-        rng: &Rc<RefCell<SimRng>>,
-        is_transient: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Fut,
-    ) -> Result<T, RetryError<E>>
-    where
-        Fut: Future<Output = Result<T, E>>,
-    {
-        self.run_within(sim, rng, Deadline::unbounded(), is_transient, op)
-            .await
-    }
-
-    /// [`RetryPolicy::run`], but every sleep and call fits inside
-    /// `deadline`: per-call timeouts are capped at the remaining budget,
-    /// and a backoff sleep that would cross the deadline aborts the loop
-    /// with [`RetryError::DeadlineExceeded`] instead of sleeping.
+    /// Drive `op` to success or final failure inside `deadline`. Each
+    /// call to `op` builds a fresh attempt future; `is_transient` decides
+    /// whether an error is worth retrying. The shared `rng` is only
+    /// borrowed between attempts (never across an `.await`), so one
+    /// stream can serve many concurrent callers.
     ///
-    /// With [`Deadline::unbounded`] this is exactly [`RetryPolicy::run`].
-    pub async fn run_within<T, E, Fut>(
+    /// Every sleep and call fits inside `deadline`: per-call timeouts are
+    /// capped at the remaining budget, and a backoff sleep that would
+    /// cross the deadline aborts the loop with
+    /// [`RetryError::DeadlineExceeded`] instead of sleeping.
+    /// [`Deadline::unbounded`] leaves the policy alone in charge.
+    pub async fn run<T, E, Fut>(
         &self,
         sim: &Sim,
         rng: &Rc<RefCell<SimRng>>,
@@ -254,9 +239,12 @@ impl RetryPolicy {
                 (None, false) => Some(deadline.remaining(sim)),
                 (timeout, true) => timeout,
             };
+            // One pinned attempt, awaited through a pointer either way,
+            // so the loop's future holds one copy of it, not one per arm.
+            let mut call = std::pin::pin!(op());
             let outcome = match limit {
-                Some(limit) => sim.timeout(limit, op()).await,
-                None => Some(op().await),
+                Some(limit) => sim.timeout(limit, call.as_mut()).await,
+                None => Some(call.await),
             };
             match outcome {
                 Some(Ok(v)) => return Ok(v),
@@ -349,7 +337,7 @@ mod tests {
         let t = tries.clone();
         let sim2 = sim.clone();
         let got: Result<u32, RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| true, move || {
+            p.run(&sim2, &rng, Deadline::unbounded(), |_| true, move || {
                 let t = t.clone();
                 async move {
                     t.set(t.get() + 1);
@@ -373,7 +361,8 @@ mod tests {
         let p = policy();
         let sim2 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| false, || async { Err("nope") }).await
+            p.run(&sim2, &rng, Deadline::unbounded(), |_| false, || async { Err("nope") })
+                .await
         });
         assert_eq!(got, Err(RetryError::Fatal("nope")));
     }
@@ -388,7 +377,7 @@ mod tests {
         let sim2 = sim.clone();
         let sim3 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, |_| true, move || {
+            p.run(&sim2, &rng, Deadline::unbounded(), |_| true, move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_secs(1)).await;
@@ -401,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn run_within_respects_the_budget() {
+    fn run_respects_the_budget() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let mut p = policy();
@@ -411,7 +400,7 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_secs(2));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, deadline, |_| true, move || {
+            p.run(&sim2, &rng, deadline, |_| true, move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_millis(100)).await;
@@ -431,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn run_within_classifies_budget_expiry_mid_call() {
+    fn run_classifies_budget_expiry_mid_call() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let mut p = policy();
@@ -440,7 +429,7 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_millis(10));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, deadline, |_| true, move || {
+            p.run(&sim2, &rng, deadline, |_| true, move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_secs(5)).await;
@@ -450,20 +439,5 @@ mod tests {
             .await
         });
         assert_eq!(got, Err(RetryError::DeadlineExceeded { attempts: 1 }));
-    }
-
-    #[test]
-    fn unbounded_run_within_equals_run() {
-        let sim = Sim::new(1);
-        let rng = Rc::new(RefCell::new(sim.rng("retry")));
-        let p = policy();
-        let sim2 = sim.clone();
-        let got: Result<u32, RetryError<&str>> = sim.block_on(async move {
-            p.run_within(&sim2, &rng, Deadline::unbounded(), |_| true, || async {
-                Ok(7)
-            })
-            .await
-        });
-        assert_eq!(got, Ok(7));
     }
 }

@@ -21,7 +21,9 @@ use faasim::{Cloud, CloudProfile};
 use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome};
 use faasim_gateway::{Gateway, GatewayConfig, GatewayError, TenantConfig};
 use faasim_payload::Payload;
-use faasim_resilience::{BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
+use faasim_resilience::{
+    settled, BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying,
+};
 use faasim_simcore::{Semaphore, SimDuration, SimProfile, SimTime};
 
 use crate::sketch::QuantileSketch;
@@ -452,10 +454,10 @@ impl Invoke for FrontDoor {
         (tenant, id, name): Self::Call<'_>,
         payload: Payload,
     ) -> Result<InvokeOutcome, GatewayError> {
-        match &self.gateway {
-            Some(gw) => gw.invoke(tenant, name, payload).await,
-            None => Ok(self.faas.invoke_id(id, payload).await),
-        }
+        settled(match &self.gateway {
+            Some(gw) => gw.invoke(tenant, name, payload).await?,
+            None => self.faas.invoke_id(id, payload).await,
+        })
     }
 
     fn retry_at(err: &GatewayError) -> Option<SimTime> {
@@ -646,7 +648,7 @@ pub fn replay_with(
                     // `shed` marks a failure that was a gateway admission
                     // refusal rather than an execution failure.
                     let (ok, shed) = match outcome {
-                        Ok(out) => (out.result.is_ok(), false),
+                        Ok(_) => (true, false),
                         Err(last) => (false, last.is_some_and(|e| e.is_shed())),
                     };
                     let now = ctx3.sim.now();
