@@ -11,12 +11,56 @@
 //! suspend on timers ([`Sim::sleep`]), channels, semaphores, or bandwidth
 //! links, and the run loop advances the virtual clock only when no task is
 //! runnable.
+//!
+//! # One heap block per task
+//!
+//! A spawned future lives in a single allocation, `Task<F>`: a
+//! [`Header`] — reference count, [`TaskState`], [`TaskId`], a handle to
+//! the ready queue, and a per-future-type table of `poll` / `drop_future`
+//! / `dealloc` functions — followed by the future itself. Everything that
+//! refers to a task is a counted pointer to that block ([`TaskRef`]):
+//!
+//! - the **registry** (`Inner::tasks`, 16 bytes per task) holds one
+//!   reference from spawn until the task finishes; it exists so
+//!   [`Sim::shutdown`] can find every parked task and so a [`TaskId`] names
+//!   something;
+//! - every **ready-queue entry** holds one: a wake appends an entry, the
+//!   run loop pops it and polls through it;
+//! - every **`Waker`** holds one: its data pointer *is* the block, so a
+//!   wake reaches the task's state and the queue in one cache line, with
+//!   no table lookup and no generation check. `wake` by value moves the
+//!   waker's reference into the queue and a poll borrows the popped
+//!   entry's reference for its `Context`, so neither touches the count.
+//!
+//! Every wake is one queue entry, and every popped entry is one poll
+//! unless the task has finished or is being polled right now (a nested
+//! `run` from inside its own poll): two wakes before a poll are two polls.
+//!
+//! The **future is dropped** as soon as the task finishes — its poll
+//! returns `Ready` or panics — or [`Sim::shutdown`] reaps it, and the
+//! state becomes `Done`; the registry lets go at the same moment. The
+//! **block is freed** when the last reference goes, which is later if a
+//! waker outlives the task (parked in a channel, say): such a waker pins
+//! the block's bytes, never the future's resources, and waking it does
+//! nothing.
+//!
+//! # Timers do not keep tasks alive
+//!
+//! Because a waker pins its task's block, a waker left in a canceled
+//! timer would pin the memory of a finished task until the timer's
+//! deadline — and a replay cancels one 120 s timeout per invocation. So
+//! the wheel holds only `(at, seq, token)`; what fires lives in the timer
+//! slab ([`TimerSlot`]), and [`Sim::cancel_wake`] takes the waker out of
+//! its slot and drops it on the spot. The tombstone left in the wheel is
+//! 24 bytes that point at a recycled slot.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::pin::Pin;
+use std::ptr::NonNull;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
@@ -24,9 +68,9 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
-/// Identifier of a spawned task: a slab slot index in the low 32 bits and
-/// the slot's generation in the high 32, so recycled slots never confuse
-/// a stale wake with a new task.
+/// Identifier of a spawned task: a registry index in the low 32 bits and
+/// the entry's generation in the high 32, so ids are not reused when
+/// registry entries are.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TaskId(u64);
 
@@ -38,114 +82,247 @@ impl TaskId {
     fn index(self) -> usize {
         (self.0 & 0xffff_ffff) as usize
     }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
 }
 
 /// Queue of tasks that have been woken and await polling.
 struct ReadyQueue {
-    queue: RefCell<VecDeque<TaskId>>,
+    queue: RefCell<VecDeque<TaskRef>>,
 }
 
-/// Per-task waker state, reached through a hand-rolled [`RawWaker`]
-/// vtable instead of `Waker::from(Arc<_>)`.
-///
-/// The executor is single-threaded and every future it runs is `!Send`
-/// by construction ([`Sim::spawn`] has no `Send` bound), so its wakers
-/// never leave the thread: they live only in the timer wheel, the sync
-/// primitives' wait queues, and `JoinState` — all owned by this `Sim`.
-/// That makes the atomic refcount and the ready-queue mutex that
-/// `Waker::from(Arc<_>)` forces pure overhead, paid on every poll (waker
-/// clone), every sleep registration (clone into the timer), and every
-/// wake (queue lock) — millions of times per replay. The raw vtable
-/// below does the same bookkeeping on an `Rc`.
-struct TaskWaker {
-    ready: Rc<ReadyQueue>,
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum TaskState {
+    /// The future is in place and nobody is polling it.
+    Parked,
+    /// The future is being polled right now.
+    Polling,
+    /// The future has been dropped; the block lives on for its wakers.
+    Done,
+}
+
+/// The fixed-layout front of every task block (see the module docs).
+struct Header {
+    refs: Cell<u32>,
+    state: Cell<TaskState>,
     id: TaskId,
+    ready: Rc<ReadyQueue>,
+    vtable: &'static TaskVTable,
 }
 
-// SAFETY for all four vtable fns: `data` is an `Rc<TaskWaker>` leaked via
-// `Rc::into_raw` in `make_waker`, kept alive by the refcount the vtable
-// itself maintains, and never shared across threads (see `TaskWaker`).
-unsafe fn waker_clone(data: *const ()) -> RawWaker {
-    unsafe { Rc::increment_strong_count(data as *const TaskWaker) };
-    RawWaker::new(data, &WAKER_VTABLE)
+/// The operations that need to know the future's type, recorded once per
+/// type so the rest of the executor can work on `NonNull<Header>`.
+struct TaskVTable {
+    poll: unsafe fn(NonNull<Header>, &mut Context<'_>) -> Poll<()>,
+    drop_future: unsafe fn(NonNull<Header>),
+    dealloc: unsafe fn(NonNull<Header>),
 }
 
-unsafe fn waker_wake(data: *const ()) {
-    unsafe {
-        waker_wake_by_ref(data);
-        waker_drop(data);
+/// One task's heap block. `repr(C)` puts the header at offset 0, so a
+/// pointer to the block is a pointer to its header.
+#[repr(C)]
+struct Task<F> {
+    header: Header,
+    future: ManuallyDrop<F>,
+}
+
+impl<F: Future<Output = ()>> Task<F> {
+    const VTABLE: TaskVTable = TaskVTable {
+        poll: Self::poll,
+        drop_future: Self::drop_future,
+        dealloc: Self::dealloc,
+    };
+
+    /// # Safety
+    /// `task` heads a live `Task<F>` whose future has not been dropped,
+    /// and nothing else accesses that future during the call.
+    unsafe fn poll(task: NonNull<Header>, cx: &mut Context<'_>) -> Poll<()> {
+        let task = task.cast::<Task<F>>().as_ptr();
+        // SAFETY: the caller vouches for the block and for exclusive access
+        // to the future; the reference covers the `future` field only, so
+        // it does not alias the `&Header`s in use meanwhile. The future is
+        // pinned: the block never moves and the future is dropped in place.
+        let future = unsafe { Pin::new_unchecked(&mut *(*task).future) };
+        future.poll(cx)
+    }
+
+    /// # Safety
+    /// As for [`Task::poll`]; the future is never accessed again.
+    unsafe fn drop_future(task: NonNull<Header>) {
+        let task = task.cast::<Task<F>>().as_ptr();
+        // SAFETY: the caller vouches that the future is live, unaliased and
+        // dropped exactly once.
+        unsafe { ManuallyDrop::drop(&mut (*task).future) };
+    }
+
+    /// # Safety
+    /// `task` heads a `Task<F>` made by [`TaskRef::new`] to which no
+    /// reference remains.
+    unsafe fn dealloc(task: NonNull<Header>) {
+        // SAFETY: the block came from `Box::<Task<F>>::leak` and the caller
+        // holds the last pointer to it. Dropping the box drops the header;
+        // the future is `ManuallyDrop` and was dropped when the task
+        // finished.
+        drop(unsafe { Box::from_raw(task.cast::<Task<F>>().as_ptr()) });
     }
 }
 
+/// One counted reference to a task block. The registry, the ready queue
+/// and every `Waker` hold these; the block is freed with the last one.
+struct TaskRef(NonNull<Header>);
+
+impl TaskRef {
+    /// Allocate the block for `future`: the task's one allocation.
+    fn new<F>(id: TaskId, ready: Rc<ReadyQueue>, future: F) -> TaskRef
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        let task = Box::new(Task {
+            header: Header {
+                refs: Cell::new(1),
+                state: Cell::new(TaskState::Parked),
+                id,
+                ready,
+                vtable: &Task::<F>::VTABLE,
+            },
+            future: ManuallyDrop::new(future),
+        });
+        TaskRef(NonNull::from(Box::leak(task)).cast())
+    }
+
+    fn header(&self) -> &Header {
+        // SAFETY: this reference keeps the block, and so its header, alive;
+        // everything mutable in a header is a `Cell`.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Hand this reference to a `RawWaker` (or back, with `from_raw`).
+    fn into_raw(self) -> *const () {
+        ManuallyDrop::new(self).0.as_ptr() as *const ()
+    }
+
+    /// # Safety
+    /// `data` came from [`TaskRef::into_raw`] and the reference it carried
+    /// has not been reclaimed yet.
+    unsafe fn from_raw(data: *const ()) -> TaskRef {
+        // SAFETY: `into_raw` only hands out non-null block pointers.
+        TaskRef(unsafe { NonNull::new_unchecked(data as *mut Header) })
+    }
+
+    /// Append the task to the ready queue, giving the entry this
+    /// reference. Waking a finished task is a no-op.
+    fn schedule(self) {
+        let header = self.header();
+        if header.state.get() != TaskState::Done {
+            let ready = header.ready.clone();
+            ready.queue.borrow_mut().push_back(self);
+        }
+    }
+
+    /// Drop the task's future in place.
+    ///
+    /// # Safety
+    /// The caller is the one who moved the task's state to `Done`, from
+    /// `Polling` (its poll is over) or `Parked`, and calls this once.
+    unsafe fn drop_future(&self) {
+        let header = self.header();
+        debug_assert_eq!(header.state.get(), TaskState::Done);
+        // SAFETY: the future was live until the caller set `Done`, nobody
+        // was inside it then, and `Done` keeps every other party out.
+        unsafe { (header.vtable.drop_future)(self.0) };
+    }
+}
+
+impl Clone for TaskRef {
+    fn clone(&self) -> TaskRef {
+        let refs = &self.header().refs;
+        // Checked: a wrapped count would free a block still in use.
+        refs.set(refs.get().checked_add(1).expect("task reference count overflow"));
+        TaskRef(self.0)
+    }
+}
+
+impl Drop for TaskRef {
+    fn drop(&mut self) {
+        let header = self.header();
+        let refs = header.refs.get() - 1;
+        header.refs.set(refs);
+        if refs == 0 {
+            debug_assert_eq!(header.state.get(), TaskState::Done);
+            // SAFETY: that was the last reference, and the vtable was
+            // recorded for the block's own future type.
+            unsafe { (header.vtable.dealloc)(self.0) };
+        }
+    }
+}
+
+// The executor is single-threaded and every future it runs is `!Send` by
+// construction ([`Sim::spawn`] has no `Send` bound), so its wakers never
+// leave the thread: they live only in the timer slab, the sync primitives'
+// wait queues, and `JoinState` — all owned by this `Sim`. That makes the
+// atomic refcount and the ready-queue mutex that `Waker::from(Arc<_>)`
+// forces pure overhead, paid on every sleep registration and every wake —
+// millions of times per replay. This vtable does the same bookkeeping on
+// the block's plain `Cell` count.
+//
+// SAFETY for all four fns: `data` is a `TaskRef::into_raw` pointer whose
+// reference the waker owns (`clone` and `poll_task` are the only makers),
+// and it never crosses threads (above).
+unsafe fn waker_clone(data: *const ()) -> RawWaker {
+    let task = ManuallyDrop::new(unsafe { TaskRef::from_raw(data) });
+    RawWaker::new(TaskRef::clone(&task).into_raw(), &WAKER_VTABLE)
+}
+
+unsafe fn waker_wake(data: *const ()) {
+    unsafe { TaskRef::from_raw(data) }.schedule();
+}
+
 unsafe fn waker_wake_by_ref(data: *const ()) {
-    let tw = unsafe { &*(data as *const TaskWaker) };
-    tw.ready.queue.borrow_mut().push_back(tw.id);
+    let task = ManuallyDrop::new(unsafe { TaskRef::from_raw(data) });
+    TaskRef::clone(&task).schedule();
 }
 
 unsafe fn waker_drop(data: *const ()) {
-    unsafe { Rc::decrement_strong_count(data as *const TaskWaker) };
+    drop(unsafe { TaskRef::from_raw(data) });
 }
 
 static WAKER_VTABLE: RawWakerVTable =
     RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
 
-fn make_waker(ready: Rc<ReadyQueue>, id: TaskId) -> Waker {
-    let data = Rc::into_raw(Rc::new(TaskWaker { ready, id }));
-    // SAFETY: the vtable contract above; the initial strong count is the
-    // reference this Waker owns.
-    unsafe { Waker::from_raw(RawWaker::new(data as *const (), &WAKER_VTABLE)) }
+/// One registry entry: the task currently registered under this index, if
+/// any, and the generation its [`TaskId`] carries.
+struct Registered {
+    task: Option<TaskRef>,
+    gen: u32,
 }
 
-/// Handle to a pending wake-timer's cancel flag in the timer-flag slab.
-/// Replaces a per-sleep `Rc<Cell<bool>>` allocation: cancelling is a flag
-/// write into a recycled slot, guarded by a generation check.
+/// Handle to a pending timer's slot in the timer slab. Cancelling a
+/// wake-timer empties a recycled slot, guarded by a generation check.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TimerToken {
     index: u32,
     gen: u32,
 }
 
-#[derive(Copy, Clone, Default)]
-struct TimerFlag {
-    gen: u32,
-    canceled: bool,
-}
-
+/// What a pending timer does when it fires.
 enum TimerAction {
-    Wake(Waker, TimerToken),
+    Wake(Waker),
     Call(Box<dyn FnOnce()>),
 }
 
-type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
-
-/// One slab slot. The waker is built once at spawn and reused for every
-/// poll of the task, instead of a fresh `Arc` per poll. The future is
-/// `None` while being polled (it is temporarily moved out so the poll may
-/// reborrow the task table, e.g. to spawn).
-struct TaskSlot {
+/// One timer-slab slot. `action` is `None` while the slot is free and
+/// after its wake-timer was canceled (the wheel entry is then a tombstone).
+struct TimerSlot {
     gen: u32,
-    fut: Option<BoxedTask>,
-    waker: Waker,
-}
-
-enum Slot {
-    /// Free slot; remembers the generation the next occupant will get.
-    Vacant { next_gen: u32 },
-    Occupied(TaskSlot),
+    action: Option<TimerAction>,
 }
 
 struct Inner {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    timers: RefCell<TimerWheel<TimerAction>>,
-    timer_flags: RefCell<Vec<TimerFlag>>,
+    timers: RefCell<TimerWheel<TimerToken>>,
+    timer_slots: RefCell<Vec<TimerSlot>>,
     timer_free: RefCell<Vec<u32>>,
     ready: Rc<ReadyQueue>,
-    tasks: RefCell<Vec<Slot>>,
+    tasks: RefCell<Vec<Registered>>,
     task_free: RefCell<Vec<u32>>,
     tasks_alive: Cell<usize>,
     seed: u64,
@@ -159,25 +336,86 @@ struct Inner {
     timer_cancels: Cell<u64>,
     /// Scratch buffer for `fire_next_timers`; kept here so its
     /// allocation is reused across every firing instant.
-    fire_batch: RefCell<Vec<TimerAction>>,
+    fire_batch: RefCell<Vec<Waker>>,
 }
 
 impl Inner {
-    /// Recycle the flag slot of a wake-timer that left the wheel, making
-    /// its token stale. Returns whether the timer had been canceled. One
-    /// flags borrow for both.
+    /// Put `action` in a slab slot and the slot's token in the wheel.
+    fn push_timer(&self, at: SimTime, seq: u64, action: TimerAction) -> TimerToken {
+        let token = {
+            let mut slots = self.timer_slots.borrow_mut();
+            let index = match self.timer_free.borrow_mut().pop() {
+                Some(index) => index,
+                None => {
+                    slots.push(TimerSlot { gen: 0, action: None });
+                    (slots.len() - 1) as u32
+                }
+            };
+            let slot = &mut slots[index as usize];
+            slot.action = Some(action);
+            TimerToken { index, gen: slot.gen }
+        };
+        self.timer_pushes.set(self.timer_pushes.get() + 1);
+        self.timers.borrow_mut().push(at.as_nanos(), seq, token);
+        token
+    }
+
+    /// Recycle the slot of a timer that left the wheel, making its token
+    /// stale. Returns what the timer was to do, `None` if it had been
+    /// canceled.
     #[inline]
-    fn release_timer_flag(&self, token: TimerToken) -> bool {
-        let canceled = {
-            let mut flags = self.timer_flags.borrow_mut();
-            let f = &mut flags[token.index as usize];
-            let canceled = f.canceled;
-            f.gen = f.gen.wrapping_add(1);
-            f.canceled = false;
-            canceled
+    fn release_timer(&self, token: TimerToken) -> Option<TimerAction> {
+        let action = {
+            let mut slots = self.timer_slots.borrow_mut();
+            let slot = &mut slots[token.index as usize];
+            slot.gen = slot.gen.wrapping_add(1);
+            slot.action.take()
         };
         self.timer_free.borrow_mut().push(token.index);
-        canceled
+        action
+    }
+
+    /// See [`Sim::shutdown`]; also what dropping the last `Sim` does, since
+    /// ready-queue entries and task blocks refer to each other.
+    fn shutdown(&self) {
+        loop {
+            let mut parked = Vec::new();
+            {
+                let mut tasks = self.tasks.borrow_mut();
+                let mut free = self.task_free.borrow_mut();
+                for (index, entry) in tasks.iter_mut().enumerate() {
+                    let Some(task) = &entry.task else { continue };
+                    let state = &task.header().state;
+                    if state.get() == TaskState::Parked {
+                        // Retire it like a finished task, so a wake-up
+                        // from a drop handler below cannot get it polled.
+                        state.set(TaskState::Done);
+                        parked.extend(entry.task.take());
+                        entry.gen = entry.gen.wrapping_add(1);
+                        free.push(index as u32);
+                    }
+                }
+            }
+            self.tasks_alive.set(self.tasks_alive.get() - parked.len());
+            let timers = self.timers.borrow_mut().take_all();
+            let actions: Vec<_> = timers.iter().map(|&t| self.release_timer(t)).collect();
+            self.ready.queue.borrow_mut().clear();
+            if parked.is_empty() && timers.is_empty() {
+                return;
+            }
+            // Outside every borrow: these drops may re-enter the sim.
+            drop(actions);
+            for task in parked {
+                // SAFETY: parked until this pass set it `Done`, just above.
+                unsafe { task.drop_future() };
+            }
+        }
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -263,7 +501,7 @@ impl Sim {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
                 timers: RefCell::new(TimerWheel::new()),
-                timer_flags: RefCell::new(Vec::new()),
+                timer_slots: RefCell::new(Vec::new()),
                 timer_free: RefCell::new(Vec::new()),
                 ready: Rc::new(ReadyQueue {
                     queue: RefCell::new(VecDeque::new()),
@@ -328,7 +566,9 @@ impl Sim {
         }
     }
 
-    fn next_seq(&self) -> u64 {
+    /// Draw the next timer sequence number: the tie-break among timers at
+    /// one instant, in registration order.
+    pub(crate) fn next_seq(&self) -> u64 {
         let s = self.inner.seq.get();
         self.inner.seq.set(s + 1);
         s
@@ -346,7 +586,7 @@ impl Sim {
             waker: None,
         }));
         let st = state.clone();
-        let id = self.spawn_boxed(Box::pin(async move {
+        let id = self.spawn_task(async move {
             let out = fut.await;
             let waker = {
                 let mut s = st.borrow_mut();
@@ -356,53 +596,49 @@ impl Sim {
             if let Some(w) = waker {
                 w.wake();
             }
-        }));
+        });
         JoinHandle { state, id }
     }
 
     /// Spawn a task whose output nobody will join on. Skips the
     /// `JoinHandle` completion-state allocation that [`Sim::spawn`] pays,
-    /// which matters on fan-out hot paths spawning one task per request.
+    /// which matters on fan-out hot paths spawning one task per request:
+    /// the task's block is the only allocation.
     pub fn spawn_detached<F>(&self, fut: F)
     where
         F: Future<Output = ()> + 'static,
     {
-        self.spawn_boxed(Box::pin(fut));
+        self.spawn_task(fut);
     }
 
-    /// Install a boxed task in the slab and enqueue its first poll.
-    fn spawn_boxed(&self, wrapped: BoxedTask) -> TaskId {
-        self.inner.tasks_spawned.set(self.inner.tasks_spawned.get() + 1);
-        let alive = self.inner.tasks_alive.get() + 1;
-        self.inner.tasks_alive.set(alive);
-        if alive > self.inner.peak_tasks_alive.get() {
-            self.inner.peak_tasks_alive.set(alive);
+    /// Allocate the task's block, register it and enqueue its first poll.
+    fn spawn_task<F>(&self, future: F) -> TaskId
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        let inner = &*self.inner;
+        inner.tasks_spawned.set(inner.tasks_spawned.get() + 1);
+        let alive = inner.tasks_alive.get() + 1;
+        inner.tasks_alive.set(alive);
+        if alive > inner.peak_tasks_alive.get() {
+            inner.peak_tasks_alive.set(alive);
         }
-        let id = {
-            let mut tasks = self.inner.tasks.borrow_mut();
-            let (index, gen) = match self.inner.task_free.borrow_mut().pop() {
-                Some(index) => {
-                    let gen = match tasks[index as usize] {
-                        Slot::Vacant { next_gen } => next_gen,
-                        Slot::Occupied(_) => unreachable!("free list holds vacant slots"),
-                    };
-                    (index, gen)
-                }
+        let (id, task) = {
+            let mut tasks = inner.tasks.borrow_mut();
+            let index = match inner.task_free.borrow_mut().pop() {
+                Some(index) => index,
                 None => {
-                    tasks.push(Slot::Vacant { next_gen: 0 });
-                    ((tasks.len() - 1) as u32, 0)
+                    tasks.push(Registered { task: None, gen: 0 });
+                    (tasks.len() - 1) as u32
                 }
             };
-            let id = TaskId::pack(index, gen);
-            let waker = make_waker(self.inner.ready.clone(), id);
-            tasks[index as usize] = Slot::Occupied(TaskSlot {
-                gen,
-                fut: Some(wrapped),
-                waker,
-            });
-            id
+            let entry = &mut tasks[index as usize];
+            let id = TaskId::pack(index, entry.gen);
+            let task = TaskRef::new(id, inner.ready.clone(), future);
+            entry.task = Some(task.clone());
+            (id, task)
         };
-        self.inner.ready.queue.borrow_mut().push_back(id);
+        inner.ready.queue.borrow_mut().push_back(task);
         id
     }
 
@@ -412,42 +648,24 @@ impl Sim {
     pub(crate) fn register_wake_at(&self, at: SimTime, waker: Waker) -> TimerToken {
         let at = at.max(self.now());
         let seq = self.next_seq();
-        let token = {
-            let mut flags = self.inner.timer_flags.borrow_mut();
-            match self.inner.timer_free.borrow_mut().pop() {
-                Some(index) => {
-                    flags[index as usize].canceled = false;
-                    TimerToken {
-                        index,
-                        gen: flags[index as usize].gen,
-                    }
-                }
-                None => {
-                    flags.push(TimerFlag::default());
-                    TimerToken {
-                        index: (flags.len() - 1) as u32,
-                        gen: 0,
-                    }
-                }
-            }
-        };
-        self.inner.timer_pushes.set(self.inner.timer_pushes.get() + 1);
-        self.inner
-            .timers
-            .borrow_mut()
-            .push(at.as_nanos(), seq, TimerAction::Wake(waker, token));
-        token
+        self.inner.push_timer(at, seq, TimerAction::Wake(waker))
     }
 
     /// Cancel a pending wake-timer. A stale token (the timer already fired
     /// and its slot was recycled) is a no-op.
     pub(crate) fn cancel_wake(&self, token: TimerToken) {
-        let mut flags = self.inner.timer_flags.borrow_mut();
-        let flag = &mut flags[token.index as usize];
-        if flag.gen == token.gen {
-            flag.canceled = true;
-            self.inner.timer_cancels.set(self.inner.timer_cancels.get() + 1);
-        }
+        let waker = {
+            let mut slots = self.inner.timer_slots.borrow_mut();
+            let slot = &mut slots[token.index as usize];
+            if slot.gen != token.gen {
+                return;
+            }
+            slot.action.take()
+        };
+        self.inner.timer_cancels.set(self.inner.timer_cancels.get() + 1);
+        // The waker goes now, not when the tombstone leaves the wheel: it
+        // pins its task's block (see the module docs).
+        drop(waker);
     }
 
     /// Run `f` at virtual instant `at` (clamped to now). Callbacks fire in
@@ -455,12 +673,15 @@ impl Sim {
     /// the escape hatch used by resources such as bandwidth links.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
         let at = at.max(self.now());
-        let seq = self.next_seq();
-        self.inner.timer_pushes.set(self.inner.timer_pushes.get() + 1);
-        self.inner
-            .timers
-            .borrow_mut()
-            .push(at.as_nanos(), seq, TimerAction::Call(Box::new(f)));
+        self.call_at_seq(at, self.next_seq(), f);
+    }
+
+    /// [`Sim::call_at`] at a position in the event order reserved earlier:
+    /// `seq` was drawn from [`Sim::next_seq`] and `(at, seq)` has not been
+    /// reached yet.
+    pub(crate) fn call_at_seq(&self, at: SimTime, seq: u64, f: impl FnOnce() + 'static) {
+        debug_assert!(at >= self.now() && seq < self.inner.seq.get());
+        self.inner.push_timer(at, seq, TimerAction::Call(Box::new(f)));
     }
 
     /// Run `f` after a delay.
@@ -510,53 +731,69 @@ impl Sim {
         .await
     }
 
-    fn poll_task(&self, id: TaskId) {
-        let (mut fut, waker) = {
-            let mut tasks = self.inner.tasks.borrow_mut();
-            match tasks.get_mut(id.index()) {
-                // The slot must still be this task's generation: a stale
-                // wake of a recycled slot must not poll the new occupant.
-                Some(Slot::Occupied(slot)) if slot.gen == id.gen() => {
-                    match slot.fut.take() {
-                        Some(fut) => (fut, slot.waker.clone()),
-                        // Mid-poll re-entry: nothing to do.
-                        None => return,
-                    }
-                }
-                // Already finished or duplicate wake: nothing to do.
-                _ => return,
+    /// Poll the task a popped ready-queue entry refers to.
+    fn poll_task(&self, task: TaskRef) {
+        /// Retires the task when its poll returns `Ready` — or unwinds, so
+        /// a panicking future is dropped like a finished one.
+        struct FinishOnDrop<'a>(&'a Sim, &'a TaskRef);
+        impl Drop for FinishOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.finish(self.1);
             }
-        };
+        }
+
+        let header = task.header();
+        if header.state.get() != TaskState::Parked {
+            // Already finished, or a wake of the task polling us (nested
+            // `run` inside its own poll): nothing to do.
+            return;
+        }
+        header.state.set(TaskState::Polling);
         self.inner
             .events_processed
             .set(self.inner.events_processed.get() + 1);
         self.inner.task_polls.set(self.inner.task_polls.get() + 1);
-        let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut tasks = self.inner.tasks.borrow_mut();
-                tasks[id.index()] = Slot::Vacant {
-                    next_gen: id.gen().wrapping_add(1),
-                };
-                self.inner.task_free.borrow_mut().push(id.index() as u32);
-                self.inner.tasks_alive.set(self.inner.tasks_alive.get() - 1);
-            }
-            Poll::Pending => {
-                let mut tasks = self.inner.tasks.borrow_mut();
-                if let Some(Slot::Occupied(slot)) = tasks.get_mut(id.index()) {
-                    if slot.gen == id.gen() {
-                        slot.fut = Some(fut);
-                    }
-                }
-            }
+        // SAFETY: the vtable contract holds for `task`'s pointer, and the
+        // waker borrows `task`'s reference instead of owning one: it is
+        // never dropped and `task` outlives it.
+        let waker = ManuallyDrop::new(unsafe {
+            Waker::from_raw(RawWaker::new(task.0.as_ptr() as *const (), &WAKER_VTABLE))
+        });
+        let finish = FinishOnDrop(self, &task);
+        // SAFETY: `Parked` meant the future is live and nobody was inside
+        // it; `Polling` keeps re-entrant polls and `shutdown` out.
+        let poll = unsafe { (header.vtable.poll)(task.0, &mut Context::from_waker(&waker)) };
+        if poll.is_pending() {
+            header.state.set(TaskState::Parked);
+            std::mem::forget(finish);
         }
+    }
+
+    /// Retire a task whose poll is over for good: unregister it, then drop
+    /// its future (whose drop handlers may re-enter the sim).
+    fn finish(&self, task: &TaskRef) {
+        let header = task.header();
+        header.state.set(TaskState::Done);
+        let index = header.id.index();
+        let registered = {
+            let mut tasks = self.inner.tasks.borrow_mut();
+            let entry = &mut tasks[index];
+            entry.gen = entry.gen.wrapping_add(1);
+            entry.task.take()
+        };
+        debug_assert!(registered.is_some(), "a task being polled is registered");
+        self.inner.task_free.borrow_mut().push(index as u32);
+        self.inner.tasks_alive.set(self.inner.tasks_alive.get() - 1);
+        // SAFETY: the state was `Polling` until this call set `Done`, and
+        // the poll has returned.
+        unsafe { task.drop_future() };
     }
 
     fn drain_ready(&self) {
         loop {
-            let id = self.inner.ready.queue.borrow_mut().pop_front();
-            match id {
-                Some(id) => self.poll_task(id),
+            let task = self.inner.ready.queue.borrow_mut().pop_front();
+            match task {
+                Some(task) => self.poll_task(task),
                 None => break,
             }
         }
@@ -573,19 +810,16 @@ impl Sim {
     fn fire_next_timers(&self, horizon: SimTime) -> bool {
         let inner = &*self.inner;
         // Reaper for wheel GC (see `TimerWheel::peek_min_gc`): report
-        // whether an entry is canceled, releasing its flag slot if so.
-        let mut reap = |action: &TimerAction| -> bool {
-            let TimerAction::Wake(_, token) = action else {
-                return false;
-            };
+        // whether an entry is a canceled timer's tombstone, releasing its
+        // slot if so.
+        let mut reap = |token: &TimerToken| -> bool {
             {
-                let mut flags = inner.timer_flags.borrow_mut();
-                let f = &mut flags[token.index as usize];
-                if !f.canceled {
+                let mut slots = inner.timer_slots.borrow_mut();
+                let slot = &mut slots[token.index as usize];
+                if slot.action.is_some() {
                     return false;
                 }
-                f.gen = f.gen.wrapping_add(1);
-                f.canceled = false;
+                slot.gen = slot.gen.wrapping_add(1);
             }
             inner.timer_free.borrow_mut().push(token.index);
             true
@@ -612,10 +846,10 @@ impl Sim {
         debug_assert!(at >= self.now(), "timer scheduled in the past");
         inner.now.set(at);
         let at = at.as_nanos();
-        let mut batch: Vec<TimerAction> = std::mem::take(&mut inner.fire_batch.borrow_mut());
-        debug_assert!(batch.is_empty());
+        let mut wakers: Vec<Waker> = std::mem::take(&mut inner.fire_batch.borrow_mut());
+        debug_assert!(wakers.is_empty());
         loop {
-            let mut saw_call = false;
+            let mut call = None;
             {
                 let mut timers = inner.timers.borrow_mut();
                 loop {
@@ -627,35 +861,27 @@ impl Sim {
                     inner
                         .events_processed
                         .set(inner.events_processed.get() + 1);
-                    match entry.item {
-                        TimerAction::Wake(w, token) => {
-                            if !inner.release_timer_flag(token) {
-                                batch.push(TimerAction::Wake(w, token));
-                            }
-                        }
-                        call @ TimerAction::Call(_) => {
-                            batch.push(call);
-                            saw_call = true;
+                    match inner.release_timer(entry.item) {
+                        Some(TimerAction::Wake(w)) => wakers.push(w),
+                        Some(TimerAction::Call(f)) => {
+                            call = Some(f);
                             break;
                         }
+                        None => {} // canceled
                     }
                 }
             }
-            if batch.is_empty() {
-                break;
+            let fired = wakers.len() as u64 + u64::from(call.is_some());
+            inner.timer_fires.set(inner.timer_fires.get() + fired);
+            for w in wakers.drain(..) {
+                w.wake();
             }
-            for action in batch.drain(..) {
-                inner.timer_fires.set(inner.timer_fires.get() + 1);
-                match action {
-                    TimerAction::Wake(w, _) => w.wake(),
-                    TimerAction::Call(f) => f(),
-                }
-            }
-            if !saw_call {
-                break;
+            match call {
+                Some(f) => f(),
+                None => break,
             }
         }
-        *inner.fire_batch.borrow_mut() = batch;
+        *inner.fire_batch.borrow_mut() = wakers;
         true
     }
 
@@ -701,35 +927,7 @@ impl Sim {
     /// from inside it) is left alone. Idempotent; the clock and every
     /// counter stay readable, and the sim stays usable.
     pub fn shutdown(&self) {
-        let inner = &*self.inner;
-        loop {
-            let mut parked = Vec::new();
-            {
-                let mut tasks = inner.tasks.borrow_mut();
-                let mut free = inner.task_free.borrow_mut();
-                for (index, slot) in tasks.iter_mut().enumerate() {
-                    let next_gen = match slot {
-                        Slot::Occupied(TaskSlot { gen, fut: Some(_), .. }) => gen.wrapping_add(1),
-                        _ => continue,
-                    };
-                    // Vacate like a finished task would, so a stale waker
-                    // can never reach the slot's next occupant.
-                    parked.push(std::mem::replace(slot, Slot::Vacant { next_gen }));
-                    free.push(index as u32);
-                }
-            }
-            inner.tasks_alive.set(inner.tasks_alive.get() - parked.len());
-            let timers = inner.timers.borrow_mut().take_all();
-            for action in &timers {
-                if let TimerAction::Wake(_, token) = action {
-                    inner.release_timer_flag(*token);
-                }
-            }
-            inner.ready.queue.borrow_mut().clear();
-            if parked.is_empty() && timers.is_empty() {
-                return;
-            }
-        }
+        self.inner.shutdown();
     }
 
     /// Drive `fut` to completion, running the whole simulation as needed.

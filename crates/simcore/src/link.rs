@@ -44,7 +44,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -149,6 +149,95 @@ impl Ord for VKey {
     }
 }
 
+/// Entries a [`FinishQueue`]'s young heap may hold before a pop sorts them
+/// into the run, however short the run is.
+const YOUNG_MAX: usize = 64;
+
+/// Min-queue of completion tags `(key, flow id)`, popped in ascending
+/// order of the pair — ids are unique, so the order is total and equal
+/// keys leave in id order whatever the queue's history.
+///
+/// Pushes go to a small binary heap (`young`); pops are served from a
+/// sorted run, walked front to back. A pop that finds the young heap
+/// larger than both [`YOUNG_MAX`] and what is left of the run sorts it
+/// into the run first, so a queue that is filled and then drained — a
+/// fan-in — sorts once and drains sequentially through memory instead of
+/// sifting a heap whose lower levels miss the cache on every pop, while a
+/// queue that stays small never leaves the heap. Each entry is sorted
+/// O(log n) times: the run at least doubles with every merge.
+struct FinishQueue<K> {
+    /// Ascending; entries before `head` have been popped.
+    run: Vec<(K, u64)>,
+    head: usize,
+    young: BinaryHeap<Reverse<(K, u64)>>,
+}
+
+impl<K: Ord + Copy> FinishQueue<K> {
+    fn new() -> FinishQueue<K> {
+        FinishQueue {
+            run: Vec::new(),
+            head: 0,
+            young: BinaryHeap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() - self.head + self.young.len()
+    }
+
+    fn push(&mut self, key: K, id: u64) {
+        self.young.push(Reverse((key, id)));
+    }
+
+    fn peek(&self) -> Option<(K, u64)> {
+        let run = self.run.get(self.head).copied();
+        let young = self.young.peek().map(|&Reverse(e)| e);
+        match (run, young) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(K, u64)> {
+        if self.young.len() > YOUNG_MAX.max(self.run.len() - self.head) {
+            self.run.drain(..self.head);
+            self.head = 0;
+            let young = std::mem::take(&mut self.young).into_vec();
+            self.run.extend(young.into_iter().map(|Reverse(e)| e));
+            self.run.sort_unstable();
+        }
+        let run = self.run.get(self.head).copied();
+        match (run, self.young.peek()) {
+            (Some(a), Some(&Reverse(b))) if b < a => self.young.pop().map(|Reverse(e)| e),
+            (None, _) => self.young.pop().map(|Reverse(e)| e),
+            (Some(a), _) => {
+                self.head += 1;
+                if self.head == self.run.len() {
+                    self.run.clear();
+                    self.head = 0;
+                }
+                Some(a)
+            }
+        }
+    }
+
+    /// Keep only the entries `live` accepts (compaction of stale tags).
+    fn retain(&mut self, mut live: impl FnMut(K, u64) -> bool) {
+        self.run.drain(..self.head);
+        self.head = 0;
+        self.run.retain(|&(k, id)| live(k, id));
+        let mut young = std::mem::take(&mut self.young).into_vec();
+        young.retain(|&Reverse((k, id))| live(k, id));
+        self.young = BinaryHeap::from(young);
+    }
+
+    fn clear(&mut self) {
+        self.run.clear();
+        self.head = 0;
+        self.young.clear();
+    }
+}
+
 struct LinkState {
     capacity_bps: Bps,
     /// Flows indexed by `id - base_id` (ids are sequential). Removed
@@ -167,12 +256,12 @@ struct LinkState {
     /// Rate classes keyed by `cap.to_bits()` (positive floats order the
     /// same as their bit patterns). Dropped when the last member leaves.
     classes: BTreeMap<u64, CapClass>,
-    /// Min-heap of `(v_finish, id)` over `Virtual` flows. Entries go
+    /// Min-queue of `(v_finish, id)` over `Virtual` flows. Entries go
     /// stale on cancel/re-level and are dropped lazily (validated
     /// against the flow's current phase tag).
-    virt_heap: BinaryHeap<Reverse<(VKey, u64)>>,
-    /// Min-heap of `(fin, id)` over `Capped` flows; same lazy staleness.
-    cap_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    virt_heap: FinishQueue<VKey>,
+    /// Min-queue of `(fin, id)` over `Capped` flows; same lazy staleness.
+    cap_heap: FinishQueue<SimTime>,
     /// The fair-share work function V: bits served to a `Virtual` flow
     /// since the current busy period began (rebased to 0 at idle, so
     /// magnitudes stay comparable to transfer sizes).
@@ -182,12 +271,24 @@ struct LinkState {
     level: Bps,
     next_flow: u64,
     last_update: SimTime,
-    epoch: u64,
+    /// The `(at, seq)` the latest state change reserved for the next
+    /// completion event; `None` when no live flow is making progress.
+    next: Option<(SimTime, u64)>,
+    /// The `(at, seq)` of the one timer in the wheel that will be heard
+    /// when it fires (see the module docs).
+    armed: Option<(SimTime, u64)>,
     /// Flow ids finished during the event being processed, woken in id
     /// order (the order the old full-scan collector produced).
     finished: Vec<u64>,
     /// Scratch for re-level flip lists, reused across events.
     flips: Vec<u64>,
+    /// Scratch for the wakers of `finished`, reused across events.
+    wakers: Vec<Waker>,
+    /// This link's callbacks now in the wheel, and how many of those were
+    /// superseded by a later, earlier-firing one: the difference is the
+    /// number that will be heard, which must never exceed one.
+    #[cfg(test)]
+    timers_pending: (usize, usize),
 }
 
 impl LinkState {
@@ -263,7 +364,7 @@ impl LinkState {
     /// Validate the virtual heap's top, discarding stale entries; returns
     /// the live minimum without popping it.
     fn clean_virt_top(&mut self) -> Option<(f64, u64)> {
-        while let Some(&Reverse((VKey(vf), id))) = self.virt_heap.peek() {
+        while let Some((VKey(vf), id)) = self.virt_heap.peek() {
             let live = self.flow_ref(id).is_some_and(|f| {
                 !f.done
                     && matches!(f.phase, Phase::Virtual { v_finish }
@@ -279,7 +380,7 @@ impl LinkState {
 
     /// Validate the capped heap's top, discarding stale entries.
     fn clean_cap_top(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(&Reverse((fin, id))) = self.cap_heap.peek() {
+        while let Some((fin, id)) = self.cap_heap.peek() {
             let live = self.flow_ref(id).is_some_and(|f| {
                 !f.done && matches!(f.phase, Phase::Capped { fin: f2, .. } if f2 == fin)
             });
@@ -410,7 +511,7 @@ impl LinkState {
                     let fin = now.saturating_add(ceil_ns(rem / cap));
                     flow.phase = Phase::Capped { since: now, fin };
                     self.virtual_n -= 1;
-                    self.cap_heap.push(Reverse((fin, id)));
+                    self.cap_heap.push(fin, id);
                 }
             }
             (Phase::Capped { since, .. }, false) => {
@@ -425,7 +526,7 @@ impl LinkState {
                     let v_finish = v_now + rem;
                     flow.phase = Phase::Virtual { v_finish };
                     self.virtual_n += 1;
-                    self.virt_heap.push(Reverse((VKey(v_finish), id)));
+                    self.virt_heap.push(VKey(v_finish), id);
                 }
             }
             // Already on the target side (a joiner re-based by
@@ -476,27 +577,25 @@ impl LinkState {
     /// compare against live counts, never slab occupancy.
     fn maybe_compact_heaps(&mut self) {
         if self.virt_heap.len() > 64 + 2 * self.virtual_n {
-            let heap = std::mem::take(&mut self.virt_heap);
-            let mut entries = heap.into_vec();
-            entries.retain(|&Reverse((VKey(vf), id))| {
+            let mut heap = std::mem::replace(&mut self.virt_heap, FinishQueue::new());
+            heap.retain(|VKey(vf), id| {
                 self.flow_ref(id).is_some_and(|f| {
                     !f.done
                         && matches!(f.phase, Phase::Virtual { v_finish }
                             if v_finish.to_bits() == vf.to_bits())
                 })
             });
-            self.virt_heap = BinaryHeap::from(entries);
+            self.virt_heap = heap;
         }
         let capped_n = self.active - self.virtual_n;
         if self.cap_heap.len() > 64 + 2 * capped_n {
-            let heap = std::mem::take(&mut self.cap_heap);
-            let mut entries = heap.into_vec();
-            entries.retain(|&Reverse((fin, id))| {
+            let mut heap = std::mem::replace(&mut self.cap_heap, FinishQueue::new());
+            heap.retain(|fin, id| {
                 self.flow_ref(id).is_some_and(|f| {
                     !f.done && matches!(f.phase, Phase::Capped { fin: f2, .. } if f2 == fin)
                 })
             });
-            self.cap_heap = BinaryHeap::from(entries);
+            self.cap_heap = heap;
         }
     }
 
@@ -563,15 +662,19 @@ impl FairShareLink {
                 active: 0,
                 virtual_n: 0,
                 classes: BTreeMap::new(),
-                virt_heap: BinaryHeap::new(),
-                cap_heap: BinaryHeap::new(),
+                virt_heap: FinishQueue::new(),
+                cap_heap: FinishQueue::new(),
                 v_now: 0.0,
                 level: 0.0,
                 next_flow: 0,
                 last_update: sim.now(),
-                epoch: 0,
+                next: None,
+                armed: None,
                 finished: Vec::new(),
                 flips: Vec::new(),
+                wakers: Vec::new(),
+                #[cfg(test)]
+                timers_pending: (0, 0),
             })),
         }
     }
@@ -596,7 +699,16 @@ impl FairShareLink {
     /// Transfer `bytes` through the link, optionally capped at
     /// `per_flow_cap` bits/second. Completes when the last byte clears.
     /// Zero-byte transfers complete immediately.
+    ///
+    /// # Panics
+    /// Panics if the cap is zero, negative or NaN. `+∞` is allowed and
+    /// never binds.
     pub fn transfer(&self, bytes: u64, per_flow_cap: Option<Bps>) -> Transfer {
+        // `!(cap > 0.0)` also catches NaN, whose bit pattern would break
+        // the "positive floats sort like their bits" key of `classes`.
+        if let Some(cap) = per_flow_cap {
+            assert!(cap > 0.0, "per-flow cap must be positive, got {cap}");
+        }
         Transfer {
             link: self.clone(),
             bytes,
@@ -617,10 +729,11 @@ impl FairShareLink {
 
     /// Process one state change: charge the elapsed interval into V,
     /// settle completions, re-fill the water level, place a just-joined
-    /// flow, wake finishers (in flow-id order), and re-arm the
-    /// epoch-guarded completion callback.
+    /// flow, wake finishers (in flow-id order), and reserve the next
+    /// completion's place in the event order, arming a timer for it if
+    /// the armed one would fire too late.
     fn on_change(&self, joined: Option<u64>) {
-        let (wakers, next) = {
+        let (mut wakers, push) = {
             let mut st = self.st.borrow_mut();
             let now = self.sim.now();
             st.advance_to(now);
@@ -631,32 +744,75 @@ impl FairShareLink {
             }
             let mut finished = std::mem::take(&mut st.finished);
             finished.sort_unstable();
-            let wakers: Vec<Waker> = finished
-                .iter()
-                .filter_map(|&id| st.flow_mut(id).and_then(|f| f.waker.take()))
-                .collect();
+            let mut wakers = std::mem::take(&mut st.wakers);
+            wakers.extend(
+                finished
+                    .iter()
+                    .filter_map(|&id| st.flow_mut(id).and_then(|f| f.waker.take())),
+            );
             finished.clear();
             st.finished = finished;
-            st.epoch += 1;
-            (wakers, st.next_completion(now).map(|t| (t, st.epoch)))
+            // The sequence number is drawn whether or not a timer is
+            // pushed: it is this change's place among the timers of its
+            // instant, and everyone else's numbers depend on it.
+            st.next = st
+                .next_completion(now)
+                .map(|at| (at, self.sim.next_seq()));
+            let push = match (st.next, st.armed) {
+                (Some(next), Some(armed)) if next.0 >= armed.0 => None,
+                (next, _) => next,
+            };
+            (wakers, push)
         };
-        for w in wakers {
+        for w in wakers.drain(..) {
             w.wake();
         }
-        if let Some((at, epoch)) = next {
-            let link = self.clone();
-            self.sim.call_at(at, move || link.on_timer(epoch));
+        self.st.borrow_mut().wakers = wakers;
+        if let Some(next) = push {
+            self.arm(next);
         }
     }
 
-    fn on_timer(&self, epoch: u64) {
+    /// Push a timer for the reserved position `at` and make it the armed
+    /// one; whatever was armed before is superseded and will be ignored.
+    fn arm(&self, at: (SimTime, u64)) {
         {
-            let st = self.st.borrow();
-            if st.epoch != epoch {
-                return; // stale callback; a newer change superseded it
+            let mut st = self.st.borrow_mut();
+            #[cfg(test)]
+            {
+                st.timers_pending.0 += 1;
+                st.timers_pending.1 += usize::from(st.armed.is_some());
             }
+            st.armed = Some(at);
         }
-        self.on_change(None);
+        let link = self.clone();
+        self.sim.call_at_seq(at.0, at.1, move || link.on_timer(at));
+    }
+
+    /// The timer pushed for position `fired` went off.
+    fn on_timer(&self, fired: (SimTime, u64)) {
+        let next = {
+            let mut st = self.st.borrow_mut();
+            #[cfg(test)]
+            {
+                st.timers_pending.0 -= 1;
+                st.timers_pending.1 -= usize::from(st.armed != Some(fired));
+            }
+            if st.armed != Some(fired) {
+                return; // superseded by a timer armed for an earlier instant
+            }
+            st.armed = None;
+            st.next
+        };
+        match next {
+            // Nothing changed since this position was reserved: it is the
+            // completion event.
+            Some(next) if next == fired => self.on_change(None),
+            // The completion moved later (or to a later place in this
+            // instant): go there, to exactly the reserved position.
+            Some(next) => self.arm(next),
+            None => {}
+        }
     }
 
     fn add_flow(&self, bits: f64, cap: Option<Bps>, waker: Waker) -> u64 {
@@ -680,7 +836,7 @@ impl FairShareLink {
             st.occupied += 1;
             st.active += 1;
             st.virtual_n += 1;
-            st.virt_heap.push(Reverse((VKey(v_finish), id)));
+            st.virt_heap.push(VKey(v_finish), id);
             if let Some(cap) = cap {
                 st.class_insert(id, cap);
             }
