@@ -28,7 +28,7 @@ use faasim::net::{Fabric, Host, NetProfile, NicConfig};
 use faasim::payload::Payload;
 use faasim::pricing::{Ledger, PriceBook};
 use faasim::query::{Aggregate, QueryProfile, QueryService, QuerySpec};
-use faasim::simcore::{gbps, mbps, FairShareLink, Recorder, Sim, SimDuration};
+use faasim::simcore::{gbps, mbps, FairShareLink, Recorder, Sim, SimDuration, SimRng};
 use faasim_chaos::{sweep, CrdtSync, ParallelSweep};
 use faasim_trace::{function_name, replay, ReplayConfig};
 
@@ -463,6 +463,9 @@ fn base_kernel_benches() -> Vec<KernelBench> {
         kernel_bench("kernel/link_fanin_1m_flows", || {
             link_fanin_at_scale(1_000_000)
         }),
+        kernel_bench("kernel/link_fanin_150k_mixed_sizes", || {
+            link_fanin_mixed_sizes(150_000)
+        }),
     ]
 }
 
@@ -496,6 +499,26 @@ fn censor_docs() -> u64 {
 /// count; the score is events/sec at the target scale the ROADMAP set
 /// (100k–1M concurrent flows).
 fn link_fanin_at_scale(n: u64) -> u64 {
+    link_fanin(n, |_| 1_000_000)
+}
+
+/// [`link_fanin_at_scale`] as the repo benchmark's `data_plane` drives it:
+/// sizes drawn from 0.9–1.1 MB, so flows finish in an order unrelated to
+/// the order they joined — and were allocated — in, and every completion
+/// lands on cold memory. With equal sizes completions walk the heap in
+/// allocation order and the kernels above never see that cost. Returns
+/// the **flow** count: the score is flows per host second and does not
+/// move when the link needs fewer events per flow.
+fn link_fanin_mixed_sizes(n: u64) -> u64 {
+    let mut rng = SimRng::stream(BENCH_SEED, "bench.link_fanin_mixed_sizes");
+    link_fanin(n, |_| rng.range_u64(900_000..1_100_000));
+    n
+}
+
+/// `n` flows of `bytes_of(i)` bytes joining one 10 Gbps link 500 ns apart,
+/// every sixteenth capped at 1 Mbps; all must drain. Returns the kernel's
+/// event count.
+fn link_fanin(n: u64, mut bytes_of: impl FnMut(u64) -> u64) -> u64 {
     let sim = Sim::new(BENCH_SEED);
     let link = FairShareLink::new(&sim, gbps(10.0));
     let done = Rc::new(std::cell::Cell::new(0u64));
@@ -503,10 +526,11 @@ fn link_fanin_at_scale(n: u64) -> u64 {
         let l = link.clone();
         let s = sim.clone();
         let d = done.clone();
+        let bytes = bytes_of(i);
         sim.spawn(async move {
             s.sleep(SimDuration::from_nanos(i * 500)).await;
             let cap = if i % 16 == 0 { Some(mbps(1.0)) } else { None };
-            l.transfer(1_000_000, cap).await;
+            l.transfer(bytes, cap).await;
             d.set(d.get() + 1);
         });
     }
@@ -1015,6 +1039,13 @@ mod tests {
             (200_000..2_000_000).contains(&events),
             "100k-flow fan-in event count off the linear envelope: {events}"
         );
+    }
+
+    #[test]
+    fn link_fanin_mixed_smoke() {
+        // The mixed-size kernel at 10k flows: the helper asserts that all
+        // drain and that `active_flows() == 0`; the score counts flows.
+        assert_eq!(link_fanin_mixed_sizes(10_000), 10_000);
     }
 
     #[test]

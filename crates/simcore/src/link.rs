@@ -879,6 +879,14 @@ impl FairShareLink {
         }
     }
 
+    /// How many of this link's callbacks now in the wheel will be heard
+    /// when they fire. The armed-timer rule says at most one.
+    #[cfg(test)]
+    fn live_timers(&self) -> usize {
+        let (pending, superseded) = self.st.borrow().timers_pending;
+        pending - superseded
+    }
+
     /// Rates currently allocated to live flows, as `(id, rate, cap)` —
     /// for the water-filling invariant tests.
     #[cfg(test)]
@@ -1650,12 +1658,20 @@ mod tests {
     trait AnyLink: Clone + 'static {
         type Fut: Future<Output = ()> + 'static;
         fn xfer(&self, bytes: u64, cap: Option<Bps>) -> Self::Fut;
+        /// Completion timers in the wheel that will act when they fire
+        /// (not tracked for the oracle).
+        fn live_timers(&self) -> usize {
+            0
+        }
     }
 
     impl AnyLink for FairShareLink {
         type Fut = Transfer;
         fn xfer(&self, bytes: u64, cap: Option<Bps>) -> Transfer {
             self.transfer(bytes, cap)
+        }
+        fn live_timers(&self) -> usize {
+            FairShareLink::live_timers(self)
         }
     }
 
@@ -1666,21 +1682,43 @@ mod tests {
         }
     }
 
-    /// Drive a churn schedule, returning each op's completion instant in
-    /// nanoseconds (None if canceled) plus the recorder digest.
+    /// What a churn run observed: each op's completion instant in
+    /// nanoseconds (None if canceled), the order in which ops and
+    /// bystanders were woken as `(instant, who)`, and the recorder digest.
+    #[derive(Debug, PartialEq)]
+    struct ChurnRun {
+        finished: Vec<Option<u64>>,
+        wake_log: Vec<(u64, String)>,
+        digest: String,
+    }
+
+    /// Drive a churn schedule. Each `(register_at, wake_at)` bystander
+    /// sleeps until `register_at` and then registers the sleep that wakes
+    /// it at `wake_at`, so its timer's sequence number lands among the
+    /// link's. Every wake-up checks the one-live-timer rule.
     fn run_churn<L: AnyLink>(
         link: L,
         sim: Sim,
         capacity: f64,
         ops: &[ChurnOp],
-    ) -> (Vec<Option<u64>>, String) {
+        bystanders: &[(u64, u64)],
+    ) -> ChurnRun {
         let rec = Recorder::new();
         let results = Rc::new(RefCell::new(vec![None; ops.len()]));
+        let wake_log = Rc::new(RefCell::new(Vec::new()));
+        let woke = {
+            let (link, sim, log) = (link.clone(), sim.clone(), wake_log.clone());
+            move |who: String| {
+                assert!(link.live_timers() <= 1, "{} live link timers", link.live_timers());
+                log.borrow_mut().push((sim.now().as_nanos(), who));
+            }
+        };
         for (i, op) in ops.iter().cloned().enumerate() {
             let l = link.clone();
             let s = sim.clone();
             let res = results.clone();
             let rec = rec.clone();
+            let woke = woke.clone();
             sim.spawn(async move {
                 s.sleep(SimDuration::from_micros(op.delay_us)).await;
                 let cap = cap_of(op.cap_sel, capacity);
@@ -1692,6 +1730,7 @@ mod tests {
                         true
                     }
                 };
+                woke(format!("op{i}"));
                 if finished {
                     res.borrow_mut()[i] = Some(s.now().as_nanos());
                     rec.record("completion_ns", s.now().as_nanos() as f64);
@@ -1700,9 +1739,135 @@ mod tests {
                 }
             });
         }
+        for (k, &(register_at, wake_at)) in bystanders.iter().enumerate() {
+            let s = sim.clone();
+            let woke = woke.clone();
+            sim.spawn(async move {
+                s.sleep_until(SimTime::from_nanos(register_at)).await;
+                s.sleep_until(SimTime::from_nanos(wake_at)).await;
+                woke(format!("bystander{k}"));
+            });
+        }
         sim.run();
-        let out = results.borrow().clone();
-        (out, rec.digest())
+        let finished = results.borrow().clone();
+        let wake_log = wake_log.borrow().clone();
+        ChurnRun {
+            finished,
+            wake_log,
+            digest: rec.digest(),
+        }
+    }
+
+    #[test]
+    fn nonsense_caps_are_rejected_loudly() {
+        let sim = Sim::new(1);
+        let link = FairShareLink::new(&sim, mbps(8.0));
+        for cap in [0.0, -1e6, f64::NAN] {
+            let l = link.clone();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                drop(l.transfer(1_000_000, Some(cap)));
+            }))
+            .expect_err("a cap that is not > 0 must panic");
+            let msg = err.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("per-flow cap must be positive"), "{msg}");
+        }
+        assert_eq!(link.active_flows(), 0);
+        // +inf is a cap that never binds: two flows share like uncapped ones.
+        for _ in 0..2 {
+            let l = link.clone();
+            sim.spawn(async move { l.transfer(1_000_000, Some(f64::INFINITY)).await });
+        }
+        sim.run();
+        let t = sim.now().as_secs_f64();
+        assert!((t - 2.0).abs() < 1e-6, "took {t}s");
+        assert_eq!(link.active_flows(), 0);
+    }
+
+    /// Script steps for the finish-queue proptest.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        Push(u8),
+        Peek,
+        Pop,
+        /// Mark every id with `id % m == r` stale.
+        Stale(u64, u64),
+        /// Pop until the top is not stale (the `clean_*_top` loop).
+        SkipStale,
+        /// Drop every stale entry (the `maybe_compact_heaps` rebuild).
+        Compact,
+        Clear,
+    }
+
+    fn queue_op() -> impl Strategy<Value = QueueOp> {
+        prop_oneof![
+            (0u8..6).prop_map(QueueOp::Push),
+            (0u8..6).prop_map(QueueOp::Push),
+            (0u8..6).prop_map(QueueOp::Push),
+            Just(QueueOp::Peek),
+            Just(QueueOp::Pop),
+            Just(QueueOp::Pop),
+            (2u64..5, 0u64..5).prop_map(|(m, r)| QueueOp::Stale(m, r % m)),
+            Just(QueueOp::SkipStale),
+            Just(QueueOp::Compact),
+            (0u8..40).prop_map(|n| if n == 0 { QueueOp::Clear } else { QueueOp::Peek }),
+        ]
+    }
+
+    proptest! {
+        /// The finish queue against the binary heap it replaced: the same
+        /// entry out of every peek and pop, through merges of the young
+        /// heap into the run, stale skips, compaction and clears. Only six
+        /// distinct keys, so almost every comparison is decided by the id.
+        #[test]
+        fn finish_queue_matches_binary_heap(
+            ops in prop::collection::vec(queue_op(), 1..600),
+        ) {
+            let mut queue: FinishQueue<VKey> = FinishQueue::new();
+            let mut oracle: BinaryHeap<Reverse<(VKey, u64)>> = BinaryHeap::new();
+            let mut stale = std::collections::BTreeSet::new();
+            let mut next_id = 0u64;
+            for op in ops {
+                match op {
+                    QueueOp::Push(k) => {
+                        // Bursts, so the young heap outgrows the run.
+                        for _ in 0..=(k as usize * 9) {
+                            let key = VKey(f64::from(k) * 0.5 + (next_id % 2) as f64);
+                            queue.push(key, next_id);
+                            oracle.push(Reverse((key, next_id)));
+                            next_id += 1;
+                        }
+                    }
+                    QueueOp::Peek => {
+                        prop_assert_eq!(queue.peek(), oracle.peek().map(|&Reverse(e)| e));
+                    }
+                    QueueOp::Pop => {
+                        prop_assert_eq!(queue.pop(), oracle.pop().map(|Reverse(e)| e));
+                    }
+                    QueueOp::Stale(m, r) => {
+                        stale.extend((0..next_id).filter(|id| id % m == r));
+                    }
+                    QueueOp::SkipStale => {
+                        while queue.peek().is_some_and(|(_, id)| stale.contains(&id)) {
+                            prop_assert_eq!(queue.pop(), oracle.pop().map(|Reverse(e)| e));
+                        }
+                        prop_assert_eq!(queue.peek(), oracle.peek().map(|&Reverse(e)| e));
+                    }
+                    QueueOp::Compact => {
+                        queue.retain(|_, id| !stale.contains(&id));
+                        oracle.retain(|&Reverse((_, id))| !stale.contains(&id));
+                    }
+                    QueueOp::Clear => {
+                        queue.clear();
+                        oracle.clear();
+                    }
+                }
+                prop_assert_eq!(queue.len(), oracle.len());
+            }
+            while let Some(Reverse(want)) = oracle.pop() {
+                prop_assert_eq!(queue.pop(), Some(want));
+            }
+            prop_assert_eq!(queue.pop(), None);
+        }
     }
 
     proptest! {
@@ -1710,23 +1875,49 @@ mod tests {
 
         /// Differential oracle: randomized churn through the virtual-time
         /// allocator and the O(n)-rescan reference must produce identical
-        /// completion nanoseconds and identical recorder digests.
+        /// completion nanoseconds and identical recorder digests — and,
+        /// with bystander sleeps due at the very instants flows finish on,
+        /// identical wake-up orders: the reference schedules a callback on
+        /// every change, so this is the argument that the armed timer
+        /// leaves every live callback at its `(at, seq)`.
         #[test]
         fn virtual_time_matches_rescan_reference(
             capacity in prop_oneof![Just(8e6f64), Just(1e8), Just(5.74e8)],
             ops in prop::collection::vec(churn_op(), 1..30),
+            leads in prop::collection::vec(
+                prop_oneof![Just(0u64), Just(1), 2u64..2_000_000, Just(u64::MAX)], 1..8),
         ) {
-            let sim_a = Sim::new(11);
-            let link_a = FairShareLink::new(&sim_a, capacity);
-            let (fin_a, dig_a) = run_churn(link_a.clone(), sim_a, capacity, &ops);
+            let production = |bystanders: &[(u64, u64)]| {
+                let sim = Sim::new(11);
+                let link = FairShareLink::new(&sim, capacity);
+                let run = run_churn(link.clone(), sim, capacity, &ops, bystanders);
+                (run, link.active_flows())
+            };
+            let reference = |bystanders: &[(u64, u64)]| {
+                let sim = Sim::new(11);
+                let link = reference::RefLink::new(&sim, capacity);
+                run_churn(link, sim, capacity, &ops, bystanders)
+            };
+            let (alone, active) = production(&[]);
+            prop_assert_eq!(&alone, &reference(&[]));
+            prop_assert_eq!(active, 0);
 
-            let sim_b = Sim::new(11);
-            let link_b = reference::RefLink::new(&sim_b, capacity);
-            let (fin_b, dig_b) = run_churn(link_b, sim_b, capacity, &ops);
-
-            prop_assert_eq!(fin_a, fin_b);
-            prop_assert_eq!(dig_a, dig_b);
-            prop_assert_eq!(link_a.active_flows(), 0);
+            // Two bystanders per finished op, one due on the completion's
+            // nanosecond and one a nanosecond early, their timers registered
+            // anywhere from the same instant to time zero.
+            let bystanders: Vec<(u64, u64)> = alone
+                .finished
+                .iter()
+                .flatten()
+                .zip(leads.iter().cycle())
+                .flat_map(|(&t, &lead)| {
+                    [(t.saturating_sub(lead), t), (t.saturating_sub(lead), t.saturating_sub(1))]
+                })
+                .collect();
+            let (crowded, active) = production(&bystanders);
+            prop_assert_eq!(&crowded, &reference(&bystanders));
+            prop_assert_eq!(&crowded.finished, &alone.finished);
+            prop_assert_eq!(active, 0);
         }
 
         /// Water-filling invariants, sampled mid-churn on the production
