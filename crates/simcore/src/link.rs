@@ -24,23 +24,50 @@
 //!   level and advances in O(1) per event. A flow riding the water level
 //!   needs no per-event touch: joining with `B` bits remaining it
 //!   finishes exactly when `V` reaches `V_join + B`, so all such flows
-//!   sit in one min-heap of virtual finish times.
+//!   sit in one min-queue of virtual finish times (a `FinishQueue`: a
+//!   small heap for arrivals in front of a sorted run for departures).
 //! - **Capped flows aggregate into rate classes** (one bucket per
 //!   distinct cap). While a class sits *below* the water level every
 //!   member runs at exactly its cap, so each member's completion is a
-//!   fixed absolute instant computed once (a second min-heap). The
+//!   fixed absolute instant computed once (a second min-queue). The
 //!   water-fill step works on class aggregates — `Σ cap·members` — in
 //!   O(classes), and members are individually charged and re-based only
 //!   when the water level crosses their class's cap (lazy re-leveling).
 //!
 //! Completion instants still ceil to the next nanosecond, a flow is still
-//! done when less than half a bit remains, finished flows still wake in
-//! flow-id order, and the link still schedules exactly one epoch-guarded
-//! callback per state change — so the event stream, and therefore every
-//! recorder digest, is preserved. A retained O(n)-rescan reference
-//! allocator (`#[cfg(test)]`, sharing the same per-flow accounting
-//! formulas) differential-tests the heap and bucket machinery under
-//! randomized churn.
+//! done when less than half a bit remains, and finished flows still wake in
+//! flow-id order — so the event stream, and therefore every recorder
+//! digest, is preserved. A retained O(n)-rescan reference allocator
+//! (`#[cfg(test)]`, sharing the same per-flow accounting formulas)
+//! differential-tests the heap and bucket machinery under randomized
+//! churn.
+//!
+//! # One armed timer
+//!
+//! Every state change (join, completion, cancel) re-projects the earliest
+//! completion and *reserves* its place in the simulation's event order:
+//! the instant `at`, and a sequence number drawn from the executor right
+//! then, exactly as if a callback had been scheduled — every other timer
+//! in the run therefore keeps the `(at, seq)` it would have had. But a
+//! timer is pushed into the wheel only when none is armed or the
+//! projection moved to an *earlier* instant than the armed one (which is
+//! thereby superseded: it will fire and be ignored). When the armed timer
+//! fires and the reservation is still the position it was pushed for,
+//! that is the completion event. When the reservation has moved on — to a
+//! later instant, or to a later sequence number within this one — the
+//! timer re-pushes itself at exactly the reserved `(at, seq)`, which is
+//! still ahead in the event order because reservations are only ever made
+//! at or after the armed timer's own position.
+//!
+//! So the callback that acts is always the one at the latest reservation,
+//! at the position a callback-per-change link would have given it; what
+//! is gone is the callbacks that link scheduled only to ignore: under a
+//! fan-in, where every join pushes the projection later, one per flow.
+//! One visible difference: those ignored callbacks used to hold the run
+//! loop's attention, so [`Sim::run`] may now quiesce at an earlier clock
+//! when the last pending thing was a superseded link callback (a lone
+//! flow canceled after a joiner had moved its projection out, say).
+//! Nothing that happens in the simulation moves.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -166,23 +193,21 @@ const YOUNG_MAX: usize = 64;
 /// queue that stays small never leaves the heap. Each entry is sorted
 /// O(log n) times: the run at least doubles with every merge.
 struct FinishQueue<K> {
-    /// Ascending; entries before `head` have been popped.
-    run: Vec<(K, u64)>,
-    head: usize,
+    /// Ascending; popped from the front.
+    run: VecDeque<(K, u64)>,
     young: BinaryHeap<Reverse<(K, u64)>>,
 }
 
 impl<K: Ord + Copy> FinishQueue<K> {
     fn new() -> FinishQueue<K> {
         FinishQueue {
-            run: Vec::new(),
-            head: 0,
+            run: VecDeque::new(),
             young: BinaryHeap::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.run.len() - self.head + self.young.len()
+        self.run.len() + self.young.len()
     }
 
     fn push(&mut self, key: K, id: u64) {
@@ -190,7 +215,7 @@ impl<K: Ord + Copy> FinishQueue<K> {
     }
 
     fn peek(&self) -> Option<(K, u64)> {
-        let run = self.run.get(self.head).copied();
+        let run = self.run.front().copied();
         let young = self.young.peek().map(|&Reverse(e)| e);
         match (run, young) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -199,41 +224,25 @@ impl<K: Ord + Copy> FinishQueue<K> {
     }
 
     fn pop(&mut self) -> Option<(K, u64)> {
-        if self.young.len() > YOUNG_MAX.max(self.run.len() - self.head) {
-            self.run.drain(..self.head);
-            self.head = 0;
-            let young = std::mem::take(&mut self.young).into_vec();
-            self.run.extend(young.into_iter().map(|Reverse(e)| e));
-            self.run.sort_unstable();
+        if self.young.len() > YOUNG_MAX.max(self.run.len()) {
+            self.run.extend(self.young.drain().map(|Reverse(e)| e));
+            self.run.make_contiguous().sort_unstable();
         }
-        let run = self.run.get(self.head).copied();
-        match (run, self.young.peek()) {
-            (Some(a), Some(&Reverse(b))) if b < a => self.young.pop().map(|Reverse(e)| e),
+        match (self.run.front(), self.young.peek()) {
+            (Some(a), Some(Reverse(b))) if b < a => self.young.pop().map(|Reverse(e)| e),
             (None, _) => self.young.pop().map(|Reverse(e)| e),
-            (Some(a), _) => {
-                self.head += 1;
-                if self.head == self.run.len() {
-                    self.run.clear();
-                    self.head = 0;
-                }
-                Some(a)
-            }
+            (Some(_), _) => self.run.pop_front(),
         }
     }
 
     /// Keep only the entries `live` accepts (compaction of stale tags).
     fn retain(&mut self, mut live: impl FnMut(K, u64) -> bool) {
-        self.run.drain(..self.head);
-        self.head = 0;
         self.run.retain(|&(k, id)| live(k, id));
-        let mut young = std::mem::take(&mut self.young).into_vec();
-        young.retain(|&Reverse((k, id))| live(k, id));
-        self.young = BinaryHeap::from(young);
+        self.young.retain(|&Reverse((k, id))| live(k, id));
     }
 
     fn clear(&mut self) {
         self.run.clear();
-        self.head = 0;
         self.young.clear();
     }
 }
@@ -361,16 +370,28 @@ impl LinkState {
         }
     }
 
-    /// Validate the virtual heap's top, discarding stale entries; returns
+    /// Whether `(vf, id)` is the current finish tag of a live `Virtual`
+    /// flow, rather than a stale queue entry.
+    fn virt_tag_live(&self, vf: f64, id: u64) -> bool {
+        self.flow_ref(id).is_some_and(|f| {
+            !f.done
+                && matches!(f.phase, Phase::Virtual { v_finish }
+                    if v_finish.to_bits() == vf.to_bits())
+        })
+    }
+
+    /// Whether `(fin, id)` is the current finish tag of a live `Capped` flow.
+    fn cap_tag_live(&self, fin: SimTime, id: u64) -> bool {
+        self.flow_ref(id).is_some_and(|f| {
+            !f.done && matches!(f.phase, Phase::Capped { fin: f2, .. } if f2 == fin)
+        })
+    }
+
+    /// Validate the virtual queue's top, discarding stale entries; returns
     /// the live minimum without popping it.
     fn clean_virt_top(&mut self) -> Option<(f64, u64)> {
         while let Some((VKey(vf), id)) = self.virt_heap.peek() {
-            let live = self.flow_ref(id).is_some_and(|f| {
-                !f.done
-                    && matches!(f.phase, Phase::Virtual { v_finish }
-                        if v_finish.to_bits() == vf.to_bits())
-            });
-            if live {
+            if self.virt_tag_live(vf, id) {
                 return Some((vf, id));
             }
             self.virt_heap.pop();
@@ -378,13 +399,10 @@ impl LinkState {
         None
     }
 
-    /// Validate the capped heap's top, discarding stale entries.
+    /// Validate the capped queue's top, discarding stale entries.
     fn clean_cap_top(&mut self) -> Option<(SimTime, u64)> {
         while let Some((fin, id)) = self.cap_heap.peek() {
-            let live = self.flow_ref(id).is_some_and(|f| {
-                !f.done && matches!(f.phase, Phase::Capped { fin: f2, .. } if f2 == fin)
-            });
-            if live {
+            if self.cap_tag_live(fin, id) {
                 return Some((fin, id));
             }
             self.cap_heap.pop();
@@ -578,23 +596,13 @@ impl LinkState {
     fn maybe_compact_heaps(&mut self) {
         if self.virt_heap.len() > 64 + 2 * self.virtual_n {
             let mut heap = std::mem::replace(&mut self.virt_heap, FinishQueue::new());
-            heap.retain(|VKey(vf), id| {
-                self.flow_ref(id).is_some_and(|f| {
-                    !f.done
-                        && matches!(f.phase, Phase::Virtual { v_finish }
-                            if v_finish.to_bits() == vf.to_bits())
-                })
-            });
+            heap.retain(|VKey(vf), id| self.virt_tag_live(vf, id));
             self.virt_heap = heap;
         }
         let capped_n = self.active - self.virtual_n;
         if self.cap_heap.len() > 64 + 2 * capped_n {
             let mut heap = std::mem::replace(&mut self.cap_heap, FinishQueue::new());
-            heap.retain(|fin, id| {
-                self.flow_ref(id).is_some_and(|f| {
-                    !f.done && matches!(f.phase, Phase::Capped { fin: f2, .. } if f2 == fin)
-                })
-            });
+            heap.retain(|fin, id| self.cap_tag_live(fin, id));
             self.cap_heap = heap;
         }
     }

@@ -182,5 +182,12 @@ fn a_waker_that_outlives_its_task_pins_only_the_block() {
         pinned - live_bytes() >= BALLAST as i64,
         "the channel's stale waker did not free its block"
     );
-    assert_eq!(rx_back.borrow_mut().as_mut().expect("handed back").try_recv(), Some(7));
+    assert_eq!(
+        rx_back
+            .borrow_mut()
+            .as_mut()
+            .expect("handed back")
+            .try_recv(),
+        Some(7)
+    );
 }
