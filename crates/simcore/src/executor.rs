@@ -263,24 +263,31 @@ impl Drop for TaskRef {
 // millions of times per replay. This vtable does the same bookkeeping on
 // the block's plain `Cell` count.
 //
-// SAFETY for all four fns: `data` is a `TaskRef::into_raw` pointer whose
-// reference the waker owns (`clone` and `poll_task` are the only makers),
-// and it never crosses threads (above).
+// Contract of all four fns: `data` is a `TaskRef::into_raw` pointer whose
+// reference the waker owns (`waker_clone` makes the owning ones; the one
+// `poll_task` makes borrows its caller's and is never dropped), and it
+// never crosses threads (above).
 unsafe fn waker_clone(data: *const ()) -> RawWaker {
+    // SAFETY: the contract above; `ManuallyDrop` because the waker being
+    // cloned keeps its reference.
     let task = ManuallyDrop::new(unsafe { TaskRef::from_raw(data) });
     RawWaker::new(TaskRef::clone(&task).into_raw(), &WAKER_VTABLE)
 }
 
 unsafe fn waker_wake(data: *const ()) {
+    // SAFETY: the contract above; waking by value consumes the waker, so
+    // its reference is ours to hand to the ready queue.
     unsafe { TaskRef::from_raw(data) }.schedule();
 }
 
 unsafe fn waker_wake_by_ref(data: *const ()) {
+    // SAFETY: the contract above; `ManuallyDrop` because the waker lives on.
     let task = ManuallyDrop::new(unsafe { TaskRef::from_raw(data) });
     TaskRef::clone(&task).schedule();
 }
 
 unsafe fn waker_drop(data: *const ()) {
+    // SAFETY: the contract above; the waker is gone, and its reference with it.
     drop(unsafe { TaskRef::from_raw(data) });
 }
 
