@@ -7,7 +7,10 @@
 //! untouched. A change that *means* to move a digest re-blesses: the
 //! failure message prints the full table in source form.
 
-use faasim_chaos::{experiment_scenarios, FaultPlan, NoisyNeighbor, Scenario};
+use faasim_chaos::{
+    experiment_scenarios, CrdtSync, FaultPlan, LinkChurn, NoisyNeighbor, QueuePipeline, Scenario,
+    TraceReplay,
+};
 use faasim_resilience::RetryPolicy;
 use faasim_trace::{replay, GatewaySpec, ReplayConfig};
 
@@ -83,6 +86,30 @@ fn noisy_neighbor_matches_golden() {
         }
     }
     assert_golden("noisy neighbor", &actual, GOLDEN_NOISY_NEIGHBOR);
+}
+
+/// The chaos scenarios proper, calm and chaotic arm each. Two arms of one
+/// scenario share its `name()`, so the rows carry their own labels.
+#[test]
+fn chaos_scenarios_match_golden() {
+    let scenarios: [(&str, Box<dyn Scenario>); 7] = [
+        ("crdt-sync/default", Box::new(CrdtSync::default())),
+        ("crdt-sync/chaotic", Box::new(CrdtSync::chaotic())),
+        ("queue-pipeline/default", Box::new(QueuePipeline::default())),
+        ("queue-pipeline/chaotic", Box::new(QueuePipeline::chaotic())),
+        ("link-churn/default", Box::new(LinkChurn::default())),
+        ("trace-replay/small_calm", Box::new(TraceReplay::small_calm())),
+        ("trace-replay/small_hostile", Box::new(TraceReplay::small_hostile())),
+    ];
+    let mut actual = Vec::new();
+    for (label, scenario) in &scenarios {
+        for seed in SEEDS {
+            let run = scenario.run(seed);
+            assert!(run.violations.is_empty(), "{label} seed {seed}: {:?}", run.violations);
+            actual.push((format!("{label}@{seed}"), fnv1a(&[&run.digest, &run.bill])));
+        }
+    }
+    assert_golden("chaos scenarios", &actual, GOLDEN_CHAOS);
 }
 
 /// A 2 000-event replay in every client shape: gateway or not, client
@@ -164,6 +191,23 @@ const GOLDEN_NOISY_NEIGHBOR: &[(&str, u64)] = &[
     ("noisy-neighbor/calm@11", 0xba390663241fd42e),
     ("noisy-neighbor/hostile@5", 0x421db479b4619402),
     ("noisy-neighbor/hostile@11", 0x5d1aeb3a5497d553),
+];
+
+const GOLDEN_CHAOS: &[(&str, u64)] = &[
+    ("crdt-sync/default@5", 0x18197538570711de),
+    ("crdt-sync/default@11", 0x18197538570711de),
+    ("crdt-sync/chaotic@5", 0xfcb73767660aa260),
+    ("crdt-sync/chaotic@11", 0x200704073e16323a),
+    ("queue-pipeline/default@5", 0xc540f764d7862510),
+    ("queue-pipeline/default@11", 0xc540f764d7862510),
+    ("queue-pipeline/chaotic@5", 0x2381c2c258ca128f),
+    ("queue-pipeline/chaotic@11", 0x163976d5435d6e87),
+    ("link-churn/default@5", 0xb35630558e7bed22),
+    ("link-churn/default@11", 0x7f27a66c9dd6a7be),
+    ("trace-replay/small_calm@5", 0x3354f950aaa07032),
+    ("trace-replay/small_calm@11", 0x5a8e6771f4edb783),
+    ("trace-replay/small_hostile@5", 0xb51858d1bb6514da),
+    ("trace-replay/small_hostile@11", 0x22c681ccde7f0ca3),
 ];
 
 const GOLDEN_REPLAY: &[(&str, u64)] = &[
