@@ -5,25 +5,9 @@ use faasim::{Cloud, CloudProfile};
 use faasim_blob::BlobFaults;
 use faasim_faas::FaasFaults;
 use faasim_kv::KvFaults;
-use faasim_net::{HostId, NetFaults};
+use faasim_net::NetFaults;
 use faasim_queue::QueueFaults;
 use faasim_simcore::SimDuration;
-
-/// A scheduled network partition: at `at` (relative to when the plan is
-/// applied) the fabric splits `side_a` from `side_b`, healing after
-/// `duration`. Windows must not overlap — the fabric models one
-/// partition at a time.
-#[derive(Clone, Debug)]
-pub struct PartitionWindow {
-    /// Offset from plan application at which the partition begins.
-    pub at: SimDuration,
-    /// How long the partition lasts.
-    pub duration: SimDuration,
-    /// One side of the split.
-    pub side_a: Vec<HostId>,
-    /// The other side.
-    pub side_b: Vec<HostId>,
-}
 
 /// Every fault knob for every service tier, in one struct.
 ///
@@ -44,8 +28,6 @@ pub struct FaultPlan {
     pub queue: QueueFaults,
     /// FaaS faults: mid-flight container kills.
     pub faas: FaasFaults,
-    /// Scheduled partition windows (non-overlapping).
-    pub partitions: Vec<PartitionWindow>,
     /// Cold-start storms: at each offset, every idle container is
     /// evicted, so the next wave of invocations pays cold starts.
     pub storms: Vec<SimDuration>,
@@ -72,8 +54,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Install every knob on `cloud` and schedule the timed events
-    /// (partitions, storms) relative to the current virtual time.
+    /// Install every knob on `cloud` and schedule the storms relative to
+    /// the current virtual time.
     pub fn apply(&self, cloud: &Cloud) {
         cloud.fabric.set_faults(self.net.clone());
         cloud.kv.set_faults(self.kv);
@@ -82,17 +64,6 @@ impl FaultPlan {
         cloud.faas.set_faults(self.faas);
 
         let t0 = cloud.sim.now();
-        for w in &self.partitions {
-            let fabric = cloud.fabric.clone();
-            let (side_a, side_b) = (w.side_a.clone(), w.side_b.clone());
-            cloud.sim.call_at(t0 + w.at, move || {
-                fabric.partition(&side_a, &side_b);
-            });
-            let fabric = cloud.fabric.clone();
-            cloud.sim.call_at(t0 + w.at + w.duration, move || {
-                fabric.heal_partition();
-            });
-        }
         for &at in &self.storms {
             let faas = cloud.faas.clone();
             cloud.sim.call_at(t0 + at, move || {

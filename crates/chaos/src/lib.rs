@@ -12,11 +12,13 @@
 //! - [`FaultPlan`] configures every service tier's fault hooks in one
 //!   place — network delay spikes and packet loss, KV throttling, blob
 //!   503s, queue duplicate/delayed delivery, mid-flight function kills —
-//!   plus scheduled partition windows and cold-start storms.
-//! - [`RetryPolicy`] is the resilience counterpart: exponential backoff
-//!   with bounded jitter and optional per-call timeouts, wired into
-//!   [`RetryingKv`] / [`RetryingBlob`] client wrappers that retry
-//!   transient errors.
+//!   plus scheduled cold-start storms.
+//! - The scenarios: [`CrdtSync`], [`QueuePipeline`], [`LinkChurn`],
+//!   [`NoisyNeighbor`], [`TraceReplay`], and the paper's eight
+//!   experiments hardened with the client-side disciplines of
+//!   `faasim-resilience` ([`experiment_scenarios`]). Each is a workload
+//!   plus the invariant it must keep; [`check_cloud`] is the bundle of
+//!   global invariants every scenario over a `Cloud` ends with.
 //! - [`sweep`] runs a [`Scenario`] across many seeds, replays every seed
 //!   twice to prove the run is deterministic (byte-identical recorder
 //!   digest and bill), checks invariants, and reports the minimal
@@ -35,28 +37,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod experiments;
 mod faults;
+mod hardened;
 mod invariants;
 mod parallel;
 mod scenarios;
 mod sweep;
 mod trace;
 
-pub use experiments::{experiment_scenarios, ExperimentScenario};
-pub use faults::{FaultPlan, PartitionWindow};
-pub use invariants::{
-    check_cloud, ledger_consistent, message_conservation, queue_conservation,
-};
+pub use faults::FaultPlan;
+pub use hardened::{experiment_scenarios, ExperimentScenario};
+pub use invariants::{check_cloud, ledger_consistent, message_conservation, queue_conservation};
 pub use parallel::ParallelSweep;
-// The resilience layer grew into its own crate (`faasim-resilience`) so
-// the core experiments can use it without a dependency cycle; re-export
-// the whole surface here so chaos users keep a single import path.
-pub use faasim_resilience::{
-    hedged, settled, BreakerConfig, BreakerError, BreakerState, CircuitBreaker, Deadline, Effect,
-    IdempotencyStore, Invoke, RetryError, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker,
-    RetryingKv, RetryingQueue,
-};
 pub use scenarios::{CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline};
 pub use sweep::{sweep, RunReport, Scenario, SeedReport, SweepReport};
 pub use trace::TraceReplay;

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use faasim::protocols::{Crdt, GCounter};
-use faasim::{Cloud, CloudProfile};
+use faasim::CloudProfile;
 use faasim_faas::{add_queue_trigger, decode_batch, FunctionSpec};
 use faasim_gateway::{Gateway, GatewayConfig, RetryingGateway, TenantConfig, TenantStats};
 use faasim_kv::{Consistency, KvError};
@@ -18,10 +18,9 @@ use faasim_payload::Payload;
 use faasim_queue::QueueConfig;
 use faasim_simcore::{LatencyModel, SimDuration};
 
-use faasim_resilience::RetryingKv;
+use faasim_resilience::{Deadline, RetryPolicy, RetryingKv};
+
 use crate::faults::FaultPlan;
-use crate::invariants::check_cloud;
-use faasim_resilience::{Deadline, RetryPolicy};
 use crate::sweep::{RunReport, Scenario};
 
 fn base_profile() -> CloudProfile {
@@ -84,8 +83,7 @@ impl Scenario for CrdtSync {
         let mut profile = base_profile();
         // A deliberately laggy store: eventual reads can be 2 s stale.
         profile.kv.eventual_lag = LatencyModel::Constant(SimDuration::from_secs(2));
-        let cloud = Cloud::new(profile, seed);
-        self.plan.apply(&cloud);
+        let cloud = self.plan.build(profile, seed);
         cloud.kv.create_table("crdt");
 
         let replicas = self.replicas;
@@ -172,12 +170,7 @@ impl Scenario for CrdtSync {
                 ));
             }
         }
-        violations.extend(check_cloud(&cloud));
-        RunReport {
-            digest: cloud.recorder.digest(),
-            bill: cloud.ledger.report(),
-            violations,
-        }
+        RunReport::audit(&cloud, violations)
     }
 }
 
@@ -225,8 +218,7 @@ impl Scenario for QueuePipeline {
     }
 
     fn run(&self, seed: u64) -> RunReport {
-        let cloud = Cloud::new(base_profile(), seed);
-        self.plan.apply(&cloud);
+        let cloud = self.plan.build(base_profile(), seed);
         cloud.queue.create_queue(
             "jobs",
             QueueConfig {
@@ -294,12 +286,7 @@ impl Scenario for QueuePipeline {
         if backlog != 0 {
             violations.push(format!("queue not drained: {backlog} messages left"));
         }
-        violations.extend(check_cloud(&cloud));
-        RunReport {
-            digest: cloud.recorder.digest(),
-            bill: cloud.ledger.report(),
-            violations,
-        }
+        RunReport::audit(&cloud, violations)
     }
 }
 
@@ -495,9 +482,8 @@ struct NeighborArm {
     victim: TenantStats,
     aggressor: TenantStats,
     victim_failed: u64,
-    digest: String,
-    bill: String,
-    violations: Vec<String>,
+    /// The arm's cloud, closed out.
+    run: RunReport,
 }
 
 impl NoisyNeighbor {
@@ -508,8 +494,7 @@ impl NoisyNeighbor {
     }
 
     fn arm(&self, seed: u64, aggressor_on: bool) -> NeighborArm {
-        let cloud = Cloud::new(base_profile(), seed);
-        self.plan.apply(&cloud);
+        let cloud = self.plan.build(base_profile(), seed);
         let sim = cloud.sim.clone();
 
         cloud.faas.register(FunctionSpec::new(
@@ -638,9 +623,7 @@ impl NoisyNeighbor {
             victim: gw.tenant_stats(VICTIM),
             aggressor: gw.tenant_stats(AGGRESSOR),
             victim_failed,
-            digest: cloud.recorder.digest(),
-            bill: cloud.ledger.report(),
-            violations: check_cloud(&cloud),
+            run: RunReport::audit(&cloud, Vec::new()),
         }
     }
 }
@@ -653,8 +636,8 @@ impl Scenario for NoisyNeighbor {
     fn run(&self, seed: u64) -> RunReport {
         let quiet = self.arm(seed, false);
         let hostile = self.arm(seed, true);
-        let mut violations = quiet.violations.clone();
-        violations.extend(hostile.violations.iter().cloned());
+        let mut violations = quiet.run.violations.clone();
+        violations.extend(hostile.run.violations.iter().cloned());
 
         for (arm, label) in [(&quiet, "quiet"), (&hostile, "hostile")] {
             for (st, tenant) in [(&arm.victim, "victim"), (&arm.aggressor, "aggressor")] {
@@ -720,9 +703,12 @@ impl Scenario for NoisyNeighbor {
             // so the sweep's double-run check covers the whole result.
             digest: format!(
                 "quiet {}\nhostile {}\nvictim p99 quiet {:.9} hostile {:.9}",
-                quiet.digest, hostile.digest, quiet.p99, hostile.p99
+                quiet.run.digest, hostile.run.digest, quiet.p99, hostile.p99
             ),
-            bill: format!("quiet arm\n{}\nhostile arm\n{}", quiet.bill, hostile.bill),
+            bill: format!(
+                "quiet arm\n{}\nhostile arm\n{}",
+                quiet.run.bill, hostile.run.bill
+            ),
             violations,
         }
     }

@@ -4,6 +4,10 @@
 
 use std::fmt;
 
+use faasim::Cloud;
+
+use crate::invariants::check_cloud;
+
 /// What one scenario run produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
@@ -14,6 +18,20 @@ pub struct RunReport {
     pub bill: String,
     /// Invariant violations found by the scenario (empty = pass).
     pub violations: Vec<String>,
+}
+
+impl RunReport {
+    /// Close out a cloud whose workload has finished: the scenario's own
+    /// `violations`, then every [`check_cloud`] violation, with the
+    /// cloud's recorder digest and bill.
+    pub(crate) fn audit(cloud: &Cloud, mut violations: Vec<String>) -> RunReport {
+        violations.extend(check_cloud(cloud));
+        RunReport {
+            digest: cloud.recorder.digest(),
+            bill: cloud.ledger.report(),
+            violations,
+        }
+    }
 }
 
 /// A chaos scenario: a workload plus its invariants, parameterised only
@@ -107,29 +125,30 @@ impl fmt::Display for SweepReport {
 /// recorder digests and bills, or the seed fails with a replay-divergence
 /// violation. Determinism is not an aspiration here — it is an invariant.
 pub fn sweep(scenario: &dyn Scenario, seeds: &[u64]) -> SweepReport {
-    let mut results = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let first = scenario.run(seed);
-        let second = scenario.run(seed);
-        let mut violations = first.violations.clone();
-        if first.digest != second.digest {
-            violations.push(format!(
-                "replay divergence at seed {seed}: recorder digests differ \
-                 between two identical runs"
-            ));
-        }
-        if first.bill != second.bill {
-            violations.push(format!(
-                "replay divergence at seed {seed}: bills differ between two \
-                 identical runs"
-            ));
-        }
-        results.push(SeedReport { seed, violations });
-    }
     SweepReport {
         scenario: scenario.name().to_owned(),
-        results,
+        results: seeds.iter().map(|&seed| sweep_seed(scenario, seed)).collect(),
     }
+}
+
+/// One seed of a sweep, serial or parallel: run it twice and compare.
+pub(crate) fn sweep_seed(scenario: &dyn Scenario, seed: u64) -> SeedReport {
+    let first = scenario.run(seed);
+    let second = scenario.run(seed);
+    let mut violations = first.violations;
+    if first.digest != second.digest {
+        violations.push(format!(
+            "replay divergence at seed {seed}: recorder digests differ \
+             between two identical runs"
+        ));
+    }
+    if first.bill != second.bill {
+        violations.push(format!(
+            "replay divergence at seed {seed}: bills differ between two \
+             identical runs"
+        ));
+    }
+    SeedReport { seed, violations }
 }
 
 #[cfg(test)]

@@ -66,11 +66,6 @@ impl TraceReplay {
         )
     }
 
-    /// The replay configuration this scenario runs.
-    pub fn config(&self) -> &ReplayConfig {
-        &self.cfg
-    }
-
     /// Run the replay and return its full outcome (used by tests that
     /// want the report, not just the sweep verdict).
     pub fn replay(&self, seed: u64) -> ReplayOutcome {

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
-use faasim_chaos::{settled, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
+use faasim_resilience::{settled, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
 use faasim_faas::{FnError, HandlerResult, InvokeOutcome};
 use faasim_gateway::{Gateway, GatewayError};
 use faasim_net::HostId;

@@ -149,97 +149,6 @@ pub fn run(params: &AgentsCmpParams, seed: u64) -> AgentsCmpResult {
     }
 }
 
-/// Chaos-hardened variant of the addressable-agents election: direct
-/// socket messaging under `FaultPlan::hostile`'s packet loss and delay
-/// spikes. Lost protocol messages are absorbed by the bully timeouts
-/// (a dropped answer looks like a dead peer and the round re-runs), so
-/// the invariant is liveness: the cluster elects the highest id and
-/// completes every failover round within a bounded budget, and the
-/// fabric accounts for every message it accepted — including the
-/// chaos-dropped ones.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    const NODES: u64 = 5;
-    const ROUNDS: usize = 2;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    let observer = ElectionObserver::new();
-    let members: Vec<(NodeId, faasim_net::Host)> = (1..=NODES)
-        .map(|id| {
-            (
-                id,
-                cloud
-                    .fabric
-                    .add_host(0, faasim_net::NicConfig::simple(mbps(10_000.0))),
-            )
-        })
-        .collect();
-    let dir = build_directory(&members);
-    let mut handles = Vec::new();
-    for (id, host) in &members {
-        let t = SocketTransport::new(&cloud.fabric, host, *id, dir.clone());
-        handles.push(spawn_node(
-            &cloud.sim,
-            t,
-            BullyConfig::direct(),
-            observer.clone(),
-        ));
-    }
-
-    let mut converged = false;
-    for _ in 0..20 {
-        cloud
-            .sim
-            .run_until(cloud.sim.now() + SimDuration::from_secs(15));
-        if observer.current_leader() == Some(NODES) {
-            converged = true;
-            break;
-        }
-    }
-    report.check(converged, || {
-        format!(
-            "agents_cmp: no initial leader within budget (got {:?})",
-            observer.current_leader()
-        )
-    });
-
-    let mut live_high = NODES;
-    for round in 0..ROUNDS {
-        if live_high <= 2 {
-            break;
-        }
-        handles[(live_high - 1) as usize].kill();
-        observer.mark_dead(live_high, cloud.sim.now());
-        let before = observer.rounds().len();
-        let mut completed = false;
-        for _ in 0..20 {
-            cloud
-                .sim
-                .run_until(cloud.sim.now() + SimDuration::from_secs(15));
-            if observer.rounds().len() > before {
-                completed = true;
-                break;
-            }
-        }
-        report.check(completed, || {
-            format!(
-                "agents_cmp: failover round {round} did not complete after killing {live_high}"
-            )
-        });
-        live_high -= 1;
-    }
-    for h in &handles {
-        h.kill();
-    }
-    cloud
-        .sim
-        .run_until(cloud.sim.now() + SimDuration::from_secs(5));
-
-    report.audit("agents_cmp", &cloud);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -281,95 +281,6 @@ pub fn run_memory_sweep(params: &MemorySweepParams, seed: u64) -> MemorySweepRes
     MemorySweepResult { points, probe }
 }
 
-/// Chaos-hardened variant of the bandwidth study: 20-way packed
-/// downloads where each invocation may be killed mid-transfer
-/// (`kill_prob`) and is retried by a
-/// [`RetryingInvoker`](faasim_resilience::RetryingInvoker). The handler
-/// records its achieved rate only *after* the final await, so a killed
-/// attempt never double-counts — the invariant is exactly one recorded
-/// rate per logical download, all positive, plus the global
-/// conservation checks.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_payload::Payload;
-    use faasim_resilience::{Deadline, RetryPolicy, RetryingInvoker};
-
-    const CONCURRENCY: usize = 20;
-    const TRANSFER_BYTES: u64 = 2_000_000;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    let rates: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-    let r = rates.clone();
-    cloud.faas.register(FunctionSpec::new(
-        "download",
-        640,
-        SimDuration::from_secs(900),
-        move |ctx, _| {
-            let r = r.clone();
-            async move {
-                let t0 = ctx.sim().now();
-                ctx.host().nic_transfer(TRANSFER_BYTES).await;
-                let secs = (ctx.sim().now() - t0).as_secs_f64();
-                // Recorded after the last await: a kill mid-transfer
-                // leaves no partial entry for the retry to duplicate.
-                r.borrow_mut().push(TRANSFER_BYTES as f64 * 8.0 / secs / 1e6);
-                Ok(Bytes::new())
-            }
-        },
-    ));
-    let invoker = RetryingInvoker::new(
-        &cloud.sim,
-        &cloud.faas,
-        cloud.recorder.clone(),
-        RetryPolicy {
-            max_attempts: 25,
-            ..RetryPolicy::default()
-        },
-        "resil.bw.invoker",
-    );
-    let sim = cloud.sim.clone();
-    let failures = cloud.sim.block_on(async move {
-        let futs: Vec<_> = (0..CONCURRENCY)
-            .map(|t| {
-                let invoker = invoker.clone();
-                let sim = sim.clone();
-                async move {
-                    let deadline = Deadline::within(&sim, SimDuration::from_secs(600));
-                    invoker
-                        .invoke("download", &Payload::zeros(0), deadline)
-                        .await
-                        .map_err(|e| format!("download {t}: {e}"))
-                }
-            })
-            .collect();
-        join_all(futs)
-            .await
-            .into_iter()
-            .filter_map(|r| r.err())
-            .collect::<Vec<_>>()
-    });
-    let completed = CONCURRENCY - failures.len();
-    failures
-        .into_iter()
-        .for_each(|f| report.violation(format!("bandwidth: {f}")));
-    let rates = rates.borrow();
-    report.check(rates.len() == completed, || {
-        format!(
-            "bandwidth: {} recorded rates for {completed} completed downloads \
-             (retries must not double-count)",
-            rates.len()
-        )
-    });
-    report.check(rates.iter().all(|&r| r.is_finite() && r > 0.0), || {
-        "bandwidth: non-positive recorded rate".into()
-    });
-    drop(rates);
-    cloud.sim.run();
-    report.audit("bandwidth", &cloud);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -159,82 +159,6 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
     ColdStartResult { points, probe }
 }
 
-/// Chaos-hardened variant of the cold-start study: the same
-/// inter-arrival sweep, but every invocation goes through a
-/// [`RetryingInvoker`](faasim_resilience::RetryingInvoker) so platform
-/// kills (`FaultPlan::hostile`'s `kill_prob`) are retried inside a
-/// per-request deadline budget. The invariant is *completion under
-/// fault*: every arrival either produces an echoed payload or a clean
-/// declared failure — never a hang — and the global conservation checks
-/// still hold afterwards.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_payload::Payload;
-    use faasim_resilience::{Deadline, RetryPolicy, RetryingInvoker};
-
-    const INVOCATIONS: usize = 8;
-    const PAYLOAD_BYTES: usize = 256;
-
-    let mut report = super::ResilientReport::new();
-    let gaps = [SimDuration::from_secs(1), SimDuration::from_mins(20)];
-    for (i, gap) in gaps.into_iter().enumerate() {
-        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed + i as u64);
-        chaos(&cloud);
-        cloud.faas.register(FunctionSpec::new(
-            "ping",
-            256,
-            SimDuration::from_secs(30),
-            |_ctx, p| async move { Ok(p) },
-        ));
-        let invoker = RetryingInvoker::new(
-            &cloud.sim,
-            &cloud.faas,
-            cloud.recorder.clone(),
-            RetryPolicy {
-                max_attempts: 25,
-                ..RetryPolicy::default()
-            },
-            "resil.cold.invoker",
-        );
-        let faas = cloud.faas.clone();
-        let sim = cloud.sim.clone();
-        let payload = Payload::zeros(PAYLOAD_BYTES);
-        let mut failures = Vec::new();
-        let ((colds, total), failures) = cloud.sim.block_on(async move {
-            let mut colds = 0usize;
-            let mut total = 0usize;
-            for t in 0..INVOCATIONS {
-                faas.reap_idle();
-                let deadline = Deadline::within(&sim, SimDuration::from_secs(120));
-                match invoker.invoke("ping", &payload, deadline).await {
-                    Ok(out) => {
-                        total += 1;
-                        if out.cold {
-                            colds += 1;
-                        }
-                        let echoed = out.result.as_ref().expect("ok outcome").len();
-                        if echoed != PAYLOAD_BYTES {
-                            failures.push(format!("trial {t}: echoed {echoed} bytes"));
-                        }
-                    }
-                    Err(e) => failures.push(format!("trial {t}: {e}")),
-                }
-                sim.sleep(gap).await;
-            }
-            ((colds, total), failures)
-        });
-        failures
-            .into_iter()
-            .for_each(|f| report.violation(format!("cold_starts/gap{i}: {f}")));
-        let frac = colds as f64 / total.max(1) as f64;
-        report.check((0.0..=1.0).contains(&frac), || {
-            format!("cold_starts/gap{i}: cold fraction {frac} out of range")
-        });
-        cloud.sim.run();
-        report.audit(&format!("cold_starts/gap{i}"), &cloud);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -340,143 +340,6 @@ fn run_code_to_data(
     (cloud.sim.now() - t0, cloud.ledger.total())
 }
 
-/// Chaos-hardened variant of the data-to-code aggregation: the same
-/// chained log count, but the handler reads objects through a
-/// [`RetryingBlob`](faasim_resilience::RetryingBlob) (absorbing 503s)
-/// and the driver tolerates kills, timeouts, and exhausted handlers by
-/// re-invoking until the shared cursor reaches the end of the dataset.
-/// The cursor and the running count advance atomically between awaits,
-/// so a mid-flight kill can never double-count an object — the
-/// end-to-end invariant is an *exact* line count despite at-least-once
-/// execution.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_resilience::{Deadline, RetryPolicy, RetryingBlob};
-
-    const DATASET_MB: u64 = 100;
-    const OBJECT_MB: u64 = 10;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    cloud.blob.create_bucket("logs");
-    let objects = (DATASET_MB / OBJECT_MB) as usize;
-    let lines_per_object = (OBJECT_MB * 1_000_000) / LOG_LINE.len() as u64;
-    let expected = objects as u64 * lines_per_object;
-    let rblob = RetryingBlob::new(
-        &cloud.sim,
-        &cloud.blob,
-        cloud.recorder.clone(),
-        RetryPolicy {
-            max_attempts: 25,
-            ..RetryPolicy::default()
-        },
-        "resil.ship.blob",
-    );
-
-    {
-        let blob = rblob.clone();
-        let host = cloud.client_host();
-        let body = Payload::synthetic(LOG_LINE, lines_per_object);
-        let mut failures = Vec::new();
-        cloud
-            .sim
-            .block_on(async move {
-                for i in 0..objects {
-                    let key = format!("part-{i:05}");
-                    if let Err(e) = blob
-                        .put(&host, "logs", &key, body.clone(), Deadline::unbounded())
-                        .await
-                    {
-                        failures.push(format!("populate part-{i:05}: {e}"));
-                    }
-                }
-                failures
-            })
-            .into_iter()
-            .for_each(|f| report.violation(format!("data_shipping: {f}")));
-    }
-
-    let progress = Rc::new(RefCell::new((0usize, 0u64))); // (next object, count)
-    let p = progress.clone();
-    let blob = rblob.clone();
-    cloud.faas.register(FunctionSpec::new(
-        "aggregate",
-        1_024,
-        SimDuration::from_secs(900),
-        move |ctx, _| {
-            let blob = blob.clone();
-            let p = p.clone();
-            async move {
-                loop {
-                    let next = p.borrow().0;
-                    if next >= objects {
-                        return Ok(Bytes::new());
-                    }
-                    let key = format!("part-{next:05}");
-                    let body = match blob
-                        .get(ctx.host(), "logs", &key, Deadline::unbounded())
-                        .await
-                    {
-                        Ok(b) => b,
-                        Err(e) => {
-                            return Err(FnError::Handler(format!("get part-{next:05}: {e}")))
-                        }
-                    };
-                    let count = body.line_count();
-                    ctx.cpu(SimDuration::from_secs_f64(
-                        body.len() as f64 * 8.0 / faasim_simcore::gbps(1.6),
-                    ))
-                    .await;
-                    // Atomic between awaits: a kill drops the future at an
-                    // await point, never between these two updates.
-                    let mut st = p.borrow_mut();
-                    st.0 += 1;
-                    st.1 += count;
-                }
-            }
-        },
-    ));
-    let faas = cloud.faas.clone();
-    let sim = cloud.sim.clone();
-    let p2 = progress.clone();
-    let stuck = cloud.sim.block_on(async move {
-        let deadline = Deadline::within(&sim, SimDuration::from_secs(3_600));
-        while p2.borrow().0 < objects {
-            if deadline.is_expired(&sim) {
-                return Some(format!(
-                    "aggregation stuck at {}/{objects} objects within budget",
-                    p2.borrow().0
-                ));
-            }
-            let out = faas.invoke("aggregate", Bytes::new()).await;
-            match out.result {
-                Ok(_) => {}
-                Err(
-                    FnError::TimedOut { .. } | FnError::Crashed { .. } | FnError::Handler(_),
-                ) => sim.sleep(SimDuration::from_millis(50)).await,
-                Err(e) => return Some(format!("aggregate failed fatally: {e}")),
-            }
-        }
-        None
-    });
-    if let Some(v) = stuck {
-        report.violation(format!("data_shipping: {v}"));
-    }
-    let (done, count) = *progress.borrow();
-    report.check(done == objects, || {
-        format!("data_shipping: cursor stopped at {done}/{objects}")
-    });
-    report.check(count == expected, || {
-        format!(
-            "data_shipping: counted {count} lines, expected {expected} \
-             (exactly-once aggregation under retries)"
-        )
-    });
-    cloud.sim.run();
-    report.audit("data_shipping", &cloud);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

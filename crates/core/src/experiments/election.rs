@@ -330,87 +330,6 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
     }
 }
 
-/// Chaos-hardened variant of the bully election: the same blackboard
-/// cluster, but the KV blackboard now throttles ~10% of polls
-/// (`FaultPlan::hostile`). The transport already tolerates storage
-/// errors (a failed poll is just a missed beat), so the end-to-end
-/// invariant is *liveness under brownout*: the cluster still elects the
-/// highest id, and every leader kill still completes a failover round —
-/// inside a generous but bounded convergence budget.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    const NODES: u64 = 5;
-    const ROUNDS: usize = 2;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    BlackboardTransport::setup(&cloud.kv);
-    let observer = ElectionObserver::new();
-    let poll = SimDuration::from_millis(250);
-    let cfg = BullyConfig::blackboard_2018();
-    let members: Vec<NodeId> = (1..=NODES).collect();
-    let mut handles = Vec::new();
-    for &id in &members {
-        let host = cloud
-            .fabric
-            .add_host(0, faasim_net::NicConfig::simple(mbps(1_000.0)));
-        let t = BlackboardTransport::new(&cloud.sim, &cloud.kv, host, id, &members, poll);
-        handles.push(spawn_node(&cloud.sim, t, cfg.clone(), observer.clone()));
-    }
-
-    // Initial convergence: poll the observer in slices so a snapshot
-    // taken mid-round (throttling stretches rounds) doesn't flake.
-    let mut converged = false;
-    for _ in 0..20 {
-        cloud
-            .sim
-            .run_until(cloud.sim.now() + SimDuration::from_secs(30));
-        if observer.current_leader() == Some(NODES) {
-            converged = true;
-            break;
-        }
-    }
-    report.check(converged, || {
-        format!(
-            "election: no initial leader within budget (got {:?})",
-            observer.current_leader()
-        )
-    });
-
-    let mut live_high = NODES;
-    for round in 0..ROUNDS {
-        if live_high <= 2 {
-            break;
-        }
-        handles[(live_high - 1) as usize].kill();
-        observer.mark_dead(live_high, cloud.sim.now());
-        let before = observer.rounds().len();
-        let mut completed = false;
-        for _ in 0..20 {
-            cloud
-                .sim
-                .run_until(cloud.sim.now() + SimDuration::from_secs(60));
-            if observer.rounds().len() > before {
-                completed = true;
-                break;
-            }
-        }
-        report.check(completed, || {
-            format!("election: failover round {round} did not complete after killing {live_high}")
-        });
-        live_high -= 1;
-    }
-    for h in &handles {
-        h.kill();
-    }
-    cloud
-        .sim
-        .run_until(cloud.sim.now() + SimDuration::from_secs(5));
-
-    report.audit("election", &cloud);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,13 +6,8 @@
 //! prints the paper-style table. The per-experiment index lives in
 //! DESIGN.md §4.
 //!
-//! Every module additionally exposes a `resilient(seed, chaos)` variant
-//! built on the `faasim-resilience` primitives (idempotency keys,
-//! circuit breakers, deadline budgets, retrying clients). These run a
-//! scaled-down workload, apply the caller's fault plan via the `chaos`
-//! hook, never panic on platform failures, and return a
-//! [`ResilientReport`] of invariant violations plus a determinism
-//! probe — the substrate of the `chaos-experiments` sweep.
+//! The chaos-hardened variants of these workloads are scenarios of
+//! `faasim-chaos` (`crates/chaos/src/hardened/`), not of this crate.
 
 pub mod agents_cmp;
 pub mod bandwidth;
@@ -24,4 +19,4 @@ pub mod probe;
 pub mod table1;
 pub mod training;
 
-pub use probe::{check_cloud, ExperimentProbe, ResilientReport};
+pub use probe::ExperimentProbe;

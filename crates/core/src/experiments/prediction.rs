@@ -150,7 +150,7 @@ pub fn run(params: &PredictionParams, seed: u64) -> PredictionResult {
     let mut probe = ExperimentProbe::new();
     let lambda_s3 = run_lambda(params, seed, false, &mut probe);
     let lambda_opt = run_lambda(params, seed + 1, true, &mut probe);
-    let (ec2_sqs, _) = run_ec2_sqs(params, seed + 2, &mut probe);
+    let ec2_sqs = run_ec2_sqs(params, seed + 2, &mut probe);
     let (ec2_zmq, per_batch_busy) = run_ec2_zmq(params, seed + 3, &mut probe);
 
     // Cost extrapolation, the paper's §3.1 arithmetic:
@@ -300,11 +300,7 @@ fn run_lambda(
 }
 
 /// Deployment 3: EC2 consumer long-polling SQS.
-fn run_ec2_sqs(
-    params: &PredictionParams,
-    seed: u64,
-    probe: &mut ExperimentProbe,
-) -> (Deployment, SimDuration) {
+fn run_ec2_sqs(params: &PredictionParams, seed: u64, probe: &mut ExperimentProbe) -> Deployment {
     let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
     cloud.queue.create_queue("in", QueueConfig::default());
     let vm = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
@@ -343,16 +339,12 @@ fn run_ec2_sqs(
         hist
     });
     vm.terminate();
-    let mean = SimDuration::from_secs_f64(hist.mean());
     probe.capture(&cloud);
-    (
-        Deployment {
-            label: "EC2 + SQS",
-            mean_batch_latency: mean,
-            batches: hist.count(),
-        },
-        mean,
-    )
+    Deployment {
+        label: "EC2 + SQS",
+        mean_batch_latency: SimDuration::from_secs_f64(hist.mean()),
+        batches: hist.count(),
+    }
 }
 
 /// Deployment 4: clients message the EC2 server directly (ZeroMQ style).
@@ -413,198 +405,6 @@ fn run_ec2_zmq(
         },
         mean,
     )
-}
-
-/// Chaos-hardened variant of the queue-triggered serving pipeline — the
-/// flagship of the resilience layer. Under `FaultPlan::hostile` the
-/// input queue *duplicates* deliveries and the platform kills handlers
-/// mid-batch, so the same document batch can be processed several
-/// times. The handler routes every model fetch through a
-/// [`CircuitBreaker`](faasim_resilience::CircuitBreaker) (a browned-out
-/// model store sheds load instead of retry-storming) and commits each
-/// result through an
-/// [`IdempotencyStore`](faasim_resilience::IdempotencyStore), so the
-/// end-to-end invariant is **exactly-once observable effects under
-/// at-least-once delivery**: each batch id has exactly one committed
-/// result, and a poison batch lands in the DLQ rather than looping.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_faas::FnError;
-    use faasim_payload::Payload;
-    use faasim_queue::DeadLetterConfig;
-    use faasim_resilience::{
-        BreakerConfig, BreakerError, CircuitBreaker, Deadline, IdempotencyStore, RetryPolicy,
-        RetryingBlob, RetryingQueue,
-    };
-
-    const BATCHES: usize = 12;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    cloud.queue.create_queue("dlq", QueueConfig::default());
-    cloud.queue.create_queue(
-        "in",
-        QueueConfig {
-            visibility_timeout: SimDuration::from_secs(5),
-            dead_letter: Some(DeadLetterConfig {
-                queue: "dlq".into(),
-                max_receives: 8,
-            }),
-        },
-    );
-    cloud.blob.create_bucket("models");
-    let policy = RetryPolicy {
-        max_attempts: 25,
-        ..RetryPolicy::default()
-    };
-    let rblob = RetryingBlob::new(
-        &cloud.sim,
-        &cloud.blob,
-        cloud.recorder.clone(),
-        policy.clone(),
-        "resil.pred.blob",
-    );
-    {
-        let blob = rblob.clone();
-        let host = cloud.client_host();
-        if let Err(e) = cloud.sim.block_on(async move {
-            let model = Payload::zeros(100_000);
-            blob.put(&host, "models", "blacklist", model, Deadline::unbounded())
-                .await
-        }) {
-            report.violation(format!("prediction: upload model: {e}"));
-        }
-    }
-    let idem = IdempotencyStore::new(
-        &cloud.sim,
-        &cloud.kv,
-        cloud.recorder.clone(),
-        "effects",
-        policy.clone(),
-        "resil.pred.idem",
-    );
-    let breaker = CircuitBreaker::new(
-        &cloud.sim,
-        cloud.recorder.clone(),
-        "model-store",
-        BreakerConfig::default(),
-    );
-
-    let idem_h = idem.clone();
-    let blob = rblob.clone();
-    let brk = breaker.clone();
-    let per_doc = SimDuration::from_micros(20);
-    cloud.faas.register(FunctionSpec::new(
-        "classify",
-        1_024,
-        SimDuration::from_secs(60),
-        move |ctx, payload| {
-            let idem = idem_h.clone();
-            let blob = blob.clone();
-            let brk = brk.clone();
-            async move {
-                let bodies = decode_batch(&payload)
-                    .ok_or_else(|| FnError::Handler("malformed batch".into()))?;
-                // The model fetch goes through the breaker: a shed or
-                // failed fetch fails the whole invocation, so the
-                // trigger leaves the batch to be redelivered.
-                match brk
-                    .call(
-                        |_: &_| true,
-                        blob.get(ctx.host(), "models", "blacklist", Deadline::unbounded()),
-                    )
-                    .await
-                {
-                    Ok(_) => {}
-                    Err(BreakerError::Open { .. }) => {
-                        return Err(FnError::Handler("model store breaker open".into()))
-                    }
-                    Err(BreakerError::Inner(e)) => {
-                        return Err(FnError::Handler(format!("model fetch: {e}")))
-                    }
-                }
-                for body in &bodies {
-                    let key = String::from_utf8_lossy(&body.bytes()).into_owned();
-                    ctx.cpu(per_doc).await;
-                    let host = ctx.host().clone();
-                    let value = Payload::inline(format!("censored:{key}"));
-                    if let Err(e) = idem.execute(&host, &key, || async move { value }).await {
-                        return Err(FnError::Handler(format!("commit {key}: {e}")));
-                    }
-                }
-                Ok(Bytes::new())
-            }
-        },
-    ));
-    let trigger = add_queue_trigger(&cloud.faas, &cloud.queue, &cloud.fabric, "classify", "in", 10);
-
-    let rqueue = RetryingQueue::new(
-        &cloud.sim,
-        &cloud.queue,
-        cloud.recorder.clone(),
-        policy.clone(),
-        "resil.pred.queue",
-    );
-    let producer = cloud.client_host();
-    {
-        let q = rqueue.clone();
-        let host = producer.clone();
-        let sim = cloud.sim.clone();
-        let mut failures = Vec::new();
-        cloud
-            .sim
-            .block_on(async move {
-                for i in 0..BATCHES {
-                    let deadline = Deadline::within(&sim, SimDuration::from_secs(60));
-                    let body = Payload::inline(format!("batch-{i:04}"));
-                    if let Err(e) = q.send(&host, "in", &body, deadline).await {
-                        failures.push(format!("send batch-{i:04}: {e}"));
-                    }
-                }
-                failures
-            })
-            .into_iter()
-            .for_each(|f| report.violation(format!("prediction: {f}")));
-    }
-
-    let sim = cloud.sim.clone();
-    let idem2 = idem.clone();
-    let host = producer.clone();
-    let stuck = cloud.sim.block_on(async move {
-        let deadline = Deadline::within(&sim, SimDuration::from_secs(1_800));
-        loop {
-            if let Ok(n) = idem2.committed_count(&host, "batch-").await {
-                if n >= BATCHES {
-                    return None;
-                }
-            }
-            if deadline.is_expired(&sim) {
-                let n = idem2.committed_count(&host, "batch-").await.unwrap_or(0);
-                return Some(format!("{n}/{BATCHES} batches committed within budget"));
-            }
-            sim.sleep(SimDuration::from_millis(200)).await;
-        }
-    });
-    if let Some(v) = stuck {
-        report.violation(format!("prediction: {v}"));
-    }
-    trigger.stop();
-    cloud.sim.run();
-
-    // Exactly-once: every batch id committed exactly one result.
-    let idem3 = idem.clone();
-    let host = producer.clone();
-    let committed = cloud
-        .sim
-        .block_on(async move { idem3.committed(&host, "batch-").await })
-        .map(|items| items.len())
-        .unwrap_or(0);
-    report.check(committed == BATCHES, || {
-        format!("prediction: {committed} committed effects for {BATCHES} batches")
-    });
-    cloud.sim.run();
-    report.audit("prediction", &cloud);
-    report
 }
 
 #[cfg(test)]

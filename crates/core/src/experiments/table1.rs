@@ -330,251 +330,6 @@ fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Hi
         .unwrap_or_else(|rc| rc.borrow().clone())
 }
 
-/// Chaos-hardened Table 1: the same six communication paths, driven
-/// through the resilience layer (retrying clients, platform-level
-/// invoke retries, deadline budgets) at reduced scale, under whatever
-/// fault plan `chaos` installs. Returns invariant violations instead of
-/// panicking: every trial must either complete or fail by declared
-/// deadline, and the global conservation/ledger invariants must hold.
-pub fn resilient(seed: u64, chaos: &dyn Fn(&Cloud)) -> super::ResilientReport {
-    use faasim_payload::Payload;
-    use faasim_resilience::{Deadline, RetryPolicy, RetryingBlob, RetryingInvoker, RetryingKv};
-
-    const PAYLOAD_BYTES: usize = 1_024;
-    const INVOC_TRIALS: usize = 12;
-    const IO_TRIALS: usize = 8;
-    const RTT_TRIALS: usize = 20;
-
-    let mut report = super::ResilientReport::new();
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    chaos(&cloud);
-    cloud.blob.create_bucket("bench");
-    cloud.kv.create_table("bench");
-    let payload = Payload::zeros(PAYLOAD_BYTES);
-    let policy = RetryPolicy {
-        max_attempts: 25,
-        ..RetryPolicy::default()
-    };
-
-    // --- Column 1: no-op invocations, platform-level retries ------------
-    {
-        cloud.faas.register(FunctionSpec::new(
-            "noop",
-            128,
-            SimDuration::from_secs(60),
-            |_ctx, payload| async move { Ok(payload) },
-        ));
-        let invoker = RetryingInvoker::new(
-            &cloud.sim,
-            &cloud.faas,
-            cloud.recorder.clone(),
-            policy.clone(),
-            "resil.t1.invoker",
-        );
-        let sim = cloud.sim.clone();
-        let p = payload.clone();
-        let mut failures = Vec::new();
-        cloud.sim.block_on(async move {
-            for i in 0..INVOC_TRIALS {
-                let deadline = Deadline::within(&sim, SimDuration::from_secs(120));
-                match invoker.invoke("noop", &p, deadline).await {
-                    Ok(out) => {
-                        let echoed = out.result.as_ref().expect("ok outcome").len();
-                        if echoed != PAYLOAD_BYTES {
-                            failures.push(format!("trial {i}: echoed {echoed} bytes"));
-                        }
-                    }
-                    Err(e) => failures.push(format!("trial {i}: {e}")),
-                }
-            }
-            failures
-        })
-        .into_iter()
-        .for_each(|f| report.violation(format!("table1/invoc: {f}")));
-    }
-
-    // --- Columns 2 & 3: Lambda I/O with retrying storage clients --------
-    let rkv = RetryingKv::new(
-        &cloud.sim,
-        &cloud.kv,
-        cloud.recorder.clone(),
-        policy.clone(),
-        "resil.t1.kv",
-    );
-    let rblob = RetryingBlob::new(
-        &cloud.sim,
-        &cloud.blob,
-        cloud.recorder.clone(),
-        policy.clone(),
-        "resil.t1.blob",
-    );
-    for (medium, fn_name) in [(Medium::Blob, "rio-blob"), (Medium::Kv, "rio-kv")] {
-        let blob = rblob.clone();
-        let kv = rkv.clone();
-        cloud.faas.register(FunctionSpec::new(
-            fn_name,
-            1_024,
-            SimDuration::from_secs(60),
-            move |ctx, payload| {
-                let blob = blob.clone();
-                let kv = kv.clone();
-                async move {
-                    // One write+read pair per invocation; storage-tier
-                    // transients are absorbed inside the handler so a
-                    // brownout surfaces as latency, not failure.
-                    let key = format!("rio-{}", ctx.container_id());
-                    let unbounded = Deadline::unbounded();
-                    let run = async {
-                        match medium {
-                            Medium::Blob => {
-                                blob.put(ctx.host(), "bench", &key, payload.clone(), unbounded)
-                                    .await
-                                    .map_err(|e| format!("put: {e}"))?;
-                                blob.get(ctx.host(), "bench", &key, unbounded)
-                                    .await
-                                    .map_err(|e| format!("get: {e}"))?;
-                            }
-                            Medium::Kv => {
-                                kv.put(
-                                    ctx.host(),
-                                    "bench",
-                                    &key,
-                                    Bytes::from(payload.to_vec()),
-                                    unbounded,
-                                )
-                                .await
-                                .map_err(|e| format!("put: {e}"))?;
-                                kv.get(ctx.host(), "bench", &key, Consistency::Strong, unbounded)
-                                    .await
-                                    .map_err(|e| format!("get: {e}"))?;
-                            }
-                        }
-                        Ok::<(), String>(())
-                    };
-                    match run.await {
-                        Ok(()) => Ok(Payload::inline("ok")),
-                        Err(e) => Err(faasim_faas::FnError::Handler(e)),
-                    }
-                }
-            },
-        ));
-        let invoker = RetryingInvoker::new(
-            &cloud.sim,
-            &cloud.faas,
-            cloud.recorder.clone(),
-            policy.clone(),
-            "resil.t1.io_invoker",
-        );
-        let sim = cloud.sim.clone();
-        let p = payload.clone();
-        let mut failures = Vec::new();
-        cloud.sim.block_on(async move {
-            for i in 0..IO_TRIALS {
-                let deadline = Deadline::within(&sim, SimDuration::from_secs(120));
-                if let Err(e) = invoker.invoke(fn_name, &p, deadline).await {
-                    failures.push(format!("trial {i}: {e}"));
-                }
-            }
-            failures
-        })
-        .into_iter()
-        .for_each(|f| report.violation(format!("table1/{fn_name}: {f}")));
-    }
-
-    // --- Columns 4 & 5: EC2 I/O through the same retrying clients -------
-    for (medium, label) in [(Medium::Blob, "ec2-blob"), (Medium::Kv, "ec2-kv")] {
-        let vm = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
-        let host = vm.host().clone();
-        let kv = rkv.clone();
-        let blob = rblob.clone();
-        let sim = cloud.sim.clone();
-        let p = payload.clone();
-        let mut failures = Vec::new();
-        cloud.sim.block_on(async move {
-            for i in 0..IO_TRIALS {
-                let deadline = Deadline::within(&sim, SimDuration::from_secs(60));
-                let done = match medium {
-                    Medium::Blob => async {
-                        blob.put(&host, "bench", label, p.clone(), Deadline::unbounded())
-                            .await
-                            .map_err(|e| e.to_string())?;
-                        blob.get(&host, "bench", label, deadline)
-                            .await
-                            .map_err(|e| e.to_string())?;
-                        Ok::<(), String>(())
-                    }
-                    .await,
-                    Medium::Kv => async {
-                        kv.put(&host, "bench", label, Bytes::from(p.to_vec()), deadline)
-                            .await
-                            .map_err(|e| e.to_string())?;
-                        kv.get(&host, "bench", label, Consistency::Strong, deadline)
-                            .await
-                            .map_err(|e| e.to_string())?;
-                        Ok::<(), String>(())
-                    }
-                    .await,
-                };
-                if let Err(e) = done {
-                    failures.push(format!("trial {i}: {e}"));
-                }
-            }
-            failures
-        })
-        .into_iter()
-        .for_each(|f| report.violation(format!("table1/{label}: {f}")));
-        vm.terminate();
-    }
-
-    // --- Column 6: socket RTTs with per-request timeouts -----------------
-    {
-        let a = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
-        let b = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
-        let sa = cloud.fabric.bind(a.host(), 5555).expect("bind");
-        let sb = cloud.fabric.bind(b.host(), 5555).expect("bind");
-        let to = sb.addr();
-        cloud.sim.spawn(async move {
-            loop {
-                let req = sb.recv().await;
-                sb.reply(&req, req.payload.clone()).await;
-            }
-        });
-        let sim = cloud.sim.clone();
-        let p = payload.clone();
-        let mut failures = Vec::new();
-        cloud.sim.block_on(async move {
-            for i in 0..RTT_TRIALS {
-                // Packet loss makes a request hang forever, so each
-                // attempt is raced against a timeout and retried inside
-                // the trial's deadline budget.
-                let deadline = Deadline::within(&sim, SimDuration::from_secs(30));
-                let mut ok = false;
-                while !deadline.is_expired(&sim) {
-                    let attempt = sa.request_timed(to, p.clone());
-                    match sim.timeout(SimDuration::from_millis(500), attempt).await {
-                        Some(Ok(_)) => {
-                            ok = true;
-                            break;
-                        }
-                        Some(Err(_)) | None => continue,
-                    }
-                }
-                if !ok {
-                    failures.push(format!("rtt trial {i}: no reply within deadline"));
-                }
-            }
-            failures
-        })
-        .into_iter()
-        .for_each(|f| report.violation(format!("table1/rtt: {f}")));
-    }
-
-    // Quiesce in-flight deliveries so conservation counters settle.
-    cloud.sim.run();
-    report.audit("table1", &cloud);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,16 +71,6 @@ pub enum BreakerError<E> {
     Inner(E),
 }
 
-impl<E> BreakerError<E> {
-    /// The wrapped error, when the call actually ran.
-    pub fn into_inner(self) -> Option<E> {
-        match self {
-            BreakerError::Inner(e) => Some(e),
-            BreakerError::Open { .. } => None,
-        }
-    }
-}
-
 impl<E: fmt::Display> fmt::Display for BreakerError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -179,11 +179,6 @@ impl IdempotencyStore {
     ) -> Result<usize, RetryError<KvError>> {
         Ok(self.committed(caller, prefix).await?.len())
     }
-
-    /// The backing table name.
-    pub fn table(&self) -> &str {
-        &self.table
-    }
 }
 
 #[cfg(test)]

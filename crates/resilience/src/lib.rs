@@ -38,7 +38,6 @@ mod breaker;
 mod clients;
 mod deadline;
 mod idempotency;
-mod invariants;
 mod retry;
 
 pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
@@ -47,5 +46,4 @@ pub use clients::{
 };
 pub use deadline::{hedged, Deadline};
 pub use idempotency::{Effect, IdempotencyStore};
-pub use invariants::{ledger_consistent, message_conservation, queue_conservation};
 pub use retry::{RetryError, RetryPolicy};

@@ -126,14 +126,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries — useful as a control.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The deterministic backoff spine for zero-based attempt `k`:
     /// `min(cap, base * factor^k)`. Non-decreasing in `k` and never
     /// above `cap`.
