@@ -173,47 +173,37 @@ impl Ec2 {
 
     /// Provision a VM of `type_name` in `rack`, waiting out the boot delay.
     pub async fn provision(&self, type_name: &str, rack: RackId) -> Result<Vm, Ec2Error> {
-        let itype = instance_type(type_name)
-            .ok_or_else(|| Ec2Error::UnknownInstanceType(type_name.to_owned()))?;
-        // Validate pricing up front so experiments fail fast.
-        let hourly = self.prices.ec2_hourly(itype.name);
+        // Validate type and pricing up front so experiments fail fast.
+        let (itype, hourly) = self.priced(type_name)?;
         let delay = {
             let mut rng = self.sim.rng(&format!("ec2.boot.{}", self.state.borrow().running.len()));
             self.profile.provisioning_delay.sample(&mut rng)
         };
         self.sim.sleep(delay).await;
-        let host = self.fabric.add_host(rack, itype.nic);
-        let vm = Vm {
-            inner: Rc::new(VmInner {
-                sim: self.sim.clone(),
-                host,
-                itype: itype.clone(),
-                hourly,
-                started_at: self.sim.now(),
-                terminated_at: Cell::new(None),
-                cpu: Semaphore::new(itype.vcpus as usize),
-                ebs_read: FairShareLink::new(&self.sim, itype.ebs_read_bandwidth),
-                ebs_write: FairShareLink::new(&self.sim, itype.ebs_write_bandwidth),
-                ledger: self.ledger.clone(),
-            }),
-        };
-        self.state.borrow_mut().running.push(vm.clone());
-        self.recorder.incr("ec2.provisioned");
-        Ok(vm)
+        Ok(self.boot(itype, hourly, rack))
     }
 
     /// Provision without boot delay — for experiments that start "with the
     /// fleet already up" (the paper's EC2 baselines are steady-state).
     pub fn provision_ready(&self, type_name: &str, rack: RackId) -> Result<Vm, Ec2Error> {
+        let (itype, hourly) = self.priced(type_name)?;
+        Ok(self.boot(itype, hourly, rack))
+    }
+
+    /// The instance type called `type_name` and its hourly price.
+    fn priced(&self, type_name: &str) -> Result<(InstanceType, f64), Ec2Error> {
         let itype = instance_type(type_name)
             .ok_or_else(|| Ec2Error::UnknownInstanceType(type_name.to_owned()))?;
         let hourly = self.prices.ec2_hourly(itype.name);
-        let host = self.fabric.add_host(rack, itype.nic);
+        Ok((itype, hourly))
+    }
+
+    /// Attach a host in `rack` and start the VM's clock now.
+    fn boot(&self, itype: InstanceType, hourly: f64, rack: RackId) -> Vm {
         let vm = Vm {
             inner: Rc::new(VmInner {
                 sim: self.sim.clone(),
-                host,
-                itype: itype.clone(),
+                host: self.fabric.add_host(rack, itype.nic),
                 hourly,
                 started_at: self.sim.now(),
                 terminated_at: Cell::new(None),
@@ -221,11 +211,12 @@ impl Ec2 {
                 ebs_read: FairShareLink::new(&self.sim, itype.ebs_read_bandwidth),
                 ebs_write: FairShareLink::new(&self.sim, itype.ebs_write_bandwidth),
                 ledger: self.ledger.clone(),
+                itype,
             }),
         };
         self.state.borrow_mut().running.push(vm.clone());
         self.recorder.incr("ec2.provisioned");
-        Ok(vm)
+        vm
     }
 
     /// Number of VMs provisioned and not yet terminated.

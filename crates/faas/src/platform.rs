@@ -145,7 +145,6 @@ pub struct FnCtx {
     deadline: SimTime,
     cpu_fraction: f64,
     memory_mb: u64,
-    cold: bool,
 }
 
 impl FnCtx {
@@ -163,11 +162,6 @@ impl FnCtx {
     /// Identifier of the container running this invocation.
     pub fn container_id(&self) -> u64 {
         self.container_id
-    }
-
-    /// Whether this invocation cold-started its container.
-    pub fn is_cold(&self) -> bool {
-        self.cold
     }
 
     /// Allocated memory.
@@ -1008,7 +1002,6 @@ impl FaasPlatform {
             deadline,
             cpu_fraction: self.profile.cpu_fraction(spec.memory_mb),
             memory_mb: spec.memory_mb,
-            cold,
         };
         // Chaos: decide up front whether (and when) this invocation's
         // container dies mid-flight. The kill instant is uniform over the

@@ -330,16 +330,6 @@ impl Fabric {
         }
     }
 
-    /// Whether the host is alive (not [`Fabric::kill_host`]ed).
-    pub fn is_host_alive(&self, id: HostId) -> bool {
-        self.inner
-            .hosts
-            .borrow()
-            .get(&id)
-            .map(|h| h.is_alive())
-            .unwrap_or(false)
-    }
-
     pub(crate) fn host_state(&self, id: HostId) -> Option<Rc<HostState>> {
         self.inner.hosts.borrow().get(&id).cloned()
     }

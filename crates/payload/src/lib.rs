@@ -154,14 +154,6 @@ impl Payload {
         self.len() == 0
     }
 
-    /// The inline bytes, if this payload is fully materialized.
-    pub fn inline_bytes(&self) -> Option<&Bytes> {
-        match &self.repr {
-            Repr::Inline(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Sub-range of the payload, sharing all underlying storage: O(1)
     /// in the byte length (O(parts) for concatenations). Slicing a
     /// synthetic payload yields at most `[partial, synthetic, partial]`.

@@ -188,11 +188,6 @@ impl ElectionObserver {
         self.inner.borrow().rounds.last().map(|r| r.leader)
     }
 
-    /// If agreement is currently disturbed, when the disturbance began.
-    pub fn disturbance_open_since(&self) -> Option<SimTime> {
-        self.inner.borrow().round_open_since
-    }
-
     /// Total time agreement was disturbed within `[from, to]`: completed
     /// rounds clipped to the window, plus any disturbance still open at
     /// `to`.

@@ -610,22 +610,6 @@ impl QueueService {
             .sum()
     }
 
-    /// Messages visible for receive right now.
-    pub fn visible_len(&self, queue: &str) -> usize {
-        let now = self.sim.now();
-        self.state
-            .borrow()
-            .queues
-            .get(queue)
-            .map(|q| {
-                q.messages
-                    .iter()
-                    .filter(|m| !m.deleted && m.visible_at <= now)
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
     // --- SNS-like topics -------------------------------------------------
 
     /// Create a topic (idempotent).

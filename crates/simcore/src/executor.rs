@@ -970,11 +970,6 @@ impl<T> JoinHandle<T> {
         self.id
     }
 
-    /// True once the task has produced its output.
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
-
     /// Take the output if the task has finished.
     pub fn try_take(&mut self) -> Option<T> {
         self.state.borrow_mut().result.take()

@@ -53,7 +53,7 @@ pub use link::{gbps, mbps, mbytes_per_sec, Bps, FairShareLink, Transfer};
 pub use metrics::{CounterId, HistId, Histogram, LazyCounter, LazyHist, Recorder};
 pub use rng::{LatencyModel, SimRng};
 pub use sync::{
-    channel, oneshot, Acquire, Barrier, BarrierWait, Canceled, Notified, Notify, OneshotReceiver,
+    channel, oneshot, Acquire, Canceled, Notified, Notify, OneshotReceiver,
     OneshotSender, Recv, Receiver, SemPermit, Semaphore, SendError, Sender,
 };
 pub use time::{SimDuration, SimTime};

@@ -725,16 +725,6 @@ impl FairShareLink {
         }
     }
 
-    /// Time a lone transfer of `bytes` would take at rate
-    /// `min(cap, capacity)` — for tests and quick estimates.
-    pub fn lone_transfer_time(&self, bytes: u64, per_flow_cap: Option<Bps>) -> SimDuration {
-        let st = self.st.borrow();
-        let rate = per_flow_cap
-            .unwrap_or(f64::INFINITY)
-            .min(st.capacity_bps);
-        SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate)
-    }
-
     /// Process one state change: charge the elapsed interval into V,
     /// settle completions, re-fill the water level, place a just-joined
     /// flow, wake finishers (in flow-id order), and reserve the next

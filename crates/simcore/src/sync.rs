@@ -297,11 +297,6 @@ impl Semaphore {
         self.st.borrow().permits
     }
 
-    /// Tasks currently blocked in [`Semaphore::acquire`].
-    pub fn queued(&self) -> usize {
-        self.st.borrow().waiters.len()
-    }
-
     /// Acquire `n` permits; the returned guard releases them on drop.
     pub fn acquire(&self, n: usize) -> Acquire {
         Acquire {
@@ -322,18 +317,6 @@ impl Semaphore {
             })
         } else {
             None
-        }
-    }
-
-    /// Add permits (capacity growth).
-    pub fn release_extra(&self, n: usize) {
-        let waker = {
-            let mut st = self.st.borrow_mut();
-            st.permits += n;
-            st.wake_front_if_ready()
-        };
-        if let Some(w) = waker {
-            w.wake();
         }
     }
 }
@@ -438,93 +421,6 @@ impl Drop for SemPermit {
         };
         if let Some(w) = waker {
             w.wake();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    needed: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-/// A reusable barrier: `wait()` suspends until `n` tasks have arrived,
-/// then releases them all and resets for the next generation.
-#[derive(Clone)]
-pub struct Barrier {
-    st: Rc<RefCell<BarrierState>>,
-}
-
-impl Barrier {
-    /// A barrier for `n` participants (`n >= 1`).
-    pub fn new(n: usize) -> Barrier {
-        assert!(n >= 1, "barrier needs at least one participant");
-        Barrier {
-            st: Rc::new(RefCell::new(BarrierState {
-                needed: n,
-                arrived: 0,
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrive and wait for the rest of the cohort. Returns `true` for
-    /// exactly one participant per generation (the "leader").
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            barrier: self.clone(),
-            joined: None,
-        }
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    barrier: Barrier,
-    joined: Option<(u64, bool)>,
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = self.get_mut();
-        let mut st = this.barrier.st.borrow_mut();
-        match this.joined {
-            None => {
-                st.arrived += 1;
-                let gen = st.generation;
-                if st.arrived == st.needed {
-                    // Release the cohort and start the next generation.
-                    st.arrived = 0;
-                    st.generation += 1;
-                    let wakers = std::mem::take(&mut st.wakers);
-                    drop(st);
-                    for w in wakers {
-                        w.wake();
-                    }
-                    this.joined = Some((gen, true));
-                    Poll::Ready(true)
-                } else {
-                    st.wakers.push(cx.waker().clone());
-                    this.joined = Some((gen, false));
-                    Poll::Pending
-                }
-            }
-            Some((gen, leader)) => {
-                if st.generation > gen {
-                    Poll::Ready(leader)
-                } else {
-                    st.wakers.push(cx.waker().clone());
-                    Poll::Pending
-                }
-            }
         }
     }
 }
@@ -865,53 +761,6 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
-    }
-
-    #[test]
-    fn barrier_releases_cohort_together() {
-        let sim = Sim::new(9);
-        let barrier = Barrier::new(3);
-        let release_times = Rc::new(RefCell::new(Vec::new()));
-        let leaders = Rc::new(Cell::new(0u32));
-        for i in 0..3u64 {
-            let sim2 = sim.clone();
-            let b = barrier.clone();
-            let times = release_times.clone();
-            let leaders = leaders.clone();
-            sim.spawn(async move {
-                sim2.sleep(SimDuration::from_secs(i)).await;
-                let leader = b.wait().await;
-                if leader {
-                    leaders.set(leaders.get() + 1);
-                }
-                times.borrow_mut().push(sim2.now());
-            });
-        }
-        sim.run();
-        let times = release_times.borrow();
-        assert_eq!(times.len(), 3);
-        // Everyone releases when the slowest (2 s) arrives.
-        assert!(times.iter().all(|t| t.as_nanos() == 2_000_000_000));
-        assert_eq!(leaders.get(), 1, "exactly one leader per generation");
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        let sim = Sim::new(10);
-        let barrier = Barrier::new(2);
-        let rounds = Rc::new(Cell::new(0u32));
-        for _ in 0..2 {
-            let b = barrier.clone();
-            let r = rounds.clone();
-            sim.spawn(async move {
-                for _ in 0..5 {
-                    b.wait().await;
-                    r.set(r.get() + 1);
-                }
-            });
-        }
-        sim.run();
-        assert_eq!(rounds.get(), 10);
     }
 
     #[test]

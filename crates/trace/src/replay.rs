@@ -45,15 +45,6 @@ pub struct ReplayConfig {
     pub reap_every: SimDuration,
     /// Cap on concurrently in-flight client requests (bounds memory).
     pub max_in_flight: usize,
-    /// Quantile-sketch relative error bound.
-    pub sketch_alpha: f64,
-    /// Materialize at most this many raw latency samples (in completion
-    /// order) into [`ReplayOutcome::latencies`]. Percentiles always come
-    /// from the bounded sketch; this cap only exists so differential
-    /// tests can compare sketch estimates against exact ranks. `0` (the
-    /// default) keeps replay memory bounded by `max_in_flight +
-    /// O(apps + functions)` regardless of trace length.
-    pub latency_sample_cap: usize,
     /// Route every invocation through the multi-tenant gateway tier,
     /// sized by this recipe; `None` invokes the platform directly.
     pub gateway: Option<GatewaySpec>,
@@ -63,44 +54,26 @@ pub struct ReplayConfig {
 /// derived at replay time from the trace's own expected tenant rates
 /// (which depend on the seed via the tenant assignment), so one spec
 /// serves every seed of a sweep.
-#[derive(Clone, Debug)]
-pub struct GatewaySpec {
-    /// Per-tenant token rate = `rate_margin` × the tenant's expected
-    /// mean arrival rate. Must exceed the bursty ON-phase boost (up to
-    /// `(burst_on + burst_off) / burst_on`, 4–6× in the stock configs)
-    /// or calm traffic would be shed.
-    pub rate_margin: f64,
-    /// Bucket capacity in seconds of margined rate.
-    pub burst_secs: f64,
-    /// Per-tenant concurrency cap in seconds of margined rate…
-    pub conc_secs: f64,
-    /// …plus this floor (absorbs cold-start latency spikes of cold
-    /// tenants).
-    pub conc_floor: usize,
-    /// Load-shed watermarks per priority tier, as fractions of the
-    /// replay's `max_in_flight`.
-    pub watermarks: [f64; faasim_gateway::TIERS],
-    /// Per-tenant breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Constant per-request gateway overhead.
-    pub overhead: SimDuration,
-}
+#[derive(Clone, Debug, Default)]
+pub struct GatewaySpec;
 
-impl Default for GatewaySpec {
-    fn default() -> GatewaySpec {
-        GatewaySpec {
-            rate_margin: 8.0,
-            burst_secs: 20.0,
-            conc_secs: 15.0,
-            conc_floor: 64,
-            // Replay-oriented: shed only near saturation, and never the
-            // top tier before the hard cap.
-            watermarks: [0.85, 0.90, 0.95, 1.0],
-            breaker: BreakerConfig::default(),
-            overhead: SimDuration::from_millis(1),
-        }
-    }
-}
+/// Per-tenant token rate = this × the tenant's expected mean arrival
+/// rate. Must exceed the bursty ON-phase boost (up to
+/// `(burst_on + burst_off) / burst_on`, 4–6× in the stock configs) or
+/// calm traffic would be shed.
+const RATE_MARGIN: f64 = 8.0;
+/// Bucket capacity in seconds of margined rate.
+const BURST_SECS: f64 = 20.0;
+/// Per-tenant concurrency cap in seconds of margined rate…
+const CONC_SECS: f64 = 15.0;
+/// …plus this floor (absorbs cold-start latency spikes of cold tenants).
+const CONC_FLOOR: usize = 64;
+/// Load-shed watermarks per priority tier, as fractions of the replay's
+/// `max_in_flight`. Replay-oriented: shed only near saturation, and
+/// never the top tier before the hard cap.
+const WATERMARKS: [f64; faasim_gateway::TIERS] = [0.85, 0.90, 0.95, 1.0];
+/// Constant per-request gateway overhead.
+const OVERHEAD: SimDuration = SimDuration::from_millis(1);
 
 /// Priority tier for a tenant in replay: round-robin from the hottest
 /// tenant down, so every tier is populated and tenant 0 (the heaviest)
@@ -116,11 +89,11 @@ impl GatewaySpec {
             .into_iter()
             .enumerate()
             .map(|(t, expected)| {
-                let rate = (expected * self.rate_margin).max(1.0);
+                let rate = (expected * RATE_MARGIN).max(1.0);
                 TenantConfig {
                     rate,
-                    burst: (rate * self.burst_secs).max(16.0),
-                    max_concurrent: (rate * self.conc_secs).ceil() as usize + self.conc_floor,
+                    burst: (rate * BURST_SECS).max(16.0),
+                    max_concurrent: (rate * CONC_SECS).ceil() as usize + CONC_FLOOR,
                     priority: tenant_priority(t as u32),
                 }
             })
@@ -128,9 +101,9 @@ impl GatewaySpec {
         GatewayConfig {
             tenants,
             max_in_flight,
-            shed_watermarks: self.watermarks,
-            breaker: self.breaker.clone(),
-            overhead: self.overhead,
+            shed_watermarks: WATERMARKS,
+            breaker: BreakerConfig::default(),
+            overhead: OVERHEAD,
         }
     }
 }
@@ -144,9 +117,7 @@ impl ReplayConfig {
             retry: Some(RetryPolicy::default()),
             reap_every: SimDuration::from_secs(30),
             max_in_flight: 4096,
-            sketch_alpha: 0.01,
-            latency_sample_cap: 0,
-            gateway: Some(GatewaySpec::default()),
+            gateway: Some(GatewaySpec),
         }
     }
 
@@ -399,9 +370,6 @@ pub struct ReplayOutcome {
     pub digest: String,
     /// Ledger report of the underlying cloud.
     pub bill: String,
-    /// The first [`ReplayConfig::latency_sample_cap`] latency samples,
-    /// in completion order (empty by default).
-    pub latencies: Vec<f64>,
 }
 
 struct AppAgg {
@@ -425,7 +393,6 @@ struct Stats {
     gw_shed: u64,
     completed: u64,
     last_done: SimTime,
-    latencies: Vec<f64>,
 }
 
 /// How a request reaches the platform: through the gateway tier when
@@ -479,7 +446,6 @@ struct ReqCtx {
     /// The ids the platform registered them under, same indexing.
     ids: Vec<FunctionId>,
     funcs_per_app: u32,
-    latency_cap: usize,
     /// Set once the driver has spawned its last request; `done` flips
     /// when every spawned request has completed, which stops the reaper.
     total: Cell<Option<u64>>,
@@ -545,7 +511,7 @@ pub fn replay_with(
 
     let funcs_per_app = cfg.trace.funcs_per_app.max(1);
     let stats = Stats {
-        sketch: QuantileSketch::new(cfg.sketch_alpha),
+        sketch: QuantileSketch::with_default_error(),
         per_app: (0..cfg.trace.apps)
             .map(|_| AppAgg {
                 completed: 0,
@@ -554,7 +520,7 @@ pub fn replay_with(
             .collect(),
         per_tenant: (0..cfg.trace.tenants.max(1))
             .map(|_| TenantAgg {
-                sketch: QuantileSketch::new(cfg.sketch_alpha),
+                sketch: QuantileSketch::with_default_error(),
                 completed: 0,
                 lat_sum: 0.0,
             })
@@ -565,7 +531,6 @@ pub fn replay_with(
         gw_shed: 0,
         completed: 0,
         last_done: SimTime::ZERO,
-        latencies: Vec::new(),
     };
     // Build the front door, and the retry layer around it when configured.
     let gateway = cfg.gateway.as_ref().map(|spec| {
@@ -596,7 +561,6 @@ pub fn replay_with(
             .collect(),
         ids,
         funcs_per_app,
-        latency_cap: cfg.latency_sample_cap,
         total: Cell::new(None),
         done: Cell::new(false),
         generated: Cell::new(0),
@@ -656,9 +620,6 @@ pub fn replay_with(
                     {
                         let mut st = ctx3.stats.borrow_mut();
                         st.sketch.insert(latency);
-                        if st.latencies.len() < ctx3.latency_cap {
-                            st.latencies.push(latency);
-                        }
                         let tagg = &mut st.per_tenant[ev.tenant as usize];
                         tagg.sketch.insert(latency);
                         tagg.completed += 1;
@@ -713,14 +674,7 @@ pub fn replay_with(
         .map(|a| a.lat_sum / a.completed as f64)
         .collect();
     app_means.sort_by(f64::total_cmp);
-    let rank = |q: f64| -> f64 {
-        if app_means.is_empty() {
-            0.0
-        } else {
-            app_means[((app_means.len() - 1) as f64 * q).round() as usize]
-        }
-    };
-    let (p50_app, p95_app) = (rank(0.50), rank(0.95));
+    let (p50_app, p95_app) = (rank(&app_means, 0.50), rank(&app_means, 0.95));
 
     // Tenant-level fairness: same rank statistics over per-tenant means
     // and p99s (only meaningful when traffic flowed through the gateway).
@@ -732,13 +686,6 @@ pub fn replay_with(
     }
     tenant_means.sort_by(f64::total_cmp);
     tenant_p99s.sort_by(f64::total_cmp);
-    let trank = |v: &[f64], q: f64| -> f64 {
-        if v.is_empty() {
-            0.0
-        } else {
-            v[((v.len() - 1) as f64 * q).round() as usize]
-        }
-    };
     let gw_stats = gateway.as_ref().map(|gw| gw.stats());
     let gw_used = gw_stats.is_some();
 
@@ -785,13 +732,13 @@ pub fn replay_with(
         chaos_kills: recorder.counter("faas.chaos_kills"),
         chaos_evicted: recorder.counter("faas.chaos_evicted"),
         tenants_seen: if gw_used { tenant_means.len() as u32 } else { 0 },
-        tenant_fairness_spread: if gw_used && trank(&tenant_means, 0.50) > 0.0 {
-            trank(&tenant_means, 0.95) / trank(&tenant_means, 0.50)
+        tenant_fairness_spread: if gw_used && rank(&tenant_means, 0.50) > 0.0 {
+            rank(&tenant_means, 0.95) / rank(&tenant_means, 0.50)
         } else {
             0.0
         },
-        tenant_p99_max: if gw_used { trank(&tenant_p99s, 1.0) } else { 0.0 },
-        tenant_p99_median: if gw_used { trank(&tenant_p99s, 0.50) } else { 0.0 },
+        tenant_p99_max: if gw_used { rank(&tenant_p99s, 1.0) } else { 0.0 },
+        tenant_p99_median: if gw_used { rank(&tenant_p99s, 0.50) } else { 0.0 },
         gw_offered: gw_stats.as_ref().map_or(0, |s| s.totals.offered),
         gw_admitted: gw_stats.as_ref().map_or(0, |s| s.totals.admitted),
         gw_rate_shed: gw_stats.as_ref().map_or(0, |s| s.totals.rate_shed()),
@@ -805,7 +752,15 @@ pub fn replay_with(
         report,
         digest: recorder.digest(),
         bill: cloud.ledger.report(),
-        latencies: st.latencies.clone(),
+    }
+}
+
+/// Nearest-rank `q`-quantile of an ascending slice (0 when empty).
+fn rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        0.0
+    } else {
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     }
 }
 

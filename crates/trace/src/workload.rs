@@ -340,11 +340,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The arrival kind assigned to `app` at this seed.
-    pub fn app_kind(&self, app: u32) -> ArrivalKind {
-        self.apps[app as usize].kind
-    }
-
     /// Events emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted

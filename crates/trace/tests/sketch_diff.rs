@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use faasim_simcore::SimRng;
-use faasim_trace::{replay, QuantileSketch, ReplayConfig};
+use faasim_trace::{replay_with, QuantileSketch, ReplayConfig};
 use proptest::prelude::*;
 
 /// Exact nearest-rank percentile, the same convention the sketch (and
@@ -119,14 +119,22 @@ fn sketch_matches_exact_percentiles_on_a_50k_replay() {
     let mut cfg = ReplayConfig::small();
     cfg.trace.total_rate = 180.0; // ~54k arrivals over five minutes ...
     cfg.trace.max_events = 50_000; // ... capped at the 50k bound
-    cfg.latency_sample_cap = 50_000; // materialize every sample for the diff
-    let out = replay(&cfg, 2019, &|_| {});
-    assert_eq!(out.latencies.len() as u64, out.report.invocations);
+    // With no gateway and no retry layer the client's latency and the
+    // platform's `InvokeOutcome::total` span the same two instants, so
+    // the exact-sample recorder already holds every sample, in the
+    // order the sketch saw them.
+    cfg.gateway = None;
+    cfg.retry = None;
+    let mut latencies = Vec::new();
+    let out = replay_with(&cfg, 2019, &|_| {}, &mut |cloud| {
+        latencies = cloud.recorder.histogram("faas.invoke.total").samples().to_vec();
+    });
+    assert_eq!(latencies.len() as u64, out.report.invocations);
     assert!(out.report.invocations > 40_000, "trace came out too small");
 
-    let mut sorted = out.latencies.clone();
+    let mut sorted = latencies.clone();
     sorted.sort_by(f64::total_cmp);
-    let alpha = cfg.sketch_alpha;
+    let alpha = QuantileSketch::with_default_error().relative_error();
     for (q, est) in [
         (0.50, out.report.latency_p50),
         (0.95, out.report.latency_p95),
@@ -140,7 +148,7 @@ fn sketch_matches_exact_percentiles_on_a_50k_replay() {
         );
     }
     // The mean is tracked exactly (same sum, same insertion order).
-    let exact_mean = out.latencies.iter().sum::<f64>() / out.latencies.len() as f64;
+    let exact_mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
     assert!((out.report.latency_mean - exact_mean).abs() <= 1e-9 * exact_mean);
 }
 
