@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers clean
 
 ## Release build of the whole workspace.
 build:
@@ -29,11 +29,11 @@ CHAOS_SEEDS ?= 16
 chaos-sweep: test
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) run --release --example chaos_sweep
 
-## All eight paper experiments' `resilient()` variants, swept across
-## CHAOS_SEEDS seeds under both the calm and the hostile fault plan.
-## Every seed must satisfy the end-to-end invariants (exactly-once
-## effects, DLQ-aware message conservation, ledger consistency,
-## completion-or-declared-failure) and replay byte-identically.
+## The eight hardened paper workloads (`crates/chaos/src/hardened/`,
+## `experiment_scenarios`), swept across CHAOS_SEEDS seeds under both the
+## calm and the hostile fault plan. Every seed must satisfy its
+## workload's invariant and `check_cloud` (EXPERIMENTS.md "Resilience
+## model") and replay byte-identically.
 chaos-experiments: test
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) run --release --example chaos_experiments
 
@@ -85,6 +85,17 @@ loc:
 		find $$c/src -name '*.rs' | xargs awk -v crate=$$c \
 			'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { printf "%7d  %s\n", n, crate }'; \
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+
+## Dependency order (DESIGN.md §3), normal edges only: the core crate
+## must not reach a layer above it, nor the resilience crate the core.
+layers:
+	@tree="$(CARGO) tree --offline -e normal --prefix none -p"; \
+	core=$$($$tree faasim) && resilience=$$($$tree faasim-resilience) || exit 1; \
+	if echo "$$core" | tail -n +2 | grep -E '^faasim-(resilience|gateway|trace|chaos|bench) '; then \
+		echo "layers: faasim (crates/core) reaches a layer above it" >&2; exit 1; fi; \
+	if echo "$$resilience" | tail -n +2 | grep -E '^faasim '; then \
+		echo "layers: faasim-resilience reaches faasim (crates/core)" >&2; exit 1; fi; \
+	echo "layers: ok"
 
 clean:
 	$(CARGO) clean
