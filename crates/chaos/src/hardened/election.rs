@@ -92,8 +92,8 @@ pub(super) fn failover_drill(
     for node in handles {
         node.kill();
     }
-    // Nothing runs forever once the nodes are down, but the settle is a
-    // bounded five seconds, not a drain: that is what the digests pin.
+    // A bounded settle, not a drain to quiescence: the golden digests
+    // pin the run as of five seconds after the last kill.
     cloud
         .sim
         .run_until(cloud.sim.now() + SimDuration::from_secs(5));

@@ -1,5 +1,5 @@
-//! Chaos-hardened paper experiments: sweep all eight experiments'
-//! `resilient()` variants across many seeds, under both the calm and
+//! Chaos-hardened paper experiments: sweep the eight hardened workloads
+//! (`experiment_scenarios`) across many seeds, under both the calm and
 //! the hostile fault plan, checking every end-to-end invariant
 //! (exactly-once effects, DLQ-aware message conservation, ledger
 //! consistency, completion-or-declared-failure) and that each seed

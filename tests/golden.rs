@@ -44,72 +44,48 @@ fn assert_golden(what: &str, actual: &[(String, u64)], golden: &[(&str, u64)]) {
     }
 }
 
-#[test]
-fn resilient_experiments_match_golden() {
-    let mut actual = Vec::new();
-    for hostile in [false, true] {
-        for scenario in experiment_scenarios(hostile) {
-            for seed in SEEDS {
-                let run = scenario.run(seed);
-                assert!(
-                    run.violations.is_empty(),
-                    "{} seed {seed}: {:?}",
-                    scenario.name(),
-                    run.violations
-                );
-                actual.push((
-                    format!("{}@{seed}", scenario.name()),
-                    fnv1a(&[&run.digest, &run.bill]),
-                ));
-            }
+/// One row per (scenario, seed): the row's label and the hash of the
+/// run's digest and bill. A pinned run must report no violation.
+fn scenario_rows(scenarios: &[(&str, &dyn Scenario)]) -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for (label, scenario) in scenarios {
+        for seed in SEEDS {
+            let run = scenario.run(seed);
+            assert!(run.violations.is_empty(), "{label} seed {seed}: {:?}", run.violations);
+            rows.push((format!("{label}@{seed}"), fnv1a(&[&run.digest, &run.bill])));
         }
     }
-    assert_golden("resilient experiments", &actual, GOLDEN_EXPERIMENTS);
+    rows
+}
+
+#[test]
+fn resilient_experiments_match_golden() {
+    let scenarios: Vec<_> = [false, true].into_iter().flat_map(experiment_scenarios).collect();
+    let labelled: Vec<_> = scenarios.iter().map(|s| (s.name(), s as &dyn Scenario)).collect();
+    assert_golden("resilient experiments", &scenario_rows(&labelled), GOLDEN_EXPERIMENTS);
 }
 
 #[test]
 fn noisy_neighbor_matches_golden() {
-    let mut actual = Vec::new();
-    for scenario in [NoisyNeighbor::default(), NoisyNeighbor::chaotic()] {
-        for seed in SEEDS {
-            let run = scenario.run(seed);
-            assert!(
-                run.violations.is_empty(),
-                "{} seed {seed}: {:?}",
-                scenario.name(),
-                run.violations
-            );
-            actual.push((
-                format!("{}@{seed}", scenario.name()),
-                fnv1a(&[&run.digest, &run.bill]),
-            ));
-        }
-    }
-    assert_golden("noisy neighbor", &actual, GOLDEN_NOISY_NEIGHBOR);
+    let (calm, hostile) = (NoisyNeighbor::default(), NoisyNeighbor::chaotic());
+    let rows = scenario_rows(&[(calm.name(), &calm), (hostile.name(), &hostile)]);
+    assert_golden("noisy neighbor", &rows, GOLDEN_NOISY_NEIGHBOR);
 }
 
 /// The chaos scenarios proper, calm and chaotic arm each. Two arms of one
 /// scenario share its `name()`, so the rows carry their own labels.
 #[test]
 fn chaos_scenarios_match_golden() {
-    let scenarios: [(&str, Box<dyn Scenario>); 7] = [
-        ("crdt-sync/default", Box::new(CrdtSync::default())),
-        ("crdt-sync/chaotic", Box::new(CrdtSync::chaotic())),
-        ("queue-pipeline/default", Box::new(QueuePipeline::default())),
-        ("queue-pipeline/chaotic", Box::new(QueuePipeline::chaotic())),
-        ("link-churn/default", Box::new(LinkChurn::default())),
-        ("trace-replay/small_calm", Box::new(TraceReplay::small_calm())),
-        ("trace-replay/small_hostile", Box::new(TraceReplay::small_hostile())),
-    ];
-    let mut actual = Vec::new();
-    for (label, scenario) in &scenarios {
-        for seed in SEEDS {
-            let run = scenario.run(seed);
-            assert!(run.violations.is_empty(), "{label} seed {seed}: {:?}", run.violations);
-            actual.push((format!("{label}@{seed}"), fnv1a(&[&run.digest, &run.bill])));
-        }
-    }
-    assert_golden("chaos scenarios", &actual, GOLDEN_CHAOS);
+    let rows = scenario_rows(&[
+        ("crdt-sync/default", &CrdtSync::default()),
+        ("crdt-sync/chaotic", &CrdtSync::chaotic()),
+        ("queue-pipeline/default", &QueuePipeline::default()),
+        ("queue-pipeline/chaotic", &QueuePipeline::chaotic()),
+        ("link-churn/default", &LinkChurn::default()),
+        ("trace-replay/small_calm", &TraceReplay::small_calm()),
+        ("trace-replay/small_hostile", &TraceReplay::small_hostile()),
+    ]);
+    assert_golden("chaos scenarios", &rows, GOLDEN_CHAOS);
 }
 
 /// A 2 000-event replay in every client shape: gateway or not, client
