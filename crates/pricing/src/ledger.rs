@@ -1,7 +1,7 @@
 //! The billing ledger: every service charges line items here, and the
 //! experiment harnesses read totals and breakdowns back out.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -59,6 +59,44 @@ struct LineItem {
 /// ledger that issued them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ItemId(usize);
+
+/// An [`ItemId`] that interns its `(service, item)` on first charge: the
+/// ledger twin of `faasim_simcore::LazyCounter`, for services that bill
+/// on every request.
+///
+/// First charge, not construction: [`Ledger::total`] adds slots in
+/// interning order, so a slot has to enter the ledger when billing by
+/// name would have created it for the float sum to come out the same.
+pub struct LazyItem {
+    service: Service,
+    item: &'static str,
+    id: Cell<Option<ItemId>>,
+}
+
+impl LazyItem {
+    /// A handle for `(service, item)`, not yet interned.
+    pub const fn new(service: Service, item: &'static str) -> LazyItem {
+        LazyItem {
+            service,
+            item,
+            id: Cell::new(None),
+        }
+    }
+
+    /// [`Ledger::charge_id`] under this item, interning it on first use.
+    /// One handle serves one ledger.
+    pub fn charge(&self, ledger: &Ledger, quantity: f64, dollars: f64) {
+        let id = match self.id.get() {
+            Some(id) => id,
+            None => {
+                let id = ledger.item_id(self.service, self.item);
+                self.id.set(Some(id));
+                id
+            }
+        };
+        ledger.charge_id(id, quantity, dollars);
+    }
+}
 
 #[derive(Default)]
 struct LedgerInner {
@@ -271,6 +309,26 @@ mod tests {
         assert!(a.total() > 0.0);
         a.reset();
         assert_eq!(b.total(), 0.0);
+    }
+
+    #[test]
+    fn lazy_item_enters_the_ledger_at_its_first_charge() {
+        let ledger = Ledger::new();
+        let reads = LazyItem::new(Service::Kv, "read-requests");
+        ledger.charge(Service::Blob, "put", 1.0, 0.1);
+        reads.charge(&ledger, 2.0, 0.2);
+        ledger.charge(Service::Kv, "read-requests", 1.0, 0.1);
+        // Same slot by handle and by name, created after `blob/put`.
+        assert_eq!(ledger.item_id(Service::Kv, "read-requests"), ItemId(1));
+        assert_eq!(ledger.item_quantity(Service::Kv, "read-requests"), 3.0);
+        // The handle outlives a reset, like any interned id.
+        ledger.reset();
+        assert!(ledger.breakdown().is_empty());
+        reads.charge(&ledger, 1.0, 0.1);
+        assert_eq!(
+            ledger.breakdown(),
+            [(Service::Kv, "read-requests".to_owned(), 1.0, 0.1)]
+        );
     }
 
     #[test]

@@ -16,4 +16,4 @@ mod book;
 mod ledger;
 
 pub use book::PriceBook;
-pub use ledger::{format_dollars, ItemId, Ledger, Service};
+pub use ledger::{format_dollars, ItemId, LazyItem, Ledger, Service};

@@ -9,14 +9,16 @@
 //! Metric names are interned: the first `record`/`add` under a name pays
 //! one allocation to register it, and every subsequent hit is a hash
 //! lookup into a `u32` handle — no per-record `String` allocation, no
-//! `BTreeMap` walk. Hot call sites can hoist even the hash lookup out of
-//! their loop with [`Recorder::hist_id`] / [`Recorder::counter_id`].
+//! `BTreeMap` walk. Services skip even the hash lookup: they hold a
+//! [`LazyCounter`] / [`LazyHist`] per series, which resolves its name on
+//! first use and indexes from then on. Recording by name is for names
+//! built at run time, tests and one-off call sites.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::fxhash::FxHashMap;
 use crate::time::SimDuration;
 
 /// An exact-sample histogram.
@@ -181,9 +183,7 @@ pub struct CounterId(u32);
 /// interning at construction would leak `counter x = 0` lines into the
 /// digests of runs that never touch the counter. First-use interning is
 /// byte-identical to recording by name.
-///
-/// Not valid across [`Recorder::reset`] (nothing in this workspace
-/// resets mid-run).
+#[derive(Clone)]
 pub struct LazyCounter {
     name: &'static str,
     id: Cell<Option<CounterId>>,
@@ -255,7 +255,7 @@ impl LazyHist {
 /// One side of the registry: an intern table from name to `u32` handle
 /// plus the values, indexed by handle.
 struct Series<T> {
-    index: HashMap<Box<str>, u32>,
+    index: FxHashMap<Box<str>, u32>,
     names: Vec<Box<str>>,
     values: Vec<T>,
 }
@@ -263,7 +263,7 @@ struct Series<T> {
 impl<T> Default for Series<T> {
     fn default() -> Series<T> {
         Series {
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             names: Vec::new(),
             values: Vec::new(),
         }
@@ -300,12 +300,6 @@ impl<T: Default> Series<T> {
         let mut names: Vec<String> = self.names.iter().map(|n| n.to_string()).collect();
         names.sort();
         names
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.names.clear();
-        self.values.clear();
     }
 }
 
@@ -418,14 +412,6 @@ impl Recorder {
     /// All counter names, sorted.
     pub fn counter_names(&self) -> Vec<String> {
         self.inner.borrow().counters.sorted_names()
-    }
-
-    /// Drop all recorded data. Interned handles from before the reset are
-    /// invalidated; re-intern after resetting.
-    pub fn reset(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.histograms.clear();
-        inner.counters.clear();
     }
 
     /// A human-oriented summary table: one row per histogram with count,
@@ -583,8 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_reset_and_digest() {
+    fn recorder_digest() {
         let r = Recorder::new();
+        assert!(r.digest().is_empty());
         r.incr("x");
         r.record("y", 1.0);
         let d1 = r.digest();
@@ -592,9 +579,6 @@ mod tests {
         assert!(d1.contains("hist y"));
         // Digest is deterministic.
         assert_eq!(d1, r.digest());
-        r.reset();
-        assert_eq!(r.counter("x"), 0);
-        assert!(r.digest().is_empty());
     }
 
     #[test]
@@ -635,6 +619,24 @@ mod tests {
         // Re-interning the same name yields the same handle.
         assert_eq!(r.hist_id("lat"), h);
         assert_eq!(r.counter_id("hits"), c);
+
+        // A few hundred names sharing prefixes and lengths: every name
+        // keeps a handle of its own, whichever way it is reached.
+        let names: Vec<String> = (0..300)
+            .map(|i| format!("svc{}.op{}.latency", i % 7, i))
+            .collect();
+        let ids: Vec<CounterId> = names.iter().map(|n| r.counter_id(n)).collect();
+        for (i, (name, &id)) in names.iter().zip(&ids).enumerate() {
+            r.add(name, i as u64);
+            r.add_id(id, 1);
+        }
+        let lazy = LazyCounter::new("svc3.op3.latency");
+        lazy.incr(&r);
+        for (i, (name, &id)) in names.iter().zip(&ids).enumerate() {
+            assert_eq!(r.counter_id(name), id);
+            assert_eq!(r.counter(name), i as u64 + 1 + u64::from(i == 3), "{name}");
+        }
+        assert_eq!(r.counter_names().len(), 301);
     }
 
     #[test]

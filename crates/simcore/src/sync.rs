@@ -430,7 +430,7 @@ impl Drop for SemPermit {
 // ---------------------------------------------------------------------------
 
 struct NotifyState {
-    waiters: VecDeque<(u64, Option<Waker>)>,
+    waiters: VecDeque<(u64, Waker)>,
     /// Wakeups delivered to waiter ids (consumed on poll).
     signaled: Vec<u64>,
     next_id: u64,
@@ -469,39 +469,28 @@ impl Notify {
         }
     }
 
+    /// Mark the longest-waiting task signaled and hand back its waker.
+    fn signal_front(&self) -> Option<Waker> {
+        let mut st = self.st.borrow_mut();
+        let (id, waker) = st.waiters.pop_front()?;
+        st.signaled.push(id);
+        Some(waker)
+    }
+
     /// Wake the longest-waiting task, if any.
     pub fn notify_one(&self) {
-        let waker = {
-            let mut st = self.st.borrow_mut();
-            match st.waiters.pop_front() {
-                Some((id, w)) => {
-                    st.signaled.push(id);
-                    w
-                }
-                None => None,
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
+        if let Some(waker) = self.signal_front() {
+            waker.wake();
         }
     }
 
-    /// Wake every waiting task.
+    /// Wake every waiting task, longest-waiting first.
     pub fn notify_all(&self) {
-        let wakers: Vec<Waker> = {
-            let mut st = self.st.borrow_mut();
-            let drained: Vec<(u64, Option<Waker>)> = st.waiters.drain(..).collect();
-            let mut ws = Vec::new();
-            for (id, w) in drained {
-                st.signaled.push(id);
-                if let Some(w) = w {
-                    ws.push(w);
-                }
-            }
-            ws
-        };
-        for w in wakers {
-            w.wake();
+        // One at a time, the state released around each wake: a waker
+        // is foreign code, and one that drops a `Notified` on this
+        // notifier re-enters the state.
+        while let Some(waker) = self.signal_front() {
+            waker.wake();
         }
     }
 }
@@ -522,7 +511,7 @@ impl Future for Notified {
             None => {
                 let id = st.next_id;
                 st.next_id += 1;
-                st.waiters.push_back((id, Some(cx.waker().clone())));
+                st.waiters.push_back((id, cx.waker().clone()));
                 this.id = Some(id);
                 Poll::Pending
             }
@@ -532,8 +521,13 @@ impl Future for Notified {
                     this.id = None;
                     return Poll::Ready(());
                 }
+                // Re-polled without a signal (a sibling branch of a
+                // `select2` woke the task): the stored waker already
+                // wakes this task unless the future moved to another.
                 if let Some((_, w)) = st.waiters.iter_mut().find(|(wid, _)| *wid == id) {
-                    *w = Some(cx.waker().clone());
+                    if !w.will_wake(cx.waker()) {
+                        *w = cx.waker().clone();
+                    }
                 }
                 Poll::Pending
             }
@@ -801,5 +795,93 @@ mod tests {
         assert!(got.is_none());
     }
 
+    /// A waker that counts its clones and wakes, to watch what a pending
+    /// [`Notified`] stores.
+    struct CountingWaker {
+        clones: Cell<u32>,
+        wakes: Cell<u32>,
+    }
+
+    impl CountingWaker {
+        fn new() -> Rc<CountingWaker> {
+            Rc::new(CountingWaker {
+                clones: Cell::new(0),
+                wakes: Cell::new(0),
+            })
+        }
+
+        fn waker(self: &Rc<Self>) -> Waker {
+            // One vtable at one address, so `will_wake` can tell that two
+            // wakers of one `CountingWaker` wake the same thing.
+            static VTABLE: RawWakerVTable = RawWakerVTable::new(
+                clone,
+                |p| wake_by_ref(p, true),
+                |p| wake_by_ref(p, false),
+                drop_raw,
+            );
+            fn clone(p: *const ()) -> RawWaker {
+                // SAFETY: `p` came from `Rc::into_raw` and the waker being
+                // cloned owns one count, so the pointee is live.
+                let this = unsafe {
+                    Rc::increment_strong_count(p as *const CountingWaker);
+                    &*(p as *const CountingWaker)
+                };
+                this.clones.set(this.clones.get() + 1);
+                RawWaker::new(p, &VTABLE)
+            }
+            fn wake_by_ref(p: *const (), consume: bool) {
+                // SAFETY: as in `clone`.
+                let this = unsafe { &*(p as *const CountingWaker) };
+                this.wakes.set(this.wakes.get() + 1);
+                if consume {
+                    drop_raw(p);
+                }
+            }
+            fn drop_raw(p: *const ()) {
+                // SAFETY: gives back the one count this waker owns.
+                unsafe { drop(Rc::from_raw(p as *const CountingWaker)) }
+            }
+            let raw = RawWaker::new(Rc::into_raw(self.clone()) as *const (), &VTABLE);
+            // SAFETY: the vtable keeps one `Rc` count per waker, and the
+            // test never sends a waker to another thread.
+            unsafe { Waker::from_raw(raw) }
+        }
+    }
+
+    #[test]
+    fn a_pending_notified_stores_a_waker_once_per_task() {
+        let n = Notify::new();
+        let mut fut = std::pin::pin!(n.notified());
+        let first = CountingWaker::new();
+        let waker = first.waker();
+        for _ in 0..3 {
+            assert!(fut
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_pending());
+        }
+        assert_eq!(
+            first.clones.get(),
+            1,
+            "re-polls by the same task store nothing"
+        );
+
+        // The future moves to another task: its waker replaces the first.
+        let second = CountingWaker::new();
+        let waker2 = second.waker();
+        assert!(fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker2))
+            .is_pending());
+        assert_eq!(second.clones.get(), 1);
+        n.notify_all();
+        assert_eq!((first.wakes.get(), second.wakes.get()), (0, 1));
+        assert!(fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker2))
+            .is_ready());
+    }
+
     use std::rc::Rc;
+    use std::task::{RawWaker, RawWakerVTable};
 }
