@@ -21,7 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use faasim_net::{Addr, Fabric, Host, Message, NetError, Socket};
-use faasim_simcore::{LatencyModel, Recorder, Sim, SimDuration};
+use faasim_simcore::{LatencyModel, LazyCounter, Recorder, Sim, SimDuration};
 
 /// Errors from agent operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,12 +59,25 @@ struct RuntimeState {
     next_port: u16,
 }
 
+/// Recorder handles, resolved on first use (see [`LazyCounter`]): a
+/// message indexes its counters instead of hashing their names. Each
+/// counter is `agents.<field>`.
+struct Counters {
+    spawned: LazyCounter,
+    directory_lookups: LazyCounter,
+    messages_sent: LazyCounter,
+    requests_ok: LazyCounter,
+    request_retries: LazyCounter,
+    migrations: LazyCounter,
+}
+
 /// The agent runtime: naming, placement, migration.
 #[derive(Clone)]
 pub struct AgentRuntime {
     sim: Sim,
     fabric: Fabric,
     recorder: Recorder,
+    counters: Rc<Counters>,
     /// Latency of an (uncached) directory lookup — an autoscaling
     /// metadata service, KV-class.
     pub lookup_latency: LatencyModel,
@@ -78,6 +91,14 @@ impl AgentRuntime {
             sim: sim.clone(),
             fabric: fabric.clone(),
             recorder,
+            counters: Rc::new(Counters {
+                spawned: LazyCounter::new("agents.spawned"),
+                directory_lookups: LazyCounter::new("agents.directory_lookups"),
+                messages_sent: LazyCounter::new("agents.messages_sent"),
+                requests_ok: LazyCounter::new("agents.requests_ok"),
+                request_retries: LazyCounter::new("agents.request_retries"),
+                migrations: LazyCounter::new("agents.migrations"),
+            }),
             lookup_latency: LatencyModel::Constant(SimDuration::from_millis(1)),
             state: Rc::new(RefCell::new(RuntimeState {
                 directory: HashMap::new(),
@@ -104,7 +125,7 @@ impl AgentRuntime {
             .borrow_mut()
             .directory
             .insert(name.to_owned(), DirEntry { addr, version: 0 });
-        self.recorder.incr("agents.spawned");
+        self.counters.spawned.incr(&self.recorder);
         Ok(Agent {
             runtime: self.clone(),
             name: name.to_owned(),
@@ -121,7 +142,7 @@ impl AgentRuntime {
             self.lookup_latency.sample(&mut rng)
         };
         self.sim.sleep(latency).await;
-        self.recorder.incr("agents.directory_lookups");
+        self.counters.directory_lookups.incr(&self.recorder);
         self.state
             .borrow()
             .directory
@@ -202,7 +223,10 @@ impl Agent {
     pub async fn send(&self, to: &str, payload: impl Into<faasim_payload::Payload>) -> Result<(), AgentError> {
         let entry = self.resolve(to).await?;
         self.socket.send(entry.addr, payload).await;
-        self.runtime.recorder.incr("agents.messages_sent");
+        self.runtime
+            .counters
+            .messages_sent
+            .incr(&self.runtime.recorder);
         Ok(())
     }
 
@@ -220,7 +244,10 @@ impl Agent {
                 .await
             {
                 Some(Ok(reply)) => {
-                    self.runtime.recorder.incr("agents.requests_ok");
+                    self.runtime
+                        .counters
+                        .requests_ok
+                        .incr(&self.runtime.recorder);
                     return Ok(reply);
                 }
                 Some(Err(NetError::Canceled)) | None => {
@@ -228,7 +255,10 @@ impl Agent {
                     if attempt == 1 {
                         break;
                     }
-                    self.runtime.recorder.incr("agents.request_retries");
+                    self.runtime
+                        .counters
+                        .request_retries
+                        .incr(&self.runtime.recorder);
                 }
                 Some(Err(_)) => break,
             }
@@ -273,7 +303,10 @@ impl Agent {
         self.runtime.update_directory(&self.name, new_socket.addr());
         self.socket = new_socket;
         self.host = new_host.clone();
-        self.runtime.recorder.incr("agents.migrations");
+        self.runtime
+            .counters
+            .migrations
+            .incr(&self.runtime.recorder);
     }
 }
 
@@ -300,6 +333,17 @@ mod tests {
 
     fn host(fabric: &Fabric) -> Host {
         fabric.add_host(0, NicConfig::simple(mbps(10_000.0)))
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (_sim, fabric, rt) = world(1);
+        assert!(rt.recorder.counter_names().is_empty());
+        assert!(rt.recorder.histogram_names().is_empty());
+        let host = fabric.add_host(0, NicConfig::simple(mbps(1000.0)));
+        let _agent = rt.spawn(&host, "a").unwrap();
+        assert_eq!(rt.recorder.counter_names(), ["agents.spawned"]);
+        assert!(rt.recorder.histogram_names().is_empty());
     }
 
     #[test]

@@ -17,13 +17,15 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_pricing::{Ledger, PriceBook, Service};
+use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    mbytes_per_sec, Bps, LatencyModel, Recorder, Sender, Sim, SimDuration, SimRng, SimTime,
+    mbytes_per_sec, Bps, LatencyModel, LazyCounter, LazyHist, Recorder, Sender, Sim, SimDuration,
+    SimRng, SimTime,
 };
 
 /// Errors returned by blob operations.
@@ -146,6 +148,31 @@ struct StoreState {
     faults: BlobFaults,
 }
 
+/// A store operation, as the recorder tells them apart.
+#[derive(Copy, Clone)]
+enum Op {
+    Put,
+    Get,
+    GetRange,
+    Delete,
+    List,
+}
+
+/// Recorder and ledger handles of the per-request path, resolved on
+/// first use (see [`LazyCounter`]): a request indexes its series instead
+/// of hashing their names.
+struct Handles {
+    /// Completed operations, indexed by [`Op`].
+    count: [LazyCounter; 5],
+    /// Request latency, indexed by [`Op`].
+    latency: [LazyHist; 5],
+    unavailable: LazyCounter,
+    bytes_in: LazyCounter,
+    bytes_out: LazyCounter,
+    bill_put: LazyItem,
+    bill_get: LazyItem,
+}
+
 /// The object store service handle. Cheap to clone.
 #[derive(Clone)]
 pub struct BlobStore {
@@ -154,6 +181,7 @@ pub struct BlobStore {
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
+    handles: Rc<Handles>,
     state: Rc<RefCell<StoreState>>,
 }
 
@@ -172,6 +200,27 @@ impl BlobStore {
             prices,
             ledger,
             recorder,
+            handles: Rc::new(Handles {
+                count: [
+                    LazyCounter::new("blob.put"),
+                    LazyCounter::new("blob.get"),
+                    LazyCounter::new("blob.get_range"),
+                    LazyCounter::new("blob.delete"),
+                    LazyCounter::new("blob.list"),
+                ],
+                latency: [
+                    LazyHist::new("blob.put.latency"),
+                    LazyHist::new("blob.get.latency"),
+                    LazyHist::new("blob.get_range.latency"),
+                    LazyHist::new("blob.delete.latency"),
+                    LazyHist::new("blob.list.latency"),
+                ],
+                unavailable: LazyCounter::new("blob.unavailable"),
+                bytes_in: LazyCounter::new("blob.bytes_in"),
+                bytes_out: LazyCounter::new("blob.bytes_out"),
+                bill_put: LazyItem::new(Service::Blob, "put-requests"),
+                bill_get: LazyItem::new(Service::Blob, "get-requests"),
+            }),
             state: Rc::new(RefCell::new(StoreState {
                 buckets: BTreeMap::new(),
                 rng: sim.rng("blob.store"),
@@ -216,7 +265,7 @@ impl BlobStore {
     /// Chaos gate at the head of every operation: an unavailable request
     /// pays its request latency before the 503 reaches the caller, and is
     /// not billed (S3 does not charge for 5xx responses).
-    async fn chaos_gate(&self, op: &str) -> Result<(), BlobError> {
+    async fn chaos_gate(&self, op: Op) -> Result<(), BlobError> {
         let unavailable = {
             let mut st = self.state.borrow_mut();
             let p = st.faults.unavailable_prob;
@@ -225,11 +274,31 @@ impl BlobStore {
         if unavailable {
             let latency = self.sample_latency();
             self.sim.sleep(latency).await;
-            self.recorder.incr("blob.unavailable");
-            self.recorder.record_duration(op, latency);
+            let h = &self.handles;
+            h.unavailable.incr(&self.recorder);
+            h.latency[op as usize].record_duration(&self.recorder, latency);
             return Err(BlobError::Unavailable);
         }
         Ok(())
+    }
+
+    /// Bill one request at the PUT tier (S3 bills DELETE and LIST there
+    /// too) and count the operation.
+    fn settle_put_tier(&self, op: Op) {
+        self.handles
+            .bill_put
+            .charge(&self.ledger, 1.0, self.prices.blob_put_per_request);
+        self.handles.count[op as usize].incr(&self.recorder);
+    }
+
+    /// Bill one GET of `bytes` that began at `t0` and count it under `op`.
+    fn settle_get(&self, op: Op, bytes: u64, t0: SimTime) {
+        let h = &self.handles;
+        h.bill_get
+            .charge(&self.ledger, 1.0, self.prices.blob_get_per_request);
+        h.count[op as usize].incr(&self.recorder);
+        h.bytes_out.add(&self.recorder, bytes);
+        h.latency[op as usize].record_duration(&self.recorder, self.sim.now() - t0);
     }
 
     fn sample_visibility(&self, now: SimTime) -> SimTime {
@@ -254,7 +323,7 @@ impl BlobStore {
         data: impl Into<Payload>,
     ) -> Result<(), BlobError> {
         let data = data.into();
-        self.chaos_gate("blob.put.latency").await?;
+        self.chaos_gate(Op::Put).await?;
         let t0 = self.sim.now();
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
@@ -293,23 +362,17 @@ impl BlobStore {
             };
             b.subscribers.retain(|s| s.send(event.clone()).is_ok());
         }
-        self.ledger.charge(
-            Service::Blob,
-            "put-requests",
-            1.0,
-            self.prices.blob_put_per_request,
-        );
-        self.recorder.incr("blob.put");
-        self.recorder.add("blob.bytes_in", size);
-        self.recorder
-            .record_duration("blob.put.latency", self.sim.now() - t0);
+        self.settle_put_tier(Op::Put);
+        let h = &self.handles;
+        h.bytes_in.add(&self.recorder, size);
+        h.latency[Op::Put as usize].record_duration(&self.recorder, self.sim.now() - t0);
         Ok(())
     }
 
     /// Fetch an object. Completes after the full body has streamed through
     /// the caller's NIC at the per-connection cap.
     pub async fn get(&self, caller: &Host, bucket: &str, key: &str) -> Result<Payload, BlobError> {
-        self.chaos_gate("blob.get.latency").await?;
+        self.chaos_gate(Op::Get).await?;
         let t0 = self.sim.now();
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
@@ -317,16 +380,7 @@ impl BlobStore {
         caller
             .nic_transfer_capped(data.len() as u64, self.profile.per_conn_bandwidth)
             .await;
-        self.ledger.charge(
-            Service::Blob,
-            "get-requests",
-            1.0,
-            self.prices.blob_get_per_request,
-        );
-        self.recorder.incr("blob.get");
-        self.recorder.add("blob.bytes_out", data.len() as u64);
-        self.recorder
-            .record_duration("blob.get.latency", self.sim.now() - t0);
+        self.settle_get(Op::Get, data.len() as u64, t0);
         Ok(data)
     }
 
@@ -344,7 +398,7 @@ impl BlobStore {
         key: &str,
         range: std::ops::Range<u64>,
     ) -> Result<Payload, BlobError> {
-        self.chaos_gate("blob.get_range.latency").await?;
+        self.chaos_gate(Op::GetRange).await?;
         let t0 = self.sim.now();
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
@@ -359,16 +413,7 @@ impl BlobStore {
         caller
             .nic_transfer_capped(slice.len() as u64, self.profile.per_conn_bandwidth)
             .await;
-        self.ledger.charge(
-            Service::Blob,
-            "get-requests",
-            1.0,
-            self.prices.blob_get_per_request,
-        );
-        self.recorder.incr("blob.get_range");
-        self.recorder.add("blob.bytes_out", slice.len() as u64);
-        self.recorder
-            .record_duration("blob.get_range.latency", self.sim.now() - t0);
+        self.settle_get(Op::GetRange, slice.len() as u64, t0);
         Ok(slice)
     }
 
@@ -397,7 +442,7 @@ impl BlobStore {
     /// Delete an object (idempotent; deleting a missing key is not an
     /// error, matching S3).
     pub async fn delete(&self, _caller: &Host, bucket: &str, key: &str) -> Result<(), BlobError> {
-        self.chaos_gate("blob.delete.latency").await?;
+        self.chaos_gate(Op::Delete).await?;
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
         let now = self.sim.now();
@@ -424,13 +469,7 @@ impl BlobStore {
             };
             b.subscribers.retain(|s| s.send(event.clone()).is_ok());
         }
-        self.ledger.charge(
-            Service::Blob,
-            "put-requests", // S3 bills DELETE under the PUT tier
-            1.0,
-            self.prices.blob_put_per_request,
-        );
-        self.recorder.incr("blob.delete");
+        self.settle_put_tier(Op::Delete);
         Ok(())
     }
 
@@ -455,7 +494,7 @@ impl BlobStore {
         bucket: &str,
         prefix: &str,
     ) -> Result<Vec<(String, u64)>, BlobError> {
-        self.chaos_gate("blob.list.latency").await?;
+        self.chaos_gate(Op::List).await?;
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
         let now = self.sim.now();
@@ -466,7 +505,7 @@ impl BlobStore {
             .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
         let keys = b
             .objects
-            .range(prefix.to_owned()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, versions)| {
                 versions
@@ -478,13 +517,7 @@ impl BlobStore {
             })
             .collect();
         drop(st);
-        self.ledger.charge(
-            Service::Blob,
-            "put-requests", // LIST bills at the PUT tier
-            1.0,
-            self.prices.blob_put_per_request,
-        );
-        self.recorder.incr("blob.list");
+        self.settle_put_tier(Op::List);
         Ok(keys)
     }
 
@@ -549,6 +582,31 @@ mod tests {
         );
         store.create_bucket("b");
         (sim, store, host, ledger)
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (sim, store, host, ledger) = setup(BlobProfile::aws_2018().exact());
+        let recorder = store.recorder.clone();
+        assert!(recorder.counter_names().is_empty());
+        assert!(recorder.histogram_names().is_empty());
+        assert!(ledger.breakdown().is_empty());
+        sim.block_on(async move {
+            store
+                .get_range(&host, "b", "missing", 0..4)
+                .await
+                .unwrap_err();
+            store.list(&host, "b", "").await.unwrap();
+        });
+        // The failed GET billed and counted nothing.
+        assert_eq!(recorder.counter_names(), ["blob.list"]);
+        assert!(recorder.histogram_names().is_empty());
+        let items: Vec<_> = ledger
+            .breakdown()
+            .into_iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(items, [(Service::Blob, "put-requests".to_owned())]);
     }
 
     #[test]

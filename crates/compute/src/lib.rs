@@ -15,7 +15,7 @@ use std::rc::Rc;
 use faasim_net::{Fabric, Host, NicConfig, RackId};
 use faasim_pricing::{Ledger, PriceBook, Service};
 use faasim_simcore::{
-    gbps, mbps, Bps, FairShareLink, LatencyModel, Recorder, SemPermit, Semaphore, Sim,
+    gbps, mbps, Bps, FairShareLink, LatencyModel, LazyCounter, Recorder, SemPermit, Semaphore, Sim,
     SimDuration, SimTime,
 };
 
@@ -147,6 +147,8 @@ pub struct Ec2 {
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
+    /// `ec2.provisioned`, resolved on first use (see [`LazyCounter`]).
+    provisioned: LazyCounter,
     state: Rc<RefCell<Ec2State>>,
 }
 
@@ -167,6 +169,7 @@ impl Ec2 {
             prices,
             ledger,
             recorder,
+            provisioned: LazyCounter::new("ec2.provisioned"),
             state: Rc::new(RefCell::new(Ec2State { running: Vec::new() })),
         }
     }
@@ -215,7 +218,7 @@ impl Ec2 {
             }),
         };
         self.state.borrow_mut().running.push(vm.clone());
-        self.recorder.incr("ec2.provisioned");
+        self.provisioned.incr(&self.recorder);
         vm
     }
 
@@ -350,12 +353,14 @@ impl Vm {
         self.inner.terminated_at.set(Some(now));
         let billed_secs = self.uptime().as_secs_f64().max(60.0);
         let dollars = self.inner.hourly * billed_secs / 3600.0;
-        self.inner.ledger.charge(
+        // The line item is named after the instance type and a VM is
+        // billed once, so it is resolved here, at its one charge.
+        let ledger = &self.inner.ledger;
+        let item = ledger.item_id(
             Service::Compute,
             &format!("{}-hours", self.inner.itype.name),
-            billed_secs / 3600.0,
-            dollars,
         );
+        ledger.charge_id(item, billed_secs / 3600.0, dollars);
     }
 }
 
@@ -378,6 +383,24 @@ mod tests {
             recorder,
         );
         (sim, ec2, ledger)
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (_sim, ec2, ledger) = setup();
+        assert!(ec2.recorder.counter_names().is_empty());
+        assert!(ec2.recorder.histogram_names().is_empty());
+        let vm = ec2.provision_ready("m5.large", 0).unwrap();
+        assert_eq!(ec2.recorder.counter_names(), ["ec2.provisioned"]);
+        assert!(ledger.breakdown().is_empty());
+        vm.terminate();
+        let items: Vec<_> = ledger
+            .breakdown()
+            .into_iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(items, [(Service::Compute, "m5.large-hours".to_owned())]);
+        assert!(ec2.recorder.histogram_names().is_empty());
     }
 
     #[test]

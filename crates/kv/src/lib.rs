@@ -15,12 +15,15 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_pricing::{Ledger, PriceBook, Service};
-use faasim_simcore::{LatencyModel, Recorder, Sim, SimDuration, SimRng, SimTime};
+use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
+use faasim_simcore::{
+    LatencyModel, LazyCounter, LazyHist, Recorder, Sim, SimDuration, SimRng, SimTime,
+};
 
 /// DynamoDB's item size ceiling (400 KB), enforced here too.
 pub const MAX_ITEM_BYTES: usize = 400 * 1024;
@@ -155,6 +158,29 @@ struct KvState {
     faults: KvFaults,
 }
 
+/// A table operation, as the latency histograms tell them apart (both
+/// kinds of write are a `Put`).
+#[derive(Copy, Clone)]
+enum Op {
+    Put,
+    Get,
+    Delete,
+    Scan,
+}
+
+/// Recorder and ledger handles of the per-request path, resolved on
+/// first use (see [`LazyCounter`]): a request indexes its series instead
+/// of hashing their names.
+struct Handles {
+    /// Indexed by [`Op`].
+    latency: [LazyHist; 4],
+    throttled: LazyCounter,
+    reads: LazyCounter,
+    writes: LazyCounter,
+    bill_reads: LazyItem,
+    bill_writes: LazyItem,
+}
+
 /// The key-value service handle. Cheap to clone.
 #[derive(Clone)]
 pub struct KvStore {
@@ -163,6 +189,7 @@ pub struct KvStore {
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
+    handles: Rc<Handles>,
     state: Rc<RefCell<KvState>>,
 }
 
@@ -181,6 +208,19 @@ impl KvStore {
             prices,
             ledger,
             recorder,
+            handles: Rc::new(Handles {
+                latency: [
+                    LazyHist::new("kv.put.latency"),
+                    LazyHist::new("kv.get.latency"),
+                    LazyHist::new("kv.delete.latency"),
+                    LazyHist::new("kv.scan.latency"),
+                ],
+                throttled: LazyCounter::new("kv.throttled"),
+                reads: LazyCounter::new("kv.reads"),
+                writes: LazyCounter::new("kv.writes"),
+                bill_reads: LazyItem::new(Service::Kv, "read-requests"),
+                bill_writes: LazyItem::new(Service::Kv, "write-requests"),
+            }),
             state: Rc::new(RefCell::new(KvState {
                 tables: BTreeMap::new(),
                 rng: sim.rng("kv.store"),
@@ -203,20 +243,20 @@ impl KvStore {
         self.state.borrow_mut().faults = faults;
     }
 
-    async fn pay_latency(&self, op: &str) {
+    async fn pay_latency(&self, op: Op) {
         let latency = {
             let mut st = self.state.borrow_mut();
             self.profile.op_latency.sample(&mut st.rng)
         };
         self.sim.sleep(latency).await;
-        self.recorder.record_duration(op, latency);
+        self.handles.latency[op as usize].record_duration(&self.recorder, latency);
     }
 
     /// Chaos gate at the head of every operation: a throttled request
     /// pays a full round trip before the error reaches the caller (like
     /// a real HTTP 400 ProvisionedThroughputExceededException), but is
     /// not billed.
-    async fn chaos_gate(&self, op: &str) -> Result<(), KvError> {
+    async fn chaos_gate(&self, op: Op) -> Result<(), KvError> {
         let throttled = {
             let mut st = self.state.borrow_mut();
             let p = st.faults.throttle_prob;
@@ -224,30 +264,24 @@ impl KvStore {
         };
         if throttled {
             self.pay_latency(op).await;
-            self.recorder.incr("kv.throttled");
+            self.handles.throttled.incr(&self.recorder);
             return Err(KvError::Throttled);
         }
         Ok(())
     }
 
     fn charge_read(&self, n: f64) {
-        self.ledger.charge(
-            Service::Kv,
-            "read-requests",
-            n,
-            n * self.prices.kv_read_per_request,
-        );
-        self.recorder.add("kv.reads", n as u64);
+        let h = &self.handles;
+        h.bill_reads
+            .charge(&self.ledger, n, n * self.prices.kv_read_per_request);
+        h.reads.add(&self.recorder, n as u64);
     }
 
     fn charge_write(&self, n: f64) {
-        self.ledger.charge(
-            Service::Kv,
-            "write-requests",
-            n,
-            n * self.prices.kv_write_per_request,
-        );
-        self.recorder.add("kv.writes", n as u64);
+        let h = &self.handles;
+        h.bill_writes
+            .charge(&self.ledger, n, n * self.prices.kv_write_per_request);
+        h.writes.add(&self.recorder, n as u64);
     }
 
     /// Unconditional write. Returns the new version.
@@ -262,8 +296,8 @@ impl KvStore {
         if value.len() > MAX_ITEM_BYTES {
             return Err(KvError::ItemTooLarge(value.len()));
         }
-        self.chaos_gate("kv.put.latency").await?;
-        self.pay_latency("kv.put.latency").await;
+        self.chaos_gate(Op::Put).await?;
+        self.pay_latency(Op::Put).await;
         let now = self.sim.now();
         let version = {
             let mut st = self.state.borrow_mut();
@@ -306,8 +340,8 @@ impl KvStore {
         if value.len() > MAX_ITEM_BYTES {
             return Err(KvError::ItemTooLarge(value.len()));
         }
-        self.chaos_gate("kv.put.latency").await?;
-        self.pay_latency("kv.put.latency").await;
+        self.chaos_gate(Op::Put).await?;
+        self.pay_latency(Op::Put).await;
         let now = self.sim.now();
         let result = {
             let mut st = self.state.borrow_mut();
@@ -356,8 +390,8 @@ impl KvStore {
         key: &str,
         consistency: Consistency,
     ) -> Result<Item, KvError> {
-        self.chaos_gate("kv.get.latency").await?;
-        self.pay_latency("kv.get.latency").await;
+        self.chaos_gate(Op::Get).await?;
+        self.pay_latency(Op::Get).await;
         let lag = match consistency {
             Consistency::Strong => SimDuration::ZERO,
             Consistency::Eventual => {
@@ -400,8 +434,8 @@ impl KvStore {
 
     /// Delete an item (idempotent).
     pub async fn delete(&self, _caller: &Host, table: &str, key: &str) -> Result<(), KvError> {
-        self.chaos_gate("kv.delete.latency").await?;
-        self.pay_latency("kv.delete.latency").await;
+        self.chaos_gate(Op::Delete).await?;
+        self.pay_latency(Op::Delete).await;
         {
             let mut st = self.state.borrow_mut();
             let t = st
@@ -423,8 +457,8 @@ impl KvStore {
         table: &str,
         prefix: &str,
     ) -> Result<Vec<(String, Item)>, KvError> {
-        self.chaos_gate("kv.scan.latency").await?;
-        self.pay_latency("kv.scan.latency").await;
+        self.chaos_gate(Op::Scan).await?;
+        self.pay_latency(Op::Scan).await;
         let out: Vec<(String, Item)> = {
             let st = self.state.borrow();
             let t = st
@@ -432,7 +466,7 @@ impl KvStore {
                 .get(table)
                 .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
             t.items
-                .range(prefix.to_owned()..)
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
                 .take_while(|(k, _)| k.starts_with(prefix))
                 .map(|(k, item)| {
                     (
@@ -482,6 +516,31 @@ mod tests {
         );
         store.create_table("t");
         (sim, store, host, ledger)
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (sim, kv, host, ledger) = setup();
+        let recorder = kv.recorder.clone();
+        assert!(recorder.counter_names().is_empty());
+        assert!(recorder.histogram_names().is_empty());
+        assert!(ledger.breakdown().is_empty());
+        sim.block_on({
+            let kv = kv.clone();
+            async move {
+                kv.put(&host, "t", "k", Bytes::from_static(b"a"))
+                    .await
+                    .unwrap();
+            }
+        });
+        assert_eq!(recorder.counter_names(), ["kv.writes"]);
+        assert_eq!(recorder.histogram_names(), ["kv.put.latency"]);
+        let items: Vec<_> = ledger
+            .breakdown()
+            .into_iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(items, [(Service::Kv, "write-requests".to_owned())]);
     }
 
     #[test]

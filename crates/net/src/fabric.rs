@@ -12,7 +12,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use faasim_simcore::{
-    Bps, FairShareLink, LatencyModel, Recorder, Sim, SimDuration, SimRng,
+    Bps, FairShareLink, LatencyModel, LazyCounter, Recorder, Sim, SimDuration, SimRng,
 };
 
 /// Identifier of a host on the fabric.
@@ -182,6 +182,19 @@ impl HostState {
     }
 }
 
+/// Recorder handles of the per-message path, resolved on first use (see
+/// [`LazyCounter`]): a message indexes its counters instead of hashing
+/// their names. Each counter is `net.<field>`.
+pub(crate) struct Counters {
+    pub(crate) messages_sent: LazyCounter,
+    pub(crate) bytes_sent: LazyCounter,
+    pub(crate) messages_partitioned: LazyCounter,
+    pub(crate) messages_lost: LazyCounter,
+    pub(crate) messages_dropped: LazyCounter,
+    pub(crate) messages_delivered: LazyCounter,
+    pub(crate) chaos_delay_spikes: LazyCounter,
+}
+
 pub(crate) struct FabricInner {
     pub(crate) sim: Sim,
     profile: NetProfile,
@@ -189,6 +202,7 @@ pub(crate) struct FabricInner {
     next_host: RefCell<u64>,
     rng: RefCell<SimRng>,
     pub(crate) recorder: Recorder,
+    pub(crate) counters: Counters,
     pub(crate) sockets: RefCell<HashMap<super::socket::Addr, super::socket::SocketHandle>>,
     /// Active network partition: host sets that cannot reach each other.
     partition: RefCell<Option<(std::collections::HashSet<HostId>, std::collections::HashSet<HostId>)>>,
@@ -213,6 +227,15 @@ impl Fabric {
                 next_host: RefCell::new(0),
                 rng: RefCell::new(sim.rng("net.fabric")),
                 recorder,
+                counters: Counters {
+                    messages_sent: LazyCounter::new("net.messages_sent"),
+                    bytes_sent: LazyCounter::new("net.bytes_sent"),
+                    messages_partitioned: LazyCounter::new("net.messages_partitioned"),
+                    messages_lost: LazyCounter::new("net.messages_lost"),
+                    messages_dropped: LazyCounter::new("net.messages_dropped"),
+                    messages_delivered: LazyCounter::new("net.messages_delivered"),
+                    chaos_delay_spikes: LazyCounter::new("net.chaos_delay_spikes"),
+                },
                 sockets: RefCell::new(HashMap::new()),
                 partition: RefCell::new(None),
                 faults: RefCell::new(NetFaults::default()),
@@ -276,7 +299,10 @@ impl Fabric {
         let faults = self.inner.faults.borrow();
         if faults.delay_spike_prob > 0.0 && rng.chance(faults.delay_spike_prob) {
             latency += faults.delay_spike.sample(&mut rng);
-            self.inner.recorder.incr("net.chaos_delay_spikes");
+            self.inner
+                .counters
+                .chaos_delay_spikes
+                .incr(&self.inner.recorder);
         }
         latency
     }

@@ -178,20 +178,20 @@ impl Socket {
 
     async fn transmit(&self, to: Addr, kind: Kind, payload: Payload) {
         let size = payload.len() as u64 + WIRE_OVERHEAD_BYTES;
-        let rec = self.fabric.recorder().clone();
-        rec.incr("net.messages_sent");
-        rec.add("net.bytes_sent", size);
+        let net = &self.fabric.inner;
+        net.counters.messages_sent.incr(&net.recorder);
+        net.counters.bytes_sent.add(&net.recorder, size);
         // Serialize out of the sender's NIC.
         self.host.nic_transfer(size).await;
         // Partitioned paths silently eat the message (like the real
         // network: the sender cannot tell).
         if self.fabric.is_blocked(self.host.id(), to.host) {
-            rec.incr("net.messages_partitioned");
+            net.counters.messages_partitioned.incr(&net.recorder);
             return;
         }
         // Chaos-injected packet loss, equally silent to the sender.
         if self.fabric.chaos_drop() {
-            rec.incr("net.messages_lost");
+            net.counters.messages_lost.incr(&net.recorder);
             return;
         }
         let latency = self.fabric.one_way_latency(&self.host, to.host);
@@ -202,6 +202,7 @@ impl Socket {
         let sim = fabric.sim().clone();
         sim.clone().spawn(async move {
             sim.sleep(latency).await;
+            let net = &fabric.inner;
             // Pay serialization into the receiver's NIC, if the host exists.
             let dest_host = fabric.host_state(to.host);
             match dest_host {
@@ -209,24 +210,22 @@ impl Socket {
                     h.nic().transfer(size, h.flow_cap()).await;
                 }
                 _ => {
-                    rec.incr("net.messages_dropped");
+                    net.counters.messages_dropped.incr(&net.recorder);
                     return;
                 }
             }
-            let handle = fabric.inner.sockets.borrow().get(&to).cloned();
-            match handle {
-                Some(handle) => {
-                    if handle.deliver(Message {
-                        from,
-                        kind,
-                        payload,
-                    }) {
-                        rec.incr("net.messages_delivered");
-                    } else {
-                        rec.incr("net.messages_dropped");
-                    }
-                }
-                None => rec.incr("net.messages_dropped"),
+            let handle = net.sockets.borrow().get(&to).cloned();
+            let delivered = handle.is_some_and(|handle| {
+                handle.deliver(Message {
+                    from,
+                    kind,
+                    payload,
+                })
+            });
+            if delivered {
+                net.counters.messages_delivered.incr(&net.recorder);
+            } else {
+                net.counters.messages_dropped.incr(&net.recorder);
             }
         });
     }
@@ -333,6 +332,31 @@ mod tests {
         let a = fabric.add_host(0, NicConfig::simple(mbps(10_000.0)));
         let b = fabric.add_host(0, NicConfig::simple(mbps(10_000.0)));
         (sim, fabric, a, b)
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (sim, fabric, a, b) = setup(1);
+        let sa = fabric.bind(&a, 5000).unwrap();
+        let sb = fabric.bind(&b, 5000).unwrap();
+        let rec = fabric.recorder().clone();
+        assert!(rec.counter_names().is_empty());
+        assert!(rec.histogram_names().is_empty());
+        let to = sb.addr();
+        sim.spawn(async move {
+            sa.send(to, Bytes::from_static(b"hello")).await;
+            fabric_sleep(&sa).await;
+        });
+        sim.block_on(async move { sb.recv().await });
+        assert_eq!(
+            rec.counter_names(),
+            [
+                "net.bytes_sent",
+                "net.messages_delivered",
+                "net.messages_sent"
+            ]
+        );
+        assert!(rec.histogram_names().is_empty());
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub struct BlackboardTransport {
     kv: KvStore,
     host: Host,
     me: NodeId,
+    /// `inbox/<me>/`, built once: every poll scans it.
+    inbox: String,
     peers: Vec<NodeId>,
     /// Poll interval (the paper: 250 ms).
     pub poll_interval: SimDuration,
@@ -95,6 +97,7 @@ impl BlackboardTransport {
             kv: kv.clone(),
             host,
             me,
+            inbox: inbox_prefix(me),
             peers: members.iter().copied().filter(|&n| n != me).collect(),
             poll_interval,
             seq: Rc::new(RefCell::new(0)),
@@ -145,8 +148,7 @@ impl BlackboardTransport {
             Err(_) => return,
         }
         // Inbox.
-        let prefix = inbox_prefix(self.me);
-        let Ok(items) = self.kv.scan_prefix(&self.host, TABLE, &prefix).await else {
+        let Ok(items) = self.kv.scan_prefix(&self.host, TABLE, &self.inbox).await else {
             return;
         };
         // Buffer everything new first (cancellation-safe), then clean up.

@@ -48,9 +48,9 @@ use std::rc::Rc;
 use faasim_blob::{BlobError, BlobStore};
 use faasim_net::{Fabric, Host, NicConfig};
 use faasim_payload::LineRunScanner;
-use faasim_pricing::{Ledger, PriceBook, Service};
+use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    gbps, join_all, Bps, JoinHandle, LatencyModel, Recorder, Sim, SimDuration,
+    gbps, join_all, Bps, JoinHandle, LatencyModel, LazyCounter, Recorder, Sim, SimDuration,
 };
 
 use kernel::{kernel_for, ScanKernel};
@@ -219,6 +219,15 @@ struct PipelineState {
     failure: Option<QueryError>,
 }
 
+/// Recorder and ledger handles of the per-query path, resolved on first
+/// use (see [`LazyCounter`]). The per-caller series are named at run
+/// time and stay by-name.
+struct Handles {
+    executed: LazyCounter,
+    bytes_scanned: LazyCounter,
+    bill_tb_scanned: LazyItem,
+}
+
 /// The query service handle. Cheap to clone.
 #[derive(Clone)]
 pub struct QueryService {
@@ -228,6 +237,7 @@ pub struct QueryService {
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
+    handles: Rc<Handles>,
     /// Service-internal host: scans run *next to the data*, not through
     /// the caller's NIC — the architectural point of the push-down.
     service_host: Host,
@@ -254,6 +264,11 @@ impl QueryService {
             prices,
             ledger,
             recorder,
+            handles: Rc::new(Handles {
+                executed: LazyCounter::new("query.executed"),
+                bytes_scanned: LazyCounter::new("query.bytes_scanned"),
+                bill_tb_scanned: LazyItem::new(Service::Query, "tb-scanned"),
+            }),
             service_host,
         }
     }
@@ -315,14 +330,11 @@ impl QueryService {
         // early-exited query pays only for the bytes it touched.
         let billed = bytes_scanned.max(self.profile.min_billed_bytes);
         let tb = billed as f64 / 1e12;
-        self.ledger.charge(
-            Service::Query,
-            "tb-scanned",
-            tb,
-            tb * self.prices.query_per_tb_scanned,
-        );
-        self.recorder.incr("query.executed");
-        self.recorder.add("query.bytes_scanned", bytes_scanned);
+        let h = &self.handles;
+        h.bill_tb_scanned
+            .charge(&self.ledger, tb, tb * self.prices.query_per_tb_scanned);
+        h.executed.incr(&self.recorder);
+        h.bytes_scanned.add(&self.recorder, bytes_scanned);
         // Per-caller attribution, so multi-tenant experiments can see
         // who drove the scan bill.
         let host_tag = caller.id().0;
@@ -855,6 +867,48 @@ mod tests {
         let q = w.query.clone();
         let c = w.client.clone();
         w.sim.block_on(async move { q.run(&c, spec).await })
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let w = setup();
+        assert!(w.recorder.counter_names().is_empty());
+        assert!(w.recorder.histogram_names().is_empty());
+        assert!(w.ledger.breakdown().is_empty());
+        put_log(&w, "day-1", &["GET /a 200"]);
+        run_query(&w, QuerySpec::new("logs", "day-", Aggregate::CountAll)).unwrap();
+        let tag = w.client.id().0;
+        let mut counters = vec![
+            "blob.bytes_in".to_owned(),
+            "blob.bytes_out".to_owned(),
+            "blob.get_range".to_owned(),
+            "blob.list".to_owned(),
+            "blob.put".to_owned(),
+            "query.bytes_scanned".to_owned(),
+            format!("query.bytes_scanned.host-{tag}"),
+            "query.executed".to_owned(),
+            format!("query.executed.host-{tag}"),
+        ];
+        counters.sort();
+        assert_eq!(w.recorder.counter_names(), counters);
+        assert_eq!(
+            w.recorder.histogram_names(),
+            ["blob.get_range.latency", "blob.put.latency"]
+        );
+        let items: Vec<_> = w
+            .ledger
+            .breakdown()
+            .into_iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(
+            items,
+            [
+                (Service::Blob, "get-requests".to_owned()),
+                (Service::Blob, "put-requests".to_owned()),
+                (Service::Query, "tb-scanned".to_owned()),
+            ]
+        );
     }
 
     #[test]

@@ -26,9 +26,9 @@ use std::rc::Rc;
 
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_pricing::{Ledger, PriceBook, Service};
+use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    select2, Either, LatencyModel, Notify, Recorder, Sim, SimDuration, SimRng, SimTime,
+    select2, Either, LatencyModel, LazyCounter, Notify, Recorder, Sim, SimDuration, SimRng, SimTime,
 };
 
 /// The SQS batch ceiling.
@@ -215,6 +215,23 @@ struct ServiceState {
     faults: QueueFaults,
 }
 
+/// Recorder and ledger handles of the per-request path, resolved on
+/// first use (see [`LazyCounter`]): a request indexes its series instead
+/// of hashing their names. Each counter is `queue.<field>`.
+struct Handles {
+    enqueued: LazyCounter,
+    chaos_duplicated: LazyCounter,
+    chaos_delayed: LazyCounter,
+    send: LazyCounter,
+    receive: LazyCounter,
+    received: LazyCounter,
+    dead_lettered: LazyCounter,
+    deleted_messages: LazyCounter,
+    delete: LazyCounter,
+    publish: LazyCounter,
+    bill_requests: LazyItem,
+}
+
 /// The queue service handle. Cheap to clone.
 #[derive(Clone)]
 pub struct QueueService {
@@ -223,6 +240,7 @@ pub struct QueueService {
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
+    handles: Rc<Handles>,
     state: Rc<RefCell<ServiceState>>,
 }
 
@@ -241,6 +259,19 @@ impl QueueService {
             prices,
             ledger,
             recorder,
+            handles: Rc::new(Handles {
+                enqueued: LazyCounter::new("queue.enqueued"),
+                chaos_duplicated: LazyCounter::new("queue.chaos_duplicated"),
+                chaos_delayed: LazyCounter::new("queue.chaos_delayed"),
+                send: LazyCounter::new("queue.send"),
+                receive: LazyCounter::new("queue.receive"),
+                received: LazyCounter::new("queue.received"),
+                dead_lettered: LazyCounter::new("queue.dead_lettered"),
+                deleted_messages: LazyCounter::new("queue.deleted_messages"),
+                delete: LazyCounter::new("queue.delete"),
+                publish: LazyCounter::new("queue.publish"),
+                bill_requests: LazyItem::new(Service::Queue, "requests"),
+            }),
             state: Rc::new(RefCell::new(ServiceState {
                 queues: BTreeMap::new(),
                 topics: BTreeMap::new(),
@@ -275,12 +306,9 @@ impl QueueService {
     }
 
     fn charge_request(&self, n: f64) {
-        self.ledger.charge(
-            Service::Queue,
-            "requests",
-            n,
-            n * self.prices.queue_per_request,
-        );
+        self.handles
+            .bill_requests
+            .charge(&self.ledger, n, n * self.prices.queue_per_request);
     }
 
     /// Install chaos knobs; pass `QueueFaults::default()` to disable.
@@ -367,13 +395,15 @@ impl QueueService {
         // so `queue.enqueued == queue.deleted_messages +
         // queue.dead_lettered + total_remaining()` holds at quiescence.
         if total > 0 {
-            self.recorder.add("queue.enqueued", total);
+            self.handles.enqueued.add(&self.recorder, total);
         }
         if duplicated > 0 {
-            self.recorder.add("queue.chaos_duplicated", duplicated);
+            self.handles
+                .chaos_duplicated
+                .add(&self.recorder, duplicated);
         }
         if delayed > 0 {
-            self.recorder.add("queue.chaos_delayed", delayed);
+            self.handles.chaos_delayed.add(&self.recorder, delayed);
         }
         Ok(ids)
     }
@@ -389,7 +419,7 @@ impl QueueService {
         self.sim.sleep(latency).await;
         let ids = self.enqueue_now(queue, vec![body.into()], true)?;
         self.charge_request(1.0);
-        self.recorder.incr("queue.send");
+        self.handles.send.incr(&self.recorder);
         Ok(ids[0])
     }
 
@@ -409,7 +439,7 @@ impl QueueService {
         let bodies: Vec<Payload> = bodies.into_iter().map(Into::into).collect();
         let ids = self.enqueue_now(queue, bodies, true)?;
         self.charge_request(1.0);
-        self.recorder.add("queue.send", n as u64);
+        self.handles.send.add(&self.recorder, n as u64);
         Ok(ids)
     }
 
@@ -427,14 +457,16 @@ impl QueueService {
         let deadline = self.sim.now().saturating_add(wait);
         // Pay one request regardless of outcome.
         self.charge_request(1.0);
-        self.recorder.incr("queue.receive");
+        self.handles.receive.incr(&self.recorder);
         loop {
             // Dead-letter sweep + claim attempt.
             let claimed = self.try_claim(queue, max)?;
             if !claimed.is_empty() {
                 let latency = self.sample(&self.profile.receive_latency);
                 self.sim.sleep(latency).await;
-                self.recorder.add("queue.received", claimed.len() as u64);
+                self.handles
+                    .received
+                    .add(&self.recorder, claimed.len() as u64);
                 return Ok(claimed);
             }
             let now = self.sim.now();
@@ -519,7 +551,7 @@ impl QueueService {
             let n = dead_lettered.len() as u64;
             // Internal move: not billed to the customer, exempt from chaos.
             let _ = self.enqueue_now(&target, dead_lettered, false);
-            self.recorder.add("queue.dead_lettered", n);
+            self.handles.dead_lettered.add(&self.recorder, n);
         }
         Ok(out)
     }
@@ -576,12 +608,12 @@ impl QueueService {
         }
         drop(st);
         if removed > 0 {
-            self.recorder.add("queue.deleted_messages", removed);
+            self.handles.deleted_messages.add(&self.recorder, removed);
         }
         match failed {
             Some(e) => Err(e),
             None => {
-                self.recorder.incr("queue.delete");
+                self.handles.delete.incr(&self.recorder);
                 Ok(())
             }
         }
@@ -652,7 +684,7 @@ impl QueueService {
             let _ = self.enqueue_now(q, vec![body.clone()], true);
         }
         self.charge_request(1.0);
-        self.recorder.incr("queue.publish");
+        self.handles.publish.incr(&self.recorder);
         Ok(subs.len())
     }
 }
@@ -679,6 +711,28 @@ mod tests {
         );
         svc.create_queue("q", QueueConfig::default());
         (sim, svc, host, ledger)
+    }
+
+    #[test]
+    fn handles_resolve_on_first_use() {
+        let (sim, svc, host, ledger) = setup();
+        let recorder = svc.recorder.clone();
+        assert!(recorder.counter_names().is_empty());
+        assert!(recorder.histogram_names().is_empty());
+        assert!(ledger.breakdown().is_empty());
+        sim.block_on(async move {
+            svc.send(&host, "q", Bytes::from_static(b"m1"))
+                .await
+                .unwrap();
+        });
+        assert_eq!(recorder.counter_names(), ["queue.enqueued", "queue.send"]);
+        assert!(recorder.histogram_names().is_empty());
+        let items: Vec<_> = ledger
+            .breakdown()
+            .into_iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(items, [(Service::Queue, "requests".to_owned())]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! retry loop cannot outlive the request it serves;
 //! [`Deadline::unbounded`] leaves the policy alone in charge.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
@@ -23,7 +23,7 @@ use faasim_kv::{Consistency, Item, KvError, KvStore};
 use faasim_net::Host;
 use faasim_payload::Payload;
 use faasim_queue::{MessageId, QueueError, QueueService};
-use faasim_simcore::{Recorder, Sim, SimRng, SimTime};
+use faasim_simcore::{LazyCounter, Recorder, Sim, SimRng, SimTime};
 
 use crate::deadline::Deadline;
 use crate::retry::{any_time, RetryError, RetryPolicy};
@@ -37,6 +37,9 @@ pub struct Retrying<S> {
     policy: RetryPolicy,
     rng: Rc<RefCell<SimRng>>,
     recorder: Recorder,
+    /// The per-attempt counter. Every operation of one `Retrying<S>`
+    /// counts under one name, learnt at the first attempt.
+    attempts: OnceCell<LazyCounter>,
 }
 
 impl<S> Retrying<S> {
@@ -52,6 +55,7 @@ impl<S> Retrying<S> {
             policy,
             rng: Rc::new(RefCell::new(sim.rng(label))),
             recorder,
+            attempts: OnceCell::new(),
         }
     }
 
@@ -80,7 +84,9 @@ impl<S> Retrying<S> {
     {
         self.policy
             .drive(&self.sim, &self.rng, deadline, race, retry_at, move || {
-                self.recorder.incr(counter);
+                self.attempts
+                    .get_or_init(|| LazyCounter::new(counter))
+                    .incr(&self.recorder);
                 op()
             })
     }
@@ -326,6 +332,50 @@ mod tests {
             cloud.recorder.counter("chaos.kv.attempts") > 100,
             "extra attempts were made"
         );
+    }
+
+    /// The attempts counter exists from the first attempt on, not from
+    /// construction and not from a call whose deadline had already passed.
+    #[test]
+    fn attempts_counter_resolves_on_first_attempt() {
+        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 11);
+        cloud.kv.create_table("t");
+        let client = RetryingKv::new(
+            &cloud.sim,
+            &cloud.kv,
+            cloud.recorder.clone(),
+            RetryPolicy::default(),
+            "chaos.test",
+        );
+        let host = cloud.client_host();
+        assert!(cloud.recorder.counter_names().is_empty());
+        let sim = cloud.sim.clone();
+        cloud.sim.block_on(async move {
+            let spent = Deadline::within(&sim, SimDuration::ZERO);
+            let late = client
+                .put(&host, "t", "k", Bytes::from_static(b"v"), spent)
+                .await;
+            assert!(matches!(
+                late,
+                Err(RetryError::DeadlineExceeded { attempts: 0 })
+            ));
+            assert!(client.recorder.counter_names().is_empty());
+            // A clone made before the first attempt counts under the same name.
+            let twin = client.clone();
+            let open = Deadline::unbounded();
+            client
+                .put(&host, "t", "k", Bytes::from_static(b"v"), open)
+                .await
+                .unwrap();
+            twin.get(&host, "t", "k", Consistency::Strong, open)
+                .await
+                .unwrap();
+        });
+        assert_eq!(
+            cloud.recorder.counter_names(),
+            ["chaos.kv.attempts", "kv.reads", "kv.writes"]
+        );
+        assert_eq!(cloud.recorder.counter("chaos.kv.attempts"), 2);
     }
 
     #[test]
