@@ -4,6 +4,7 @@
 //! punctuation — "our model in this experiment is a simple blacklist of
 //! dirty words".
 
+use faasim_payload::byte_positions;
 use faasim_simcore::FxHashSet;
 
 /// Tokens up to this long have their core built on the stack. Real words
@@ -11,17 +12,22 @@ use faasim_simcore::FxHashSet;
 /// any length still matches.
 const CORE_STACK: usize = 64;
 
-/// A token's core — its ASCII-alphanumeric bytes, lowercased — built in
-/// `stack`, or in `spill` when the token is too long for it.
+/// A token's core: its ASCII-alphanumeric bytes, lowercased.
+fn core_bytes(token: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    token
+        .iter()
+        .filter(|b| b.is_ascii_alphanumeric())
+        .map(u8::to_ascii_lowercase)
+}
+
+/// A token's core built in `stack`, or in `spill` when the token is too
+/// long for it.
 fn core_of<'a>(
     token: &[u8],
     stack: &'a mut [u8; CORE_STACK],
     spill: &'a mut Vec<u8>,
 ) -> &'a [u8] {
-    let core = token
-        .iter()
-        .filter(|b| b.is_ascii_alphanumeric())
-        .map(u8::to_ascii_lowercase);
+    let core = core_bytes(token);
     if token.len() <= CORE_STACK {
         let mut n = 0usize;
         for b in core {
@@ -39,9 +45,15 @@ fn core_of<'a>(
 /// The blacklist "model".
 #[derive(Clone, Debug)]
 pub struct DirtyWordModel {
-    /// Lowercased words as bytes, so a token's filtered core — built
+    /// The core of every blacklisted word, so a token's core — built
     /// without going through `str` — probes the set by borrowed slice.
     blacklist: FxHashSet<Box<[u8]>>,
+    /// By a token's first byte: whether its core can be blacklisted. An
+    /// ASCII letter or digit is the first byte of the core too, so it
+    /// must (lowercased) begin some blacklisted core; any other byte says
+    /// nothing about where the core begins. Most tokens of any text stop
+    /// here, before a pass over their bytes, a hash or a probe.
+    may_start_dirty: [bool; 256],
 }
 
 /// Result of censoring one document.
@@ -56,17 +68,29 @@ pub struct Censored {
 }
 
 impl DirtyWordModel {
-    /// Build from a word list (case-insensitive).
+    /// Build from a word list. A word stands for its core — its ASCII
+    /// letters and digits, lowercased — which is what [`Self::censor`]
+    /// and [`Self::is_dirty`] compare; a word with an empty core can
+    /// match nothing and is dropped.
     pub fn new<I, S>(words: I) -> DirtyWordModel
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        let blacklist: FxHashSet<Box<[u8]>> = words
+            .into_iter()
+            .map(|w| core_bytes(w.as_ref().as_bytes()).collect::<Box<[u8]>>())
+            .filter(|core| !core.is_empty())
+            .collect();
+        let mut may_start_dirty: [bool; 256] =
+            std::array::from_fn(|b| !(b as u8).is_ascii_alphanumeric());
+        for core in &blacklist {
+            may_start_dirty[usize::from(core[0])] = true;
+            may_start_dirty[usize::from(core[0].to_ascii_uppercase())] = true;
+        }
         DirtyWordModel {
-            blacklist: words
-                .into_iter()
-                .map(|w| w.as_ref().to_ascii_lowercase().into_bytes().into_boxed_slice())
-                .collect(),
+            blacklist,
+            may_start_dirty,
         }
     }
 
@@ -92,10 +116,10 @@ impl DirtyWordModel {
         self.blacklist.iter().map(|w| w.len() as u64 + 1).sum()
     }
 
-    /// Classify one word.
+    /// Classify one word: whether its core is blacklisted.
     pub fn is_dirty(&self, word: &str) -> bool {
-        self.blacklist
-            .contains(word.to_ascii_lowercase().as_bytes())
+        let core: Vec<u8> = core_bytes(word.as_bytes()).collect();
+        self.blacklist.contains(core.as_slice())
     }
 
     /// Censor a document: dirty words are replaced by punctuation marks of
@@ -108,33 +132,39 @@ impl DirtyWordModel {
     /// token's alphanumeric bytes are overwritten, which leaves every
     /// multi-byte character intact.
     pub fn censor(&self, text: &str) -> Censored {
-        let mut out = text.as_bytes().to_vec();
+        let text = text.as_bytes();
+        let mut out = text.to_vec();
         let mut dirty = 0usize;
         let mut words = 0usize;
         let mut stack = [0u8; CORE_STACK];
         let mut spill: Vec<u8> = Vec::new();
         let mut start = 0usize;
-        for token in text.as_bytes().split(|&b| b == b' ') {
-            let end = start + token.len();
-            if !token.is_empty() {
-                words += 1;
-                // A token of lowercase letters and digits — most of any
-                // text — is its own core and probes the set in place.
-                let core = if token.iter().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
-                    token
-                } else {
-                    core_of(token, &mut stack, &mut spill)
-                };
-                if !core.is_empty() && self.blacklist.contains(core) {
-                    dirty += 1;
-                    for b in &mut out[start..end] {
-                        if b.is_ascii_alphanumeric() {
-                            *b = b'*';
-                        }
+        for end in byte_positions(text, b' ').chain([text.len()]) {
+            let at = std::mem::replace(&mut start, end + 1);
+            let token = &text[at..end];
+            let Some(&first) = token.first() else {
+                continue;
+            };
+            words += 1;
+            if !self.may_start_dirty[usize::from(first)] {
+                continue;
+            }
+            // A token of lowercase letters and digits is its own core
+            // and probes the set in place.
+            let plain = |b: &u8| b.is_ascii_lowercase() || b.is_ascii_digit();
+            let core = if token.iter().all(plain) {
+                token
+            } else {
+                core_of(token, &mut stack, &mut spill)
+            };
+            if self.blacklist.contains(core) {
+                dirty += 1;
+                for b in &mut out[at..end] {
+                    if b.is_ascii_alphanumeric() {
+                        *b = b'*';
                     }
                 }
             }
-            start = end + 1;
         }
         Censored {
             text: String::from_utf8(out).expect("only ASCII bytes were replaced, by ASCII"),
@@ -211,11 +241,17 @@ mod tests {
 
     /// Document fragments the differential test splices together: dirty
     /// words in mixed case and with punctuation or non-ASCII characters
-    /// inside them, near misses, single and repeated separators, tabs and
-    /// newlines (which are *not* separators), and bare punctuation.
-    const FRAGMENTS: [&str; 20] = [
+    /// inside and in front of them (a first byte the table cannot judge),
+    /// a blacklisted word that starts with a digit, near misses, single
+    /// and repeated separators up to runs longer than the scanner's
+    /// 8-byte word, tabs and newlines (which are *not* separators), and
+    /// bare punctuation. Lengths are mixed, so tokens and space runs
+    /// land on every offset of a word, and a document may be shorter than
+    /// one word or end without a space.
+    const FRAGMENTS: [&str; 30] = [
         " ", " ", "  ", "darn", "DaRn", "d'ar-n", "d\u{e9}arn", "he\u{4e16}ck", "heck!", "darnx", "x", "dar",
         "\t", "\n", "?!", "\u{e9}", "clean42", "9", "-", "Heck",
+        "'darn", "\u{e9}heck", "(X)", "4x4", "4X4,", "4x5", "44", "        ", "         ", "hexk",
     ];
 
     proptest! {
@@ -229,7 +265,7 @@ mod tests {
             // that differs from it only past the buffer's end.
             let long_dirty = "Ab3".repeat(CORE_STACK / 2);
             let long_clean = format!("{}z", &long_dirty[..long_dirty.len() - 1]);
-            let model = DirtyWordModel::new(["darn", "heck", "x", long_dirty.as_str()]);
+            let model = DirtyWordModel::new(["darn", "heck", "x", "4x4", long_dirty.as_str()]);
             let mut doc = String::new();
             for (pick, times) in picks {
                 let fragment = match pick.checked_sub(FRAGMENTS.len()) {
@@ -242,7 +278,59 @@ mod tests {
                 }
             }
             prop_assert_eq!(model.censor(&doc), censor_oracle(&model, &doc));
+            let nothing = DirtyWordModel::new([""; 0]);
+            prop_assert_eq!(nothing.censor(&doc), censor_oracle(&nothing, &doc));
         }
+    }
+
+    /// The oracle test has to notice a wrong table: one entry cleared, and
+    /// the word it guarded goes uncensored.
+    #[test]
+    fn a_wrong_table_entry_is_caught() {
+        let mut model = DirtyWordModel::new(["darn", "4x4"]);
+        for doc in ["darn", "Darn it", "a 4X4"] {
+            assert_eq!(model.censor(doc), censor_oracle(&model, doc));
+        }
+        model.may_start_dirty[usize::from(b'D')] = false;
+        assert_eq!(model.censor("darn"), censor_oracle(&model, "darn"));
+        assert_ne!(model.censor("Darn it"), censor_oracle(&model, "Darn it"));
+        model.may_start_dirty[usize::from(b'4')] = false;
+        assert_ne!(model.censor("a 4X4"), censor_oracle(&model, "a 4X4"));
+    }
+
+    #[test]
+    fn the_table_admits_exactly_what_could_be_dirty() {
+        let model = DirtyWordModel::new(["Darn", "4x4", "-heck"]);
+        for b in 0..=u8::MAX {
+            let expected = !b.is_ascii_alphanumeric() || b"dD4hH".contains(&b);
+            assert_eq!(
+                model.may_start_dirty[usize::from(b)],
+                expected,
+                "byte {b:#04x}"
+            );
+        }
+        let nothing = DirtyWordModel::new([""; 0]);
+        assert!(!nothing.may_start_dirty[usize::from(b'a')]);
+        assert!(nothing.may_start_dirty[usize::from(b'-')]);
+    }
+
+    /// A blacklisted word stands for its core in `is_dirty` and `censor`
+    /// alike: `"f-word"` used to be `is_dirty` and never censored.
+    #[test]
+    fn punctuated_and_mixed_case_entries_are_censored() {
+        let model = DirtyWordModel::new(["f-word", "L33t!", "!!!", ""]);
+        assert_eq!(model.len(), 2, "entries with an empty core are dropped");
+        for word in ["f-word", "fword", "F-WORD", "l33t", "L33T!", "(l33t)"] {
+            assert!(model.is_dirty(word), "{word}");
+        }
+        for word in ["f", "word", "!!!", "", "l33"] {
+            assert!(!model.is_dirty(word), "{word}");
+        }
+        let doc = "an f-word, so L33T! !!! f word";
+        let out = model.censor(doc);
+        assert_eq!(out, censor_oracle(&model, doc));
+        assert_eq!(out.text, "an *-****, so ****! !!! f word");
+        assert_eq!(out.dirty_count, 2);
     }
 
     #[test]
