@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers names clean
 
 ## Release build of the whole workspace.
 build:
@@ -96,6 +96,23 @@ layers:
 	if echo "$$resilience" | tail -n +2 | grep -E '^faasim '; then \
 		echo "layers: faasim-resilience reaches faasim (crates/core)" >&2; exit 1; fi; \
 	echo "layers: ok"
+
+## Handles, not names (DESIGN.md §3): the crates whose operations are
+## simulated by the million record and bill through handles. Fails on a
+## metric call with a string-literal name, or a by-name `ledger.charge`,
+## in their non-test code (each file up to its first `#[cfg(test)]`, as
+## in `loc`). A handle's own `charge` takes `&ledger` first and passes.
+names:
+	@hits=$$(for c in kv blob queue net agents compute; do \
+		find crates/$$c/src -name '*.rs' | xargs awk \
+			'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } \
+			!test && (/\.(record|record_duration|add|incr)\([ \t]*"/ || /\.charge\(([^&]|$$)/) \
+				{ printf "%s:%d:%s\n", FILENAME, FNR, $$0 }'; \
+	done); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; \
+		echo "names: a per-operation crate records or bills by name; use a LazyCounter/LazyHist/LazyItem" >&2; exit 1; fi; \
+	echo "names: ok"
 
 clean:
 	$(CARGO) clean

@@ -189,6 +189,8 @@ pub fn run_kernel_benches() -> Vec<KernelBench> {
         30,
     ));
     out.push(payload_line_count_bench(16 * 1024 * 1024, 8));
+    out.push(blackboard_poll_bench(SimDuration::from_hours(2)));
+    out.push(recorder_ledger_by_name_bench(250_000));
     out.push(gateway_admission_bench());
     out.push(platform_warm_hit_bench(12_000, 10));
     out.push(trace_replay_bench(false));
@@ -309,6 +311,102 @@ fn payload_line_count_bench(bytes: usize, passes: u64) -> KernelBench {
         (0..passes)
             .map(|_| std::hint::black_box(&document).line_count())
             .sum()
+    })
+}
+
+/// The election case study's steady state in isolation: ten bully nodes
+/// over the KV blackboard with a leader already elected, left alone for
+/// `window` of sim time (two hours in the suite, the span of the churn
+/// study; ten sim-minutes are 9 ms of host time, under the gate's noise
+/// floor). Nothing happens but polls — every 250 ms each node makes one
+/// `get` of the coordinator cell and one `scan_prefix` of an empty inbox
+/// under `run_node`'s stop-or-timeout race, and the leader its heartbeat
+/// `put` — so the cost is the per-request path of the store
+/// (latency sample, sleep, two recorder series, one ledger item), the
+/// transport's poll and the timers around it. `events` is the billed KV
+/// requests of the window: the score is simulated KV operations per host
+/// second.
+fn blackboard_poll_bench(window: SimDuration) -> KernelBench {
+    use faasim::pricing::Service;
+    use faasim::protocols::{
+        spawn_node, BlackboardTransport, BullyConfig, ElectionObserver, NodeId,
+    };
+
+    const NODES: NodeId = 10;
+    let cloud = faasim::Cloud::new(faasim::CloudProfile::aws_2018().exact(), BENCH_SEED);
+    BlackboardTransport::setup(&cloud.kv);
+    let observer = ElectionObserver::new();
+    let members: Vec<NodeId> = (1..=NODES).collect();
+    let nodes: Vec<_> = members
+        .iter()
+        .map(|&id| {
+            let host = cloud.fabric.add_host(0, NicConfig::simple(mbps(1_000.0)));
+            let poll = SimDuration::from_millis(250);
+            let t = BlackboardTransport::new(&cloud.sim, &cloud.kv, host, id, &members, poll);
+            spawn_node(
+                &cloud.sim,
+                t,
+                BullyConfig::blackboard_2018(),
+                observer.clone(),
+            )
+        })
+        .collect();
+    // Untimed: the initial election.
+    cloud
+        .sim
+        .run_until(cloud.sim.now() + SimDuration::from_secs(60));
+    assert_eq!(observer.current_leader(), Some(NODES));
+    let requests = || {
+        cloud.ledger.item_quantity(Service::Kv, "read-requests")
+            + cloud.ledger.item_quantity(Service::Kv, "write-requests")
+    };
+    let (before, rounds) = (requests(), observer.rounds().len());
+    let bench = kernel_bench("kernel/blackboard_poll_10_nodes", || {
+        cloud.sim.run_until(cloud.sim.now() + window);
+        (requests() - before) as u64
+    });
+    assert_eq!(
+        observer.rounds().len(),
+        rounds,
+        "the cluster must stay idle"
+    );
+    for node in &nodes {
+        node.kill();
+    }
+    bench
+}
+
+/// What recording and billing *by name* cost, now that the services hold
+/// handles: the path left to names built at run time, tests and one-off
+/// call sites. One round is a `record_duration`, an `add` and a `charge`
+/// under each of 16 operations' names (of the `"<service>.<op>.latency"`
+/// shape the workspace uses), so the lookups do not all hit one hot
+/// entry. `events` is the by-name calls made; the recorder and ledger
+/// totals are checked at the end.
+fn recorder_ledger_by_name_bench(rounds: u64) -> KernelBench {
+    use faasim::pricing::Service;
+
+    const OPS: u64 = 16;
+    let latency: Vec<String> = (0..OPS)
+        .map(|i| format!("svc{}.op{i}.latency", i % 4))
+        .collect();
+    let count: Vec<String> = (0..OPS).map(|i| format!("svc{}.op{i}", i % 4)).collect();
+    let item: Vec<String> = (0..OPS).map(|i| format!("op{i}-requests")).collect();
+    let recorder = Recorder::new();
+    let ledger = Ledger::new();
+    kernel_bench("kernel/recorder_ledger_by_name", || {
+        let took = SimDuration::from_micros(5_500);
+        for _ in 0..rounds {
+            for op in 0..OPS as usize {
+                recorder.record_duration(&latency[op], took);
+                recorder.add(&count[op], 1);
+                ledger.charge(Service::Kv, &item[op], 1.0, 1e-6);
+            }
+        }
+        assert_eq!(recorder.counter(&count[3]), rounds);
+        assert_eq!(recorder.histogram(&latency[7]).count() as u64, rounds);
+        assert_eq!(ledger.item_quantity(Service::Kv, &item[11]), rounds as f64);
+        3 * OPS * rounds
     })
 }
 
@@ -1005,6 +1103,30 @@ mod tests {
         let b = payload_line_count_bench(64 * 1024, 3);
         assert_eq!(b.name, "kernel/payload_line_count_16mb");
         assert_eq!(b.events, 3 * lines);
+    }
+
+    #[test]
+    fn blackboard_poll_smoke() {
+        // The real kernel idles for two sim-hours. Per second: ten
+        // nodes × just under four polls (250 ms apart, 11 ms long) × two
+        // reads, and the leader's heartbeat writes; the helper asserts
+        // that no election interrupts them.
+        let b = blackboard_poll_bench(SimDuration::from_secs(30));
+        assert_eq!(b.name, "kernel/blackboard_poll_10_nodes");
+        assert!(
+            (2_100..2_400).contains(&b.events),
+            "{} KV requests",
+            b.events
+        );
+    }
+
+    #[test]
+    fn recorder_ledger_by_name_smoke() {
+        // The real kernel makes 250 000 rounds; the helper checks that
+        // every call landed under its own name.
+        let b = recorder_ledger_by_name_bench(500);
+        assert_eq!(b.name, "kernel/recorder_ledger_by_name");
+        assert_eq!(b.events, 3 * 16 * 500);
     }
 
     #[test]
