@@ -1,7 +1,8 @@
 //! Golden pins: cross-PR byte-identity as a test instead of a commit
 //! message. Each entry is an FNV-1a hash of a run's recorder digest and
-//! bill (plus the `{:?}` of the report for trace replays), blessed once
-//! and then held by every later change.
+//! bill, blessed once and then held by every later change; a trace
+//! replay's row carries a second pin, of the `{:?}` of its report, so a
+//! drift says whether the run moved or only how its report reads.
 //!
 //! A refactor that claims to be digest-neutral must leave this file
 //! untouched. A change that *means* to move a digest re-blesses: the
@@ -27,32 +28,35 @@ fn fnv1a(parts: &[&str]) -> u64 {
     h
 }
 
-/// Compare `actual` with `golden`; on any difference print the whole
-/// table as it should read in this file.
-fn assert_golden(what: &str, actual: &[(String, u64)], golden: &[(&str, u64)]) {
-    let same = actual.len() == golden.len()
-        && actual
-            .iter()
-            .zip(golden)
-            .all(|((name, hash), (gname, ghash))| name == gname && hash == ghash);
-    if !same {
-        let table: String = actual
-            .iter()
-            .map(|(name, hash)| format!("    (\"{name}\", 0x{hash:016x}),\n"))
-            .collect();
-        panic!("{what} drifted from the golden pins; the run now reads:\n{table}");
+/// A golden row as it reads in this file: its label, then its pins.
+fn source_row(name: &str, pins: &[u64]) -> String {
+    let pins: Vec<String> = pins.iter().map(|pin| format!("0x{pin:016x}")).collect();
+    format!("    (\"{name}\", {}),\n", pins.join(", "))
+}
+
+/// Compare the rows a run produced with a golden table, both in source
+/// form; on any difference print the whole table as it should read in
+/// this file.
+fn assert_golden(what: &str, actual: &[String], golden: Vec<String>) {
+    if actual != golden {
+        panic!("{what} drifted from the golden pins; the run now reads:\n{}", actual.concat());
     }
+}
+
+/// The source form of a table with one pin per row.
+fn one_pin(golden: &[(&str, u64)]) -> Vec<String> {
+    golden.iter().map(|(name, pin)| source_row(name, &[*pin])).collect()
 }
 
 /// One row per (scenario, seed): the row's label and the hash of the
 /// run's digest and bill. A pinned run must report no violation.
-fn scenario_rows(scenarios: &[(&str, &dyn Scenario)]) -> Vec<(String, u64)> {
+fn scenario_rows(scenarios: &[(&str, &dyn Scenario)]) -> Vec<String> {
     let mut rows = Vec::new();
     for (label, scenario) in scenarios {
         for seed in SEEDS {
             let run = scenario.run(seed);
             assert!(run.violations.is_empty(), "{label} seed {seed}: {:?}", run.violations);
-            rows.push((format!("{label}@{seed}"), fnv1a(&[&run.digest, &run.bill])));
+            rows.push(source_row(&format!("{label}@{seed}"), &[fnv1a(&[&run.digest, &run.bill])]));
         }
     }
     rows
@@ -62,14 +66,14 @@ fn scenario_rows(scenarios: &[(&str, &dyn Scenario)]) -> Vec<(String, u64)> {
 fn resilient_experiments_match_golden() {
     let scenarios: Vec<_> = [false, true].into_iter().flat_map(experiment_scenarios).collect();
     let labelled: Vec<_> = scenarios.iter().map(|s| (s.name(), s as &dyn Scenario)).collect();
-    assert_golden("resilient experiments", &scenario_rows(&labelled), GOLDEN_EXPERIMENTS);
+    assert_golden("resilient experiments", &scenario_rows(&labelled), one_pin(GOLDEN_EXPERIMENTS));
 }
 
 #[test]
 fn noisy_neighbor_matches_golden() {
     let (calm, hostile) = (NoisyNeighbor::default(), NoisyNeighbor::chaotic());
     let rows = scenario_rows(&[(calm.name(), &calm), (hostile.name(), &hostile)]);
-    assert_golden("noisy neighbor", &rows, GOLDEN_NOISY_NEIGHBOR);
+    assert_golden("noisy neighbor", &rows, one_pin(GOLDEN_NOISY_NEIGHBOR));
 }
 
 /// The chaos scenarios proper, calm and chaotic arm each. Two arms of one
@@ -85,11 +89,12 @@ fn chaos_scenarios_match_golden() {
         ("trace-replay/small_calm", &TraceReplay::small_calm()),
         ("trace-replay/small_hostile", &TraceReplay::small_hostile()),
     ]);
-    assert_golden("chaos scenarios", &rows, GOLDEN_CHAOS);
+    assert_golden("chaos scenarios", &rows, one_pin(GOLDEN_CHAOS));
 }
 
 /// A 2 000-event replay in every client shape: gateway or not, client
-/// retries or not, each under the calm and the hostile plan.
+/// retries or not, each under the calm and the hostile plan. Two pins a
+/// row: digest and bill, then the report's `{:?}`.
 #[test]
 fn replay_client_shapes_match_golden() {
     let mut actual = Vec::new();
@@ -116,15 +121,16 @@ fn replay_client_shapes_match_golden() {
                         };
                         assert!(out.digest.contains(counter), "{counter} missing:\n{}", out.digest);
                     }
-                    actual.push((
-                        format!("replay/{gw_name}/{retry_name}/{plan_name}@{seed}"),
-                        fnv1a(&[&out.digest, &out.bill, &format!("{r:?}")]),
+                    actual.push(source_row(
+                        &format!("replay/{gw_name}/{retry_name}/{plan_name}@{seed}"),
+                        &[fnv1a(&[&out.digest, &out.bill]), fnv1a(&[&format!("{r:?}")])],
                     ));
                 }
             }
         }
     }
-    assert_golden("replay client shapes", &actual, GOLDEN_REPLAY);
+    let golden = GOLDEN_REPLAY.iter().map(|(name, run, report)| source_row(name, &[*run, *report]));
+    assert_golden("replay client shapes", &actual, golden.collect());
 }
 
 const GOLDEN_EXPERIMENTS: &[(&str, u64)] = &[
@@ -186,21 +192,21 @@ const GOLDEN_CHAOS: &[(&str, u64)] = &[
     ("trace-replay/small_hostile@11", 0x22c681ccde7f0ca3),
 ];
 
-const GOLDEN_REPLAY: &[(&str, u64)] = &[
-    ("replay/direct/once/calm@5", 0x04b137455fa974c5),
-    ("replay/direct/once/calm@11", 0xacedd6c6720960b1),
-    ("replay/direct/once/hostile@5", 0x7fb947a8cd026ce8),
-    ("replay/direct/once/hostile@11", 0x7f1afe29febde8d0),
-    ("replay/direct/retry/calm@5", 0x44def164613c526e),
-    ("replay/direct/retry/calm@11", 0x03e916c84445dca4),
-    ("replay/direct/retry/hostile@5", 0x4df4ad554dc56048),
-    ("replay/direct/retry/hostile@11", 0xcdc6569c6f62d6d2),
-    ("replay/gateway/once/calm@5", 0xa02869d772baa963),
-    ("replay/gateway/once/calm@11", 0x259982f5574cdc34),
-    ("replay/gateway/once/hostile@5", 0x3bf8f53e0aba1187),
-    ("replay/gateway/once/hostile@11", 0x8a2b52b8cb969388),
-    ("replay/gateway/retry/calm@5", 0x83a9cfaa4dbdfc5d),
-    ("replay/gateway/retry/calm@11", 0xd67d31a54cebe322),
-    ("replay/gateway/retry/hostile@5", 0xdabf6e663e1a15c8),
-    ("replay/gateway/retry/hostile@11", 0xbefdb874e571319f),
+const GOLDEN_REPLAY: &[(&str, u64, u64)] = &[
+    ("replay/direct/once/calm@5", 0xac1e8227f5d81771, 0x8849c9bfd37b90d9),
+    ("replay/direct/once/calm@11", 0x1d8576309a680b60, 0x6becd2a74b54cfd4),
+    ("replay/direct/once/hostile@5", 0x8e84cf6a8dce10cc, 0x37ee0f4987324ac3),
+    ("replay/direct/once/hostile@11", 0x89b2b116b51ec618, 0x7052874defeedfeb),
+    ("replay/direct/retry/calm@5", 0x9f72daa794187c4c, 0x8849c9bfd37b90d9),
+    ("replay/direct/retry/calm@11", 0xe60a3d223d329b75, 0x6becd2a74b54cfd4),
+    ("replay/direct/retry/hostile@5", 0x24e33c386a410723, 0x42ca49aaf691365a),
+    ("replay/direct/retry/hostile@11", 0x2295320515215843, 0x5c00ddc22938b588),
+    ("replay/gateway/once/calm@5", 0x5dcf8abdd8761a62, 0x97330d795df6352a),
+    ("replay/gateway/once/calm@11", 0x4c75057dc73eff59, 0x2380a77c3b41d410),
+    ("replay/gateway/once/hostile@5", 0x45d190c2536989a3, 0x9d5368eb87cc1805),
+    ("replay/gateway/once/hostile@11", 0xa17facf13b538861, 0x64c629d6d45a762c),
+    ("replay/gateway/retry/calm@5", 0x461cd38b9c11a120, 0x97330d795df6352a),
+    ("replay/gateway/retry/calm@11", 0xc6ae4b2491e1f503, 0x2380a77c3b41d410),
+    ("replay/gateway/retry/hostile@5", 0xd93274d44d6a2a96, 0xd0d1420c2457dced),
+    ("replay/gateway/retry/hostile@11", 0x63c823fdd6ee4d32, 0x01e6fa60d225d350),
 ];
