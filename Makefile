@@ -79,11 +79,13 @@ profile:
 	PROFILE_SCALE=$(PROFILE_SCALE) $(CARGO) bench -p faasim-bench --bench profile
 
 ## Non-test source lines per crate: every `src/**/*.rs`, each counted up
-## to its first `#[cfg(test)]`. The meter for ROADMAP's subtraction pass.
+## to its test module, the first `#[cfg(test)]` at column 0 (a doc comment
+## that mentions the attribute, or one indented on a single test-only
+## method, does not end the file). The meter for ROADMAP's subtraction pass.
 loc:
 	@for c in crates/*; do \
 		find $$c/src -name '*.rs' | xargs awk -v crate=$$c \
-			'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { printf "%7d  %s\n", n, crate }'; \
+			'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { printf "%7d  %s\n", n, crate }'; \
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 ## Dependency order (DESIGN.md §3), normal edges only: the core crate
@@ -100,8 +102,8 @@ layers:
 ## Handles, not names (DESIGN.md §3): the crates whose operations are
 ## simulated by the million record and bill through handles. Fails on a
 ## metric call with a string-literal name, or a by-name `ledger.charge`,
-## in their non-test code (each file up to its first `#[cfg(test)]`, as
-## in `loc`). A handle's own `charge` takes `&ledger` first and passes.
+## in their non-test code (each file up to its test module, as in
+## `loc`). A handle's own `charge` takes `&ledger` first and passes.
 names:
 	@hits=$$(for c in kv blob queue net agents compute; do \
 		find crates/$$c/src -name '*.rs' | xargs awk \
