@@ -11,7 +11,7 @@ use faasim_simcore::{SimDuration, SimTime};
 /// A token bucket: `rate` tokens per second of capacity, up to `burst`
 /// tokens banked. One admission costs one token.
 #[derive(Clone, Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate: f64,
     burst: f64,
     tokens: f64,

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use faasim_faas::{FaasPlatform, InvokeOutcome};
 use faasim_payload::Payload;
 use faasim_pricing::{ItemId, Ledger, PriceBook, Service};
-use faasim_resilience::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
+use faasim_resilience::{BreakerConfig, BreakerError, CircuitBreaker};
 use faasim_simcore::{LazyCounter, Recorder, SemPermit, Semaphore, Sim, SimDuration, SimTime};
 
 use crate::bucket::TokenBucket;
@@ -433,7 +433,8 @@ impl Gateway {
     }
 
     /// A tenant's breaker state.
-    pub fn breaker_state(&self, tenant: u32) -> BreakerState {
+    #[cfg(test)]
+    fn breaker_state(&self, tenant: u32) -> faasim_resilience::BreakerState {
         self.inner.tenant(tenant).breaker.state()
     }
 }
@@ -492,6 +493,7 @@ mod tests {
     use super::*;
     use faasim::{Cloud, CloudProfile};
     use faasim_faas::FunctionSpec;
+    use faasim_resilience::BreakerState;
     use faasim_simcore::join_all;
 
     fn cloud(seed: u64) -> Cloud {

@@ -26,7 +26,6 @@ mod gateway;
 mod retrying;
 mod stats;
 
-pub use bucket::TokenBucket;
 pub use gateway::{Admission, Gateway, GatewayConfig, GatewayError, TenantConfig, TIERS};
 pub use retrying::RetryingGateway;
 pub use stats::{GatewayStats, TenantStats};

@@ -14,8 +14,7 @@
 //!   client: each retry, backoff sleep, and per-call timeout stays
 //!   inside a propagated [`Deadline`].
 //! - [`Deadline`] — an absolute virtual-time budget threaded through a
-//!   request's whole call tree, and [`hedged`], which races a duplicate
-//!   request against a slow primary without overrunning the budget.
+//!   request's whole call tree.
 //! - [`CircuitBreaker`] — closed → open → half-open, with transitions
 //!   driven purely by simulation time and call outcomes (no randomness),
 //!   so brownouts shed load instead of retry-storming.
@@ -44,6 +43,6 @@ pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
 pub use clients::{
     settled, Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
 };
-pub use deadline::{hedged, Deadline};
+pub use deadline::Deadline;
 pub use idempotency::{Effect, IdempotencyStore};
 pub use retry::{RetryError, RetryPolicy};

@@ -83,21 +83,12 @@ impl Histogram {
 
     /// Smallest sample; 0 when empty.
     pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
+        self.samples.iter().copied().reduce(f64::min).unwrap_or(0.0)
     }
 
     /// Largest sample; 0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .pipe_finite()
+        self.samples.iter().copied().reduce(f64::max).unwrap_or(0.0)
     }
 
     fn ensure_sorted(&mut self) {
@@ -149,20 +140,6 @@ impl Histogram {
     pub fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 
@@ -352,11 +329,6 @@ impl Recorder {
         self.record(name, d.as_secs_f64());
     }
 
-    /// Record a duration under a pre-interned handle.
-    pub fn record_duration_id(&self, id: HistId, d: SimDuration) {
-        self.record_id(id, d.as_secs_f64());
-    }
-
     /// Add `n` to the counter `name`.
     pub fn add(&self, name: &str, n: u64) {
         let mut inner = self.inner.borrow_mut();
@@ -372,11 +344,6 @@ impl Recorder {
     /// Increment the counter `name`.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
-    }
-
-    /// Increment under a pre-interned handle.
-    pub fn incr_id(&self, id: CounterId) {
-        self.add_id(id, 1);
     }
 
     /// Current value of counter `name` (0 if never touched).
@@ -399,11 +366,6 @@ impl Recorder {
             .unwrap_or_default()
     }
 
-    /// Mean of histogram `name` in seconds, as a [`SimDuration`].
-    pub fn mean_duration(&self, name: &str) -> SimDuration {
-        SimDuration::from_secs_f64(self.histogram(name).mean())
-    }
-
     /// All histogram names with at least one sample, sorted.
     pub fn histogram_names(&self) -> Vec<String> {
         self.inner.borrow().histograms.sorted_names()
@@ -412,49 +374,6 @@ impl Recorder {
     /// All counter names, sorted.
     pub fn counter_names(&self) -> Vec<String> {
         self.inner.borrow().counters.sorted_names()
-    }
-
-    /// A human-oriented summary table: one row per histogram with count,
-    /// mean, p50/p95/p99 and min/max (values in the units recorded —
-    /// durations are seconds), followed by the counters.
-    pub fn summary(&self) -> String {
-        use fmt::Write;
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        let hist_ids = inner.histograms.sorted_ids();
-        if !hist_ids.is_empty() {
-            writeln!(
-                out,
-                "{:<28} {:>8} {:>12} {:>12} {:>12} {:>12}",
-                "histogram", "n", "mean", "p50", "p95", "p99"
-            )
-            .unwrap();
-            for id in hist_ids {
-                let name = &inner.histograms.names[id as usize];
-                let mut h = inner.histograms.values[id as usize].clone();
-                writeln!(
-                    out,
-                    "{:<28} {:>8} {:>12.6} {:>12.6} {:>12.6} {:>12.6}",
-                    name,
-                    h.count(),
-                    h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99()
-                )
-                .unwrap();
-            }
-        }
-        let counter_ids = inner.counters.sorted_ids();
-        if !counter_ids.is_empty() {
-            writeln!(out, "{:<28} {:>8}", "counter", "value").unwrap();
-            for id in counter_ids {
-                let name = &inner.counters.names[id as usize];
-                let count = inner.counters.values[id as usize];
-                writeln!(out, "{name:<28} {count:>8}").unwrap();
-            }
-        }
-        out
     }
 
     /// A plain-text digest of everything recorded, for debugging and for
@@ -560,10 +479,7 @@ mod tests {
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.histogram("blob.get").count(), 2);
         assert!((r.histogram("blob.get").mean() - 0.06).abs() < 1e-12);
-        assert_eq!(
-            r.mean_duration("blob.put"),
-            SimDuration::from_millis(53)
-        );
+        assert_eq!(r.histogram("blob.put").mean(), 0.053);
         assert_eq!(r.histogram_names(), vec!["blob.get", "blob.put"]);
         assert_eq!(r.counter_names(), vec!["faas.invocations"]);
     }
@@ -582,19 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_renders_all_series() {
-        let r = Recorder::new();
-        r.record("lat", 0.1);
-        r.record("lat", 0.3);
-        r.incr("hits");
-        let s = r.summary();
-        assert!(s.contains("lat"));
-        assert!(s.contains("hits"));
-        assert!(s.contains("p99"));
-        assert!(Recorder::new().summary().is_empty());
-    }
-
-    #[test]
     fn recorder_clones_share_state() {
         let r = Recorder::new();
         let r2 = r.clone();
@@ -609,9 +512,8 @@ mod tests {
         let c = r.counter_id("hits");
         r.record_id(h, 1.0);
         r.record("lat", 3.0);
-        r.record_duration_id(h, SimDuration::from_secs(5));
-        r.incr_id(c);
-        r.add_id(c, 2);
+        r.record_id(h, 5.0);
+        r.add_id(c, 3);
         r.add("hits", 4);
         assert_eq!(r.histogram("lat").count(), 3);
         assert_eq!(r.histogram("lat").mean(), 3.0);

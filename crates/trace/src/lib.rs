@@ -27,11 +27,8 @@ mod replay;
 mod sketch;
 mod workload;
 
-pub use replay::{
-    replay, replay_with, tenant_priority, GatewaySpec, ReplayConfig, ReplayOutcome, ReplayReport,
-};
+pub use replay::{replay, replay_with, GatewaySpec, ReplayConfig, ReplayOutcome, ReplayReport};
 pub use sketch::QuantileSketch;
 pub use workload::{
-    function_name, function_profile, tenant_of, tenant_rates, ArrivalKind, FunctionProfile,
-    TraceConfig, TraceEvent, TraceGenerator,
+    function_name, tenant_of, ArrivalKind, TraceConfig, TraceEvent, TraceGenerator,
 };

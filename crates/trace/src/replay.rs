@@ -78,13 +78,13 @@ const OVERHEAD: SimDuration = SimDuration::from_millis(1);
 /// Priority tier for a tenant in replay: round-robin from the hottest
 /// tenant down, so every tier is populated and tenant 0 (the heaviest)
 /// is shed last.
-pub fn tenant_priority(tenant: u32) -> u8 {
+fn tenant_priority(tenant: u32) -> u8 {
     (faasim_gateway::TIERS as u32 - 1 - tenant % faasim_gateway::TIERS as u32) as u8
 }
 
 impl GatewaySpec {
     /// Size a [`GatewayConfig`] for `trace` at `seed`.
-    pub fn resolve(&self, trace: &TraceConfig, max_in_flight: usize, seed: u64) -> GatewayConfig {
+    fn resolve(&self, trace: &TraceConfig, max_in_flight: usize, seed: u64) -> GatewayConfig {
         let tenants = tenant_rates(trace, seed)
             .into_iter()
             .enumerate()

@@ -181,7 +181,7 @@ pub fn tenant_of(cfg: &TraceConfig, seed: u64, app: u32) -> u32 {
 /// Expected mean arrival rate per tenant (invocations/sec): the Zipf
 /// app rates folded by the deterministic tenant assignment. Tenants
 /// that happen to own no apps have rate 0.
-pub fn tenant_rates(cfg: &TraceConfig, seed: u64) -> Vec<f64> {
+pub(crate) fn tenant_rates(cfg: &TraceConfig, seed: u64) -> Vec<f64> {
     let mut rates = vec![0.0; cfg.tenants.max(1) as usize];
     for (app, rate) in cfg.app_rates().into_iter().enumerate() {
         rates[tenant_of(cfg, seed, app as u32) as usize] += rate;
@@ -193,7 +193,7 @@ pub fn tenant_rates(cfg: &TraceConfig, seed: u64) -> Vec<f64> {
 /// deterministically from `(seed, app, func)` — no table of 100k specs
 /// needs to exist anywhere.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FunctionProfile {
+pub(crate) struct FunctionProfile {
     /// Registered function name (`a<app>-f<func>`).
     pub name: String,
     /// Allocated memory in MB (also sets the CPU share).
@@ -212,7 +212,7 @@ pub fn function_name(app: u32, func: u32) -> String {
 }
 
 /// Derive the deterministic profile of function `(app, func)` for `seed`.
-pub fn function_profile(cfg: &TraceConfig, seed: u64, app: u32, func: u32) -> FunctionProfile {
+pub(crate) fn function_profile(cfg: &TraceConfig, seed: u64, app: u32, func: u32) -> FunctionProfile {
     let mut rng = SimRng::stream(seed, &format!("trace.fn.{app}.{func}"));
     let (lo, hi) = cfg.exec_mean_ms;
     let (lo, hi) = (lo.max(0.001), hi.max(lo.max(0.001)));
