@@ -65,22 +65,6 @@ impl Histogram {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Sample standard deviation; 0 with fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Smallest sample; 0 when empty.
     pub fn min(&self) -> f64 {
         self.samples.iter().copied().reduce(f64::min).unwrap_or(0.0)
@@ -113,11 +97,6 @@ impl Histogram {
     /// Median.
     pub fn p50(&mut self) -> f64 {
         self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&mut self) -> f64 {
-        self.quantile(0.95)
     }
 
     /// 99th percentile.
@@ -414,7 +393,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert!(h.is_empty());
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.std_dev(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.p50(), 0.0);
@@ -432,7 +410,6 @@ mod tests {
         assert_eq!(h.max(), 5.0);
         assert_eq!(h.p50(), 3.0);
         assert_eq!(h.total(), 15.0);
-        assert!((h.std_dev() - (2.5f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -443,7 +420,7 @@ mod tests {
         }
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(1.0), 100.0);
-        assert_eq!(h.p95(), 95.0);
+        assert_eq!(h.quantile(0.95), 95.0);
         assert_eq!(h.p99(), 99.0);
         // Out-of-range q clamps.
         assert_eq!(h.quantile(2.0), 100.0);
