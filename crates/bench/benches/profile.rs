@@ -15,11 +15,11 @@ use faasim_bench::wallclock::{assert_calm_replay, replay_100k_config, replay_1m_
 use faasim_bench::BENCH_SEED;
 use faasim_trace::{replay, ReplayConfig};
 
-fn profile_one(name: &str, cfg: &ReplayConfig, gateway: bool) {
+fn profile_one(name: &str, cfg: &ReplayConfig) {
     let start = Instant::now();
     let out = replay(cfg, BENCH_SEED, &|_| {});
     let wall = start.elapsed().as_secs_f64();
-    assert_calm_replay(&out, gateway);
+    assert_calm_replay(&out);
     let inv = out.report.invocations;
     println!(
         "{name}: {inv} invocations in {wall:.3}s = {:.0} invocations/sec",
@@ -33,22 +33,14 @@ fn main() {
     faasim_bench::section(&format!("engine profile, replay kernels ({scale})"));
     match scale.as_str() {
         "100k" => {
-            profile_one(
-                "trace/replay_100k_invocations",
-                &replay_100k_config(false),
-                false,
-            );
-            profile_one(
-                "trace/replay_100k_invocations_gateway",
-                &replay_100k_config(true),
-                true,
-            );
+            profile_one("trace/replay_100k_invocations", &replay_100k_config(false));
+            profile_one("trace/replay_100k_invocations_gateway", &replay_100k_config(true));
         }
-        "1m" => profile_one("trace/replay_1m_invocations", &replay_1m_config(), true),
+        "1m" => profile_one("trace/replay_1m_invocations", &replay_1m_config()),
         "1m-smoke" => {
             let mut cfg = replay_1m_config();
             cfg.trace.max_events = 20_000;
-            profile_one("trace/replay_1m_invocations (20k smoke)", &cfg, true);
+            profile_one("trace/replay_1m_invocations (20k smoke)", &cfg);
         }
         other => {
             eprintln!("unknown PROFILE_SCALE '{other}' (expected 100k, 1m, or 1m-smoke)");

@@ -434,30 +434,16 @@ pub fn replay_1m_config() -> ReplayConfig {
     cfg
 }
 
-/// Assert what a calm (fault-free) replay must satisfy: through the
-/// gateway every failure is an admission shed and admissions conserve;
-/// without it nothing may fail at all. Shared by the replay kernels and
-/// `make profile`.
-pub fn assert_calm_replay(out: &faasim_trace::ReplayOutcome, gateway: bool) {
-    if gateway {
-        // These traces deliberately saturate the in-flight cap, so the
-        // shedder fires: every failure must be a gateway shed (never an
-        // execution error) and admissions must conserve.
-        assert_eq!(
-            out.report.failed, out.report.gw_shed_requests,
-            "calm replay may only fail by shedding"
-        );
-        assert!(out.report.gw_offered >= out.report.invocations);
-        assert_eq!(
-            out.report.gw_offered,
-            out.report.gw_admitted
-                + out.report.gw_rate_shed
-                + out.report.gw_load_shed
-                + out.report.gw_breaker_rejected,
-        );
-    } else {
-        assert_eq!(out.report.failed, 0, "calm replay must not fail");
-    }
+/// Assert what a calm (fault-free) replay must satisfy: the report's
+/// own identities, and no failure that is not an admission shed (these
+/// traces deliberately saturate the in-flight cap, so the shedder
+/// fires) — without a gateway, no failure at all. Shared by the replay
+/// kernels and `make profile`.
+pub fn assert_calm_replay(out: &faasim_trace::ReplayOutcome) {
+    let r = &out.report;
+    assert_eq!(r.violations(), Vec::<String>::new());
+    let shed = r.front_door.as_ref().map_or(0, |door| door.shed_requests);
+    assert_eq!(r.failed, shed, "calm replay may only fail by shedding");
 }
 
 /// A 100k-invocation trace replay end to end: generator, platform,
@@ -475,7 +461,7 @@ fn trace_replay_bench(gateway: bool) -> KernelBench {
     };
     kernel_bench_profiled(name, || {
         let out = replay(&cfg, BENCH_SEED, &|_| {});
-        assert_calm_replay(&out, gateway);
+        assert_calm_replay(&out);
         (out.report.invocations, out.report.engine.to_string())
     })
 }
@@ -488,7 +474,7 @@ fn trace_replay_1m_bench() -> KernelBench {
     let cfg = replay_1m_config();
     kernel_bench_profiled("trace/replay_1m_invocations", || {
         let out = replay(&cfg, BENCH_SEED, &|_| {});
-        assert_calm_replay(&out, true);
+        assert_calm_replay(&out);
         assert!(
             out.report.invocations >= 1_000_000,
             "paper-scale trace must reach the million-arrival cap, got {}",

@@ -87,42 +87,7 @@ impl Scenario for TraceReplay {
             &mut |cloud| violations.extend(check_cloud(cloud)),
         );
         let r = &out.report;
-        if r.invocations != r.generated {
-            violations.push(format!(
-                "lost requests: {} generated but {} completed",
-                r.generated, r.invocations
-            ));
-        }
-        if r.succeeded + r.failed != r.invocations {
-            violations.push(format!(
-                "outcome accounting broken: {} ok + {} failed != {} invocations",
-                r.succeeded, r.failed, r.invocations
-            ));
-        }
-        if r.attempts < r.succeeded {
-            violations.push(format!(
-                "impossible attempt count: {} attempts for {} successes",
-                r.attempts, r.succeeded
-            ));
-        }
-        if r.cold_starts > r.attempts {
-            violations.push(format!(
-                "cold starts over-counted: {} cold of {} attempts",
-                r.cold_starts, r.attempts
-            ));
-        }
-        if r.gw_offered != r.gw_admitted + r.gw_rate_shed + r.gw_load_shed + r.gw_breaker_rejected {
-            violations.push(format!(
-                "gateway admission accounting broken: {} offered != {} admitted + {} rate + {} load + {} breaker",
-                r.gw_offered, r.gw_admitted, r.gw_rate_shed, r.gw_load_shed, r.gw_breaker_rejected
-            ));
-        }
-        if r.gw_shed_requests > r.failed {
-            violations.push(format!(
-                "{} requests shed for good but only {} failed",
-                r.gw_shed_requests, r.failed
-            ));
-        }
+        violations.extend(r.violations());
         if self.expect_no_failures && r.failed > 0 {
             violations.push(format!("{} requests failed under a calm plan", r.failed));
         }

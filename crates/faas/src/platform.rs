@@ -372,6 +372,18 @@ impl PackingStats {
     }
 }
 
+impl fmt::Display for PackingStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:.1} busy GB·s / {:.1} resident GB·s = {:.1}% density",
+            self.busy_gb_seconds,
+            self.resident_gb_seconds,
+            self.density() * 100.0
+        )
+    }
+}
+
 struct FnHost {
     host: Host,
     containers: usize,

@@ -2,6 +2,8 @@
 //! counters the harnesses can assert on without touching the metrics
 //! registry (and therefore without perturbing replay digests).
 
+use std::fmt;
+
 /// Admission accounting for one tenant. Every offered request lands in
 /// exactly one of `admitted`, `bucket_shed`, `concurrency_shed`,
 /// `load_shed`, or `breaker_rejected` — see [`TenantStats::conserved`].
@@ -60,6 +62,21 @@ impl TenantStats {
         self.failed += other.failed;
         self.in_flight += other.in_flight;
         self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
+    }
+}
+
+/// The admission identity with its numbers filled in.
+impl fmt::Display for TenantStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} offered = {} admitted + {} rate + {} load + {} breaker shed",
+            self.offered,
+            self.admitted,
+            self.rate_shed(),
+            self.load_shed,
+            self.breaker_rejected
+        )
     }
 }
 

@@ -158,6 +158,28 @@ impl NicStats {
             self.concurrency_sum as f64 / self.transfers as f64
         }
     }
+
+    /// [`NicStats::min_fair_share`] in Mbit/s (0 if no transfer ran).
+    pub fn min_share_mbps(&self) -> f64 {
+        if self.transfers == 0 {
+            0.0
+        } else {
+            self.min_fair_share / 1e6
+        }
+    }
+}
+
+impl fmt::Display for NicStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} NIC transfers, fan-in peak {} / mean {:.1}, min fair share {:.1} Mbit/s",
+            self.transfers,
+            self.peak_flows,
+            self.mean_fan_in(),
+            self.min_share_mbps()
+        )
+    }
 }
 
 pub(crate) struct HostState {

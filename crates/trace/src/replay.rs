@@ -17,9 +17,10 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
+use faasim::net::NicStats;
 use faasim::{Cloud, CloudProfile};
-use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome};
-use faasim_gateway::{Gateway, GatewayConfig, GatewayError, TenantConfig};
+use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome, PackingStats};
+use faasim_gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, TenantConfig};
 use faasim_payload::Payload;
 use faasim_resilience::{
     settled, BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying,
@@ -130,8 +131,10 @@ impl ReplayConfig {
     }
 }
 
-/// What a replay measured. All fields are plain numbers, so reports can
-/// be compared bit-for-bit across runs — the determinism harness does.
+/// What a replay measured: the run's own counts, then one section per
+/// layer that produced numbers of its own, each a stats type that layer's
+/// crate owns and prints. Plain numbers throughout, so reports can be
+/// compared bit-for-bit across runs — the determinism harness does.
 #[derive(Clone, PartialEq)]
 pub struct ReplayReport {
     /// Seed the trace and cloud were built from.
@@ -149,8 +152,6 @@ pub struct ReplayReport {
     pub attempts: u64,
     /// Executions that had to cold-start a container.
     pub cold_starts: u64,
-    /// `cold_starts / attempts`.
-    pub cold_start_rate: f64,
     /// Client-observed latency percentiles in seconds (sketch estimates
     /// within the configured relative error).
     pub latency_p50: f64,
@@ -169,26 +170,13 @@ pub struct ReplayReport {
     pub apps_seen: u32,
     /// Distinct functions that completed at least one request.
     pub distinct_functions: u64,
-    /// GB·seconds spent executing handlers.
-    pub busy_gb_seconds: f64,
-    /// GB·seconds of container residency (warm + busy).
-    pub resident_gb_seconds: f64,
-    /// `busy / resident` — the fraction of keep-alive memory-time doing
-    /// real work.
-    pub packing_density: f64,
-    /// Payload transfers started on function-host NICs.
-    pub nic_transfers: u64,
-    /// Worst concurrent fan-in any single function-host NIC saw.
-    pub nic_peak_fan_in: u64,
-    /// Mean concurrent flows per NIC at transfer start.
-    pub nic_mean_fan_in: f64,
-    /// Lowest per-flow fair-share estimate at any transfer start, in
-    /// Mbit/s (`0` when no transfers ran) — §3(2)'s bandwidth collapse.
-    pub nic_min_share_mbps: f64,
+    /// The platform's busy-vs-resident container memory-time.
+    pub packing: PackingStats,
+    /// Fan-in on the function hosts' NICs, every host folded together —
+    /// §3(2)'s bandwidth collapse.
+    pub nic: NicStats,
     /// Total bill across all services.
     pub dollars: f64,
-    /// Bill normalized to simulated wall time.
-    pub dollars_per_hour: f64,
     /// Simulated seconds from start to the last completed request.
     pub sim_secs: f64,
     /// Requests that waited on the account concurrency limit.
@@ -197,42 +185,124 @@ pub struct ReplayReport {
     pub chaos_kills: u64,
     /// Chaos: warm containers evicted by storms.
     pub chaos_evicted: u64,
-    /// Distinct tenants that completed at least one request (0 when the
-    /// gateway is disabled — tenancy is only observed at the front door).
+    /// What the gateway tier saw; `None` when requests went straight to
+    /// the platform (tenancy is only observed at the front door).
+    pub front_door: Option<FrontDoorStats>,
+    /// Engine-level profile of the run: task polls, timer-wheel traffic,
+    /// spawn counts. Deterministic for a given seed.
+    pub engine: SimProfile,
+}
+
+/// The front-door section of a [`ReplayReport`]: admission at the
+/// gateway, and how evenly its tenants were served.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FrontDoorStats {
+    /// The gateway's own admission counters, all tenants folded.
+    pub gateway: GatewayStats,
+    /// Requests whose *final* outcome (after retries) was a gateway
+    /// shed — a subset of the report's `failed`.
+    pub shed_requests: u64,
+    /// Distinct tenants that completed at least one request.
     pub tenants_seen: u32,
-    /// p95 / p50 of per-tenant mean latencies (1.0 = perfectly even;
-    /// 0 when the gateway is disabled).
+    /// p95 / p50 of per-tenant mean latencies (1.0 = perfectly even).
     pub tenant_fairness_spread: f64,
     /// Worst per-tenant p99 latency in seconds.
     pub tenant_p99_max: f64,
     /// Median per-tenant p99 latency in seconds.
     pub tenant_p99_median: f64,
-    /// Gateway: requests offered at the front door.
-    pub gw_offered: u64,
-    /// Gateway: requests admitted to the platform.
-    pub gw_admitted: u64,
-    /// Gateway: attempts shed by per-tenant rate/concurrency limits.
-    pub gw_rate_shed: u64,
-    /// Gateway: attempts shed by the priority load shedder.
-    pub gw_load_shed: u64,
-    /// Gateway: attempts rejected by open per-tenant breakers.
-    pub gw_breaker_rejected: u64,
-    /// Requests whose *final* outcome (after retries) was a gateway
-    /// shed — a subset of `failed`.
-    pub gw_shed_requests: u64,
-    /// Gateway: peak concurrent admitted requests.
-    pub gw_peak_in_flight: u64,
-    /// Engine-level profile of the run: task polls, timer-wheel traffic,
-    /// spawn counts. Deterministic for a given seed, but excluded from
-    /// `Debug` so chaos-sweep digests (which fold `{:?}` of the report)
-    /// stay comparable across engine-internal refactors.
-    pub engine: SimProfile,
+}
+
+impl ReplayReport {
+    /// `cold_starts / attempts` (0 when nothing ran).
+    pub fn cold_start_rate(&self) -> f64 {
+        if self.attempts == 0 {
+            0.0
+        } else {
+            self.cold_starts as f64 / self.attempts as f64
+        }
+    }
+
+    /// The bill normalized to simulated wall time.
+    pub fn dollars_per_hour(&self) -> f64 {
+        if self.sim_secs > 0.0 {
+            self.dollars / (self.sim_secs / 3600.0)
+        } else {
+            0.0
+        }
+    }
+
+    /// Every conservation identity this report breaks, one message each;
+    /// empty for a sound replay that ran to quiescence.
+    pub fn violations(&self) -> Vec<String> {
+        let mut found = Vec::new();
+        let mut check = |ok: bool, broken: String| {
+            if !ok {
+                found.push(broken);
+            }
+        };
+        check(
+            self.invocations == self.generated,
+            format!(
+                "lost requests: {} generated but {} completed",
+                self.generated, self.invocations
+            ),
+        );
+        check(
+            self.succeeded + self.failed == self.invocations,
+            format!(
+                "outcome accounting broken: {} ok + {} failed != {} invocations",
+                self.succeeded, self.failed, self.invocations
+            ),
+        );
+        check(
+            self.attempts >= self.succeeded,
+            format!(
+                "impossible attempt count: {} attempts for {} successes",
+                self.attempts, self.succeeded
+            ),
+        );
+        check(
+            self.cold_starts <= self.attempts,
+            format!(
+                "cold starts over-counted: {} cold of {} attempts",
+                self.cold_starts, self.attempts
+            ),
+        );
+        if let Some(door) = &self.front_door {
+            let gw = &door.gateway.totals;
+            check(
+                gw.conserved(),
+                format!("gateway admission accounting broken: {gw}"),
+            );
+            check(
+                gw.offered >= self.invocations,
+                format!(
+                    "requests bypassed the gateway: {} offered for {} requests",
+                    gw.offered, self.invocations
+                ),
+            );
+            check(
+                gw.admitted == gw.succeeded + gw.failed,
+                format!(
+                    "gateway not quiescent: {} admitted but {} ok + {} failed came back",
+                    gw.admitted, gw.succeeded, gw.failed
+                ),
+            );
+            check(
+                door.shed_requests <= self.failed,
+                format!(
+                    "{} requests shed for good but only {} failed",
+                    door.shed_requests, self.failed
+                ),
+            );
+        }
+        found
+    }
 }
 
 impl fmt::Debug for ReplayReport {
-    // Hand-rolled to match the pre-`engine` derived output byte-for-byte:
-    // the chaos sweep folds `format!("{:?}")` of this report into its run
-    // digests, which the determinism harness compares across releases.
+    // Everything but `engine`: sweep digests and golden pins fold this
+    // text, and must hold across engine-internal refactors.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplayReport")
             .field("seed", &self.seed)
@@ -242,7 +312,6 @@ impl fmt::Debug for ReplayReport {
             .field("failed", &self.failed)
             .field("attempts", &self.attempts)
             .field("cold_starts", &self.cold_starts)
-            .field("cold_start_rate", &self.cold_start_rate)
             .field("latency_p50", &self.latency_p50)
             .field("latency_p95", &self.latency_p95)
             .field("latency_p99", &self.latency_p99)
@@ -251,31 +320,15 @@ impl fmt::Debug for ReplayReport {
             .field("fairness_spread", &self.fairness_spread)
             .field("apps_seen", &self.apps_seen)
             .field("distinct_functions", &self.distinct_functions)
-            .field("busy_gb_seconds", &self.busy_gb_seconds)
-            .field("resident_gb_seconds", &self.resident_gb_seconds)
-            .field("packing_density", &self.packing_density)
-            .field("nic_transfers", &self.nic_transfers)
-            .field("nic_peak_fan_in", &self.nic_peak_fan_in)
-            .field("nic_mean_fan_in", &self.nic_mean_fan_in)
-            .field("nic_min_share_mbps", &self.nic_min_share_mbps)
+            .field("packing", &self.packing)
+            .field("nic", &self.nic)
             .field("dollars", &self.dollars)
-            .field("dollars_per_hour", &self.dollars_per_hour)
             .field("sim_secs", &self.sim_secs)
             .field("throttled_waits", &self.throttled_waits)
             .field("chaos_kills", &self.chaos_kills)
             .field("chaos_evicted", &self.chaos_evicted)
-            .field("tenants_seen", &self.tenants_seen)
-            .field("tenant_fairness_spread", &self.tenant_fairness_spread)
-            .field("tenant_p99_max", &self.tenant_p99_max)
-            .field("tenant_p99_median", &self.tenant_p99_median)
-            .field("gw_offered", &self.gw_offered)
-            .field("gw_admitted", &self.gw_admitted)
-            .field("gw_rate_shed", &self.gw_rate_shed)
-            .field("gw_load_shed", &self.gw_load_shed)
-            .field("gw_breaker_rejected", &self.gw_breaker_rejected)
-            .field("gw_shed_requests", &self.gw_shed_requests)
-            .field("gw_peak_in_flight", &self.gw_peak_in_flight)
-            .finish()
+            .field("front_door", &self.front_door)
+            .finish_non_exhaustive()
     }
 }
 
@@ -295,7 +348,7 @@ impl fmt::Display for ReplayReport {
             f,
             "  cold starts {} ({:.2}% of attempts)",
             self.cold_starts,
-            self.cold_start_rate * 100.0
+            self.cold_start_rate() * 100.0
         )?;
         writeln!(
             f,
@@ -311,38 +364,10 @@ impl fmt::Display for ReplayReport {
             "  fairness    p95/p50 app-mean spread {:.2} across {} apps, {} functions",
             self.fairness_spread, self.apps_seen, self.distinct_functions
         )?;
-        writeln!(
-            f,
-            "  packing     {:.1} busy GB·s / {:.1} resident GB·s = {:.1}% density",
-            self.busy_gb_seconds,
-            self.resident_gb_seconds,
-            self.packing_density * 100.0
-        )?;
-        writeln!(
-            f,
-            "  network     {} NIC transfers, fan-in peak {} / mean {:.1}, min fair share {:.1} Mbit/s",
-            self.nic_transfers, self.nic_peak_fan_in, self.nic_mean_fan_in, self.nic_min_share_mbps
-        )?;
-        if self.gw_offered > 0 {
-            writeln!(
-                f,
-                "  tenants     {} seen · p99 worst {:.1} ms / median {:.1} ms · mean-latency spread {:.2}",
-                self.tenants_seen,
-                self.tenant_p99_max * 1e3,
-                self.tenant_p99_median * 1e3,
-                self.tenant_fairness_spread,
-            )?;
-            writeln!(
-                f,
-                "  gateway     {} offered = {} admitted + {} rate + {} load + {} breaker shed · {} requests shed for good · peak {} in flight",
-                self.gw_offered,
-                self.gw_admitted,
-                self.gw_rate_shed,
-                self.gw_load_shed,
-                self.gw_breaker_rejected,
-                self.gw_shed_requests,
-                self.gw_peak_in_flight,
-            )?;
+        writeln!(f, "  packing     {}", self.packing)?;
+        writeln!(f, "  network     {}", self.nic)?;
+        if let Some(door) = &self.front_door {
+            writeln!(f, "{door}")?;
         }
         if self.chaos_kills > 0 || self.chaos_evicted > 0 {
             writeln!(
@@ -355,7 +380,27 @@ impl fmt::Display for ReplayReport {
         write!(
             f,
             "  cost        ${:.4} total = ${:.4}/hr",
-            self.dollars, self.dollars_per_hour
+            self.dollars,
+            self.dollars_per_hour()
+        )
+    }
+}
+
+/// The report's `tenants` and `gateway` lines.
+impl fmt::Display for FrontDoorStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "  tenants     {} seen · p99 worst {:.1} ms / median {:.1} ms · mean-latency spread {:.2}",
+            self.tenants_seen,
+            self.tenant_p99_max * 1e3,
+            self.tenant_p99_median * 1e3,
+            self.tenant_fairness_spread,
+        )?;
+        write!(
+            f,
+            "  gateway     {} · {} requests shed for good · peak {} in flight",
+            self.gateway.totals, self.shed_requests, self.gateway.peak_in_flight,
         )
     }
 }
@@ -372,13 +417,8 @@ pub struct ReplayOutcome {
     pub bill: String,
 }
 
+#[derive(Clone, Default)]
 struct AppAgg {
-    completed: u64,
-    lat_sum: f64,
-}
-
-struct TenantAgg {
-    sketch: QuantileSketch,
     completed: u64,
     lat_sum: f64,
 }
@@ -386,7 +426,9 @@ struct TenantAgg {
 struct Stats {
     sketch: QuantileSketch,
     per_app: Vec<AppAgg>,
-    per_tenant: Vec<TenantAgg>,
+    /// Latencies per tenant (a sketch's count and mean are exact). Empty
+    /// without a gateway: tenancy is only observed at the front door.
+    per_tenant: Vec<QuantileSketch>,
     seen_funcs: Vec<bool>,
     succeeded: u64,
     failed: u64,
@@ -446,11 +488,10 @@ struct ReqCtx {
     /// The ids the platform registered them under, same indexing.
     ids: Vec<FunctionId>,
     funcs_per_app: u32,
-    /// Set once the driver has spawned its last request; `done` flips
-    /// when every spawned request has completed, which stops the reaper.
+    /// Requests spawned, set once the driver has spawned its last; `done`
+    /// flips when every one of them has completed, which stops the reaper.
     total: Cell<Option<u64>>,
     done: Cell<bool>,
-    generated: Cell<u64>,
 }
 
 /// Run `cfg` at `seed`, applying `chaos` to the freshly built cloud
@@ -481,14 +522,14 @@ pub fn replay_with(
     let mut ids = Vec::with_capacity((cfg.trace.apps * cfg.trace.funcs_per_app) as usize);
     for app in 0..cfg.trace.apps {
         for func in 0..cfg.trace.funcs_per_app {
-            let prof = function_profile(&cfg.trace, seed, app, func);
+            let (memory_mb, mean_exec) = function_profile(&cfg.trace, seed, app, func);
             let rng = exec_rng.clone();
-            let mean = prof.mean_exec.as_secs_f64();
-            let cv = prof.exec_cv;
+            let mean = mean_exec.as_secs_f64();
+            let cv = cfg.trace.exec_cv;
             ids.push(faas.register(FunctionSpec::new(
-                prof.name,
-                prof.memory_mb,
-                prof.timeout,
+                function_name(app, func),
+                memory_mb,
+                cfg.trace.func_timeout,
                 move |ctx, payload| {
                     let rng = rng.clone();
                     async move {
@@ -509,29 +550,6 @@ pub fn replay_with(
         }
     }
 
-    let funcs_per_app = cfg.trace.funcs_per_app.max(1);
-    let stats = Stats {
-        sketch: QuantileSketch::with_default_error(),
-        per_app: (0..cfg.trace.apps)
-            .map(|_| AppAgg {
-                completed: 0,
-                lat_sum: 0.0,
-            })
-            .collect(),
-        per_tenant: (0..cfg.trace.tenants.max(1))
-            .map(|_| TenantAgg {
-                sketch: QuantileSketch::with_default_error(),
-                completed: 0,
-                lat_sum: 0.0,
-            })
-            .collect(),
-        seen_funcs: vec![false; (cfg.trace.apps * funcs_per_app) as usize],
-        succeeded: 0,
-        failed: 0,
-        gw_shed: 0,
-        completed: 0,
-        last_done: SimTime::ZERO,
-    };
     // Build the front door, and the retry layer around it when configured.
     let gateway = cfg.gateway.as_ref().map(|spec| {
         Gateway::new(
@@ -543,6 +561,19 @@ pub fn replay_with(
             spec.resolve(&cfg.trace, cfg.max_in_flight.max(1), seed),
         )
     });
+    let funcs_per_app = cfg.trace.funcs_per_app.max(1);
+    let gateway_tenants = gateway.as_ref().map_or(0, |gw| gw.tenants() as usize);
+    let stats = Stats {
+        sketch: QuantileSketch::with_default_error(),
+        per_app: vec![AppAgg::default(); cfg.trace.apps as usize],
+        per_tenant: vec![QuantileSketch::with_default_error(); gateway_tenants],
+        seen_funcs: vec![false; (cfg.trace.apps * funcs_per_app) as usize],
+        succeeded: 0,
+        failed: 0,
+        gw_shed: 0,
+        completed: 0,
+        last_done: SimTime::ZERO,
+    };
     let door = FrontDoor {
         faas: faas.clone(),
         gateway: gateway.clone(),
@@ -563,7 +594,6 @@ pub fn replay_with(
         funcs_per_app,
         total: Cell::new(None),
         done: Cell::new(false),
-        generated: Cell::new(0),
     });
 
     // Keep-alive reaper: runs mid-replay like the platform's idle janitor.
@@ -620,10 +650,9 @@ pub fn replay_with(
                     {
                         let mut st = ctx3.stats.borrow_mut();
                         st.sketch.insert(latency);
-                        let tagg = &mut st.per_tenant[ev.tenant as usize];
-                        tagg.sketch.insert(latency);
-                        tagg.completed += 1;
-                        tagg.lat_sum += latency;
+                        if let Some(tenant) = st.per_tenant.get_mut(ev.tenant as usize) {
+                            tenant.insert(latency);
+                        }
                         let agg = &mut st.per_app[ev.app as usize];
                         agg.completed += 1;
                         agg.lat_sum += latency;
@@ -645,7 +674,6 @@ pub fn replay_with(
                     drop(permit);
                 });
             }
-            ctx2.generated.set(spawned);
             ctx2.total.set(Some(spawned));
             if ctx2.stats.borrow().completed == spawned {
                 ctx2.done.set(true);
@@ -656,15 +684,10 @@ pub fn replay_with(
     sim.run();
     finish(&cloud);
 
-    let packing = faas.packing_stats();
-    let nic = faas.nic_stats();
     let recorder = &cloud.recorder;
     let st = ctx.stats.borrow();
     let cold = recorder.counter("faas.invoke.cold");
     let warm = recorder.counter("faas.invoke.warm");
-    let attempts = cold + warm;
-    let sim_secs = st.last_done.as_secs_f64();
-    let dollars = cloud.ledger.total();
 
     // Fairness: distribution of per-app mean latencies.
     let mut app_means: Vec<f64> = st
@@ -674,84 +697,68 @@ pub fn replay_with(
         .map(|a| a.lat_sum / a.completed as f64)
         .collect();
     app_means.sort_by(f64::total_cmp);
-    let (p50_app, p95_app) = (rank(&app_means, 0.50), rank(&app_means, 0.95));
 
-    // Tenant-level fairness: same rank statistics over per-tenant means
-    // and p99s (only meaningful when traffic flowed through the gateway).
-    let mut tenant_means: Vec<f64> = Vec::new();
-    let mut tenant_p99s: Vec<f64> = Vec::new();
-    for agg in st.per_tenant.iter().filter(|a| a.completed > 0) {
-        tenant_means.push(agg.lat_sum / agg.completed as f64);
-        tenant_p99s.push(agg.sketch.p99());
-    }
-    tenant_means.sort_by(f64::total_cmp);
-    tenant_p99s.sort_by(f64::total_cmp);
-    let gw_stats = gateway.as_ref().map(|gw| gw.stats());
-    let gw_used = gw_stats.is_some();
+    // Tenant-level fairness: the same rank statistics over per-tenant
+    // means and p99s, for traffic that flowed through the gateway.
+    let front_door = gateway.map(|gw| {
+        let mut tenant_means: Vec<f64> = Vec::new();
+        let mut tenant_p99s: Vec<f64> = Vec::new();
+        for tenant in st.per_tenant.iter().filter(|t| t.count() > 0) {
+            tenant_means.push(tenant.mean());
+            tenant_p99s.push(tenant.p99());
+        }
+        tenant_means.sort_by(f64::total_cmp);
+        tenant_p99s.sort_by(f64::total_cmp);
+        FrontDoorStats {
+            gateway: gw.stats(),
+            shed_requests: st.gw_shed,
+            tenants_seen: tenant_means.len() as u32,
+            tenant_fairness_spread: spread(&tenant_means),
+            tenant_p99_max: rank(&tenant_p99s, 1.0),
+            tenant_p99_median: rank(&tenant_p99s, 0.50),
+        }
+    });
 
     let report = ReplayReport {
         seed,
-        generated: ctx.generated.get(),
+        generated: ctx.total.get().expect("the driver walked the whole trace"),
         invocations: st.completed,
         succeeded: st.succeeded,
         failed: st.failed,
-        attempts,
+        attempts: cold + warm,
         cold_starts: cold,
-        cold_start_rate: if attempts == 0 {
-            0.0
-        } else {
-            cold as f64 / attempts as f64
-        },
         latency_p50: st.sketch.p50(),
         latency_p95: st.sketch.p95(),
         latency_p99: st.sketch.p99(),
         latency_p999: st.sketch.p999(),
         latency_mean: st.sketch.mean(),
-        fairness_spread: if p50_app > 0.0 { p95_app / p50_app } else { 0.0 },
+        fairness_spread: spread(&app_means),
         apps_seen: app_means.len() as u32,
         distinct_functions: st.seen_funcs.iter().filter(|&&s| s).count() as u64,
-        busy_gb_seconds: packing.busy_gb_seconds,
-        resident_gb_seconds: packing.resident_gb_seconds,
-        packing_density: packing.density(),
-        nic_transfers: nic.transfers,
-        nic_peak_fan_in: nic.peak_flows,
-        nic_mean_fan_in: nic.mean_fan_in(),
-        nic_min_share_mbps: if nic.transfers == 0 {
-            0.0
-        } else {
-            nic.min_fair_share / 1e6
-        },
-        dollars,
-        dollars_per_hour: if sim_secs > 0.0 {
-            dollars / (sim_secs / 3600.0)
-        } else {
-            0.0
-        },
-        sim_secs,
+        packing: faas.packing_stats(),
+        nic: faas.nic_stats(),
+        dollars: cloud.ledger.total(),
+        sim_secs: st.last_done.as_secs_f64(),
         throttled_waits: recorder.counter("faas.throttled_waits"),
         chaos_kills: recorder.counter("faas.chaos_kills"),
         chaos_evicted: recorder.counter("faas.chaos_evicted"),
-        tenants_seen: if gw_used { tenant_means.len() as u32 } else { 0 },
-        tenant_fairness_spread: if gw_used && rank(&tenant_means, 0.50) > 0.0 {
-            rank(&tenant_means, 0.95) / rank(&tenant_means, 0.50)
-        } else {
-            0.0
-        },
-        tenant_p99_max: if gw_used { rank(&tenant_p99s, 1.0) } else { 0.0 },
-        tenant_p99_median: if gw_used { rank(&tenant_p99s, 0.50) } else { 0.0 },
-        gw_offered: gw_stats.as_ref().map_or(0, |s| s.totals.offered),
-        gw_admitted: gw_stats.as_ref().map_or(0, |s| s.totals.admitted),
-        gw_rate_shed: gw_stats.as_ref().map_or(0, |s| s.totals.rate_shed()),
-        gw_load_shed: gw_stats.as_ref().map_or(0, |s| s.totals.load_shed),
-        gw_breaker_rejected: gw_stats.as_ref().map_or(0, |s| s.totals.breaker_rejected),
-        gw_shed_requests: st.gw_shed,
-        gw_peak_in_flight: gw_stats.as_ref().map_or(0, |s| s.peak_in_flight),
+        front_door,
         engine: sim.profile(),
     };
     ReplayOutcome {
         report,
         digest: recorder.digest(),
         bill: cloud.ledger.report(),
+    }
+}
+
+/// p95 / p50 of an ascending slice of means (0 when empty).
+fn spread(sorted: &[f64]) -> f64 {
+    let median = rank(sorted, 0.50);
+    if median > 0.0 {
+        rank(sorted, 0.95) / median
+    } else {
+        0.0
     }
 }
 
@@ -767,44 +774,39 @@ fn rank(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasim_gateway::TenantStats;
+
+    const SOUND: Vec<String> = Vec::new();
 
     #[test]
     fn tiny_replay_completes_every_event() {
         let mut cfg = ReplayConfig::small();
         cfg.trace.max_events = 500;
-        let out = replay(&cfg, 11, &|_| {});
-        assert_eq!(out.report.generated, 500);
-        assert_eq!(out.report.invocations, 500);
-        assert_eq!(out.report.succeeded + out.report.failed, 500);
-        assert_eq!(out.report.failed, 0, "calm replay must not fail");
+        let r = replay(&cfg, 11, &|_| {}).report;
+        assert_eq!(r.violations(), SOUND);
+        assert_eq!(r.generated, 500);
+        assert_eq!(r.failed, 0, "calm replay must not fail");
         // Default config routes through the gateway: every request was
-        // offered at the front door, admissions conserve, and a calm
-        // trace is never shed for good.
-        assert!(out.report.gw_offered >= 500);
-        assert_eq!(
-            out.report.gw_offered,
-            out.report.gw_admitted
-                + out.report.gw_rate_shed
-                + out.report.gw_load_shed
-                + out.report.gw_breaker_rejected,
-            "gateway conservation"
-        );
-        assert_eq!(out.report.gw_shed_requests, 0);
-        assert!(out.report.tenants_seen >= 1);
-        assert!(out.report.tenant_p99_max >= out.report.tenant_p99_median);
-        assert!(out.report.gw_peak_in_flight >= 1);
-        assert!(out.report.cold_starts > 0);
-        assert!(out.report.latency_p50 > 0.0);
-        assert!(out.report.latency_p99 >= out.report.latency_p50);
-        assert!(out.report.packing_density > 0.0 && out.report.packing_density <= 1.0);
-        assert!(out.report.dollars > 0.0);
-        assert!(out.report.distinct_functions > 1);
+        // offered at the front door, and a calm trace is never shed for
+        // good.
+        let door = r.front_door.as_ref().expect("front-door section");
+        assert!(door.gateway.totals.offered >= 500);
+        assert_eq!(door.shed_requests, 0);
+        assert!(door.tenants_seen >= 1);
+        assert!(door.tenant_p99_max >= door.tenant_p99_median);
+        assert!(door.gateway.peak_in_flight >= 1);
+        assert!(r.cold_starts > 0);
+        assert!(r.latency_p50 > 0.0);
+        assert!(r.latency_p99 >= r.latency_p50);
+        assert!(r.packing.density() > 0.0 && r.packing.density() <= 1.0);
+        assert!(r.dollars > 0.0);
+        assert!(r.distinct_functions > 1);
         // Every attempt ships its payload over a host NIC, so the fan-in
         // probes must have seen real traffic.
-        assert_eq!(out.report.nic_transfers, out.report.attempts);
-        assert!(out.report.nic_peak_fan_in >= 1);
-        assert!(out.report.nic_mean_fan_in >= 1.0);
-        assert!(out.report.nic_min_share_mbps > 0.0);
+        assert_eq!(r.nic.transfers, r.attempts);
+        assert!(r.nic.peak_flows >= 1);
+        assert!(r.nic.mean_fan_in() >= 1.0);
+        assert!(r.nic.min_share_mbps() > 0.0);
     }
 
     #[test]
@@ -832,11 +834,11 @@ mod tests {
         let mut cfg = ReplayConfig::small();
         cfg.trace.max_events = 300;
         cfg.gateway = None;
-        let out = replay(&cfg, 11, &|_| {});
-        assert_eq!(out.report.invocations, 300);
-        assert_eq!(out.report.failed, 0);
-        assert_eq!(out.report.gw_offered, 0);
-        assert_eq!(out.report.tenants_seen, 0);
+        let r = replay(&cfg, 11, &|_| {}).report;
+        assert_eq!(r.violations(), SOUND);
+        assert_eq!(r.invocations, 300);
+        assert_eq!(r.failed, 0);
+        assert_eq!(r.front_door, None);
     }
 
     #[test]
@@ -844,16 +846,112 @@ mod tests {
         let mut cfg = ReplayConfig::small();
         cfg.trace.max_events = 300;
         cfg.retry = None;
-        let out = replay(&cfg, 11, &|_| {});
-        assert_eq!(out.report.invocations, 300);
-        assert_eq!(
-            out.report.gw_offered,
-            out.report.gw_admitted
-                + out.report.gw_rate_shed
-                + out.report.gw_load_shed
-                + out.report.gw_breaker_rejected,
-        );
+        let r = replay(&cfg, 11, &|_| {}).report;
+        assert_eq!(r.violations(), SOUND);
+        assert_eq!(r.invocations, 300);
         // Single-shot sheds (if any) must be counted as shed requests.
-        assert_eq!(out.report.failed, out.report.gw_shed_requests);
+        assert_eq!(r.failed, r.front_door.expect("front-door section").shed_requests);
+    }
+
+    /// Each identity broken in turn on a hand-built report yields that
+    /// identity's message and no other.
+    #[test]
+    fn violations_names_exactly_the_broken_identity() {
+        let totals = TenantStats {
+            offered: 12,
+            admitted: 9,
+            bucket_shed: 1,
+            concurrency_shed: 1,
+            load_shed: 1,
+            succeeded: 8,
+            failed: 1,
+            ..TenantStats::default()
+        };
+        let sound = ReplayReport {
+            seed: 1,
+            generated: 10,
+            invocations: 10,
+            succeeded: 8,
+            failed: 2,
+            attempts: 9,
+            cold_starts: 3,
+            latency_p50: 0.1,
+            latency_p95: 0.2,
+            latency_p99: 0.3,
+            latency_p999: 0.4,
+            latency_mean: 0.15,
+            fairness_spread: 1.0,
+            apps_seen: 2,
+            distinct_functions: 4,
+            packing: PackingStats::default(),
+            nic: NicStats::default(),
+            dollars: 0.01,
+            sim_secs: 60.0,
+            throttled_waits: 0,
+            chaos_kills: 0,
+            chaos_evicted: 0,
+            front_door: Some(FrontDoorStats {
+                gateway: GatewayStats {
+                    tenants: 1,
+                    totals,
+                    peak_in_flight: 3,
+                },
+                shed_requests: 1,
+                tenants_seen: 1,
+                tenant_fairness_spread: 1.0,
+                tenant_p99_max: 0.3,
+                tenant_p99_median: 0.3,
+            }),
+            engine: SimProfile::default(),
+        };
+        assert_eq!(sound.violations(), SOUND);
+        let door = |edit: &dyn Fn(&mut FrontDoorStats)| {
+            let mut r = sound.clone();
+            edit(r.front_door.as_mut().expect("built above"));
+            r
+        };
+        let broken = [
+            (ReplayReport { generated: 11, ..sound.clone() }, "lost requests: 11 generated but 10 completed"),
+            (
+                ReplayReport { failed: 3, ..sound.clone() },
+                "outcome accounting broken: 8 ok + 3 failed != 10 invocations",
+            ),
+            (
+                ReplayReport { attempts: 7, cold_starts: 0, ..sound.clone() },
+                "impossible attempt count: 7 attempts for 8 successes",
+            ),
+            (
+                ReplayReport { cold_starts: 10, ..sound.clone() },
+                "cold starts over-counted: 10 cold of 9 attempts",
+            ),
+            (
+                door(&|d| d.gateway.totals.offered = 13),
+                "gateway admission accounting broken: \
+                 13 offered = 9 admitted + 2 rate + 1 load + 0 breaker shed",
+            ),
+            (
+                door(&|d| {
+                    d.gateway.totals.offered = 9;
+                    d.gateway.totals.bucket_shed = 0;
+                    d.gateway.totals.concurrency_shed = 0;
+                    d.gateway.totals.load_shed = 0;
+                }),
+                "requests bypassed the gateway: 9 offered for 10 requests",
+            ),
+            (
+                door(&|d| d.gateway.totals.failed = 0),
+                "gateway not quiescent: 9 admitted but 8 ok + 0 failed came back",
+            ),
+            (
+                door(&|d| d.shed_requests = 3),
+                "3 requests shed for good but only 2 failed",
+            ),
+        ];
+        for (report, message) in broken {
+            assert_eq!(report.violations(), [message]);
+        }
+        // Without a front door there is nothing of the gateway's to check.
+        let direct = ReplayReport { front_door: None, ..sound };
+        assert_eq!(direct.violations(), SOUND);
     }
 }

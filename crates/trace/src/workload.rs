@@ -189,42 +189,22 @@ pub(crate) fn tenant_rates(cfg: &TraceConfig, seed: u64) -> Vec<f64> {
     rates
 }
 
-/// Identity and resource profile of one generated function, derived
-/// deterministically from `(seed, app, func)` — no table of 100k specs
-/// needs to exist anywhere.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct FunctionProfile {
-    /// Registered function name (`a<app>-f<func>`).
-    pub name: String,
-    /// Allocated memory in MB (also sets the CPU share).
-    pub memory_mb: u64,
-    /// Mean execution time on a reference core.
-    pub mean_exec: SimDuration,
-    /// Within-function execution-time coefficient of variation.
-    pub exec_cv: f64,
-    /// Configured timeout.
-    pub timeout: SimDuration,
-}
-
 /// The platform-facing name of a trace function.
 pub fn function_name(app: u32, func: u32) -> String {
     format!("a{app}-f{func}")
 }
 
-/// Derive the deterministic profile of function `(app, func)` for `seed`.
-pub(crate) fn function_profile(cfg: &TraceConfig, seed: u64, app: u32, func: u32) -> FunctionProfile {
+/// Allocated memory in MB (which also sets the CPU share) and mean
+/// execution time on a reference core of function `(app, func)`, derived
+/// deterministically from `(seed, app, func)` — no table of 100k specs
+/// needs to exist anywhere.
+pub(crate) fn function_profile(cfg: &TraceConfig, seed: u64, app: u32, func: u32) -> (u64, SimDuration) {
     let mut rng = SimRng::stream(seed, &format!("trace.fn.{app}.{func}"));
     let (lo, hi) = cfg.exec_mean_ms;
     let (lo, hi) = (lo.max(0.001), hi.max(lo.max(0.001)));
     let mean_ms = lo * (hi / lo).powf(rng.unit_f64());
     let memory_mb = *rng.choose(&cfg.memory_choices_mb).unwrap_or(&128);
-    FunctionProfile {
-        name: function_name(app, func),
-        memory_mb,
-        mean_exec: SimDuration::from_secs_f64(mean_ms / 1e3),
-        exec_cv: cfg.exec_cv,
-        timeout: cfg.func_timeout,
-    }
+    (memory_mb, SimDuration::from_secs_f64(mean_ms / 1e3))
 }
 
 struct AppState {
@@ -440,12 +420,11 @@ mod tests {
     #[test]
     fn function_profiles_are_stable() {
         let cfg = TraceConfig::small();
-        let a = function_profile(&cfg, 42, 3, 1);
-        let b = function_profile(&cfg, 42, 3, 1);
-        assert_eq!(a, b);
+        let (memory_mb, mean_exec) = function_profile(&cfg, 42, 3, 1);
+        assert_eq!((memory_mb, mean_exec), function_profile(&cfg, 42, 3, 1));
         let (lo, hi) = cfg.exec_mean_ms;
-        let ms = a.mean_exec.as_secs_f64() * 1e3;
+        let ms = mean_exec.as_secs_f64() * 1e3;
         assert!(ms >= lo && ms <= hi);
-        assert!(cfg.memory_choices_mb.contains(&a.memory_mb));
+        assert!(cfg.memory_choices_mb.contains(&memory_mb));
     }
 }

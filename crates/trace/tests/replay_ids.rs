@@ -25,7 +25,7 @@ fn empty_trace_replays_to_completion() {
     assert_eq!(r.distinct_functions, 0);
     assert_eq!(r.dollars, 0.0);
     assert_eq!(r.latency_p99, 0.0);
-    assert_eq!(r.packing_density, 0.0);
+    assert_eq!(r.packing.density(), 0.0);
 }
 
 #[test]
@@ -46,7 +46,7 @@ fn one_app_one_function_trace_replays_to_completion() {
     // One function: every cold start is a concurrency high-water mark,
     // and everything else found its container through the warm index.
     assert!(r.cold_starts >= 1 && r.cold_starts < 400, "{} colds", r.cold_starts);
-    assert!(r.packing_density > 0.0 && r.packing_density <= 1.0);
+    assert!(r.packing.density() > 0.0 && r.packing.density() <= 1.0);
 }
 
 #[test]
@@ -68,7 +68,6 @@ fn by_id_client_sees_the_same_platform_as_the_by_name_client() {
     assert_eq!(ra.cold_starts, rb.cold_starts);
     assert_eq!(ra.latency_p50.to_bits(), rb.latency_p50.to_bits());
     assert_eq!(ra.latency_p999.to_bits(), rb.latency_p999.to_bits());
-    assert_eq!(ra.busy_gb_seconds.to_bits(), rb.busy_gb_seconds.to_bits());
-    assert_eq!(ra.resident_gb_seconds.to_bits(), rb.resident_gb_seconds.to_bits());
+    assert_eq!(ra.packing, rb.packing);
     assert_eq!(ra.sim_secs.to_bits(), rb.sim_secs.to_bits());
 }

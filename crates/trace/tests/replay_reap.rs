@@ -21,8 +21,7 @@ fn churny_cfg() -> ReplayConfig {
 fn aggressive_mid_replay_reaping_keeps_cold_start_accounting_exact() {
     let out = replay(&churny_cfg(), 17, &|_| {});
     let r = &out.report;
-    assert_eq!(r.invocations, r.generated, "requests went missing");
-    assert_eq!(r.succeeded + r.failed, r.invocations);
+    assert_eq!(r.violations(), Vec::<String>::new());
     assert_eq!(r.failed, 0, "reaping must never kill a busy container");
     // With retries disabled, the platform sees exactly one execution per
     // trace event: cold + warm must tile the attempts with no double
@@ -32,7 +31,6 @@ fn aggressive_mid_replay_reaping_keeps_cold_start_accounting_exact() {
         r.cold_starts >= r.distinct_functions,
         "every function's first execution is necessarily cold"
     );
-    assert!(r.cold_starts <= r.attempts);
     // The short keep-alive must actually bite: far more cold starts than
     // the one-per-function floor.
     assert!(

@@ -9,7 +9,10 @@
 //! The replay runs **twice** at the same seed and the run fails (nonzero
 //! exit) unless the recorder digest, the bill, and the report are
 //! byte-identical — the million-invocation determinism check from the
-//! issue, as a user-facing gate rather than a test.
+//! issue, as a user-facing gate rather than a test — and the report
+//! satisfies its own conservation identities
+//! ([`ReplayReport::violations`]). `--smoke` holds every seed of the
+//! small sweep to both, too.
 //!
 //! ```text
 //! cargo run --release --example trace_replay               # paper scale
@@ -122,6 +125,11 @@ fn main() {
         "wall: {wall:.2}s ({:.0} invocations/sec host)",
         first.report.invocations as f64 / wall.max(1e-9),
     );
+    let violations = first.report.violations();
+    if !violations.is_empty() {
+        eprintln!("REPORT VIOLATIONS:\n  {}", violations.join("\n  "));
+        std::process::exit(1);
+    }
 
     println!("replaying the same seed again to verify determinism ...");
     let second = replay(&cfg, args.seed, &|_| {});

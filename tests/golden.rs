@@ -109,7 +109,7 @@ fn replay_client_shapes_match_golden() {
                     let out = replay(&cfg, seed, &|cloud| plan.apply(cloud));
                     let r = &out.report;
                     assert_eq!(r.generated, 2_000);
-                    assert_eq!(r.invocations, 2_000);
+                    assert!(r.violations().is_empty(), "{gw_name}/{retry_name}: {:?}", r.violations());
                     if retry && plan_name == "hostile" {
                         // The retry layer really ran: more platform
                         // executions than requests.
@@ -186,27 +186,27 @@ const GOLDEN_CHAOS: &[(&str, u64)] = &[
     ("queue-pipeline/chaotic@11", 0x163976d5435d6e87),
     ("link-churn/default@5", 0xb35630558e7bed22),
     ("link-churn/default@11", 0x7f27a66c9dd6a7be),
-    ("trace-replay/small_calm@5", 0x3354f950aaa07032),
-    ("trace-replay/small_calm@11", 0x5a8e6771f4edb783),
-    ("trace-replay/small_hostile@5", 0xb51858d1bb6514da),
-    ("trace-replay/small_hostile@11", 0x22c681ccde7f0ca3),
+    ("trace-replay/small_calm@5", 0x9bdecef70e0c1439),
+    ("trace-replay/small_calm@11", 0x52bed0d43851ac1f),
+    ("trace-replay/small_hostile@5", 0xec8fa24b6b563fd0),
+    ("trace-replay/small_hostile@11", 0x02bdbe575a9604aa),
 ];
 
 const GOLDEN_REPLAY: &[(&str, u64, u64)] = &[
-    ("replay/direct/once/calm@5", 0xac1e8227f5d81771, 0x8849c9bfd37b90d9),
-    ("replay/direct/once/calm@11", 0x1d8576309a680b60, 0x6becd2a74b54cfd4),
-    ("replay/direct/once/hostile@5", 0x8e84cf6a8dce10cc, 0x37ee0f4987324ac3),
-    ("replay/direct/once/hostile@11", 0x89b2b116b51ec618, 0x7052874defeedfeb),
-    ("replay/direct/retry/calm@5", 0x9f72daa794187c4c, 0x8849c9bfd37b90d9),
-    ("replay/direct/retry/calm@11", 0xe60a3d223d329b75, 0x6becd2a74b54cfd4),
-    ("replay/direct/retry/hostile@5", 0x24e33c386a410723, 0x42ca49aaf691365a),
-    ("replay/direct/retry/hostile@11", 0x2295320515215843, 0x5c00ddc22938b588),
-    ("replay/gateway/once/calm@5", 0x5dcf8abdd8761a62, 0x97330d795df6352a),
-    ("replay/gateway/once/calm@11", 0x4c75057dc73eff59, 0x2380a77c3b41d410),
-    ("replay/gateway/once/hostile@5", 0x45d190c2536989a3, 0x9d5368eb87cc1805),
-    ("replay/gateway/once/hostile@11", 0xa17facf13b538861, 0x64c629d6d45a762c),
-    ("replay/gateway/retry/calm@5", 0x461cd38b9c11a120, 0x97330d795df6352a),
-    ("replay/gateway/retry/calm@11", 0xc6ae4b2491e1f503, 0x2380a77c3b41d410),
-    ("replay/gateway/retry/hostile@5", 0xd93274d44d6a2a96, 0xd0d1420c2457dced),
-    ("replay/gateway/retry/hostile@11", 0x63c823fdd6ee4d32, 0x01e6fa60d225d350),
+    ("replay/direct/once/calm@5", 0xac1e8227f5d81771, 0x32fd23880c708d95),
+    ("replay/direct/once/calm@11", 0x1d8576309a680b60, 0x11a98538bd599dec),
+    ("replay/direct/once/hostile@5", 0x8e84cf6a8dce10cc, 0x3bb82ac02e21b6b0),
+    ("replay/direct/once/hostile@11", 0x89b2b116b51ec618, 0xfab001255775eefe),
+    ("replay/direct/retry/calm@5", 0x9f72daa794187c4c, 0x32fd23880c708d95),
+    ("replay/direct/retry/calm@11", 0xe60a3d223d329b75, 0x11a98538bd599dec),
+    ("replay/direct/retry/hostile@5", 0x24e33c386a410723, 0x94834554a6a0037c),
+    ("replay/direct/retry/hostile@11", 0x2295320515215843, 0x999c7e5e6e92aee9),
+    ("replay/gateway/once/calm@5", 0x5dcf8abdd8761a62, 0x181e999818ba8c4f),
+    ("replay/gateway/once/calm@11", 0x4c75057dc73eff59, 0x7b7e328887032414),
+    ("replay/gateway/once/hostile@5", 0x45d190c2536989a3, 0x112920e3faacd52b),
+    ("replay/gateway/once/hostile@11", 0xa17facf13b538861, 0xb9c9844c0eaa2b0f),
+    ("replay/gateway/retry/calm@5", 0x461cd38b9c11a120, 0x181e999818ba8c4f),
+    ("replay/gateway/retry/calm@11", 0xc6ae4b2491e1f503, 0x7b7e328887032414),
+    ("replay/gateway/retry/hostile@5", 0xd93274d44d6a2a96, 0x35b78086b5a64c12),
+    ("replay/gateway/retry/hostile@11", 0x63c823fdd6ee4d32, 0xaa182ead4886bed6),
 ];
