@@ -94,14 +94,11 @@ impl<'p> Harness<'p> {
 /// workloads' one policy: 25 attempts, enough to ride out any fault
 /// streak the hostile plan can produce. `label` names the jitter stream.
 fn retrying<S: Clone>(cloud: &Cloud, service: &S, label: &str) -> Retrying<S> {
-    Retrying::new(&cloud.sim, service, cloud.recorder.clone(), policy(), label)
-}
-
-fn policy() -> RetryPolicy {
-    RetryPolicy {
+    let policy = RetryPolicy {
         max_attempts: 25,
         ..RetryPolicy::default()
-    }
+    };
+    Retrying::new(&cloud.sim, service, cloud.recorder.clone(), policy, label)
 }
 
 /// One invocation of an echo function inside a two-minute budget: it

@@ -16,7 +16,7 @@ use faasim_queue::{DeadLetterConfig, QueueConfig};
 use faasim_resilience::{BreakerConfig, BreakerError, CircuitBreaker, Deadline, IdempotencyStore};
 use faasim_simcore::SimDuration;
 
-use super::{policy, retrying, Harness};
+use super::{retrying, Harness};
 use crate::faults::FaultPlan;
 use crate::sweep::RunReport;
 
@@ -51,14 +51,7 @@ pub(super) fn run(plan: &FaultPlan, seed: u64) -> RunReport {
             put.err().map(|e| format!("upload model: {e}")),
         );
     }
-    let idem = IdempotencyStore::new(
-        &cloud.sim,
-        &cloud.kv,
-        cloud.recorder.clone(),
-        "effects",
-        policy(),
-        "resil.pred.idem",
-    );
+    let idem = IdempotencyStore::new(&retrying(&cloud, &cloud.kv, "resil.pred.idem"), "effects");
     let breaker = CircuitBreaker::new(
         &cloud.sim,
         cloud.recorder.clone(),

@@ -36,7 +36,7 @@ pub struct Retrying<S> {
     sim: Sim,
     policy: RetryPolicy,
     rng: Rc<RefCell<SimRng>>,
-    recorder: Recorder,
+    pub(crate) recorder: Recorder,
     /// The per-attempt counter. Every operation of one `Retrying<S>`
     /// counts under one name, learnt at the first attempt.
     attempts: OnceCell<LazyCounter>,
@@ -96,6 +96,20 @@ impl<S> Retrying<S> {
 pub type RetryingKv = Retrying<KvStore>;
 
 impl Retrying<KvStore> {
+    /// Run one store operation through the retry loop inside `deadline`:
+    /// a throttled attempt is retried, any other error is final.
+    pub fn call<'a, T: 'a, Fut>(
+        &'a self,
+        deadline: Deadline,
+        mut op: impl FnMut(&'a KvStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, RetryError<KvError>>> + 'a
+    where
+        Fut: Future<Output = Result<T, KvError>> + 'a,
+    {
+        let transient = |e: &KvError| any_time(e.is_transient());
+        self.retry("chaos.kv.attempts", deadline, true, transient, move || op(&self.inner))
+    }
+
     /// Retrying unconditional write. Returns the new version.
     pub async fn put(
         &self,
@@ -105,11 +119,7 @@ impl Retrying<KvStore> {
         value: Bytes,
         deadline: Deadline,
     ) -> Result<u64, RetryError<KvError>> {
-        let transient = |e: &KvError| any_time(e.is_transient());
-        self.retry("chaos.kv.attempts", deadline, true, transient, || {
-            self.inner.put(caller, table, key, value.clone())
-        })
-        .await
+        self.call(deadline, |kv| kv.put(caller, table, key, value.clone())).await
     }
 
     /// Retrying read.
@@ -121,11 +131,7 @@ impl Retrying<KvStore> {
         consistency: Consistency,
         deadline: Deadline,
     ) -> Result<Item, RetryError<KvError>> {
-        let transient = |e: &KvError| any_time(e.is_transient());
-        self.retry("chaos.kv.attempts", deadline, true, transient, || {
-            self.inner.get(caller, table, key, consistency)
-        })
-        .await
+        self.call(deadline, |kv| kv.get(caller, table, key, consistency)).await
     }
 }
 

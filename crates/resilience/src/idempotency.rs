@@ -15,17 +15,15 @@
 //! and committing leaves at most one committed record — the retry
 //! either commits first or loses the conditional write and dedups.
 
-use std::cell::RefCell;
 use std::future::Future;
-use std::rc::Rc;
 
-use faasim_kv::{Condition, Consistency, KvError, KvStore};
+use faasim_kv::{Condition, Consistency, KvError};
 use faasim_net::Host;
 use faasim_payload::Payload;
-use faasim_simcore::{Recorder, Sim, SimRng};
 
+use crate::clients::RetryingKv;
 use crate::deadline::Deadline;
-use crate::retry::{RetryError, RetryPolicy};
+use crate::retry::RetryError;
 
 /// The committed outcome of [`IdempotencyStore::execute`].
 #[derive(Clone, Debug)]
@@ -37,37 +35,23 @@ pub struct Effect {
     pub deduped: bool,
 }
 
-/// A KV-backed effect memo keyed by idempotency keys. Cheap to clone;
-/// clones share the table and the retry jitter stream.
+/// A KV-backed effect memo keyed by idempotency keys, a client of the
+/// [`RetryingKv`] it is handed: that client's policy governs retries of
+/// *transient* KV failures (throttling) on the store's own reads and
+/// writes, and its counter counts their attempts. Cheap to clone; clones
+/// share the table and the client.
 #[derive(Clone)]
 pub struct IdempotencyStore {
-    kv: KvStore,
-    sim: Sim,
-    recorder: Recorder,
-    policy: RetryPolicy,
-    rng: Rc<RefCell<SimRng>>,
+    kv: RetryingKv,
     table: String,
 }
 
 impl IdempotencyStore {
-    /// A store over `table` (created if missing). `label` names the
-    /// retry jitter RNG stream; `policy` governs retries of *transient*
-    /// KV failures (throttling) on the store's own reads and writes.
-    pub fn new(
-        sim: &Sim,
-        kv: &KvStore,
-        recorder: Recorder,
-        table: &str,
-        policy: RetryPolicy,
-        label: &str,
-    ) -> IdempotencyStore {
-        kv.create_table(table);
+    /// A store over `table` (created if missing), reached through `kv`.
+    pub fn new(kv: &RetryingKv, table: &str) -> IdempotencyStore {
+        kv.inner().create_table(table);
         IdempotencyStore {
             kv: kv.clone(),
-            sim: sim.clone(),
-            recorder,
-            policy,
-            rng: Rc::new(RefCell::new(sim.rng(label))),
             table: table.to_owned(),
         }
     }
@@ -92,7 +76,7 @@ impl IdempotencyStore {
     {
         // Fast path: the effect may already be committed.
         if let Some(prior) = self.read(caller, key).await? {
-            self.recorder.incr("resil.idem.dedup");
+            self.kv.recorder.incr("resil.idem.dedup");
             return Ok(Effect {
                 value: prior,
                 deduped: true,
@@ -100,20 +84,14 @@ impl IdempotencyStore {
         }
         let value = op().await;
         let committed = self
-            .policy
-            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
-                self.kv.put_if(
-                    caller,
-                    &self.table,
-                    key,
-                    value.clone(),
-                    Condition::NotExists,
-                )
+            .kv
+            .call(Deadline::unbounded(), |kv| {
+                kv.put_if(caller, &self.table, key, value.clone(), Condition::NotExists)
             })
             .await;
         match committed {
             Ok(_) => {
-                self.recorder.incr("resil.idem.committed");
+                self.kv.recorder.incr("resil.idem.committed");
                 Ok(Effect {
                     value,
                     deduped: false,
@@ -122,7 +100,7 @@ impl IdempotencyStore {
             // Another execution committed first; its value is the one
             // observable effect.
             Err(RetryError::Fatal(KvError::ConditionFailed)) => {
-                self.recorder.incr("resil.idem.lost_race");
+                self.kv.recorder.incr("resil.idem.lost_race");
                 let winner = self.read(caller, key).await?.ok_or(RetryError::Fatal(
                     // A NotExists failure guarantees the key exists.
                     KvError::NoSuchKey(key.to_owned()),
@@ -140,10 +118,8 @@ impl IdempotencyStore {
     /// retrying transient failures. `None` when nothing is committed.
     async fn read(&self, caller: &Host, key: &str) -> Result<Option<Payload>, RetryError<KvError>> {
         let got = self
-            .policy
-            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
-                self.kv.get(caller, &self.table, key, Consistency::Strong)
-            })
+            .kv
+            .get(caller, &self.table, key, Consistency::Strong, Deadline::unbounded())
             .await;
         match got {
             Ok(item) => Ok(Some(item.value)),
@@ -160,10 +136,8 @@ impl IdempotencyStore {
         prefix: &str,
     ) -> Result<Vec<(String, Payload)>, RetryError<KvError>> {
         let rows = self
-            .policy
-            .run(&self.sim, &self.rng, Deadline::unbounded(), KvError::is_transient, || {
-                self.kv.scan_prefix(caller, &self.table, prefix)
-            })
+            .kv
+            .call(Deadline::unbounded(), |kv| kv.scan_prefix(caller, &self.table, prefix))
             .await?;
         Ok(rows
             .into_iter()
@@ -184,18 +158,20 @@ impl IdempotencyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::RetryPolicy;
     use faasim::{Cloud, CloudProfile};
     use std::cell::Cell;
+    use std::rc::Rc;
 
     fn store(cloud: &Cloud) -> IdempotencyStore {
-        IdempotencyStore::new(
+        let kv = RetryingKv::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
-            "effects",
             RetryPolicy::default(),
             "resil.idem.test",
-        )
+        );
+        IdempotencyStore::new(&kv, "effects")
     }
 
     #[test]
@@ -255,6 +231,45 @@ mod tests {
             let _ = sim2;
         });
         assert_eq!(cloud.recorder.counter("resil.idem.committed"), 1);
+    }
+
+    /// Under throttling the store's operations retry through the client
+    /// it was handed — whose counter shows the extra attempts — and each
+    /// key still commits exactly one effect.
+    #[test]
+    fn throttled_operations_retry_through_the_client_and_commit_once() {
+        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 20);
+        cloud.kv.set_faults(faasim_kv::KvFaults { throttle_prob: 0.3 });
+        let s = store(&cloud);
+        let host = cloud.client_host();
+        let runs = Rc::new(Cell::new(0u32));
+        let r = runs.clone();
+        cloud.sim.block_on(async move {
+            for round in 0..3 {
+                for key in 0..10 {
+                    let r2 = r.clone();
+                    let eff = s
+                        .execute(&host, &format!("req-{key}"), move || {
+                            r2.set(r2.get() + 1);
+                            async move { Payload::inline(format!("effect-{key}")) }
+                        })
+                        .await
+                        .expect("five attempts outlast 30% throttling at this seed");
+                    assert_eq!(eff.deduped, round > 0);
+                }
+            }
+            assert_eq!(s.committed_count(&host, "req-").await.unwrap(), 10);
+        });
+        assert_eq!(runs.get(), 10, "one effect body per key");
+        assert_eq!(cloud.recorder.counter("resil.idem.committed"), 10);
+        // 30 fast-path reads, 10 conditional writes and the final scan.
+        let operations = 30 + 10 + 1;
+        assert!(cloud.recorder.counter("kv.throttled") > 0, "faults fired");
+        assert_eq!(
+            cloud.recorder.counter("chaos.kv.attempts"),
+            operations + cloud.recorder.counter("kv.throttled"),
+            "every throttled attempt was retried, and counted"
+        );
     }
 
     #[test]

@@ -144,8 +144,8 @@ const GOLDEN_EXPERIMENTS: &[(&str, u64)] = &[
     ("data_shipping/calm@11", 0x76d407a375a2a239),
     ("training/calm@5", 0x693a9555c59edcb9),
     ("training/calm@11", 0x693a9555c59edcb9),
-    ("prediction/calm@5", 0x5e477960f89fb540),
-    ("prediction/calm@11", 0x5e477960f89fb540),
+    ("prediction/calm@5", 0xd84a794647f2bcaf),
+    ("prediction/calm@11", 0xd84a794647f2bcaf),
     ("election/calm@5", 0x12600c9f581fd070),
     ("election/calm@11", 0x12600c9f581fd070),
     ("agents_cmp/calm@5", 0x331ae86f26535b83),
@@ -160,8 +160,8 @@ const GOLDEN_EXPERIMENTS: &[(&str, u64)] = &[
     ("data_shipping/hostile@11", 0xd468a756407222a1),
     ("training/hostile@5", 0x693a9555c59edcb9),
     ("training/hostile@11", 0xbe5134e2ddba04ca),
-    ("prediction/hostile@5", 0x643f4f84c28b238c),
-    ("prediction/hostile@11", 0x22e1ed511c94832f),
+    ("prediction/hostile@5", 0x1f22473574b6a09b),
+    ("prediction/hostile@11", 0xdcc5db47826ae6b5),
     ("election/hostile@5", 0x73d3963f652f62c6),
     ("election/hostile@11", 0xadb00d933df84baa),
     ("agents_cmp/hostile@5", 0x128decc4cf7276c4),
