@@ -234,6 +234,7 @@ impl ReplayReport {
     /// Every conservation identity this report breaks, one message each;
     /// empty for a sound replay that ran to quiescence.
     pub fn violations(&self) -> Vec<String> {
+        let Self { generated, invocations, succeeded, failed, attempts, cold_starts, .. } = self;
         let mut found = Vec::new();
         let mut check = |ok: bool, broken: String| {
             if !ok {
@@ -241,45 +242,27 @@ impl ReplayReport {
             }
         };
         check(
-            self.invocations == self.generated,
-            format!(
-                "lost requests: {} generated but {} completed",
-                self.generated, self.invocations
-            ),
+            invocations == generated,
+            format!("lost requests: {generated} generated but {invocations} completed"),
         );
         check(
-            self.succeeded + self.failed == self.invocations,
-            format!(
-                "outcome accounting broken: {} ok + {} failed != {} invocations",
-                self.succeeded, self.failed, self.invocations
-            ),
+            succeeded + failed == *invocations,
+            format!("outcome accounting broken: {succeeded} ok + {failed} failed != {invocations} invocations"),
         );
         check(
-            self.attempts >= self.succeeded,
-            format!(
-                "impossible attempt count: {} attempts for {} successes",
-                self.attempts, self.succeeded
-            ),
+            attempts >= succeeded,
+            format!("impossible attempt count: {attempts} attempts for {succeeded} successes"),
         );
         check(
-            self.cold_starts <= self.attempts,
-            format!(
-                "cold starts over-counted: {} cold of {} attempts",
-                self.cold_starts, self.attempts
-            ),
+            cold_starts <= attempts,
+            format!("cold starts over-counted: {cold_starts} cold of {attempts} attempts"),
         );
-        if let Some(door) = &self.front_door {
-            let gw = &door.gateway.totals;
+        if let Some(FrontDoorStats { gateway, shed_requests, .. }) = &self.front_door {
+            let gw = &gateway.totals;
+            check(gw.conserved(), format!("gateway admission accounting broken: {gw}"));
             check(
-                gw.conserved(),
-                format!("gateway admission accounting broken: {gw}"),
-            );
-            check(
-                gw.offered >= self.invocations,
-                format!(
-                    "requests bypassed the gateway: {} offered for {} requests",
-                    gw.offered, self.invocations
-                ),
+                gw.offered >= *invocations,
+                format!("requests bypassed the gateway: {} offered for {invocations} requests", gw.offered),
             );
             check(
                 gw.admitted == gw.succeeded + gw.failed,
@@ -289,11 +272,8 @@ impl ReplayReport {
                 ),
             );
             check(
-                door.shed_requests <= self.failed,
-                format!(
-                    "{} requests shed for good but only {} failed",
-                    door.shed_requests, self.failed
-                ),
+                shed_requests <= failed,
+                format!("{shed_requests} requests shed for good but only {failed} failed"),
             );
         }
         found
