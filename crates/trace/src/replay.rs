@@ -347,7 +347,19 @@ impl fmt::Display for ReplayReport {
         writeln!(f, "  packing     {}", self.packing)?;
         writeln!(f, "  network     {}", self.nic)?;
         if let Some(door) = &self.front_door {
-            writeln!(f, "{door}")?;
+            writeln!(
+                f,
+                "  tenants     {} seen · p99 worst {:.1} ms / median {:.1} ms · mean-latency spread {:.2}",
+                door.tenants_seen,
+                door.tenant_p99_max * 1e3,
+                door.tenant_p99_median * 1e3,
+                door.tenant_fairness_spread,
+            )?;
+            writeln!(
+                f,
+                "  gateway     {} · {} requests shed for good · peak {} in flight",
+                door.gateway.totals, door.shed_requests, door.gateway.peak_in_flight,
+            )?;
         }
         if self.chaos_kills > 0 || self.chaos_evicted > 0 {
             writeln!(
@@ -362,25 +374,6 @@ impl fmt::Display for ReplayReport {
             "  cost        ${:.4} total = ${:.4}/hr",
             self.dollars,
             self.dollars_per_hour()
-        )
-    }
-}
-
-/// The report's `tenants` and `gateway` lines.
-impl fmt::Display for FrontDoorStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "  tenants     {} seen · p99 worst {:.1} ms / median {:.1} ms · mean-latency spread {:.2}",
-            self.tenants_seen,
-            self.tenant_p99_max * 1e3,
-            self.tenant_p99_median * 1e3,
-            self.tenant_fairness_spread,
-        )?;
-        write!(
-            f,
-            "  gateway     {} · {} requests shed for good · peak {} in flight",
-            self.gateway.totals, self.shed_requests, self.gateway.peak_in_flight,
         )
     }
 }

@@ -109,7 +109,7 @@ fn replay_client_shapes_match_golden() {
                     let out = replay(&cfg, seed, &|cloud| plan.apply(cloud));
                     let r = &out.report;
                     assert_eq!(r.generated, 2_000);
-                    assert!(r.violations().is_empty(), "{gw_name}/{retry_name}: {:?}", r.violations());
+                    assert_eq!(r.violations(), Vec::<String>::new(), "{gw_name}/{retry_name}");
                     if retry && plan_name == "hostile" {
                         // The retry layer really ran: more platform
                         // executions than requests.
