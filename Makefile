@@ -47,19 +47,19 @@ TRACE_SEED ?= 2019
 trace-replay:
 	$(CARGO) run --release --example trace_replay -- --seed $(TRACE_SEED)
 
-## Wall-clock performance baseline: DES-kernel events/sec, per-experiment
-## wall-clock, and 64-seed sweep throughput (serial vs parallel). Writes
-## BENCH_baseline.json — the numbers `bench-compare` gates against. A perf
-## PR records its own append-only snapshot beside it instead of overwriting:
+## Wall-clock kernel suite: events/sec through the DES kernel, the
+## fair-share link, the election's poll loop, the platform's warm path and
+## the trace replays, best of three rounds. Prints the table; writes a
+## snapshot only when told where. A perf PR records its own, append-only:
 ## `BENCH_OUT=$(CURDIR)/BENCH_pr<N>.json make bench`.
 bench:
 	$(CARGO) bench -p faasim-bench --bench wallclock
 
 ## Regression gate: re-run the wall-clock suite and diff it against the
-## committed BENCH_baseline.json — kernel benches on events/sec,
-## experiments on wall-clock ratio. Fails (nonzero exit) if anything is
-## more than 25% slower (override with BENCH_COMPARE_TOLERANCE=<frac>);
-## shrink the sweep for smoke runs with BENCH_SWEEP_SEEDS=<n>.
+## newest committed BENCH_pr<N>.json (highest N; BENCH_baseline.json is
+## the trajectory's first point and anchors nothing once a pr file
+## exists). Fails (nonzero exit) if any kernel in that snapshot is more
+## than 25% slower on events/sec.
 bench-compare:
 	$(CARGO) bench -p faasim-bench --bench bench_compare
 
@@ -107,7 +107,7 @@ layers:
 names:
 	@hits=$$(for c in kv blob queue net agents compute; do \
 		find crates/$$c/src -name '*.rs' | xargs awk \
-			'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } \
+			'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } \
 			!test && (/\.(record|record_duration|add|incr)\([ \t]*"/ || /\.charge\(([^&]|$$)/) \
 				{ printf "%s:%d:%s\n", FILENAME, FNR, $$0 }'; \
 	done); \

@@ -1,39 +1,19 @@
-//! `make bench-compare`: re-run the wall-clock suite and gate it
-//! against the committed `BENCH_baseline.json`.
+//! `make bench-compare`: re-run the wall-clock suite and gate it against
+//! the newest committed snapshot (`BENCH_pr<N>.json` with the highest
+//! `N`; `BENCH_baseline.json` only while no such file exists).
 //!
-//! Exits nonzero if any kernel bench's events/sec, any experiment's
-//! wall-clock, or the chaos sweep's seeds/sec is more than
-//! `BENCH_COMPARE_TOLERANCE` (default 0.25 = 25%) worse than the
-//! baseline. Sweep throughput is per-seed normalized, so
-//! `BENCH_SWEEP_SEEDS` can shrink the sweep for smoke runs (CI uses 4)
-//! and still gate against the 64-seed baseline — though runs under the
-//! noise floor (~50 ms per arm) are reported but not gated, and the
-//! parallel arm is only gated when this machine's worker count matches
-//! the baseline's.
+//! Exits nonzero if any kernel's events/sec is more than 25% below the
+//! snapshot's.
 
 use faasim_bench::{compare, wallclock};
 
 fn main() {
-    let seeds = std::env::var("BENCH_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(64);
-    let tolerance = std::env::var("BENCH_COMPARE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    let baseline_path = std::env::var("BENCH_BASELINE").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json").to_owned()
-    });
+    let snapshots = compare::committed_snapshots();
+    let newest = snapshots.last().expect("no BENCH_*.json snapshot — run `make bench` first");
 
-    let json = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {baseline_path}: {e} — run `make bench` first"));
-    let baseline = compare::parse_baseline(&json)
-        .unwrap_or_else(|| panic!("unrecognized baseline schema in {baseline_path}"));
-
-    faasim_bench::section("bench-compare (fresh run vs committed baseline)");
-    let current = wallclock::run_baseline(seeds);
-    let (report, regressions) = compare::compare(&baseline, &current, tolerance);
+    println!("\n=== bench-compare (fresh run vs BENCH_{}.json) ===\n", newest.label);
+    let current = wallclock::run_baseline();
+    let (report, regressions) = compare::compare(newest, &current);
     println!("{report}");
 
     if !regressions.is_empty() {

@@ -11,8 +11,9 @@
 
 use std::time::Instant;
 
-use faasim_bench::wallclock::{assert_calm_replay, replay_100k_config, replay_1m_config};
-use faasim_bench::BENCH_SEED;
+use faasim_bench::wallclock::{
+    assert_calm_replay, replay_100k_config, replay_1m_config, BENCH_SEED,
+};
 use faasim_trace::{replay, ReplayConfig};
 
 fn profile_one(name: &str, cfg: &ReplayConfig) {
@@ -30,7 +31,7 @@ fn profile_one(name: &str, cfg: &ReplayConfig) {
 
 fn main() {
     let scale = std::env::var("PROFILE_SCALE").unwrap_or_else(|_| "100k".to_owned());
-    faasim_bench::section(&format!("engine profile, replay kernels ({scale})"));
+    println!("\n=== engine profile, replay kernels ({scale}) ===\n");
     match scale.as_str() {
         "100k" => {
             profile_one("trace/replay_100k_invocations", &replay_100k_config(false));

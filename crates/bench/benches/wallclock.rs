@@ -1,28 +1,21 @@
-//! `make bench`: the wall-clock performance baseline.
-//!
-//! Times the DES kernel (events/sec), every experiment at `quick()`
-//! params, and a 64-seed chaos sweep serial vs parallel, then writes
-//! `BENCH_baseline.json` (override the path with `BENCH_OUT`, the seed
-//! count with `BENCH_SWEEP_SEEDS`).
+//! `make bench`: run the wall-clock kernel suite and print it. With
+//! `BENCH_OUT=<path>` it is also written out as a snapshot — a perf PR
+//! records `BENCH_OUT=$PWD/BENCH_pr<N>.json make bench`, and nothing
+//! else ever writes a committed snapshot.
 
 use faasim_bench::wallclock;
 
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
-    let seeds = std::env::var("BENCH_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(64);
-    // Default next to the workspace root regardless of the CWD cargo
-    // gives bench binaries (the package dir).
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json").to_owned()
-    });
-
-    faasim_bench::section("wall-clock baseline (host time, not virtual time)");
-    let baseline = wallclock::run_baseline(seeds);
+    println!("\n=== wall-clock kernel suite (host time, not virtual time) ===\n");
+    let baseline = wallclock::run_baseline();
     println!("{}", baseline.render());
 
-    std::fs::write(&out_path, baseline.to_json()).expect("write baseline json");
-    println!("wrote {out_path}");
+    match std::env::var("BENCH_OUT") {
+        Ok(path) => {
+            std::fs::write(&path, baseline.to_json()).expect("write snapshot json");
+            println!("wrote {path}");
+        }
+        Err(_) => println!("BENCH_OUT not set: no snapshot written"),
+    }
 }

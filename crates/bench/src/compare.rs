@@ -1,64 +1,46 @@
-//! `make bench-compare`: the regression gate over the wall-clock
-//! baseline.
+//! `make bench-compare` and `make bench-trend`: the regression gate and
+//! the trajectory over the committed wall-clock snapshots.
 //!
-//! Re-runs the [`crate::wallclock`] suite and diffs it against the
-//! committed `BENCH_baseline.json`: kernel benches on **events/sec**,
-//! experiments on **wall-clock ratio**, and the chaos sweep on
-//! **seeds/sec** (per-seed normalized, so a 4-seed CI smoke gates
-//! against a 64-seed baseline; the parallel arm only when the baseline
-//! machine had enough cores for its number to mean anything and the
-//! worker count matches the baseline's). Any entry more than the
-//! tolerance
-//! (default 25%) slower than the baseline fails the gate with a nonzero
-//! exit, so a PR that quietly regresses the simulator's throughput
-//! turns red in CI.
+//! A snapshot is what [`crate::wallclock`] wrote at some PR:
+//! `BENCH_baseline.json` (PR 10) and one `BENCH_pr<N>.json` per perf PR
+//! since, beside the workspace's `Cargo.toml`. The gate re-runs the suite
+//! and compares it with the **newest** of them, kernel by kernel on
+//! events/sec: anything more than [`TOLERANCE`] slower fails with a
+//! nonzero exit, so a PR that quietly gives back an earlier PR's gain
+//! turns red in CI. The trend prints all of them, oldest first.
 //!
-//! The baseline file is our own schema (`faasim-bench/wallclock/1`) and
-//! the build is offline, so parsing is a small hand-rolled extractor
-//! rather than an external JSON dependency.
+//! The files are our own schema (`faasim-bench/wallclock/1`) and the
+//! build is offline, so parsing is a small hand-rolled extractor rather
+//! than an external JSON dependency. It reads the `kernel` array only:
+//! snapshots up to PR 19 also carry `experiments` and `sweep` sections
+//! from arms the suite no longer has.
 
 use std::fmt::Write as _;
 
 use crate::wallclock::Baseline;
 
-/// The subset of `BENCH_baseline.json` the gate compares against.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BaselineNumbers {
+/// A kernel may lose this share of its snapshot's events/sec before the
+/// gate fails (each side is a best-of-3; `wall_secs_max` in a snapshot
+/// shows what the rounds spread over).
+pub const TOLERANCE: f64 = 0.25;
+
+/// One committed snapshot.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Snapshot {
+    /// `baseline`, or `pr<N>`.
+    pub label: String,
     /// Kernel bench name → events per host second.
     pub kernel: Vec<(String, f64)>,
-    /// Experiment name → host seconds.
-    pub experiments: Vec<(String, f64)>,
-    /// Chaos-sweep throughput, if the baseline recorded one.
-    pub sweep: Option<SweepNumbers>,
 }
 
-/// The baseline's chaos-sweep arm.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepNumbers {
-    /// Seeds the baseline swept.
-    pub seeds: f64,
-    /// Host cores the baseline machine had (0 when the baseline predates
-    /// recording it). A parallel arm measured on fewer than
-    /// [`MIN_PARALLEL_CORES`] cores is contention noise, not a speedup.
-    pub cores: f64,
-    /// Worker threads its parallel arm used.
-    pub workers: f64,
-    /// Host seconds, serial arm.
-    pub serial_secs: f64,
-    /// Host seconds, parallel arm.
-    pub parallel_secs: f64,
-}
-
-/// One entry that breached the tolerance.
+/// One kernel that breached the tolerance.
 #[derive(Clone, Debug)]
 pub struct Regression {
-    /// Bench or experiment name.
+    /// Kernel bench name.
     pub name: String,
-    /// Which metric regressed (`events/sec` or `wall_secs`).
-    pub metric: &'static str,
-    /// Baseline value.
+    /// The snapshot's events/sec.
     pub baseline: f64,
-    /// Freshly measured value.
+    /// The freshly measured events/sec.
     pub current: f64,
 }
 
@@ -89,17 +71,6 @@ fn array_section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     Some(&json[start..end])
 }
 
-/// The body of the `"key": { ... }` object in `json`. Scoping matters:
-/// keys like `"cores"` appear both top-level and inside `"sweep"`, so
-/// sweep fields must be extracted from this section, never the whole
-/// file.
-fn object_section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": {{");
-    let start = json.find(&pat)? + pat.len();
-    let end = json[start..].find('}')? + start;
-    Some(&json[start..end])
-}
-
 /// Split an array body into the `{...}` object bodies it contains.
 fn objects(section: &str) -> Vec<&str> {
     let mut out = Vec::new();
@@ -114,91 +85,89 @@ fn objects(section: &str) -> Vec<&str> {
     out
 }
 
-/// Parse the committed baseline. Returns `None` if the schema line or a
-/// required section is missing — regenerate with `make bench`.
-pub fn parse_baseline(json: &str) -> Option<BaselineNumbers> {
+/// The kernels of one snapshot file. Returns `None` if the schema line or
+/// the `kernel` array is missing or malformed.
+pub fn parse_snapshot(json: &str) -> Option<Vec<(String, f64)>> {
     if !json.contains("\"schema\": \"faasim-bench/wallclock/1\"") {
         return None;
     }
-    let mut numbers = BaselineNumbers::default();
-    for obj in objects(array_section(json, "kernel")?) {
-        numbers
-            .kernel
-            .push((field_str(obj, "name")?, field_f64(obj, "events_per_sec")?));
-    }
-    for obj in objects(array_section(json, "experiments")?) {
-        numbers
-            .experiments
-            .push((field_str(obj, "name")?, field_f64(obj, "wall_secs")?));
-    }
-    // Older baselines may predate sweep gating: absent numbers simply
-    // leave the sweep ungated rather than rejecting the file.
-    numbers.sweep = object_section(json, "sweep").and_then(|obj| {
-        Some(SweepNumbers {
-            seeds: field_f64(obj, "seeds")?,
-            // Absent in pre-cores baselines: 0 means "unknown", which
-            // (like any count below MIN_PARALLEL_CORES) skips the
-            // parallel-arm gate.
-            cores: field_f64(obj, "cores").unwrap_or(0.0),
-            workers: field_f64(obj, "workers")?,
-            serial_secs: field_f64(obj, "serial_secs")?,
-            parallel_secs: field_f64(obj, "parallel_secs")?,
+    objects(array_section(json, "kernel")?)
+        .into_iter()
+        .map(|obj| Some((field_str(obj, "name")?, field_f64(obj, "events_per_sec")?)))
+        .collect()
+}
+
+/// The labels of the snapshot files among `file_names`, oldest first:
+/// `baseline`, then every `pr<N>` by `N` as a number.
+pub fn snapshot_labels(file_names: impl IntoIterator<Item = String>) -> Vec<String> {
+    let mut prs: Vec<Option<u32>> = file_names
+        .into_iter()
+        .filter_map(|name| {
+            let label = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+            if label == "baseline" {
+                return Some(None);
+            }
+            label.strip_prefix("pr")?.parse().ok().map(Some)
         })
-    });
-    Some(numbers)
+        .collect();
+    prs.sort_unstable();
+    let label = |pr: Option<u32>| pr.map_or("baseline".to_owned(), |n| format!("pr{n}"));
+    prs.into_iter().map(label).collect()
 }
 
-/// Experiments faster than this in both runs are never flagged: at
-/// sub-10 ms scale the measurement is scheduler noise, not a trend.
-const WALL_NOISE_FLOOR_SECS: f64 = 0.010;
-
-/// A sweep arm faster than this (in either run) is never gated: a
-/// handful of smoke seeds finishes in milliseconds, where per-seed
-/// normalization amplifies startup noise instead of measuring a trend.
-const SWEEP_NOISE_FLOOR_SECS: f64 = 0.050;
-
-/// Minimum baseline core count for the parallel-sweep arm to be gated.
-/// A baseline recorded on a 1- or 2-core box shows a ~1.0x (or worse)
-/// parallel "speedup" that is pool overhead and scheduler contention,
-/// not a throughput trend worth holding future runs to.
-const MIN_PARALLEL_CORES: f64 = 4.0;
-
-/// The value recorded under `name` on one side of a comparison.
-fn lookup(side: &[(String, f64)], name: &str) -> Option<f64> {
-    side.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+/// Every committed snapshot, oldest first; the last one is what the gate
+/// compares with. Panics on a file it cannot read or parse.
+pub fn committed_snapshots() -> Vec<Snapshot> {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let entries = std::fs::read_dir(root).unwrap_or_else(|e| panic!("read {root}: {e}"));
+    let names = entries.filter_map(|entry| entry.ok()?.file_name().into_string().ok());
+    snapshot_labels(names)
+        .into_iter()
+        .map(|label| {
+            let path = format!("{root}/BENCH_{label}.json");
+            let json =
+                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+            let kernel = parse_snapshot(&json)
+                .unwrap_or_else(|| panic!("unrecognized snapshot schema in {path}"));
+            Snapshot { label, kernel }
+        })
+        .collect()
 }
 
-/// Diff `current` against `baseline` with a relative `tolerance`
-/// (0.25 = fail beyond 25% slower). Returns the human-readable report
-/// and every regression found. Entries present on only one side are
-/// reported but never fail the gate — renames and new benches are not
-/// regressions.
-pub fn compare(
-    baseline: &BaselineNumbers,
-    current: &Baseline,
-    tolerance: f64,
-) -> (String, Vec<Regression>) {
+/// The value recorded under `name` in a snapshot.
+fn lookup(kernel: &[(String, f64)], name: &str) -> Option<f64> {
+    kernel.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
+/// Diff a fresh run against `snapshot`: every kernel of the snapshot is
+/// gated on events/sec at [`TOLERANCE`]. Returns the human-readable
+/// report and every regression found. A kernel on one side only is
+/// reported (`new`, `dropped`) but never fails the gate — it becomes
+/// gated, or stops being listed, with the next recorded snapshot.
+pub fn compare(snapshot: &Snapshot, current: &Baseline) -> (String, Vec<Regression>) {
     let mut out = String::new();
     let mut regressions = Vec::new();
 
     writeln!(
         out,
-        "{:<34} {:>14} {:>14} {:>8}  verdict",
-        "kernel bench", "base ev/s", "now ev/s", "ratio"
+        "{:<40} {:>14} {:>14} {:>8}  verdict",
+        "kernel bench",
+        format!("{} ev/s", snapshot.label),
+        "now ev/s",
+        "ratio"
     )
     .unwrap();
     for k in &current.kernel {
         let now = k.events_per_sec();
-        let Some(base) = lookup(&baseline.kernel, &k.name) else {
-            writeln!(out, "{:<34} {:>14} {now:>14.0} {:>8}  new", k.name, "-", "-").unwrap();
+        let Some(base) = lookup(&snapshot.kernel, &k.name) else {
+            writeln!(out, "{:<40} {:>14} {now:>14.0} {:>8}  new", k.name, "-", "-").unwrap();
             continue;
         };
-        // Kernel benches regress when throughput drops.
         let ratio = now / base.max(1e-9);
-        let bad = ratio < 1.0 - tolerance;
+        let bad = ratio < 1.0 - TOLERANCE;
         writeln!(
             out,
-            "{:<34} {base:>14.0} {now:>14.0} {ratio:>7.2}x  {}",
+            "{:<40} {base:>14.0} {now:>14.0} {ratio:>7.2}x  {}",
             k.name,
             if bad { "REGRESSION" } else { "ok" }
         )
@@ -206,138 +175,14 @@ pub fn compare(
         if bad {
             regressions.push(Regression {
                 name: k.name.clone(),
-                metric: "events/sec",
                 baseline: base,
                 current: now,
             });
         }
     }
-
-    writeln!(out).unwrap();
-    writeln!(
-        out,
-        "{:<34} {:>14} {:>14} {:>8}  verdict",
-        "experiment", "base wall(s)", "now wall(s)", "ratio"
-    )
-    .unwrap();
-    for e in &current.experiments {
-        let now = e.wall_secs;
-        let Some(base) = lookup(&baseline.experiments, &e.name) else {
-            writeln!(out, "{:<34} {:>14} {now:>14.3} {:>8}  new", e.name, "-", "-").unwrap();
-            continue;
-        };
-        // Experiments regress when wall-clock grows.
-        let ratio = now / base.max(1e-9);
-        let bad =
-            ratio > 1.0 + tolerance && (now > WALL_NOISE_FLOOR_SECS || base > WALL_NOISE_FLOOR_SECS);
-        writeln!(
-            out,
-            "{:<34} {base:>14.3} {now:>14.3} {ratio:>7.2}x  {}",
-            e.name,
-            if bad { "REGRESSION" } else { "ok" }
-        )
-        .unwrap();
-        if bad {
-            regressions.push(Regression {
-                name: e.name.clone(),
-                metric: "wall_secs",
-                baseline: base,
-                current: now,
-            });
-        }
-    }
-    for (name, _) in &baseline.experiments {
-        if !current.experiments.iter().any(|e| &e.name == name) {
-            writeln!(out, "{name:<34} dropped from suite (not a failure)").unwrap();
-        }
-    }
-
-    writeln!(out).unwrap();
-    let s = &current.sweep;
-    match &baseline.sweep {
-        None => {
-            writeln!(out, "sweep: baseline has no sweep numbers (not gated)").unwrap();
-        }
-        Some(b) => {
-            // Seeds/sec is already per-seed normalized: the serial arm
-            // scales linearly in seed count, so a 4-seed smoke gates
-            // cleanly against a 64-seed baseline.
-            let base_sps = b.seeds / b.serial_secs.max(1e-9);
-            let now_sps = s.serial_seeds_per_sec();
-            let ratio = now_sps / base_sps.max(1e-9);
-            let measurable =
-                b.serial_secs > SWEEP_NOISE_FLOOR_SECS && s.serial_secs > SWEEP_NOISE_FLOOR_SECS;
-            let bad = measurable && ratio < 1.0 - tolerance;
-            writeln!(
-                out,
-                "{:<34} {base_sps:>14.1} {now_sps:>14.1} {ratio:>7.2}x  {}",
-                format!("sweep/serial ({} seeds)", s.seeds),
-                if bad {
-                    "REGRESSION"
-                } else if measurable {
-                    "ok"
-                } else {
-                    "too fast to gate"
-                }
-            )
-            .unwrap();
-            if bad {
-                regressions.push(Regression {
-                    name: "sweep/serial".to_owned(),
-                    metric: "seeds/sec",
-                    baseline: base_sps,
-                    current: now_sps,
-                });
-            }
-            // The parallel arm's fan-out overhead depends on the pool
-            // size, which does not normalize away: gate it only when
-            // the baseline machine had enough cores for its parallel
-            // number to mean anything, and this machine used the same
-            // worker count as the baseline.
-            if b.cores < MIN_PARALLEL_CORES {
-                writeln!(
-                    out,
-                    "sweep/parallel: baseline measured on {} core(s) < {} — \
-                     parallel ratio is contention noise, not gated",
-                    b.cores as u64, MIN_PARALLEL_CORES as u64
-                )
-                .unwrap();
-            } else if (s.workers as f64 - b.workers).abs() < 0.5 {
-                let base_psps = b.seeds / b.parallel_secs.max(1e-9);
-                let now_psps = s.parallel_seeds_per_sec();
-                let ratio = now_psps / base_psps.max(1e-9);
-                let measurable = b.parallel_secs > SWEEP_NOISE_FLOOR_SECS
-                    && s.parallel_secs > SWEEP_NOISE_FLOOR_SECS;
-                let bad = measurable && ratio < 1.0 - tolerance;
-                writeln!(
-                    out,
-                    "{:<34} {base_psps:>14.1} {now_psps:>14.1} {ratio:>7.2}x  {}",
-                    format!("sweep/parallel ({} workers)", s.workers),
-                    if bad {
-                        "REGRESSION"
-                    } else if measurable {
-                        "ok"
-                    } else {
-                        "too fast to gate"
-                    }
-                )
-                .unwrap();
-                if bad {
-                    regressions.push(Regression {
-                        name: "sweep/parallel".to_owned(),
-                        metric: "seeds/sec",
-                        baseline: base_psps,
-                        current: now_psps,
-                    });
-                }
-            } else {
-                writeln!(
-                    out,
-                    "sweep/parallel: {} workers vs baseline {} (not gated)",
-                    s.workers, b.workers
-                )
-                .unwrap();
-            }
+    for (name, base) in &snapshot.kernel {
+        if !current.kernel.iter().any(|k| &k.name == name) {
+            writeln!(out, "{name:<40} {base:>14.0} {:>14} {:>8}  dropped", "-", "-").unwrap();
         }
     }
 
@@ -345,17 +190,18 @@ pub fn compare(
     if regressions.is_empty() {
         writeln!(
             out,
-            "bench-compare: OK — no entry more than {:.0}% slower than baseline",
-            tolerance * 100.0
+            "bench-compare: OK — no kernel more than {:.0}% slower than {}",
+            TOLERANCE * 100.0,
+            snapshot.label
         )
         .unwrap();
     } else {
         writeln!(
             out,
-            "bench-compare: FAIL — {} entr{} beyond the {:.0}% tolerance",
+            "bench-compare: FAIL — {} kernel(s) more than {:.0}% slower than {}",
             regressions.len(),
-            if regressions.len() == 1 { "y" } else { "ies" },
-            tolerance * 100.0
+            TOLERANCE * 100.0,
+            snapshot.label
         )
         .unwrap();
     }
@@ -367,10 +213,10 @@ pub fn compare(
 /// the snapshot before it. A kernel a snapshot does not have (it was
 /// added or renamed later) prints `—`, and so does a ratio with nothing
 /// to its left to divide by.
-pub fn trend(snapshots: &[(String, BaselineNumbers)]) -> String {
+pub fn trend(snapshots: &[Snapshot]) -> String {
     let mut names: Vec<&str> = Vec::new();
-    for (_, numbers) in snapshots {
-        for (name, _) in &numbers.kernel {
+    for snapshot in snapshots {
+        for (name, _) in &snapshot.kernel {
             if !names.contains(&name.as_str()) {
                 names.push(name);
             }
@@ -378,15 +224,15 @@ pub fn trend(snapshots: &[(String, BaselineNumbers)]) -> String {
     }
     let mut out = String::new();
     write!(out, "{:<40}", "kernel bench (events/sec)").unwrap();
-    for (label, _) in snapshots {
-        write!(out, " {label:>16} {:>7}", "ratio").unwrap();
+    for snapshot in snapshots {
+        write!(out, " {:>16} {:>7}", snapshot.label, "ratio").unwrap();
     }
     writeln!(out).unwrap();
     for name in names {
         write!(out, "{name:<40}").unwrap();
         let mut previous = None;
-        for (_, numbers) in snapshots {
-            let now = lookup(&numbers.kernel, name);
+        for snapshot in snapshots {
+            let now = lookup(&snapshot.kernel, name);
             let value = now.map_or("—".to_owned(), |v| format!("{v:.0}"));
             let ratio = match (previous, now) {
                 (Some(before), Some(now)) if before > 0.0 => format!("{:.2}x", now / before),
@@ -403,18 +249,29 @@ pub fn trend(snapshots: &[(String, BaselineNumbers)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wallclock::{ExperimentBench, KernelBench, SweepBench};
+    use crate::wallclock::KernelBench;
+
+    fn snapshot(label: &str, kernel: &[(&str, f64)]) -> Snapshot {
+        let kernel = kernel.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
+        Snapshot { label: label.to_owned(), kernel }
+    }
+
+    /// A fresh run of `kernel/x` at one million events/sec.
+    fn sample_current() -> Baseline {
+        Baseline {
+            cores: 1,
+            kernel: vec![KernelBench {
+                name: "kernel/x".into(),
+                wall_secs: 1.0,
+                wall_secs_max: 1.25,
+                events: 1_000_000,
+                profile: None,
+            }],
+        }
+    }
 
     #[test]
     fn trend_prints_ratios_and_dashes_for_missing_kernels() {
-        let snapshot = |label: &str, kernel: &[(&str, f64)]| {
-            let kernel = kernel.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
-            let numbers = BaselineNumbers {
-                kernel,
-                ..BaselineNumbers::default()
-            };
-            (label.to_owned(), numbers)
-        };
         let table = trend(&[
             snapshot("baseline", &[("kernel/old", 1000.0), ("kernel/gone", 50.0)]),
             snapshot("pr1", &[("kernel/old", 1500.0)]),
@@ -436,191 +293,95 @@ mod tests {
         assert_eq!(table.lines().count(), 4, "{table}");
     }
 
-    fn sample_current() -> Baseline {
-        Baseline {
-            cores: 1,
-            kernel: vec![KernelBench {
-                name: "kernel/x".into(),
-                wall_secs: 1.0,
-                events: 1_000_000,
-                profile: None,
-            }],
-            experiments: vec![
-                ExperimentBench {
-                    name: "table1".into(),
-                    wall_secs: 0.5,
-                },
-                ExperimentBench {
-                    name: "data_shipping_paper_scale".into(),
-                    wall_secs: 0.3,
-                },
-            ],
-            sweep: SweepBench {
-                seeds: 4,
-                cores: 1,
-                workers: 1,
-                serial_secs: 1.0,
-                parallel_secs: 1.0,
-            },
-        }
-    }
-
     #[test]
     fn roundtrip_through_json_is_clean() {
         let current = sample_current();
-        let parsed = parse_baseline(&current.to_json()).expect("parse own output");
-        assert_eq!(parsed.kernel, vec![("kernel/x".to_owned(), 1_000_000.0)]);
-        assert_eq!(parsed.experiments.len(), 2);
+        let kernel = parse_snapshot(&current.to_json()).expect("parse own output");
+        assert_eq!(kernel, vec![("kernel/x".to_owned(), 1_000_000.0)]);
         // Comparing a run against its own numbers never regresses.
-        let (report, regressions) = compare(&parsed, &current, 0.25);
+        let own = Snapshot { label: "own".to_owned(), kernel };
+        let (report, regressions) = compare(&own, &current);
         assert!(regressions.is_empty(), "{report}");
         assert!(report.contains("bench-compare: OK"));
     }
 
     #[test]
-    fn slow_kernel_and_experiment_fail_the_gate() {
-        let current = sample_current();
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        base.kernel[0].1 = 2_000_000.0; // we now run at half that: fail
-        base.experiments[0].1 = 0.2; // we now take 2.5x as long: fail
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert_eq!(regressions.len(), 2, "{report}");
-        assert_eq!(regressions[0].metric, "events/sec");
-        assert_eq!(regressions[1].metric, "wall_secs");
-        assert!(report.contains("bench-compare: FAIL"));
+    fn newest_snapshot_is_chosen_by_pr_number() {
+        let names = ["BENCH_pr12.json", "Cargo.toml", "BENCH_pr9.json", "BENCH_baseline.json"];
+        let labels = snapshot_labels(names.map(str::to_owned));
+        assert_eq!(labels, ["baseline", "pr9", "pr12"]);
+        // The baseline anchors the gate only while it is alone.
+        let names = ["BENCH_baseline.json", "BENCH_prx.json", "BENCHMARK.json"];
+        assert_eq!(snapshot_labels(names.map(str::to_owned)), ["baseline"]);
     }
 
     #[test]
-    fn tolerance_and_noise_floor_are_respected() {
+    fn the_gate_holds_a_kernel_to_the_newest_snapshot() {
         let current = sample_current();
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        // 20% slower than baseline: within the 25% tolerance.
-        base.experiments[0].1 = current.experiments[0].wall_secs / 1.2;
-        let (_, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty());
-        // Sub-10ms entries never regress, whatever the ratio.
-        let mut tiny = sample_current();
-        tiny.experiments[0].wall_secs = 0.009;
-        base.experiments[0].1 = 0.001;
-        let (_, regressions) = compare(&base, &tiny, 0.25);
-        assert!(regressions.is_empty());
-    }
-
-    #[test]
-    fn renames_and_new_entries_do_not_fail() {
-        let current = sample_current();
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        base.experiments[0].0 = "renamed_away".into();
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty(), "{report}");
-        assert!(report.contains("new"));
-        assert!(report.contains("dropped from suite"));
-    }
-
-    #[test]
-    fn sweep_gate_normalizes_across_seed_counts() {
-        // Current run: 4 seeds in 1 s = 4 seeds/s on both arms.
-        let current = sample_current();
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        // Baseline took 64 seeds in 16 s — the same 4 seeds/s — so a
-        // 16x smaller smoke run still gates clean.
-        base.sweep = Some(SweepNumbers {
-            seeds: 64.0,
-            cores: 8.0,
-            workers: 1.0,
-            serial_secs: 16.0,
-            parallel_secs: 16.0,
-        });
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty(), "{report}");
-        // Baseline at 8 seeds/s: we now run at half that rate — fail,
-        // on both arms (workers match).
-        base.sweep = Some(SweepNumbers {
-            seeds: 64.0,
-            cores: 8.0,
-            workers: 1.0,
-            serial_secs: 8.0,
-            parallel_secs: 8.0,
-        });
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert_eq!(regressions.len(), 2, "{report}");
-        assert_eq!(regressions[0].name, "sweep/serial");
-        assert_eq!(regressions[0].metric, "seeds/sec");
-        assert_eq!(regressions[1].name, "sweep/parallel");
-        assert!(report.contains("bench-compare: FAIL"));
-    }
-
-    #[test]
-    fn sweep_parallel_arm_gated_only_with_matching_workers() {
-        let current = sample_current(); // parallel arm: 1 worker
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        base.sweep = Some(SweepNumbers {
-            seeds: 64.0,
-            cores: 8.0,
-            workers: 8.0, // baseline machine fanned out 8-wide
-            serial_secs: 16.0,
-            parallel_secs: 2.0, // 32 seeds/s we could never match 1-wide
-        });
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty(), "{report}");
-        assert!(report.contains("not gated"), "{report}");
-    }
-
-    #[test]
-    fn sweep_parallel_arm_skipped_when_baseline_cores_low() {
-        let current = sample_current();
-        let mut base = parse_baseline(&current.to_json()).unwrap();
-        // Baseline's parallel arm was measured on a 1-core box: even an
-        // arbitrarily bad parallel ratio must not gate.
-        base.sweep = Some(SweepNumbers {
-            seeds: 64.0,
-            cores: 1.0,
-            workers: 1.0,
-            serial_secs: 16.0,
-            parallel_secs: 0.5, // 128 seeds/s "speedup" no 1-wide run matches
-        });
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty(), "{report}");
-        assert!(
-            report.contains("parallel ratio is contention noise, not gated"),
-            "{report}"
-        );
-        // The serial arm is still gated: half its 4 seeds/s rate fails.
-        base.sweep.as_mut().unwrap().serial_secs = 8.0;
-        let (report, regressions) = compare(&base, &current, 0.25);
+        // 30% below the snapshot: fail. 20% below: within the tolerance.
+        let ahead = snapshot("pr12", &[("kernel/x", 1_000_000.0 / 0.7)]);
+        let (report, regressions) = compare(&ahead, &current);
         assert_eq!(regressions.len(), 1, "{report}");
-        assert_eq!(regressions[0].name, "sweep/serial");
+        assert_eq!(regressions[0].name, "kernel/x");
+        assert!(report.contains("REGRESSION") && report.contains("bench-compare: FAIL"));
+        let close = snapshot("pr12", &[("kernel/x", 1_000_000.0 / 0.8)]);
+        assert!(compare(&close, &current).1.is_empty());
+
+        // The ratchet, on the committed files: a million-invocation
+        // replay 30% below the newest snapshot fails the gate, where
+        // against `BENCH_baseline.json` the same run would have passed.
+        let snapshots = committed_snapshots();
+        let (oldest, newest) = (&snapshots[0], snapshots.last().unwrap());
+        assert_eq!(oldest.label, "baseline");
+        assert_ne!(newest.label, "baseline");
+        let name = "trace/replay_1m_invocations";
+        let mut slow = sample_current();
+        slow.kernel[0].name = name.to_owned();
+        slow.kernel[0].events = (0.7 * lookup(&newest.kernel, name).unwrap()) as u64;
+        assert_eq!(compare(newest, &slow).1.len(), 1);
+        assert!(compare(oldest, &slow).1.is_empty());
     }
 
     #[test]
-    fn sweep_noise_floor_and_missing_numbers_skip_the_gate() {
-        // A millisecond-scale smoke sweep is never gated.
-        let mut current = sample_current();
-        current.sweep.serial_secs = 0.004;
-        current.sweep.parallel_secs = 0.004;
-        let mut base = parse_baseline(&sample_current().to_json()).unwrap();
-        base.sweep = Some(SweepNumbers {
-            seeds: 64.0,
-            cores: 8.0,
-            workers: 1.0,
-            serial_secs: 1.0, // 64 seeds/s; we measure 1000/s anyway
-            parallel_secs: 1.0,
-        });
-        let (report, regressions) = compare(&base, &current, 0.25);
+    fn dropped_and_new_kernels_are_listed_but_do_not_fail() {
+        let current = sample_current();
+        let renamed = snapshot("pr12", &[("kernel/gone", 5_000_000.0)]);
+        let (report, regressions) = compare(&renamed, &current);
         assert!(regressions.is_empty(), "{report}");
-        assert!(report.contains("too fast to gate"), "{report}");
-        // A pre-sweep-gate baseline leaves the sweep ungated.
-        base.sweep = None;
-        let (report, regressions) = compare(&base, &current, 0.25);
-        assert!(regressions.is_empty(), "{report}");
-        assert!(report.contains("no sweep numbers"), "{report}");
+        let verdict = |name: &str| {
+            let row = report.lines().find(|l| l.starts_with(name)).expect(name);
+            row.split_whitespace().last().unwrap().to_owned()
+        };
+        assert_eq!(verdict("kernel/gone"), "dropped");
+        assert_eq!(verdict("kernel/x"), "new");
+    }
+
+    /// `make bench-trend` as a test: every committed file parses, old
+    /// `experiments` and `sweep` sections included, and a kernel a
+    /// snapshot lacks is a dash, not a zero.
+    #[test]
+    fn committed_snapshots_parse_and_trend() {
+        let snapshots = committed_snapshots();
+        let labels: Vec<&str> = snapshots.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels[..6], ["baseline", "pr12", "pr13", "pr14", "pr17", "pr19"]);
+        for s in &snapshots {
+            assert!(lookup(&s.kernel, "trace/replay_1m_invocations").is_some(), "{}", s.label);
+        }
+        let table = trend(&snapshots);
+        assert_eq!(table.lines().next().unwrap().matches("ratio").count(), snapshots.len());
+        // Added in PR 19: no value and no ratio in the five columns before.
+        let row = table.lines().find(|l| l.starts_with("kernel/recorder_ledger_by_name")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().skip(1).collect();
+        assert!(cells[..10].iter().all(|&c| c == "—"), "{row}");
+        assert_eq!(cells[10], "55532317", "{row}");
     }
 
     #[test]
-    fn malformed_baselines_are_rejected() {
-        assert!(parse_baseline("").is_none());
-        assert!(parse_baseline("{\"schema\": \"other/2\"}").is_none());
+    fn malformed_snapshots_are_rejected() {
+        assert!(parse_snapshot("").is_none());
+        assert!(parse_snapshot("{\"schema\": \"other/2\"}").is_none());
         let valid = sample_current().to_json();
-        assert!(parse_baseline(&valid.replace("\"kernel\"", "\"k\"")).is_none());
+        assert!(parse_snapshot(&valid.replace("\"kernel\"", "\"k\"")).is_none());
+        assert!(parse_snapshot(&valid.replace("\"events_per_sec\"", "\"eps\"")).is_none());
     }
 }

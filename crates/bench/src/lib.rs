@@ -1,43 +1,13 @@
 //! # faasim-bench
 //!
-//! Shared helpers for the bench harnesses that regenerate the paper's
-//! tables and figures. Each harness is a `harness = false` bench target:
-//! `cargo bench -p faasim-bench --bench <name>` prints the corresponding
-//! table, and `cargo bench --workspace` regenerates everything.
+//! The wall-clock kernel suite ([`wallclock`]) and the gate and trend over
+//! its committed snapshots ([`compare`]). Four `harness = false` bench
+//! targets drive them: `wallclock` (`make bench`), `bench_compare`,
+//! `bench_trend` and `profile`. The paper's tables are printed by the
+//! root package's `paper_tables` example, not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod compare;
 pub mod wallclock;
-
-/// Print a section header.
-pub fn section(title: &str) {
-    println!();
-    println!("=== {title} ===");
-    println!();
-}
-
-/// Print a paper-vs-measured comparison line with the relative deviation.
-/// A zero paper value has no meaningful relative deviation, so it prints
-/// `n/a` instead of a misleading `+0.0%`.
-pub fn compare(label: &str, paper: f64, measured: f64, unit: &str) {
-    let dev = if paper != 0.0 {
-        format!("{:+.1}%", (measured - paper) / paper * 100.0)
-    } else {
-        "n/a".to_owned()
-    };
-    println!("  {label:<44} paper {paper:>10.3} {unit:<5} measured {measured:>10.3} {unit:<5} ({dev})");
-}
-
-/// The seed used by every harness, so printed tables are reproducible.
-pub const BENCH_SEED: u64 = 2019;
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn compare_does_not_panic_on_zero() {
-        super::compare("x", 0.0, 1.0, "ms");
-        super::section("t");
-    }
-}

@@ -1,38 +1,33 @@
-//! The wall-clock performance baseline: how fast is the simulator
-//! *itself*?
+//! The wall-clock kernel suite: how fast is the simulator *itself*?
 //!
-//! Every other harness in this crate measures **virtual** time — what the
-//! simulated cloud experiences. This one measures **host** time: events
-//! per second through the DES kernel, wall-clock per experiment, and
-//! seeds per second through the chaos sweep, serial and fanned out across
-//! cores with [`ParallelSweep`]. The numbers land in
-//! `BENCH_baseline.json` so the repo carries a perf trajectory and future
-//! PRs can be gated against regressions (the SeBS lesson: a benchmark
-//! suite without reproducible throughput baselines is a demo, not a
-//! measurement).
+//! The experiments measure **virtual** time — what the simulated cloud
+//! experiences. This measures **host** time: events per second through
+//! the DES kernel, the fair-share link, the election's poll loop, the
+//! prediction study's text work, and invocations per second through the
+//! trace replays. `make bench-compare` gates the suite against the newest
+//! committed `BENCH_pr<N>.json`, and a perf PR records the next one with
+//! `BENCH_OUT` (the SeBS lesson: a benchmark suite without reproducible
+//! throughput baselines is a demo, not a measurement).
 //!
-//! Run it with `make bench` (or
-//! `cargo bench -p faasim-bench --bench wallclock`).
+//! Experiment wall-clock, chaos-sweep throughput and a kernel per layer
+//! are the repo benchmark's (`benchmark/`, `BENCHMARK.json`); a kernel
+//! lives here when it is an end-to-end replay, a meter a ROADMAP item
+//! names, or has no counterpart there (EXPERIMENTS.md "Wall-clock
+//! methodology" has the table).
 
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
-use bytes::Bytes;
-use faasim::blob::{BlobProfile, BlobStore};
 use faasim::faas::{FunctionId, FunctionSpec};
-use faasim::experiments::{
-    agents_cmp, bandwidth, cold_starts, data_shipping, election, prediction, table1, training,
-};
-use faasim::net::{Fabric, Host, NetProfile, NicConfig};
+use faasim::net::NicConfig;
 use faasim::payload::Payload;
-use faasim::pricing::{Ledger, PriceBook};
-use faasim::query::{Aggregate, QueryProfile, QueryService, QuerySpec};
-use faasim::simcore::{gbps, mbps, FairShareLink, Recorder, Sim, SimDuration, SimRng};
-use faasim_chaos::{sweep, CrdtSync, ParallelSweep};
+use faasim::simcore::{gbps, mbps, FairShareLink, Sim, SimDuration, SimRng};
 use faasim_trace::{function_name, replay, ReplayConfig};
 
-use crate::BENCH_SEED;
+/// The seed of every kernel, so event counts and engine profiles are
+/// reproducible.
+pub const BENCH_SEED: u64 = 2019;
 
 /// One kernel microbenchmark: wall-clock plus the kernel's own event
 /// counter, giving events/sec.
@@ -40,8 +35,11 @@ use crate::BENCH_SEED;
 pub struct KernelBench {
     /// Benchmark name, `kernel/<what>`.
     pub name: String,
-    /// Host seconds elapsed.
+    /// Host seconds elapsed: the fastest of the suite's rounds.
     pub wall_secs: f64,
+    /// The slowest round, so a snapshot shows the spread the gate's
+    /// tolerance sits on. Recorded, never compared.
+    pub wall_secs_max: f64,
     /// Events the kernel processed (task polls + timer firings).
     pub events: u64,
     /// Rendered engine [`SimProfile`](faasim::simcore::SimProfile) for
@@ -61,60 +59,13 @@ impl KernelBench {
     }
 }
 
-/// Wall-clock for one experiment at `quick()` params.
-#[derive(Clone, Debug)]
-pub struct ExperimentBench {
-    /// Experiment name as used in EXPERIMENTS.md.
-    pub name: String,
-    /// Host seconds elapsed.
-    pub wall_secs: f64,
-}
-
-/// Serial-vs-parallel sweep throughput.
-#[derive(Clone, Debug)]
-pub struct SweepBench {
-    /// Seeds swept (each runs twice — the replay check).
-    pub seeds: usize,
-    /// Cores the host reports (recorded alongside `workers` so a
-    /// baseline taken on a different machine is interpretable).
-    pub cores: usize,
-    /// Worker threads the parallel arm used (defaults to `cores` via
-    /// [`ParallelSweep::auto`]).
-    pub workers: usize,
-    /// Host seconds, serial arm.
-    pub serial_secs: f64,
-    /// Host seconds, parallel arm.
-    pub parallel_secs: f64,
-}
-
-impl SweepBench {
-    /// Serial seeds per host second.
-    pub fn serial_seeds_per_sec(&self) -> f64 {
-        self.seeds as f64 / self.serial_secs.max(1e-9)
-    }
-
-    /// Parallel seeds per host second.
-    pub fn parallel_seeds_per_sec(&self) -> f64 {
-        self.seeds as f64 / self.parallel_secs.max(1e-9)
-    }
-
-    /// Wall-clock speedup of the parallel arm over the serial arm.
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs / self.parallel_secs.max(1e-9)
-    }
-}
-
 /// Everything `make bench` measures.
 #[derive(Clone, Debug)]
 pub struct Baseline {
     /// Cores the host reports.
     pub cores: usize,
-    /// DES-kernel microbenchmarks.
+    /// The kernels, best of [`BENCH_RUNS`] rounds each.
     pub kernel: Vec<KernelBench>,
-    /// Per-experiment wall-clock at `quick()` params.
-    pub experiments: Vec<ExperimentBench>,
-    /// Chaos-sweep throughput, serial vs parallel.
-    pub sweep: SweepBench,
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -123,7 +74,7 @@ fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-/// Kernel and experiment timings are best-of-N **suite rounds**: on a
+/// Kernel timings are best-of-N **suite rounds**: on a
 /// shared host, single-shot wall-clock is right-skewed by interference
 /// (another tenant's burst can double a 20 ms measurement), and the
 /// minimum of a few runs is the classic antidote — it estimates the
@@ -135,30 +86,25 @@ fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
 const BENCH_RUNS: usize = 3;
 
 fn kernel_bench(name: &str, f: impl FnOnce() -> u64) -> KernelBench {
-    let (wall_secs, events) = time(f);
-    KernelBench {
-        name: name.to_owned(),
-        wall_secs,
-        events,
-        profile: None,
-    }
+    kernel_bench_profiled(name, || (f(), None))
 }
 
 /// Like [`kernel_bench`] for kernels that also report an engine
 /// [`SimProfile`](faasim::simcore::SimProfile) line.
-fn kernel_bench_profiled(name: &str, f: impl FnOnce() -> (u64, String)) -> KernelBench {
+fn kernel_bench_profiled(name: &str, f: impl FnOnce() -> (u64, Option<String>)) -> KernelBench {
     let (wall_secs, (events, profile)) = time(f);
     KernelBench {
         name: name.to_owned(),
         wall_secs,
+        wall_secs_max: wall_secs,
         events,
-        profile: Some(profile),
+        profile,
     }
 }
 
 /// Fold one suite round into the best-of-rounds accumulator: keep the
-/// fastest wall-clock per entry (event counts are deterministic and
-/// must agree across rounds).
+/// fastest and the slowest wall-clock per entry (event counts are
+/// deterministic and must agree across rounds).
 fn merge_min_wall(acc: &mut Vec<KernelBench>, round: Vec<KernelBench>) {
     if acc.is_empty() {
         *acc = round;
@@ -173,86 +119,21 @@ fn merge_min_wall(acc: &mut Vec<KernelBench>, round: Vec<KernelBench>) {
             best.name
         );
         best.wall_secs = best.wall_secs.min(sample.wall_secs);
+        best.wall_secs_max = best.wall_secs_max.max(sample.wall_secs);
     }
 }
 
-/// One round of the DES-kernel microbenchmarks: each returns the
-/// kernel's event count so the score is events/sec, not iterations/sec.
-/// [`run_baseline`] runs [`BENCH_RUNS`] rounds and keeps the fastest
-/// wall-clock per bench.
+/// One round of the suite: each kernel returns its event count so the
+/// score is events/sec, not iterations/sec. [`run_baseline`] runs
+/// [`BENCH_RUNS`] rounds and keeps the fastest wall-clock per bench.
 pub fn run_kernel_benches() -> Vec<KernelBench> {
     let mut out = base_kernel_benches();
-    out.extend(query_scan_kernel_benches(
-        10 * 1024 * 1024,   // 10 inline objects of ~10 MB -> a ~100 MB corpus
-        10,
-        1024 * 1024 * 1024, // 30 synthetic objects of 1 GB -> the 30 GB paper scale
-        30,
-    ));
-    out.push(payload_line_count_bench(16 * 1024 * 1024, 8));
     out.push(blackboard_poll_bench(SimDuration::from_hours(2)));
-    out.push(recorder_ledger_by_name_bench(250_000));
-    out.push(gateway_admission_bench());
     out.push(platform_warm_hit_bench(12_000, 10));
     out.push(trace_replay_bench(false));
     out.push(trace_replay_bench(true));
     out.push(trace_replay_1m_bench());
     out
-}
-
-/// The gateway admission hot path in isolation: one million `try_admit`
-/// decisions spread over a thousand tenants, with virtual time advanced
-/// between batches so the lazy token-bucket refill, the watermark check,
-/// and the breaker gate all stay on the measured path. `events` is the
-/// decision count; the conservation identity is asserted at the end.
-fn gateway_admission_bench() -> KernelBench {
-    use faasim_gateway::{Gateway, GatewayConfig, TenantConfig};
-
-    const TENANTS: u64 = 1_000;
-    const DECISIONS: u64 = 1_000_000;
-    let cloud = faasim::Cloud::new(faasim::CloudProfile::aws_2018().exact(), BENCH_SEED);
-    let gw = Gateway::new(
-        &cloud.sim,
-        &cloud.faas,
-        cloud.ledger.clone(),
-        cloud.recorder.clone(),
-        &cloud.prices,
-        GatewayConfig::new(
-            (0..TENANTS)
-                .map(|t| TenantConfig {
-                    rate: 50.0,
-                    burst: 100.0,
-                    max_concurrent: 64,
-                    priority: (t % 4) as u8,
-                })
-                .collect(),
-        ),
-    );
-    let sim = cloud.sim.clone();
-    kernel_bench("gateway/admission_1m_decisions", move || {
-        for batch in 0..(DECISIONS / TENANTS) {
-            for t in 0..TENANTS {
-                if let Ok(admission) = gw.try_admit(t as u32) {
-                    admission.complete(true);
-                }
-            }
-            // Advance virtual time so buckets refill mid-benchmark and
-            // the admitted/shed mix keeps flipping: 8 decisions per
-            // tenant cost 8 tokens but 40 ms only refills 2, so buckets
-            // drain from their initial burst into a steady shed regime.
-            if batch % 8 == 7 {
-                sim.run_until(sim.now() + SimDuration::from_millis(40));
-            }
-        }
-        let stats = gw.stats();
-        assert_eq!(stats.totals.offered, DECISIONS);
-        assert!(
-            stats.totals.conserved(),
-            "admission accounting broken: {:?}",
-            stats.totals
-        );
-        assert!(stats.totals.admitted > 0 && stats.totals.shed() > 0);
-        DECISIONS
-    })
 }
 
 /// The platform's warm-hit path in isolation: `functions` no-op
@@ -300,19 +181,6 @@ fn platform_warm_hit_bench(functions: u32, rounds: u32) -> KernelBench {
     })
 }
 
-/// The count-only line walk in isolation: `Payload::line_count` over one
-/// inline access log of ~`bytes`, `passes` times over. No simulator, no
-/// closure, no carry buffer — the cost is the word-at-a-time newline
-/// scan itself. `events` is the lines counted, so the score is lines per
-/// host second (at ~18.5 bytes a line).
-fn payload_line_count_bench(bytes: usize, passes: u64) -> KernelBench {
-    let document = Payload::inline(inline_log_object(bytes, BENCH_SEED));
-    kernel_bench("kernel/payload_line_count_16mb", || {
-        (0..passes)
-            .map(|_| std::hint::black_box(&document).line_count())
-            .sum()
-    })
-}
 
 /// The election case study's steady state in isolation: ten bully nodes
 /// over the KV blackboard with a leader already elected, left alone for
@@ -376,40 +244,6 @@ fn blackboard_poll_bench(window: SimDuration) -> KernelBench {
     bench
 }
 
-/// What recording and billing *by name* cost, now that the services hold
-/// handles: the path left to names built at run time, tests and one-off
-/// call sites. One round is a `record_duration`, an `add` and a `charge`
-/// under each of 16 operations' names (of the `"<service>.<op>.latency"`
-/// shape the workspace uses), so the lookups do not all hit one hot
-/// entry. `events` is the by-name calls made; the recorder and ledger
-/// totals are checked at the end.
-fn recorder_ledger_by_name_bench(rounds: u64) -> KernelBench {
-    use faasim::pricing::Service;
-
-    const OPS: u64 = 16;
-    let latency: Vec<String> = (0..OPS)
-        .map(|i| format!("svc{}.op{i}.latency", i % 4))
-        .collect();
-    let count: Vec<String> = (0..OPS).map(|i| format!("svc{}.op{i}", i % 4)).collect();
-    let item: Vec<String> = (0..OPS).map(|i| format!("op{i}-requests")).collect();
-    let recorder = Recorder::new();
-    let ledger = Ledger::new();
-    kernel_bench("kernel/recorder_ledger_by_name", || {
-        let took = SimDuration::from_micros(5_500);
-        for _ in 0..rounds {
-            for op in 0..OPS as usize {
-                recorder.record_duration(&latency[op], took);
-                recorder.add(&count[op], 1);
-                ledger.charge(Service::Kv, &item[op], 1.0, 1e-6);
-            }
-        }
-        assert_eq!(recorder.counter(&count[3]), rounds);
-        assert_eq!(recorder.histogram(&latency[7]).count() as u64, rounds);
-        assert_eq!(ledger.item_quantity(Service::Kv, &item[11]), rounds as f64);
-        3 * OPS * rounds
-    })
-}
-
 /// The 100k-invocation replay kernel config (shared with `make
 /// profile`): 256 apps at 500 req/s for four minutes, with or without
 /// the gateway tier.
@@ -462,7 +296,7 @@ fn trace_replay_bench(gateway: bool) -> KernelBench {
     kernel_bench_profiled(name, || {
         let out = replay(&cfg, BENCH_SEED, &|_| {});
         assert_calm_replay(&out);
-        (out.report.invocations, out.report.engine.to_string())
+        (out.report.invocations, Some(out.report.engine.to_string()))
     })
 }
 
@@ -480,7 +314,7 @@ fn trace_replay_1m_bench() -> KernelBench {
             "paper-scale trace must reach the million-arrival cap, got {}",
             out.report.invocations
         );
-        (out.report.invocations, out.report.engine.to_string())
+        (out.report.invocations, Some(out.report.engine.to_string()))
     })
 }
 
@@ -541,9 +375,6 @@ fn base_kernel_benches() -> Vec<KernelBench> {
             sim.stats().events_processed
         }),
         kernel_bench("kernel/censor_40k_docs", censor_docs),
-        kernel_bench("kernel/link_fanin_100k_flows", || {
-            link_fanin_at_scale(100_000)
-        }),
         kernel_bench("kernel/link_fanin_1m_flows", || {
             link_fanin_at_scale(1_000_000)
         }),
@@ -560,9 +391,9 @@ fn base_kernel_benches() -> Vec<KernelBench> {
 /// document count, so the score is documents per host second.
 fn censor_docs() -> u64 {
     const DOCS: u64 = 40_000;
-    let model = faasim_ml::DirtyWordModel::synthetic(500);
+    let model = faasim::ml::DirtyWordModel::synthetic(500);
     let batch: Vec<String> = (0..10)
-        .map(|i| faasim_ml::synthetic_document(500, 100, BENCH_SEED * 1000 + i))
+        .map(|i| faasim::ml::synthetic_document(500, 100, BENCH_SEED * 1000 + i))
         .collect();
     let mut dirty = 0usize;
     for _ in 0..DOCS / batch.len() as u64 {
@@ -624,265 +455,15 @@ fn link_fanin(n: u64, mut bytes_of: impl FnMut(u64) -> u64) -> u64 {
     sim.stats().events_processed
 }
 
-/// A minimal blob + query world for the scan benches. Exact profiles so
-/// the simulated timeline is deterministic and the wall-clock measures
-/// the scan pipeline, not RNG noise.
-fn query_scan_world() -> (Sim, BlobStore, QueryService, Host) {
-    let sim = Sim::new(BENCH_SEED);
-    let recorder = Recorder::new();
-    let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
-    let prices = Rc::new(PriceBook::aws_2018());
-    let ledger = Ledger::new();
-    let blob = BlobStore::new(
-        &sim,
-        BlobProfile::aws_2018().exact(),
-        prices.clone(),
-        ledger.clone(),
-        recorder.clone(),
-    );
-    blob.create_bucket("logs");
-    let query = QueryService::new(
-        &sim,
-        &fabric,
-        &blob,
-        QueryProfile::aws_2018().exact(),
-        prices,
-        ledger,
-        recorder,
-    );
-    let client = fabric.add_host(1, NicConfig::simple(gbps(1.0)));
-    (sim, blob, query, client)
-}
-
-/// ~`bytes` of varied access-log lines (whole lines only, so the object
-/// may run a few bytes over).
-fn inline_log_object(bytes: usize, salt: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes + 64);
-    let mut i = salt;
-    while out.len() < bytes {
-        let line = format!("GET /p/{} {} {}\n", i % 997, 200 + (i % 4) * 101, i % 31);
-        out.extend_from_slice(line.as_bytes());
-        i += 1;
-    }
-    out
-}
-
-/// The query-scan benches. `events` is the number of log lines the
-/// query counted, so `events/sec` is a line-scan rate:
-///
-/// - `query_scan_inline_100mb`: the streaming pipeline over real inline
-///   bytes — ranged reads, chunked folds, zero-allocation `CountAll`;
-/// - `query_group_inline_100mb`: the streaming pipeline again, folding
-///   `GroupCount { field: 2 }` — field split and group probe per line on
-///   top of what `CountAll` pays;
-/// - `query_scan_synthetic_30gb`: the paper-scale corpus as symbolic
-///   `Synthetic` payloads — the scan folds per-pattern results scaled by
-///   the repeat count, so 30 GB is queried without materializing it.
-fn query_scan_kernel_benches(
-    inline_object_bytes: usize,
-    inline_objects: usize,
-    synth_object_bytes: u64,
-    synth_objects: usize,
-) -> Vec<KernelBench> {
-    // The corpus is shared by both inline arms and built outside the
-    // timed sections. Every generated line ends in a newline.
-    let corpus: Vec<Vec<u8>> = (0..inline_objects)
-        .map(|i| inline_log_object(inline_object_bytes, i as u64 * 1_000_003))
-        .collect();
-
-    let (sim, blob, query, client) = query_scan_world();
-    for (i, obj) in corpus.iter().enumerate() {
-        let blob = blob.clone();
-        let client = client.clone();
-        let body = Bytes::from(obj.clone());
-        let key = format!("obj-{i:03}");
-        sim.block_on(async move {
-            blob.put(&client, "logs", &key, body).await.expect("put");
-        });
-    }
-    let streaming = kernel_bench("kernel/query_scan_inline_100mb", || {
-        let q = query.clone();
-        let c = client.clone();
-        let out = sim
-            .block_on(async move {
-                q.run(&c, QuerySpec::new("logs", "obj-", Aggregate::CountAll))
-                    .await
-            })
-            .expect("query");
-        out.rows[0].1 as u64
-    });
-
-    let newlines = |obj: &Vec<u8>| obj.iter().filter(|&&b| b == b'\n').count() as u64;
-    assert_eq!(
-        streaming.events,
-        corpus.iter().map(newlines).sum::<u64>(),
-        "the scan must count every line of the corpus"
-    );
-
-    let group = kernel_bench("kernel/query_group_inline_100mb", || {
-        let q = query.clone();
-        let c = client.clone();
-        let out = sim
-            .block_on(async move {
-                q.run(
-                    &c,
-                    QuerySpec::new("logs", "obj-", Aggregate::GroupCount { field: 2 }),
-                )
-                .await
-            })
-            .expect("query");
-        assert_eq!(out.rows.len(), 4, "the status field has four values");
-        out.rows.iter().map(|(_, count)| *count as u64).sum()
-    });
-    assert_eq!(
-        streaming.events, group.events,
-        "the groups must add up to the line count"
-    );
-
-    let (sim, blob, query, client) = query_scan_world();
-    let line = "GET /assets/app.js 200\n";
-    let reps = synth_object_bytes / line.len() as u64;
-    for i in 0..synth_objects {
-        let blob = blob.clone();
-        let client = client.clone();
-        let body = Payload::synthetic(line, reps);
-        let key = format!("part-{i:04}");
-        sim.block_on(async move {
-            blob.put(&client, "logs", &key, body).await.expect("put");
-        });
-    }
-    let synthetic = kernel_bench("kernel/query_scan_synthetic_30gb", || {
-        let q = query.clone();
-        let c = client.clone();
-        let out = sim
-            .block_on(async move {
-                q.run(&c, QuerySpec::new("logs", "part-", Aggregate::CountAll))
-                    .await
-            })
-            .expect("query");
-        out.rows[0].1 as u64
-    });
-
-    vec![streaming, group, synthetic]
-}
-
-/// One round of wall-clocking each experiment at `quick()` params;
-/// [`run_baseline`] keeps the best of [`BENCH_RUNS`] rounds.
-pub fn run_experiment_benches() -> Vec<ExperimentBench> {
-    fn one(name: &str, f: impl FnOnce()) -> ExperimentBench {
-        let (wall_secs, ()) = time(f);
-        ExperimentBench {
-            name: name.to_owned(),
-            wall_secs,
-        }
-    }
-    vec![
-        one("table1", || {
-            std::hint::black_box(table1::run(&table1::Table1Params::quick(), BENCH_SEED));
-        }),
-        one("cold_starts", || {
-            std::hint::black_box(cold_starts::run(
-                &cold_starts::ColdStartParams::quick(),
-                BENCH_SEED,
-            ));
-        }),
-        one("bandwidth", || {
-            std::hint::black_box(bandwidth::run(
-                &bandwidth::BandwidthParams::quick(),
-                BENCH_SEED,
-            ));
-        }),
-        one("data_shipping", || {
-            std::hint::black_box(data_shipping::run(
-                &data_shipping::DataShippingParams::quick(),
-                BENCH_SEED,
-            ));
-        }),
-        // The default sweep ends at the 30 GB paper-scale point where the
-        // 15-minute guillotine forces execution chaining. Symbolic
-        // payloads are what make this affordable: the acceptance bar is
-        // < 0.8 s wall for the whole five-point sweep.
-        one("data_shipping_paper_scale", || {
-            std::hint::black_box(data_shipping::run(
-                &data_shipping::DataShippingParams::default(),
-                BENCH_SEED,
-            ));
-        }),
-        one("training", || {
-            std::hint::black_box(training::run(&training::TrainingParams::quick(), BENCH_SEED));
-        }),
-        one("prediction", || {
-            std::hint::black_box(prediction::run(
-                &prediction::PredictionParams::quick(),
-                BENCH_SEED,
-            ));
-        }),
-        one("election", || {
-            std::hint::black_box(election::run(&election::ElectionParams::quick(), BENCH_SEED));
-        }),
-        one("agents_cmp", || {
-            std::hint::black_box(agents_cmp::run(
-                &agents_cmp::AgentsCmpParams::quick(),
-                BENCH_SEED,
-            ));
-        }),
-    ]
-}
-
-/// Sweep `seeds` seeds of the chaotic CRDT-sync scenario serially and
-/// through [`ParallelSweep`], asserting the reports are byte-identical
-/// before reporting throughput.
-pub fn run_sweep_bench(seeds: usize) -> SweepBench {
-    let scenario = CrdtSync::chaotic();
-    let seed_list: Vec<u64> = (1..=seeds as u64).collect();
-    let mut serial_secs = f64::INFINITY;
-    let mut parallel_secs = f64::INFINITY;
-    let pool = ParallelSweep::auto();
-    // Best-of-BENCH_RUNS on each arm, like the kernel benches — the
-    // replay-identity assertion runs every round.
-    for _ in 0..BENCH_RUNS {
-        let (serial, serial_report) = time(|| sweep(&scenario, &seed_list));
-        let (parallel, parallel_report) = time(|| pool.sweep(&scenario, &seed_list));
-        assert_eq!(
-            serial_report, parallel_report,
-            "parallel sweep must be byte-identical to serial"
-        );
-        serial_secs = serial_secs.min(serial);
-        parallel_secs = parallel_secs.min(parallel);
-    }
-    SweepBench {
-        seeds,
-        cores: ParallelSweep::available_cores(),
-        workers: pool.workers(),
-        serial_secs,
-        parallel_secs,
-    }
-}
-
-/// Run the full baseline: kernel, experiments, and a `seeds`-seed sweep.
-/// Kernel and experiment suites run [`BENCH_RUNS`] interleaved rounds,
-/// keeping each entry's fastest wall-clock (see [`BENCH_RUNS`]).
-pub fn run_baseline(seeds: usize) -> Baseline {
+/// Run the suite [`BENCH_RUNS`] times, keeping each kernel's fastest and
+/// slowest wall-clock (see [`BENCH_RUNS`]).
+pub fn run_baseline() -> Baseline {
     let mut kernel = Vec::new();
-    let mut experiments: Vec<ExperimentBench> = Vec::new();
     for _ in 0..BENCH_RUNS {
         merge_min_wall(&mut kernel, run_kernel_benches());
-        let round = run_experiment_benches();
-        if experiments.is_empty() {
-            experiments = round;
-        } else {
-            for (best, sample) in experiments.iter_mut().zip(round) {
-                assert_eq!(best.name, sample.name, "experiment rounds must line up");
-                best.wall_secs = best.wall_secs.min(sample.wall_secs);
-            }
-        }
     }
-    Baseline {
-        cores: ParallelSweep::available_cores(),
-        kernel,
-        experiments,
-        sweep: run_sweep_bench(seeds),
-    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Baseline { cores, kernel }
 }
 
 fn json_f64(v: f64) -> String {
@@ -894,8 +475,9 @@ fn json_f64(v: f64) -> String {
 }
 
 impl Baseline {
-    /// Serialize to the `BENCH_baseline.json` schema (no external JSON
-    /// dependency — the build is offline).
+    /// Serialize to the snapshot schema `BENCH_baseline.json` and every
+    /// `BENCH_pr<N>.json` share (no external JSON dependency — the build
+    /// is offline).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -906,49 +488,16 @@ impl Baseline {
             let comma = if i + 1 < self.kernel.len() { "," } else { "" };
             writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"wall_secs\": {}, \"events\": {}, \"events_per_sec\": {}}}{comma}",
+                "    {{\"name\": \"{}\", \"wall_secs\": {}, \"wall_secs_max\": {}, \"events\": {}, \"events_per_sec\": {}}}{comma}",
                 k.name,
                 json_f64(k.wall_secs),
+                json_f64(k.wall_secs_max),
                 k.events,
                 json_f64(k.events_per_sec()),
             )
             .unwrap();
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            let comma = if i + 1 < self.experiments.len() { "," } else { "" };
-            writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"wall_secs\": {}}}{comma}",
-                e.name,
-                json_f64(e.wall_secs),
-            )
-            .unwrap();
-        }
-        out.push_str("  ],\n");
-        let s = &self.sweep;
-        out.push_str("  \"sweep\": {\n");
-        writeln!(out, "    \"scenario\": \"crdt-sync/chaotic\",").unwrap();
-        writeln!(out, "    \"seeds\": {},", s.seeds).unwrap();
-        writeln!(out, "    \"cores\": {},", s.cores).unwrap();
-        writeln!(out, "    \"workers\": {},", s.workers).unwrap();
-        writeln!(out, "    \"serial_secs\": {},", json_f64(s.serial_secs)).unwrap();
-        writeln!(out, "    \"parallel_secs\": {},", json_f64(s.parallel_secs)).unwrap();
-        writeln!(
-            out,
-            "    \"serial_seeds_per_sec\": {},",
-            json_f64(s.serial_seeds_per_sec())
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "    \"parallel_seeds_per_sec\": {},",
-            json_f64(s.parallel_seeds_per_sec())
-        )
-        .unwrap();
-        writeln!(out, "    \"speedup\": {}", json_f64(s.speedup())).unwrap();
-        out.push_str("  }\n");
+        out.push_str("  ]\n");
         out.push_str("}\n");
         out
     }
@@ -956,20 +505,21 @@ impl Baseline {
     /// Human-readable table, printed by the bench target.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        writeln!(out, "wall-clock baseline ({} core(s))", self.cores).unwrap();
+        writeln!(out, "wall-clock kernel suite ({} core(s))", self.cores).unwrap();
         writeln!(out).unwrap();
         writeln!(
             out,
-            "{:<34} {:>10} {:>12} {:>14}",
-            "kernel bench", "wall (s)", "events", "events/sec"
+            "{:<40} {:>10} {:>10} {:>12} {:>14}",
+            "kernel bench", "wall (s)", "max (s)", "events", "events/sec"
         )
         .unwrap();
         for k in &self.kernel {
             writeln!(
                 out,
-                "{:<34} {:>10.3} {:>12} {:>14.0}",
+                "{:<40} {:>10.3} {:>10.3} {:>12} {:>14.0}",
                 k.name,
                 k.wall_secs,
+                k.wall_secs_max,
                 k.events,
                 k.events_per_sec()
             )
@@ -978,26 +528,6 @@ impl Baseline {
                 writeln!(out, "    engine: {profile}").unwrap();
             }
         }
-        writeln!(out).unwrap();
-        writeln!(out, "{:<34} {:>10}", "experiment (quick)", "wall (s)").unwrap();
-        for e in &self.experiments {
-            writeln!(out, "{:<34} {:>10.3}", e.name, e.wall_secs).unwrap();
-        }
-        writeln!(out).unwrap();
-        let s = &self.sweep;
-        writeln!(
-            out,
-            "sweep: {} seeds  serial {:.3}s ({:.1} seeds/s)  parallel[{} workers / {} cores] {:.3}s ({:.1} seeds/s)  speedup {:.2}x",
-            s.seeds,
-            s.serial_secs,
-            s.serial_seeds_per_sec(),
-            s.workers,
-            s.cores,
-            s.parallel_secs,
-            s.parallel_seeds_per_sec(),
-            s.speedup()
-        )
-        .unwrap();
         out
     }
 }
@@ -1008,45 +538,43 @@ mod tests {
 
     #[test]
     fn baseline_json_is_well_formed() {
-        // A tiny baseline (2-seed sweep) to keep the test fast; the JSON
-        // must contain every section and balanced braces/brackets.
         let b = Baseline {
             cores: 4,
             kernel: vec![KernelBench {
                 name: "kernel/x".into(),
                 wall_secs: 0.5,
+                wall_secs_max: 0.75,
                 events: 1000,
                 profile: None,
             }],
-            experiments: vec![ExperimentBench {
-                name: "table1".into(),
-                wall_secs: 0.25,
-            }],
-            sweep: SweepBench {
-                seeds: 2,
-                cores: 4,
-                workers: 4,
-                serial_secs: 1.0,
-                parallel_secs: 0.5,
-            },
         };
         let json = b.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"schema\"",
-            "\"cores\"",
-            "\"kernel\"",
-            "\"events_per_sec\"",
-            "\"experiments\"",
-            "\"sweep\"",
-            "\"speedup\"",
-        ] {
+        for key in ["\"schema\"", "\"cores\"", "\"kernel\"", "\"events_per_sec\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(json.contains("\"speedup\": 2.000000"));
-        let table = b.render();
-        assert!(table.contains("speedup 2.00x"), "{table}");
+        assert!(json.contains("\"wall_secs\": 0.500000, \"wall_secs_max\": 0.750000"), "{json}");
+        assert!(json.contains("\"events_per_sec\": 2000.000000"), "{json}");
+        assert!(b.render().contains("0.750"));
+    }
+
+    #[test]
+    fn rounds_keep_the_fastest_and_the_slowest_wall_clock() {
+        let round = |wall_secs| {
+            vec![KernelBench {
+                name: "kernel/x".into(),
+                wall_secs,
+                wall_secs_max: wall_secs,
+                events: 10,
+                profile: None,
+            }]
+        };
+        let mut acc = Vec::new();
+        for wall_secs in [0.3, 0.2, 0.5] {
+            merge_min_wall(&mut acc, round(wall_secs));
+        }
+        assert_eq!((acc[0].wall_secs, acc[0].wall_secs_max), (0.2, 0.5));
     }
 
     #[test]
@@ -1054,41 +582,11 @@ mod tests {
         let k = KernelBench {
             name: "kernel/x".into(),
             wall_secs: 0.0,
+            wall_secs_max: 0.0,
             events: 10,
             profile: None,
         };
         assert_eq!(k.events_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn query_scan_benches_smoke() {
-        // The real entries scan 100 MB / 30 GB; the smoke run shrinks to
-        // ~200 KB inline and 2x1 MB synthetic but exercises the exact
-        // same pipeline and line-count cross-checks.
-        let benches = query_scan_kernel_benches(100 * 1024, 2, 1024 * 1024, 2);
-        assert_eq!(benches.len(), 3);
-        let by_name: std::collections::BTreeMap<&str, &KernelBench> =
-            benches.iter().map(|b| (b.name.as_str(), b)).collect();
-        let streaming = by_name["kernel/query_scan_inline_100mb"];
-        let group = by_name["kernel/query_group_inline_100mb"];
-        let synth = by_name["kernel/query_scan_synthetic_30gb"];
-        // Identical corpus -> identical line counts (also asserted
-        // inside the harness).
-        assert_eq!(streaming.events, group.events);
-        assert!(streaming.events > 1_000);
-        // 2 objects x 1 MB of the 23-byte log line.
-        assert_eq!(synth.events, 2 * (1024 * 1024 / 23));
-    }
-
-    #[test]
-    fn payload_line_count_smoke() {
-        // The real kernel counts 16 MB eight times; every line of the
-        // generated log ends in a newline, so the count is exact.
-        let bytes = inline_log_object(64 * 1024, BENCH_SEED);
-        let lines = bytes.iter().filter(|&&b| b == b'\n').count() as u64;
-        let b = payload_line_count_bench(64 * 1024, 3);
-        assert_eq!(b.name, "kernel/payload_line_count_16mb");
-        assert_eq!(b.events, 3 * lines);
     }
 
     #[test]
@@ -1107,26 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_ledger_by_name_smoke() {
-        // The real kernel makes 250 000 rounds; the helper checks that
-        // every call landed under its own name.
-        let b = recorder_ledger_by_name_bench(500);
-        assert_eq!(b.name, "kernel/recorder_ledger_by_name");
-        assert_eq!(b.events, 3 * 16 * 500);
-    }
-
-    #[test]
-    fn gateway_admission_bench_smoke() {
-        // The full kernel: one million decisions over a thousand
-        // tenants. The harness itself asserts conservation and that both
-        // admitted and shed outcomes occurred; here we just check the
-        // event accounting.
-        let b = gateway_admission_bench();
-        assert_eq!(b.name, "gateway/admission_1m_decisions");
-        assert_eq!(b.events, 1_000_000);
-    }
-
-    #[test]
     fn platform_warm_hit_smoke() {
         // The real kernel is 12 000 functions × 10 rounds; the helper
         // asserts one cold start per function and warm hits ever after.
@@ -1136,31 +614,9 @@ mod tests {
     }
 
     #[test]
-    fn link_fanin_100k_smoke() {
-        // CI gate for the virtual-time fair-queueing scale target: 100k
-        // concurrent flows (every sixteenth rate-capped) must fully
-        // drain — the helper asserts completion and an empty link — and
-        // the event count must stay linear in the flow count, not
-        // quadratic as the pre-rewrite O(n)-rescan allocator was.
-        let events = link_fanin_at_scale(100_000);
-        assert!(
-            (200_000..2_000_000).contains(&events),
-            "100k-flow fan-in event count off the linear envelope: {events}"
-        );
-    }
-
-    #[test]
     fn link_fanin_mixed_smoke() {
         // The mixed-size kernel at 10k flows: the helper asserts that all
         // drain and that `active_flows() == 0`; the score counts flows.
         assert_eq!(link_fanin_mixed_sizes(10_000), 10_000);
-    }
-
-    #[test]
-    fn sweep_bench_runs_and_matches_serial() {
-        // Smoke: 3 seeds through the real scenario, serial vs parallel.
-        let b = run_sweep_bench(3);
-        assert_eq!(b.seeds, 3);
-        assert!(b.serial_secs > 0.0 && b.parallel_secs > 0.0);
     }
 }

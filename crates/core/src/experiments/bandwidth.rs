@@ -11,7 +11,7 @@ use faasim_simcore::{join_all, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
-use crate::report::Table;
+use crate::report::{PaperRow, Table};
 
 /// Parameters of the bandwidth sweep.
 #[derive(Clone, Debug)]
@@ -74,6 +74,16 @@ impl BandwidthResult {
             .iter()
             .find(|p| p.concurrency == concurrency)
             .unwrap_or_else(|| panic!("no point at concurrency {concurrency}"))
+    }
+
+    /// The paper's §3(2) figures, each beside this run's. Needs the
+    /// points at 1 and 20 concurrent functions.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        let mbps = |n| self.at(n).per_function_mbps;
+        vec![
+            PaperRow::new("single function Mbps", 538.0, mbps(1), "Mbps"),
+            PaperRow::new("20 functions, per-function Mbps", 28.7, mbps(20), "Mbps"),
+        ]
     }
 
     /// Render as the figure's data series.

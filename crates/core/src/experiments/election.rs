@@ -15,7 +15,7 @@ use faasim_simcore::{mbps, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
-use crate::report::Table;
+use crate::report::{PaperRow, Table};
 
 /// Parameters of the election study.
 #[derive(Clone, Debug)]
@@ -79,6 +79,21 @@ pub struct ElectionResult {
 }
 
 impl ElectionResult {
+    /// The paper's CS-3 numbers, each beside this run's.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        vec![
+            PaperRow::new("election round seconds", 16.7, self.mean_round.as_secs_f64(), "s"),
+            PaperRow::new("% aggregate time electing", 1.9, self.fraction_electing * 100.0, "%"),
+            PaperRow::new(
+                "steady KV requests/node/s (4 polls x 2 reads)",
+                8.0,
+                self.requests_per_node_second,
+                "r/s",
+            ),
+            PaperRow::new("1,000-node cluster $/hr", 450.0, self.hourly_cost_extrapolated, "$"),
+        ]
+    }
+
     /// Render in the case study's structure.
     pub fn render(&self, params: &ElectionParams) -> String {
         let mut t = Table::new(
@@ -258,6 +273,15 @@ pub struct ChurnResult {
     pub rounds: usize,
     /// Byte-exact replay probe.
     pub probe: ExperimentProbe,
+}
+
+impl ChurnResult {
+    /// The share of time the paper derives from round / lifetime, beside
+    /// the one measured under churn.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        let label = "% time without agreement (paper derives >=1.9%)";
+        vec![PaperRow::new(label, 1.9, self.fraction * 100.0, "%")]
+    }
 }
 
 /// Run the churn study: nodes live for one Lambda lifetime, die, and are

@@ -23,7 +23,7 @@ use faasim_simcore::{Histogram, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
-use crate::report::{fmt_latency, fmt_ratio, Table};
+use crate::report::{fmt_latency, fmt_ratio, PaperRow, Table};
 
 /// Parameters of the serving comparison.
 #[derive(Clone, Debug)]
@@ -109,6 +109,25 @@ impl PredictionResult {
     /// Cost advantage of the EC2 fleet at the extrapolated rate.
     pub fn cost_ratio(&self) -> f64 {
         self.sqs_hourly_at_rate / self.ec2_hourly_at_rate
+    }
+
+    /// The paper's CS-2 numbers — per-batch latencies, then the costs at
+    /// 1M msg/s — each beside this run's.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        let ms = |label, paper| {
+            PaperRow::new(label, paper, self.latency_of(label).as_secs_f64() * 1e3, "ms")
+        };
+        vec![
+            ms("Lambda + S3 model", 559.0),
+            ms("Lambda optimized (model baked in, SQS out)", 447.0),
+            ms("EC2 + SQS", 13.0),
+            ms("EC2 + ZeroMQ", 2.8),
+            PaperRow::new("SQS $/hr", 1584.0, self.sqs_hourly_at_rate, "$"),
+            PaperRow::new("EC2 instances", 290.0, self.ec2_instances_at_rate as f64, ""),
+            PaperRow::new("EC2 fleet $/hr", 27.84, self.ec2_hourly_at_rate, "$"),
+            PaperRow::new("cost advantage", 57.0, self.cost_ratio(), "x"),
+            PaperRow::new("per-instance throughput", 3500.0, self.ec2_throughput_per_instance, "r/s"),
+        ]
     }
 
     /// Render in the case study's structure.

@@ -11,7 +11,7 @@ use faasim_simcore::{Histogram, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
-use crate::report::{fmt_latency, fmt_ratio, Table};
+use crate::report::{fmt_latency, fmt_ratio, PaperRow, Table};
 
 /// Parameters of the Table 1 reproduction (defaults match the paper's
 /// trial counts).
@@ -96,6 +96,15 @@ impl Table1Result {
         self.mean_of(label).as_secs_f64() / self.best().as_secs_f64()
     }
 
+    /// The paper's means, then its ratios, each beside this run's.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        let ms = |&(label, paper, _)| {
+            PaperRow::new(label, paper, self.mean_of(label).as_secs_f64() * 1e3, "ms")
+        };
+        let ratio = |&(label, _, paper)| PaperRow::new(label, paper, self.ratio_of(label), "x");
+        PAPER.iter().map(ms).chain(PAPER.iter().map(ratio)).collect()
+    }
+
     /// Render in the paper's layout.
     pub fn render(&self) -> String {
         let best = self.best().as_secs_f64();
@@ -116,6 +125,16 @@ impl Table1Result {
         t.render()
     }
 }
+
+/// The paper's Table 1: column, mean latency in ms, ratio to the best.
+const PAPER: [(&str, f64, f64); 6] = [
+    ("Func. Invoc. (1KB)", 303.0, 1045.0),
+    ("Lambda I/O (S3)", 108.0, 372.0),
+    ("Lambda I/O (DynamoDB)", 11.0, 37.9),
+    ("EC2 I/O (S3)", 106.0, 365.0),
+    ("EC2 I/O (DynamoDB)", 11.0, 37.9),
+    ("EC2 NW (0MQ)", 0.29, 1.0),
+];
 
 #[derive(Copy, Clone, PartialEq)]
 enum Medium {

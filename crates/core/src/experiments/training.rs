@@ -23,7 +23,7 @@ use faasim_simcore::SimDuration;
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::probe::ExperimentProbe;
-use crate::report::{fmt_ratio, Table};
+use crate::report::{fmt_ratio, PaperRow, Table};
 
 /// Parameters of the training comparison.
 #[derive(Clone, Debug)]
@@ -107,6 +107,22 @@ impl TrainingResult {
     /// How many times more expensive Lambda was.
     pub fn cost_ratio(&self) -> f64 {
         self.lambda.compute_cost / self.ec2.compute_cost
+    }
+
+    /// The paper's CS-1 numbers, each beside this run's.
+    pub fn paper_rows(&self) -> Vec<PaperRow> {
+        let (lambda, ec2) = (&self.lambda, &self.ec2);
+        vec![
+            PaperRow::new("Lambda s/iteration", 3.08, lambda.per_iteration.as_secs_f64(), "s"),
+            PaperRow::new("EC2 s/iteration", 0.14, ec2.per_iteration.as_secs_f64(), "s"),
+            PaperRow::new("Lambda sequential executions", 31.0, lambda.executions as f64, ""),
+            PaperRow::new("Lambda total minutes", 465.0, lambda.total_time.as_secs_f64() / 60.0, "min"),
+            PaperRow::new("EC2 total seconds", 1300.0, ec2.total_time.as_secs_f64(), "s"),
+            PaperRow::new("Lambda cost", 0.29, lambda.compute_cost, "$"),
+            PaperRow::new("EC2 cost", 0.04, ec2.compute_cost, "$"),
+            PaperRow::new("slowdown", 21.0, self.slowdown(), "x"),
+            PaperRow::new("cost ratio", 7.3, self.cost_ratio(), "x"),
+        ]
     }
 
     /// Render like the case study's prose table.

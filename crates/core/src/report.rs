@@ -89,6 +89,28 @@ impl Table {
     }
 }
 
+/// A number the paper reports beside the value a run measured for it. The
+/// experiments that reproduce a numbered artefact list theirs in
+/// `paper_rows()`: the one place the paper's values are typed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PaperRow {
+    /// What the number is.
+    pub label: &'static str,
+    /// The paper's value.
+    pub paper: f64,
+    /// This run's value.
+    pub measured: f64,
+    /// The unit of both; empty for a count.
+    pub unit: &'static str,
+}
+
+impl PaperRow {
+    /// A row.
+    pub fn new(label: &'static str, paper: f64, measured: f64, unit: &'static str) -> PaperRow {
+        PaperRow { label, paper, measured, unit }
+    }
+}
+
 /// Format a duration for a table cell the way the paper does: µs under a
 /// millisecond, ms under a minute, otherwise minutes.
 pub fn fmt_latency(d: SimDuration) -> String {
@@ -163,6 +185,6 @@ mod tests {
         assert_eq!(fmt_ratio(1.0), "1.00\u{d7}");
         assert_eq!(fmt_ratio(37.9), "37.9\u{d7}");
         assert_eq!(fmt_ratio(372.0), "372\u{d7}");
-        assert_eq!(fmt_ratio(1045.0), "1,045\u{d7}");
+        assert_eq!(fmt_ratio(1045.4), "1,045\u{d7}");
     }
 }

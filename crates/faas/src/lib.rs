@@ -25,7 +25,6 @@ mod codec;
 mod config;
 mod platform;
 mod trigger;
-mod workflow;
 
 pub use codec::{decode_batch, encode_batch};
 pub use config::FaasProfile;
@@ -34,4 +33,3 @@ pub use platform::{
     InvokeOutcome, PackingStats,
 };
 pub use trigger::{add_blob_trigger, add_queue_trigger, BlobTriggerBuilder, TriggerHandle};
-pub use workflow::{Orchestrator, Step, Workflow, WorkflowError, WorkflowOutcome};

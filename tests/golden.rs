@@ -169,81 +169,25 @@ fn paper_runs() -> &'static (Vec<String>, Vec<String>) {
             source_row(&format!("{name}@{SEED}"), &[fnv1a(&parts)])
         });
 
+        let groups = [
+            ("E1", t1.paper_rows()),
+            ("E3", tr.paper_rows()),
+            ("E4", pr.paper_rows()),
+            ("E5", el.paper_rows()),
+            ("E5", churn.paper_rows()),
+            ("E6", bw.paper_rows()),
+        ];
         let mut refs = Vec::new();
-        let mut push = |group: &str, label: &str, paper: f64, measured: f64, unit: &str| {
-            let unit = if unit.is_empty() { String::new() } else { format!(" [{unit}]") };
-            refs.push(reference_row(&format!("{group}/{label}{unit}"), &paper.to_string(), measured.to_bits()));
-        };
-        for (label, paper) in TABLE1_MS {
-            push("E1", label, paper, t1.mean_of(label).as_secs_f64() * 1e3, "ms");
+        for (group, rows) in groups {
+            for row in rows {
+                let unit = if row.unit.is_empty() { String::new() } else { format!(" [{}]", row.unit) };
+                let label = format!("{group}/{}{unit}", row.label);
+                refs.push(reference_row(&label, &row.paper.to_string(), row.measured.to_bits()));
+            }
         }
-        for (label, paper) in TABLE1_RATIO {
-            push("E1", label, paper, t1.ratio_of(label), "x");
-        }
-        push("E3", "Lambda s/iteration", 3.08, tr.lambda.per_iteration.as_secs_f64(), "s");
-        push("E3", "EC2 s/iteration", 0.14, tr.ec2.per_iteration.as_secs_f64(), "s");
-        push("E3", "Lambda sequential executions", 31.0, tr.lambda.executions as f64, "");
-        push("E3", "Lambda total minutes", 465.0, tr.lambda.total_time.as_secs_f64() / 60.0, "min");
-        push("E3", "EC2 total seconds", 1300.0, tr.ec2.total_time.as_secs_f64(), "s");
-        push("E3", "Lambda cost", 0.29, tr.lambda.compute_cost, "$");
-        push("E3", "EC2 cost", 0.04, tr.ec2.compute_cost, "$");
-        push("E3", "slowdown", 21.0, tr.slowdown(), "x");
-        push("E3", "cost ratio", 7.3, tr.cost_ratio(), "x");
-        for (label, paper) in PREDICTION_MS {
-            push("E4", label, paper, pr.latency_of(label).as_secs_f64() * 1e3, "ms");
-        }
-        push("E4", "SQS $/hr", 1584.0, pr.sqs_hourly_at_rate, "$");
-        push("E4", "EC2 instances", 290.0, pr.ec2_instances_at_rate as f64, "");
-        push("E4", "EC2 fleet $/hr", 27.84, pr.ec2_hourly_at_rate, "$");
-        push("E4", "cost advantage", 57.0, pr.cost_ratio(), "x");
-        push("E4", "per-instance throughput", 3500.0, pr.ec2_throughput_per_instance, "r/s");
-        push("E5", "election round seconds", 16.7, el.mean_round.as_secs_f64(), "s");
-        push("E5", "% aggregate time electing", 1.9, el.fraction_electing * 100.0, "%");
-        push(
-            "E5",
-            "steady KV requests/node/s (4 polls x 2 reads)",
-            8.0,
-            el.requests_per_node_second,
-            "r/s",
-        );
-        push("E5", "1,000-node cluster $/hr", 450.0, el.hourly_cost_extrapolated, "$");
-        push(
-            "E5",
-            "% time without agreement (paper derives >=1.9%)",
-            1.9,
-            churn.fraction * 100.0,
-            "%",
-        );
-        push("E6", "single function Mbps", 538.0, bw.at(1).per_function_mbps, "Mbps");
-        push("E6", "20 functions, per-function Mbps", 28.7, bw.at(20).per_function_mbps, "Mbps");
         (pins.to_vec(), refs)
     })
 }
-
-const TABLE1_MS: [(&str, f64); 6] = [
-    ("Func. Invoc. (1KB)", 303.0),
-    ("Lambda I/O (S3)", 108.0),
-    ("Lambda I/O (DynamoDB)", 11.0),
-    ("EC2 I/O (S3)", 106.0),
-    ("EC2 I/O (DynamoDB)", 11.0),
-    ("EC2 NW (0MQ)", 0.29),
-];
-
-const TABLE1_RATIO: [(&str, f64); 6] = [
-    ("Func. Invoc. (1KB)", 1045.0),
-    ("Lambda I/O (S3)", 372.0),
-    ("Lambda I/O (DynamoDB)", 37.9),
-    ("EC2 I/O (S3)", 365.0),
-    ("EC2 I/O (DynamoDB)", 37.9),
-    ("EC2 NW (0MQ)", 1.0),
-];
-
-const PREDICTION_MS: [(&str, f64); 4] = [
-    ("Lambda + S3 model", 559.0),
-    ("Lambda optimized (model baked in, SQS out)", 447.0),
-    ("EC2 + SQS", 13.0),
-    ("EC2 + ZeroMQ", 2.8),
-];
 
 /// A reference row as it reads in this file: label, the paper's value as
 /// it prints, the bits of the measured one — and the measured one in
