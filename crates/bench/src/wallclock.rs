@@ -12,7 +12,7 @@
 //! Experiment wall-clock, chaos-sweep throughput and a kernel per layer
 //! are the repo benchmark's (`benchmark/`, `BENCHMARK.json`); a kernel
 //! lives here when it is an end-to-end replay, a meter a ROADMAP item
-//! names, or has no counterpart there (EXPERIMENTS.md "Wall-clock
+//! names, or has no counterpart there (EXPERIMENTS.md "Benchmark
 //! methodology" has the table).
 
 use std::fmt::Write as _;
@@ -611,6 +611,21 @@ mod tests {
         let b = platform_warm_hit_bench(600, 3);
         assert_eq!(b.name, "kernel/platform_warm_hit_12k_functions");
         assert_eq!(b.events, 1_800);
+    }
+
+    #[test]
+    fn link_fanin_100k_smoke() {
+        // CI gate for the virtual-time fair-queueing scale target, on the
+        // million-flow kernel's body at a tenth of its size: 100k
+        // concurrent flows (every sixteenth rate-capped) must fully
+        // drain — the helper asserts completion and an empty link — and
+        // the event count must stay linear in the flow count, not
+        // quadratic as the pre-rewrite O(n)-rescan allocator was.
+        let events = link_fanin_at_scale(100_000);
+        assert!(
+            (200_000..2_000_000).contains(&events),
+            "100k-flow fan-in event count off the linear envelope: {events}"
+        );
     }
 
     #[test]

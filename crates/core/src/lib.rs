@@ -14,7 +14,8 @@
 //! - [`Cloud`] / [`CloudProfile`]: compose a calibrated cloud.
 //! - [`experiments`]: each table/figure as a parameterized experiment.
 //! - [`trends`]: the Figure 1 adoption-curve model.
-//! - [`report`]: the plain-text tables the bench harnesses print.
+//! - [`report`]: the plain-text tables the experiments render, and the
+//!   paper-vs-measured row.
 //!
 //! ```
 //! use bytes::Bytes;

@@ -1,4 +1,5 @@
-//! Plain-text tables in the paper's style, used by every bench harness.
+//! Plain-text tables in the paper's style, rendered by every experiment,
+//! and the paper-vs-measured row.
 
 use std::fmt::Write as _;
 

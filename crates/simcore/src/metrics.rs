@@ -1,7 +1,7 @@
 //! Measurement collection: counters, gauges, and sample histograms.
 //!
 //! Experiments record latencies and throughputs into a [`Recorder`], then
-//! summarize them into the tables printed by the bench harnesses. The
+//! summarize them into the tables they print. The
 //! histogram keeps raw samples (experiments here record at most a few
 //! hundred thousand), which makes quantiles exact and the determinism
 //! tests trivial: identical runs produce identical sample vectors.
