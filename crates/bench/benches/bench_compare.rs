@@ -12,7 +12,7 @@ fn main() {
     let newest = snapshots.last().expect("no BENCH_*.json snapshot — run `make bench` first");
 
     println!("\n=== bench-compare (fresh run vs BENCH_{}.json) ===\n", newest.label);
-    let current = wallclock::run_baseline();
+    let current = wallclock::run_suite();
     let (report, regressions) = compare::compare(newest, &current);
     println!("{report}");
 

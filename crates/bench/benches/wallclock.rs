@@ -8,12 +8,12 @@ use faasim_bench::wallclock;
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     println!("\n=== wall-clock kernel suite (host time, not virtual time) ===\n");
-    let baseline = wallclock::run_baseline();
-    println!("{}", baseline.render());
+    let suite = wallclock::run_suite();
+    println!("{}", suite.render());
 
     match std::env::var("BENCH_OUT") {
         Ok(path) => {
-            std::fs::write(&path, baseline.to_json()).expect("write snapshot json");
+            std::fs::write(&path, suite.to_json()).expect("write snapshot json");
             println!("wrote {path}");
         }
         Err(_) => println!("BENCH_OUT not set: no snapshot written"),

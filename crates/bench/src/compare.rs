@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use crate::wallclock::Baseline;
+use crate::wallclock::SuiteRun;
 
 /// A kernel may lose this share of its snapshot's events/sec before the
 /// gate fails (each side is a best-of-3; `wall_secs_max` in a snapshot
@@ -31,17 +31,6 @@ pub struct Snapshot {
     pub label: String,
     /// Kernel bench name → events per host second.
     pub kernel: Vec<(String, f64)>,
-}
-
-/// One kernel that breached the tolerance.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// Kernel bench name.
-    pub name: String,
-    /// The snapshot's events/sec.
-    pub baseline: f64,
-    /// The freshly measured events/sec.
-    pub current: f64,
 }
 
 /// Extract a `"key": "string"` field from a flat JSON object body.
@@ -100,6 +89,7 @@ pub fn parse_snapshot(json: &str) -> Option<Vec<(String, f64)>> {
 /// The labels of the snapshot files among `file_names`, oldest first:
 /// `baseline`, then every `pr<N>` by `N` as a number.
 pub fn snapshot_labels(file_names: impl IntoIterator<Item = String>) -> Vec<String> {
+    // `None` is the baseline and sorts before every `Some(n)`.
     let mut prs: Vec<Option<u32>> = file_names
         .into_iter()
         .filter_map(|name| {
@@ -141,10 +131,10 @@ fn lookup(kernel: &[(String, f64)], name: &str) -> Option<f64> {
 
 /// Diff a fresh run against `snapshot`: every kernel of the snapshot is
 /// gated on events/sec at [`TOLERANCE`]. Returns the human-readable
-/// report and every regression found. A kernel on one side only is
-/// reported (`new`, `dropped`) but never fails the gate — it becomes
-/// gated, or stops being listed, with the next recorded snapshot.
-pub fn compare(snapshot: &Snapshot, current: &Baseline) -> (String, Vec<Regression>) {
+/// report and the names of the kernels that regressed. A kernel on one
+/// side only is reported (`new`, `dropped`) but never fails the gate — it
+/// becomes gated, or stops being listed, with the next recorded snapshot.
+pub fn compare(snapshot: &Snapshot, current: &SuiteRun) -> (String, Vec<String>) {
     let mut out = String::new();
     let mut regressions = Vec::new();
 
@@ -173,11 +163,7 @@ pub fn compare(snapshot: &Snapshot, current: &Baseline) -> (String, Vec<Regressi
         )
         .unwrap();
         if bad {
-            regressions.push(Regression {
-                name: k.name.clone(),
-                baseline: base,
-                current: now,
-            });
+            regressions.push(k.name.clone());
         }
     }
     for (name, base) in &snapshot.kernel {
@@ -257,8 +243,8 @@ mod tests {
     }
 
     /// A fresh run of `kernel/x` at one million events/sec.
-    fn sample_current() -> Baseline {
-        Baseline {
+    fn sample_current() -> SuiteRun {
+        SuiteRun {
             cores: 1,
             kernel: vec![KernelBench {
                 name: "kernel/x".into(),
@@ -321,8 +307,7 @@ mod tests {
         // 30% below the snapshot: fail. 20% below: within the tolerance.
         let ahead = snapshot("pr12", &[("kernel/x", 1_000_000.0 / 0.7)]);
         let (report, regressions) = compare(&ahead, &current);
-        assert_eq!(regressions.len(), 1, "{report}");
-        assert_eq!(regressions[0].name, "kernel/x");
+        assert_eq!(regressions, ["kernel/x"], "{report}");
         assert!(report.contains("REGRESSION") && report.contains("bench-compare: FAIL"));
         let close = snapshot("pr12", &[("kernel/x", 1_000_000.0 / 0.8)]);
         assert!(compare(&close, &current).1.is_empty());

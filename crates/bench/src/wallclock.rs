@@ -61,7 +61,7 @@ impl KernelBench {
 
 /// Everything `make bench` measures.
 #[derive(Clone, Debug)]
-pub struct Baseline {
+pub struct SuiteRun {
     /// Cores the host reports.
     pub cores: usize,
     /// The kernels, best of [`BENCH_RUNS`] rounds each.
@@ -124,7 +124,7 @@ fn merge_min_wall(acc: &mut Vec<KernelBench>, round: Vec<KernelBench>) {
 }
 
 /// One round of the suite: each kernel returns its event count so the
-/// score is events/sec, not iterations/sec. [`run_baseline`] runs
+/// score is events/sec, not iterations/sec. [`run_suite`] runs
 /// [`BENCH_RUNS`] rounds and keeps the fastest wall-clock per bench.
 pub fn run_kernel_benches() -> Vec<KernelBench> {
     let mut out = base_kernel_benches();
@@ -303,7 +303,7 @@ fn trace_replay_bench(gateway: bool) -> KernelBench {
 /// The acceptance-scale replay kernel: one million invocations of the
 /// paper-scale trace through the gateway tier, end to end. This is the
 /// scale every future policy shoot-out wants to sweep at, so its
-/// events/sec is the headline number the baseline carries.
+/// events/sec is the headline number the suite carries.
 fn trace_replay_1m_bench() -> KernelBench {
     let cfg = replay_1m_config();
     kernel_bench_profiled("trace/replay_1m_invocations", || {
@@ -457,13 +457,13 @@ fn link_fanin(n: u64, mut bytes_of: impl FnMut(u64) -> u64) -> u64 {
 
 /// Run the suite [`BENCH_RUNS`] times, keeping each kernel's fastest and
 /// slowest wall-clock (see [`BENCH_RUNS`]).
-pub fn run_baseline() -> Baseline {
+pub fn run_suite() -> SuiteRun {
     let mut kernel = Vec::new();
     for _ in 0..BENCH_RUNS {
         merge_min_wall(&mut kernel, run_kernel_benches());
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    Baseline { cores, kernel }
+    SuiteRun { cores, kernel }
 }
 
 fn json_f64(v: f64) -> String {
@@ -474,7 +474,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-impl Baseline {
+impl SuiteRun {
     /// Serialize to the snapshot schema `BENCH_baseline.json` and every
     /// `BENCH_pr<N>.json` share (no external JSON dependency — the build
     /// is offline).
@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn baseline_json_is_well_formed() {
-        let b = Baseline {
+        let b = SuiteRun {
             cores: 4,
             kernel: vec![KernelBench {
                 name: "kernel/x".into(),

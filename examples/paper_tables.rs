@@ -178,6 +178,7 @@ fn main() {
     section("A4 · Storage-mediated vs addressable-agent coordination (§4)");
     let agents = agents_cmp::run(&Default::default(), SEED);
     println!("{}", agents.render());
+    // The paper's round is CS-3's first row; the measured one is this run's.
     let round = PaperRow {
         label: "blackboard round (paper)",
         measured: agents.blackboard_round.as_secs_f64(),
