@@ -49,7 +49,7 @@ trace-replay:
 
 ## Wall-clock kernel suite: events/sec through the DES kernel, the
 ## fair-share link, the election's poll loop, the platform's warm path and
-## the trace replays, best of three rounds. Prints the table; writes a
+## the trace replays, best of five rounds. Prints the table; writes a
 ## snapshot only when told where. A perf PR records its own, append-only:
 ## `BENCH_OUT=$(CURDIR)/BENCH_pr<N>.json make bench`.
 bench:

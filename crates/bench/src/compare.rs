@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use crate::wallclock::SuiteRun;
 
 /// A kernel may lose this share of its snapshot's events/sec before the
-/// gate fails (each side is a best-of-3; `wall_secs_max` in a snapshot
+/// gate fails (each side is a best-of-5; `wall_secs_max` in a snapshot
 /// shows what the rounds spread over).
 pub const TOLERANCE: f64 = 0.25;
 

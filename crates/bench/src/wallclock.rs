@@ -82,8 +82,11 @@ fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// The rounds loop over the whole suite rather than re-running each
 /// bench back-to-back, so the N samples of any one bench are separated
 /// by seconds: a load burst that swallows one round rarely survives
-/// into the next.
-const BENCH_RUNS: usize = 3;
+/// into the next. Five, because on the shared two-core sandbox the
+/// snapshots are recorded on, the same binary's best-of-3 read up to 1.7×
+/// apart between two runs and its best-of-5 within 1.16× — and the gate's
+/// tolerance is 25%.
+const BENCH_RUNS: usize = 5;
 
 fn kernel_bench(name: &str, f: impl FnOnce() -> u64) -> KernelBench {
     kernel_bench_profiled(name, || (f(), None))
