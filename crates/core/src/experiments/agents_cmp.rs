@@ -8,8 +8,9 @@ use faasim_protocols::{
 };
 use faasim_simcore::{mbps, SimDuration};
 
-use crate::cloud::{Cloud, CloudProfile};
-use crate::experiments::election::{self, ElectionParams};
+use crate::cloud::CloudProfile;
+use crate::experiments::clients::{plain, Backend, Run};
+use crate::experiments::election::{self, failover_drill, mean_round, DrillWindows, ElectionParams};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, Table};
 
@@ -20,18 +21,21 @@ pub struct AgentsCmpParams {
     pub nodes: u64,
     /// Leader kills measured per variant.
     pub rounds: usize,
+    /// [`DrillWindows::slices`] of the agents side: the undisturbed
+    /// cluster needs one.
+    pub wait_slices: u32,
 }
 
 impl Default for AgentsCmpParams {
     fn default() -> Self {
-        AgentsCmpParams { nodes: 10, rounds: 5 }
+        AgentsCmpParams { nodes: 10, rounds: 5, wait_slices: 1 }
     }
 }
 
 impl AgentsCmpParams {
     /// Reduced scale for tests.
     pub fn quick() -> AgentsCmpParams {
-        AgentsCmpParams { nodes: 5, rounds: 2 }
+        AgentsCmpParams { nodes: 5, rounds: 2, wait_slices: 1 }
     }
 }
 
@@ -74,18 +78,32 @@ impl AgentsCmpResult {
 
 /// Run both variants.
 pub fn run(params: &AgentsCmpParams, seed: u64) -> AgentsCmpResult {
-    // Blackboard side: reuse E5 at matching scale.
-    let bb = election::run(
-        &ElectionParams {
-            nodes: params.nodes,
-            rounds: params.rounds,
-            ..ElectionParams::default()
-        },
-        seed,
-    );
+    plain(|run| {
+        // Blackboard side: reuse E5 at matching scale.
+        let bb = election::run_on(
+            run,
+            &ElectionParams {
+                nodes: params.nodes,
+                rounds: params.rounds,
+                ..ElectionParams::default()
+            },
+            seed,
+        );
+        let agents_round = agents_side(run, params, seed + 100);
+        AgentsCmpResult {
+            blackboard_round: bb.mean_round,
+            agents_round,
+            probe: run.probe.clone(),
+        }
+    })
+}
 
-    // Agents side: socket transport with direct-network timeouts.
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed + 100);
+/// The agents side on any backend — socket transport with direct-network
+/// timeouts — and its mean failover round. Lost protocol messages are the
+/// bully timeouts' to absorb (a dropped answer looks like a dead peer and
+/// the round re-runs); a wait that runs out is an entry in `run.failures`.
+pub fn agents_side<B: Backend>(run: &mut Run<B>, params: &AgentsCmpParams, seed: u64) -> SimDuration {
+    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     let observer = ElectionObserver::new();
     let members: Vec<(NodeId, faasim_net::Host)> = (1..=params.nodes)
         .map(|id| {
@@ -108,45 +126,17 @@ pub fn run(params: &AgentsCmpParams, seed: u64) -> AgentsCmpResult {
             observer.clone(),
         ));
     }
-    cloud
-        .sim
-        .run_until(cloud.sim.now() + SimDuration::from_secs(5));
-    assert_eq!(observer.current_leader(), Some(params.nodes));
-
-    let mut rounds = Vec::new();
-    let mut live_high = params.nodes;
-    for _ in 0..params.rounds {
-        if live_high <= 2 {
-            break;
-        }
-        handles[(live_high - 1) as usize].kill();
-        observer.mark_dead(live_high, cloud.sim.now());
-        let before = observer.rounds().len();
-        cloud
-            .sim
-            .run_until(cloud.sim.now() + SimDuration::from_secs(10));
-        let after = observer.rounds();
-        assert!(after.len() > before, "agents round did not complete");
-        rounds.push(after.last().expect("round").duration());
-        live_high -= 1;
-    }
-    for h in &handles {
-        h.kill();
-    }
-    cloud
-        .sim
-        .run_until(cloud.sim.now() + SimDuration::from_secs(1));
-
-    let agents_round = SimDuration::from_secs_f64(
-        rounds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / rounds.len().max(1) as f64,
-    );
-    let mut probe = bb.probe.clone();
-    probe.capture(&cloud);
-    AgentsCmpResult {
-        blackboard_round: bb.mean_round,
-        agents_round,
-        probe,
-    }
+    let windows = DrillWindows {
+        converge: SimDuration::from_secs(5),
+        failover: SimDuration::from_secs(10),
+        settle: SimDuration::from_secs(1),
+        slices: params.wait_slices,
+    };
+    let (rounds, failures) =
+        failover_drill(&cloud, &handles, &observer, params.rounds, windows, || ());
+    run.fail("agents_cmp", failures);
+    run.close("agents_cmp", &cloud);
+    mean_round(&rounds)
 }
 
 #[cfg(test)]

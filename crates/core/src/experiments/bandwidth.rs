@@ -7,9 +7,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use faasim_faas::FunctionSpec;
+use faasim_payload::Payload;
 use faasim_simcore::{join_all, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
+use crate::experiments::clients::{plain, within, Backend, Clients, Run};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{PaperRow, Table};
 
@@ -104,47 +106,72 @@ impl BandwidthResult {
     }
 }
 
-/// Run the sweep. Each concurrency level gets a fresh cloud so container
-/// placement starts clean.
+/// What one download may take, retries included.
+const DOWNLOAD_BUDGET: SimDuration = SimDuration::from_secs(3_600);
+
+/// `k` concurrent functions of `memory_mb` each pull `bytes` through their
+/// host's NIC on a fresh cloud (so placement starts clean). Returns the
+/// mean rate a function achieved, in Mbps, and the cloud, closed. A rate
+/// is recorded after the transfer's last await, so an invocation that is
+/// cut short and retried leaves one rate, not two.
+fn measure<B: Backend>(
+    run: &mut Run<B>,
+    scope: &str,
+    seed: u64,
+    memory_mb: u64,
+    k: usize,
+    bytes: u64,
+) -> (f64, Cloud) {
+    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let rates: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
+    let r = rates.clone();
+    cloud.faas.register(FunctionSpec::new(
+        "download",
+        memory_mb,
+        SimDuration::from_secs(900),
+        move |ctx, _| {
+            let r = r.clone();
+            async move {
+                let t0 = ctx.sim().now();
+                ctx.host().nic_transfer(bytes).await;
+                let secs = (ctx.sim().now() - t0).as_secs_f64();
+                r.borrow_mut().push(bytes as f64 * 8.0 / secs / 1e6);
+                Ok(Bytes::new())
+            }
+        },
+    ));
+    let sim = cloud.sim.clone();
+    let failures: Vec<String> = cloud.sim.block_on(async move {
+        let (by, nothing) = (within(&sim, DOWNLOAD_BUDGET), Payload::default());
+        let downloads = (0..k).map(|_| clients.invoke("download", &nothing, by));
+        let done = join_all(downloads.collect()).await;
+        done.into_iter().filter_map(Result::err).collect()
+    });
+    let rates = rates.borrow();
+    run.check(scope, rates.len() + failures.len() == k, || {
+        format!("{} rates recorded for {k} downloads, {} failed", rates.len(), failures.len())
+    });
+    run.check(scope, rates.iter().all(|&r| r.is_finite() && r > 0.0), || {
+        "non-positive rate recorded".to_owned()
+    });
+    run.fail(scope, failures);
+    run.close(scope, &cloud);
+    (rates.iter().sum::<f64>() / rates.len().max(1) as f64, cloud)
+}
+
+/// Run the sweep.
 pub fn run(params: &BandwidthParams, seed: u64) -> BandwidthResult {
+    plain(|run| run_on(run, params, seed))
+}
+
+/// The sweep on any backend: a download that fails leaves an entry in
+/// `run.failures` and no rate.
+pub fn run_on<B: Backend>(run: &mut Run<B>, params: &BandwidthParams, seed: u64) -> BandwidthResult {
     let mut points = Vec::new();
-    let mut probe = ExperimentProbe::new();
     for (i, &k) in params.concurrency_levels.iter().enumerate() {
-        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed + i as u64);
-        let bytes = params.transfer_bytes;
-        let rates: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-        let r = rates.clone();
-        cloud.faas.register(FunctionSpec::new(
-            "download",
-            params.memory_mb,
-            SimDuration::from_secs(900),
-            move |ctx, _| {
-                let r = r.clone();
-                async move {
-                    let t0 = ctx.sim().now();
-                    ctx.host().nic_transfer(bytes).await;
-                    let secs = (ctx.sim().now() - t0).as_secs_f64();
-                    r.borrow_mut().push(bytes as f64 * 8.0 / secs / 1e6);
-                    Ok(Bytes::new())
-                }
-            },
-        ));
-        let faas = cloud.faas.clone();
-        cloud.sim.block_on(async move {
-            let futs: Vec<_> = (0..k)
-                .map(|_| {
-                    let faas = faas.clone();
-                    async move {
-                        let out = faas.invoke("download", Bytes::new()).await;
-                        out.result.expect("download cannot fail");
-                    }
-                })
-                .collect();
-            join_all(futs).await;
-        });
-        let rates = rates.borrow();
-        let per_fn = rates.iter().sum::<f64>() / rates.len().max(1) as f64;
-        probe.capture(&cloud);
+        let scope = format!("bandwidth/{k}");
+        let (per_fn, cloud) =
+            measure(run, &scope, seed + i as u64, params.memory_mb, k, params.transfer_bytes);
         points.push(BandwidthPoint {
             concurrency: k,
             per_function_mbps: per_fn,
@@ -152,7 +179,10 @@ pub fn run(params: &BandwidthParams, seed: u64) -> BandwidthResult {
             hosts_used: cloud.faas.host_count(),
         });
     }
-    BandwidthResult { points, probe }
+    BandwidthResult {
+        points,
+        probe: run.probe.clone(),
+    }
 }
 
 /// A second sweep, after Wang et al. (the source of the paper's §3(2)
@@ -239,56 +269,26 @@ impl MemorySweepResult {
 
 /// Run the memory sweep.
 pub fn run_memory_sweep(params: &MemorySweepParams, seed: u64) -> MemorySweepResult {
-    let mut points = Vec::new();
-    let mut probe = ExperimentProbe::new();
-    for (i, &memory_mb) in params.memory_mbs.iter().enumerate() {
-        let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed + i as u64);
-        let bytes = params.transfer_bytes;
-        let rates: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-        let r = rates.clone();
-        cloud.faas.register(FunctionSpec::new(
-            "download",
-            memory_mb,
-            SimDuration::from_secs(900),
-            move |ctx, _| {
-                let r = r.clone();
-                async move {
-                    let t0 = ctx.sim().now();
-                    ctx.host().nic_transfer(bytes).await;
-                    let secs = (ctx.sim().now() - t0).as_secs_f64();
-                    r.borrow_mut().push(bytes as f64 * 8.0 / secs / 1e6);
-                    Ok(Bytes::new())
-                }
-            },
-        ));
-        let faas = cloud.faas.clone();
-        let k = params.concurrency;
-        cloud.sim.block_on(async move {
-            let futs: Vec<_> = (0..k)
-                .map(|_| {
-                    let faas = faas.clone();
-                    async move {
-                        faas.invoke("download", Bytes::new())
-                            .await
-                            .result
-                            .expect("download");
-                    }
-                })
-                .collect();
-            join_all(futs).await;
-        });
-        let profile = cloud.faas.profile();
-        let by_mem = (profile.host_mem_mb / memory_mb).max(1) as usize;
-        let containers_per_host = by_mem.min(profile.max_containers_per_host);
-        let rates = rates.borrow();
-        probe.capture(&cloud);
-        points.push(MemorySweepPoint {
-            memory_mb,
-            containers_per_host,
-            per_function_mbps: rates.iter().sum::<f64>() / rates.len().max(1) as f64,
-        });
-    }
-    MemorySweepResult { points, probe }
+    plain(|run| {
+        let mut points = Vec::new();
+        for (i, &memory_mb) in params.memory_mbs.iter().enumerate() {
+            let scope = format!("bandwidth/{memory_mb}MB");
+            let (concurrency, bytes) = (params.concurrency, params.transfer_bytes);
+            let (per_function_mbps, cloud) =
+                measure(run, &scope, seed + i as u64, memory_mb, concurrency, bytes);
+            let profile = cloud.faas.profile();
+            let by_mem = (profile.host_mem_mb / memory_mb).max(1) as usize;
+            points.push(MemorySweepPoint {
+                memory_mb,
+                containers_per_host: by_mem.min(profile.max_containers_per_host),
+                per_function_mbps,
+            });
+        }
+        MemorySweepResult {
+            points,
+            probe: run.probe.clone(),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //! concurrency also cold-starts: `k` simultaneous requests need `k`
 //! containers no matter how warm one of them is.
 
-use bytes::Bytes;
 use faasim_faas::FunctionSpec;
-use faasim_simcore::{Histogram, SimDuration};
+use faasim_payload::Payload;
+use faasim_simcore::SimDuration;
 
-use crate::cloud::{Cloud, CloudProfile};
+use crate::cloud::CloudProfile;
+use crate::experiments::clients::{echo, plain, Backend, Run, Trials};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, Table};
 
@@ -28,7 +29,13 @@ pub struct ColdStartParams {
     /// Reserve this many always-warm containers (the §4 "SLO" knob;
     /// AWS's later provisioned concurrency). 0 = off.
     pub provisioned: usize,
+    /// How long an invocation holds its container (the study's ping:
+    /// not at all).
+    pub hold: SimDuration,
 }
+
+/// What one arrival may take, retries included.
+const ARRIVAL_BUDGET: SimDuration = SimDuration::from_secs(120);
 
 impl Default for ColdStartParams {
     fn default() -> Self {
@@ -44,6 +51,7 @@ impl Default for ColdStartParams {
             invocations: 50,
             firecracker: false,
             provisioned: 0,
+            hold: SimDuration::ZERO,
         }
     }
 }
@@ -110,19 +118,30 @@ impl ColdStartResult {
 
 /// Run the sweep.
 pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
+    plain(|run| run_on(run, params, seed))
+}
+
+/// The sweep on any backend: an arrival that fails leaves an entry in
+/// `run.failures` where it would have left a sample.
+pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64) -> ColdStartResult {
     let mut points = Vec::new();
-    let mut probe = ExperimentProbe::new();
     for (i, &gap) in params.inter_arrivals.iter().enumerate() {
         let mut profile = CloudProfile::aws_2018().exact();
         if params.firecracker {
             profile = profile.firecracker();
         }
-        let cloud = Cloud::new(profile, seed + i as u64);
+        let (cloud, clients) = run.open(profile, seed + i as u64);
+        let hold = params.hold;
         cloud.faas.register(FunctionSpec::new(
             "ping",
             256,
             SimDuration::from_secs(30),
-            |_ctx, p| async move { Ok(p) },
+            move |ctx, p| async move {
+                if hold > SimDuration::ZERO {
+                    ctx.sim().sleep(hold).await;
+                }
+                Ok(p)
+            },
         ));
         if params.provisioned > 0 {
             cloud.faas.set_provisioned_concurrency("ping", params.provisioned);
@@ -130,24 +149,26 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
         let faas = cloud.faas.clone();
         let sim = cloud.sim.clone();
         let n = params.invocations;
-        let (colds, hist) = cloud.sim.block_on(async move {
+        let (colds, mut trials) = cloud.sim.block_on(async move {
             let mut colds = 0usize;
-            let mut hist = Histogram::new();
-            for _ in 0..n {
+            let mut trials = Trials::default();
+            for t in 0..n {
                 // Arrivals sparser than the keep-alive window meet a
                 // reclaimed container: reap like the platform would.
                 faas.reap_idle();
-                let out = faas.invoke("ping", Bytes::new()).await;
-                if out.cold {
+                let out = echo(&clients, &sim, "ping", &Payload::default(), ARRIVAL_BUDGET).await;
+                if out.as_ref().is_ok_and(|out| out.cold) {
                     colds += 1;
                 }
-                hist.record_duration(out.total);
+                trials.record(t, out.map(|out| out.total));
                 sim.sleep(gap).await;
             }
-            (colds, hist)
+            (colds, trials)
         });
-        let mut hist = hist;
-        probe.capture(&cloud);
+        let scope = format!("cold_starts/gap{i}");
+        run.fail(&scope, std::mem::take(&mut trials.failures));
+        run.close(&scope, &cloud);
+        let hist = &mut trials.hist;
         points.push(ColdStartPoint {
             inter_arrival: gap,
             cold_fraction: colds as f64 / params.invocations as f64,
@@ -156,7 +177,10 @@ pub fn run(params: &ColdStartParams, seed: u64) -> ColdStartResult {
             p99_latency: SimDuration::from_secs_f64(hist.p99()),
         });
     }
-    ColdStartResult { points, probe }
+    ColdStartResult {
+        points,
+        probe: run.probe.clone(),
+    }
 }
 
 #[cfg(test)]

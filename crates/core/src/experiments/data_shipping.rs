@@ -42,6 +42,7 @@ use faasim_query::{Aggregate, QuerySpec};
 use faasim_simcore::SimDuration;
 
 use crate::cloud::{Cloud, CloudProfile};
+use crate::experiments::clients::{chain, plain, Backend, Clients, Plain, Run, UNBOUNDED};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, Table};
 
@@ -152,78 +153,90 @@ impl DataShippingResult {
 
 const LOG_LINE: &str = "GET /assets/app.js 200\n";
 
-fn populate(cloud: &Cloud, dataset_mb: u64, object_mb: u64) -> (usize, u64) {
+/// Open a cloud of `profile` holding the dataset in bucket `logs`.
+/// Returns it with its clients, the object count and the lines per object.
+fn populate<B: Backend>(
+    run: &mut Run<B>,
+    profile: CloudProfile,
+    seed: u64,
+    dataset_mb: u64,
+    object_mb: u64,
+) -> (Cloud, B::Clients, usize, u64) {
+    let (cloud, clients) = run.open(profile, seed);
     cloud.blob.create_bucket("logs");
     let objects = (dataset_mb / object_mb).max(1) as usize;
     let lines_per_object = (object_mb * 1_000_000) / LOG_LINE.len() as u64;
     // Symbolic body: one 23-byte pattern repeated; O(1) to build and put,
     // regardless of object size.
     let body = Payload::synthetic(LOG_LINE, lines_per_object);
-    let blob = cloud.blob.clone();
-    let host = cloud.client_host();
-    cloud.sim.block_on(async move {
+    let (c, host) = (clients.clone(), cloud.client_host());
+    let failures: Vec<String> = cloud.sim.block_on(async move {
+        let mut failures = Vec::new();
         for i in 0..objects {
-            blob.put(&host, "logs", &format!("part-{i:05}"), body.clone())
-                .await
-                .expect("logs bucket");
+            let key = format!("part-{i:05}");
+            let put = c.blob_put(&host, "logs", &key, body.clone(), UNBOUNDED).await;
+            failures.extend(put.err().map(|e| format!("populate {key}: {e}")));
         }
+        failures
     });
+    run.fail("data_shipping", failures);
     cloud.ledger.reset(); // setup isn't part of either variant's bill
-    (objects, lines_per_object)
+    (cloud, clients, objects, lines_per_object)
 }
 
 /// Run the sweep.
 pub fn run(params: &DataShippingParams, seed: u64) -> DataShippingResult {
-    let mut points = Vec::new();
-    let mut probe = ExperimentProbe::new();
-    for (i, &dataset_mb) in params.dataset_mbs.iter().enumerate() {
-        let seed = seed + i as u64;
-        let (d2c, execs, d2c_cost, expected) = run_data_to_code(
-            dataset_mb,
-            params.object_mb,
-            params.lifetime_cap,
-            seed,
-            &mut probe,
-        );
-        let (c2d, c2d_cost) =
-            run_code_to_data(dataset_mb, params.object_mb, seed + 1000, expected, &mut probe);
-        points.push(DataShippingPoint {
-            dataset_mb,
-            data_to_code: d2c,
-            data_to_code_executions: execs,
-            data_to_code_cost: d2c_cost,
-            code_to_data: c2d,
-            code_to_data_cost: c2d_cost,
-        });
-    }
-    DataShippingResult { points, probe }
+    plain(|run| {
+        let mut points = Vec::new();
+        for (i, &dataset_mb) in params.dataset_mbs.iter().enumerate() {
+            let seed = seed + i as u64;
+            let (d2c, execs, d2c_cost, expected) = data_to_code(run, params, dataset_mb, seed);
+            let (c2d, c2d_cost) =
+                run_code_to_data(run, dataset_mb, params.object_mb, seed + 1000, expected);
+            points.push(DataShippingPoint {
+                dataset_mb,
+                data_to_code: d2c,
+                data_to_code_executions: execs,
+                data_to_code_cost: d2c_cost,
+                code_to_data: c2d,
+                code_to_data_cost: c2d_cost,
+            });
+        }
+        DataShippingResult {
+            points,
+            probe: run.probe.clone(),
+        }
+    })
 }
 
-/// Variant 1: the function pulls every object and counts lines itself.
-fn run_data_to_code(
+/// Variant 1, on any backend: the function pulls every object and counts
+/// lines itself, chained across executions. Returns latency, executions,
+/// cost and the line count the dataset holds; a count that differs from
+/// it is an entry in `run.failures`. The cursor and the count advance
+/// together between awaits, so an execution cut short mid-object counts
+/// nothing twice.
+pub fn data_to_code<B: Backend>(
+    run: &mut Run<B>,
+    params: &DataShippingParams,
     dataset_mb: u64,
-    object_mb: u64,
-    lifetime_cap: Option<SimDuration>,
     seed: u64,
-    probe: &mut ExperimentProbe,
 ) -> (SimDuration, u64, f64, u64) {
     let mut profile = CloudProfile::aws_2018().exact();
-    if let Some(cap) = lifetime_cap {
+    if let Some(cap) = params.lifetime_cap {
         profile.faas.max_lifetime = cap;
     }
-    let cloud = Cloud::new(profile, seed);
-    let (objects, lines_per_object) = populate(&cloud, dataset_mb, object_mb);
+    let (cloud, clients, objects, lines_per_object) =
+        populate(run, profile, seed, dataset_mb, params.object_mb);
     let expected = objects as u64 * lines_per_object;
 
     let progress = Rc::new(RefCell::new((0usize, 0u64))); // (next object, count)
-    let blob = cloud.blob.clone();
     let p = progress.clone();
     cloud.faas.register(FunctionSpec::new(
         "aggregate",
         1_024,
         SimDuration::from_secs(900),
         move |ctx, payload| {
-            let blob = blob.clone();
+            let clients = clients.clone();
             let p = p.clone();
             async move {
                 if payload.eq_bytes(b"warmup") {
@@ -234,10 +247,10 @@ fn run_data_to_code(
                     if next >= objects {
                         return Ok(Bytes::new());
                     }
-                    let body = blob
-                        .get(ctx.host(), "logs", &format!("part-{next:05}"))
+                    let body = clients
+                        .blob_get(ctx.host(), "logs", &format!("part-{next:05}"), UNBOUNDED)
                         .await
-                        .expect("object");
+                        .map_err(FnError::Handler)?;
                     // Real aggregation semantics, analytic cost: a
                     // synthetic body counts its pattern's lines once and
                     // multiplies by repeats; inline bytes are scanned.
@@ -255,10 +268,6 @@ fn run_data_to_code(
             }
         },
     ));
-    let faas = cloud.faas.clone();
-    let progress2 = progress.clone();
-    let executions = Rc::new(std::cell::Cell::new(0u64));
-    let e2 = executions.clone();
     // Steady state: the one-time container cold start is not part of the
     // data-movement comparison.
     let warm = cloud.faas.clone();
@@ -266,36 +275,32 @@ fn run_data_to_code(
         .sim
         .block_on(async move { warm.invoke("aggregate", Bytes::from_static(b"warmup")).await });
     let t0 = cloud.sim.now();
-    cloud.sim.block_on(async move {
-        while progress2.borrow().0 < objects {
-            let out = faas.invoke("aggregate", Bytes::new()).await;
-            e2.set(e2.get() + 1);
-            match out.result {
-                Ok(_) | Err(FnError::TimedOut { .. }) => {}
-                Err(e) => panic!("aggregate failed: {e}"),
-            }
-        }
+    let p = progress.clone();
+    let left = move || (objects - p.borrow().0) as u64;
+    let chained = chain(cloud.faas.clone(), "aggregate", left, |_| Payload::default());
+    let executions = cloud.sim.block_on(chained).unwrap_or_else(|e| {
+        run.fail("data_shipping", [e]);
+        0
     });
-    assert_eq!(progress.borrow().1, expected, "wrong aggregate");
-    probe.capture(&cloud);
-    (
-        cloud.sim.now() - t0,
-        executions.get(),
-        cloud.ledger.total(),
-        expected,
-    )
+    let counted = progress.borrow().1;
+    run.check("data_shipping", counted == expected, || {
+        format!("counted {counted} lines, expected {expected}")
+    });
+    let took = cloud.sim.now() - t0;
+    run.close("data_shipping", &cloud);
+    (took, executions, cloud.ledger.total(), expected)
 }
 
 /// Variant 2: the function orchestrates the query service.
 fn run_code_to_data(
+    run: &mut Run<Plain>,
     dataset_mb: u64,
     object_mb: u64,
     seed: u64,
     expected: u64,
-    probe: &mut ExperimentProbe,
 ) -> (SimDuration, f64) {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    populate(&cloud, dataset_mb, object_mb);
+    let profile = CloudProfile::aws_2018().exact();
+    let (cloud, ..) = populate(run, profile, seed, dataset_mb, object_mb);
 
     let query = cloud.query.clone();
     cloud.faas.register(FunctionSpec::new(
@@ -336,7 +341,7 @@ fn run_code_to_data(
         )
     });
     assert_eq!(got, expected, "wrong aggregate");
-    probe.capture(&cloud);
+    run.close("data_shipping", &cloud);
     (cloud.sim.now() - t0, cloud.ledger.total())
 }
 

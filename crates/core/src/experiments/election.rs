@@ -9,11 +9,12 @@
 
 use faasim_pricing::Service;
 use faasim_protocols::{
-    spawn_node, BlackboardTransport, BullyConfig, ElectionObserver, NodeId,
+    spawn_node, BlackboardTransport, BullyConfig, ElectionObserver, NodeHandle, NodeId,
 };
 use faasim_simcore::{mbps, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
+use crate::experiments::clients::{plain, Backend, Run};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{PaperRow, Table};
 
@@ -30,10 +31,8 @@ pub struct ElectionParams {
     pub extrapolate_nodes: u64,
     /// Function lifetime used for the %-time claim (paper: 900 s).
     pub lifetime: SimDuration,
-    /// Scale the protocol timeouts with the polling period, keeping the
-    /// configuration "equally conservative" in polling windows across a
-    /// poll-rate sweep. At the paper's 4 Hz this is the identity.
-    pub scale_timeouts_with_poll: bool,
+    /// [`DrillWindows::slices`]: the undisturbed cluster needs one.
+    pub wait_slices: u32,
 }
 
 impl Default for ElectionParams {
@@ -44,7 +43,7 @@ impl Default for ElectionParams {
             rounds: 5,
             extrapolate_nodes: 1_000,
             lifetime: SimDuration::from_secs(900),
-            scale_timeouts_with_poll: true,
+            wait_slices: 1,
         }
     }
 }
@@ -127,21 +126,97 @@ impl ElectionResult {
     }
 }
 
+/// How long a [`failover_drill`] waits for each thing it waits for.
+#[derive(Clone, Copy, Debug)]
+pub struct DrillWindows {
+    /// For the cluster to agree on its first leader.
+    pub converge: SimDuration,
+    /// For a failover round to complete after a leader kill.
+    pub failover: SimDuration,
+    /// After every node is stopped, before the cloud is read.
+    pub settle: SimDuration,
+    /// The most slices of a window a wait may take. One reproduces a run
+    /// that advances by the whole window and then looks; more give a
+    /// disturbed cluster that many windows, looking after each.
+    pub slices: u32,
+}
+
+/// The failover drill on a cluster of freshly spawned nodes with ids
+/// `1..=handles.len()`: converge on the highest id, run `steady` (a
+/// measurement of the undisturbed cluster, if any), `rounds` times kill
+/// the highest live id and wait for the failover round, then stop every
+/// node and settle. Returns the rounds' durations and what did not
+/// happen in time.
+pub fn failover_drill(
+    cloud: &Cloud,
+    handles: &[NodeHandle],
+    observer: &ElectionObserver,
+    rounds: usize,
+    windows: DrillWindows,
+    steady: impl FnOnce(),
+) -> (Vec<SimDuration>, Vec<String>) {
+    let wait = |window: SimDuration, done: &dyn Fn() -> bool| {
+        (0..windows.slices).any(|_| {
+            cloud.sim.run_until(cloud.sim.now() + window);
+            done()
+        })
+    };
+    let mut failures = Vec::new();
+    let nodes = handles.len() as u64;
+    if !wait(windows.converge, &|| observer.current_leader() == Some(nodes)) {
+        let got = observer.current_leader();
+        failures.push(format!("no initial leader {nodes} in time (got {got:?})"));
+    }
+    steady();
+
+    let mut durations = Vec::new();
+    let mut live_high = nodes;
+    for round in 0..rounds {
+        if live_high <= 2 {
+            break;
+        }
+        handles[(live_high - 1) as usize].kill();
+        observer.mark_dead(live_high, cloud.sim.now());
+        let before = observer.rounds().len();
+        if wait(windows.failover, &|| observer.rounds().len() > before) {
+            durations.push(observer.rounds().last().expect("round").duration());
+        } else {
+            failures.push(format!("round {round} did not complete after killing {live_high}"));
+        }
+        live_high -= 1;
+    }
+    for h in handles {
+        h.kill();
+    }
+    cloud.sim.run_until(cloud.sim.now() + windows.settle);
+    (durations, failures)
+}
+
+/// The mean of the measured rounds (zero when there are none).
+pub(super) fn mean_round(rounds: &[SimDuration]) -> SimDuration {
+    SimDuration::from_secs_f64(
+        rounds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / rounds.len().max(1) as f64,
+    )
+}
+
 /// Run the study.
 pub fn run(params: &ElectionParams, seed: u64) -> ElectionResult {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
+    plain(|run| run_on(run, params, seed))
+}
+
+/// The study on any backend: a wait that runs out leaves an entry in
+/// `run.failures`. The blackboard transport rides out storage errors
+/// itself (a failed poll is a missed beat), so no client set is involved.
+pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) -> ElectionResult {
+    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     BlackboardTransport::setup(&cloud.kv);
     let observer = ElectionObserver::new();
     let poll = SimDuration::from_secs_f64(1.0 / params.polls_per_second);
-    let timeout_scale = if params.scale_timeouts_with_poll {
-        (poll.as_secs_f64() / 0.25).max(1e-3)
-    } else {
-        1.0
-    };
+    // The protocol timeouts scale with the polling period, keeping the
+    // configuration "equally conservative" in polling windows across a
+    // poll-rate sweep. At the paper's 4 Hz this is the identity.
+    let timeout_scale = (poll.as_secs_f64() / 0.25).max(1e-3);
     let cfg = BullyConfig::blackboard_2018().scaled(timeout_scale);
-    // Convergence windows must scale with the protocol timeouts.
-    let settle = SimDuration::from_secs(60).mul_f64(timeout_scale.max(1.0));
-    let failover_window = SimDuration::from_secs(200).mul_f64(timeout_scale.max(1.0));
     let members: Vec<NodeId> = (1..=params.nodes).collect();
     let mut handles = Vec::new();
     for &id in &members {
@@ -152,69 +227,41 @@ pub fn run(params: &ElectionParams, seed: u64) -> ElectionResult {
         handles.push(spawn_node(&cloud.sim, t, cfg.clone(), observer.clone()));
     }
 
-    // Initial convergence.
-    cloud.sim.run_until(cloud.sim.now() + settle);
-    assert_eq!(
-        observer.current_leader(),
-        Some(params.nodes),
-        "cluster must elect the highest id"
-    );
+    // Convergence windows must scale with the protocol timeouts.
+    let windows = DrillWindows {
+        converge: SimDuration::from_secs(60).mul_f64(timeout_scale.max(1.0)),
+        failover: SimDuration::from_secs(200).mul_f64(timeout_scale.max(1.0)),
+        settle: SimDuration::from_secs(5),
+        slices: params.wait_slices,
+    };
+    let mut steady_requests = 0.0;
+    let (rounds, failures) = failover_drill(&cloud, &handles, &observer, params.rounds, windows, || {
+        // Steady-state request-rate measurement window (no elections).
+        let window = SimDuration::from_secs(60);
+        let requests = || {
+            cloud.ledger.item_quantity(Service::Kv, "read-requests")
+                + cloud.ledger.item_quantity(Service::Kv, "write-requests")
+        };
+        let before = requests();
+        cloud.sim.run_until(cloud.sim.now() + window);
+        steady_requests = (requests() - before) / window.as_secs_f64() / params.nodes as f64;
+    });
+    run.fail("election", failures);
 
-    // Steady-state request-rate measurement window (no elections).
-    let window = SimDuration::from_secs(60);
-    let reads0 = cloud.ledger.item_quantity(Service::Kv, "read-requests");
-    let writes0 = cloud.ledger.item_quantity(Service::Kv, "write-requests");
-    cloud.sim.run_until(cloud.sim.now() + window);
-    let reads1 = cloud.ledger.item_quantity(Service::Kv, "read-requests");
-    let writes1 = cloud.ledger.item_quantity(Service::Kv, "write-requests");
-    let steady_requests =
-        (reads1 - reads0 + writes1 - writes0) / window.as_secs_f64() / params.nodes as f64;
-
-    // Kill the current highest live node repeatedly; measure each
-    // re-election round.
-    let mut rounds = Vec::new();
-    let mut live_high = params.nodes;
-    for _ in 0..params.rounds {
-        if live_high <= 2 {
-            break;
-        }
-        let idx = (live_high - 1) as usize;
-        handles[idx].kill();
-        observer.mark_dead(live_high, cloud.sim.now());
-        let before = observer.rounds().len();
-        cloud.sim.run_until(cloud.sim.now() + failover_window);
-        let after = observer.rounds();
-        assert!(
-            after.len() > before,
-            "round did not complete after killing {live_high}"
-        );
-        rounds.push(after.last().expect("round").duration());
-        live_high -= 1;
-    }
-    for h in &handles {
-        h.kill();
-    }
-    cloud
-        .sim
-        .run_until(cloud.sim.now() + SimDuration::from_secs(5));
-
-    let mean_round = SimDuration::from_secs_f64(
-        rounds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / rounds.len().max(1) as f64,
-    );
+    let mean_round = mean_round(&rounds);
     let fraction = mean_round.as_secs_f64() / params.lifetime.as_secs_f64();
     let hourly = steady_requests
         * params.extrapolate_nodes as f64
         * 3600.0
         * cloud.prices.kv_read_per_request;
-    let mut probe = ExperimentProbe::new();
-    probe.capture(&cloud);
+    run.close("election", &cloud);
     ElectionResult {
         mean_round,
         fraction_electing: fraction,
         requests_per_node_second: steady_requests,
         hourly_cost_extrapolated: hourly,
         rounds,
-        probe,
+        probe: run.probe.clone(),
     }
 }
 

@@ -11,6 +11,7 @@
 
 pub mod agents_cmp;
 pub mod bandwidth;
+pub mod clients;
 pub mod cold_starts;
 pub mod data_shipping;
 pub mod election;

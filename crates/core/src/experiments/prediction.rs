@@ -18,10 +18,12 @@ use std::rc::Rc;
 use bytes::Bytes;
 use faasim_faas::{add_queue_trigger, decode_batch, encode_batch, FunctionSpec};
 use faasim_ml::{synthetic_document, DirtyWordModel};
+use faasim_payload::Payload;
 use faasim_queue::QueueConfig;
 use faasim_simcore::{Histogram, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
+use crate::experiments::clients::{plain, Backend, Clients, Plain, Run, UNBOUNDED};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, PaperRow, Table};
 
@@ -166,11 +168,14 @@ impl PredictionResult {
 
 /// Run all four deployments.
 pub fn run(params: &PredictionParams, seed: u64) -> PredictionResult {
-    let mut probe = ExperimentProbe::new();
-    let lambda_s3 = run_lambda(params, seed, false, &mut probe);
-    let lambda_opt = run_lambda(params, seed + 1, true, &mut probe);
-    let ec2_sqs = run_ec2_sqs(params, seed + 2, &mut probe);
-    let (ec2_zmq, per_batch_busy) = run_ec2_zmq(params, seed + 3, &mut probe);
+    plain(|run| run_all(params, seed, run))
+}
+
+fn run_all(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> PredictionResult {
+    let lambda_s3 = run_lambda(params, seed, false, run);
+    let lambda_opt = run_lambda(params, seed + 1, true, run);
+    let ec2_sqs = run_ec2_sqs(params, seed + 2, run);
+    let (ec2_zmq, per_batch_busy) = run_ec2_zmq(params, seed + 3, run);
 
     // Cost extrapolation, the paper's §3.1 arithmetic:
     // SQS requests per message ≈ 1 send + 1/10 receive + 1/10 delete of
@@ -190,7 +195,7 @@ pub fn run(params: &PredictionParams, seed: u64) -> PredictionResult {
         ec2_instances_at_rate: instances,
         ec2_hourly_at_rate: ec2_hourly,
         ec2_throughput_per_instance: throughput,
-        probe,
+        probe: run.probe.clone(),
     }
 }
 
@@ -202,29 +207,41 @@ fn make_docs(params: &PredictionParams, seed: u64) -> Vec<Bytes> {
         .collect()
 }
 
+/// The cloud a queue-triggered serving pipeline starts from, on any
+/// backend: the input queue `in` as configured, the output queue `out`,
+/// the `results` bucket, and the serialized model of `model_bytes` in
+/// `models/blacklist`. The producer's sends go through the returned
+/// clients' `queue_send`.
+pub fn serving_cloud<B: Backend>(
+    run: &mut Run<B>,
+    seed: u64,
+    input: QueueConfig,
+    model_bytes: usize,
+) -> (Cloud, B::Clients) {
+    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
+    cloud.queue.create_queue("in", input);
+    cloud.queue.create_queue("out", QueueConfig::default());
+    cloud.blob.create_bucket("results");
+    cloud.blob.create_bucket("models");
+    let (c, host) = (clients.clone(), cloud.client_host());
+    let model = Payload::from(vec![0u8; model_bytes]);
+    let put = cloud
+        .sim
+        .block_on(async move { c.blob_put(&host, "models", "blacklist", model, UNBOUNDED).await });
+    run.fail("prediction", put.err().map(|e| format!("upload model: {e}")));
+    (cloud, clients)
+}
+
 /// Deployments 1 & 2: Lambda behind a queue trigger.
 fn run_lambda(
     params: &PredictionParams,
     seed: u64,
     optimized: bool,
-    probe: &mut ExperimentProbe,
+    run: &mut Run<Plain>,
 ) -> Deployment {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
-    cloud.queue.create_queue("in", QueueConfig::default());
-    cloud.queue.create_queue("out", QueueConfig::default());
-    cloud.blob.create_bucket("results");
-    cloud.blob.create_bucket("models");
-
+    // The serialized model is what the unoptimized deployment fetches.
+    let (cloud, clients) = serving_cloud(run, seed, QueueConfig::default(), params.model_bytes);
     let model = DirtyWordModel::synthetic(500);
-    // Upload the serialized model for the unoptimized deployment.
-    {
-        let blob = cloud.blob.clone();
-        let host = cloud.client_host();
-        let bytes = Bytes::from(vec![0u8; params.model_bytes]);
-        cloud.sim.block_on(async move {
-            blob.put(&host, "models", "blacklist", bytes).await.unwrap();
-        });
-    }
 
     // Completion notifications: handler -> measurement loop.
     let (done_tx, mut done_rx) = faasim_simcore::channel::<u64>();
@@ -280,16 +297,15 @@ fn run_lambda(
     let _trigger = add_queue_trigger(&cloud.faas, &cloud.queue, &cloud.fabric, "classify", "in", 10);
 
     let producer = cloud.client_host();
-    let queue = cloud.queue.clone();
     let sim = cloud.sim.clone();
     let n = params.batches;
-    let docs = make_docs(params, seed);
+    let docs: Vec<Payload> = make_docs(params, seed).into_iter().map(Payload::from).collect();
     let hist = cloud.sim.block_on(async move {
         // Warm-up: pay the one-time container cold start outside the
         // measurement, as a steady-state serving system would have.
         for _ in 0..2 {
-            queue
-                .send_batch(&producer, "in", docs.clone())
+            clients
+                .queue_send(&producer, "in", docs.clone(), UNBOUNDED)
                 .await
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
@@ -297,8 +313,8 @@ fn run_lambda(
         let mut hist = Histogram::new();
         for _ in 0..n {
             let t0 = sim.now();
-            queue
-                .send_batch(&producer, "in", docs.clone())
+            clients
+                .queue_send(&producer, "in", docs.clone(), UNBOUNDED)
                 .await
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
@@ -306,7 +322,7 @@ fn run_lambda(
         }
         hist
     });
-    probe.capture(&cloud);
+    run.close("prediction", &cloud);
     Deployment {
         label: if optimized {
             "Lambda optimized (model baked in, SQS out)"
@@ -319,8 +335,8 @@ fn run_lambda(
 }
 
 /// Deployment 3: EC2 consumer long-polling SQS.
-fn run_ec2_sqs(params: &PredictionParams, seed: u64, probe: &mut ExperimentProbe) -> Deployment {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
+fn run_ec2_sqs(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> Deployment {
+    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.queue.create_queue("in", QueueConfig::default());
     let vm = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let model = DirtyWordModel::synthetic(500);
@@ -358,7 +374,7 @@ fn run_ec2_sqs(params: &PredictionParams, seed: u64, probe: &mut ExperimentProbe
         hist
     });
     vm.terminate();
-    probe.capture(&cloud);
+    run.close("prediction", &cloud);
     Deployment {
         label: "EC2 + SQS",
         mean_batch_latency: SimDuration::from_secs_f64(hist.mean()),
@@ -370,9 +386,9 @@ fn run_ec2_sqs(params: &PredictionParams, seed: u64, probe: &mut ExperimentProbe
 fn run_ec2_zmq(
     params: &PredictionParams,
     seed: u64,
-    probe: &mut ExperimentProbe,
+    run: &mut Run<Plain>,
 ) -> (Deployment, SimDuration) {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     let server = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let client = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let model = DirtyWordModel::synthetic(500);
@@ -415,7 +431,7 @@ fn run_ec2_zmq(
     client.terminate();
     let hist = hist_cell.borrow();
     let mean = SimDuration::from_secs_f64(hist.mean());
-    probe.capture(&cloud);
+    run.close("prediction", &cloud);
     (
         Deployment {
             label: "EC2 + ZeroMQ",

@@ -5,11 +5,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use faasim_faas::FunctionSpec;
-use faasim_kv::Consistency;
-use faasim_simcore::{Histogram, SimDuration};
+use faasim_faas::{FnError, FunctionSpec};
+use faasim_net::Host;
+use faasim_payload::Payload;
+use faasim_simcore::{Histogram, SimDuration, SimTime};
 
 use crate::cloud::{Cloud, CloudProfile};
+use crate::experiments::clients::{
+    chain, echo, plain, within, Backend, Clients, Run, Trials, UNBOUNDED,
+};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, PaperRow, Table};
 
@@ -23,6 +27,9 @@ pub struct Table1Params {
     pub io_trials: usize,
     /// Socket roundtrips (paper: 10,000).
     pub rtt_trials: usize,
+    /// Time limit of the long-running I/O functions (paper: the platform's
+    /// 15-minute cap).
+    pub lambda_time_limit: SimDuration,
     /// Payload size (paper: 1 KB).
     pub payload_bytes: usize,
     /// Use constant (mean) latencies so the table is exact.
@@ -37,6 +44,7 @@ impl Default for Table1Params {
             invocations: 1_000,
             io_trials: 5_000,
             rtt_trials: 10_000,
+            lambda_time_limit: SimDuration::from_secs(900),
             payload_bytes: 1_024,
             exact: true,
             firecracker: false,
@@ -136,14 +144,48 @@ const PAPER: [(&str, f64, f64); 6] = [
     ("EC2 NW (0MQ)", 0.29, 1.0),
 ];
 
-#[derive(Copy, Clone, PartialEq)]
+#[derive(Copy, Clone)]
 enum Medium {
     Blob,
     Kv,
 }
 
+/// What one trial may take, retries included (the bare clients of
+/// [`run`] never fail and ignore it).
+const INVOKE_BUDGET: SimDuration = SimDuration::from_secs(120);
+const IO_BUDGET: SimDuration = SimDuration::from_secs(60);
+const RTT_BUDGET: SimDuration = SimDuration::from_secs(30);
+
+/// One write of `body` under `key`, then one read of it, both by `by`.
+async fn write_read<C: Clients>(
+    clients: &C,
+    medium: Medium,
+    host: &Host,
+    key: &str,
+    body: &Payload,
+    by: SimTime,
+) -> Result<(), String> {
+    match medium {
+        Medium::Blob => {
+            clients.blob_put(host, "bench", key, body.clone(), by).await?;
+            clients.blob_get(host, "bench", key, by).await?;
+        }
+        Medium::Kv => {
+            clients.kv_put(host, "bench", key, body.clone(), by).await?;
+            clients.kv_get(host, "bench", key, by).await?;
+        }
+    }
+    Ok(())
+}
+
 /// Run the experiment.
 pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
+    plain(|run| run_on(run, params, seed))
+}
+
+/// The experiment on any backend: a trial that fails leaves an entry in
+/// `run.failures` where it would have left a sample.
+pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) -> Table1Result {
     let mut profile = CloudProfile::aws_2018();
     if params.exact {
         profile = profile.exact();
@@ -151,12 +193,20 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
     if params.firecracker {
         profile = profile.firecracker();
     }
-    let cloud = Cloud::new(profile, seed);
-    let payload = Bytes::from(vec![0u8; params.payload_bytes]);
+    let (cloud, clients) = run.open(profile, seed);
+    let payload = Payload::from(Bytes::from(vec![0u8; params.payload_bytes]));
     cloud.blob.create_bucket("bench");
     cloud.kv.create_table("bench");
 
     let mut rows = Vec::new();
+    let mut column = |run: &mut Run<B>, label: &'static str, trials: Trials| {
+        run.fail(label, trials.failures);
+        rows.push(Table1Row {
+            label,
+            mean: SimDuration::from_secs_f64(trials.hist.mean()),
+            samples: trials.hist.count(),
+        });
+    };
 
     // --- Column 1: no-op function invocation on a 1KB argument ----------
     {
@@ -166,26 +216,21 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
             SimDuration::from_secs(60),
             |_ctx, payload| async move { Ok(payload) },
         ));
-        let faas = cloud.faas.clone();
-        let p = payload.clone();
-        let n = params.invocations;
-        let hist = cloud.sim.block_on(async move {
+        let (c, sim, p, n) = (clients.clone(), cloud.sim.clone(), payload.clone(), params.invocations);
+        let trials = cloud.sim.block_on(async move {
+            let mut trials = Trials::default();
             // Warm the container outside the measurement; across the
             // paper's 1,000-call average the one cold start washes out.
-            faas.invoke("noop", p.clone()).await;
-            let mut hist = Histogram::new();
-            for _ in 0..n {
-                let out = faas.invoke("noop", p.clone()).await;
-                out.result.expect("noop cannot fail");
-                hist.record_duration(out.total);
+            if let Err(e) = echo(&c, &sim, "noop", &p, INVOKE_BUDGET).await {
+                trials.failures.push(format!("warm-up: {e}"));
             }
-            hist
+            for i in 0..n {
+                let out = echo(&c, &sim, "noop", &p, INVOKE_BUDGET).await;
+                trials.record(i, out.map(|out| out.total));
+            }
+            trials
         });
-        rows.push(Table1Row {
-            label: "Func. Invoc. (1KB)",
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
-        });
+        column(run, "Func. Invoc. (1KB)", trials);
     }
 
     // --- Columns 2 & 3: explicit I/O from a long-running Lambda ---------
@@ -193,12 +238,8 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
         ("Lambda I/O (S3)", Medium::Blob),
         ("Lambda I/O (DynamoDB)", Medium::Kv),
     ] {
-        let hist = lambda_io(&cloud, medium, params.io_trials, payload.clone());
-        rows.push(Table1Row {
-            label,
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
-        });
+        let trials = lambda_io(&cloud, &clients, medium, params, payload.clone());
+        column(run, label, trials);
     }
 
     // --- Columns 4 & 5: the same I/O from an EC2 instance ---------------
@@ -208,38 +249,19 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
     ] {
         let vm = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
         let host = vm.host().clone();
-        let blob = cloud.blob.clone();
-        let kv = cloud.kv.clone();
-        let sim = cloud.sim.clone();
-        let p = payload.clone();
-        let n = params.io_trials;
+        let (c, sim, p, n) = (clients.clone(), cloud.sim.clone(), payload.clone(), params.io_trials);
         let key = format!("ec2-{label}");
-        let hist = cloud.sim.block_on(async move {
-            let mut hist = Histogram::new();
-            for _ in 0..n {
+        let trials = cloud.sim.block_on(async move {
+            let mut trials = Trials::default();
+            for i in 0..n {
                 let t0 = sim.now();
-                match medium {
-                    Medium::Blob => {
-                        blob.put(&host, "bench", &key, p.clone()).await.unwrap();
-                        blob.get(&host, "bench", &key).await.unwrap();
-                    }
-                    Medium::Kv => {
-                        kv.put(&host, "bench", &key, p.clone()).await.unwrap();
-                        kv.get(&host, "bench", &key, Consistency::Strong)
-                            .await
-                            .unwrap();
-                    }
-                }
-                hist.record_duration(sim.now() - t0);
+                let done = write_read(&c, medium, &host, &key, &p, within(&sim, IO_BUDGET)).await;
+                trials.record(i, done.map(|()| sim.now() - t0));
             }
-            hist
+            trials
         });
         vm.terminate();
-        rows.push(Table1Row {
-            label,
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
-        });
+        column(run, label, trials);
     }
 
     // --- Column 6: direct messaging between two EC2 instances -----------
@@ -255,47 +277,51 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
                 sb.reply(&req, req.payload.clone()).await;
             }
         });
-        let p = payload.clone();
-        let n = params.rtt_trials;
-        let hist = cloud.sim.block_on(async move {
-            let mut hist = Histogram::new();
-            for _ in 0..n {
-                let (_, rtt) = sa.request_timed(to, p.clone()).await.unwrap();
-                hist.record_duration(rtt);
+        let (c, sim, p, n) = (clients.clone(), cloud.sim.clone(), payload.clone(), params.rtt_trials);
+        let trials = cloud.sim.block_on(async move {
+            let mut trials = Trials::default();
+            for i in 0..n {
+                let t0 = sim.now();
+                let reply = c.request(&sa, to, p.clone(), within(&sim, RTT_BUDGET)).await;
+                trials.record(i, reply.map(|_| sim.now() - t0));
             }
-            hist
+            trials
         });
-        rows.push(Table1Row {
-            label: "EC2 NW (0MQ)",
-            mean: SimDuration::from_secs_f64(hist.mean()),
-            samples: hist.count(),
-        });
+        column(run, "EC2 NW (0MQ)", trials);
     }
 
-    let mut probe = ExperimentProbe::new();
-    probe.capture(&cloud);
-    Table1Result { rows, probe }
+    run.close("table1", &cloud);
+    Table1Result {
+        rows,
+        probe: run.probe.clone(),
+    }
 }
 
-/// Issue `trials` write+read pairs from inside Lambda function bodies,
-/// re-invoking as the 15-minute lifetime runs out (the paper's
-/// "long-running function" driver).
-fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Histogram {
+/// Issue `params.io_trials` write+read pairs from inside Lambda function
+/// bodies, re-invoking as the function's time limit runs out (the paper's
+/// "long-running function" driver). A pair is a sample once both halves
+/// are done, so an execution cut short mid-pair loses it and counts
+/// nothing twice.
+fn lambda_io<C: Clients>(
+    cloud: &Cloud,
+    clients: &C,
+    medium: Medium,
+    params: &Table1Params,
+    payload: Payload,
+) -> Trials {
     let results: Rc<RefCell<Histogram>> = Rc::new(RefCell::new(Histogram::new()));
     let fn_name = match medium {
         Medium::Blob => "io-blob",
         Medium::Kv => "io-kv",
     };
-    let blob = cloud.blob.clone();
-    let kv = cloud.kv.clone();
+    let c = clients.clone();
     let res = results.clone();
     cloud.faas.register(FunctionSpec::new(
         fn_name,
         1_024,
-        SimDuration::from_secs(900),
+        params.lambda_time_limit,
         move |ctx, payload| {
-            let blob = blob.clone();
-            let kv = kv.clone();
+            let c = c.clone();
             let res = res.clone();
             async move {
                 let want = u64::from_le_bytes(payload.bytes()[..8].try_into().expect("8-byte count"));
@@ -305,22 +331,9 @@ fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Hi
                 let mut done: u64 = 0;
                 while done < want && ctx.remaining() > margin {
                     let t0 = ctx.sim().now();
-                    match medium {
-                        Medium::Blob => {
-                            blob.put(ctx.host(), "bench", &key, body.clone())
-                                .await
-                                .expect("bench bucket");
-                            blob.get(ctx.host(), "bench", &key).await.expect("get");
-                        }
-                        Medium::Kv => {
-                            kv.put(ctx.host(), "bench", &key, body.clone())
-                                .await
-                                .expect("bench table");
-                            kv.get(ctx.host(), "bench", &key, Consistency::Strong)
-                                .await
-                                .expect("get");
-                        }
-                    }
+                    write_read(&c, medium, ctx.host(), &key, &body, UNBOUNDED)
+                        .await
+                        .map_err(FnError::Handler)?;
                     res.borrow_mut().record_duration(ctx.sim().now() - t0);
                     done += 1;
                 }
@@ -328,25 +341,20 @@ fn lambda_io(cloud: &Cloud, medium: Medium, trials: usize, payload: Bytes) -> Hi
             }
         },
     ));
-    let faas = cloud.faas.clone();
-    let results2 = results.clone();
-    cloud.sim.block_on(async move {
-        while (results2.borrow().count() as u64) < trials as u64 {
-            let remaining = trials - results2.borrow().count();
-            let mut req = Vec::with_capacity(8 + payload.len());
-            req.extend_from_slice(&(remaining as u64).to_le_bytes());
-            req.extend_from_slice(&payload);
-            let out = faas.invoke(fn_name, Bytes::from(req)).await;
-            match out.result {
-                Ok(_) => {}
-                Err(faasim_faas::FnError::TimedOut { .. }) => {}
-                Err(e) => panic!("lambda io driver failed: {e}"),
-            }
-        }
-    });
-    Rc::try_unwrap(results)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| rc.borrow().clone())
+    let (trials, res) = (params.io_trials as u64, results.clone());
+    let left = move || trials.saturating_sub(res.borrow().count() as u64);
+    let request = move |left: u64| {
+        let mut req = Vec::with_capacity(8 + payload.len());
+        req.extend_from_slice(&left.to_le_bytes());
+        req.extend_from_slice(&payload.bytes());
+        Payload::from(req)
+    };
+    let chained = cloud.sim.block_on(chain(cloud.faas.clone(), fn_name, left, request));
+    let hist = results.borrow().clone();
+    Trials {
+        hist,
+        failures: chained.err().into_iter().collect(),
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,8 @@ use faasim_payload::Payload;
 use faasim_pricing::Service;
 use faasim_simcore::SimDuration;
 
-use crate::cloud::{Cloud, CloudProfile};
+use crate::cloud::CloudProfile;
+use crate::experiments::clients::{chain, plain, Backend, Clients, Plain, Run, UNBOUNDED};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_ratio, PaperRow, Table};
 
@@ -36,6 +37,9 @@ pub struct TrainingParams {
     pub epochs: u32,
     /// Lambda memory (paper: 640 MB).
     pub lambda_memory_mb: u64,
+    /// The training function's time limit (paper: the platform's
+    /// 15-minute cap).
+    pub lambda_time_limit: SimDuration,
     /// Reference-core-seconds of compute per iteration (calibrated 0.2).
     pub iteration_ref_work: SimDuration,
     /// EC2 instance type (paper: m4.large).
@@ -49,6 +53,7 @@ impl Default for TrainingParams {
             batch_mb: 100,
             epochs: 10,
             lambda_memory_mb: 640,
+            lambda_time_limit: SimDuration::from_secs(900),
             iteration_ref_work: SimDuration::from_millis(200),
             instance_type: "m4.large".to_owned(),
         }
@@ -166,14 +171,23 @@ impl TrainingResult {
 
 /// Run the comparison.
 pub fn run(params: &TrainingParams, seed: u64) -> TrainingResult {
-    let mut probe = ExperimentProbe::new();
-    let lambda = run_lambda(params, seed, &mut probe);
-    let ec2 = run_ec2(params, seed + 1, &mut probe);
-    TrainingResult { lambda, ec2, probe }
+    plain(|run| {
+        let lambda = lambda_side(run, params, seed);
+        let ec2 = run_ec2(params, seed + 1, run);
+        TrainingResult {
+            lambda,
+            ec2,
+            probe: run.probe.clone(),
+        }
+    })
 }
 
-fn run_lambda(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -> TrainingSide {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
+/// The Lambda side on any backend: executions chained until every
+/// iteration has run, or an entry in `run.failures` saying why not. The
+/// iteration counter advances between awaits, so an execution cut short
+/// loses the iteration in flight and counts nothing twice.
+pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: u64) -> TrainingSide {
+    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.blob.create_bucket("training");
     let batch_bytes = params.batch_mb * 1_000_000;
     // One symbolic batch object stands in for all of them: a
@@ -181,35 +195,35 @@ fn run_lambda(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -
     // depends only on size (DESIGN.md §1.4) — so the paper's 100 MB
     // batch costs no RAM at all, not even once.
     {
-        let blob = cloud.blob.clone();
-        let host = cloud.client_host();
+        let (c, host) = (clients.clone(), cloud.client_host());
         let data = Payload::zeros(batch_bytes as usize);
-        cloud.sim.block_on(async move {
-            blob.put(&host, "training", "batch", data).await.unwrap();
-        });
+        let put = cloud
+            .sim
+            .block_on(async move { c.blob_put(&host, "training", "batch", data, UNBOUNDED).await });
+        run.fail("training", put.err().map(|e| format!("populate batch: {e}")));
         cloud.ledger.reset(); // setup traffic isn't part of the bill
     }
 
     let total_iters = params.total_iterations();
     let done = Rc::new(Cell::new(0u64));
-    let blob = cloud.blob.clone();
     let d = done.clone();
     let ref_work = params.iteration_ref_work;
     cloud.faas.register(FunctionSpec::new(
         "train",
         params.lambda_memory_mb,
-        SimDuration::from_secs(900),
+        params.lambda_time_limit,
         move |ctx, _payload| {
-            let blob = blob.clone();
+            let clients = clients.clone();
             let d = d.clone();
             async move {
                 // Train until the 15-minute guillotine kills us (the
                 // paper's functions "run as many training iterations as
                 // possible"), or until the job is done.
                 while d.get() < total_iters {
-                    blob.get(ctx.host(), "training", "batch")
+                    clients
+                        .blob_get(ctx.host(), "training", "batch", UNBOUNDED)
                         .await
-                        .expect("batch object");
+                        .map_err(FnError::Handler)?;
                     ctx.cpu(ref_work).await;
                     d.set(d.get() + 1);
                 }
@@ -218,25 +232,16 @@ fn run_lambda(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -
         },
     ));
 
-    let faas = cloud.faas.clone();
-    let done2 = done.clone();
-    let executions = Rc::new(Cell::new(0u64));
-    let execs2 = executions.clone();
     let t0 = cloud.sim.now();
-    cloud.sim.block_on(async move {
-        while done2.get() < total_iters {
-            let out = faas.invoke("train", Bytes::new()).await;
-            execs2.set(execs2.get() + 1);
-            match out.result {
-                Ok(_) | Err(FnError::TimedOut { .. }) => {}
-                Err(e) => panic!("training function failed: {e}"),
-            }
-        }
+    let left = move || total_iters - done.get();
+    let chained = chain(cloud.faas.clone(), "train", left, |_| Payload::default());
+    let executions = cloud.sim.block_on(chained).unwrap_or_else(|e| {
+        run.fail("training", [e]);
+        0
     });
-    let executions = executions.get();
     let total_time = cloud.sim.now() - t0;
     let compute_cost = cloud.ledger.total_for(Service::Faas);
-    probe.capture(&cloud);
+    run.close("training", &cloud);
     TrainingSide {
         total_time,
         per_iteration: total_time / total_iters.max(1),
@@ -246,8 +251,8 @@ fn run_lambda(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -
     }
 }
 
-fn run_ec2(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -> TrainingSide {
-    let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
+fn run_ec2(params: &TrainingParams, seed: u64, run: &mut Run<Plain>) -> TrainingSide {
+    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     let vm = cloud
         .ec2
         .provision_ready(&params.instance_type, 0)
@@ -266,7 +271,7 @@ fn run_ec2(params: &TrainingParams, seed: u64, probe: &mut ExperimentProbe) -> T
     let total_time = cloud.sim.now() - t0;
     vm.terminate();
     let compute_cost = cloud.ledger.total_for(Service::Compute);
-    probe.capture(&cloud);
+    run.close("training", &cloud);
     TrainingSide {
         total_time,
         per_iteration: total_time / total_iters.max(1),
