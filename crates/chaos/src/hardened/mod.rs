@@ -1,98 +1,60 @@
-//! The paper's eight experiments as chaos scenarios: each workload at
-//! reduced scale, driven through the resilience layer (retrying
-//! clients, deadline budgets, a circuit breaker, idempotent commits)
-//! under a [`FaultPlan`], and held to the same standard as the
-//! synthetic scenarios — end-to-end invariants plus byte-identical
-//! replay at every seed. A hardened run never panics on a platform
-//! failure: every trial completes or fails by a declared deadline, and
-//! what went wrong comes back as [`RunReport::violations`].
-//!
-//! Under [`FaultPlan::calm`] this doubles as a regression net for the
-//! workloads themselves; under [`FaultPlan::hostile`] it is the paper's
-//! §2 platform contract made executable: at-least-once invocation,
-//! throttling storage, duplicating queues — and the resilience layer
-//! keeping every observable effect exactly-once. Each module states its
-//! workload's invariant; EXPERIMENTS.md "Resilience model" lists them.
+//! The paper's eight experiments as chaos scenarios. The workload bodies
+//! are `faasim::experiments`' own; what is here is what makes a run of
+//! one a chaos run: the [`Faulty`] backend (a [`FaultPlan`] on every
+//! cloud, [`Retried`] clients, [`check_cloud`] when a cloud closes), the
+//! reduced-scale parameters and each workload's invariant
+//! (`workloads.rs`), and the one handler that is not the paper's
+//! (`prediction.rs`). A run never panics on a platform failure: what
+//! went wrong comes back as [`RunReport::violations`]. EXPERIMENTS.md
+//! "Resilience model" has the table of scales and invariants.
 
-mod agents_cmp;
-mod bandwidth;
-mod cold_starts;
-mod data_shipping;
-mod election;
 mod prediction;
-mod table1;
-mod training;
+mod workloads;
 
+use faasim::experiments::clients::{text, Backend, Clients, Run};
 use faasim::{Cloud, CloudProfile};
+use faasim_faas::InvokeOutcome;
+use faasim_kv::{Consistency, Item};
+use faasim_net::{Addr, Host, Message, Socket};
 use faasim_payload::Payload;
-use faasim_resilience::{Deadline, RetryPolicy, Retrying, RetryingInvoker};
-use faasim_simcore::{Sim, SimDuration};
+use faasim_resilience::{
+    Deadline, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
+};
+use faasim_simcore::{Sim, SimDuration, SimTime};
 
 use crate::faults::FaultPlan;
+use crate::invariants::check_cloud;
 use crate::sweep::{RunReport, Scenario};
 
-/// What every hardened workload is written against: it builds the
-/// run's clouds, collects violations in the order they are found, and
-/// closes each cloud into the run's report.
-struct Harness<'p> {
-    plan: &'p FaultPlan,
-    digests: Vec<String>,
-    bills: Vec<String>,
-    violations: Vec<String>,
-}
+/// The backend of a chaos run: every cloud is built with the plan
+/// applied, its clients retry, and closing it drains the simulation (so
+/// the conservation counters settle) and runs [`check_cloud`].
+pub struct Faulty<'p>(pub &'p FaultPlan);
 
-impl<'p> Harness<'p> {
-    fn new(plan: &'p FaultPlan) -> Harness<'p> {
-        Harness {
-            plan,
-            digests: Vec::new(),
-            bills: Vec::new(),
-            violations: Vec::new(),
-        }
+impl Backend for Faulty<'_> {
+    type Clients = Retried;
+
+    fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, Retried) {
+        let cloud = self.0.build(profile, seed);
+        let clients = Retried {
+            sim: cloud.sim.clone(),
+            blob: retrying(&cloud, &cloud.blob, "resil.blob"),
+            kv: retrying(&cloud, &cloud.kv, "resil.kv"),
+            queue: retrying(&cloud, &cloud.queue, "resil.queue"),
+            faas: retrying(&cloud, &cloud.faas, "resil.invoker"),
+        };
+        (cloud, clients)
     }
 
-    /// A calibrated `exact()` cloud at `seed` with the plan applied.
-    fn cloud(&self, seed: u64) -> Cloud {
-        self.plan.build(CloudProfile::aws_2018().exact(), seed)
-    }
-
-    /// Record a violation unless `ok` holds.
-    fn check(&mut self, ok: bool, msg: impl FnOnce() -> String) {
-        if !ok {
-            self.violations.push(msg());
-        }
-    }
-
-    /// Record each failure a driver collected as `"{scope}: {failure}"`.
-    fn failures(&mut self, scope: &str, failures: impl IntoIterator<Item = String>) {
-        self.violations
-            .extend(failures.into_iter().map(|f| format!("{scope}: {f}")));
-    }
-
-    /// Close out a cloud whose workload has settled: its
-    /// [`check_cloud`](crate::check_cloud) violations as
-    /// `"{label}: {violation}"`, then its digest and bill.
-    fn close(&mut self, label: &str, cloud: &Cloud) {
-        let run = RunReport::audit(cloud, Vec::new());
-        self.failures(label, run.violations);
-        self.digests.push(run.digest);
-        self.bills.push(run.bill);
-    }
-
-    /// The run's report: one digest and one bill per closed cloud, in
-    /// the order they were closed.
-    fn finish(self) -> RunReport {
-        RunReport {
-            digest: self.digests.join("\n"),
-            bill: self.bills.join("\n"),
-            violations: self.violations,
-        }
+    fn audit(&self, cloud: &Cloud) -> Vec<String> {
+        cloud.sim.run();
+        check_cloud(cloud)
     }
 }
 
-/// A retrying client for one of `cloud`'s services under the hardened
-/// workloads' one policy: 25 attempts, enough to ride out any fault
-/// streak the hostile plan can produce. `label` names the jitter stream.
+/// A retrying client for one of `cloud`'s services under the chaos runs'
+/// one policy: 25 attempts, enough to ride out any fault streak the
+/// hostile plan can produce. `label` names the jitter stream.
 fn retrying<S: Clone>(cloud: &Cloud, service: &S, label: &str) -> Retrying<S> {
     let policy = RetryPolicy {
         max_attempts: 25,
@@ -101,35 +63,111 @@ fn retrying<S: Clone>(cloud: &Cloud, service: &S, label: &str) -> Retrying<S> {
     Retrying::new(&cloud.sim, service, cloud.recorder.clone(), policy, label)
 }
 
-/// One invocation of an echo function inside a two-minute budget: it
-/// must come back, and come back with the payload it was sent.
-async fn echo(
-    invoker: &RetryingInvoker,
-    sim: &Sim,
-    function: &str,
-    payload: &Payload,
-) -> Result<(), String> {
-    let deadline = Deadline::within(sim, SimDuration::from_secs(120));
-    let out = invoker.invoke(function, payload, deadline).await;
-    let echoed = out
-        .map_err(|e| e.to_string())?
-        .result
-        .expect("ok outcome")
-        .len();
-    if echoed == payload.len() {
-        Ok(())
-    } else {
-        Err(format!("echoed {echoed} bytes"))
+/// A cloud's services behind [`Retrying`]: every operation retries what
+/// is transient inside the `by` it is given.
+#[derive(Clone)]
+pub struct Retried {
+    sim: Sim,
+    blob: RetryingBlob,
+    kv: RetryingKv,
+    queue: RetryingQueue,
+    faas: RetryingInvoker,
+}
+
+impl Clients for Retried {
+    async fn blob_put(
+        &self,
+        caller: &Host,
+        bucket: &str,
+        key: &str,
+        data: Payload,
+        by: SimTime,
+    ) -> Result<(), String> {
+        text(self.blob.put(caller, bucket, key, data, Deadline::at(by)).await)
+    }
+
+    async fn blob_get(
+        &self,
+        caller: &Host,
+        bucket: &str,
+        key: &str,
+        by: SimTime,
+    ) -> Result<Payload, String> {
+        text(self.blob.get(caller, bucket, key, Deadline::at(by)).await)
+    }
+
+    async fn kv_put(
+        &self,
+        caller: &Host,
+        table: &str,
+        key: &str,
+        value: Payload,
+        by: SimTime,
+    ) -> Result<u64, String> {
+        let put = self
+            .kv
+            .call(Deadline::at(by), |kv| kv.put(caller, table, key, value.clone()));
+        text(put.await)
+    }
+
+    async fn kv_get(
+        &self,
+        caller: &Host,
+        table: &str,
+        key: &str,
+        by: SimTime,
+    ) -> Result<Item, String> {
+        let strong = Consistency::Strong;
+        text(self.kv.get(caller, table, key, strong, Deadline::at(by)).await)
+    }
+
+    async fn queue_send(
+        &self,
+        caller: &Host,
+        queue: &str,
+        bodies: Vec<Payload>,
+        by: SimTime,
+    ) -> Result<(), String> {
+        let sent = self.queue.send(caller, queue, &bodies, Deadline::at(by)).await;
+        text(sent.map(drop))
+    }
+
+    async fn invoke(
+        &self,
+        function: &str,
+        payload: &Payload,
+        by: SimTime,
+    ) -> Result<InvokeOutcome, String> {
+        text(self.faas.invoke(function, payload, Deadline::at(by)).await)
+    }
+
+    /// Packet loss makes a request hang forever, so each attempt is raced
+    /// against a timeout and repeated until `by`.
+    async fn request(
+        &self,
+        socket: &Socket,
+        to: Addr,
+        payload: Payload,
+        by: SimTime,
+    ) -> Result<Message, String> {
+        let (deadline, patience) = (Deadline::at(by), SimDuration::from_millis(500));
+        while !deadline.is_expired(&self.sim) {
+            let attempt = socket.request(to, payload.clone());
+            if let Some(Ok(reply)) = self.sim.timeout(patience, attempt).await {
+                return Ok(reply);
+            }
+        }
+        Err("no reply within deadline".to_owned())
     }
 }
 
-/// One hardened workload under a fixed fault plan. Pure function of the
-/// seed, so the sweep harness can replay it and demand byte-identical
+/// One of the eight workloads under a fixed fault plan. Pure function of
+/// the seed, so the sweep harness can replay it and demand byte-identical
 /// digests.
 pub struct ExperimentScenario {
     name: &'static str,
     plan: FaultPlan,
-    workload: fn(&FaultPlan, u64) -> RunReport,
+    workload: fn(&mut Run<Faulty<'_>>, u64),
 }
 
 impl Scenario for ExperimentScenario {
@@ -137,8 +175,16 @@ impl Scenario for ExperimentScenario {
         self.name
     }
 
+    /// One digest and one bill per cloud the workload closed, in order,
+    /// and everything that failed as the violations.
     fn run(&self, seed: u64) -> RunReport {
-        (self.workload)(&self.plan, seed)
+        let mut run = Run::new(Faulty(&self.plan));
+        (self.workload)(&mut run, seed);
+        RunReport {
+            digest: run.probe.digests.join("\n"),
+            bill: run.probe.bills.join("\n"),
+            violations: run.failures,
+        }
     }
 }
 
@@ -156,53 +202,13 @@ pub fn experiment_scenarios(hostile: bool) -> Vec<ExperimentScenario> {
         workload,
     };
     vec![
-        scenario("table1/calm", "table1/hostile", table1::run),
-        scenario("cold_starts/calm", "cold_starts/hostile", cold_starts::run),
-        scenario("bandwidth/calm", "bandwidth/hostile", bandwidth::run),
-        scenario(
-            "data_shipping/calm",
-            "data_shipping/hostile",
-            data_shipping::run,
-        ),
-        scenario("training/calm", "training/hostile", training::run),
+        scenario("table1/calm", "table1/hostile", workloads::table1),
+        scenario("cold_starts/calm", "cold_starts/hostile", workloads::cold_starts),
+        scenario("bandwidth/calm", "bandwidth/hostile", workloads::bandwidth),
+        scenario("data_shipping/calm", "data_shipping/hostile", workloads::data_shipping),
+        scenario("training/calm", "training/hostile", workloads::training),
         scenario("prediction/calm", "prediction/hostile", prediction::run),
-        scenario("election/calm", "election/hostile", election::run),
-        scenario("agents_cmp/calm", "agents_cmp/hostile", agents_cmp::run),
+        scenario("election/calm", "election/hostile", workloads::election),
+        scenario("agents_cmp/calm", "agents_cmp/hostile", workloads::agents_cmp),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sweep::sweep;
-
-    #[test]
-    fn all_eight_experiments_are_wrapped() {
-        let calm = experiment_scenarios(false);
-        let hostile = experiment_scenarios(true);
-        assert_eq!(calm.len(), 8);
-        assert_eq!(hostile.len(), 8);
-        assert!(calm.iter().all(|s| s.name().ends_with("/calm")));
-        assert!(hostile.iter().all(|s| s.name().ends_with("/hostile")));
-    }
-
-    #[test]
-    fn cold_starts_survives_hostility_and_replays() {
-        let scenario = experiment_scenarios(true)
-            .into_iter()
-            .find(|s| s.name() == "cold_starts/hostile")
-            .expect("scenario");
-        let report = sweep(&scenario, &[11, 12]);
-        assert!(report.passed(), "{report}");
-    }
-
-    #[test]
-    fn prediction_is_exactly_once_under_duplication() {
-        let scenario = experiment_scenarios(true)
-            .into_iter()
-            .find(|s| s.name() == "prediction/hostile")
-            .expect("scenario");
-        let report = sweep(&scenario, &[5]);
-        assert!(report.passed(), "{report}");
-    }
 }

@@ -15,7 +15,8 @@
 //!   plus scheduled cold-start storms.
 //! - The scenarios: [`CrdtSync`], [`QueuePipeline`], [`LinkChurn`],
 //!   [`NoisyNeighbor`], [`TraceReplay`], and the paper's eight
-//!   experiments hardened with the client-side disciplines of
+//!   experiments, `faasim::experiments`' own bodies run on the [`Faulty`]
+//!   backend: a fault plan on every cloud and the retrying clients of
 //!   `faasim-resilience` ([`experiment_scenarios`]). Each is a workload
 //!   plus the invariant it must keep; [`check_cloud`] is the bundle of
 //!   global invariants every scenario over a `Cloud` ends with.
@@ -46,9 +47,9 @@ mod sweep;
 mod trace;
 
 pub use faults::FaultPlan;
-pub use hardened::{experiment_scenarios, ExperimentScenario};
+pub use hardened::{experiment_scenarios, ExperimentScenario, Faulty, Retried};
 pub use invariants::{check_cloud, ledger_consistent, message_conservation, queue_conservation};
 pub use parallel::ParallelSweep;
 pub use scenarios::{CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline};
-pub use sweep::{sweep, RunReport, Scenario, SeedReport, SweepReport};
+pub use sweep::{run_twice, sweep, RunReport, Scenario, SeedReport, SweepReport};
 pub use trace::TraceReplay;

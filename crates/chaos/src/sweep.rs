@@ -131,24 +131,33 @@ pub fn sweep(scenario: &dyn Scenario, seeds: &[u64]) -> SweepReport {
     }
 }
 
-/// One seed of a sweep, serial or parallel: run it twice and compare.
-pub(crate) fn sweep_seed(scenario: &dyn Scenario, seed: u64) -> SeedReport {
-    let first = scenario.run(seed);
+/// Run `scenario` at `seed` twice. Returns the first run's report, with a
+/// replay-divergence violation added for whichever of digest and bill the
+/// second run did not reproduce.
+pub fn run_twice(scenario: &dyn Scenario, seed: u64) -> RunReport {
+    let mut first = scenario.run(seed);
     let second = scenario.run(seed);
-    let mut violations = first.violations;
     if first.digest != second.digest {
-        violations.push(format!(
+        first.violations.push(format!(
             "replay divergence at seed {seed}: recorder digests differ \
              between two identical runs"
         ));
     }
     if first.bill != second.bill {
-        violations.push(format!(
+        first.violations.push(format!(
             "replay divergence at seed {seed}: bills differ between two \
              identical runs"
         ));
     }
-    SeedReport { seed, violations }
+    first
+}
+
+/// One seed of a sweep, serial or parallel.
+pub(crate) fn sweep_seed(scenario: &dyn Scenario, seed: u64) -> SeedReport {
+    SeedReport {
+        seed,
+        violations: run_twice(scenario, seed).violations,
+    }
 }
 
 #[cfg(test)]

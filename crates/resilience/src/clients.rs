@@ -182,21 +182,21 @@ impl Retrying<BlobStore> {
 pub type RetryingQueue = Retrying<QueueService>;
 
 impl Retrying<QueueService> {
-    /// Send one message inside `deadline`. No queue error is transient,
-    /// so only a per-call timeout is ever retried.
+    /// Send `bodies` as one request inside `deadline`. No queue error is
+    /// transient, so only a per-call timeout is ever retried.
     pub async fn send(
         &self,
         caller: &Host,
         queue: &str,
-        body: &Payload,
+        bodies: &[Payload],
         deadline: Deadline,
-    ) -> Result<MessageId, RetryError<QueueError>> {
+    ) -> Result<Vec<MessageId>, RetryError<QueueError>> {
         self.retry(
             "resil.queue.attempts",
             deadline,
             true,
             |_| None,
-            || self.inner.send(caller, queue, body.clone()),
+            || self.inner.send_batch(caller, queue, bodies.to_vec()),
         )
         .await
     }
@@ -458,7 +458,7 @@ mod tests {
         );
         let host = cloud.client_host();
         cloud.sim.block_on(async move {
-            rq.send(&host, "q", &Payload::inline("m"), Deadline::unbounded())
+            rq.send(&host, "q", &[Payload::inline("m")], Deadline::unbounded())
                 .await
                 .expect("send");
             // Both copies are there: at-least-once in action.

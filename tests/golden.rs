@@ -271,38 +271,38 @@ const GOLDEN_REFERENCES: &[(&str, &str, u64)] = &[
 ];
 
 const GOLDEN_EXPERIMENTS: &[(&str, u64)] = &[
-    ("table1/calm@5", 0x4240aec282019e22),
-    ("table1/calm@11", 0x4240aec282019e22),
-    ("cold_starts/calm@5", 0xd8bbd09ed4726119),
-    ("cold_starts/calm@11", 0xd8bbd09ed4726119),
-    ("bandwidth/calm@5", 0x6a53838d058defba),
-    ("bandwidth/calm@11", 0x6a53838d058defba),
-    ("data_shipping/calm@5", 0x76d407a375a2a239),
-    ("data_shipping/calm@11", 0x76d407a375a2a239),
-    ("training/calm@5", 0x693a9555c59edcb9),
-    ("training/calm@11", 0x693a9555c59edcb9),
-    ("prediction/calm@5", 0xd84a794647f2bcaf),
-    ("prediction/calm@11", 0xd84a794647f2bcaf),
-    ("election/calm@5", 0x12600c9f581fd070),
-    ("election/calm@11", 0x12600c9f581fd070),
-    ("agents_cmp/calm@5", 0x331ae86f26535b83),
-    ("agents_cmp/calm@11", 0x331ae86f26535b83),
-    ("table1/hostile@5", 0x8069afdeaf8fb1f2),
-    ("table1/hostile@11", 0x566d0e43302ebf1e),
-    ("cold_starts/hostile@5", 0xd8bbd09ed4726119),
-    ("cold_starts/hostile@11", 0xd8bbd09ed4726119),
-    ("bandwidth/hostile@5", 0x6a53838d058defba),
-    ("bandwidth/hostile@11", 0x6a53838d058defba),
-    ("data_shipping/hostile@5", 0x76d407a375a2a239),
-    ("data_shipping/hostile@11", 0xd468a756407222a1),
-    ("training/hostile@5", 0x693a9555c59edcb9),
-    ("training/hostile@11", 0xbe5134e2ddba04ca),
-    ("prediction/hostile@5", 0x1f22473574b6a09b),
-    ("prediction/hostile@11", 0xdcc5db47826ae6b5),
-    ("election/hostile@5", 0x73d3963f652f62c6),
-    ("election/hostile@11", 0xadb00d933df84baa),
-    ("agents_cmp/hostile@5", 0x128decc4cf7276c4),
-    ("agents_cmp/hostile@11", 0xf5c570c6e553ad94),
+    ("table1/calm@5", 0x04cbc8ef4f4f877d),
+    ("table1/calm@11", 0x04cbc8ef4f4f877d),
+    ("cold_starts/calm@5", 0x887d67f9c541ece0),
+    ("cold_starts/calm@11", 0x887d67f9c541ece0),
+    ("bandwidth/calm@5", 0xad8e74764eb09510),
+    ("bandwidth/calm@11", 0xad8e74764eb09510),
+    ("data_shipping/calm@5", 0xe657bcc1a9811e52),
+    ("data_shipping/calm@11", 0xe657bcc1a9811e52),
+    ("training/calm@5", 0xb7bfcffedb1e646a),
+    ("training/calm@11", 0xb7bfcffedb1e646a),
+    ("prediction/calm@5", 0x52623fe1b1aa745a),
+    ("prediction/calm@11", 0x52623fe1b1aa745a),
+    ("election/calm@5", 0xb55d31235435ada1),
+    ("election/calm@11", 0xb55d31235435ada1),
+    ("agents_cmp/calm@5", 0xb1b21c090410037c),
+    ("agents_cmp/calm@11", 0xb1b21c090410037c),
+    ("table1/hostile@5", 0x98c07b9d1bc09e9e),
+    ("table1/hostile@11", 0xccf4fe96ab475d46),
+    ("cold_starts/hostile@5", 0x3e94ac57805cc270),
+    ("cold_starts/hostile@11", 0x887d67f9c541ece0),
+    ("bandwidth/hostile@5", 0xe30ac24dc3596c3e),
+    ("bandwidth/hostile@11", 0xad8e74764eb09510),
+    ("data_shipping/hostile@5", 0x2f29814394c5de24),
+    ("data_shipping/hostile@11", 0x3f2a52b06255735f),
+    ("training/hostile@5", 0x3c212ba94213b505),
+    ("training/hostile@11", 0xb9998a5951ca1166),
+    ("prediction/hostile@5", 0x39603b775306ece2),
+    ("prediction/hostile@11", 0xa325ae7b72371249),
+    ("election/hostile@5", 0x2766027755a97ec5),
+    ("election/hostile@11", 0x0b866095ffe73034),
+    ("agents_cmp/hostile@5", 0xe4c5a3d39f3b482c),
+    ("agents_cmp/hostile@11", 0xd8124055be00165c),
 ];
 
 const GOLDEN_NOISY_NEIGHBOR: &[(&str, u64)] = &[
