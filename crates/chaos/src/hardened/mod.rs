@@ -11,12 +11,16 @@
 mod prediction;
 mod workloads;
 
-use faasim::experiments::clients::{text, Backend, Clients, Run};
+use std::future::Future;
+
+use faasim::experiments::clients::{text, Backend, Clients, Invoker, Opened, Run};
 use faasim::{Cloud, CloudProfile};
+use faasim_blob::{BlobError, BlobStore};
 use faasim_faas::InvokeOutcome;
-use faasim_kv::{Consistency, Item};
-use faasim_net::{Addr, Host, Message, Socket};
+use faasim_kv::{KvError, KvStore};
+use faasim_net::{Addr, Message, Socket};
 use faasim_payload::Payload;
+use faasim_queue::{QueueError, QueueService};
 use faasim_resilience::{
     Deadline, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
 };
@@ -31,19 +35,20 @@ use crate::sweep::{RunReport, Scenario};
 /// the conservation counters settle) and runs [`check_cloud`].
 pub struct Faulty<'p>(pub &'p FaultPlan);
 
-impl Backend for Faulty<'_> {
+impl<'p> Backend for Faulty<'p> {
     type Clients = Retried;
+    type Invoker = RetriedInvoker;
 
-    fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, Retried) {
+    fn open(&self, profile: CloudProfile, seed: u64) -> Opened<Faulty<'p>> {
         let cloud = self.0.build(profile, seed);
         let clients = Retried {
             sim: cloud.sim.clone(),
             blob: retrying(&cloud, &cloud.blob, "resil.blob"),
             kv: retrying(&cloud, &cloud.kv, "resil.kv"),
             queue: retrying(&cloud, &cloud.queue, "resil.queue"),
-            faas: retrying(&cloud, &cloud.faas, "resil.invoker"),
         };
-        (cloud, clients)
+        let invoker = RetriedInvoker(retrying(&cloud, &cloud.faas, "resil.invoker"));
+        (cloud, clients, invoker)
     }
 
     fn audit(&self, cloud: &Cloud) -> Vec<String> {
@@ -63,7 +68,7 @@ fn retrying<S: Clone>(cloud: &Cloud, service: &S, label: &str) -> Retrying<S> {
     Retrying::new(&cloud.sim, service, cloud.recorder.clone(), policy, label)
 }
 
-/// A cloud's services behind [`Retrying`]: every operation retries what
+/// A cloud's storage behind [`Retrying`]: every operation retries what
 /// is transient inside the `by` it is given.
 #[derive(Clone)]
 pub struct Retried {
@@ -71,74 +76,56 @@ pub struct Retried {
     blob: RetryingBlob,
     kv: RetryingKv,
     queue: RetryingQueue,
-    faas: RetryingInvoker,
 }
 
-impl Clients for Retried {
-    async fn blob_put(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: Payload,
-        by: SimTime,
-    ) -> Result<(), String> {
-        text(self.blob.put(caller, bucket, key, data, Deadline::at(by)).await)
-    }
+/// A cloud's platform behind [`Retrying`]: a killed or timed-out
+/// invocation is made again, inside `by`.
+#[derive(Clone)]
+pub struct RetriedInvoker(RetryingInvoker);
 
-    async fn blob_get(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        by: SimTime,
-    ) -> Result<Payload, String> {
-        text(self.blob.get(caller, bucket, key, Deadline::at(by)).await)
-    }
-
-    async fn kv_put(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Payload,
-        by: SimTime,
-    ) -> Result<u64, String> {
-        let put = self
-            .kv
-            .call(Deadline::at(by), |kv| kv.put(caller, table, key, value.clone()));
-        text(put.await)
-    }
-
-    async fn kv_get(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        by: SimTime,
-    ) -> Result<Item, String> {
-        let strong = Consistency::Strong;
-        text(self.kv.get(caller, table, key, strong, Deadline::at(by)).await)
-    }
-
-    async fn queue_send(
-        &self,
-        caller: &Host,
-        queue: &str,
-        bodies: Vec<Payload>,
-        by: SimTime,
-    ) -> Result<(), String> {
-        let sent = self.queue.send(caller, queue, &bodies, Deadline::at(by)).await;
-        text(sent.map(drop))
-    }
-
-    async fn invoke(
+impl Invoker for RetriedInvoker {
+    async fn call(
         &self,
         function: &str,
         payload: &Payload,
         by: SimTime,
     ) -> Result<InvokeOutcome, String> {
-        text(self.faas.invoke(function, payload, Deadline::at(by)).await)
+        text(self.0.invoke(function, payload, Deadline::at(by)).await)
+    }
+}
+
+impl Clients for Retried {
+    fn blob<'a, T: 'a, Fut>(
+        &'a self,
+        by: SimTime,
+        op: impl FnMut(&'a BlobStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, BlobError>> + 'a,
+    {
+        async move { text(self.blob.call(Deadline::at(by), op).await) }
+    }
+
+    fn kv<'a, T: 'a, Fut>(
+        &'a self,
+        by: SimTime,
+        op: impl FnMut(&'a KvStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, KvError>> + 'a,
+    {
+        async move { text(self.kv.call(Deadline::at(by), op).await) }
+    }
+
+    fn queue<'a, T: 'a, Fut>(
+        &'a self,
+        by: SimTime,
+        op: impl FnMut(&'a QueueService) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, QueueError>> + 'a,
+    {
+        async move { text(self.queue.call(Deadline::at(by), op).await) }
     }
 
     /// Packet loss makes a request hang forever, so each attempt is raced

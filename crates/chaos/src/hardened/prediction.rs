@@ -7,14 +7,14 @@
 //! browned-out model store sheds load instead of retry-storming) and
 //! commits each result through an idempotency store. It shares the
 //! paper's set-up (`serving_cloud`: queues, buckets, the uploaded model)
-//! and its producer's send (the client set's `queue_send`); the handler
+//! and its producer's send (through the client set's `queue`); the handler
 //! and the wait on the effect store are its own. Invariant: exactly-once
 //! observable effects under at-least-once delivery — each batch id has
 //! exactly one committed result, and a poison batch lands in the DLQ
 //! rather than looping.
 
 use bytes::Bytes;
-use faasim::experiments::clients::{within, Clients, Run, UNBOUNDED};
+use faasim::experiments::clients::{Clients, Run, UNBOUNDED};
 use faasim::experiments::prediction::serving_cloud;
 use faasim_faas::{add_queue_trigger, decode_batch, FnError, FunctionSpec};
 use faasim_payload::Payload;
@@ -60,7 +60,7 @@ pub(super) fn run(run: &mut Run<Faulty<'_>>, seed: u64) {
                 // The model fetch goes through the breaker: a shed or
                 // failed fetch fails the whole invocation, so the
                 // trigger leaves the batch to be redelivered.
-                let fetch = c.blob_get(ctx.host(), "models", "blacklist", UNBOUNDED);
+                let fetch = c.blob(UNBOUNDED, |blob| blob.get(ctx.host(), "models", "blacklist"));
                 match brk.call(|_: &_| true, fetch).await {
                     Ok(_) => {}
                     Err(BreakerError::Open { .. }) => {
@@ -89,12 +89,12 @@ pub(super) fn run(run: &mut Run<Faulty<'_>>, seed: u64) {
     let failures = cloud.sim.block_on(async move {
         let mut failures = Vec::new();
         for i in 0..BATCHES {
-            let by = within(&sim, SimDuration::from_secs(60));
+            let by = sim.now() + SimDuration::from_secs(60);
             let id = format!("batch-{i:04}");
-            let sent = clients.queue_send(&host, "in", vec![Payload::inline(id.clone())], by);
+            let sent = clients.queue(by, |queue| queue.send(&host, "in", Payload::inline(id.clone())));
             failures.extend(sent.await.err().map(|e| format!("send {id}: {e}")));
         }
-        let by = within(&sim, SimDuration::from_secs(1_800));
+        let by = sim.now() + SimDuration::from_secs(1_800);
         while idem2.committed_count(&host, "batch-").await.map_or(true, |n| n < BATCHES) {
             if sim.now() >= by {
                 failures.push(format!("not all {BATCHES} batches committed within budget"));

@@ -47,7 +47,7 @@ mod sweep;
 mod trace;
 
 pub use faults::FaultPlan;
-pub use hardened::{experiment_scenarios, ExperimentScenario, Faulty, Retried};
+pub use hardened::{experiment_scenarios, ExperimentScenario, Faulty, Retried, RetriedInvoker};
 pub use invariants::{check_cloud, ledger_consistent, message_conservation, queue_conservation};
 pub use parallel::ParallelSweep;
 pub use scenarios::{CrdtSync, LinkChurn, NoisyNeighbor, QueuePipeline};

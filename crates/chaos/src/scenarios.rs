@@ -13,7 +13,7 @@ use faasim::protocols::{Crdt, GCounter};
 use faasim::CloudProfile;
 use faasim_faas::{add_queue_trigger, decode_batch, FunctionSpec};
 use faasim_gateway::{Gateway, GatewayConfig, RetryingGateway, TenantConfig, TenantStats};
-use faasim_kv::{Consistency, KvError};
+use faasim_kv::{Consistency, KvError, KvStore};
 use faasim_payload::Payload;
 use faasim_queue::QueueConfig;
 use faasim_simcore::{LatencyModel, SimDuration};
@@ -113,14 +113,14 @@ impl Scenario for CrdtSync {
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
                     // A publish that exhausts its retries is not fatal —
                     // the next step republishes a superseding snapshot.
-                    let _ = kv.put(&host, "crdt", &my_key, snapshot, unbounded).await;
+                    let _ = kv
+                        .call(unbounded, |kv| kv.put(&host, "crdt", &my_key, snapshot.clone()))
+                        .await;
                     let peer = (r + step) % replicas + 1;
                     if peer != r {
                         let peer_key = format!("replica-{peer}");
-                        match kv
-                            .get(&host, "crdt", &peer_key, Consistency::Eventual, unbounded)
-                            .await
-                        {
+                        let read = |kv| KvStore::get(kv, &host, "crdt", &peer_key, Consistency::Eventual);
+                        match kv.call(unbounded, read).await {
                             Ok(item) => {
                                 if let Some(other) = GCounter::decode(&item.value.bytes()) {
                                     states.borrow_mut()[idx].merge(&other);
@@ -135,7 +135,8 @@ impl Scenario for CrdtSync {
                 // Quiesce: keep publishing + merging until propagated.
                 for _round in 0..20u64 {
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
-                    if kv.put(&host, "crdt", &my_key, snapshot, unbounded).await.is_err() {
+                    let publish = kv.call(unbounded, |kv| kv.put(&host, "crdt", &my_key, snapshot.clone()));
+                    if publish.await.is_err() {
                         stuck
                             .borrow_mut()
                             .push(format!("replica {r}: quiesce publish exhausted retries"));
@@ -145,10 +146,8 @@ impl Scenario for CrdtSync {
                             continue;
                         }
                         let peer_key = format!("replica-{peer}");
-                        if let Ok(item) = kv
-                            .get(&host, "crdt", &peer_key, Consistency::Eventual, unbounded)
-                            .await
-                        {
+                        let read = |kv| KvStore::get(kv, &host, "crdt", &peer_key, Consistency::Eventual);
+                        if let Ok(item) = kv.call(unbounded, read).await {
                             if let Some(other) = GCounter::decode(&item.value.bytes()) {
                                 states.borrow_mut()[idx].merge(&other);
                             }

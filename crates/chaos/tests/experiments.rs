@@ -2,10 +2,11 @@
 //! are not vacuous, and the backend itself is free — under a calm plan
 //! the shared body reads exactly as the plain run does.
 
-use faasim::experiments::clients::{Backend, Bare, Run};
+use faasim::experiments::clients::{Backend, Bare, Opened, Plain, Run};
 use faasim::experiments::{
     agents_cmp, bandwidth, cold_starts, data_shipping, election, table1, training,
 };
+use faasim::faas::FaasPlatform;
 use faasim::{Cloud, CloudProfile};
 use faasim_chaos::{experiment_scenarios, sweep, FaultPlan, Faulty, Scenario};
 
@@ -97,11 +98,12 @@ struct CalmBare;
 
 impl Backend for CalmBare {
     type Clients = Bare;
+    type Invoker = FaasPlatform;
 
-    fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, Bare) {
-        let cloud = FaultPlan::calm().build(profile, seed);
-        let clients = Bare::new(&cloud);
-        (cloud, clients)
+    fn open(&self, profile: CloudProfile, seed: u64) -> Opened<CalmBare> {
+        let opened = Plain.open(profile, seed);
+        FaultPlan::calm().apply(&opened.0);
+        opened
     }
 
     fn audit(&self, _: &Cloud) -> Vec<String> {
@@ -229,4 +231,24 @@ fn calm_backends_read_as_the_plain_run_does() {
     differential!("agents_cmp", 0, 0, (values, plain.probe.digests[1..].to_vec()), |run| {
         bits([agents_cmp::agents_side(&mut run, &params, seed + 100).as_secs_f64()])
     });
+}
+
+/// A function body may hold the retrying clients it is handed: they do not
+/// hold the platform, so a sweep's clouds are freed as it goes.
+#[test]
+fn retried_clients_do_not_keep_the_platform_alive() {
+    use faasim::faas::FunctionSpec;
+    use faasim::simcore::SimDuration;
+    let held = std::rc::Rc::new(());
+    {
+        let plan = FaultPlan::hostile();
+        let (cloud, clients, _) = Faulty(&plan).open(CloudProfile::aws_2018().exact(), 1);
+        let witness = held.clone();
+        cloud.faas.register(FunctionSpec::new("f", 128, SimDuration::from_secs(1), move |_, payload| {
+            let _held = (clients.clone(), witness.clone());
+            async move { Ok(payload) }
+        }));
+        assert_eq!(std::rc::Rc::strong_count(&held), 2);
+    }
+    assert_eq!(std::rc::Rc::strong_count(&held), 1, "the function body outlived its cloud");
 }

@@ -10,7 +10,7 @@ use faasim_simcore::{mbps, SimDuration};
 
 use crate::cloud::CloudProfile;
 use crate::experiments::clients::{plain, Backend, Run};
-use crate::experiments::election::{self, failover_drill, mean_round, DrillWindows, ElectionParams};
+use crate::experiments::election::{self, failover_drill, mean_round, ElectionParams};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, Table};
 
@@ -21,7 +21,7 @@ pub struct AgentsCmpParams {
     pub nodes: u64,
     /// Leader kills measured per variant.
     pub rounds: usize,
-    /// [`DrillWindows::slices`] of the agents side: the undisturbed
+    /// The `slices` of the agents side's [`failover_drill`]: the undisturbed
     /// cluster needs one.
     pub wait_slices: u32,
 }
@@ -103,7 +103,7 @@ pub fn run(params: &AgentsCmpParams, seed: u64) -> AgentsCmpResult {
 /// bully timeouts' to absorb (a dropped answer looks like a dead peer and
 /// the round re-runs); a wait that runs out is an entry in `run.failures`.
 pub fn agents_side<B: Backend>(run: &mut Run<B>, params: &AgentsCmpParams, seed: u64) -> SimDuration {
-    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     let observer = ElectionObserver::new();
     let members: Vec<(NodeId, faasim_net::Host)> = (1..=params.nodes)
         .map(|id| {
@@ -126,14 +126,10 @@ pub fn agents_side<B: Backend>(run: &mut Run<B>, params: &AgentsCmpParams, seed:
             observer.clone(),
         ));
     }
-    let windows = DrillWindows {
-        converge: SimDuration::from_secs(5),
-        failover: SimDuration::from_secs(10),
-        settle: SimDuration::from_secs(1),
-        slices: params.wait_slices,
-    };
+    let windows = (SimDuration::from_secs(5), SimDuration::from_secs(10), SimDuration::from_secs(1));
+    let (rounds, slices) = (params.rounds, params.wait_slices);
     let (rounds, failures) =
-        failover_drill(&cloud, &handles, &observer, params.rounds, windows, || ());
+        failover_drill(&cloud, &handles, &observer, rounds, windows, slices, || ());
     run.fail("agents_cmp", failures);
     run.close("agents_cmp", &cloud);
     mean_round(&rounds)

@@ -11,7 +11,7 @@ use faasim_payload::Payload;
 use faasim_simcore::{join_all, SimDuration};
 
 use crate::cloud::{Cloud, CloudProfile};
-use crate::experiments::clients::{plain, within, Backend, Clients, Run};
+use crate::experiments::clients::{plain, Backend, Invoker, Run};
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{PaperRow, Table};
 
@@ -122,7 +122,7 @@ fn measure<B: Backend>(
     k: usize,
     bytes: u64,
 ) -> (f64, Cloud) {
-    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, _, invoker) = run.open(CloudProfile::aws_2018().exact(), seed);
     let rates: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
     let r = rates.clone();
     cloud.faas.register(FunctionSpec::new(
@@ -142,8 +142,8 @@ fn measure<B: Backend>(
     ));
     let sim = cloud.sim.clone();
     let failures: Vec<String> = cloud.sim.block_on(async move {
-        let (by, nothing) = (within(&sim, DOWNLOAD_BUDGET), Payload::default());
-        let downloads = (0..k).map(|_| clients.invoke("download", &nothing, by));
+        let (by, nothing) = (sim.now() + DOWNLOAD_BUDGET, Payload::default());
+        let downloads = (0..k).map(|_| invoker.call("download", &nothing, by));
         let done = join_all(downloads.collect()).await;
         done.into_iter().filter_map(Result::err).collect()
     });

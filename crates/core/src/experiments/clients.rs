@@ -1,7 +1,7 @@
 //! What a workload body is written against, so that each body exists
-//! once: the [`Clients`] its service calls go through, the [`Backend`]
-//! that builds its clouds, and the [`Run`] that collects what it captured
-//! and what failed.
+//! once: the [`Clients`] and the [`Invoker`] its service calls go through,
+//! the [`Backend`] that builds its clouds, and the [`Run`] that collects
+//! what it captured and what failed.
 //!
 //! This crate's `run(&Params, seed)` entry points use [`plain`]: bare
 //! service handles on an undisturbed cloud, and a failure is a panic.
@@ -12,12 +12,12 @@
 use std::fmt::Display;
 use std::future::Future;
 
-use faasim_blob::BlobStore;
+use faasim_blob::{BlobError, BlobStore};
 use faasim_faas::{FaasPlatform, InvokeOutcome};
-use faasim_kv::{Consistency, Item, KvStore};
-use faasim_net::{Addr, Host, Message, Socket};
+use faasim_kv::{KvError, KvStore};
+use faasim_net::{Addr, Message, Socket};
 use faasim_payload::Payload;
-use faasim_queue::QueueService;
+use faasim_queue::{QueueError, QueueService};
 use faasim_simcore::{Histogram, Sim, SimDuration, SimTime};
 
 use crate::cloud::{Cloud, CloudProfile};
@@ -26,70 +26,40 @@ use crate::experiments::probe::ExperimentProbe;
 /// The `by` of an operation that has no budget.
 pub const UNBOUNDED: SimTime = SimTime::MAX;
 
-/// The instant `budget` from now: the `by` of a trial's operations.
-pub fn within(sim: &Sim, budget: SimDuration) -> SimTime {
-    sim.now().saturating_add(budget)
-}
-
-/// The service operations the workloads perform. Every operation takes
-/// the instant `by` which its trial must be over: a retrying client fits
-/// its attempts inside it, a bare one ignores it. A failure comes back as
-/// text, for the run's failure list.
+/// How a workload's calls to the cloud's storage and sockets are made,
+/// from its drivers and from inside its function bodies. A storage
+/// operation is the service's own method, passed as `op` (which makes one
+/// attempt each time it is called). Every call takes the instant `by`
+/// which its trial must be over: a retrying client fits its attempts
+/// inside it, a bare one ignores it. A failure comes back as text, for
+/// the run's failure list.
 pub trait Clients: Clone + 'static {
-    /// Write an object.
-    fn blob_put(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: Payload,
+    /// One operation of the object store.
+    fn blob<'a, T: 'a, Fut>(
+        &'a self,
         by: SimTime,
-    ) -> impl Future<Output = Result<(), String>>;
+        op: impl FnMut(&'a BlobStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, BlobError>> + 'a;
 
-    /// Read an object.
-    fn blob_get(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
+    /// One operation of the table service.
+    fn kv<'a, T: 'a, Fut>(
+        &'a self,
         by: SimTime,
-    ) -> impl Future<Output = Result<Payload, String>>;
+        op: impl FnMut(&'a KvStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, KvError>> + 'a;
 
-    /// Write an item; returns its new version.
-    fn kv_put(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Payload,
+    /// One operation of the queue service.
+    fn queue<'a, T: 'a, Fut>(
+        &'a self,
         by: SimTime,
-    ) -> impl Future<Output = Result<u64, String>>;
-
-    /// Strongly consistent read of an item.
-    fn kv_get(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        by: SimTime,
-    ) -> impl Future<Output = Result<Item, String>>;
-
-    /// Send `bodies` to a queue as one request.
-    fn queue_send(
-        &self,
-        caller: &Host,
-        queue: &str,
-        bodies: Vec<Payload>,
-        by: SimTime,
-    ) -> impl Future<Output = Result<(), String>>;
-
-    /// Invoke a function and see it succeed.
-    fn invoke(
-        &self,
-        function: &str,
-        payload: &Payload,
-        by: SimTime,
-    ) -> impl Future<Output = Result<InvokeOutcome, String>>;
+        op: impl FnMut(&'a QueueService) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, QueueError>> + 'a;
 
     /// One request/reply exchange from `socket`.
     fn request(
@@ -101,96 +71,80 @@ pub trait Clients: Clone + 'static {
     ) -> impl Future<Output = Result<Message, String>>;
 }
 
-/// A service error as the text a failure list carries.
-pub fn text<T, E: Display>(outcome: Result<T, E>) -> Result<T, String> {
-    outcome.map_err(|e| e.to_string())
+/// How a workload's drivers invoke its functions. Apart from [`Clients`]
+/// because it holds the platform: a function body that held it too would
+/// keep the platform that holds the body alive for good.
+pub trait Invoker: Clone + 'static {
+    /// Invoke a function by `by` and see it succeed.
+    fn call(
+        &self,
+        function: &str,
+        payload: &Payload,
+        by: SimTime,
+    ) -> impl Future<Output = Result<InvokeOutcome, String>>;
 }
 
-/// A cloud's own service handles: one attempt per operation, no budget.
-#[derive(Clone)]
-pub struct Bare {
-    blob: BlobStore,
-    kv: KvStore,
-    queue: QueueService,
-    faas: FaasPlatform,
-}
-
-impl Bare {
-    /// The handles of `cloud`.
-    pub fn new(cloud: &Cloud) -> Bare {
-        Bare {
-            blob: cloud.blob.clone(),
-            kv: cloud.kv.clone(),
-            queue: cloud.queue.clone(),
-            faas: cloud.faas.clone(),
-        }
-    }
-}
-
-impl Clients for Bare {
-    async fn blob_put(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: Payload,
-        _: SimTime,
-    ) -> Result<(), String> {
-        text(self.blob.put(caller, bucket, key, data).await)
-    }
-
-    async fn blob_get(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        _: SimTime,
-    ) -> Result<Payload, String> {
-        text(self.blob.get(caller, bucket, key).await)
-    }
-
-    async fn kv_put(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Payload,
-        _: SimTime,
-    ) -> Result<u64, String> {
-        text(self.kv.put(caller, table, key, value).await)
-    }
-
-    async fn kv_get(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        _: SimTime,
-    ) -> Result<Item, String> {
-        text(self.kv.get(caller, table, key, Consistency::Strong).await)
-    }
-
-    async fn queue_send(
-        &self,
-        caller: &Host,
-        queue: &str,
-        bodies: Vec<Payload>,
-        _: SimTime,
-    ) -> Result<(), String> {
-        text(self.queue.send_batch(caller, queue, bodies).await.map(drop))
-    }
-
-    async fn invoke(
+/// One attempt, no budget.
+impl Invoker for FaasPlatform {
+    async fn call(
         &self,
         function: &str,
         payload: &Payload,
         _: SimTime,
     ) -> Result<InvokeOutcome, String> {
-        let out = self.faas.invoke(function, payload.clone()).await;
+        let out = self.invoke(function, payload.clone()).await;
         match &out.result {
             Ok(_) => Ok(out),
             Err(e) => Err(e.to_string()),
         }
+    }
+}
+
+/// A service error as the text a failure list carries.
+pub fn text<T, E: Display>(outcome: Result<T, E>) -> Result<T, String> {
+    outcome.map_err(|e| e.to_string())
+}
+
+/// A cloud's own storage handles: one attempt per operation, no budget.
+#[derive(Clone)]
+pub struct Bare {
+    blob: BlobStore,
+    kv: KvStore,
+    queue: QueueService,
+}
+
+impl Clients for Bare {
+    fn blob<'a, T: 'a, Fut>(
+        &'a self,
+        _: SimTime,
+        mut op: impl FnMut(&'a BlobStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, BlobError>> + 'a,
+    {
+        async move { text(op(&self.blob).await) }
+    }
+
+    fn kv<'a, T: 'a, Fut>(
+        &'a self,
+        _: SimTime,
+        mut op: impl FnMut(&'a KvStore) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, KvError>> + 'a,
+    {
+        async move { text(op(&self.kv).await) }
+    }
+
+    fn queue<'a, T: 'a, Fut>(
+        &'a self,
+        _: SimTime,
+        mut op: impl FnMut(&'a QueueService) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, String>> + 'a
+    where
+        Fut: Future<Output = Result<T, QueueError>> + 'a,
+    {
+        async move { text(op(&self.queue).await) }
     }
 
     async fn request(
@@ -209,24 +163,35 @@ impl Clients for Bare {
 pub trait Backend {
     /// The client set bodies get.
     type Clients: Clients;
+    /// The invoker their drivers get.
+    type Invoker: Invoker;
 
-    /// A cloud of `profile` at `seed`, and the clients for it.
-    fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, Self::Clients);
+    /// A cloud of `profile` at `seed`, the clients and the invoker for it.
+    fn open(&self, profile: CloudProfile, seed: u64) -> Opened<Self>;
 
     /// What is wrong with a cloud whose workload is over.
     fn audit(&self, cloud: &Cloud) -> Vec<String>;
 }
 
-/// An undisturbed cloud with [`Bare`] clients, and nothing to audit.
+/// What [`Backend::open`] returns.
+pub type Opened<B> = (Cloud, <B as Backend>::Clients, <B as Backend>::Invoker);
+
+/// An undisturbed cloud, its own handles, and nothing to audit.
 pub struct Plain;
 
 impl Backend for Plain {
     type Clients = Bare;
+    type Invoker = FaasPlatform;
 
-    fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, Bare) {
+    fn open(&self, profile: CloudProfile, seed: u64) -> Opened<Plain> {
         let cloud = Cloud::new(profile, seed);
-        let clients = Bare::new(&cloud);
-        (cloud, clients)
+        let clients = Bare {
+            blob: cloud.blob.clone(),
+            kv: cloud.kv.clone(),
+            queue: cloud.queue.clone(),
+        };
+        let invoker = cloud.faas.clone();
+        (cloud, clients, invoker)
     }
 
     fn audit(&self, _: &Cloud) -> Vec<String> {
@@ -254,8 +219,8 @@ impl<B: Backend> Run<B> {
         }
     }
 
-    /// A cloud of `profile` at `seed`, and the clients for it.
-    pub fn open(&self, profile: CloudProfile, seed: u64) -> (Cloud, B::Clients) {
+    /// A cloud of `profile` at `seed`, the clients and the invoker for it.
+    pub fn open(&self, profile: CloudProfile, seed: u64) -> Opened<B> {
         self.backend.open(profile, seed)
     }
 
@@ -309,16 +274,14 @@ impl Trials {
 }
 
 /// Invoke `function` inside `budget` and see it echo `payload`.
-pub async fn echo<C: Clients>(
-    clients: &C,
+pub async fn echo(
+    invoker: &impl Invoker,
     sim: &Sim,
     function: &str,
     payload: &Payload,
     budget: SimDuration,
 ) -> Result<InvokeOutcome, String> {
-    let out = clients
-        .invoke(function, payload, within(sim, budget))
-        .await?;
+    let out = invoker.call(function, payload, sim.now() + budget).await?;
     match &out.result {
         Ok(echoed) if echoed.len() != payload.len() => {
             Err(format!("echoed {} bytes", echoed.len()))
@@ -357,5 +320,40 @@ pub async fn chain(
                 "{function}: no progress in 8 executions, {before} left"
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use bytes::Bytes;
+    use faasim_faas::FunctionSpec;
+
+    use super::*;
+
+    /// A function body may hold the clients it is handed: they do not
+    /// hold the platform, so platform and body still go when the cloud
+    /// does (a run that leaked its clouds would grow by one per run).
+    #[test]
+    fn clients_held_by_a_function_body_do_not_keep_the_platform_alive() {
+        let held = Rc::new(());
+        {
+            let (cloud, clients, invoker) = Plain.open(CloudProfile::aws_2018().exact(), 1);
+            let witness = held.clone();
+            cloud.faas.register(FunctionSpec::new(
+                "f",
+                128,
+                SimDuration::from_secs(1),
+                move |_, _| {
+                    let _held = (clients.clone(), witness.clone());
+                    async move { Ok(Bytes::new()) }
+                },
+            ));
+            let invoked = async move { invoker.call("f", &Payload::default(), UNBOUNDED).await };
+            cloud.sim.block_on(invoked).expect("f succeeds");
+            assert_eq!(Rc::strong_count(&held), 2);
+        }
+        assert_eq!(Rc::strong_count(&held), 1, "the function body outlived its cloud");
     }
 }

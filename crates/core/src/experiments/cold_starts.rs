@@ -130,7 +130,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
         if params.firecracker {
             profile = profile.firecracker();
         }
-        let (cloud, clients) = run.open(profile, seed + i as u64);
+        let (cloud, _, invoker) = run.open(profile, seed + i as u64);
         let hold = params.hold;
         cloud.faas.register(FunctionSpec::new(
             "ping",
@@ -156,7 +156,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
                 // Arrivals sparser than the keep-alive window meet a
                 // reclaimed container: reap like the platform would.
                 faas.reap_idle();
-                let out = echo(&clients, &sim, "ping", &Payload::default(), ARRIVAL_BUDGET).await;
+                let out = echo(&invoker, &sim, "ping", &Payload::default(), ARRIVAL_BUDGET).await;
                 if out.as_ref().is_ok_and(|out| out.cold) {
                     colds += 1;
                 }

@@ -162,7 +162,7 @@ fn populate<B: Backend>(
     dataset_mb: u64,
     object_mb: u64,
 ) -> (Cloud, B::Clients, usize, u64) {
-    let (cloud, clients) = run.open(profile, seed);
+    let (cloud, clients, _) = run.open(profile, seed);
     cloud.blob.create_bucket("logs");
     let objects = (dataset_mb / object_mb).max(1) as usize;
     let lines_per_object = (object_mb * 1_000_000) / LOG_LINE.len() as u64;
@@ -174,7 +174,7 @@ fn populate<B: Backend>(
         let mut failures = Vec::new();
         for i in 0..objects {
             let key = format!("part-{i:05}");
-            let put = c.blob_put(&host, "logs", &key, body.clone(), UNBOUNDED).await;
+            let put = c.blob(UNBOUNDED, |blob| blob.put(&host, "logs", &key, body.clone())).await;
             failures.extend(put.err().map(|e| format!("populate {key}: {e}")));
         }
         failures
@@ -247,8 +247,9 @@ pub fn data_to_code<B: Backend>(
                     if next >= objects {
                         return Ok(Bytes::new());
                     }
+                    let key = format!("part-{next:05}");
                     let body = clients
-                        .blob_get(ctx.host(), "logs", &format!("part-{next:05}"), UNBOUNDED)
+                        .blob(UNBOUNDED, |blob| blob.get(ctx.host(), "logs", &key))
                         .await
                         .map_err(FnError::Handler)?;
                     // Real aggregation semantics, analytic cost: a

@@ -31,7 +31,7 @@ pub struct ElectionParams {
     pub extrapolate_nodes: u64,
     /// Function lifetime used for the %-time claim (paper: 900 s).
     pub lifetime: SimDuration,
-    /// [`DrillWindows::slices`]: the undisturbed cluster needs one.
+    /// The `slices` of [`failover_drill`]: the undisturbed cluster needs one.
     pub wait_slices: u32,
 }
 
@@ -126,44 +126,33 @@ impl ElectionResult {
     }
 }
 
-/// How long a [`failover_drill`] waits for each thing it waits for.
-#[derive(Clone, Copy, Debug)]
-pub struct DrillWindows {
-    /// For the cluster to agree on its first leader.
-    pub converge: SimDuration,
-    /// For a failover round to complete after a leader kill.
-    pub failover: SimDuration,
-    /// After every node is stopped, before the cloud is read.
-    pub settle: SimDuration,
-    /// The most slices of a window a wait may take. One reproduces a run
-    /// that advances by the whole window and then looks; more give a
-    /// disturbed cluster that many windows, looking after each.
-    pub slices: u32,
-}
-
 /// The failover drill on a cluster of freshly spawned nodes with ids
-/// `1..=handles.len()`: converge on the highest id, run `steady` (a
-/// measurement of the undisturbed cluster, if any), `rounds` times kill
-/// the highest live id and wait for the failover round, then stop every
-/// node and settle. Returns the rounds' durations and what did not
-/// happen in time.
+/// `1..=handles.len()`: wait `converge` for the highest id to lead, run
+/// `steady` (a measurement of the undisturbed cluster, if any), `rounds`
+/// times kill the highest live id and wait `failover` for the round, then
+/// stop every node and run `settle` more. A wait may take up to `slices`
+/// of its window, looking after each: one reproduces a run that advances
+/// by the whole window and then looks, more give a disturbed cluster that
+/// many windows. Returns the rounds' durations and what did not happen in
+/// time.
 pub fn failover_drill(
     cloud: &Cloud,
     handles: &[NodeHandle],
     observer: &ElectionObserver,
     rounds: usize,
-    windows: DrillWindows,
+    (converge, failover, settle): (SimDuration, SimDuration, SimDuration),
+    slices: u32,
     steady: impl FnOnce(),
 ) -> (Vec<SimDuration>, Vec<String>) {
     let wait = |window: SimDuration, done: &dyn Fn() -> bool| {
-        (0..windows.slices).any(|_| {
+        (0..slices).any(|_| {
             cloud.sim.run_until(cloud.sim.now() + window);
             done()
         })
     };
     let mut failures = Vec::new();
     let nodes = handles.len() as u64;
-    if !wait(windows.converge, &|| observer.current_leader() == Some(nodes)) {
+    if !wait(converge, &|| observer.current_leader() == Some(nodes)) {
         let got = observer.current_leader();
         failures.push(format!("no initial leader {nodes} in time (got {got:?})"));
     }
@@ -178,7 +167,7 @@ pub fn failover_drill(
         handles[(live_high - 1) as usize].kill();
         observer.mark_dead(live_high, cloud.sim.now());
         let before = observer.rounds().len();
-        if wait(windows.failover, &|| observer.rounds().len() > before) {
+        if wait(failover, &|| observer.rounds().len() > before) {
             durations.push(observer.rounds().last().expect("round").duration());
         } else {
             failures.push(format!("round {round} did not complete after killing {live_high}"));
@@ -188,7 +177,7 @@ pub fn failover_drill(
     for h in handles {
         h.kill();
     }
-    cloud.sim.run_until(cloud.sim.now() + windows.settle);
+    cloud.sim.run_until(cloud.sim.now() + settle);
     (durations, failures)
 }
 
@@ -208,7 +197,7 @@ pub fn run(params: &ElectionParams, seed: u64) -> ElectionResult {
 /// `run.failures`. The blackboard transport rides out storage errors
 /// itself (a failed poll is a missed beat), so no client set is involved.
 pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) -> ElectionResult {
-    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     BlackboardTransport::setup(&cloud.kv);
     let observer = ElectionObserver::new();
     let poll = SimDuration::from_secs_f64(1.0 / params.polls_per_second);
@@ -228,14 +217,14 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) 
     }
 
     // Convergence windows must scale with the protocol timeouts.
-    let windows = DrillWindows {
-        converge: SimDuration::from_secs(60).mul_f64(timeout_scale.max(1.0)),
-        failover: SimDuration::from_secs(200).mul_f64(timeout_scale.max(1.0)),
-        settle: SimDuration::from_secs(5),
-        slices: params.wait_slices,
-    };
+    let windows = (
+        SimDuration::from_secs(60).mul_f64(timeout_scale.max(1.0)),
+        SimDuration::from_secs(200).mul_f64(timeout_scale.max(1.0)),
+        SimDuration::from_secs(5),
+    );
+    let (rounds, slices) = (params.rounds, params.wait_slices);
     let mut steady_requests = 0.0;
-    let (rounds, failures) = failover_drill(&cloud, &handles, &observer, params.rounds, windows, || {
+    let (rounds, failures) = failover_drill(&cloud, &handles, &observer, rounds, windows, slices, || {
         // Steady-state request-rate measurement window (no elections).
         let window = SimDuration::from_secs(60);
         let requests = || {

@@ -168,10 +168,10 @@ impl PredictionResult {
 
 /// Run all four deployments.
 pub fn run(params: &PredictionParams, seed: u64) -> PredictionResult {
-    plain(|run| run_all(params, seed, run))
+    plain(|run| run_on_plain(params, seed, run))
 }
 
-fn run_all(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> PredictionResult {
+fn run_on_plain(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> PredictionResult {
     let lambda_s3 = run_lambda(params, seed, false, run);
     let lambda_opt = run_lambda(params, seed + 1, true, run);
     let ec2_sqs = run_ec2_sqs(params, seed + 2, run);
@@ -211,14 +211,14 @@ fn make_docs(params: &PredictionParams, seed: u64) -> Vec<Bytes> {
 /// backend: the input queue `in` as configured, the output queue `out`,
 /// the `results` bucket, and the serialized model of `model_bytes` in
 /// `models/blacklist`. The producer's sends go through the returned
-/// clients' `queue_send`.
+/// clients' `queue`.
 pub fn serving_cloud<B: Backend>(
     run: &mut Run<B>,
     seed: u64,
     input: QueueConfig,
     model_bytes: usize,
 ) -> (Cloud, B::Clients) {
-    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, clients, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.queue.create_queue("in", input);
     cloud.queue.create_queue("out", QueueConfig::default());
     cloud.blob.create_bucket("results");
@@ -227,7 +227,10 @@ pub fn serving_cloud<B: Backend>(
     let model = Payload::from(vec![0u8; model_bytes]);
     let put = cloud
         .sim
-        .block_on(async move { c.blob_put(&host, "models", "blacklist", model, UNBOUNDED).await });
+        .block_on(async move {
+            c.blob(UNBOUNDED, |blob| blob.put(&host, "models", "blacklist", model.clone()))
+                .await
+        });
     run.fail("prediction", put.err().map(|e| format!("upload model: {e}")));
     (cloud, clients)
 }
@@ -305,7 +308,7 @@ fn run_lambda(
         // measurement, as a steady-state serving system would have.
         for _ in 0..2 {
             clients
-                .queue_send(&producer, "in", docs.clone(), UNBOUNDED)
+                .queue(UNBOUNDED, |queue| queue.send_batch(&producer, "in", docs.clone()))
                 .await
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
@@ -314,7 +317,7 @@ fn run_lambda(
         for _ in 0..n {
             let t0 = sim.now();
             clients
-                .queue_send(&producer, "in", docs.clone(), UNBOUNDED)
+                .queue(UNBOUNDED, |queue| queue.send_batch(&producer, "in", docs.clone()))
                 .await
                 .expect("send batch");
             done_rx.recv().await.expect("handler completion");
@@ -336,7 +339,7 @@ fn run_lambda(
 
 /// Deployment 3: EC2 consumer long-polling SQS.
 fn run_ec2_sqs(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> Deployment {
-    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.queue.create_queue("in", QueueConfig::default());
     let vm = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let model = DirtyWordModel::synthetic(500);
@@ -388,7 +391,7 @@ fn run_ec2_zmq(
     seed: u64,
     run: &mut Run<Plain>,
 ) -> (Deployment, SimDuration) {
-    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     let server = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let client = cloud.ec2.provision_ready("m5.large", 0).expect("m5.large");
     let model = DirtyWordModel::synthetic(500);

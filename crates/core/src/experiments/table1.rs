@@ -6,13 +6,14 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use faasim_faas::{FnError, FunctionSpec};
+use faasim_kv::Consistency;
 use faasim_net::Host;
 use faasim_payload::Payload;
 use faasim_simcore::{Histogram, SimDuration, SimTime};
 
 use crate::cloud::{Cloud, CloudProfile};
 use crate::experiments::clients::{
-    chain, echo, plain, within, Backend, Clients, Run, Trials, UNBOUNDED,
+    chain, echo, plain, Backend, Clients, Run, Trials, UNBOUNDED,
 };
 use crate::experiments::probe::ExperimentProbe;
 use crate::report::{fmt_latency, fmt_ratio, PaperRow, Table};
@@ -167,12 +168,12 @@ async fn write_read<C: Clients>(
 ) -> Result<(), String> {
     match medium {
         Medium::Blob => {
-            clients.blob_put(host, "bench", key, body.clone(), by).await?;
-            clients.blob_get(host, "bench", key, by).await?;
+            clients.blob(by, |blob| blob.put(host, "bench", key, body.clone())).await?;
+            clients.blob(by, |blob| blob.get(host, "bench", key)).await?;
         }
         Medium::Kv => {
-            clients.kv_put(host, "bench", key, body.clone(), by).await?;
-            clients.kv_get(host, "bench", key, by).await?;
+            clients.kv(by, |kv| kv.put(host, "bench", key, body.clone())).await?;
+            clients.kv(by, |kv| kv.get(host, "bench", key, Consistency::Strong)).await?;
         }
     }
     Ok(())
@@ -193,7 +194,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) ->
     if params.firecracker {
         profile = profile.firecracker();
     }
-    let (cloud, clients) = run.open(profile, seed);
+    let (cloud, clients, invoker) = run.open(profile, seed);
     let payload = Payload::from(Bytes::from(vec![0u8; params.payload_bytes]));
     cloud.blob.create_bucket("bench");
     cloud.kv.create_table("bench");
@@ -216,16 +217,16 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) ->
             SimDuration::from_secs(60),
             |_ctx, payload| async move { Ok(payload) },
         ));
-        let (c, sim, p, n) = (clients.clone(), cloud.sim.clone(), payload.clone(), params.invocations);
+        let (sim, p, n) = (cloud.sim.clone(), payload.clone(), params.invocations);
         let trials = cloud.sim.block_on(async move {
             let mut trials = Trials::default();
             // Warm the container outside the measurement; across the
             // paper's 1,000-call average the one cold start washes out.
-            if let Err(e) = echo(&c, &sim, "noop", &p, INVOKE_BUDGET).await {
+            if let Err(e) = echo(&invoker, &sim, "noop", &p, INVOKE_BUDGET).await {
                 trials.failures.push(format!("warm-up: {e}"));
             }
             for i in 0..n {
-                let out = echo(&c, &sim, "noop", &p, INVOKE_BUDGET).await;
+                let out = echo(&invoker, &sim, "noop", &p, INVOKE_BUDGET).await;
                 trials.record(i, out.map(|out| out.total));
             }
             trials
@@ -255,7 +256,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) ->
             let mut trials = Trials::default();
             for i in 0..n {
                 let t0 = sim.now();
-                let done = write_read(&c, medium, &host, &key, &p, within(&sim, IO_BUDGET)).await;
+                let done = write_read(&c, medium, &host, &key, &p, t0 + IO_BUDGET).await;
                 trials.record(i, done.map(|()| sim.now() - t0));
             }
             trials
@@ -282,7 +283,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) ->
             let mut trials = Trials::default();
             for i in 0..n {
                 let t0 = sim.now();
-                let reply = c.request(&sa, to, p.clone(), within(&sim, RTT_BUDGET)).await;
+                let reply = c.request(&sa, to, p.clone(), t0 + RTT_BUDGET).await;
                 trials.record(i, reply.map(|_| sim.now() - t0));
             }
             trials

@@ -187,7 +187,7 @@ pub fn run(params: &TrainingParams, seed: u64) -> TrainingResult {
 /// iteration counter advances between awaits, so an execution cut short
 /// loses the iteration in flight and counts nothing twice.
 pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: u64) -> TrainingSide {
-    let (cloud, clients) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, clients, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.blob.create_bucket("training");
     let batch_bytes = params.batch_mb * 1_000_000;
     // One symbolic batch object stands in for all of them: a
@@ -199,7 +199,10 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
         let data = Payload::zeros(batch_bytes as usize);
         let put = cloud
             .sim
-            .block_on(async move { c.blob_put(&host, "training", "batch", data, UNBOUNDED).await });
+            .block_on(async move {
+                c.blob(UNBOUNDED, |blob| blob.put(&host, "training", "batch", data.clone()))
+                    .await
+            });
         run.fail("training", put.err().map(|e| format!("populate batch: {e}")));
         cloud.ledger.reset(); // setup traffic isn't part of the bill
     }
@@ -221,7 +224,7 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
                 // possible"), or until the job is done.
                 while d.get() < total_iters {
                     clients
-                        .blob_get(ctx.host(), "training", "batch", UNBOUNDED)
+                        .blob(UNBOUNDED, |blob| blob.get(ctx.host(), "training", "batch"))
                         .await
                         .map_err(FnError::Handler)?;
                     ctx.cpu(ref_work).await;
@@ -252,7 +255,7 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
 }
 
 fn run_ec2(params: &TrainingParams, seed: u64, run: &mut Run<Plain>) -> TrainingSide {
-    let (cloud, _) = run.open(CloudProfile::aws_2018().exact(), seed);
+    let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     let vm = cloud
         .ec2
         .provision_ready(&params.instance_type, 0)

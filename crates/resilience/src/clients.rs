@@ -3,26 +3,26 @@
 //! applications are forced to adopt.
 //!
 //! There is one wrapper and one loop ([`RetryPolicy`]'s, in
-//! `retry.rs`); what differs per service is only which operations
-//! exist, which errors are transient, and whether an attempt may be
-//! abandoned mid-flight. Only *transient* errors (KV throttling, blob
+//! `retry.rs`); what differs per service is only which errors are
+//! transient ([`Storage`], [`Invoke`]) and whether an attempt may be
+//! abandoned mid-flight. A storage operation is the service's own
+//! method, made through [`Retrying::call`]; an invocation goes through
+//! [`Retrying::invoke`]. Only *transient* errors (KV throttling, blob
 //! 503s, crashed or timed-out invocations, per-call timeouts) are
 //! retried; logic errors such as a missing table surface immediately as
-//! [`RetryError::Fatal`]. Every operation takes a [`Deadline`], so a
-//! retry loop cannot outlive the request it serves;
-//! [`Deadline::unbounded`] leaves the policy alone in charge.
+//! [`RetryError::Fatal`]. Both take a [`Deadline`], so a retry loop
+//! cannot outlive the request it serves; [`Deadline::unbounded`] leaves
+//! the policy alone in charge.
 
 use std::cell::{OnceCell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_blob::{BlobError, BlobStore};
 use faasim_faas::{FaasPlatform, FnError, InvokeOutcome};
-use faasim_kv::{Consistency, Item, KvError, KvStore};
-use faasim_net::Host;
+use faasim_kv::{KvError, KvStore};
 use faasim_payload::Payload;
-use faasim_queue::{MessageId, QueueError, QueueService};
+use faasim_queue::{QueueError, QueueService};
 use faasim_simcore::{LazyCounter, Recorder, Sim, SimRng, SimTime};
 
 use crate::deadline::Deadline;
@@ -92,113 +92,70 @@ impl<S> Retrying<S> {
     }
 }
 
+/// A storage service as the retry loop sees it: which of its errors a
+/// retry can outlast, and the recorder counter its attempts count under.
+pub trait Storage {
+    /// What a failed operation reports.
+    type Error;
+    /// The recorder counter bumped once per attempt.
+    const ATTEMPTS: &'static str;
+    /// Whether a retry of the same operation may succeed.
+    fn is_transient(err: &Self::Error) -> bool;
+}
+
+impl Storage for KvStore {
+    type Error = KvError;
+    const ATTEMPTS: &'static str = "chaos.kv.attempts";
+    fn is_transient(err: &KvError) -> bool {
+        err.is_transient()
+    }
+}
+
+impl Storage for BlobStore {
+    type Error = BlobError;
+    const ATTEMPTS: &'static str = "chaos.blob.attempts";
+    fn is_transient(err: &BlobError) -> bool {
+        err.is_transient()
+    }
+}
+
+/// No queue error is transient, so only a per-call timeout is ever
+/// retried. Note what is *not* promised: a send that times out at the
+/// caller may still have enqueued (that is how duplicate deliveries
+/// happen in the first place). The queue contract stays at-least-once;
+/// exactly-once observable effects come from pairing this client with an
+/// [`crate::IdempotencyStore`].
+impl Storage for QueueService {
+    type Error = QueueError;
+    const ATTEMPTS: &'static str = "resil.queue.attempts";
+    fn is_transient(_: &QueueError) -> bool {
+        false
+    }
+}
+
 /// A [`KvStore`] client that retries throttled requests.
 pub type RetryingKv = Retrying<KvStore>;
+/// A [`BlobStore`] client that retries 503s.
+pub type RetryingBlob = Retrying<BlobStore>;
+/// A [`QueueService`] client whose operations fit a deadline budget.
+pub type RetryingQueue = Retrying<QueueService>;
 
-impl Retrying<KvStore> {
-    /// Run one store operation through the retry loop inside `deadline`:
-    /// a throttled attempt is retried, any other error is final.
+impl<S: Storage> Retrying<S> {
+    /// Run one operation of the service through the retry loop inside
+    /// `deadline`: a transient failure is retried, any other error is
+    /// final. `op` makes one attempt each time it is called, so it must be
+    /// safe to repeat (a PUT is).
     pub fn call<'a, T: 'a, Fut>(
         &'a self,
         deadline: Deadline,
-        mut op: impl FnMut(&'a KvStore) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, RetryError<KvError>>> + 'a
+        mut op: impl FnMut(&'a S) -> Fut + 'a,
+    ) -> impl Future<Output = Result<T, RetryError<S::Error>>> + 'a
     where
-        Fut: Future<Output = Result<T, KvError>> + 'a,
+        Fut: Future<Output = Result<T, S::Error>> + 'a,
+        S::Error: 'a,
     {
-        let transient = |e: &KvError| any_time(e.is_transient());
-        self.retry("chaos.kv.attempts", deadline, true, transient, move || op(&self.inner))
-    }
-
-    /// Retrying unconditional write. Returns the new version.
-    pub async fn put(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        value: Bytes,
-        deadline: Deadline,
-    ) -> Result<u64, RetryError<KvError>> {
-        self.call(deadline, |kv| kv.put(caller, table, key, value.clone())).await
-    }
-
-    /// Retrying read.
-    pub async fn get(
-        &self,
-        caller: &Host,
-        table: &str,
-        key: &str,
-        consistency: Consistency,
-        deadline: Deadline,
-    ) -> Result<Item, RetryError<KvError>> {
-        self.call(deadline, |kv| kv.get(caller, table, key, consistency)).await
-    }
-}
-
-/// A [`BlobStore`] client that retries 503s.
-pub type RetryingBlob = Retrying<BlobStore>;
-
-impl Retrying<BlobStore> {
-    /// Retrying object write (PUT is idempotent, so retries are safe).
-    pub async fn put(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        data: impl Into<Payload>,
-        deadline: Deadline,
-    ) -> Result<(), RetryError<BlobError>> {
-        let data = data.into();
-        let transient = |e: &BlobError| any_time(e.is_transient());
-        self.retry("chaos.blob.attempts", deadline, true, transient, || {
-            self.inner.put(caller, bucket, key, data.clone())
-        })
-        .await
-    }
-
-    /// Retrying object read.
-    pub async fn get(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        key: &str,
-        deadline: Deadline,
-    ) -> Result<Payload, RetryError<BlobError>> {
-        let transient = |e: &BlobError| any_time(e.is_transient());
-        self.retry("chaos.blob.attempts", deadline, true, transient, || {
-            self.inner.get(caller, bucket, key)
-        })
-        .await
-    }
-}
-
-/// A [`QueueService`] client whose sends fit a deadline budget.
-///
-/// Note what is *not* promised: a send that times out at the caller may
-/// still have enqueued (that is how duplicate deliveries happen in the
-/// first place). The queue contract stays at-least-once; exactly-once
-/// observable effects come from pairing this client with an
-/// [`crate::IdempotencyStore`].
-pub type RetryingQueue = Retrying<QueueService>;
-
-impl Retrying<QueueService> {
-    /// Send `bodies` as one request inside `deadline`. No queue error is
-    /// transient, so only a per-call timeout is ever retried.
-    pub async fn send(
-        &self,
-        caller: &Host,
-        queue: &str,
-        bodies: &[Payload],
-        deadline: Deadline,
-    ) -> Result<Vec<MessageId>, RetryError<QueueError>> {
-        self.retry(
-            "resil.queue.attempts",
-            deadline,
-            true,
-            |_| None,
-            || self.inner.send_batch(caller, queue, bodies.to_vec()),
-        )
-        .await
+        let transient = |e: &S::Error| any_time(S::is_transient(e));
+        self.retry(S::ATTEMPTS, deadline, true, transient, move || op(&self.inner))
     }
 }
 
@@ -292,9 +249,10 @@ impl<S: Invoke> Retrying<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use faasim::{Cloud, CloudProfile};
     use faasim_faas::{FaasFaults, FunctionSpec};
-    use faasim_kv::KvFaults;
+    use faasim_kv::{Consistency, KvFaults};
     use faasim_queue::{QueueConfig, QueueFaults};
     use faasim_simcore::SimDuration;
 
@@ -317,17 +275,12 @@ mod tests {
         let ok = cloud.sim.block_on(async move {
             for i in 0..50u8 {
                 let key = format!("k{i}");
+                let open = Deadline::unbounded();
                 client
-                    .put(
-                        &host,
-                        "t",
-                        &key,
-                        Bytes::from(vec![i]),
-                        Deadline::unbounded(),
-                    )
+                    .call(open, |kv| kv.put(&host, "t", &key, Bytes::from(vec![i])))
                     .await?;
                 client
-                    .get(&host, "t", &key, Consistency::Strong, Deadline::unbounded())
+                    .call(open, |kv| kv.get(&host, "t", &key, Consistency::Strong))
                     .await?;
             }
             Ok::<(), RetryError<KvError>>(())
@@ -359,7 +312,7 @@ mod tests {
         cloud.sim.block_on(async move {
             let spent = Deadline::within(&sim, SimDuration::ZERO);
             let late = client
-                .put(&host, "t", "k", Bytes::from_static(b"v"), spent)
+                .call(spent, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
                 .await;
             assert!(matches!(
                 late,
@@ -370,10 +323,10 @@ mod tests {
             let twin = client.clone();
             let open = Deadline::unbounded();
             client
-                .put(&host, "t", "k", Bytes::from_static(b"v"), open)
+                .call(open, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
                 .await
                 .unwrap();
-            twin.get(&host, "t", "k", Consistency::Strong, open)
+            twin.call(open, |kv| kv.get(&host, "t", "k", Consistency::Strong))
                 .await
                 .unwrap();
         });
@@ -397,13 +350,9 @@ mod tests {
         let host = cloud.client_host();
         let got = cloud.sim.block_on(async move {
             client
-                .get(
-                    &host,
-                    "missing",
-                    "k",
-                    Consistency::Strong,
-                    Deadline::unbounded(),
-                )
+                .call(Deadline::unbounded(), |kv| {
+                    kv.get(&host, "missing", "k", Consistency::Strong)
+                })
                 .await
         });
         assert!(matches!(got, Err(RetryError::Fatal(KvError::NoSuchTable(_)))));
@@ -430,7 +379,7 @@ mod tests {
         let got = cloud.sim.block_on(async move {
             let deadline = Deadline::within(&sim, SimDuration::from_secs(3));
             client
-                .get(&host, "t", "k", Consistency::Strong, deadline)
+                .call(deadline, |kv| kv.get(&host, "t", "k", Consistency::Strong))
                 .await
         });
         assert!(
@@ -458,7 +407,7 @@ mod tests {
         );
         let host = cloud.client_host();
         cloud.sim.block_on(async move {
-            rq.send(&host, "q", &[Payload::inline("m")], Deadline::unbounded())
+            rq.call(Deadline::unbounded(), |q| q.send(&host, "q", Payload::inline("m")))
                 .await
                 .expect("send");
             // Both copies are there: at-least-once in action.

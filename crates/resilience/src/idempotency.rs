@@ -119,7 +119,9 @@ impl IdempotencyStore {
     async fn read(&self, caller: &Host, key: &str) -> Result<Option<Payload>, RetryError<KvError>> {
         let got = self
             .kv
-            .get(caller, &self.table, key, Consistency::Strong, Deadline::unbounded())
+            .call(Deadline::unbounded(), |kv| {
+                kv.get(caller, &self.table, key, Consistency::Strong)
+            })
             .await;
         match got {
             Ok(item) => Ok(Some(item.value)),

@@ -23,8 +23,9 @@
 //!   collapse to exactly-once *observable* effects.
 //! - [`Retrying`] — any service handle wrapped in that loop:
 //!   [`RetryingKv`], [`RetryingBlob`], [`RetryingQueue`] and
-//!   [`RetryingInvoker`] are its aliases, and [`Invoke`] is what a front
-//!   door implements to be invoked through it.
+//!   [`RetryingInvoker`] are its aliases. [`Storage`] is what makes a
+//!   service's own operations retryable through it, and [`Invoke`] is
+//!   what a front door implements to be invoked through it.
 //!
 //! Everything draws randomness only from named simulation RNG streams
 //! (and only when jitter is non-zero), so a run under these wrappers is
@@ -41,7 +42,7 @@ mod retry;
 
 pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
 pub use clients::{
-    settled, Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
+    settled, Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue, Storage,
 };
 pub use deadline::Deadline;
 pub use idempotency::{Effect, IdempotencyStore};
