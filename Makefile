@@ -29,11 +29,12 @@ CHAOS_SEEDS ?= 16
 chaos-sweep: test
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) run --release --example chaos_sweep
 
-## The eight hardened paper workloads (`crates/chaos/src/hardened/`,
-## `experiment_scenarios`), swept across CHAOS_SEEDS seeds under both the
-## calm and the hostile fault plan. Every seed must satisfy its
-## workload's invariant and `check_cloud` (EXPERIMENTS.md "Resilience
-## model") and replay byte-identically.
+## The eight paper workloads as chaos scenarios (`experiment_scenarios`;
+## EXPERIMENTS.md "Resilience model" says what they are), swept across
+## CHAOS_SEEDS seeds under both the calm and the hostile fault plan. Every
+## seed must satisfy its workload's invariant and `check_cloud` and replay
+## byte-identically; each line also counts the seeds every injected fault
+## fired in.
 chaos-experiments: test
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) run --release --example chaos_experiments
 

@@ -95,37 +95,37 @@ impl Invoker for RetriedInvoker {
 }
 
 impl Clients for Retried {
-    fn blob<'a, T: 'a, Fut>(
+    async fn blob<'a, T: 'a, Fut>(
         &'a self,
         by: SimTime,
         op: impl FnMut(&'a BlobStore) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, BlobError>> + 'a,
     {
-        async move { text(self.blob.call(Deadline::at(by), op).await) }
+        text(self.blob.call(Deadline::at(by), op).await)
     }
 
-    fn kv<'a, T: 'a, Fut>(
+    async fn kv<'a, T: 'a, Fut>(
         &'a self,
         by: SimTime,
         op: impl FnMut(&'a KvStore) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, KvError>> + 'a,
     {
-        async move { text(self.kv.call(Deadline::at(by), op).await) }
+        text(self.kv.call(Deadline::at(by), op).await)
     }
 
-    fn queue<'a, T: 'a, Fut>(
+    async fn queue<'a, T: 'a, Fut>(
         &'a self,
         by: SimTime,
         op: impl FnMut(&'a QueueService) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, QueueError>> + 'a,
     {
-        async move { text(self.queue.call(Deadline::at(by), op).await) }
+        text(self.queue.call(Deadline::at(by), op).await)
     }
 
     /// Packet loss makes a request hang forever, so each attempt is raced

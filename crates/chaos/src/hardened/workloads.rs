@@ -29,8 +29,8 @@ pub(super) fn table1(run: &mut Run<Faulty<'_>>, seed: u64) {
         ..Table1Params::default()
     };
     let result = table1::run_on(run, &params, seed);
-    let trials = [12, 400, 400, 400, 400, 20];
-    for (row, trials) in result.rows.iter().zip(trials) {
+    let (io, rtt) = (params.io_trials, params.rtt_trials);
+    for (row, trials) in result.rows.iter().zip([params.invocations, io, io, io, io, rtt]) {
         run.check(row.label, row.samples == trials, || {
             format!("{} samples of {trials} trials", row.samples)
         });
@@ -71,7 +71,7 @@ pub(super) fn data_shipping(run: &mut Run<Faulty<'_>>, seed: u64) {
         object_mb: 10,
         lifetime_cap: Some(SimDuration::from_millis(1_500)),
     };
-    data_shipping::data_to_code(run, &params, 1_000, seed);
+    data_shipping::data_to_code(run, &params, params.dataset_mbs[0], seed);
 }
 
 /// An exact iteration count: the chain ends when every iteration has run
@@ -85,8 +85,9 @@ pub(super) fn training(run: &mut Run<Faulty<'_>>, seed: u64) {
         ..TrainingParams::default()
     };
     let lambda = training::lambda_side(run, &params, seed);
-    run.check("training", lambda.executions >= 60 / 3, || {
-        format!("60 iterations in {} executions of at most 3", lambda.executions)
+    let iterations = params.total_iterations();
+    run.check("training", lambda.executions >= iterations / 3, || {
+        format!("{iterations} iterations in {} executions of at most 3", lambda.executions)
     });
 }
 

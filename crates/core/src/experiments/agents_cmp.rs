@@ -127,9 +127,9 @@ pub fn agents_side<B: Backend>(run: &mut Run<B>, params: &AgentsCmpParams, seed:
         ));
     }
     let windows = (SimDuration::from_secs(5), SimDuration::from_secs(10), SimDuration::from_secs(1));
-    let (rounds, slices) = (params.rounds, params.wait_slices);
+    let (kills, slices) = (params.rounds, params.wait_slices);
     let (rounds, failures) =
-        failover_drill(&cloud, &handles, &observer, rounds, windows, slices, || ());
+        failover_drill(&cloud, &handles, &observer, kills, windows, slices, || ());
     run.fail("agents_cmp", failures);
     run.close("agents_cmp", &cloud);
     mean_round(&rounds)

@@ -114,37 +114,37 @@ pub struct Bare {
 }
 
 impl Clients for Bare {
-    fn blob<'a, T: 'a, Fut>(
+    async fn blob<'a, T: 'a, Fut>(
         &'a self,
         _: SimTime,
         mut op: impl FnMut(&'a BlobStore) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, BlobError>> + 'a,
     {
-        async move { text(op(&self.blob).await) }
+        text(op(&self.blob).await)
     }
 
-    fn kv<'a, T: 'a, Fut>(
+    async fn kv<'a, T: 'a, Fut>(
         &'a self,
         _: SimTime,
         mut op: impl FnMut(&'a KvStore) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, KvError>> + 'a,
     {
-        async move { text(op(&self.kv).await) }
+        text(op(&self.kv).await)
     }
 
-    fn queue<'a, T: 'a, Fut>(
+    async fn queue<'a, T: 'a, Fut>(
         &'a self,
         _: SimTime,
         mut op: impl FnMut(&'a QueueService) -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, String>> + 'a
+    ) -> Result<T, String>
     where
         Fut: Future<Output = Result<T, QueueError>> + 'a,
     {
-        async move { text(op(&self.queue).await) }
+        text(op(&self.queue).await)
     }
 
     async fn request(

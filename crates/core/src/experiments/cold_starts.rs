@@ -149,7 +149,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
         let faas = cloud.faas.clone();
         let sim = cloud.sim.clone();
         let n = params.invocations;
-        let (colds, mut trials) = cloud.sim.block_on(async move {
+        let (colds, Trials { mut hist, failures }) = cloud.sim.block_on(async move {
             let mut colds = 0usize;
             let mut trials = Trials::default();
             for t in 0..n {
@@ -166,9 +166,8 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
             (colds, trials)
         });
         let scope = format!("cold_starts/gap{i}");
-        run.fail(&scope, std::mem::take(&mut trials.failures));
+        run.fail(&scope, failures);
         run.close(&scope, &cloud);
-        let hist = &mut trials.hist;
         points.push(ColdStartPoint {
             inter_arrival: gap,
             cold_fraction: colds as f64 / params.invocations as f64,

@@ -222,9 +222,8 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) 
         SimDuration::from_secs(200).mul_f64(timeout_scale.max(1.0)),
         SimDuration::from_secs(5),
     );
-    let (rounds, slices) = (params.rounds, params.wait_slices);
     let mut steady_requests = 0.0;
-    let (rounds, failures) = failover_drill(&cloud, &handles, &observer, rounds, windows, slices, || {
+    let steady = || {
         // Steady-state request-rate measurement window (no elections).
         let window = SimDuration::from_secs(60);
         let requests = || {
@@ -234,7 +233,10 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) 
         let before = requests();
         cloud.sim.run_until(cloud.sim.now() + window);
         steady_requests = (requests() - before) / window.as_secs_f64() / params.nodes as f64;
-    });
+    };
+    let (kills, slices) = (params.rounds, params.wait_slices);
+    let (rounds, failures) =
+        failover_drill(&cloud, &handles, &observer, kills, windows, slices, steady);
     run.fail("election", failures);
 
     let mean_round = mean_round(&rounds);

@@ -6,8 +6,9 @@
 //! prints the paper-style table. The per-experiment index lives in
 //! DESIGN.md §4.
 //!
-//! The chaos-hardened variants of these workloads are scenarios of
-//! `faasim-chaos` (`crates/chaos/src/hardened/`), not of this crate.
+//! Each workload body is written once, against [`clients`]: `run` is the
+//! body on bare service handles, and `faasim-chaos` runs the same body
+//! under a fault plan (EXPERIMENTS.md "Resilience model").
 
 pub mod agents_cmp;
 pub mod bandwidth;
