@@ -16,7 +16,7 @@ use faasim_gateway::{Gateway, GatewayConfig, RetryingGateway, TenantConfig, Tena
 use faasim_kv::{Consistency, KvError, KvStore};
 use faasim_payload::Payload;
 use faasim_queue::QueueConfig;
-use faasim_simcore::{LatencyModel, SimDuration};
+use faasim_simcore::{nearest_rank, LatencyModel, SimDuration};
 
 use faasim_resilience::{Deadline, RetryPolicy, RetryingKv};
 
@@ -611,14 +611,9 @@ impl NoisyNeighbor {
 
         let mut lats = latencies.borrow().clone();
         lats.sort_by(f64::total_cmp);
-        let p99 = if lats.is_empty() {
-            0.0
-        } else {
-            lats[((lats.len() - 1) as f64 * 0.99).round() as usize]
-        };
         let victim_failed = *failed.borrow();
         NeighborArm {
-            p99,
+            p99: nearest_rank(&lats, 0.99),
             victim: gw.tenant_stats(VICTIM),
             aggressor: gw.tenant_stats(AGGRESSOR),
             victim_failed,

@@ -10,7 +10,7 @@
 
 use faasim_faas::FunctionSpec;
 use faasim_payload::Payload;
-use faasim_simcore::SimDuration;
+use faasim_simcore::{nearest_rank, SimDuration};
 
 use crate::cloud::CloudProfile;
 use crate::experiments::clients::{echo, plain, Backend, Run, Trials};
@@ -149,22 +149,25 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
         let faas = cloud.faas.clone();
         let sim = cloud.sim.clone();
         let n = params.invocations;
-        let (colds, Trials { mut hist, failures }) = cloud.sim.block_on(async move {
+        let (colds, mut latencies, Trials { hist, failures }) = cloud.sim.block_on(async move {
             let mut colds = 0usize;
+            let mut latencies = Vec::with_capacity(n);
             let mut trials = Trials::default();
             for t in 0..n {
                 // Arrivals sparser than the keep-alive window meet a
                 // reclaimed container: reap like the platform would.
                 faas.reap_idle();
                 let out = echo(&invoker, &sim, "ping", &Payload::default(), ARRIVAL_BUDGET).await;
-                if out.as_ref().is_ok_and(|out| out.cold) {
-                    colds += 1;
+                if let Ok(out) = &out {
+                    colds += usize::from(out.cold);
+                    latencies.push(out.total.as_secs_f64());
                 }
                 trials.record(t, out.map(|out| out.total));
                 sim.sleep(gap).await;
             }
-            (colds, trials)
+            (colds, latencies, trials)
         });
+        latencies.sort_by(f64::total_cmp);
         let scope = format!("cold_starts/gap{i}");
         run.fail(&scope, failures);
         run.close(&scope, &cloud);
@@ -172,8 +175,8 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
             inter_arrival: gap,
             cold_fraction: colds as f64 / params.invocations as f64,
             mean_latency: SimDuration::from_secs_f64(hist.mean()),
-            p50_latency: SimDuration::from_secs_f64(hist.p50()),
-            p99_latency: SimDuration::from_secs_f64(hist.p99()),
+            p50_latency: SimDuration::from_secs_f64(nearest_rank(&latencies, 0.50)),
+            p99_latency: SimDuration::from_secs_f64(nearest_rank(&latencies, 0.99)),
         });
     }
     ColdStartResult {

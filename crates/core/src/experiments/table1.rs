@@ -351,7 +351,7 @@ fn lambda_io<C: Clients>(
         Payload::from(req)
     };
     let chained = cloud.sim.block_on(chain(cloud.faas.clone(), fn_name, left, request));
-    let hist = results.borrow().clone();
+    let hist = *results.borrow();
     Trials {
         hist,
         failures: chained.err().into_iter().collect(),

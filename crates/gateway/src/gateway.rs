@@ -176,7 +176,6 @@ struct TenantRt {
     sem: Semaphore,
     breaker: CircuitBreaker,
     stats: RefCell<TenantStats>,
-    in_flight: Cell<u64>,
 }
 
 /// Pre-resolved handles for the admission hot path: every `try_admit`
@@ -262,7 +261,6 @@ impl Gateway {
                 // the recorder-free TenantStats, not the registry.
                 breaker: CircuitBreaker::new(sim, recorder.clone(), "gateway.tenant", config.breaker.clone()),
                 stats: RefCell::new(TenantStats::default()),
-                in_flight: Cell::new(0),
                 cfg,
             })
             .collect();
@@ -346,13 +344,11 @@ impl Gateway {
         }
 
         inner.hot.admitted.incr(&inner.recorder);
-        let in_flight = t.in_flight.get() + 1;
-        t.in_flight.set(in_flight);
         {
             let mut st = t.stats.borrow_mut();
             st.admitted += 1;
-            st.in_flight = in_flight;
-            st.peak_in_flight = st.peak_in_flight.max(in_flight);
+            st.in_flight += 1;
+            st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
         }
         inner.in_flight.set(inner.in_flight.get() + 1);
         inner
@@ -402,10 +398,7 @@ impl Gateway {
 
     /// One tenant's counters (recorder-free).
     pub fn tenant_stats(&self, tenant: u32) -> TenantStats {
-        let t = self.inner.tenant(tenant);
-        let mut st = *t.stats.borrow();
-        st.in_flight = t.in_flight.get();
-        st
+        *self.inner.tenant(tenant).stats.borrow()
     }
 
     /// The gateway-wide aggregate, folded like `NicStats`.
@@ -451,11 +444,6 @@ pub struct Admission {
 }
 
 impl Admission {
-    /// The tenant holding this slot.
-    pub fn tenant(&self) -> u32 {
-        self.tenant
-    }
-
     /// Release the slot, feeding `ok` to the tenant's breaker.
     pub fn complete(mut self, ok: bool) {
         self.finish(ok);
@@ -467,11 +455,10 @@ impl Admission {
         }
         self.completed = true;
         let t = self.inner.tenant(self.tenant);
-        t.in_flight.set(t.in_flight.get() - 1);
         self.inner.in_flight.set(self.inner.in_flight.get() - 1);
         {
             let mut st = t.stats.borrow_mut();
-            st.in_flight = t.in_flight.get();
+            st.in_flight -= 1;
             if ok {
                 st.succeeded += 1;
             } else {

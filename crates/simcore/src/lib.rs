@@ -16,8 +16,8 @@
 //!   draws from an independently derived named stream.
 //! - **Max–min fair bandwidth links** ([`FairShareLink`]): the contention
 //!   model behind the paper's NIC-sharing results.
-//! - **Metrics** ([`Recorder`], [`Histogram`]): exact-sample statistics
-//!   for the experiment harnesses.
+//! - **Metrics** ([`Recorder`], [`Histogram`], [`nearest_rank`]): counters
+//!   and count/sum/min/max series summaries for the experiment harnesses.
 //!
 //! ## Example
 //!
@@ -50,7 +50,7 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use executor::{JoinHandle, Sim, SimProfile, SimStats, Sleep, TaskId, YieldNow};
 pub use future_util::{join2, join3, join_all, select2, Either, LocalBoxFuture};
 pub use link::{gbps, mbps, mbytes_per_sec, Bps, FairShareLink, Transfer};
-pub use metrics::{CounterId, HistId, Histogram, LazyCounter, LazyHist, Recorder};
+pub use metrics::{nearest_rank, CounterId, HistId, Histogram, LazyCounter, LazyHist, Recorder};
 pub use rng::{LatencyModel, SimRng};
 pub use sync::{
     channel, oneshot, Acquire, Canceled, Notified, Notify, OneshotReceiver,

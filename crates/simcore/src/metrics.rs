@@ -1,10 +1,11 @@
-//! Measurement collection: counters, gauges, and sample histograms.
+//! Measurement collection: counters and summary histograms.
 //!
 //! Experiments record latencies and throughputs into a [`Recorder`], then
-//! summarize them into the tables they print. The
-//! histogram keeps raw samples (experiments here record at most a few
-//! hundred thousand), which makes quantiles exact and the determinism
-//! tests trivial: identical runs produce identical sample vectors.
+//! summarize them into the tables they print. A histogram keeps what its
+//! readers read — count, insertion-order sum, min and max — so a series
+//! costs four numbers however many samples it sees, and its mean is the
+//! one a sample vector would give to the bit. Percentiles are for callers
+//! that keep their own sorted samples ([`nearest_rank`]) or a sketch.
 //!
 //! Metric names are interned: the first `record`/`add` under a name pays
 //! one allocation to register it, and every subsequent hit is a hash
@@ -21,11 +22,29 @@ use std::rc::Rc;
 use crate::fxhash::FxHashMap;
 use crate::time::SimDuration;
 
-/// An exact-sample histogram.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A running summary of a sample series. Each statistic folds the samples
+/// in insertion order exactly as the sample-vector formulas did
+/// (`iter().sum() / n`, `reduce(f64::min)`, `reduce(f64::max)`), so every
+/// reading is bit-identical to theirs.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
+    count: usize,
+    /// Starts at `-0.0`, the identity `Iterator::<f64>::sum` folds from.
+    sum: f64,
+    /// 0 until the first sample, which `reduce` starts from.
+    min: f64,
+    max: f64,
+}
+
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram {
+            count: 0,
+            sum: -0.0,
+            min: 0.0,
+            max: 0.0,
+        }
+    }
 }
 
 impl Histogram {
@@ -38,8 +57,13 @@ impl Histogram {
     /// they always indicate a modeling bug.
     pub fn record(&mut self, v: f64) {
         assert!(v.is_finite(), "histogram sample must be finite, got {v}");
-        self.samples.push(v);
-        self.sorted = false;
+        if self.is_empty() {
+            (self.min, self.max) = (v, v);
+        }
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Record a duration in seconds.
@@ -49,77 +73,42 @@ impl Histogram {
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Arithmetic mean; 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.sum / self.count as f64
     }
 
     /// Smallest sample; 0 when empty.
     pub fn min(&self) -> f64 {
-        self.samples.iter().copied().reduce(f64::min).unwrap_or(0.0)
+        self.min
     }
 
     /// Largest sample; 0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().reduce(f64::max).unwrap_or(0.0)
+        self.max
     }
+}
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted = true;
-        }
+/// Nearest-rank `q`-quantile of an ascending slice: the element at
+/// `round((n - 1) · q)`, with `q` clamped to `[0, 1]`; 0 when empty. The
+/// workspace's one percentile rule (`QuantileSketch` walks its buckets to
+/// the same rank).
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
     }
-
-    /// Quantile `q in [0,1]` by nearest-rank on sorted samples; 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// Median.
-    pub fn p50(&mut self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&mut self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Immutable view of the raw samples (insertion order not guaranteed
-    /// after a quantile call).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Merge another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
+    sorted[((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
 }
 
 /// Interned handle to a histogram series (see [`Recorder::hist_id`]).
@@ -341,7 +330,7 @@ impl Recorder {
             .borrow()
             .histograms
             .get(name)
-            .cloned()
+            .copied()
             .unwrap_or_default()
     }
 
@@ -386,16 +375,16 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_histogram_is_safe() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert!(h.is_empty());
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.p50(), 0.0);
     }
 
     #[test]
@@ -408,23 +397,19 @@ mod tests {
         assert_eq!(h.mean(), 3.0);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 5.0);
-        assert_eq!(h.p50(), 3.0);
-        assert_eq!(h.total(), 15.0);
     }
 
     #[test]
-    fn quantiles_nearest_rank() {
-        let mut h = Histogram::new();
-        for v in 1..=100 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 100.0);
-        assert_eq!(h.quantile(0.95), 95.0);
-        assert_eq!(h.p99(), 99.0);
+    fn nearest_rank_picks_the_rounded_rank() {
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&sorted, 0.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 0.95), 95.0);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100.0);
         // Out-of-range q clamps.
-        assert_eq!(h.quantile(2.0), 100.0);
-        assert_eq!(h.quantile(-1.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 2.0), 100.0);
+        assert_eq!(nearest_rank(&sorted, -1.0), 1.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -433,15 +418,73 @@ mod tests {
         Histogram::new().record(f64::NAN);
     }
 
+    /// The summary against the sample-vector formulas it replaced: mean,
+    /// min and max to the bit, and the same digest line.
+    fn assert_reads_like_the_sample_vector(samples: &[f64]) {
+        let r = Recorder::new();
+        let mut h = Histogram::new();
+        for &v in samples {
+            r.record("x", v);
+            h.record(v);
+        }
+        let n = samples.len();
+        let mean = if n == 0 {
+            0.0
+        } else {
+            samples.iter().sum::<f64>() / n as f64
+        };
+        let min = samples.iter().copied().reduce(f64::min).unwrap_or(0.0);
+        let max = samples.iter().copied().reduce(f64::max).unwrap_or(0.0);
+        assert_eq!(h.count(), n);
+        assert_eq!(h.mean().to_bits(), mean.to_bits(), "mean of {n}");
+        assert_eq!(h.min().to_bits(), min.to_bits(), "min of {n}");
+        assert_eq!(h.max().to_bits(), max.to_bits(), "max of {n}");
+        let line = if n == 0 {
+            String::new()
+        } else {
+            format!("hist x: n={n} mean={mean:.9} min={min:.9} max={max:.9}\n")
+        };
+        assert_eq!(r.digest(), line);
+    }
+
     #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
+    fn signed_zeros_and_overflow_read_like_the_sample_vector() {
+        for samples in [
+            &[][..],
+            &[-0.0],
+            &[-0.0, -0.0],
+            &[0.0, -0.0],
+            &[-0.0, 0.0],
+            &[f64::MAX, f64::MAX],
+            &[f64::MIN_POSITIVE / 4.0, -f64::MIN_POSITIVE / 8.0],
+        ] {
+            assert_reads_like_the_sample_vector(samples);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn summary_reads_like_the_sample_vector(
+            samples in prop::collection::vec(
+                prop_oneof![
+                    Just(0.0),
+                    Just(-0.0),
+                    // Subnormals of either sign.
+                    (1u64..1 << 52, any::<bool>()).prop_map(|(bits, neg)| {
+                        let v = f64::from_bits(bits);
+                        if neg { -v } else { v }
+                    }),
+                    -1e3f64..1e3,
+                    0.0f64..1.0,
+                    (-1.0f64..1.0).prop_map(|x| x * 1e300),
+                ],
+                0..5_001,
+            ),
+        ) {
+            assert_reads_like_the_sample_vector(&samples);
+        }
     }
 
     #[test]

@@ -131,12 +131,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Milliseconds in this span (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds in this span, as floating point.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -25,7 +25,7 @@ use faasim_payload::Payload;
 use faasim_resilience::{
     settled, BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying,
 };
-use faasim_simcore::{Semaphore, SimDuration, SimProfile, SimTime};
+use faasim_simcore::{nearest_rank, Semaphore, SimDuration, SimProfile, SimTime};
 
 use crate::sketch::QuantileSketch;
 use crate::workload::{
@@ -687,8 +687,8 @@ pub fn replay_with(
             shed_requests: st.gw_shed,
             tenants_seen: tenant_means.len() as u32,
             tenant_fairness_spread: spread(&tenant_means),
-            tenant_p99_max: rank(&tenant_p99s, 1.0),
-            tenant_p99_median: rank(&tenant_p99s, 0.50),
+            tenant_p99_max: nearest_rank(&tenant_p99s, 1.0),
+            tenant_p99_median: nearest_rank(&tenant_p99s, 0.50),
         }
     });
 
@@ -727,20 +727,11 @@ pub fn replay_with(
 
 /// p95 / p50 of an ascending slice of means (0 when empty).
 fn spread(sorted: &[f64]) -> f64 {
-    let median = rank(sorted, 0.50);
+    let median = nearest_rank(sorted, 0.50);
     if median > 0.0 {
-        rank(sorted, 0.95) / median
+        nearest_rank(sorted, 0.95) / median
     } else {
         0.0
-    }
-}
-
-/// Nearest-rank `q`-quantile of an ascending slice (0 when empty).
-fn rank(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     }
 }
 

@@ -141,7 +141,7 @@ impl QuantileSketch {
     }
 
     /// Estimate the `q`-quantile using the same nearest-rank convention
-    /// as [`faasim_simcore::Histogram`], so differential tests compare
+    /// as [`faasim_simcore::nearest_rank`], so differential tests compare
     /// like with like. The estimate is within `α` relative error of the
     /// sample an exact sorted-vector lookup would return.
     pub fn quantile(&self, q: f64) -> f64 {

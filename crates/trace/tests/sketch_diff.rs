@@ -1,21 +1,15 @@
-//! Differential tests for the streaming quantile sketch: on traces small
-//! enough to materialize every latency sample, the sketch's percentile
-//! estimates must sit within its configured relative-error bound of the
-//! exact nearest-rank percentiles over the sorted sample vector. And the
-//! sketch's contiguous bucket store must answer exactly like the sparse
-//! `BTreeMap` store it replaced, kept here as the oracle.
+//! Differential tests for the streaming quantile sketch: on sample sets
+//! small enough to materialize, the sketch's percentile estimates must sit
+//! within its configured relative-error bound of the exact nearest-rank
+//! percentiles over the sorted sample vector. And the sketch's contiguous
+//! bucket store must answer exactly like the sparse `BTreeMap` store it
+//! replaced, kept here as the oracle.
 
 use std::collections::BTreeMap;
 
-use faasim_simcore::SimRng;
-use faasim_trace::{replay_with, QuantileSketch, ReplayConfig};
+use faasim_simcore::{nearest_rank, Histogram, SimRng};
+use faasim_trace::{replay_with, QuantileSketch, ReplayConfig, TraceConfig};
 use proptest::prelude::*;
-
-/// Exact nearest-rank percentile, the same convention the sketch (and
-/// the recorder's histogram) uses.
-fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
 
 /// The sketch as it was first written: one `BTreeMap` entry per occupied
 /// log bucket. Same bucketing, same nearest-rank walk, same midpoint
@@ -114,42 +108,68 @@ fn assert_same_answers(sketch: &QuantileSketch, oracle: &BTreeSketch) {
     }
 }
 
+/// `n` execution times drawn the way the replay's handler draws them: a
+/// function picked as the trace picks it (Zipf app, Zipf function), its
+/// mean from `function_profile`'s log-uniform draw on the function's own
+/// stream, then one `lognormal_mean_cv` sample around that mean.
+fn handler_draws(cfg: &TraceConfig, seed: u64, n: usize) -> Vec<f64> {
+    let (lo, hi) = cfg.exec_mean_ms;
+    let mean_secs = |app: usize, func: usize| {
+        let mut rng = SimRng::stream(seed, &format!("trace.fn.{app}.{func}"));
+        lo * (hi / lo).powf(rng.unit_f64()) / 1e3
+    };
+    let mut rng = SimRng::stream(seed, "sketch.handler");
+    (0..n)
+        .map(|_| {
+            let app = rng.zipf(cfg.apps as usize, cfg.zipf_s);
+            let func = rng.zipf(cfg.funcs_per_app as usize, cfg.func_zipf_s);
+            rng.lognormal_mean_cv(mean_secs(app, func), cfg.exec_cv)
+        })
+        .collect()
+}
+
 #[test]
 fn sketch_matches_exact_percentiles_on_a_50k_replay() {
     let mut cfg = ReplayConfig::small();
     cfg.trace.total_rate = 180.0; // ~54k arrivals over five minutes ...
     cfg.trace.max_events = 50_000; // ... capped at the 50k bound
-    // With no gateway and no retry layer the client's latency and the
-    // platform's `InvokeOutcome::total` span the same two instants, so
-    // the exact-sample recorder already holds every sample, in the
-    // order the sketch saw them.
+    // Wiring: with no gateway and no retry layer the client's latency and
+    // the platform's `InvokeOutcome::total` span the same two instants and
+    // complete in the same order, so the report's sketch and the
+    // recorder's `faas.invoke.total` summarize the same series.
     cfg.gateway = None;
     cfg.retry = None;
-    let mut latencies = Vec::new();
+    let mut recorded = Histogram::new();
     let out = replay_with(&cfg, 2019, &|_| {}, &mut |cloud| {
-        latencies = cloud.recorder.histogram("faas.invoke.total").samples().to_vec();
+        recorded = cloud.recorder.histogram("faas.invoke.total");
     });
-    assert_eq!(latencies.len() as u64, out.report.invocations);
+    assert_eq!(recorded.count() as u64, out.report.invocations);
     assert!(out.report.invocations > 40_000, "trace came out too small");
+    let mean = recorded.mean();
+    assert!((out.report.latency_mean - mean).abs() <= 1e-9 * mean);
 
-    let mut sorted = latencies.clone();
+    // Accuracy: over 50k samples of the handler's distribution every
+    // reported percentile sits within α of the exact nearest-rank value.
+    let samples = handler_draws(&cfg.trace, 2019, 50_000);
+    let mut sketch = QuantileSketch::with_default_error();
+    for &v in &samples {
+        sketch.insert(v);
+    }
+    let mut sorted = samples;
     sorted.sort_by(f64::total_cmp);
-    let alpha = QuantileSketch::with_default_error().relative_error();
+    let alpha = sketch.relative_error();
     for (q, est) in [
-        (0.50, out.report.latency_p50),
-        (0.95, out.report.latency_p95),
-        (0.99, out.report.latency_p99),
-        (0.999, out.report.latency_p999),
+        (0.50, sketch.p50()),
+        (0.95, sketch.p95()),
+        (0.99, sketch.p99()),
+        (0.999, sketch.p999()),
     ] {
-        let exact = exact_quantile(&sorted, q);
+        let exact = nearest_rank(&sorted, q);
         assert!(
             (est - exact).abs() <= alpha * exact + 1e-12,
             "q={q}: sketch {est} vs exact {exact} (α={alpha})"
         );
     }
-    // The mean is tracked exactly (same sum, same insertion order).
-    let exact_mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    assert!((out.report.latency_mean - exact_mean).abs() <= 1e-9 * exact_mean);
 }
 
 proptest! {
@@ -199,7 +219,7 @@ proptest! {
         }
         vals.sort_by(f64::total_cmp);
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let exact = exact_quantile(&vals, q);
+            let exact = nearest_rank(&vals, q);
             let est = sketch.quantile(q);
             prop_assert!(
                 (est - exact).abs() <= sketch.relative_error() * exact + 1e-12,
