@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers names clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers names surface clean
 
 ## Release build of the whole workspace.
 build:
@@ -116,6 +116,40 @@ names:
 		echo "$$hits"; \
 		echo "names: a per-operation crate records or bills by name; use a LazyCounter/LazyHist/LazyItem" >&2; exit 1; fi; \
 	echo "names: ok"
+
+## Public surface with a caller: every `pub fn|struct|enum|trait|type|const`
+## declared in a crate's non-test source (each file up to its test module,
+## as in `loc`) must be named somewhere else. Its name has to occur as a
+## word, outside `//` comments and `pub use` lines, in another `.rs` file
+## under crates/, examples/, tests/ or benchmark/src/, or in its own file
+## before the test module. An item kept only as a test's reference carries
+## an indented `#[cfg(test)]` and is skipped. Fails listing the uncalled.
+surface:
+	@hits=$$(find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' | sort | xargs awk ' \
+		FNR == 1 { test = 0; skip = 0; inuse = 0; src = (FILENAME ~ /^crates\/[^\/]+\/src\//) } \
+		/^#\[cfg\(test\)\]/ { test = 1 } \
+		{ line = $$0; sub(/\/\/.*/, "", line) } \
+		inuse { if (line ~ /;/) inuse = 0; next } \
+		line ~ /^[ \t]*pub use/ { if (line !~ /;/) inuse = 1; next } \
+		src && !test && line ~ /^[ \t]+#\[cfg\(test\)\]/ { skip = 1 } \
+		src && !test && match(line, /^[ \t]*pub[ \t]+((const|async|unsafe)[ \t]+)*(fn|struct|enum|trait|type|const)[ \t]+[A-Za-z_][A-Za-z0-9_]*/) { \
+			name = substr(line, RSTART, RLENGTH); sub(/.*[ \t]/, "", name); \
+			if (!skip) { n++; dname[n] = name; dfile[n] = FILENAME; dline[n] = FNR } \
+		} \
+		line !~ /^[ \t]*(#\[.*)?$$/ { skip = 0 } \
+		{ \
+			gsub(/[^A-Za-z0-9_]+/, " ", line); k = split(line, w, " "); \
+			for (i = 1; i <= k; i++) { \
+				if (!((w[i], FILENAME) in seen)) { seen[w[i], FILENAME] = 1; nfiles[w[i]]++ } \
+				if (src && !test) own[FILENAME, w[i]]++ \
+			} \
+		} \
+		END { for (i = 1; i <= n; i++) if (nfiles[dname[i]] < 2 && own[dfile[i], dname[i]] < 2) \
+			printf "%s:%d: %s\n", dfile[i], dline[i], dname[i] }'); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; \
+		echo "surface: public items nothing calls; delete them (or mark a test-only reference #[cfg(test)])" >&2; exit 1; fi; \
+	echo "surface: ok"
 
 clean:
 	$(CARGO) clean

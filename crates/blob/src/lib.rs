@@ -126,6 +126,13 @@ struct ObjectVersion {
     tombstone: bool,
 }
 
+/// What a reader sees of an object at `now`: the latest version visible
+/// by then, unless that version is a tombstone.
+fn visible(versions: &[ObjectVersion], now: SimTime) -> Option<&Payload> {
+    let latest = versions.iter().rev().find(|v| v.visible_at <= now)?;
+    (!latest.tombstone).then_some(&latest.data)
+}
+
 #[derive(Default)]
 struct Bucket {
     objects: BTreeMap<String, Vec<ObjectVersion>>,
@@ -424,19 +431,11 @@ impl BlobStore {
             .buckets
             .get(bucket)
             .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
-        let versions = b
-            .objects
+        b.objects
             .get(key)
-            .ok_or_else(|| BlobError::NoSuchKey(key.to_owned()))?;
-        let visible = versions
-            .iter()
-            .rev()
-            .find(|v| v.visible_at <= now)
-            .ok_or_else(|| BlobError::NoSuchKey(key.to_owned()))?;
-        if visible.tombstone {
-            return Err(BlobError::NoSuchKey(key.to_owned()));
-        }
-        Ok(visible.data.clone())
+            .and_then(|versions| visible(versions, now))
+            .cloned()
+            .ok_or_else(|| BlobError::NoSuchKey(key.to_owned()))
     }
 
     /// Delete an object (idempotent; deleting a missing key is not an
@@ -473,21 +472,10 @@ impl BlobStore {
         Ok(())
     }
 
-    /// List visible keys with the given prefix.
-    pub async fn list(
-        &self,
-        caller: &Host,
-        bucket: &str,
-        prefix: &str,
-    ) -> Result<Vec<String>, BlobError> {
-        let objects = self.list_objects(caller, bucket, prefix).await?;
-        Ok(objects.into_iter().map(|(k, _)| k).collect())
-    }
-
     /// List visible `(key, size)` pairs with the given prefix — what an
     /// S3 LIST response actually carries. Sizes let a scanner plan byte
-    /// partitions without issuing a request per object. Billed exactly
-    /// like [`BlobStore::list`].
+    /// partitions without issuing a request per object. Billed as one
+    /// request at the PUT tier, like S3's LIST.
     pub async fn list_objects(
         &self,
         _caller: &Host,
@@ -507,14 +495,7 @@ impl BlobStore {
             .objects
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.visible_at <= now)
-                    .filter(|v| !v.tombstone)
-                    .map(|v| (k.clone(), v.data.len() as u64))
-            })
+            .filter_map(|(k, versions)| Some((k.clone(), visible(versions, now)?.len() as u64)))
             .collect();
         drop(st);
         self.settle_put_tier(Op::List);
@@ -535,9 +516,8 @@ impl BlobStore {
         st.buckets
             .values()
             .flat_map(|b| b.objects.values())
-            .filter_map(|versions| versions.iter().rev().find(|v| v.visible_at <= now))
-            .filter(|v| !v.tombstone)
-            .map(|v| v.data.len() as u64)
+            .filter_map(|versions| visible(versions, now))
+            .map(|data| data.len() as u64)
             .sum()
     }
 
@@ -548,14 +528,7 @@ impl BlobStore {
         st.buckets
             .values()
             .flat_map(|b| b.objects.values())
-            .filter(|versions| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.visible_at <= now)
-                    .map(|v| !v.tombstone)
-                    .unwrap_or(false)
-            })
+            .filter(|versions| visible(versions, now).is_some())
             .count()
     }
 }
@@ -596,7 +569,7 @@ mod tests {
                 .get_range(&host, "b", "missing", 0..4)
                 .await
                 .unwrap_err();
-            store.list(&host, "b", "").await.unwrap();
+            store.list_objects(&host, "b", "").await.unwrap();
         });
         // The failed GET billed and counted nothing.
         assert_eq!(recorder.counter_names(), ["blob.list"]);
@@ -699,9 +672,10 @@ mod tests {
                     .await
                     .unwrap();
             }
-            store.list(&host, "b", "logs/").await.unwrap()
+            store.list_objects(&host, "b", "logs/").await.unwrap()
         });
-        assert_eq!(keys, vec!["logs/1".to_owned(), "logs/2".to_owned()]);
+        let keys: Vec<String> = keys.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["logs/1", "logs/2"]);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! # faasim-compute
 //!
-//! EC2-like serverful compute: an instance-type catalog, provisioning with
-//! boot delay, per-core CPU scheduling, EBS-like attached volumes, and
+//! EC2-like serverful compute: an instance-type catalog, steady-state
+//! provisioning, per-core CPU scheduling, EBS-like attached volumes, and
 //! per-second billing with a one-minute minimum — the baseline the paper
 //! compares Lambda against in every case study.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
 use faasim_net::{Fabric, Host, NicConfig, RackId};
 use faasim_pricing::{Ledger, PriceBook, Service};
 use faasim_simcore::{
-    gbps, mbps, Bps, FairShareLink, LatencyModel, LazyCounter, Recorder, SemPermit, Semaphore, Sim,
-    SimDuration, SimTime,
+    gbps, mbps, Bps, FairShareLink, LazyCounter, Recorder, SemPermit, Semaphore, Sim, SimDuration,
+    SimTime,
 };
 
 /// Static description of an instance type.
@@ -90,33 +90,6 @@ pub fn instance_type(name: &str) -> Option<InstanceType> {
     instance_catalog().into_iter().find(|t| t.name == name)
 }
 
-/// EC2 control-plane configuration.
-#[derive(Clone, Debug)]
-pub struct Ec2Profile {
-    /// Time from provisioning request to a usable VM.
-    pub provisioning_delay: LatencyModel,
-}
-
-impl Ec2Profile {
-    /// ~90 s boot, the 2018-era experience the paper contrasts with
-    /// autoscaling.
-    pub fn aws_2018() -> Ec2Profile {
-        Ec2Profile {
-            provisioning_delay: LatencyModel::LogNormal {
-                mean: SimDuration::from_secs(90),
-                cv: 0.2,
-                floor: SimDuration::from_secs(30),
-            },
-        }
-    }
-
-    /// Constant means for exact reproduction.
-    pub fn exact(mut self) -> Ec2Profile {
-        self.provisioning_delay = self.provisioning_delay.to_constant();
-        self
-    }
-}
-
 /// Errors from the EC2 control plane.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Ec2Error {
@@ -134,22 +107,16 @@ impl fmt::Display for Ec2Error {
 
 impl std::error::Error for Ec2Error {}
 
-struct Ec2State {
-    running: Vec<Vm>,
-}
-
 /// The EC2-like control plane. Cheap to clone.
 #[derive(Clone)]
 pub struct Ec2 {
     sim: Sim,
     fabric: Fabric,
-    profile: Rc<Ec2Profile>,
     prices: Rc<PriceBook>,
     ledger: Ledger,
     recorder: Recorder,
     /// `ec2.provisioned`, resolved on first use (see [`LazyCounter`]).
     provisioned: LazyCounter,
-    state: Rc<RefCell<Ec2State>>,
 }
 
 impl Ec2 {
@@ -157,7 +124,6 @@ impl Ec2 {
     pub fn new(
         sim: &Sim,
         fabric: &Fabric,
-        profile: Ec2Profile,
         prices: Rc<PriceBook>,
         ledger: Ledger,
         recorder: Recorder,
@@ -165,44 +131,21 @@ impl Ec2 {
         Ec2 {
             sim: sim.clone(),
             fabric: fabric.clone(),
-            profile: Rc::new(profile),
             prices,
             ledger,
             recorder,
             provisioned: LazyCounter::new("ec2.provisioned"),
-            state: Rc::new(RefCell::new(Ec2State { running: Vec::new() })),
         }
     }
 
-    /// Provision a VM of `type_name` in `rack`, waiting out the boot delay.
-    pub async fn provision(&self, type_name: &str, rack: RackId) -> Result<Vm, Ec2Error> {
-        // Validate type and pricing up front so experiments fail fast.
-        let (itype, hourly) = self.priced(type_name)?;
-        let delay = {
-            let mut rng = self.sim.rng(&format!("ec2.boot.{}", self.state.borrow().running.len()));
-            self.profile.provisioning_delay.sample(&mut rng)
-        };
-        self.sim.sleep(delay).await;
-        Ok(self.boot(itype, hourly, rack))
-    }
-
-    /// Provision without boot delay — for experiments that start "with the
-    /// fleet already up" (the paper's EC2 baselines are steady-state).
+    /// Provision a VM of `type_name` in `rack` with no boot delay: its
+    /// host attaches and its clock starts now. The paper's EC2 baselines
+    /// are steady-state, so every experiment starts "with the fleet
+    /// already up".
     pub fn provision_ready(&self, type_name: &str, rack: RackId) -> Result<Vm, Ec2Error> {
-        let (itype, hourly) = self.priced(type_name)?;
-        Ok(self.boot(itype, hourly, rack))
-    }
-
-    /// The instance type called `type_name` and its hourly price.
-    fn priced(&self, type_name: &str) -> Result<(InstanceType, f64), Ec2Error> {
         let itype = instance_type(type_name)
             .ok_or_else(|| Ec2Error::UnknownInstanceType(type_name.to_owned()))?;
         let hourly = self.prices.ec2_hourly(itype.name);
-        Ok((itype, hourly))
-    }
-
-    /// Attach a host in `rack` and start the VM's clock now.
-    fn boot(&self, itype: InstanceType, hourly: f64, rack: RackId) -> Vm {
         let vm = Vm {
             inner: Rc::new(VmInner {
                 sim: self.sim.clone(),
@@ -217,29 +160,8 @@ impl Ec2 {
                 itype,
             }),
         };
-        self.state.borrow_mut().running.push(vm.clone());
         self.provisioned.incr(&self.recorder);
-        vm
-    }
-
-    /// Number of VMs provisioned and not yet terminated.
-    pub fn running_count(&self) -> usize {
-        self.state
-            .borrow()
-            .running
-            .iter()
-            .filter(|vm| !vm.is_terminated())
-            .count()
-    }
-
-    /// Charge every still-running VM for its uptime so far and mark it
-    /// terminated. Call at the end of an experiment so the ledger reflects
-    /// serverful costs.
-    pub fn terminate_all(&self) {
-        let vms: Vec<Vm> = self.state.borrow().running.clone();
-        for vm in vms {
-            vm.terminate();
-        }
+        Ok(vm)
     }
 }
 
@@ -310,24 +232,6 @@ impl Vm {
         self.inner.ebs_write.transfer(bytes, None).await;
     }
 
-    /// Volume reads currently in flight on this VM. O(1): the link keeps
-    /// a live counter, so polling this on a hot path costs nothing.
-    pub fn ebs_reads_in_flight(&self) -> usize {
-        self.inner.ebs_read.active_flows()
-    }
-
-    /// Volume writes currently in flight on this VM. O(1).
-    pub fn ebs_writes_in_flight(&self) -> usize {
-        self.inner.ebs_write.active_flows()
-    }
-
-    /// Bandwidth a new volume read would get right now, bits/sec — the
-    /// calibrated EBS read bandwidth divided across concurrent readers.
-    /// O(1).
-    pub fn ebs_read_share_estimate(&self) -> Bps {
-        self.inner.ebs_read.fair_share_estimate()
-    }
-
     /// Uptime so far (or total uptime if terminated).
     pub fn uptime(&self) -> SimDuration {
         let end = self
@@ -377,7 +281,6 @@ mod tests {
         let ec2 = Ec2::new(
             &sim,
             &fabric,
-            Ec2Profile::aws_2018().exact(),
             Rc::new(PriceBook::aws_2018()),
             ledger.clone(),
             recorder,
@@ -414,25 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn provisioning_pays_boot_delay() {
+    fn provision_ready_is_instant() {
         let (sim, ec2, _) = setup();
-        let vm = sim.block_on(async move { ec2.provision("m4.large", 0).await.unwrap() });
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(90));
+        let vm = ec2.provision_ready("m5.large", 0).unwrap();
+        assert_eq!(sim.now(), SimTime::ZERO);
         assert!(!vm.is_terminated());
     }
 
     #[test]
-    fn provision_ready_is_instant() {
-        let (sim, ec2, _) = setup();
-        let _vm = ec2.provision_ready("m5.large", 0).unwrap();
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(ec2.running_count(), 1);
-    }
-
-    #[test]
     fn unknown_type_rejected() {
-        let (sim, ec2, _) = setup();
-        let err = sim.block_on(async move { ec2.provision("quantum.large", 0).await });
+        let (_sim, ec2, _) = setup();
+        let err = ec2.provision_ready("quantum.large", 0);
         assert!(matches!(err, Err(Ec2Error::UnknownInstanceType(_))));
     }
 
@@ -479,34 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn ebs_contention_probes_are_live() {
-        let (sim, ec2, _) = setup();
-        let vm = ec2.provision_ready("m4.large", 0).unwrap();
-        let read_bw = vm.instance_type().ebs_read_bandwidth;
-        assert_eq!(vm.ebs_reads_in_flight(), 0);
-        assert!((vm.ebs_read_share_estimate() - read_bw).abs() < 1.0);
-        for _ in 0..4 {
-            let v = vm.clone();
-            sim.spawn(async move { v.ebs_read(100_000_000).await });
-        }
-        let v = vm.clone();
-        sim.spawn(async move { v.ebs_write(10_000_000).await });
-        let probe = vm.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(SimDuration::from_millis(1)).await;
-            assert_eq!(probe.ebs_reads_in_flight(), 4);
-            assert_eq!(probe.ebs_writes_in_flight(), 1);
-            // A fifth reader would get a 1/5 share.
-            let est = probe.ebs_read_share_estimate();
-            assert!((est - read_bw / 5.0).abs() < 1.0, "estimate {est}");
-        });
-        sim.run();
-        assert_eq!(vm.ebs_reads_in_flight(), 0);
-        assert_eq!(vm.ebs_writes_in_flight(), 0);
-    }
-
-    #[test]
     fn billing_per_second_with_minimum() {
         let (sim, ec2, ledger) = setup();
         let vm = ec2.provision_ready("m4.large", 0).unwrap();
@@ -538,20 +405,18 @@ mod tests {
     }
 
     #[test]
-    fn terminate_all_charges_fleet() {
+    fn fleet_hour_bills_cs2_cost() {
         let (sim, ec2, ledger) = setup();
-        for _ in 0..290 {
-            ec2.provision_ready("m5.large", 0).unwrap();
-        }
+        let fleet: Vec<Vm> = (0..290)
+            .map(|_| ec2.provision_ready("m5.large", 0).unwrap())
+            .collect();
         let s = sim.clone();
-        let ec2b = ec2.clone();
         sim.block_on(async move {
             s.sleep(SimDuration::from_hours(1)).await;
-            ec2b.terminate_all();
+            fleet.iter().for_each(Vm::terminate);
         });
         // §3.1 CS-2: 290 m5.large for an hour = $27.84.
         let total = ledger.total_for(Service::Compute);
         assert!((total - 27.84).abs() < 0.01, "{total}");
-        assert_eq!(ec2.running_count(), 0);
     }
 }

@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use faasim_blob::{BlobProfile, BlobStore};
-use faasim_compute::{Ec2, Ec2Profile};
+use faasim_compute::Ec2;
 use faasim_faas::{FaasPlatform, FaasProfile};
 use faasim_kv::{KvProfile, KvStore};
 use faasim_net::{Fabric, Host, NetProfile, NicConfig};
@@ -25,8 +25,6 @@ pub struct CloudProfile {
     pub kv: KvProfile,
     /// Queue behaviour.
     pub queue: QueueProfile,
-    /// Serverful control plane.
-    pub ec2: Ec2Profile,
     /// FaaS platform.
     pub faas: FaasProfile,
     /// Autoscaling query service.
@@ -43,7 +41,6 @@ impl CloudProfile {
             blob: BlobProfile::aws_2018(),
             kv: KvProfile::aws_2018(),
             queue: QueueProfile::aws_2018(),
-            ec2: Ec2Profile::aws_2018(),
             faas: FaasProfile::aws_2018(),
             query: QueryProfile::aws_2018(),
             prices: PriceBook::aws_2018(),
@@ -58,7 +55,6 @@ impl CloudProfile {
         self.blob = self.blob.exact();
         self.kv = self.kv.exact();
         self.queue = self.queue.exact();
-        self.ec2 = self.ec2.exact();
         self.faas = self.faas.exact();
         self.query = self.query.exact();
         self
@@ -130,7 +126,6 @@ impl Cloud {
         let ec2 = Ec2::new(
             &sim,
             &fabric,
-            profile.ec2.clone(),
             prices.clone(),
             ledger.clone(),
             recorder.clone(),

@@ -168,6 +168,8 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ColdStartParams, seed: u64)
             (colds, latencies, trials)
         });
         latencies.sort_by(f64::total_cmp);
+        // Bill the reservation (a no-op when nothing was reserved).
+        cloud.faas.release_provisioned_concurrency("ping");
         let scope = format!("cold_starts/gap{i}");
         run.fail(&scope, failures);
         run.close(&scope, &cloud);
@@ -219,6 +221,33 @@ mod tests {
         let cold_gap = r.at(SimDuration::from_mins(20));
         assert_eq!(cold_gap.cold_fraction, 0.0);
         assert!(cold_gap.mean_latency.as_secs_f64() < 0.35);
+    }
+
+    /// The reservation is on the bill: one 256 MB container for the whole
+    /// run, which is `invocations` gaps plus their (warm) latencies.
+    #[test]
+    fn provisioned_container_is_billed_for_the_run() {
+        let params = ColdStartParams {
+            provisioned: 1,
+            ..ColdStartParams::quick()
+        };
+        let r = run(&params, 44);
+        assert_eq!(r.probe.bills.len(), params.inter_arrivals.len());
+        for (bill, p) in r.probe.bills.iter().zip(&r.points) {
+            let line = bill
+                .lines()
+                .find(|l| l.contains("provisioned-gb-seconds"))
+                .unwrap_or_else(|| panic!("no reservation line in\n{bill}"));
+            let gb_s: f64 = line.split_whitespace().nth(2).unwrap()[1..]
+                .parse()
+                .unwrap();
+            let n = params.invocations as f64;
+            let run_secs = n * (p.inter_arrival + p.mean_latency).as_secs_f64();
+            assert!(
+                (gb_s - 0.25 * run_secs).abs() <= 0.1,
+                "{gb_s} GB-s for a {run_secs} s run"
+            );
+        }
     }
 
     #[test]

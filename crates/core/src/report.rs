@@ -32,13 +32,6 @@ impl Table {
         self
     }
 
-    /// Append a row of string slices.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Table {
-        self.rows
-            .push(cells.iter().map(|c| (*c).to_owned()).collect());
-        self
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let cols = self
@@ -152,8 +145,12 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("Latencies", &["", "A", "B"]);
-        t.row_str(&["Latency", "303ms", "290\u{b5}s"]);
-        t.row_str(&["Compared to best", "1,045\u{d7}", "1\u{d7}"]);
+        t.row(&["Latency".into(), "303ms".into(), "290\u{b5}s".into()]);
+        t.row(&[
+            "Compared to best".into(),
+            "1,045\u{d7}".into(),
+            "1\u{d7}".into(),
+        ]);
         let s = t.render();
         assert!(s.contains("Latencies"));
         assert!(s.contains("303ms"));
@@ -167,7 +164,7 @@ mod tests {
     #[test]
     fn ragged_rows_padded() {
         let mut t = Table::new("", &["x", "y"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
         let s = t.render();
         assert!(s.contains("only-one"));
     }

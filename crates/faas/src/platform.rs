@@ -284,8 +284,8 @@ impl WarmSet {
 /// lookups also take the container id and miss when it differs.
 ///
 /// Slot order is placement history, not id order. Anything observable
-/// that folds over several containers (`f64` residency sums, "the first
-/// `n` containers of a function") sorts by id first, so bills and
+/// that folds over several containers (`f64` residency sums) sorts by id
+/// first, so bills and
 /// [`PackingStats`] do not depend on which slots happened to be free.
 #[derive(Default)]
 struct ContainerTable {
@@ -419,9 +419,9 @@ struct Function {
     /// so eviction, reaping, crashes, and provisioned-concurrency changes
     /// never have to maintain the index.
     warm_idle: WarmSet,
-    /// Active provisioned-concurrency reservation:
-    /// (containers reserved, reserved-at, GB reserved).
-    reservation: Option<(usize, SimTime, f64)>,
+    /// Active provisioned-concurrency reservation: (reserved-at, GB
+    /// reserved).
+    reservation: Option<(SimTime, f64)>,
 }
 
 struct PlatformState {
@@ -437,11 +437,6 @@ struct PlatformState {
     busy_gb_s: f64,
     next_container: u64,
     rng: SimRng,
-    /// Async-invoke on-failure destinations, by function name (a
-    /// destination may be set for a name that is never registered).
-    failure_destinations: HashMap<String, (faasim_queue::QueueService, String)>,
-    /// Lazily created control-plane host.
-    control_host: Option<Host>,
     /// Chaos knobs (all zero by default).
     faults: FaasFaults,
 }
@@ -515,8 +510,6 @@ impl FaasPlatform {
                 busy_gb_s: 0.0,
                 next_container: 0,
                 rng: sim.rng("faas.platform"),
-                failure_destinations: HashMap::new(),
-                control_host: None,
                 faults: FaasFaults::default(),
             })),
         }
@@ -790,8 +783,7 @@ impl FaasPlatform {
             self.place_container(id, memory_mb, true);
         }
         let gb = n as f64 * memory_mb as f64 / 1024.0;
-        self.state.borrow_mut().functions[id.index()].reservation =
-            Some((n, self.sim.now(), gb));
+        self.state.borrow_mut().functions[id.index()].reservation = Some((self.sim.now(), gb));
         self.recorder.add("faas.provisioned_containers", n as u64);
     }
 
@@ -804,12 +796,13 @@ impl FaasPlatform {
         }
     }
 
-    /// Returns the number of containers the reservation held.
-    fn release_reservation(&self, func: FunctionId) -> Option<usize> {
+    fn release_reservation(&self, func: FunctionId) {
         let reservation = self.state.borrow_mut().functions[func.index()]
             .reservation
             .take();
-        let (n, since, gb) = reservation?;
+        let Some((since, gb)) = reservation else {
+            return;
+        };
         let gb_s = gb * self.sim.now().duration_since(since).as_secs_f64();
         self.ledger.charge(
             Service::Faas,
@@ -826,32 +819,6 @@ impl FaasPlatform {
                     c.idle_since = now;
                 }
             }
-        }
-        Some(n)
-    }
-
-    /// Charge all outstanding provisioned reservations up to now (call at
-    /// the end of an experiment so the bill is complete).
-    pub fn finalize_provisioned_billing(&self) {
-        let functions = self.state.borrow().functions.len();
-        for func in (0..functions as u32).map(FunctionId) {
-            // Charge and immediately re-reserve so behaviour is unchanged.
-            let Some(n) = self.release_reservation(func) else {
-                continue;
-            };
-            // Re-mark the function's `n` oldest containers as provisioned
-            // without paying a new start.
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            let mut mine: Vec<&mut Container> =
-                st.containers.iter_mut().filter(|c| c.func == func).collect();
-            mine.sort_unstable_by_key(|c| c.id);
-            for c in mine.into_iter().take(n) {
-                c.provisioned = true;
-            }
-            let f = &mut st.functions[func.index()];
-            let gb = n as f64 * f.spec.memory_mb as f64 / 1024.0;
-            f.reservation = Some((n, self.sim.now(), gb));
         }
     }
 
@@ -884,8 +851,7 @@ impl FaasPlatform {
     /// Asynchronous invocation with Lambda's event-invoke semantics: the
     /// call returns immediately; the platform runs the function in the
     /// background, retrying failed executions up to `async_retries` times
-    /// with backoff, then (if configured) delivering the original payload
-    /// to the function's on-failure queue.
+    /// with backoff, then counting it in `faas.async_failures`.
     pub fn invoke_async(&self, func: &str, payload: impl Into<Payload>) {
         let this = self.clone();
         let func = func.to_owned();
@@ -912,47 +878,7 @@ impl FaasPlatform {
                 }
             }
             this.recorder.incr("faas.async_failures");
-            let dest = this
-                .state
-                .borrow()
-                .failure_destinations
-                .get(&func)
-                .cloned();
-            if let Some((queue_service, queue)) = dest {
-                let host = this.poller_host();
-                let _ = queue_service.send(&host, &queue, payload).await;
-            }
         });
-    }
-
-    /// Route an async-invoked function's exhausted failures to a queue
-    /// (Lambda's "on-failure destination" / DLQ).
-    pub fn set_async_failure_destination(
-        &self,
-        func: &str,
-        queues: &faasim_queue::QueueService,
-        queue: &str,
-    ) {
-        self.state
-            .borrow_mut()
-            .failure_destinations
-            .insert(func.to_owned(), (queues.clone(), queue.to_owned()));
-    }
-
-    /// A platform-internal host for control-plane traffic (failure
-    /// destinations, etc.), created lazily.
-    fn poller_host(&self) -> Host {
-        let existing = self.state.borrow().control_host.clone();
-        match existing {
-            Some(h) => h,
-            None => {
-                let h = self
-                    .fabric
-                    .add_host(0, faasim_net::NicConfig::simple(faasim_simcore::mbps(10_000.0)));
-                self.state.borrow_mut().control_host = Some(h.clone());
-                h
-            }
-        }
     }
 
     async fn invoke_inner(
@@ -1639,14 +1565,10 @@ mod tests {
         platform.set_provisioned_concurrency("big", 4);
         let s = sim.clone();
         sim.block_on(async move { s.sleep(SimDuration::from_hours(1)).await });
-        platform.finalize_provisioned_billing();
+        platform.release_provisioned_concurrency("big");
         // 4 GB reserved for one hour = 14,400 GB-s at $0.000004167.
         let dollars = ledger.item_dollars(Service::Faas, "provisioned-gb-seconds");
         assert!((dollars - 14_400.0 * 0.000_004_167).abs() < 1e-6, "{dollars}");
-        // Finalize re-arms the reservation: invocations stay warm.
-        let p = platform.clone();
-        let out = sim.block_on(async move { p.invoke("big", Bytes::new()).await });
-        assert!(!out.cold);
     }
 
     #[test]
@@ -1690,43 +1612,31 @@ mod tests {
     }
 
     #[test]
-    fn async_invoke_exhausted_failures_reach_destination_queue() {
+    fn async_invoke_counts_exhausted_failures() {
         let sim = Sim::new(54);
         let recorder = Recorder::new();
         let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
         let mut profile = crate::config::FaasProfile::aws_2018().exact();
         profile.async_retry_backoff = SimDuration::from_secs(1);
-        let prices = Rc::new(PriceBook::aws_2018());
-        let ledger = Ledger::new();
         let platform = FaasPlatform::new(
             &sim,
             &fabric,
             profile,
-            prices.clone(),
-            ledger.clone(),
+            Rc::new(PriceBook::aws_2018()),
+            Ledger::new(),
             recorder.clone(),
         );
-        let queues = faasim_queue::QueueService::new(
-            &sim,
-            faasim_queue::QueueProfile::aws_2018().exact(),
-            prices,
-            ledger,
-            recorder.clone(),
-        );
-        queues.create_queue("failed-events", faasim_queue::QueueConfig::default());
         platform.register(FunctionSpec::new(
             "doomed",
             128,
             SimDuration::from_secs(30),
             |_ctx, _| async move { Err::<Payload, _>(FnError::Handler("permanent".into())) },
         ));
-        platform.set_async_failure_destination("doomed", &queues, "failed-events");
         platform.invoke_async("doomed", Bytes::from_static(b"event-1"));
         sim.run();
-        // 1 initial + 2 retries, all failed, original payload preserved.
+        // 1 initial + 2 retries, all failed.
         assert_eq!(recorder.counter("faas.async_retries"), 2);
         assert_eq!(recorder.counter("faas.async_failures"), 1);
-        assert_eq!(queues.queue_len("failed-events"), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! found by binary search, functions and warm sets in maps keyed by name.
 //! Both are driven through the same random script — overlapping
 //! invocations (by name and by id), timeouts, mid-flight kills, reaps,
-//! evictions, provisioned-concurrency changes, billing finalisation and
+//! evictions, provisioned-concurrency reservations and releases, and
 //! re-registration — on the same seed, and must agree on every outcome,
 //! every `PackingStats` bit, every count and the final bill.
 
@@ -89,10 +89,8 @@ mod reference {
         busy_gb_s: f64,
         next_container: u64,
         rng: SimRng,
-        /// By name, so finalisation walks reservations in a fixed order
-        /// (the script registers names in sorted order, which makes this
-        /// the platform's registration order too).
-        provisioned: BTreeMap<String, (usize, SimTime, f64)>,
+        /// Active reservations by name: (reserved-at, GB reserved).
+        provisioned: BTreeMap<String, (SimTime, f64)>,
         kill_prob: f64,
     }
 
@@ -298,12 +296,12 @@ mod reference {
             self.state
                 .borrow_mut()
                 .provisioned
-                .insert(func.to_owned(), (n, self.sim.now(), gb));
+                .insert(func.to_owned(), (self.sim.now(), gb));
         }
 
         pub fn release_provisioned_concurrency(&self, func: &str) {
             let reservation = self.state.borrow_mut().provisioned.remove(func);
-            let Some((_, since, gb)) = reservation else {
+            let Some((since, gb)) = reservation else {
                 return;
             };
             let gb_s = gb * self.sim.now().duration_since(since).as_secs_f64();
@@ -322,24 +320,6 @@ mod reference {
                         c.idle_since = now;
                     }
                 }
-            }
-        }
-
-        pub fn finalize_provisioned_billing(&self) {
-            let funcs: Vec<String> = self.state.borrow().provisioned.keys().cloned().collect();
-            for func in funcs {
-                let (n, _, _) = self.state.borrow().provisioned[&func];
-                self.release_provisioned_concurrency(&func);
-                let mut st = self.state.borrow_mut();
-                let mut count = 0usize;
-                for c in st.containers.iter_mut() {
-                    if c.func == func && count < n {
-                        c.provisioned = true;
-                        count += 1;
-                    }
-                }
-                let gb = n as f64 * st.functions[&func].memory_mb as f64 / 1024.0;
-                st.provisioned.insert(func.clone(), (n, self.sim.now(), gb));
             }
         }
 
@@ -472,7 +452,6 @@ trait Subject: Clone + 'static {
     fn set_kill_prob(&self, p: f64);
     fn set_provisioned(&self, name: &str, n: usize);
     fn release_provisioned(&self, name: &str);
-    fn finalize(&self);
     /// `(container_count, host_count, busy GB·s bits, resident GB·s bits)`
     fn census(&self) -> (usize, usize, u64, u64);
 }
@@ -539,10 +518,6 @@ impl Subject for FaasPlatform {
         self.release_provisioned_concurrency(name)
     }
 
-    fn finalize(&self) {
-        self.finalize_provisioned_billing()
-    }
-
     fn census(&self) -> (usize, usize, u64, u64) {
         let p = self.packing_stats();
         (
@@ -584,10 +559,6 @@ impl Subject for reference::RefPlatform {
         self.release_provisioned_concurrency(name)
     }
 
-    fn finalize(&self) {
-        self.finalize_provisioned_billing()
-    }
-
     fn census(&self) -> (usize, usize, u64, u64) {
         let (busy, resident) = self.packing();
         (
@@ -611,7 +582,6 @@ enum Op {
     KillProb(f64),
     Provision { func: &'static str, n: usize },
     Release { func: &'static str },
-    Finalize,
     Reregister { func: &'static str, memory_mb: u64 },
     Census,
 }
@@ -638,8 +608,7 @@ fn script(seed: u64, n: usize, span: SimDuration) -> Vec<(SimTime, Op)> {
                 77..=79 => Op::Evict,
                 80..=82 => Op::KillProb(if rng.chance(0.5) { 0.0 } else { 0.25 }),
                 83..=86 => Op::Provision { func, n: rng.range_usize(0..4) },
-                87..=88 => Op::Release { func },
-                89..=90 => Op::Finalize,
+                87..=90 => Op::Release { func },
                 91..=93 => Op::Reregister {
                     func,
                     memory_mb: *rng.choose(&MEMORIES_MB).unwrap(),
@@ -685,10 +654,6 @@ fn drive<S: Subject>(sim: &Sim, subject: &S, ops: &[(SimTime, Op)]) -> Vec<Strin
                     subject.release_provisioned(func);
                     format!("release {func}")
                 }
-                Op::Finalize => {
-                    subject.finalize();
-                    "finalize".to_owned()
-                }
                 Op::Reregister { func, memory_mb } => {
                     subject.register(func, memory_mb);
                     format!("reregister {func} {memory_mb}")
@@ -699,7 +664,10 @@ fn drive<S: Subject>(sim: &Sim, subject: &S, ops: &[(SimTime, Op)]) -> Vec<Strin
         });
     }
     sim.run();
-    subject.finalize();
+    // Charge every reservation still held, so both bills are complete.
+    for name in FUNCTIONS {
+        subject.release_provisioned(name);
+    }
     log.borrow_mut().push(format!("end @{:?}: {:?}", sim.now(), subject.census()));
     let log = log.borrow().clone();
     log

@@ -10,14 +10,13 @@
 //! does not also burn down the tenant's paid-for rate.
 
 use std::cell::{Cell, RefCell};
-use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 
 use faasim_faas::{FaasPlatform, InvokeOutcome};
 use faasim_payload::Payload;
 use faasim_pricing::{ItemId, Ledger, PriceBook, Service};
-use faasim_resilience::{BreakerConfig, BreakerError, CircuitBreaker};
+use faasim_resilience::{BreakerConfig, CircuitBreaker};
 use faasim_simcore::{LazyCounter, Recorder, SemPermit, Semaphore, Sim, SimDuration, SimTime};
 
 use crate::bucket::TokenBucket;
@@ -331,11 +330,7 @@ impl Gateway {
 
         // 4. Circuit breaker, last: its half-open probe slot is only
         //    claimed once nothing downstream can shed the request.
-        if let Err(e) = t.breaker.try_admit::<Infallible>() {
-            let retry_at = match e {
-                BreakerError::Open { retry_at } => retry_at,
-                BreakerError::Inner(never) => match never {},
-            };
+        if let Err(retry_at) = t.breaker.try_admit() {
             drop(permit);
             t.bucket.borrow_mut().put_back();
             t.stats.borrow_mut().breaker_rejected += 1;

@@ -292,38 +292,7 @@ impl KvStore {
         key: &str,
         value: impl Into<Payload>,
     ) -> Result<u64, KvError> {
-        let value = value.into();
-        if value.len() > MAX_ITEM_BYTES {
-            return Err(KvError::ItemTooLarge(value.len()));
-        }
-        self.chaos_gate(Op::Put).await?;
-        self.pay_latency(Op::Put).await;
-        let now = self.sim.now();
-        let version = {
-            let mut st = self.state.borrow_mut();
-            let t = st
-                .tables
-                .get_mut(table)
-                .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-            t.next_version += 1;
-            let version = t.next_version;
-            let prev = t
-                .items
-                .get(key)
-                .map(|old| (old.value.clone(), old.version));
-            t.items.insert(
-                key.to_owned(),
-                StoredItem {
-                    value,
-                    version,
-                    committed_at: now,
-                    prev,
-                },
-            );
-            version
-        };
-        self.charge_write(1.0);
-        Ok(version)
+        self.write(table, key, value.into(), None).await
     }
 
     /// Conditional write (compare-and-set). Returns the new version, or
@@ -336,7 +305,18 @@ impl KvStore {
         value: impl Into<Payload>,
         cond: Condition,
     ) -> Result<u64, KvError> {
-        let value = value.into();
+        self.write(table, key, value.into(), Some(cond)).await
+    }
+
+    /// Both writes: one request that commits `value` unless `cond` is
+    /// given and does not hold.
+    async fn write(
+        &self,
+        table: &str,
+        key: &str,
+        value: Payload,
+        cond: Option<Condition>,
+    ) -> Result<u64, KvError> {
         if value.len() > MAX_ITEM_BYTES {
             return Err(KvError::ItemTooLarge(value.len()));
         }
@@ -350,21 +330,17 @@ impl KvStore {
                 .get_mut(table)
                 .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
             let current = t.items.get(key);
-            let ok = match (&cond, current) {
-                (Condition::NotExists, None) => true,
-                (Condition::NotExists, Some(_)) => false,
-                (Condition::VersionIs(v), Some(item)) => item.version == *v,
-                (Condition::VersionIs(_), None) => false,
+            let ok = match cond {
+                None => true,
+                Some(Condition::NotExists) => current.is_none(),
+                Some(Condition::VersionIs(v)) => current.is_some_and(|item| item.version == v),
             };
             if !ok {
                 Err(KvError::ConditionFailed)
             } else {
+                let prev = current.map(|old| (old.value.clone(), old.version));
                 t.next_version += 1;
                 let version = t.next_version;
-                let prev = t
-                    .items
-                    .get(key)
-                    .map(|old| (old.value.clone(), old.version));
                 t.items.insert(
                     key.to_owned(),
                     StoredItem {

@@ -70,8 +70,8 @@ pub struct Censored {
 impl DirtyWordModel {
     /// Build from a word list. A word stands for its core — its ASCII
     /// letters and digits, lowercased — which is what [`Self::censor`]
-    /// and [`Self::is_dirty`] compare; a word with an empty core can
-    /// match nothing and is dropped.
+    /// compares; a word with an empty core can match nothing and is
+    /// dropped.
     pub fn new<I, S>(words: I) -> DirtyWordModel
     where
         I: IntoIterator<Item = S>,
@@ -116,7 +116,9 @@ impl DirtyWordModel {
         self.blacklist.iter().map(|w| w.len() as u64 + 1).sum()
     }
 
-    /// Classify one word: whether its core is blacklisted.
+    /// Classify one word: whether its core is blacklisted. The censor
+    /// oracle's reference.
+    #[cfg(test)]
     pub fn is_dirty(&self, word: &str) -> bool {
         let core: Vec<u8> = core_bytes(word.as_bytes()).collect();
         self.blacklist.contains(core.as_slice())
@@ -171,11 +173,6 @@ impl DirtyWordModel {
             dirty_count: dirty,
             word_count: words,
         }
-    }
-
-    /// Censor a batch of documents (the unit of work per SQS batch).
-    pub fn censor_batch<'a>(&self, docs: impl IntoIterator<Item = &'a str>) -> Vec<Censored> {
-        docs.into_iter().map(|d| self.censor(d)).collect()
     }
 }
 
@@ -403,14 +400,5 @@ mod tests {
     fn synthetic_document_is_deterministic() {
         assert_eq!(synthetic_document(10, 50, 4), synthetic_document(10, 50, 4));
         assert_ne!(synthetic_document(10, 50, 4), synthetic_document(10, 50, 5));
-    }
-
-    #[test]
-    fn batch_matches_singles() {
-        let model = DirtyWordModel::synthetic(5);
-        let docs = ["dirty0 x", "clean only"];
-        let batch = model.censor_batch(docs);
-        assert_eq!(batch[0], model.censor(docs[0]));
-        assert_eq!(batch[1], model.censor(docs[1]));
     }
 }

@@ -60,11 +60,6 @@ impl BagOfWords {
         self.dim
     }
 
-    /// Index of a token, if in vocabulary.
-    pub fn index_of(&self, token: &str) -> Option<u32> {
-        self.vocab.get(token).copied()
-    }
-
     /// Featurize one document into a normalized sparse count vector.
     /// Out-of-vocabulary tokens are dropped.
     pub fn transform(&self, text: &str) -> SparseVec {
@@ -105,9 +100,9 @@ mod tests {
         let docs = ["apple apple apple banana banana cherry", "apple banana"];
         let bow = BagOfWords::fit(docs, 2);
         assert_eq!(bow.dim(), 2);
-        assert!(bow.index_of("apple").is_some());
-        assert!(bow.index_of("banana").is_some());
-        assert!(bow.index_of("cherry").is_none());
+        assert!(bow.vocab.contains_key("apple"));
+        assert!(bow.vocab.contains_key("banana"));
+        assert!(!bow.vocab.contains_key("cherry"));
     }
 
     #[test]
@@ -115,10 +110,10 @@ mod tests {
         let docs = ["zeta alpha", "zeta alpha"];
         let a = BagOfWords::fit(docs, 2);
         let b = BagOfWords::fit(docs, 2);
-        assert_eq!(a.index_of("alpha"), b.index_of("alpha"));
-        assert_eq!(a.index_of("zeta"), b.index_of("zeta"));
+        assert_eq!(a.vocab.get("alpha"), b.vocab.get("alpha"));
+        assert_eq!(a.vocab.get("zeta"), b.vocab.get("zeta"));
         // Lexicographic tiebreak puts alpha first.
-        assert_eq!(a.index_of("alpha"), Some(0));
+        assert_eq!(a.vocab.get("alpha"), Some(&0));
     }
 
     #[test]
@@ -129,8 +124,8 @@ mod tests {
         assert_eq!(v.nnz(), 2);
         assert!((v.norm() - 1.0).abs() < 1e-6);
         // dog appears twice, cat once: dog's weight is larger.
-        let dog = bow.index_of("dog").unwrap();
-        let cat = bow.index_of("cat").unwrap();
+        let dog = bow.vocab["dog"];
+        let cat = bow.vocab["cat"];
         let get = |idx: u32| {
             v.indices
                 .iter()

@@ -32,5 +32,5 @@ pub use adam::{Adam, Trainer};
 pub use classifier::{synthetic_document, Censored, DirtyWordModel};
 pub use featurize::{tokenize, BagOfWords, PAPER_FEATURES};
 pub use mlp::{Dense, Gradients, Mlp, Tape};
-pub use reviews::{featurized_bytes, Review, ReviewGenConfig, ReviewGenerator};
+pub use reviews::{Review, ReviewGenConfig, ReviewGenerator};
 pub use sparse::SparseVec;

@@ -126,13 +126,6 @@ impl ReviewGenerator {
     }
 }
 
-/// Approximate serialized size of a set of featurized examples, matching
-/// the paper's accounting of "100 MB batches" of featurized training data.
-/// Each example is its sparse features (8 bytes/entry) plus a 4-byte label.
-pub fn featurized_bytes(examples: &[crate::sparse::SparseVec]) -> u64 {
-    examples.iter().map(|x| x.wire_bytes() + 4).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,11 +187,5 @@ mod tests {
             last < first * 0.25,
             "loss did not fall: {first} -> {last}"
         );
-    }
-
-    #[test]
-    fn featurized_bytes_counts() {
-        let v = crate::sparse::SparseVec::from_pairs(vec![(0, 1.0), (2, 1.0)]);
-        assert_eq!(featurized_bytes(&[v.clone(), v]), 2 * (16 + 4));
     }
 }

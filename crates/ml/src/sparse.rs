@@ -67,15 +67,6 @@ impl SparseVec {
         }
     }
 
-    /// Dot product with a dense slice.
-    pub fn dot_dense(&self, dense: &[f32]) -> f32 {
-        self.indices
-            .iter()
-            .zip(self.values.iter())
-            .map(|(&i, &v)| dense[i as usize] * v)
-            .sum()
-    }
-
     /// Approximate serialized size in bytes (for modeling transfer costs:
     /// 4-byte index + 4-byte value per entry).
     pub fn wire_bytes(&self) -> u64 {
@@ -104,13 +95,6 @@ mod tests {
         let mut zero = SparseVec::new();
         zero.normalize(); // must not divide by zero
         assert_eq!(zero.nnz(), 0);
-    }
-
-    #[test]
-    fn dot_dense_works() {
-        let v = SparseVec::from_pairs(vec![(1, 2.0), (3, -1.0)]);
-        let dense = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(v.dot_dense(&dense), 2.0 * 20.0 - 40.0);
     }
 
     #[test]

@@ -186,15 +186,10 @@ pub(crate) struct HostState {
     rack: RackId,
     nic: FairShareLink,
     per_flow_cap: Option<Bps>,
-    alive: std::cell::Cell<bool>,
     stats: RefCell<NicStats>,
 }
 
 impl HostState {
-    pub(crate) fn is_alive(&self) -> bool {
-        self.alive.get()
-    }
-
     pub(crate) fn nic(&self) -> &FairShareLink {
         &self.nic
     }
@@ -287,7 +282,6 @@ impl Fabric {
             rack,
             nic: FairShareLink::new(&self.inner.sim, nic.capacity),
             per_flow_cap: nic.per_flow_cap,
-            alive: std::cell::Cell::new(true),
             stats: RefCell::new(NicStats::default()),
         });
         self.inner.hosts.borrow_mut().insert(id, state.clone());
@@ -367,14 +361,6 @@ impl Fabric {
                 (left.contains(&a) && right.contains(&b))
                     || (right.contains(&a) && left.contains(&b))
             }
-        }
-    }
-
-    /// Fail a host: in-flight and future messages toward it are dropped.
-    /// Used for failure injection (e.g. killing the election leader).
-    pub fn kill_host(&self, id: HostId) {
-        if let Some(h) = self.inner.hosts.borrow().get(&id) {
-            h.alive.set(false);
         }
     }
 

@@ -18,8 +18,8 @@
 //! Content-dependent consumers either materialize ([`Payload::bytes`],
 //! [`Payload::to_vec`]) or — for the aggregation kernels the paper's
 //! data-shipping ablation runs — use the **analytic fast paths**
-//! ([`Payload::line_count`], [`Payload::for_each_line_run`]) that
-//! compute per-pattern results once and multiply by `repeats`. The
+//! ([`Payload::line_count`], [`LineRunScanner`]) that compute
+//! per-pattern results once and multiply by `repeats`. The
 //! differential tests in this crate pin the equivalence: every kernel
 //! answer equals a naive scan of the fully materialized bytes.
 
@@ -285,6 +285,9 @@ impl Payload {
     /// A synthetic payload whose pattern holds *no* newline is one line
     /// of `len()` bytes, and handing that line to `f` materializes it:
     /// O(len) time and memory. [`Payload::line_count`] does not.
+    ///
+    /// The [`LineRunScanner`] proptest's oracle.
+    #[cfg(test)]
     pub fn for_each_line_run(&self, mut f: impl FnMut(&[u8], u64)) {
         let mut carry: Vec<u8> = Vec::new();
         self.walk_lines(&mut carry, &mut f);
@@ -372,7 +375,7 @@ impl Payload {
 
 /// Streaming line kernel over a *sequence* of payload chunks.
 ///
-/// [`Payload::for_each_line_run`] scans one self-contained payload; a
+/// `Payload::for_each_line_run` scans one self-contained payload; a
 /// streaming consumer (e.g. a query-scan worker fetching an object in
 /// ranged reads) instead sees the same bytes as a series of arbitrary
 /// chunks, and a line may straddle any chunk boundary. The scanner

@@ -84,15 +84,6 @@ impl PriceBook {
         }
     }
 
-    /// Strict 2018 list prices for DynamoDB on-demand requests, for the
-    /// ablation that shows how the election cost claim changes when the
-    /// calibrated price is replaced by the published one.
-    pub fn aws_2018_list_kv_prices(mut self) -> PriceBook {
-        self.kv_read_per_request = 0.25 / 1e6;
-        self.kv_write_per_request = 1.25 / 1e6;
-        self
-    }
-
     /// Hourly price of an instance type.
     ///
     /// # Panics
@@ -151,12 +142,5 @@ mod tests {
     #[should_panic(expected = "no price for instance type")]
     fn unknown_instance_type_panics() {
         PriceBook::aws_2018().ec2_hourly("x1e.32xlarge");
-    }
-
-    #[test]
-    fn list_kv_price_variant() {
-        let book = PriceBook::aws_2018().aws_2018_list_kv_prices();
-        assert!((book.kv_read_per_request * 1e6 - 0.25).abs() < 1e-9);
-        assert!((book.kv_write_per_request * 1e6 - 1.25).abs() < 1e-9);
     }
 }

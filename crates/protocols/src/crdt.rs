@@ -5,15 +5,15 @@
 //! available program design in recent years, including from our group
 //! [9, 1, 22]" — [22] being Shapiro et al.'s CRDTs.
 //!
-//! These are state-based (convergent) CRDTs: every replica mutates
-//! locally and periodically merges peers' full states; merge is a join in
-//! a semilattice (commutative, associative, idempotent), so replicas
-//! converge regardless of delivery order, duplication, or staleness —
-//! exactly the guarantees one still has on 2018 cloud storage. The
-//! integration test at the bottom syncs replicas through the eventually
-//! consistent KV store and converges despite stale reads.
+//! The grow-only counter here is a state-based (convergent) CRDT: every
+//! replica mutates locally and periodically merges peers' full states;
+//! merge is a join in a semilattice (commutative, associative,
+//! idempotent), so replicas converge regardless of delivery order,
+//! duplication, or staleness — exactly the guarantees one still has on
+//! 2018 cloud storage. `tests/crdt_sync.rs` syncs replicas through the
+//! eventually consistent KV store and converges despite stale reads.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::message::NodeId;
 
@@ -88,187 +88,6 @@ impl Crdt for GCounter {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PN-Counter
-// ---------------------------------------------------------------------------
-
-/// Increment/decrement counter: two G-Counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PnCounter {
-    inc: GCounter,
-    dec: GCounter,
-}
-
-impl PnCounter {
-    /// An empty counter.
-    pub fn new() -> PnCounter {
-        PnCounter::default()
-    }
-
-    /// Add `by`.
-    pub fn increment(&mut self, replica: NodeId, by: u64) {
-        self.inc.increment(replica, by);
-    }
-
-    /// Subtract `by`.
-    pub fn decrement(&mut self, replica: NodeId, by: u64) {
-        self.dec.increment(replica, by);
-    }
-
-    /// Current value (may be negative).
-    pub fn value(&self) -> i64 {
-        self.inc.value() as i64 - self.dec.value() as i64
-    }
-}
-
-impl Crdt for PnCounter {
-    fn merge(&mut self, other: &Self) {
-        self.inc.merge(&other.inc);
-        self.dec.merge(&other.dec);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LWW-Register
-// ---------------------------------------------------------------------------
-
-/// Last-writer-wins register. Ties on timestamp break by replica id, so
-/// the merge stays deterministic and commutative.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LwwRegister<T: Clone> {
-    value: Option<T>,
-    stamp: (u64, NodeId),
-}
-
-impl<T: Clone> Default for LwwRegister<T> {
-    fn default() -> Self {
-        LwwRegister {
-            value: None,
-            stamp: (0, 0),
-        }
-    }
-}
-
-impl<T: Clone> LwwRegister<T> {
-    /// An unset register.
-    pub fn new() -> LwwRegister<T> {
-        LwwRegister::default()
-    }
-
-    /// Write with a (logical or virtual-time) timestamp.
-    pub fn set(&mut self, value: T, timestamp: u64, replica: NodeId) {
-        if (timestamp, replica) >= self.stamp {
-            self.value = Some(value);
-            self.stamp = (timestamp, replica);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> Option<&T> {
-        self.value.as_ref()
-    }
-
-    /// The winning write's `(timestamp, replica)`.
-    pub fn stamp(&self) -> (u64, NodeId) {
-        self.stamp
-    }
-}
-
-impl<T: Clone> Crdt for LwwRegister<T> {
-    fn merge(&mut self, other: &Self) {
-        if other.stamp > self.stamp {
-            self.value = other.value.clone();
-            self.stamp = other.stamp;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OR-Set
-// ---------------------------------------------------------------------------
-
-/// Add-wins observed-remove set: each add gets a unique tag; a remove
-/// tombstones only the tags it has *observed*, so a concurrent re-add
-/// survives.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OrSet<T: Ord + Clone> {
-    adds: BTreeMap<T, BTreeSet<(NodeId, u64)>>,
-    removed: BTreeSet<(NodeId, u64)>,
-    next_tag: u64,
-}
-
-impl<T: Ord + Clone> Default for OrSet<T> {
-    fn default() -> Self {
-        OrSet {
-            adds: BTreeMap::new(),
-            removed: BTreeSet::new(),
-            next_tag: 0,
-        }
-    }
-}
-
-impl<T: Ord + Clone> OrSet<T> {
-    /// An empty set.
-    pub fn new() -> OrSet<T> {
-        OrSet::default()
-    }
-
-    /// Add an element at this replica.
-    pub fn add(&mut self, replica: NodeId, value: T) {
-        self.next_tag += 1;
-        self.adds
-            .entry(value)
-            .or_default()
-            .insert((replica, self.next_tag));
-    }
-
-    /// Remove an element: tombstones every currently observed tag.
-    pub fn remove(&mut self, value: &T) {
-        if let Some(tags) = self.adds.get(value) {
-            for &tag in tags {
-                self.removed.insert(tag);
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, value: &T) -> bool {
-        self.adds
-            .get(value)
-            .map(|tags| tags.iter().any(|t| !self.removed.contains(t)))
-            .unwrap_or(false)
-    }
-
-    /// Live elements, sorted.
-    pub fn elements(&self) -> Vec<T> {
-        self.adds
-            .iter()
-            .filter(|(_, tags)| tags.iter().any(|t| !self.removed.contains(t)))
-            .map(|(v, _)| v.clone())
-            .collect()
-    }
-
-    /// Number of live elements.
-    pub fn len(&self) -> usize {
-        self.elements().len()
-    }
-
-    /// True when no live elements remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Ord + Clone> Crdt for OrSet<T> {
-    fn merge(&mut self, other: &Self) {
-        for (value, tags) in &other.adds {
-            self.adds.entry(value.clone()).or_default().extend(tags.iter().copied());
-        }
-        self.removed.extend(other.removed.iter().copied());
-        self.next_tag = self.next_tag.max(other.next_tag);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,139 +117,42 @@ mod tests {
         assert_eq!(GCounter::decode(&GCounter::new().encode()), Some(GCounter::new()));
     }
 
-    #[test]
-    fn pncounter_can_go_negative() {
-        let mut a = PnCounter::new();
-        a.increment(1, 3);
-        a.decrement(1, 5);
-        assert_eq!(a.value(), -2);
-        let mut b = PnCounter::new();
-        b.increment(2, 4);
-        a.merge(&b);
-        assert_eq!(a.value(), 2);
-    }
-
-    #[test]
-    fn lww_register_last_writer_wins() {
-        let mut a: LwwRegister<&str> = LwwRegister::new();
-        a.set("first", 10, 1);
-        a.set("stale", 5, 2); // older timestamp: ignored
-        assert_eq!(a.get(), Some(&"first"));
-        let mut b = LwwRegister::new();
-        b.set("newer", 20, 2);
-        a.merge(&b);
-        assert_eq!(a.get(), Some(&"newer"));
-        // Tie on timestamp: higher replica id wins, on both merge orders.
-        let mut x: LwwRegister<&str> = LwwRegister::new();
-        x.set("from-1", 30, 1);
-        let mut y: LwwRegister<&str> = LwwRegister::new();
-        y.set("from-2", 30, 2);
-        let mut xy = x.clone();
-        xy.merge(&y);
-        let mut yx = y.clone();
-        yx.merge(&x);
-        assert_eq!(xy, yx);
-        assert_eq!(xy.get(), Some(&"from-2"));
-    }
-
-    #[test]
-    fn orset_add_wins_over_concurrent_remove() {
-        let mut a: OrSet<&str> = OrSet::new();
-        a.add(1, "x");
-        let mut b = a.clone();
-        // Replica A removes x; replica B concurrently re-adds it.
-        a.remove(&"x");
-        b.add(2, "x");
-        a.merge(&b);
-        b.merge(&a.clone());
-        assert!(a.contains(&"x"), "add must win");
-        assert_eq!(a.elements(), b.elements());
-    }
-
-    #[test]
-    fn orset_remove_observed_is_permanent() {
-        let mut a: OrSet<u32> = OrSet::new();
-        a.add(1, 7);
-        a.remove(&7);
-        assert!(!a.contains(&7));
-        assert!(a.is_empty());
-        // Merging the pre-remove state back does not resurrect it.
-        let mut old = OrSet::new();
-        old.add(1, 7);
-        // (same tag space: simulate by merging a stale copy of a)
-        let stale = {
-            let mut s: OrSet<u32> = OrSet::new();
-            s.add(1, 7);
-            s
-        };
-        let _ = old;
-        let mut merged = a.clone();
-        merged.merge(&stale);
-        // The stale copy's tag is a *different* add (fresh tag), so
-        // add-wins applies; but merging `a`'s own earlier state (same
-        // tag) must not resurrect:
-        let mut self_stale = a.clone();
-        self_stale.removed.clear(); // forge the pre-remove state
-        let mut converged = a.clone();
-        converged.merge(&self_stale);
-        assert!(!converged.contains(&7));
-    }
-
     // --- semilattice laws, property-tested over random op sequences -----
 
-    #[derive(Clone, Debug)]
-    enum Op {
-        Inc(NodeId, u64),
-        AddSet(NodeId, u8),
-        RemoveSet(u8),
-    }
+    /// One `increment(replica, by)`.
+    type Op = (NodeId, u64);
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (1u64..4, 1u64..10).prop_map(|(r, n)| Op::Inc(r, n)),
-            (1u64..4, 0u8..5).prop_map(|(r, v)| Op::AddSet(r, v)),
-            (0u8..5).prop_map(Op::RemoveSet),
-        ]
+        (1u64..4, 1u64..10)
     }
 
-    fn apply(counter: &mut GCounter, set: &mut OrSet<u8>, ops: &[Op]) {
-        for op in ops {
-            match *op {
-                Op::Inc(r, n) => counter.increment(r, n),
-                Op::AddSet(r, v) => set.add(r, v),
-                Op::RemoveSet(v) => set.remove(&v),
-            }
+    fn counter(ops: &[Op]) -> GCounter {
+        let mut c = GCounter::new();
+        for &(r, n) in ops {
+            c.increment(r, n);
         }
+        c
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// merge is commutative, associative, idempotent for GCounter and
-        /// OrSet built from arbitrary op sequences.
+        /// merge is commutative, associative, idempotent for GCounters
+        /// built from arbitrary op sequences.
         #[test]
         fn merge_is_a_semilattice_join(
             ops_a in prop::collection::vec(op_strategy(), 0..20),
             ops_b in prop::collection::vec(op_strategy(), 0..20),
             ops_c in prop::collection::vec(op_strategy(), 0..20),
         ) {
-            let mut ca = GCounter::new();
-            let mut sa = OrSet::new();
-            apply(&mut ca, &mut sa, &ops_a);
-            let mut cb = GCounter::new();
-            let mut sb = OrSet::new();
-            apply(&mut cb, &mut sb, &ops_b);
-            let mut cc = GCounter::new();
-            let mut sc = OrSet::new();
-            apply(&mut cc, &mut sc, &ops_c);
+            let ca = counter(&ops_a);
+            let cb = counter(&ops_b);
+            let cc = counter(&ops_c);
 
             // Commutativity: a ⊔ b == b ⊔ a.
             let mut ab = ca.clone(); ab.merge(&cb);
             let mut ba = cb.clone(); ba.merge(&ca);
             prop_assert_eq!(&ab, &ba);
-            let mut sab = sa.clone(); sab.merge(&sb);
-            let mut sba = sb.clone(); sba.merge(&sa);
-            prop_assert_eq!(sab.elements(), sba.elements());
 
             // Associativity: (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c).
             let mut abc = ab.clone(); abc.merge(&cc);
@@ -441,8 +163,6 @@ mod tests {
             // Idempotence: a ⊔ a == a.
             let mut aa = ca.clone(); aa.merge(&ca);
             prop_assert_eq!(&aa, &ca);
-            let mut saa = sa.clone(); saa.merge(&sa);
-            prop_assert_eq!(saa.elements(), sa.elements());
         }
 
         /// Gossip convergence: replicas applying disjoint ops and merging
@@ -454,24 +174,15 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let n = per_replica.len();
-            let mut counters: Vec<GCounter> = Vec::new();
-            let mut sets: Vec<OrSet<u8>> = Vec::new();
-            for (i, ops) in per_replica.iter().enumerate() {
-                let mut c = GCounter::new();
-                let mut s = OrSet::new();
-                // Replica ids must be distinct for slot/tag isolation.
-                let rebased: Vec<Op> = ops
-                    .iter()
-                    .map(|op| match *op {
-                        Op::Inc(_, k) => Op::Inc(i as NodeId + 1, k),
-                        Op::AddSet(_, v) => Op::AddSet(i as NodeId + 1, v),
-                        Op::RemoveSet(v) => Op::RemoveSet(v),
-                    })
-                    .collect();
-                apply(&mut c, &mut s, &rebased);
-                counters.push(c);
-                sets.push(s);
-            }
+            // Replica ids must be distinct for slot isolation.
+            let mut counters: Vec<GCounter> = per_replica
+                .iter()
+                .enumerate()
+                .map(|(i, ops)| {
+                    let rebased: Vec<Op> = ops.iter().map(|&(_, k)| (i as NodeId + 1, k)).collect();
+                    counter(&rebased)
+                })
+                .collect();
             // Random full gossip: every ordered pair merges at least once,
             // in a seed-shuffled order, twice over.
             let mut pairs: Vec<(usize, usize)> = (0..n)
@@ -483,13 +194,11 @@ mod tests {
                 for &(i, j) in &pairs {
                     let other = counters[j].clone();
                     counters[i].merge(&other);
-                    let other = sets[j].clone();
-                    sets[i].merge(&other);
                 }
             }
             for i in 1..n {
                 prop_assert_eq!(counters[0].value(), counters[i].value());
-                prop_assert_eq!(sets[0].elements(), sets[i].elements());
+                prop_assert_eq!(&counters[0], &counters[i]);
             }
         }
     }

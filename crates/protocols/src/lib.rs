@@ -14,9 +14,9 @@
 //! - [`SocketTransport`]: directly addressed agents, the §4 alternative,
 //!   with sub-millisecond message delivery and sub-second failover.
 //!
-//! The crate also ships state-based **CRDTs** ([`GCounter`], [`PnCounter`],
-//! [`LwwRegister`], [`OrSet`]) — the paper's §3.2 pointer to "disorderly"
-//! programming models that stay correct on loosely consistent storage.
+//! The crate also ships a state-based **CRDT**, the grow-only
+//! [`GCounter`] — the paper's §3.2 pointer to "disorderly" programming
+//! models that stay correct on loosely consistent storage.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,7 +29,7 @@ mod transport;
 pub use bully::{
     spawn_node, BullyConfig, CompletedRound, ElectionObserver, NodeHandle,
 };
-pub use crdt::{Crdt, GCounter, LwwRegister, OrSet, PnCounter};
+pub use crdt::{Crdt, GCounter};
 pub use message::{ElectionMsg, NodeId};
 pub use transport::{
     build_directory, BlackboardTransport, SocketTransport, Transport, ELECTION_PORT,

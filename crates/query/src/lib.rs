@@ -185,12 +185,6 @@ impl QuerySpec {
             limit: None,
         }
     }
-
-    /// Early-exit after `limit` matching records.
-    pub fn with_limit(mut self, limit: u64) -> QuerySpec {
-        self.limit = Some(limit);
-        self
-    }
 }
 
 /// Query result plus execution accounting.
@@ -1018,7 +1012,10 @@ mod tests {
         let total: u64 = 10 * reps * line.len() as u64;
         let out = run_query(
             &w,
-            QuerySpec::new("logs", "big-", Aggregate::CountAll).with_limit(5),
+            QuerySpec {
+                limit: Some(5),
+                ..QuerySpec::new("logs", "big-", Aggregate::CountAll)
+            },
         )
         .unwrap();
         assert_eq!(out.rows, vec![(String::new(), 5.0)]);

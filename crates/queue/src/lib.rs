@@ -1,6 +1,6 @@
 //! # faasim-queue
 //!
-//! An SQS-like message queue service plus an SNS-like topic fanout.
+//! An SQS-like message queue service.
 //!
 //! Faithful to the properties the paper leans on in §3.1's prediction-
 //! serving case study:
@@ -209,7 +209,6 @@ impl Default for QueueFaults {
 
 struct ServiceState {
     queues: BTreeMap<String, QueueState>,
-    topics: BTreeMap<String, Vec<String>>,
     next_id: u64,
     rng: SimRng,
     faults: QueueFaults,
@@ -228,7 +227,6 @@ struct Handles {
     dead_lettered: LazyCounter,
     deleted_messages: LazyCounter,
     delete: LazyCounter,
-    publish: LazyCounter,
     bill_requests: LazyItem,
 }
 
@@ -269,12 +267,10 @@ impl QueueService {
                 dead_lettered: LazyCounter::new("queue.dead_lettered"),
                 deleted_messages: LazyCounter::new("queue.deleted_messages"),
                 delete: LazyCounter::new("queue.delete"),
-                publish: LazyCounter::new("queue.publish"),
                 bill_requests: LazyItem::new(Service::Queue, "requests"),
             }),
             state: Rc::new(RefCell::new(ServiceState {
                 queues: BTreeMap::new(),
-                topics: BTreeMap::new(),
                 next_id: 0,
                 rng: sim.rng("queue.service"),
                 faults: QueueFaults::default(),
@@ -408,19 +404,14 @@ impl QueueService {
         Ok(ids)
     }
 
-    /// Send one message (one billed request).
+    /// Send one message (one billed request): a batch of one.
     pub async fn send(
         &self,
-        _caller: &Host,
+        caller: &Host,
         queue: &str,
         body: impl Into<Payload>,
     ) -> Result<MessageId, QueueError> {
-        let latency = self.sample(&self.profile.send_latency);
-        self.sim.sleep(latency).await;
-        let ids = self.enqueue_now(queue, vec![body.into()], true)?;
-        self.charge_request(1.0);
-        self.handles.send.incr(&self.recorder);
-        Ok(ids[0])
+        Ok(self.send_batch(caller, queue, vec![body]).await?[0])
     }
 
     /// Send up to [`MAX_BATCH`] messages as one billed request.
@@ -640,52 +631,6 @@ impl QueueService {
             .values()
             .map(|q| q.messages.iter().filter(|m| !m.deleted).count() as u64)
             .sum()
-    }
-
-    // --- SNS-like topics -------------------------------------------------
-
-    /// Create a topic (idempotent).
-    pub fn create_topic(&self, name: &str) {
-        self.state
-            .borrow_mut()
-            .topics
-            .entry(name.to_owned())
-            .or_default();
-    }
-
-    /// Subscribe `queue` to `topic`.
-    pub fn subscribe_queue(&self, topic: &str, queue: &str) {
-        let mut st = self.state.borrow_mut();
-        let subs = st.topics.entry(topic.to_owned()).or_default();
-        if !subs.iter().any(|q| q == queue) {
-            subs.push(queue.to_owned());
-        }
-    }
-
-    /// Publish to a topic: the message is fanned out to every subscribed
-    /// queue. One billed request.
-    pub async fn publish(
-        &self,
-        _caller: &Host,
-        topic: &str,
-        body: impl Into<Payload>,
-    ) -> Result<usize, QueueError> {
-        let body = body.into();
-        let latency = self.sample(&self.profile.send_latency);
-        self.sim.sleep(latency).await;
-        let subs: Vec<String> = self
-            .state
-            .borrow()
-            .topics
-            .get(topic)
-            .cloned()
-            .unwrap_or_default();
-        for q in &subs {
-            let _ = self.enqueue_now(q, vec![body.clone()], true);
-        }
-        self.charge_request(1.0);
-        self.handles.publish.incr(&self.recorder);
-        Ok(subs.len())
     }
 }
 
@@ -936,28 +881,6 @@ mod tests {
                 Err(QueueError::NoSuchQueue(_))
             ));
         });
-    }
-
-    #[test]
-    fn topic_fanout_reaches_all_queues() {
-        let (sim, svc, host, _) = setup();
-        svc.create_queue("a", QueueConfig::default());
-        svc.create_queue("b", QueueConfig::default());
-        svc.create_topic("t");
-        svc.subscribe_queue("t", "a");
-        svc.subscribe_queue("t", "b");
-        svc.subscribe_queue("t", "b"); // duplicate ignored
-        let n = sim.block_on({
-            let svc = svc.clone();
-            async move {
-                svc.publish(&host, "t", Bytes::from_static(b"announce"))
-                    .await
-                    .unwrap()
-            }
-        });
-        assert_eq!(n, 2);
-        assert_eq!(svc.queue_len("a"), 1);
-        assert_eq!(svc.queue_len("b"), 1);
     }
 
     #[test]

@@ -154,35 +154,33 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether a call may proceed right now; errs with the shed
-    /// response when the breaker is open (or a probe is already out).
-    fn admit<E>(&self) -> Result<(), BreakerError<E>> {
+    /// Whether a call may proceed right now. A shed call (the breaker is
+    /// open, or its one half-open probe is already out) errs with the
+    /// instant a retry can succeed. For composing the breaker into a
+    /// larger admission pipeline (e.g. a gateway front door) where the
+    /// guarded section is not a single future: pair every `Ok(())` with
+    /// exactly one later [`observe`](CircuitBreaker::observe) call so the
+    /// state machine sees the outcome.
+    pub fn try_admit(&self) -> Result<(), SimTime> {
         let mut st = self.inner.borrow_mut();
         self.advance(&mut st);
-        match st.state {
-            BreakerState::Closed => Ok(()),
-            BreakerState::Open => {
-                drop(st);
-                self.recorder.incr(&self.counter("shed"));
-                Err(BreakerError::Open {
-                    retry_at: self.inner.borrow().opened_at.saturating_add(self.config.cooldown),
-                })
-            }
+        let retry_at = match st.state {
+            BreakerState::Closed => return Ok(()),
+            BreakerState::Open => st.opened_at.saturating_add(self.config.cooldown),
+            BreakerState::HalfOpen if st.probing => self.sim.now(),
             BreakerState::HalfOpen => {
-                if st.probing {
-                    let retry_at = self.sim.now();
-                    drop(st);
-                    self.recorder.incr(&self.counter("shed"));
-                    Err(BreakerError::Open { retry_at })
-                } else {
-                    st.probing = true;
-                    Ok(())
-                }
+                st.probing = true;
+                return Ok(());
             }
-        }
+        };
+        drop(st);
+        self.recorder.incr(&self.counter("shed"));
+        Err(retry_at)
     }
 
-    fn record(&self, ok: bool) {
+    /// Feed the outcome of a call admitted via
+    /// [`try_admit`](CircuitBreaker::try_admit).
+    pub fn observe(&self, ok: bool) {
         let mut st = self.inner.borrow_mut();
         match (st.state, ok) {
             (BreakerState::Closed, true) => st.failures = 0,
@@ -219,21 +217,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Low-level admission check, for composing the breaker into a
-    /// larger admission pipeline (e.g. a gateway front door) where the
-    /// guarded section is not a single future. Pair every `Ok(())` with
-    /// exactly one later [`observe`](CircuitBreaker::observe) call so
-    /// the state machine sees the outcome.
-    pub fn try_admit<E>(&self) -> Result<(), BreakerError<E>> {
-        self.admit()
-    }
-
-    /// Feed the outcome of a call admitted via
-    /// [`try_admit`](CircuitBreaker::try_admit).
-    pub fn observe(&self, ok: bool) {
-        self.record(ok);
-    }
-
     /// Run `op` through the breaker. Sheds with [`BreakerError::Open`]
     /// when open; otherwise attempts the call, feeding its outcome into
     /// the state machine. `counts_as_failure` classifies errors — a
@@ -247,14 +230,15 @@ impl CircuitBreaker {
     where
         Fut: Future<Output = Result<T, E>>,
     {
-        self.admit::<E>()?;
+        self.try_admit()
+            .map_err(|retry_at| BreakerError::Open { retry_at })?;
         match op.await {
             Ok(v) => {
-                self.record(true);
+                self.observe(true);
                 Ok(v)
             }
             Err(e) => {
-                self.record(!counts_as_failure(&e));
+                self.observe(!counts_as_failure(&e));
                 Err(BreakerError::Inner(e))
             }
         }

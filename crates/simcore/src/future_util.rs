@@ -34,16 +34,6 @@ pub async fn join2<A, B>(a: impl Future<Output = A>, b: impl Future<Output = B>)
     .await
 }
 
-/// Await three futures concurrently.
-pub async fn join3<A, B, C>(
-    a: impl Future<Output = A>,
-    b: impl Future<Output = B>,
-    c: impl Future<Output = C>,
-) -> (A, B, C) {
-    let ((a, b), c) = join2(join2(a, b), c).await;
-    (a, b, c)
-}
-
 /// Await every future in `futs` concurrently; outputs are returned in the
 /// input order regardless of completion order.
 pub async fn join_all<T, F>(futs: Vec<F>) -> Vec<T>
@@ -130,13 +120,6 @@ mod tests {
         assert_eq!((a, b), (1, 2));
         // Concurrent: total is max, not sum.
         assert_eq!(sim.now(), SimTime::from_nanos(5_000_000_000));
-    }
-
-    #[test]
-    fn join3_works() {
-        let sim = Sim::new(1);
-        let out = sim.block_on(async move { join3(async { 1 }, async { 2 }, async { 3 }).await });
-        assert_eq!(out, (1, 2, 3));
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod wheel;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use executor::{JoinHandle, Sim, SimProfile, SimStats, Sleep, TaskId, YieldNow};
-pub use future_util::{join2, join3, join_all, select2, Either, LocalBoxFuture};
+pub use future_util::{join2, join_all, select2, Either, LocalBoxFuture};
 pub use link::{gbps, mbps, mbytes_per_sec, Bps, FairShareLink, Transfer};
 pub use metrics::{nearest_rank, CounterId, HistId, Histogram, LazyCounter, LazyHist, Recorder};
 pub use rng::{LatencyModel, SimRng};

@@ -52,13 +52,6 @@ impl SimRng {
         SimRng::from_seed(root_seed ^ fnv1a(label.as_bytes()))
     }
 
-    /// Fork a sub-stream; the child is independent of subsequent draws on
-    /// `self`.
-    pub fn fork(&mut self, label: &str) -> SimRng {
-        let salt: u64 = self.rng.random();
-        SimRng::from_seed(salt ^ fnv1a(label.as_bytes()))
-    }
-
     /// Uniform `u64` in `range`.
     pub fn range_u64(&mut self, range: Range<u64>) -> u64 {
         self.rng.random_range(range)
@@ -227,16 +220,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// A log-normal with 10% coefficient of variation — the default shape
-    /// for calibrated service latencies.
-    pub fn calibrated_ms(mean_ms: f64) -> LatencyModel {
-        LatencyModel::LogNormal {
-            mean: SimDuration::from_secs_f64(mean_ms / 1e3),
-            cv: 0.10,
-            floor: SimDuration::from_secs_f64(mean_ms / 2e3),
-        }
-    }
-
     /// Draw one latency.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
@@ -295,15 +278,6 @@ mod tests {
         let ys: Vec<u64> = (0..10).map(|_| b.range_u64(0..1_000_000)).collect();
         assert_eq!(xs1, xs2);
         assert_ne!(xs1, ys);
-    }
-
-    #[test]
-    fn fork_creates_distinct_stream() {
-        let mut root = SimRng::from_seed(3);
-        let mut child = root.fork("child");
-        let a: u64 = root.range_u64(0..u64::MAX);
-        let b: u64 = child.range_u64(0..u64::MAX);
-        assert_ne!(a, b);
     }
 
     #[test]
@@ -424,7 +398,12 @@ mod tests {
 
     #[test]
     fn to_constant_collapses_spread() {
-        let m = LatencyModel::calibrated_ms(53.0).to_constant();
+        let m = LatencyModel::LogNormal {
+            mean: SimDuration::from_millis(53),
+            cv: 0.10,
+            floor: SimDuration::from_micros(26_500),
+        }
+        .to_constant();
         let mut rng = SimRng::from_seed(20);
         let a = m.sample(&mut rng);
         let b = m.sample(&mut rng);

@@ -436,8 +436,8 @@ struct NotifyState {
     next_id: u64,
 }
 
-/// Wake one or all waiting tasks. Unlike a channel there is no payload and
-/// no buffering: a `notify_one` with no waiter is lost.
+/// Wake every waiting task. Unlike a channel there is no payload and no
+/// buffering: a notification with no waiter is lost.
 #[derive(Clone)]
 pub struct Notify {
     st: Rc<RefCell<NotifyState>>,
@@ -475,13 +475,6 @@ impl Notify {
         let (id, waker) = st.waiters.pop_front()?;
         st.signaled.push(id);
         Some(waker)
-    }
-
-    /// Wake the longest-waiting task, if any.
-    pub fn notify_one(&self) {
-        if let Some(waker) = self.signal_front() {
-            waker.wake();
-        }
     }
 
     /// Wake every waiting task, longest-waiting first.
@@ -758,35 +751,10 @@ mod tests {
     }
 
     #[test]
-    fn notify_one_wakes_single_waiter() {
-        let sim = Sim::new(1);
-        let n = Notify::new();
-        let woke = Rc::new(Cell::new(0));
-        for _ in 0..3 {
-            let n = n.clone();
-            let woke = woke.clone();
-            sim.spawn(async move {
-                n.notified().await;
-                woke.set(woke.get() + 1);
-            });
-        }
-        let n2 = n.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(SimDuration::from_millis(1)).await;
-            n2.notify_one();
-            s.sleep(SimDuration::from_millis(1)).await;
-            n2.notify_all();
-        });
-        sim.run();
-        assert_eq!(woke.get(), 3);
-    }
-
-    #[test]
     fn notify_without_waiters_is_lost() {
         let sim = Sim::new(1);
         let n = Notify::new();
-        n.notify_one();
+        n.notify_all();
         let s = sim.clone();
         let n2 = n.clone();
         let got = sim.block_on(async move {

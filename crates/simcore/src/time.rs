@@ -125,22 +125,10 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds in this span (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds in this span, as floating point.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Milliseconds in this span, as floating point.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// True if this is the empty span.
@@ -335,7 +323,7 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
+        assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3600));
@@ -382,7 +370,7 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
-        assert!((d.mul_f64(2.5).as_millis_f64() - 25.0).abs() < 1e-9);
+        assert!((d.mul_f64(2.5).as_secs_f64() - 0.025).abs() < 1e-12);
         assert!(((d / SimDuration::from_millis(4)) - 2.5).abs() < 1e-12);
     }
 
