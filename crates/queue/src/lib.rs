@@ -411,6 +411,7 @@ impl QueueService {
         queue: &str,
         body: impl Into<Payload>,
     ) -> Result<MessageId, QueueError> {
+        let body: Payload = body.into();
         Ok(self.send_batch(caller, queue, vec![body]).await?[0])
     }
 

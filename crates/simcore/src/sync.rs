@@ -751,6 +751,29 @@ mod tests {
     }
 
     #[test]
+    fn notify_all_wakes_every_waiter() {
+        let sim = Sim::new(1);
+        let n = Notify::new();
+        let woke = Rc::new(Cell::new(0));
+        for _ in 0..3 {
+            let n = n.clone();
+            let woke = woke.clone();
+            sim.spawn(async move {
+                n.notified().await;
+                woke.set(woke.get() + 1);
+            });
+        }
+        let n2 = n.clone();
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_millis(1)).await;
+            n2.notify_all();
+        });
+        sim.run();
+        assert_eq!(woke.get(), 3);
+    }
+
+    #[test]
     fn notify_without_waiters_is_lost() {
         let sim = Sim::new(1);
         let n = Notify::new();
