@@ -3,8 +3,7 @@
 //! An S3-like autoscaling object store: flat buckets of immutable objects,
 //! high per-request latency, per-connection throughput caps, optional
 //! read-after-write *inconsistency* (the weak replica consistency §3 of
-//! the paper calls out), per-request pricing, and change notifications
-//! that the FaaS platform uses for blob-triggered functions.
+//! the paper calls out), and per-request pricing.
 //!
 //! Calibration (see `BlobProfile::aws_2018`):
 //! - 53 ms mean per operation → Table 1's 108 ms Lambda↔S3 write+read.
@@ -24,8 +23,8 @@ use faasim_net::Host;
 use faasim_payload::Payload;
 use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    mbytes_per_sec, Bps, LatencyModel, LazyCounter, LazyHist, Recorder, Sender, Sim, SimDuration,
-    SimRng, SimTime,
+    mbytes_per_sec, Bps, LatencyModel, LazyCounter, LazyHist, Recorder, Sim, SimDuration, SimRng,
+    SimTime,
 };
 
 /// Errors returned by blob operations.
@@ -95,30 +94,6 @@ impl BlobProfile {
     }
 }
 
-/// What happened to an object (for bucket notifications).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BlobEventKind {
-    /// Object created or overwritten.
-    Created,
-    /// Object deleted.
-    Removed,
-}
-
-/// A bucket change notification.
-#[derive(Clone, Debug)]
-pub struct BlobEvent {
-    /// Bucket name.
-    pub bucket: String,
-    /// Object key.
-    pub key: String,
-    /// Object size in bytes (0 for removals).
-    pub size: u64,
-    /// Created or removed.
-    pub kind: BlobEventKind,
-    /// When the change committed.
-    pub at: SimTime,
-}
-
 #[derive(Clone)]
 struct ObjectVersion {
     data: Payload,
@@ -133,11 +108,8 @@ fn visible(versions: &[ObjectVersion], now: SimTime) -> Option<&Payload> {
     (!latest.tombstone).then_some(&latest.data)
 }
 
-#[derive(Default)]
-struct Bucket {
-    objects: BTreeMap<String, Vec<ObjectVersion>>,
-    subscribers: Vec<Sender<BlobEvent>>,
-}
+/// A bucket: each key's versions, oldest first.
+type Bucket = BTreeMap<String, Vec<ObjectVersion>>;
 
 /// Deterministic fault knobs for the object store. Zero by default; no
 /// RNG draws are consumed while every probability is zero, so enabling
@@ -245,20 +217,6 @@ impl BlobStore {
             .or_default();
     }
 
-    /// Subscribe to change events on `bucket`. The receiver sees every
-    /// commit after this call.
-    pub fn subscribe(&self, bucket: &str) -> faasim_simcore::Receiver<BlobEvent> {
-        let (tx, rx) = faasim_simcore::channel();
-        self.state
-            .borrow_mut()
-            .buckets
-            .entry(bucket.to_owned())
-            .or_default()
-            .subscribers
-            .push(tx);
-        rx
-    }
-
     /// Install chaos knobs; pass `BlobFaults::default()` to disable.
     pub fn set_faults(&self, faults: BlobFaults) {
         self.state.borrow_mut().faults = faults;
@@ -346,7 +304,7 @@ impl BlobStore {
                 .buckets
                 .get_mut(bucket)
                 .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
-            let versions = b.objects.entry(key.to_owned()).or_default();
+            let versions = b.entry(key.to_owned()).or_default();
             // Keep the last already-visible version (for stale reads) plus
             // the new one.
             versions.retain(|v| v.visible_at <= now);
@@ -360,14 +318,6 @@ impl BlobStore {
                 visible_at,
                 tombstone: false,
             });
-            let event = BlobEvent {
-                bucket: bucket.to_owned(),
-                key: key.to_owned(),
-                size,
-                kind: BlobEventKind::Created,
-                at: now,
-            };
-            b.subscribers.retain(|s| s.send(event.clone()).is_ok());
         }
         self.settle_put_tier(Op::Put);
         let h = &self.handles;
@@ -431,8 +381,7 @@ impl BlobStore {
             .buckets
             .get(bucket)
             .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
-        b.objects
-            .get(key)
+        b.get(key)
             .and_then(|versions| visible(versions, now))
             .cloned()
             .ok_or_else(|| BlobError::NoSuchKey(key.to_owned()))
@@ -444,29 +393,20 @@ impl BlobStore {
         self.chaos_gate(Op::Delete).await?;
         let latency = self.sample_latency();
         self.sim.sleep(latency).await;
-        let now = self.sim.now();
-        let visible_at = self.sample_visibility(now);
+        let visible_at = self.sample_visibility(self.sim.now());
         {
             let mut st = self.state.borrow_mut();
             let b = st
                 .buckets
                 .get_mut(bucket)
                 .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
-            if let Some(versions) = b.objects.get_mut(key) {
+            if let Some(versions) = b.get_mut(key) {
                 versions.push(ObjectVersion {
                     data: Payload::new(),
                     visible_at,
                     tombstone: true,
                 });
             }
-            let event = BlobEvent {
-                bucket: bucket.to_owned(),
-                key: key.to_owned(),
-                size: 0,
-                kind: BlobEventKind::Removed,
-                at: now,
-            };
-            b.subscribers.retain(|s| s.send(event.clone()).is_ok());
         }
         self.settle_put_tier(Op::Delete);
         Ok(())
@@ -492,7 +432,6 @@ impl BlobStore {
             .get(bucket)
             .ok_or_else(|| BlobError::NoSuchBucket(bucket.to_owned()))?;
         let keys = b
-            .objects
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, versions)| Some((k.clone(), visible(versions, now)?.len() as u64)))
@@ -515,7 +454,7 @@ impl BlobStore {
         let st = self.state.borrow();
         st.buckets
             .values()
-            .flat_map(|b| b.objects.values())
+            .flat_map(|b| b.values())
             .filter_map(|versions| visible(versions, now))
             .map(|data| data.len() as u64)
             .sum()
@@ -527,7 +466,7 @@ impl BlobStore {
         let st = self.state.borrow();
         st.buckets
             .values()
-            .flat_map(|b| b.objects.values())
+            .flat_map(|b| b.values())
             .filter(|versions| visible(versions, now).is_some())
             .count()
     }
@@ -782,23 +721,6 @@ mod tests {
                 assert!(fresh.eq_bytes(b"v2"));
             }
         });
-    }
-
-    #[test]
-    fn events_reach_subscribers() {
-        let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
-        let mut rx = store.subscribe("b");
-        let store2 = store.clone();
-        sim.spawn(async move {
-            store2
-                .put(&host, "b", "new-object", Bytes::from_static(b"data"))
-                .await
-                .unwrap();
-        });
-        let ev = sim.block_on(async move { rx.recv().await.unwrap() });
-        assert_eq!(ev.key, "new-object");
-        assert_eq!(ev.kind, BlobEventKind::Created);
-        assert_eq!(ev.size, 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::sweep::{sweep_seed, Scenario, SweepReport};
+use crate::sweep::{run_twice, Scenario, SeedReport, SweepReport};
 
 /// A worker pool for fanning pure `seed -> result` jobs across cores.
 #[derive(Clone, Copy, Debug)]
@@ -100,13 +100,16 @@ impl ParallelSweep {
             .collect()
     }
 
-    /// Parallel counterpart of [`sweep`](crate::sweep::sweep): identical
-    /// semantics (every seed runs twice, replay divergence is a failure)
-    /// and a byte-identical [`SweepReport`], just spread across cores.
-    pub fn sweep(&self, scenario: &(dyn Scenario + Sync), seeds: &[u64]) -> SweepReport {
+    /// Sweep `scenario` over `seeds` across the pool: every seed runs
+    /// twice through [`run_twice`], and a replay divergence is a failure.
+    /// The [`SweepReport`] is byte-identical whatever the worker count.
+    pub fn sweep(&self, scenario: &dyn Scenario, seeds: &[u64]) -> SweepReport {
         SweepReport {
             scenario: scenario.name().to_owned(),
-            results: self.map(seeds, |seed| sweep_seed(scenario, seed)),
+            results: self.map(seeds, |seed| SeedReport {
+                seed,
+                violations: run_twice(scenario, seed).violations,
+            }),
         }
     }
 }

@@ -7,6 +7,7 @@ use std::fmt;
 use faasim::Cloud;
 
 use crate::invariants::check_cloud;
+use crate::parallel::ParallelSweep;
 
 /// What one scenario run produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,8 +37,9 @@ impl RunReport {
 
 /// A chaos scenario: a workload plus its invariants, parameterised only
 /// by the seed. `run` must be a pure function of `seed` — the harness
-/// replays every seed twice and treats any divergence as a failure.
-pub trait Scenario {
+/// replays every seed twice and treats any divergence as a failure. A
+/// scenario is `Sync` so any sweep can fan its seeds across threads.
+pub trait Scenario: Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
     /// Execute the scenario at `seed` and report.
@@ -120,15 +122,13 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// Sweep `scenario` over `seeds`. Each seed runs **twice**; beyond the
+/// Sweep `scenario` over `seeds` on the calling thread: a one-worker
+/// [`ParallelSweep::sweep`]. Each seed runs **twice**; beyond the
 /// scenario's own invariants, the two runs must produce byte-identical
 /// recorder digests and bills, or the seed fails with a replay-divergence
 /// violation. Determinism is not an aspiration here — it is an invariant.
 pub fn sweep(scenario: &dyn Scenario, seeds: &[u64]) -> SweepReport {
-    SweepReport {
-        scenario: scenario.name().to_owned(),
-        results: seeds.iter().map(|&seed| sweep_seed(scenario, seed)).collect(),
-    }
+    ParallelSweep::new(1).sweep(scenario, seeds)
 }
 
 /// Run `scenario` at `seed` twice. Returns the first run's report, with a
@@ -150,14 +150,6 @@ pub fn run_twice(scenario: &dyn Scenario, seed: u64) -> RunReport {
         ));
     }
     first
-}
-
-/// One seed of a sweep, serial or parallel.
-pub(crate) fn sweep_seed(scenario: &dyn Scenario, seed: u64) -> SeedReport {
-    SeedReport {
-        seed,
-        violations: run_twice(scenario, seed).violations,
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +184,15 @@ mod tests {
         assert!(text.contains("seed 9 FAILED"), "{text}");
     }
 
-    struct NonDeterministic(std::cell::Cell<u64>);
+    struct NonDeterministic(std::sync::atomic::AtomicU64);
     impl Scenario for NonDeterministic {
         fn name(&self) -> &'static str {
             "flaky"
         }
         fn run(&self, _seed: u64) -> RunReport {
-            self.0.set(self.0.get() + 1);
+            let run = self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
             RunReport {
-                digest: format!("run-{}", self.0.get()),
+                digest: format!("run-{run}"),
                 bill: "$0".to_owned(),
                 violations: vec![],
             }

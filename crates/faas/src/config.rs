@@ -45,10 +45,6 @@ pub struct FaasProfile {
     pub account_concurrency: usize,
     /// Billing granularity (2018: 100 ms, rounded up).
     pub billing_increment: SimDuration,
-    /// Retries for asynchronously invoked (event) executions that fail.
-    pub async_retries: u32,
-    /// Backoff between async retries (multiplied by the attempt number).
-    pub async_retry_backoff: SimDuration,
 }
 
 impl FaasProfile {
@@ -83,8 +79,6 @@ impl FaasProfile {
             max_containers_per_host: 20,
             account_concurrency: 1_000,
             billing_increment: SimDuration::from_millis(100),
-            async_retries: 2,
-            async_retry_backoff: SimDuration::from_mins(1),
         }
     }
 

@@ -32,4 +32,4 @@ pub use platform::{
     FaasFaults, FaasPlatform, FnCtx, FnError, FunctionId, FunctionSpec, HandlerResult,
     InvokeOutcome, PackingStats,
 };
-pub use trigger::{add_blob_trigger, add_queue_trigger, BlobTriggerBuilder, TriggerHandle};
+pub use trigger::{add_queue_trigger, TriggerHandle};

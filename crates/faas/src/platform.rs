@@ -13,8 +13,8 @@ use faasim_net::{Fabric, Host, HostId, NicStats};
 use faasim_payload::Payload;
 use faasim_pricing::{ItemId, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    FxHashMap, LazyCounter, LazyHist, LocalBoxFuture, Recorder, SemPermit, Semaphore, Sim,
-    SimDuration, SimRng, SimTime,
+    FxHashMap, LatencyModel, LazyCounter, LazyHist, LocalBoxFuture, Recorder, SemPermit, Semaphore,
+    Sim, SimDuration, SimRng, SimTime,
 };
 
 use crate::config::FaasProfile;
@@ -581,14 +581,10 @@ impl FaasPlatform {
             .count()
     }
 
-    fn sample(&self, which: Which) -> SimDuration {
-        let mut st = self.state.borrow_mut();
-        let model = match which {
-            Which::Invoke => &self.profile.invoke_overhead,
-            Which::Cold => &self.profile.cold_start_extra,
-            Which::Trigger => &self.profile.queue_trigger_overhead,
-        };
-        model.sample(&mut st.rng)
+    /// Draw from one of the profile's latency models on the platform's
+    /// own RNG stream.
+    fn sample(&self, model: &LatencyModel) -> SimDuration {
+        model.sample(&mut self.state.borrow_mut().rng)
     }
 
     /// Install chaos knobs; pass `FaasFaults::default()` to disable.
@@ -714,10 +710,6 @@ impl FaasPlatform {
 
     /// Place a new container for `func`, packing onto existing hosts
     /// fill-first (the behaviour behind §3(2)'s bandwidth collapse).
-    fn place_cold(&self, func: FunctionId, memory_mb: u64) -> u32 {
-        self.place_container(func, memory_mb, false)
-    }
-
     /// Returns the new container's slot.
     fn place_container(&self, func: FunctionId, memory_mb: u64, provisioned: bool) -> u32 {
         let mut st = self.state.borrow_mut();
@@ -848,39 +840,6 @@ impl FaasPlatform {
         }
     }
 
-    /// Asynchronous invocation with Lambda's event-invoke semantics: the
-    /// call returns immediately; the platform runs the function in the
-    /// background, retrying failed executions up to `async_retries` times
-    /// with backoff, then counting it in `faas.async_failures`.
-    pub fn invoke_async(&self, func: &str, payload: impl Into<Payload>) {
-        let this = self.clone();
-        let func = func.to_owned();
-        let payload: Payload = payload.into();
-        self.sim.clone().spawn(async move {
-            let (retries, backoff) = (
-                this.profile.async_retries,
-                this.profile.async_retry_backoff,
-            );
-            let mut attempt = 0u32;
-            // An unregistered function fails at once, like `NotFound` below.
-            let id = this.function_id(&func);
-            while let Some(id) = id {
-                let out = this.invoke_id(id, payload.clone()).await;
-                match out.result {
-                    Ok(_) => return,
-                    Err(FnError::NotFound(_)) => break, // retrying won't help
-                    Err(_) if attempt < retries => {
-                        attempt += 1;
-                        this.recorder.incr("faas.async_retries");
-                        this.sim.sleep(backoff * attempt as u64).await;
-                    }
-                    Err(_) => break,
-                }
-            }
-            this.recorder.incr("faas.async_failures");
-        });
-    }
-
     async fn invoke_inner(
         &self,
         func: FunctionId,
@@ -902,19 +861,19 @@ impl FaasPlatform {
 
         // Invocation-path overhead.
         if triggered {
-            let d = self.sample(Which::Trigger);
+            let d = self.sample(&self.profile.queue_trigger_overhead);
             self.sim.sleep(d).await;
         }
-        let overhead = self.sample(Which::Invoke);
+        let overhead = self.sample(&self.profile.invoke_overhead);
         self.sim.sleep(overhead).await;
 
         // Container acquisition.
         let (slot, cold) = match self.take_warm(func) {
             Some(slot) => (slot, false),
             None => {
-                let cold_extra = self.sample(Which::Cold);
+                let cold_extra = self.sample(&self.profile.cold_start_extra);
                 self.sim.sleep(cold_extra).await;
-                (self.place_cold(func, spec.memory_mb), true)
+                (self.place_container(func, spec.memory_mb, false), true)
             }
         };
         let (container_id, host, cache) = {
@@ -1025,12 +984,6 @@ impl FaasPlatform {
             container: container_id,
         }
     }
-}
-
-enum Which {
-    Invoke,
-    Cold,
-    Trigger,
 }
 
 /// GB·seconds a container has been resident, from placement to `now`.
@@ -1569,74 +1522,6 @@ mod tests {
         // 4 GB reserved for one hour = 14,400 GB-s at $0.000004167.
         let dollars = ledger.item_dollars(Service::Faas, "provisioned-gb-seconds");
         assert!((dollars - 14_400.0 * 0.000_004_167).abs() < 1e-6, "{dollars}");
-    }
-
-    #[test]
-    fn async_invoke_retries_then_succeeds() {
-        let sim = Sim::new(53);
-        let recorder = Recorder::new();
-        let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
-        let mut profile = crate::config::FaasProfile::aws_2018().exact();
-        profile.async_retry_backoff = SimDuration::from_secs(1);
-        let platform = FaasPlatform::new(
-            &sim,
-            &fabric,
-            profile,
-            Rc::new(PriceBook::aws_2018()),
-            Ledger::new(),
-            recorder.clone(),
-        );
-        let tries = Rc::new(std::cell::Cell::new(0u32));
-        let t = tries.clone();
-        platform.register(FunctionSpec::new(
-            "flaky",
-            128,
-            SimDuration::from_secs(30),
-            move |_ctx, p| {
-                let t = t.clone();
-                async move {
-                    t.set(t.get() + 1);
-                    if t.get() < 3 {
-                        Err(FnError::Handler("transient".into()))
-                    } else {
-                        Ok(p)
-                    }
-                }
-            },
-        ));
-        platform.invoke_async("flaky", Bytes::new());
-        sim.run();
-        assert_eq!(tries.get(), 3, "two retries then success");
-        assert_eq!(recorder.counter("faas.async_retries"), 2);
-        assert_eq!(recorder.counter("faas.async_failures"), 0);
-    }
-
-    #[test]
-    fn async_invoke_counts_exhausted_failures() {
-        let sim = Sim::new(54);
-        let recorder = Recorder::new();
-        let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
-        let mut profile = crate::config::FaasProfile::aws_2018().exact();
-        profile.async_retry_backoff = SimDuration::from_secs(1);
-        let platform = FaasPlatform::new(
-            &sim,
-            &fabric,
-            profile,
-            Rc::new(PriceBook::aws_2018()),
-            Ledger::new(),
-            recorder.clone(),
-        );
-        platform.register(FunctionSpec::new(
-            "doomed",
-            128,
-            SimDuration::from_secs(30),
-            |_ctx, _| async move { Err::<Payload, _>(FnError::Handler("permanent".into())) },
-        ));
-        platform.invoke_async("doomed", Bytes::from_static(b"event-1"));
-        sim.run();
-        // 1 initial + 2 retries, all failed.
-        assert_eq!(recorder.counter("faas.async_retries"), 2);
-        assert_eq!(recorder.counter("faas.async_failures"), 1);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Event sources: queue-batch triggers and blob-change triggers.
+//! Event sources: queue-batch triggers.
 //!
 //! These are the "event-driven workflows of Lambda functions, stitched
-//! together via queueing systems (such as SQS) or object stores (such as
-//! S3)" that §2's *function composition* pattern describes.
+//! together via queueing systems (such as SQS)" that §2's *function
+//! composition* pattern describes.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use faasim_blob::BlobStore;
 use faasim_payload::Payload;
 use faasim_net::{Fabric, NicConfig};
 use faasim_queue::{QueueService, MAX_BATCH};
@@ -52,8 +51,7 @@ pub fn add_queue_trigger(
     // The poller is part of the managed service; its host models the
     // event-source-mapping fleet, not the customer's containers.
     let poller_host = fabric.add_host(0, NicConfig::simple(mbps(10_000.0)));
-    let sim = platform_sim(&platform);
-    sim.clone().spawn(async move {
+    platform.sim_handle().spawn(async move {
         loop {
             if stop.get() {
                 break;
@@ -80,61 +78,12 @@ pub fn add_queue_trigger(
     handle
 }
 
-/// Attach a blob trigger: every object created in `bucket` invokes
-/// `func` with the object key as payload.
-pub fn add_blob_trigger(
-    platform: &FaasPlatform,
-    blobs: &BlobStore,
-    bucket: &str,
-) -> BlobTriggerBuilder {
-    BlobTriggerBuilder {
-        platform: platform.clone(),
-        blobs: blobs.clone(),
-        bucket: bucket.to_owned(),
-    }
-}
-
-/// Builder finishing a blob trigger registration.
-pub struct BlobTriggerBuilder {
-    platform: FaasPlatform,
-    blobs: BlobStore,
-    bucket: String,
-}
-
-impl BlobTriggerBuilder {
-    /// Invoke `func` for every created object.
-    pub fn on_created(self, func: &str) -> TriggerHandle {
-        let stop = Rc::new(Cell::new(false));
-        let handle = TriggerHandle { stop: stop.clone() };
-        let mut rx = self.blobs.subscribe(&self.bucket);
-        let platform = self.platform.clone();
-        let func = func.to_owned();
-        let sim = platform_sim(&platform);
-        sim.clone().spawn(async move {
-            while let Some(event) = rx.recv().await {
-                if stop.get() {
-                    break;
-                }
-                if event.kind == faasim_blob::BlobEventKind::Created {
-                    platform.invoke_async(&func, event.key.into_bytes());
-                }
-            }
-        });
-        handle
-    }
-}
-
-fn platform_sim(platform: &FaasPlatform) -> faasim_simcore::Sim {
-    platform.sim_handle()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use crate::config::FaasProfile;
     use crate::platform::FunctionSpec;
-    use faasim_blob::BlobProfile;
     use faasim_net::NetProfile;
     use faasim_pricing::{Ledger, PriceBook};
     use faasim_queue::{QueueConfig, QueueProfile};
@@ -145,7 +94,6 @@ mod tests {
         fabric: Fabric,
         platform: FaasPlatform,
         queues: QueueService,
-        blobs: BlobStore,
     }
 
     fn setup() -> World {
@@ -165,13 +113,6 @@ mod tests {
         let queues = QueueService::new(
             &sim,
             QueueProfile::aws_2018().exact(),
-            prices.clone(),
-            ledger.clone(),
-            recorder.clone(),
-        );
-        let blobs = BlobStore::new(
-            &sim,
-            BlobProfile::aws_2018().exact(),
             prices,
             ledger,
             recorder,
@@ -181,7 +122,6 @@ mod tests {
             fabric,
             platform,
             queues,
-            blobs,
         }
     }
 
@@ -262,43 +202,4 @@ mod tests {
         assert_eq!(attempts.get(), 3, "two failures then success");
         assert_eq!(w.queues.queue_len("in"), 0);
     }
-
-    #[test]
-    fn blob_trigger_fires_on_created_objects() {
-        let w = setup();
-        w.blobs.create_bucket("uploads");
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let s = seen.clone();
-        w.platform.register(FunctionSpec::new(
-            "thumbnail",
-            512,
-            SimDuration::from_secs(30),
-            move |_ctx, payload| {
-                let s = s.clone();
-                async move {
-                    s.borrow_mut()
-                        .push(String::from_utf8(payload.to_vec()).unwrap());
-                    Ok(Bytes::new())
-                }
-            },
-        ));
-        let _trigger = add_blob_trigger(&w.platform, &w.blobs, "uploads").on_created("thumbnail");
-        let host = w.fabric.add_host(0, NicConfig::simple(mbps(1000.0)));
-        let blobs = w.blobs.clone();
-        w.sim.spawn(async move {
-            blobs
-                .put(&host, "uploads", "cat.jpg", Bytes::from_static(b"img"))
-                .await
-                .unwrap();
-            blobs
-                .put(&host, "uploads", "dog.jpg", Bytes::from_static(b"img"))
-                .await
-                .unwrap();
-            blobs.delete(&host, "uploads", "cat.jpg").await.unwrap();
-        });
-        w.sim.run();
-        assert_eq!(*seen.borrow(), vec!["cat.jpg".to_owned(), "dog.jpg".to_owned()]);
-    }
-
-    use std::cell::RefCell;
 }

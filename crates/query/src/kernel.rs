@@ -9,14 +9,8 @@
 //!
 //! - [`Aggregate::CountAll`](crate::Aggregate::CountAll) is pure
 //!   line-count arithmetic: zero allocation, zero per-line state;
-//! - [`Aggregate::CountMatching`](crate::Aggregate::CountMatching) is a
-//!   byte-level substring test per line run — no histogram;
 //! - [`Aggregate::GroupCount`](crate::Aggregate::GroupCount) keys only
-//!   the extracted field *value*, never the whole line;
-//! - [`Aggregate::SumField`](crate::Aggregate::SumField) keeps a running
-//!   sum and a seen-flag — no map at all;
-//! - [`Aggregate::Exists`](crate::Aggregate::Exists) flips a bool and
-//!   **saturates**, letting the pipeline cancel unfetched partitions.
+//!   the extracted field *value*, never the whole line.
 //!
 //! Kernels consume *line runs* — `(line, multiplicity)` visits from the
 //! payload crate's analytic scanner — so a `Concat` of
@@ -32,7 +26,7 @@
 
 use std::borrow::Cow;
 
-use faasim_payload::{byte_positions, LineRunScanner, Payload};
+use faasim_payload::{LineRunScanner, Payload};
 use faasim_simcore::FxHashMap;
 
 use crate::{Aggregate, QueryError};
@@ -60,40 +54,17 @@ pub trait ScanKernel {
         scanner.finish(|line, n| visit_record(self, line, n));
     }
 
-    /// True once the kernel provably cannot change its answer — the
-    /// pipeline stops issuing fetches and cancels unfetched partitions.
-    fn saturated(&self) -> bool {
-        false
-    }
-
     /// Produce the result rows.
     fn finish(self: Box<Self>) -> Result<Vec<(String, f64)>, QueryError>;
 }
 
-/// Build the kernel for an aggregate. `limit` caps how many matching
-/// records the counting aggregates fold before saturating; it is
-/// ignored by `GroupCount`/`SumField` (their partial results would be
-/// scan-order-dependent) and by `Exists` (which saturates on its own).
-pub fn kernel_for(agg: &Aggregate, limit: Option<u64>) -> Box<dyn ScanKernel> {
+/// Build the kernel for an aggregate.
+pub fn kernel_for(agg: &Aggregate) -> Box<dyn ScanKernel> {
     match agg {
-        Aggregate::CountAll => Box::new(CountAll { count: 0, limit }),
-        Aggregate::CountMatching(needle) => Box::new(CountMatching {
-            needle: needle.as_bytes().to_vec(),
-            count: 0,
-            limit,
-        }),
+        Aggregate::CountAll => Box::new(CountAll { count: 0 }),
         Aggregate::GroupCount { field } => Box::new(GroupCount {
             field: *field,
             groups: FxHashMap::default(),
-        }),
-        Aggregate::SumField { field } => Box::new(SumField {
-            field: *field,
-            sum: 0.0,
-            matched: false,
-        }),
-        Aggregate::Exists(needle) => Box::new(Exists {
-            needle: needle.as_bytes().to_vec(),
-            found: false,
         }),
     }
 }
@@ -106,20 +77,6 @@ fn visit_record<K: ScanKernel + ?Sized>(kernel: &mut K, line: &[u8], n: u64) {
     if !line.is_empty() {
         kernel.visit(line, n);
     }
-}
-
-/// Byte-level substring test (what `str::contains` does for the ASCII
-/// corpora these queries scan). An empty needle matches everything.
-/// Only offsets holding the needle's first byte — found a word at a
-/// time — are compared in full.
-fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    let Some((&first, rest)) = needle.split_first() else {
-        return true;
-    };
-    let Some(last_start) = hay.len().checked_sub(needle.len()) else {
-        return false;
-    };
-    byte_positions(&hay[..=last_start], first).any(|at| hay[at + 1..].starts_with(rest))
 }
 
 /// The whitespace `str::split_whitespace` splits ASCII text on:
@@ -157,51 +114,13 @@ fn nth_field(line: &[u8], field: usize) -> Option<Cow<'_, [u8]>> {
     }
 }
 
-/// Clamped add: the counting kernels never report more than `limit`
-/// records, so an in-flight chunk folded after saturation cannot
-/// overshoot the answer.
-fn add_clamped(count: u64, n: u64, limit: Option<u64>) -> u64 {
-    let next = count.saturating_add(n);
-    match limit {
-        Some(l) => next.min(l),
-        None => next,
-    }
-}
-
 struct CountAll {
     count: u64,
-    limit: Option<u64>,
 }
 
 impl ScanKernel for CountAll {
     fn visit(&mut self, _line: &[u8], n: u64) {
-        self.count = add_clamped(self.count, n, self.limit);
-    }
-
-    fn saturated(&self) -> bool {
-        self.limit.is_some_and(|l| self.count >= l)
-    }
-
-    fn finish(self: Box<Self>) -> Result<Vec<(String, f64)>, QueryError> {
-        Ok(vec![(String::new(), self.count as f64)])
-    }
-}
-
-struct CountMatching {
-    needle: Vec<u8>,
-    count: u64,
-    limit: Option<u64>,
-}
-
-impl ScanKernel for CountMatching {
-    fn visit(&mut self, line: &[u8], n: u64) {
-        if contains(line, &self.needle) {
-            self.count = add_clamped(self.count, n, self.limit);
-        }
-    }
-
-    fn saturated(&self) -> bool {
-        self.limit.is_some_and(|l| self.count >= l)
+        self.count = self.count.saturating_add(n);
     }
 
     fn finish(self: Box<Self>) -> Result<Vec<(String, f64)>, QueryError> {
@@ -243,52 +162,6 @@ impl ScanKernel for GroupCount {
                 (group, count as f64)
             })
             .collect())
-    }
-}
-
-struct SumField {
-    field: usize,
-    sum: f64,
-    matched: bool,
-}
-
-impl ScanKernel for SumField {
-    fn visit(&mut self, line: &[u8], n: u64) {
-        if let Some(value) = nth_field(line, self.field) {
-            self.matched = true;
-            let value = std::str::from_utf8(&value).expect("nth_field yields UTF-8");
-            if let Ok(v) = value.parse::<f64>() {
-                self.sum += v * n as f64;
-            }
-        }
-    }
-
-    fn finish(self: Box<Self>) -> Result<Vec<(String, f64)>, QueryError> {
-        if !self.matched {
-            return Err(QueryError::NoSuchField(self.field));
-        }
-        Ok(vec![(String::new(), self.sum)])
-    }
-}
-
-struct Exists {
-    needle: Vec<u8>,
-    found: bool,
-}
-
-impl ScanKernel for Exists {
-    fn visit(&mut self, line: &[u8], _n: u64) {
-        if !self.found && contains(line, &self.needle) {
-            self.found = true;
-        }
-    }
-
-    fn saturated(&self) -> bool {
-        self.found
-    }
-
-    fn finish(self: Box<Self>) -> Result<Vec<(String, f64)>, QueryError> {
-        Ok(vec![(String::new(), if self.found { 1.0 } else { 0.0 })])
     }
 }
 
@@ -371,7 +244,7 @@ mod tests {
         for ascii in [true, false] {
             let lines = tricky_lines(ascii);
             for field in 0..3 {
-                let mut k = kernel_for(&Aggregate::GroupCount { field }, None);
+                let mut k = kernel_for(&Aggregate::GroupCount { field });
                 for line in &lines {
                     k.visit(line, 1);
                 }
@@ -381,7 +254,7 @@ mod tests {
             }
         }
         // Different invalid bytes decode to the same U+FFFD group.
-        let mut k = kernel_for(&Aggregate::GroupCount { field: 0 }, None);
+        let mut k = kernel_for(&Aggregate::GroupCount { field: 0 });
         k.visit(b"\xff", 1);
         k.visit(b"\xfe x", 2);
         k.visit(b"\xc3", 4);
@@ -389,65 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn contains_matches_a_window_scan() {
-        let windows = |hay: &[u8], needle: &[u8]| {
-            needle.is_empty() || hay.windows(needle.len()).any(|w| w == needle)
-        };
-        let mut hay = vec![b'.'; 70];
-        assert!(contains(&hay, b""));
-        assert!(contains(b"", b""));
-        assert!(!contains(b"", b"a"));
-        assert!(!contains(b"ab", b"abc"), "needle longer than the line");
-        assert!(contains(b"abc", b"abc"));
-        // A match at either side of a word boundary, and at the last byte.
-        for at in [0, 7, 8, 63, 64, 67] {
-            hay[at..at + 3].copy_from_slice(b"404");
-            assert!(contains(&hay, b"404"), "match at {at}");
-            assert!(!contains(&hay[..at + 2], b"404"), "cut short at {at}");
-            assert!(contains(&hay[at..at + 3], b"404"));
-            hay[at..at + 3].fill(b'.');
-        }
-        hay[69] = b'!';
-        assert!(contains(&hay, b"!"));
-        assert!(contains(&hay, b".!"));
-        assert!(!contains(&hay, b"!."));
-        // A candidate that fails must not hide the overlapping match.
-        assert!(contains(b"aaab", b"aab"));
-        assert!(contains(b"abababc", b"ababc"));
-        assert!(!contains(b"aaaa", b"aab"));
-        for line in tricky_lines(false) {
-            for needle in [&b"GET"[..], b" ", b"\xff\xfe", b"200 ", b"\x0b"] {
-                assert_eq!(contains(&line, needle), windows(&line, needle));
-            }
-        }
-    }
-
-    #[test]
-    fn count_all_clamps_at_limit() {
-        let mut k = kernel_for(&Aggregate::CountAll, Some(10));
-        k.visit(b"x", 7);
-        assert!(!k.saturated());
-        k.visit(b"x", 7); // overshoot clamps to exactly the limit
-        assert!(k.saturated());
-        assert_eq!(k.finish().unwrap(), vec![(String::new(), 10.0)]);
-    }
-
-    #[test]
-    fn count_matching_is_byte_level() {
-        let mut k = kernel_for(&Aggregate::CountMatching("b c".into()), None);
-        k.visit(b"a b c", 3);
-        k.visit(b"a bc", 5);
-        k.visit(b"zzz", 1);
-        assert_eq!(k.finish().unwrap(), vec![(String::new(), 3.0)]);
-        // Empty needle matches every line, like `str::contains("")`.
-        let mut k = kernel_for(&Aggregate::CountMatching(String::new()), None);
-        k.visit(b"anything", 4);
-        assert_eq!(k.finish().unwrap(), vec![(String::new(), 4.0)]);
-    }
-
-    #[test]
     fn group_count_keys_only_the_field() {
-        let mut k = kernel_for(&Aggregate::GroupCount { field: 1 }, None);
+        let mut k = kernel_for(&Aggregate::GroupCount { field: 1 });
         k.visit(b"GET /a 200", 2);
         k.visit(b"PUT /a 200", 1);
         k.visit(b"GET /b 404", 1);
@@ -459,7 +275,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_fields_decode_lossily_and_still_group() {
-        let mut k = kernel_for(&Aggregate::GroupCount { field: 1 }, None);
+        let mut k = kernel_for(&Aggregate::GroupCount { field: 1 });
         k.visit(b"GET /\xff 200", 2);
         k.visit(b"PUT /\xff 500", 3);
         k.visit(b"GET /ok 200", 1);
@@ -467,26 +283,12 @@ mod tests {
             k.finish().unwrap(),
             vec![("/ok".to_owned(), 1.0), ("/\u{fffd}".to_owned(), 5.0)]
         );
-        let mut k = kernel_for(&Aggregate::SumField { field: 1 }, None);
-        k.visit(b"\xff 2.5", 4);
-        k.visit(b"a \xff", 1);
-        assert_eq!(k.finish().unwrap(), vec![(String::new(), 10.0)]);
     }
 
     #[test]
     fn missing_field_surfaces_after_finish() {
-        let mut k = kernel_for(&Aggregate::SumField { field: 3 }, None);
+        let mut k = kernel_for(&Aggregate::GroupCount { field: 3 });
         k.visit(b"a b", 1);
         assert_eq!(k.finish().unwrap_err(), QueryError::NoSuchField(3));
-    }
-
-    #[test]
-    fn exists_saturates_on_first_match() {
-        let mut k = kernel_for(&Aggregate::Exists("404".into()), None);
-        k.visit(b"GET / 200", 9);
-        assert!(!k.saturated());
-        k.visit(b"GET /x 404", 1);
-        assert!(k.saturated());
-        assert_eq!(k.finish().unwrap(), vec![(String::new(), 1.0)]);
     }
 }

