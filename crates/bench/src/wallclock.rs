@@ -64,7 +64,7 @@ impl KernelBench {
 pub struct SuiteRun {
     /// Cores the host reports.
     pub cores: usize,
-    /// The kernels, best of [`BENCH_RUNS`] rounds each.
+    /// The kernels, best of `BENCH_RUNS` rounds each.
     pub kernel: Vec<KernelBench>,
 }
 
@@ -128,7 +128,7 @@ fn merge_min_wall(acc: &mut Vec<KernelBench>, round: Vec<KernelBench>) {
 
 /// One round of the suite: each kernel returns its event count so the
 /// score is events/sec, not iterations/sec. [`run_suite`] runs
-/// [`BENCH_RUNS`] rounds and keeps the fastest wall-clock per bench.
+/// `BENCH_RUNS` rounds and keeps the fastest wall-clock per bench.
 pub fn run_kernel_benches() -> Vec<KernelBench> {
     let mut out = base_kernel_benches();
     out.push(blackboard_poll_bench(SimDuration::from_hours(2)));
@@ -458,8 +458,8 @@ fn link_fanin(n: u64, mut bytes_of: impl FnMut(u64) -> u64) -> u64 {
     sim.stats().events_processed
 }
 
-/// Run the suite [`BENCH_RUNS`] times, keeping each kernel's fastest and
-/// slowest wall-clock (see [`BENCH_RUNS`]).
+/// Run the suite `BENCH_RUNS` times, keeping each kernel's fastest and
+/// slowest wall-clock (see `BENCH_RUNS`).
 pub fn run_suite() -> SuiteRun {
     let mut kernel = Vec::new();
     for _ in 0..BENCH_RUNS {

@@ -21,9 +21,7 @@ use faasim_kv::{KvError, KvStore};
 use faasim_net::{Addr, Message, Socket};
 use faasim_payload::Payload;
 use faasim_queue::{QueueError, QueueService};
-use faasim_resilience::{
-    Deadline, RetryPolicy, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue,
-};
+use faasim_resilience::{Deadline, RetryPolicy, Retrying, RetryingInvoker};
 use faasim_simcore::{Sim, SimDuration, SimTime};
 
 use crate::faults::FaultPlan;
@@ -73,9 +71,9 @@ fn retrying<S: Clone>(cloud: &Cloud, service: &S, label: &str) -> Retrying<S> {
 #[derive(Clone)]
 pub struct Retried {
     sim: Sim,
-    blob: RetryingBlob,
-    kv: RetryingKv,
-    queue: RetryingQueue,
+    blob: Retrying<BlobStore>,
+    kv: Retrying<KvStore>,
+    queue: Retrying<QueueService>,
 }
 
 /// A cloud's platform behind [`Retrying`]: a killed or timed-out

@@ -95,7 +95,7 @@ pub(super) fn run(run: &mut Run<Faulty<'_>>, seed: u64) {
             failures.extend(sent.await.err().map(|e| format!("send {id}: {e}")));
         }
         let by = sim.now() + SimDuration::from_secs(1_800);
-        while idem2.committed_count(&host, "batch-").await.map_or(true, |n| n < BATCHES) {
+        while idem2.committed(&host, "batch-").await.map_or(true, |c| c.len() < BATCHES) {
             if sim.now() >= by {
                 failures.push(format!("not all {BATCHES} batches committed within budget"));
                 break;

@@ -12,13 +12,13 @@ use bytes::Bytes;
 use faasim::protocols::{Crdt, GCounter};
 use faasim::CloudProfile;
 use faasim_faas::{add_queue_trigger, decode_batch, FunctionSpec};
-use faasim_gateway::{Gateway, GatewayConfig, RetryingGateway, TenantConfig, TenantStats};
-use faasim_kv::{Consistency, KvError, KvStore};
+use faasim_gateway::{Gateway, GatewayConfig, TenantConfig, TenantStats};
+use faasim_kv::{Consistency, KvStore};
 use faasim_payload::Payload;
 use faasim_queue::QueueConfig;
 use faasim_simcore::{nearest_rank, LatencyModel, SimDuration};
 
-use faasim_resilience::{Deadline, RetryPolicy, RetryingKv};
+use faasim_resilience::{settled, Deadline, RetryPolicy, Retrying};
 
 use crate::faults::FaultPlan;
 use crate::sweep::{RunReport, Scenario};
@@ -32,7 +32,7 @@ fn base_profile() -> CloudProfile {
 /// throttles the store and spikes the network, and every replica must
 /// still converge to the exact global count once writes quiesce.
 ///
-/// Each replica's KV traffic goes through a [`RetryingKv`] client, so
+/// Each replica's KV traffic goes through a [`Retrying`] client, so
 /// the scenario also demonstrates the retry discipline absorbing
 /// `Throttled` errors.
 #[derive(Clone, Debug)]
@@ -93,7 +93,7 @@ impl Scenario for CrdtSync {
         let stuck: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
 
         for r in 1..=replicas {
-            let kv = RetryingKv::new(
+            let kv = Retrying::new(
                 &cloud.sim,
                 &cloud.kv,
                 cloud.recorder.clone(),
@@ -120,14 +120,12 @@ impl Scenario for CrdtSync {
                     if peer != r {
                         let peer_key = format!("replica-{peer}");
                         let read = |kv| KvStore::get(kv, &host, "crdt", &peer_key, Consistency::Eventual);
-                        match kv.call(unbounded, read).await {
-                            Ok(item) => {
-                                if let Some(other) = GCounter::decode(&item.value.bytes()) {
-                                    states.borrow_mut()[idx].merge(&other);
-                                }
+                        // A peer not yet published, or retries exhausted:
+                        // gossip again later.
+                        if let Ok(item) = kv.call(unbounded, read).await {
+                            if let Some(other) = GCounter::decode(&item.value.bytes()) {
+                                states.borrow_mut()[idx].merge(&other);
                             }
-                            Err(e) if matches!(e.as_fatal(), Some(KvError::NoSuchKey(_))) => {}
-                            Err(_) => {} // retries exhausted: gossip again later
                         }
                     }
                     sim.sleep(SimDuration::from_millis(500)).await;
@@ -531,7 +529,7 @@ impl NoisyNeighbor {
                 },
             ]),
         );
-        let victim_client = RetryingGateway::new(
+        let victim_client = Retrying::new(
             &sim,
             &gw,
             cloud.recorder.clone(),
@@ -569,7 +567,9 @@ impl NoisyNeighbor {
                     sim2.spawn(async move {
                         let t0 = s.now();
                         let ok = client
-                            .invoke((VICTIM, "work"), &Payload::zeros(512), Deadline::unbounded())
+                            .call(Deadline::unbounded(), |gw| async move {
+                                settled(gw.invoke(VICTIM, "work", Payload::zeros(512)).await?)
+                            })
                             .await
                             .is_ok();
                         if !ok {

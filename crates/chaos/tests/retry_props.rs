@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
-use faasim_resilience::{settled, Deadline, Invoke, RetryError, RetryPolicy, Retrying};
+use faasim_resilience::{settled, Deadline, RetryError, RetryPolicy, Retrying, Service};
 use faasim_faas::{FnError, HandlerResult, InvokeOutcome};
 use faasim_gateway::{Gateway, GatewayError};
 use faasim_net::HostId;
@@ -200,16 +200,12 @@ impl Scripted {
     }
 }
 
-impl Invoke for Scripted {
-    type Call<'a> = ();
+impl Service for Scripted {
     type Error = GatewayError;
+    const RACE: bool = false;
 
-    fn attempts_counter(&self) -> &'static str {
+    fn attempts(&self) -> &'static str {
         "resil.gateway.attempts"
-    }
-
-    async fn attempt(&self, _: Self::Call<'_>, _: Payload) -> Result<InvokeOutcome, GatewayError> {
-        settled(self.call().await?)
     }
 
     fn retry_at(err: &GatewayError) -> Option<SimTime> {
@@ -217,7 +213,25 @@ impl Invoke for Scripted {
     }
 }
 
-/// `RetryingGateway::invoke` as it stood before the loops were unified,
+/// A store whose attempts the loop may abandon mid-flight; what each
+/// attempt does is up to the operation it is handed.
+#[derive(Clone)]
+struct Raced;
+
+impl Service for Raced {
+    type Error = &'static str;
+    const RACE: bool = true;
+
+    fn attempts(&self) -> &'static str {
+        "diff.raced.attempts"
+    }
+
+    fn retry_at(err: &&'static str) -> Option<SimTime> {
+        (*err == "transient").then_some(SimTime::ZERO)
+    }
+}
+
+/// The gateway client's `invoke` as it stood before the loops were unified,
 /// verbatim but for `self.` and the gateway call being the scripted door.
 async fn old_gateway_loop(
     sim: &Sim,
@@ -271,8 +285,8 @@ async fn old_gateway_loop(
     Err(last.expect("max_attempts >= 1 guarantees one attempt"))
 }
 
-/// `RetryPolicy::run_within`, today's `run`, as it stood before the loops
-/// were unified, verbatim but for `self`.
+/// The policy's old raced loop, `run_within`, as it stood before the
+/// loops were unified, verbatim but for `self`.
 async fn old_run_within<T, E, Fut>(
     policy: &RetryPolicy,
     sim: &Sim,
@@ -397,7 +411,7 @@ fn observe_unraced(
                 (&client, &sim2, &policy2, &rng, &recorder2, &door2);
             async move {
                 if unified {
-                    client.invoke((), &Payload::new(), deadline).await
+                    client.call(deadline, |door| async move { settled(door.call().await?) }).await
                 } else {
                     old_gateway_loop(sim, policy, rng, recorder, door, deadline).await
                 }
@@ -422,8 +436,8 @@ fn observe_unraced(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// `Retrying::invoke` (the un-raced side of the one loop) against
-    /// the gateway client's old hand-written loop.
+    /// `Retrying::call` over an un-raced service, against the gateway
+    /// client's old hand-written loop.
     #[test]
     fn unified_loop_matches_the_old_gateway_loop(
         max_attempts in 1u32..7,
@@ -447,8 +461,9 @@ proptest! {
         prop_assert_eq!(new, old, "policy {:?}, script {:?}, budget {} ticks", policy, script, budget_ticks);
     }
 
-    /// `RetryPolicy::run` (the raced side) against its own old body,
-    /// `run_within`: attempts can now time out mid-flight.
+    /// `Retrying::call` over a raced service, against the old raced loop
+    /// `run_within`: attempts may time out mid-flight. A probe call after
+    /// the run compares the jitter draws, as in `observe_unraced`.
     #[test]
     fn unified_loop_matches_the_old_run_within(
         max_attempts in 1u32..7,
@@ -466,13 +481,17 @@ proptest! {
         let deadline = budget(budget_ticks);
         let observe = |unified: bool| {
             let sim = Sim::new(7);
+            let recorder = Recorder::new();
+            let client =
+                Retrying::new(&sim, &Raced, recorder.clone(), policy.clone(), "diff.jitter");
             let rng = Rc::new(RefCell::new(sim.rng("diff.jitter")));
             let started = Rc::new(RefCell::new(Vec::new()));
-            let mut steps: VecDeque<_> = script.iter().copied().collect();
-            let (sim2, rng2, started2, policy2) = (sim.clone(), rng.clone(), started.clone(), policy.clone());
-            let result = sim.block_on(async move {
+            let steps = Rc::new(RefCell::new(script.iter().copied().collect::<VecDeque<_>>()));
+            let (sim2, started2, steps2, policy2) =
+                (sim.clone(), started.clone(), steps.clone(), policy.clone());
+            let (result, probe) = sim.block_on(async move {
                 let op = || {
-                    let (kind, service) = steps.pop_front().unwrap_or((0, 0));
+                    let (kind, service) = steps2.borrow_mut().pop_front().unwrap_or((0, 0));
                     started2.borrow_mut().push(sim2.now());
                     let sim3 = sim2.clone();
                     async move {
@@ -485,15 +504,25 @@ proptest! {
                     }
                 };
                 let transient = |e: &&str| *e == "transient";
-                if unified {
-                    policy2.run(&sim2, &rng2, deadline, transient, op).await
-                } else {
-                    old_run_within(&policy2, &sim2, &rng2, deadline, transient, op).await
-                }
+                let call = |deadline| {
+                    let (client, sim, policy, rng, op) = (&client, &sim2, &policy2, &rng, &op);
+                    async move {
+                        if unified {
+                            client.call(deadline, |_| op()).await
+                        } else {
+                            old_run_within(policy, sim, rng, deadline, transient, op).await
+                        }
+                    }
+                };
+                let result = call(deadline).await;
+                *steps.borrow_mut() = VecDeque::from([(1, 0)]);
+                (result, call(Deadline::unbounded()).await)
             });
-            let next_draw = rng.borrow_mut().unit_f64();
             let started = started.borrow().clone();
-            (result, started, next_draw.to_bits(), sim.now(), sim.profile())
+            if unified {
+                assert_eq!(recorder.counter("diff.raced.attempts"), started.len() as u64);
+            }
+            (result, probe, started, sim.now(), sim.profile())
         };
         let (old, new) = (observe(false), observe(true));
         prop_assert_eq!(new, old, "policy {:?}, script {:?}, budget {} ticks", policy, script, budget_ticks);

@@ -827,7 +827,7 @@ impl FaasPlatform {
     }
 
     /// Invoke via the queue-trigger path (adds the event-source dispatch
-    /// overhead). Used by [`crate::trigger`].
+    /// overhead). Used by [`crate::add_queue_trigger`]'s pollers.
     pub async fn invoke_triggered(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
         self.invoke_named(func, payload.into(), true).await
     }

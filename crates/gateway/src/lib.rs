@@ -15,7 +15,7 @@
 //! - **gateway-path billing** into the ledger, so overload economics
 //!   show up in $/hr (shed traffic still bills).
 //!
-//! Admission refusals are typed [`GatewayError`]s a [`RetryingGateway`]
+//! Admission refusals are typed [`GatewayError`]s a `Retrying<Gateway>`
 //! backs off on; everything is deterministic in simulation time, so
 //! replay digests stay byte-identical.
 
@@ -27,5 +27,4 @@ mod retrying;
 mod stats;
 
 pub use gateway::{Admission, Gateway, GatewayConfig, GatewayError, TenantConfig, TIERS};
-pub use retrying::RetryingGateway;
 pub use stats::{GatewayStats, TenantStats};

@@ -1,19 +1,13 @@
-//! The gateway as something [`Retrying`] can invoke through: typed
-//! sheds are backed off on, and when the shed names the instant
+//! The gateway as a [`Service`] a `Retrying<Gateway>` calls through:
+//! typed sheds are backed off on, and when the shed names the instant
 //! capacity returns (a token refill, a breaker cooldown) the retry
 //! never fires earlier than that.
 
-use faasim_faas::{FnError, InvokeOutcome};
-use faasim_payload::Payload;
-use faasim_resilience::{settled, Invoke, Retrying};
+use faasim_faas::FnError;
+use faasim_resilience::Service;
 use faasim_simcore::SimTime;
 
 use crate::gateway::{Gateway, GatewayError};
-
-/// A [`Gateway`] client that retries transient refusals (rate limits,
-/// load sheds, open breakers) and transient platform failures with
-/// backoff, inside a deadline budget: `invoke((tenant, func), ..)`.
-pub type RetryingGateway = Retrying<Gateway>;
 
 impl From<FnError> for GatewayError {
     fn from(err: FnError) -> GatewayError {
@@ -21,20 +15,12 @@ impl From<FnError> for GatewayError {
     }
 }
 
-impl Invoke for Gateway {
-    type Call<'a> = (u32, &'a str);
+impl Service for Gateway {
     type Error = GatewayError;
+    const RACE: bool = false;
 
-    fn attempts_counter(&self) -> &'static str {
+    fn attempts(&self) -> &'static str {
         "resil.gateway.attempts"
-    }
-
-    async fn attempt(
-        &self,
-        (tenant, func): Self::Call<'_>,
-        payload: Payload,
-    ) -> Result<InvokeOutcome, GatewayError> {
-        settled(self.invoke(tenant, func, payload).await?)
     }
 
     // A typed shed can name when capacity returns; retrying earlier
@@ -51,7 +37,8 @@ mod tests {
     use crate::gateway::{GatewayConfig, TenantConfig};
     use faasim::{Cloud, CloudProfile};
     use faasim_faas::FunctionSpec;
-    use faasim_resilience::{Deadline, RetryPolicy};
+    use faasim_payload::Payload;
+    use faasim_resilience::{settled, Deadline, RetryError, RetryPolicy, Retrying};
     use faasim_simcore::SimDuration;
 
     #[test]
@@ -82,25 +69,23 @@ mod tests {
             &cloud.prices,
             cfg,
         );
-        let client = RetryingGateway::new(
+        let client = Retrying::new(
             &cloud.sim,
             &gw,
             cloud.recorder.clone(),
             RetryPolicy::default(),
             "gw.retry.test",
         );
-        let payload = Payload::inline("x");
         cloud.sim.block_on(async move {
+            let call = || {
+                client.call(Deadline::unbounded(), |gw| async move {
+                    settled(gw.invoke(0, "work", Payload::inline("x")).await?)
+                })
+            };
             // Burst of 1: the first call drains the bucket, the second
             // must be shed and then retried no earlier than the refill.
-            client
-                .invoke((0, "work"), &payload, Deadline::unbounded())
-                .await
-                .expect("first");
-            client
-                .invoke((0, "work"), &payload, Deadline::unbounded())
-                .await
-                .expect("second");
+            call().await.expect("first");
+            call().await.expect("second");
         });
         let st = gw.tenant_stats(0);
         assert_eq!(st.admitted, 2);
@@ -137,32 +122,27 @@ mod tests {
             &cloud.prices,
             cfg,
         );
-        let client = RetryingGateway::new(
+        let client = Retrying::new(
             &cloud.sim,
             &gw,
             cloud.recorder.clone(),
             RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
             "gw.retry.test",
         );
-        let payload = Payload::inline("x");
         let sim = cloud.sim.clone();
         let got = cloud.sim.block_on(async move {
-            client
-                .invoke((0, "work"), &payload, Deadline::unbounded())
-                .await
-                .expect("first");
+            let call = |deadline| {
+                client.call(deadline, |gw| async move {
+                    settled(gw.invoke(0, "work", Payload::inline("x")).await?)
+                })
+            };
+            call(Deadline::unbounded()).await.expect("first");
             // retry_after is SimTime::MAX, so the deadline budget (not
             // the backoff spine) must end the loop.
-            client
-                .invoke(
-                    (0, "work"),
-                    &payload,
-                    Deadline::within(&sim, SimDuration::from_secs(60)),
-                )
-                .await
+            call(Deadline::at(sim.now() + SimDuration::from_secs(60))).await
         });
         assert!(
-            matches!(got, Err(ref e) if e.is_deadline()),
+            matches!(got, Err(RetryError::DeadlineExceeded { .. })),
             "a never-refilling bucket must exhaust the deadline budget, got {got:?}"
         );
     }

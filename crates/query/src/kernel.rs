@@ -7,9 +7,9 @@
 //! [`crate::Aggregate`] gets its own kernel behind the [`ScanKernel`]
 //! trait:
 //!
-//! - [`Aggregate::CountAll`](crate::Aggregate::CountAll) is pure
+//! - [`Aggregate::CountAll`] is pure
 //!   line-count arithmetic: zero allocation, zero per-line state;
-//! - [`Aggregate::GroupCount`](crate::Aggregate::GroupCount) keys only
+//! - [`Aggregate::GroupCount`] keys only
 //!   the extracted field *value*, never the whole line.
 //!
 //! Kernels consume *line runs* — `(line, multiplicity)` visits from the

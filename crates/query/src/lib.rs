@@ -22,7 +22,7 @@
 //! [`QueryProfile::stream_chunk_bytes`] each, keeping several range GETs
 //! in flight per worker — enough concurrent per-connection streams to
 //! saturate one worker's scan throughput — and folding every chunk into
-//! the aggregate's [`kernel`](crate::kernel) as the bytes arrive. Scan
+//! the aggregate's [`kernel`] as the bytes arrive. Scan
 //! time therefore emerges from the actual overlapped per-worker timeline
 //! (transfer ∥ scan), not from a post-hoc `bytes / throughput` sleep,
 //! and peak buffered data is O(chunk × pipeline depth × workers) instead

@@ -1,18 +1,15 @@
-//! [`Retrying`]: any service handle wrapped in a [`RetryPolicy`], so
-//! experiments can opt into the retry discipline that real serverless
+//! [`Retrying`]: any [`Service`] handle wrapped in a [`RetryPolicy`],
+//! so experiments can opt into the retry discipline that real serverless
 //! applications are forced to adopt.
 //!
-//! There is one wrapper and one loop ([`RetryPolicy`]'s, in
-//! `retry.rs`); what differs per service is only which errors are
-//! transient ([`Storage`], [`Invoke`]) and whether an attempt may be
-//! abandoned mid-flight. A storage operation is the service's own
-//! method, made through [`Retrying::call`]; an invocation goes through
-//! [`Retrying::invoke`]. Only *transient* errors (KV throttling, blob
-//! 503s, crashed or timed-out invocations, per-call timeouts) are
-//! retried; logic errors such as a missing table surface immediately as
-//! [`RetryError::Fatal`]. Both take a [`Deadline`], so a retry loop
-//! cannot outlive the request it serves; [`Deadline::unbounded`] leaves
-//! the policy alone in charge.
+//! There is one wrapper, one trait and one call. [`Service`] says which
+//! of a service's errors a retry can outlast, which counter counts the
+//! attempts, and whether an attempt may be abandoned mid-flight;
+//! [`Retrying::call`] runs one of the service's own operations through
+//! [`RetryPolicy`]'s loop (in `retry.rs`). Logic errors such as a missing
+//! table surface immediately as [`RetryError::Fatal`]. Every call takes a
+//! [`Deadline`], so a retry loop cannot outlive the request it serves;
+//! [`Deadline::unbounded`] leaves the policy alone in charge.
 
 use std::cell::{OnceCell, RefCell};
 use std::future::Future;
@@ -63,59 +60,44 @@ impl<S> Retrying<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Run `op` through the retry loop inside `deadline`, counting each
-    /// attempt under `counter`. `race` and `retry_at` are
-    /// [`RetryPolicy::drive`]'s.
-    ///
-    /// Hands back the loop's own future rather than awaiting it in an
-    /// `async fn`: a layer that only forwards is still polled on every
-    /// wake of every call, ~20 ns per invocation for each such layer.
-    fn retry<'a, T: 'a, E: 'a, Fut>(
-        &'a self,
-        counter: &'static str,
-        deadline: Deadline,
-        race: bool,
-        retry_at: impl Fn(&E) -> Option<SimTime> + 'a,
-        mut op: impl FnMut() -> Fut + 'a,
-    ) -> impl Future<Output = Result<T, RetryError<E>>> + 'a
-    where
-        Fut: Future<Output = Result<T, E>> + 'a,
-    {
-        self.policy
-            .drive(&self.sim, &self.rng, deadline, race, retry_at, move || {
-                self.attempts
-                    .get_or_init(|| LazyCounter::new(counter))
-                    .incr(&self.recorder);
-                op()
-            })
-    }
 }
 
-/// A storage service as the retry loop sees it: which of its errors a
-/// retry can outlast, and the recorder counter its attempts count under.
-pub trait Storage {
-    /// What a failed operation reports.
+/// A service as the retry loop sees it.
+pub trait Service {
+    /// What a failed attempt reports.
     type Error;
+    /// Whether an attempt may be abandoned mid-flight. A storage call is
+    /// raced against the per-call timeout and the remaining budget; an
+    /// invocation never is (dropping its future would strand a busy
+    /// container), so its budget is only checked between attempts.
+    const RACE: bool;
     /// The recorder counter bumped once per attempt.
-    const ATTEMPTS: &'static str;
-    /// Whether a retry of the same operation may succeed.
-    fn is_transient(err: &Self::Error) -> bool;
+    fn attempts(&self) -> &'static str;
+    /// The earliest instant a retry after `err` can succeed
+    /// ([`SimTime::ZERO`] when the error does not say), or `None` when
+    /// retrying cannot help.
+    fn retry_at(err: &Self::Error) -> Option<SimTime>;
 }
 
-impl Storage for KvStore {
+impl Service for KvStore {
     type Error = KvError;
-    const ATTEMPTS: &'static str = "chaos.kv.attempts";
-    fn is_transient(err: &KvError) -> bool {
-        err.is_transient()
+    const RACE: bool = true;
+    fn attempts(&self) -> &'static str {
+        "chaos.kv.attempts"
+    }
+    fn retry_at(err: &KvError) -> Option<SimTime> {
+        any_time(err.is_transient())
     }
 }
 
-impl Storage for BlobStore {
+impl Service for BlobStore {
     type Error = BlobError;
-    const ATTEMPTS: &'static str = "chaos.blob.attempts";
-    fn is_transient(err: &BlobError) -> bool {
-        err.is_transient()
+    const RACE: bool = true;
+    fn attempts(&self) -> &'static str {
+        "chaos.blob.attempts"
+    }
+    fn retry_at(err: &BlobError) -> Option<SimTime> {
+        any_time(err.is_transient())
     }
 }
 
@@ -125,26 +107,42 @@ impl Storage for BlobStore {
 /// happen in the first place). The queue contract stays at-least-once;
 /// exactly-once observable effects come from pairing this client with an
 /// [`crate::IdempotencyStore`].
-impl Storage for QueueService {
+impl Service for QueueService {
     type Error = QueueError;
-    const ATTEMPTS: &'static str = "resil.queue.attempts";
-    fn is_transient(_: &QueueError) -> bool {
-        false
+    const RACE: bool = true;
+    fn attempts(&self) -> &'static str {
+        "resil.queue.attempts"
+    }
+    fn retry_at(_: &QueueError) -> Option<SimTime> {
+        None
     }
 }
 
-/// A [`KvStore`] client that retries throttled requests.
-pub type RetryingKv = Retrying<KvStore>;
-/// A [`BlobStore`] client that retries 503s.
-pub type RetryingBlob = Retrying<BlobStore>;
-/// A [`QueueService`] client whose operations fit a deadline budget.
-pub type RetryingQueue = Retrying<QueueService>;
+/// Crashed and timed-out invocations are transient: the platform-level
+/// at-least-once retry semantics of an async invoke, made explicit on the
+/// synchronous path.
+impl Service for FaasPlatform {
+    type Error = FnError;
+    const RACE: bool = false;
+    fn attempts(&self) -> &'static str {
+        "resil.faas.attempts"
+    }
+    fn retry_at(err: &FnError) -> Option<SimTime> {
+        any_time(err.is_transient())
+    }
+}
 
-impl<S: Storage> Retrying<S> {
+impl<S: Service> Retrying<S> {
     /// Run one operation of the service through the retry loop inside
     /// `deadline`: a transient failure is retried, any other error is
     /// final. `op` makes one attempt each time it is called, so it must be
-    /// safe to repeat (a PUT is).
+    /// safe to repeat (a PUT is). An invocation may execute its handler
+    /// more than once; pair it with [`crate::IdempotencyStore`] for
+    /// exactly-once observable effects.
+    ///
+    /// Hands back `RetryPolicy::drive`'s own future rather than awaiting
+    /// it in an `async fn`: a layer that only forwards is still polled on
+    /// every wake of every call, ~20 ns per invocation for each such layer.
     pub fn call<'a, T: 'a, Fut>(
         &'a self,
         deadline: Deadline,
@@ -154,37 +152,14 @@ impl<S: Storage> Retrying<S> {
         Fut: Future<Output = Result<T, S::Error>> + 'a,
         S::Error: 'a,
     {
-        let transient = |e: &S::Error| any_time(S::is_transient(e));
-        self.retry(S::ATTEMPTS, deadline, true, transient, move || op(&self.inner))
+        self.policy
+            .drive(&self.sim, &self.rng, deadline, S::RACE, S::retry_at, move || {
+                self.attempts
+                    .get_or_init(|| LazyCounter::new(self.inner.attempts()))
+                    .incr(&self.recorder);
+                op(&self.inner)
+            })
     }
-}
-
-/// Something a function can be invoked through — the platform itself, a
-/// gateway in front of it, or a caller's own composition of the two —
-/// as [`Retrying::invoke`] sees it.
-pub trait Invoke {
-    /// What names one call: a function, or a tenant and a function.
-    /// (Implementations spell the parameter's type `Self::Call<'_>`.)
-    type Call<'a>: Copy;
-    /// What a refused or failed attempt reports.
-    type Error: From<FnError>;
-
-    /// The recorder counter bumped once per attempt.
-    fn attempts_counter(&self) -> &'static str;
-
-    /// Make one attempt and see it through. `Ok` is a call whose
-    /// function succeeded; an admitted call whose function failed is an
-    /// `Err` too (see [`settled`]).
-    fn attempt(
-        &self,
-        call: Self::Call<'_>,
-        payload: Payload,
-    ) -> impl Future<Output = Result<InvokeOutcome, Self::Error>>;
-
-    /// The earliest instant a retry after `err` can succeed
-    /// ([`SimTime::ZERO`] when the error does not say), or `None` when
-    /// retrying cannot help.
-    fn retry_at(err: &Self::Error) -> Option<SimTime>;
 }
 
 /// An invocation's outcome as a retry layer sees it: the function's own
@@ -196,52 +171,21 @@ pub fn settled<E: From<FnError>>(out: InvokeOutcome) -> Result<InvokeOutcome, E>
     }
 }
 
-impl Invoke for FaasPlatform {
-    type Call<'a> = &'a str;
-    type Error = FnError;
-
-    fn attempts_counter(&self) -> &'static str {
-        "resil.faas.attempts"
-    }
-
-    async fn attempt(
-        &self,
-        func: Self::Call<'_>,
-        payload: Payload,
-    ) -> Result<InvokeOutcome, FnError> {
-        settled(self.invoke(func, payload).await)
-    }
-
-    fn retry_at(err: &FnError) -> Option<SimTime> {
-        any_time(err.is_transient())
-    }
-}
-
 /// A [`FaasPlatform`] client that retries crashed and timed-out
-/// invocations — the platform-level at-least-once retry semantics of an
-/// async invoke, made explicit on the synchronous path.
+/// invocations.
 pub type RetryingInvoker = Retrying<FaasPlatform>;
 
-impl<S: Invoke> Retrying<S> {
-    /// Invoke until the function succeeds, the policy is exhausted, or
-    /// the deadline budget runs out. Returns the successful outcome; the
-    /// outcomes of failed attempts are visible only in the ledger and
-    /// counters, as in a real platform.
-    ///
-    /// Each attempt runs to completion (an in-flight invocation is never
-    /// canceled from outside — the function's own timeout bounds it), so
-    /// a retried invocation may execute the handler more than once. Pair
-    /// with [`crate::IdempotencyStore`] for exactly-once observable
-    /// effects.
+impl RetryingInvoker {
+    /// Invoke `func` through [`Retrying::call`] until it succeeds. The
+    /// outcomes of failed attempts show only in the ledger and counters.
     pub fn invoke<'a>(
         &'a self,
-        call: S::Call<'a>,
+        func: &'a str,
         payload: &'a Payload,
         deadline: Deadline,
-    ) -> impl Future<Output = Result<InvokeOutcome, RetryError<S::Error>>> + 'a {
-        let counter = self.inner.attempts_counter();
-        self.retry(counter, deadline, false, S::retry_at, move || {
-            self.inner.attempt(call, payload.clone())
+    ) -> impl Future<Output = Result<InvokeOutcome, RetryError<FnError>>> + 'a {
+        self.call(deadline, move |faas| async move {
+            settled(faas.invoke(func, payload.clone()).await)
         })
     }
 }
@@ -254,14 +198,14 @@ mod tests {
     use faasim_faas::{FaasFaults, FunctionSpec};
     use faasim_kv::{Consistency, KvFaults};
     use faasim_queue::{QueueConfig, QueueFaults};
-    use faasim_simcore::SimDuration;
+    use faasim_simcore::{LatencyModel, SimDuration};
 
     #[test]
     fn retrying_kv_survives_heavy_throttling() {
         let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 11);
         cloud.kv.set_faults(KvFaults { throttle_prob: 0.5 });
         cloud.kv.create_table("t");
-        let client = RetryingKv::new(
+        let client = Retrying::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
@@ -293,13 +237,13 @@ mod tests {
         );
     }
 
-    /// The attempts counter exists from the first attempt on, not from
+    /// The attempt counter exists from the first attempt on, not from
     /// construction and not from a call whose deadline had already passed.
     #[test]
-    fn attempts_counter_resolves_on_first_attempt() {
+    fn the_attempt_counter_resolves_on_first_attempt() {
         let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 11);
         cloud.kv.create_table("t");
-        let client = RetryingKv::new(
+        let client = Retrying::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
@@ -310,7 +254,7 @@ mod tests {
         assert!(cloud.recorder.counter_names().is_empty());
         let sim = cloud.sim.clone();
         cloud.sim.block_on(async move {
-            let spent = Deadline::within(&sim, SimDuration::ZERO);
+            let spent = Deadline::at(sim.now());
             let late = client
                 .call(spent, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
                 .await;
@@ -340,7 +284,7 @@ mod tests {
     #[test]
     fn fatal_errors_are_not_retried() {
         let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 11);
-        let client = RetryingKv::new(
+        let client = Retrying::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
@@ -364,7 +308,7 @@ mod tests {
         let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 12);
         cloud.kv.set_faults(KvFaults { throttle_prob: 1.0 });
         cloud.kv.create_table("t");
-        let client = RetryingKv::new(
+        let client = Retrying::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
@@ -377,13 +321,13 @@ mod tests {
         let host = cloud.client_host();
         let sim = cloud.sim.clone();
         let got = cloud.sim.block_on(async move {
-            let deadline = Deadline::within(&sim, SimDuration::from_secs(3));
+            let deadline = Deadline::at(sim.now() + SimDuration::from_secs(3));
             client
                 .call(deadline, |kv| kv.get(&host, "t", "k", Consistency::Strong))
                 .await
         });
         assert!(
-            matches!(got, Err(e) if e.is_deadline()),
+            matches!(got, Err(RetryError::DeadlineExceeded { .. })),
             "100% throttling must end on the budget, not 1000 attempts"
         );
     }
@@ -398,7 +342,7 @@ mod tests {
         cloud
             .queue
             .create_queue("q", QueueConfig::default());
-        let rq = RetryingQueue::new(
+        let rq = Retrying::new(
             &cloud.sim,
             &cloud.queue,
             cloud.recorder.clone(),
@@ -452,5 +396,49 @@ mod tests {
             cloud.recorder.counter("resil.faas.attempts") > 10,
             "some invocations were killed and retried"
         );
+    }
+
+    /// `RACE` alone decides whether a slow attempt is abandoned: under a
+    /// 10 ms per-call timeout a 200 ms KV write times out every attempt,
+    /// while a 200 ms invocation runs to completion on its first attempt
+    /// and hands its container back warm.
+    #[test]
+    fn race_decides_whether_a_slow_attempt_is_abandoned() {
+        let mut profile = CloudProfile::aws_2018().exact();
+        profile.kv.op_latency = LatencyModel::Constant(SimDuration::from_millis(200));
+        let cloud = Cloud::new(profile, 16);
+        cloud.kv.create_table("t");
+        cloud.faas.register(FunctionSpec::new(
+            "work",
+            512,
+            SimDuration::from_secs(30),
+            |ctx, _payload| async move {
+                ctx.cpu(SimDuration::from_millis(200)).await;
+                Ok(Payload::inline("ok"))
+            },
+        ));
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            call_timeout: Some(SimDuration::from_millis(10)),
+            ..RetryPolicy::default()
+        };
+        let (sim, recorder) = (cloud.sim.clone(), cloud.recorder.clone());
+        let kv = Retrying::new(&sim, &cloud.kv, recorder.clone(), policy.clone(), "resil.kv.test");
+        let invoker = RetryingInvoker::new(&sim, &cloud.faas, recorder, policy, "resil.faas.test");
+        let host = cloud.client_host();
+        let (stored, invoked, again) = cloud.sim.block_on(async move {
+            let by = Deadline::at(sim.now() + SimDuration::from_secs(60));
+            let stored = kv
+                .call(by, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
+                .await;
+            let invoked = invoker.invoke("work", &Payload::inline("x"), by).await;
+            let again = invoker.inner().invoke("work", Payload::inline("x")).await;
+            (stored, invoked, again)
+        });
+        assert_eq!(stored.unwrap_err(), RetryError::TimedOut { attempts: 3 });
+        assert_eq!(cloud.recorder.counter("chaos.kv.attempts"), 3);
+        assert!(invoked.is_ok(), "an invocation is never abandoned mid-flight");
+        assert_eq!(cloud.recorder.counter("resil.faas.attempts"), 1);
+        assert!(again.result.is_ok() && !again.cold, "its container came back warm");
     }
 }

@@ -21,15 +21,8 @@ impl Deadline {
         Deadline { at }
     }
 
-    /// A deadline `budget` from the simulation's current instant.
-    pub fn within(sim: &Sim, budget: SimDuration) -> Deadline {
-        Deadline {
-            at: sim.now().saturating_add(budget),
-        }
-    }
-
-    /// No budget at all: never expires, never caps a call. Useful as a
-    /// control and as the bridge from the unbudgeted retry API.
+    /// No budget at all: never expires, never caps a call, and leaves
+    /// the retry policy alone in charge.
     pub fn unbounded() -> Deadline {
         Deadline { at: SimTime::MAX }
     }
@@ -58,7 +51,7 @@ mod tests {
     #[test]
     fn remaining_counts_down_and_saturates() {
         let sim = Sim::new(3);
-        let d = Deadline::within(&sim, SimDuration::from_secs(5));
+        let d = Deadline::at(sim.now() + SimDuration::from_secs(5));
         assert_eq!(d.remaining(&sim), SimDuration::from_secs(5));
         assert!(!d.is_expired(&sim));
         let sim2 = sim.clone();

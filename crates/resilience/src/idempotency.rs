@@ -17,11 +17,11 @@
 
 use std::future::Future;
 
-use faasim_kv::{Condition, Consistency, KvError};
+use faasim_kv::{Condition, Consistency, KvError, KvStore};
 use faasim_net::Host;
 use faasim_payload::Payload;
 
-use crate::clients::RetryingKv;
+use crate::clients::Retrying;
 use crate::deadline::Deadline;
 use crate::retry::RetryError;
 
@@ -36,19 +36,19 @@ pub struct Effect {
 }
 
 /// A KV-backed effect memo keyed by idempotency keys, a client of the
-/// [`RetryingKv`] it is handed: that client's policy governs retries of
-/// *transient* KV failures (throttling) on the store's own reads and
+/// `Retrying<KvStore>` it is handed: that client's policy governs retries
+/// of *transient* KV failures (throttling) on the store's own reads and
 /// writes, and its counter counts their attempts. Cheap to clone; clones
 /// share the table and the client.
 #[derive(Clone)]
 pub struct IdempotencyStore {
-    kv: RetryingKv,
+    kv: Retrying<KvStore>,
     table: String,
 }
 
 impl IdempotencyStore {
     /// A store over `table` (created if missing), reached through `kv`.
-    pub fn new(kv: &RetryingKv, table: &str) -> IdempotencyStore {
+    pub fn new(kv: &Retrying<KvStore>, table: &str) -> IdempotencyStore {
         kv.inner().create_table(table);
         IdempotencyStore {
             kv: kv.clone(),
@@ -146,15 +146,6 @@ impl IdempotencyStore {
             .map(|(k, item)| (k, item.value))
             .collect())
     }
-
-    /// Number of committed effects under `prefix`.
-    pub async fn committed_count(
-        &self,
-        caller: &Host,
-        prefix: &str,
-    ) -> Result<usize, RetryError<KvError>> {
-        Ok(self.committed(caller, prefix).await?.len())
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +157,7 @@ mod tests {
     use std::rc::Rc;
 
     fn store(cloud: &Cloud) -> IdempotencyStore {
-        let kv = RetryingKv::new(
+        let kv = Retrying::new(
             &cloud.sim,
             &cloud.kv,
             cloud.recorder.clone(),
@@ -195,7 +186,7 @@ mod tests {
                     .expect("execute");
                 assert!(eff.value.eq_bytes(b"done"));
             }
-            assert_eq!(s.committed_count(&host, "req-").await.unwrap(), 1);
+            assert_eq!(s.committed(&host, "req-").await.unwrap().len(), 1);
         });
         assert_eq!(runs.get(), 1, "the effect body ran exactly once");
         assert_eq!(cloud.recorder.counter("resil.idem.committed"), 1);
@@ -229,7 +220,7 @@ mod tests {
             let first = effects[0].value.to_vec();
             assert!(effects.iter().all(|e| e.value.to_vec() == first));
             assert_eq!(effects.iter().filter(|e| !e.deduped).count(), 1);
-            assert_eq!(s2.committed_count(&host2, "race").await.unwrap(), 1);
+            assert_eq!(s2.committed(&host2, "race").await.unwrap().len(), 1);
             let _ = sim2;
         });
         assert_eq!(cloud.recorder.counter("resil.idem.committed"), 1);
@@ -260,7 +251,7 @@ mod tests {
                     assert_eq!(eff.deduped, round > 0);
                 }
             }
-            assert_eq!(s.committed_count(&host, "req-").await.unwrap(), 10);
+            assert_eq!(s.committed(&host, "req-").await.unwrap().len(), 10);
         });
         assert_eq!(runs.get(), 10, "one effect body per key");
         assert_eq!(cloud.recorder.counter("resil.idem.committed"), 10);

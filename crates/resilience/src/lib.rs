@@ -21,11 +21,10 @@
 //! - [`IdempotencyStore`] — a KV-backed effect memo keyed by invocation
 //!   idempotency keys: at-least-once deliveries and platform retries
 //!   collapse to exactly-once *observable* effects.
-//! - [`Retrying`] — any service handle wrapped in that loop:
-//!   [`RetryingKv`], [`RetryingBlob`], [`RetryingQueue`] and
-//!   [`RetryingInvoker`] are its aliases. [`Storage`] is what makes a
-//!   service's own operations retryable through it, and [`Invoke`] is
-//!   what a front door implements to be invoked through it.
+//! - [`Retrying`] — any [`Service`] handle wrapped in that loop, with
+//!   one call, [`Retrying::call`]. A [`Service`] says which errors are
+//!   transient, which counter counts attempts, and whether an attempt
+//!   may be abandoned mid-flight.
 //!
 //! Everything draws randomness only from named simulation RNG streams
 //! (and only when jitter is non-zero), so a run under these wrappers is
@@ -41,9 +40,7 @@ mod idempotency;
 mod retry;
 
 pub use breaker::{BreakerConfig, BreakerError, BreakerState, CircuitBreaker};
-pub use clients::{
-    settled, Invoke, Retrying, RetryingBlob, RetryingInvoker, RetryingKv, RetryingQueue, Storage,
-};
+pub use clients::{settled, Retrying, RetryingInvoker, Service};
 pub use deadline::Deadline;
 pub use idempotency::{Effect, IdempotencyStore};
 pub use retry::{RetryError, RetryPolicy};

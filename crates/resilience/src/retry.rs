@@ -5,10 +5,10 @@
 //! SQS is at-least-once, DynamoDB throttles, S3 returns 503 SlowDown.
 //! [`RetryPolicy`] is that discipline made explicit — and, because the
 //! jitter comes from a named simulation RNG stream, made deterministic.
-//! Every retrying client in the workspace ([`crate::Retrying`] over any
-//! service, [`RetryPolicy::run`] for ad-hoc calls) ends in the same
-//! loop here: every backoff sleep and per-call timeout is capped so the
-//! whole loop fits inside a propagated [`Deadline`].
+//! Every retrying client in the workspace ([`crate::Retrying::call`]
+//! over any [`crate::Service`]) ends in the same loop here: every backoff
+//! sleep and per-call timeout is capped so the whole loop fits inside a
+//! propagated [`Deadline`].
 
 use std::cell::RefCell;
 use std::fmt;
@@ -45,14 +45,6 @@ pub enum RetryError<E> {
 }
 
 impl<E> RetryError<E> {
-    /// The underlying error when this is [`RetryError::Fatal`].
-    pub fn as_fatal(&self) -> Option<&E> {
-        match self {
-            RetryError::Fatal(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The final underlying error, if one exists (timeouts and expired
     /// deadlines have none).
     pub fn into_inner(self) -> Option<E> {
@@ -60,12 +52,6 @@ impl<E> RetryError<E> {
             RetryError::Exhausted { last, .. } | RetryError::Fatal(last) => Some(last),
             RetryError::TimedOut { .. } | RetryError::DeadlineExceeded { .. } => None,
         }
-    }
-
-    /// Whether the failure was the deadline budget expiring rather than
-    /// the operation itself failing for good.
-    pub fn is_deadline(&self) -> bool {
-        matches!(self, RetryError::DeadlineExceeded { .. })
     }
 }
 
@@ -161,39 +147,20 @@ impl RetryPolicy {
         SimDuration::from_secs_f64(b.as_secs_f64() * scale)
     }
 
-    /// Drive `op` to success or final failure inside `deadline`. Each
-    /// call to `op` builds a fresh attempt future; `is_transient` decides
-    /// whether an error is worth retrying. The shared `rng` is only
-    /// borrowed between attempts (never across an `.await`), so one
-    /// stream can serve many concurrent callers.
+    /// The retry loop: drive `op` to success or final failure inside
+    /// `deadline`. Each call to `op` builds a fresh attempt future. The
+    /// shared `rng` is only borrowed between attempts (never across an
+    /// `.await`), so one stream can serve many concurrent callers.
     ///
-    /// Every sleep and call fits inside `deadline`: per-call timeouts are
-    /// capped at the remaining budget, and a backoff sleep that would
-    /// cross the deadline aborts the loop with
+    /// `race` says whether an attempt may be abandoned mid-flight: a
+    /// storage call is raced against the per-call timeout and the
+    /// remaining budget; an invocation never is (dropping its future
+    /// would strand a busy container), so the budget is only checked
+    /// between attempts. `retry_at` classifies a failed attempt: `None` is
+    /// fatal, `Some(t)` is transient and the retry must not fire before
+    /// `t` — the backoff sleep is stretched to reach it. A backoff sleep
+    /// that would cross the deadline ends the loop with
     /// [`RetryError::DeadlineExceeded`] instead of sleeping.
-    /// [`Deadline::unbounded`] leaves the policy alone in charge.
-    pub async fn run<T, E, Fut>(
-        &self,
-        sim: &Sim,
-        rng: &Rc<RefCell<SimRng>>,
-        deadline: Deadline,
-        is_transient: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Fut,
-    ) -> Result<T, RetryError<E>>
-    where
-        Fut: Future<Output = Result<T, E>>,
-    {
-        self.drive(sim, rng, deadline, true, |e| any_time(is_transient(e)), op)
-            .await
-    }
-
-    /// The retry loop. `race` says whether an attempt may be abandoned
-    /// mid-flight: a storage call is raced against the per-call timeout
-    /// and the remaining budget; an invocation never is (dropping its
-    /// future would strand a busy container), so the budget is only
-    /// checked between attempts. `retry_at` classifies a failed attempt:
-    /// `None` is fatal, `Some(t)` is transient and the retry must not
-    /// fire before `t` — the backoff sleep is stretched to reach it.
     pub(crate) async fn drive<T, E, Fut>(
         &self,
         sim: &Sim,
@@ -320,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn run_retries_transient_then_succeeds() {
+    fn drive_retries_transient_then_succeeds() {
         use std::cell::Cell;
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
@@ -329,7 +296,7 @@ mod tests {
         let t = tries.clone();
         let sim2 = sim.clone();
         let got: Result<u32, RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, Deadline::unbounded(), |_| true, move || {
+            p.drive(&sim2, &rng, Deadline::unbounded(), true, |_| any_time(true), move || {
                 let t = t.clone();
                 async move {
                     t.set(t.get() + 1);
@@ -347,20 +314,20 @@ mod tests {
     }
 
     #[test]
-    fn run_surfaces_fatal_immediately() {
+    fn drive_surfaces_fatal_immediately() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let p = policy();
         let sim2 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, Deadline::unbounded(), |_| false, || async { Err("nope") })
+            p.drive(&sim2, &rng, Deadline::unbounded(), true, |_| None, || async { Err("nope") })
                 .await
         });
         assert_eq!(got, Err(RetryError::Fatal("nope")));
     }
 
     #[test]
-    fn run_times_out_slow_calls() {
+    fn drive_times_out_slow_calls() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let mut p = policy();
@@ -369,7 +336,7 @@ mod tests {
         let sim2 = sim.clone();
         let sim3 = sim.clone();
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, Deadline::unbounded(), |_| true, move || {
+            p.drive(&sim2, &rng, Deadline::unbounded(), true, |_| any_time(true), move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_secs(1)).await;
@@ -382,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn run_respects_the_budget() {
+    fn drive_respects_the_budget() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let mut p = policy();
@@ -392,7 +359,7 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_secs(2));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, deadline, |_| true, move || {
+            p.drive(&sim2, &rng, deadline, true, |_| any_time(true), move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_millis(100)).await;
@@ -412,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn run_classifies_budget_expiry_mid_call() {
+    fn drive_classifies_budget_expiry_mid_call() {
         let sim = Sim::new(1);
         let rng = Rc::new(RefCell::new(sim.rng("retry")));
         let mut p = policy();
@@ -421,7 +388,7 @@ mod tests {
         let sim3 = sim.clone();
         let deadline = Deadline::at(SimTime::ZERO + SimDuration::from_millis(10));
         let got: Result<(), RetryError<&str>> = sim.block_on(async move {
-            p.run(&sim2, &rng, deadline, |_| true, move || {
+            p.drive(&sim2, &rng, deadline, true, |_| any_time(true), move || {
                 let sim3 = sim3.clone();
                 async move {
                     sim3.sleep(SimDuration::from_secs(5)).await;

@@ -7,12 +7,12 @@
 //!
 //! Three pieces:
 //!
-//! - [`TraceGenerator`] ([`workload`]): a lazy, seed-deterministic
+//! - [`TraceGenerator`] (`workload.rs`): a lazy, seed-deterministic
 //!   iterator of `(time, app, func, payload-size)` events in the style of
 //!   the Azure Functions traces — Zipf app popularity, per-app
 //!   Poisson/bursty/diurnal arrivals, per-function execution-time and
 //!   memory profiles. A million-invocation trace costs `O(apps)` memory.
-//! - [`QuantileSketch`] ([`sketch`]): a deterministic streaming quantile
+//! - [`QuantileSketch`] (`sketch.rs`): a deterministic streaming quantile
 //!   sketch (log-bucketed, DDSketch-style) with a guaranteed relative
 //!   error bound — p99.9 over millions of samples in a few KB.
 //! - [`replay`] ([`ReplayReport`]): streams a trace through the platform

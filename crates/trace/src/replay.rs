@@ -23,7 +23,7 @@ use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome, Packing
 use faasim_gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, TenantConfig};
 use faasim_payload::Payload;
 use faasim_resilience::{
-    settled, BreakerConfig, Deadline, Invoke, RetryError, RetryPolicy, Retrying,
+    settled, BreakerConfig, Deadline, RetryError, RetryPolicy, Retrying, Service,
 };
 use faasim_simcore::{nearest_rank, Semaphore, SimDuration, SimProfile, SimTime};
 
@@ -419,27 +419,29 @@ struct FrontDoor {
     gateway: Option<Gateway>,
 }
 
-impl Invoke for FrontDoor {
-    /// Tenant, then the function's platform id and its name.
-    type Call<'a> = (u32, FunctionId, &'a str);
-    type Error = GatewayError;
-
-    fn attempts_counter(&self) -> &'static str {
-        match &self.gateway {
-            Some(gw) => gw.attempts_counter(),
-            None => self.faas.attempts_counter(),
-        }
-    }
-
+impl FrontDoor {
+    /// One attempt at `(tenant, function id, name)`, seen through [`settled`].
     async fn attempt(
         &self,
-        (tenant, id, name): Self::Call<'_>,
+        (tenant, id, name): (u32, FunctionId, &str),
         payload: Payload,
     ) -> Result<InvokeOutcome, GatewayError> {
         settled(match &self.gateway {
             Some(gw) => gw.invoke(tenant, name, payload).await?,
             None => self.faas.invoke_id(id, payload).await,
         })
+    }
+}
+
+impl Service for FrontDoor {
+    type Error = GatewayError;
+    const RACE: bool = false;
+
+    fn attempts(&self) -> &'static str {
+        match &self.gateway {
+            Some(gw) => gw.attempts(),
+            None => self.faas.attempts(),
+        }
     }
 
     fn retry_at(err: &GatewayError) -> Option<SimTime> {
@@ -607,7 +609,7 @@ pub fn replay_with(
                     // (none when a retry layer gave up on a budget).
                     let outcome = match &ctx3.retry {
                         Some(retry) => retry
-                            .invoke(call, &payload, Deadline::unbounded())
+                            .call(Deadline::unbounded(), |d| d.attempt(call, payload.clone()))
                             .await
                             .map_err(RetryError::into_inner),
                         None => ctx3.door.attempt(call, payload).await.map_err(Some),
