@@ -16,7 +16,7 @@ use faasim_simcore::SimDuration;
 /// its RNG stream when the relevant probability is non-zero, applying
 /// the default plan is byte-for-byte indistinguishable from never
 /// applying a plan at all.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Network-tier faults: latency spikes and packet loss.
     pub net: NetFaults,

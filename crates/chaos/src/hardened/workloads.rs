@@ -57,7 +57,6 @@ pub(super) fn bandwidth(run: &mut Run<Faulty<'_>>, seed: u64) {
     let params = BandwidthParams {
         concurrency_levels: vec![20],
         transfer_bytes: 2_900_000_000,
-        ..BandwidthParams::default()
     };
     bandwidth::run_on(run, &params, seed);
 }
@@ -68,7 +67,6 @@ pub(super) fn bandwidth(run: &mut Run<Faulty<'_>>, seed: u64) {
 pub(super) fn data_shipping(run: &mut Run<Faulty<'_>>, seed: u64) {
     let params = DataShippingParams {
         dataset_mbs: vec![1_000],
-        object_mb: 10,
         lifetime_cap: Some(SimDuration::from_millis(1_500)),
     };
     data_shipping::data_to_code(run, &params, params.dataset_mbs[0], seed);
@@ -82,7 +80,6 @@ pub(super) fn training(run: &mut Run<Faulty<'_>>, seed: u64) {
         dataset_mb: 6_000,
         epochs: 1,
         lambda_time_limit: SimDuration::from_secs(10),
-        ..TrainingParams::default()
     };
     let lambda = training::lambda_side(run, &params, seed);
     let iterations = params.total_iterations();

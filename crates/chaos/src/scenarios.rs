@@ -1,7 +1,8 @@
-//! Built-in chaos scenarios: the two §2/§3 compositions the repo's
-//! integration suite already exercises, now run under fault injection.
+//! Built-in chaos scenarios: the §3.2 CRDT gossip and the §2 queue
+//! pipeline under fault injection, a fair-share link churn, and the
+//! gateway's noisy-neighbor isolation experiment.
 //!
-//! Both are pure functions of the seed, so the [`sweep`](crate::sweep)
+//! All four are pure functions of the seed, so the [`sweep`](crate::sweep)
 //! harness can replay any failure exactly.
 
 use std::cell::RefCell;
@@ -35,31 +36,10 @@ fn base_profile() -> CloudProfile {
 /// Each replica's KV traffic goes through a [`Retrying`] client, so
 /// the scenario also demonstrates the retry discipline absorbing
 /// `Throttled` errors.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CrdtSync {
     /// The faults to inject.
     pub plan: FaultPlan,
-    /// Number of gossiping replicas.
-    pub replicas: u64,
-    /// Increments each replica performs.
-    pub increments_each: u64,
-    /// Retry policy for the replicas' KV clients.
-    pub policy: RetryPolicy,
-}
-
-impl Default for CrdtSync {
-    fn default() -> CrdtSync {
-        CrdtSync {
-            plan: FaultPlan::calm(),
-            replicas: 4,
-            increments_each: 25,
-            policy: RetryPolicy {
-                max_attempts: 8,
-                call_timeout: Some(SimDuration::from_secs(10)),
-                ..RetryPolicy::default()
-            },
-        }
-    }
 }
 
 impl CrdtSync {
@@ -74,6 +54,11 @@ impl CrdtSync {
     }
 }
 
+/// Number of gossiping replicas.
+const REPLICAS: u64 = 4;
+/// Increments each replica performs.
+const INCREMENTS_EACH: u64 = 25;
+
 impl Scenario for CrdtSync {
     fn name(&self) -> &'static str {
         "crdt-sync"
@@ -86,18 +71,22 @@ impl Scenario for CrdtSync {
         let cloud = self.plan.build(profile, seed);
         cloud.kv.create_table("crdt");
 
-        let replicas = self.replicas;
-        let increments_each = self.increments_each;
+        // Retry policy for the replicas' KV clients.
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            call_timeout: Some(SimDuration::from_secs(10)),
+            ..RetryPolicy::default()
+        };
         let states: Rc<RefCell<Vec<GCounter>>> =
-            Rc::new(RefCell::new((0..replicas).map(|_| GCounter::new()).collect()));
+            Rc::new(RefCell::new((0..REPLICAS).map(|_| GCounter::new()).collect()));
         let stuck: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
 
-        for r in 1..=replicas {
+        for r in 1..=REPLICAS {
             let kv = Retrying::new(
                 &cloud.sim,
                 &cloud.kv,
                 cloud.recorder.clone(),
-                self.policy.clone(),
+                policy.clone(),
                 &format!("chaos.crdt.replica-{r}"),
             );
             let sim = cloud.sim.clone();
@@ -108,7 +97,7 @@ impl Scenario for CrdtSync {
                 let idx = (r - 1) as usize;
                 let my_key = format!("replica-{r}");
                 let unbounded = Deadline::unbounded();
-                for step in 0..increments_each {
+                for step in 0..INCREMENTS_EACH {
                     states.borrow_mut()[idx].increment(r, 1);
                     let snapshot = Bytes::from(states.borrow()[idx].encode());
                     // A publish that exhausts its retries is not fatal —
@@ -116,7 +105,7 @@ impl Scenario for CrdtSync {
                     let _ = kv
                         .call(unbounded, |kv| kv.put(&host, "crdt", &my_key, snapshot.clone()))
                         .await;
-                    let peer = (r + step) % replicas + 1;
+                    let peer = (r + step) % REPLICAS + 1;
                     if peer != r {
                         let peer_key = format!("replica-{peer}");
                         let read = |kv| KvStore::get(kv, &host, "crdt", &peer_key, Consistency::Eventual);
@@ -139,7 +128,7 @@ impl Scenario for CrdtSync {
                             .borrow_mut()
                             .push(format!("replica {r}: quiesce publish exhausted retries"));
                     }
-                    for peer in 1..=replicas {
+                    for peer in 1..=REPLICAS {
                         if peer == r {
                             continue;
                         }
@@ -158,7 +147,7 @@ impl Scenario for CrdtSync {
         cloud.sim.run();
 
         let mut violations = stuck.borrow().clone();
-        let want = replicas * increments_each;
+        let want = REPLICAS * INCREMENTS_EACH;
         for (i, s) in states.borrow().iter().enumerate() {
             if s.value() != want {
                 violations.push(format!(
@@ -172,28 +161,14 @@ impl Scenario for CrdtSync {
 }
 
 /// The §2 queue-to-function pipeline under at-least-once chaos: a
-/// producer sends `messages` distinct payloads, the queue duplicates
+/// producer sends `MESSAGES` distinct payloads, the queue duplicates
 /// and delays deliveries, the platform kills workers mid-flight — and
 /// the worker fleet must still process **exactly** the expected payload
 /// set (dedup makes redelivery idempotent) and drain the queue.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueuePipeline {
     /// The faults to inject.
     pub plan: FaultPlan,
-    /// Number of distinct payloads sent.
-    pub messages: u32,
-    /// Virtual time allowed for the pipeline to drain.
-    pub deadline: SimDuration,
-}
-
-impl Default for QueuePipeline {
-    fn default() -> QueuePipeline {
-        QueuePipeline {
-            plan: FaultPlan::calm(),
-            messages: 30,
-            deadline: SimDuration::from_secs(180),
-        }
-    }
 }
 
 impl QueuePipeline {
@@ -208,6 +183,11 @@ impl QueuePipeline {
         s
     }
 }
+
+/// Number of distinct payloads sent.
+const MESSAGES: u32 = 30;
+/// Virtual time allowed for the pipeline to drain.
+const DEADLINE: SimDuration = SimDuration::from_secs(180);
 
 impl Scenario for QueuePipeline {
     fn name(&self) -> &'static str {
@@ -253,28 +233,27 @@ impl Scenario for QueuePipeline {
 
         let host = cloud.client_host();
         let queue = cloud.queue.clone();
-        let messages = self.messages;
         cloud.sim.spawn(async move {
-            for i in 0..messages {
+            for i in 0..MESSAGES {
                 queue
                     .send(&host, "jobs", Bytes::from(i.to_le_bytes().to_vec()))
                     .await
                     .expect("queue exists");
             }
         });
-        cloud.sim.run_until(cloud.sim.now() + self.deadline);
+        cloud.sim.run_until(cloud.sim.now() + DEADLINE);
         trigger.stop();
 
         let mut violations = Vec::new();
         {
             let seen = seen.borrow();
-            for i in 0..self.messages {
+            for i in 0..MESSAGES {
                 if !seen.contains_key(&i) {
                     violations.push(format!("payload {i} was never delivered"));
                 }
             }
             for id in seen.keys() {
-                if *id >= self.messages {
+                if *id >= MESSAGES {
                     violations.push(format!("unexpected payload {id} delivered"));
                 }
             }
@@ -294,22 +273,17 @@ impl Scenario for QueuePipeline {
 /// each seed twice, so any nondeterminism in the heap/bucket machinery —
 /// iteration order, lazy compaction, stale-entry handling — shows up as
 /// a digest divergence at a pinpointed seed.
-#[derive(Clone, Debug)]
-pub struct LinkChurn {
-    /// Transfers launched into the link.
-    pub flows: u64,
-    /// Link capacity in bits/sec.
-    pub capacity: f64,
-}
+///
+/// It has no settings; `#[non_exhaustive]` keeps `LinkChurn::default()`
+/// the way to build it, as for the other scenarios.
+#[derive(Clone, Debug, Default)]
+#[non_exhaustive]
+pub struct LinkChurn;
 
-impl Default for LinkChurn {
-    fn default() -> LinkChurn {
-        LinkChurn {
-            flows: 2_000,
-            capacity: faasim_simcore::mbps(1000.0),
-        }
-    }
-}
+/// Transfers launched into the link.
+const FLOWS: u64 = 2_000;
+/// Link capacity in bits/sec (1 000 Mbps).
+const CAPACITY: f64 = 1_000e6;
 
 impl Scenario for LinkChurn {
     fn name(&self) -> &'static str {
@@ -321,12 +295,12 @@ impl Scenario for LinkChurn {
 
         let sim = Sim::new(seed);
         let recorder = Recorder::new();
-        let link = FairShareLink::new(&sim, self.capacity);
+        let link = FairShareLink::new(&sim, CAPACITY);
         let mut rng = sim.rng("chaos.link_churn");
         let completed = Rc::new(RefCell::new(0u64));
         let canceled = Rc::new(RefCell::new(0u64));
         let mut expect_completed = 0u64;
-        for i in 0..self.flows {
+        for i in 0..FLOWS {
             let delay = SimDuration::from_micros(rng.range_u64(0..200_000));
             let bytes = if rng.chance(0.03) {
                 0
@@ -334,7 +308,7 @@ impl Scenario for LinkChurn {
                 rng.range_u64(1..2_000_000)
             };
             let cap = if rng.chance(0.4) {
-                Some(self.capacity * [0.002, 0.01, 0.05, 0.2, 1.5][rng.range_usize(0..5)])
+                Some(CAPACITY * [0.002, 0.01, 0.05, 0.2, 1.5][rng.range_usize(0..5)])
             } else {
                 None
             };
@@ -403,7 +377,7 @@ impl Scenario for LinkChurn {
 
 /// The front door's reason to exist, as a two-arm experiment: a victim
 /// tenant sends steady, in-allotment traffic while an aggressor tenant
-/// bursts at `burst_multiplier`× the victim's rate through the same
+/// bursts at `BURST_MULTIPLIER`× the victim's rate through the same
 /// gateway. The scenario runs both arms from the same seed — aggressor
 /// idle, then aggressor bursting — and demands that
 ///
@@ -424,19 +398,8 @@ pub struct NoisyNeighbor {
     name: &'static str,
     /// The faults both arms run under.
     pub plan: FaultPlan,
-    /// Aggressor burst rate as a multiple of the victim's rate.
-    pub burst_multiplier: f64,
-    /// Victim request rate (req/s); both tenants' gateway allotment is
-    /// twice this.
-    pub victim_rate: f64,
-    /// Length of the experiment; the aggressor bursts through the middle
-    /// half of it.
-    pub duration: SimDuration,
     /// Allowed victim p99 inflation factor, hostile vs quiet arm.
     pub p99_bound: f64,
-    /// Whether the victim must complete every request (true under a calm
-    /// plan; chaos kills can legitimately exhaust retries).
-    pub expect_no_failures: bool,
 }
 
 impl Default for NoisyNeighbor {
@@ -444,11 +407,7 @@ impl Default for NoisyNeighbor {
         NoisyNeighbor {
             name: "noisy-neighbor/calm",
             plan: FaultPlan::calm(),
-            burst_multiplier: 50.0,
-            victim_rate: 10.0,
-            duration: SimDuration::from_secs(60),
             p99_bound: 1.5,
-            expect_no_failures: true,
         }
     }
 }
@@ -463,8 +422,6 @@ impl NoisyNeighbor {
             name: "noisy-neighbor/hostile",
             plan: FaultPlan::hostile(),
             p99_bound: 3.0,
-            expect_no_failures: false,
-            ..NoisyNeighbor::default()
         }
     }
 }
@@ -473,6 +430,16 @@ impl NoisyNeighbor {
 const VICTIM: u32 = 0;
 /// Aggressor tenant id.
 const AGGRESSOR: u32 = 1;
+/// Aggressor burst rate as a multiple of the victim's rate.
+const BURST_MULTIPLIER: f64 = 50.0;
+/// Victim request rate (req/s).
+const VICTIM_RATE: f64 = 10.0;
+/// Per-tenant token allotment (req/s): headroom over the victim's
+/// offered rate, far under the aggressor's burst.
+const ALLOTMENT: f64 = VICTIM_RATE * 2.0;
+/// Length of the experiment; the aggressor bursts through the middle
+/// half of it.
+const DURATION: SimDuration = SimDuration::from_secs(60);
 
 struct NeighborArm {
     p99: f64,
@@ -484,12 +451,6 @@ struct NeighborArm {
 }
 
 impl NoisyNeighbor {
-    /// Per-tenant token allotment (req/s): headroom over the victim's
-    /// offered rate, far under the aggressor's burst.
-    fn allotment(&self) -> f64 {
-        self.victim_rate * 2.0
-    }
-
     fn arm(&self, seed: u64, aggressor_on: bool) -> NeighborArm {
         let cloud = self.plan.build(base_profile(), seed);
         let sim = cloud.sim.clone();
@@ -504,7 +465,6 @@ impl NoisyNeighbor {
             },
         ));
 
-        let allot = self.allotment();
         let gw = Gateway::new(
             &sim,
             &cloud.faas,
@@ -513,8 +473,8 @@ impl NoisyNeighbor {
             &cloud.prices,
             GatewayConfig::new(vec![
                 TenantConfig {
-                    rate: allot,
-                    burst: allot * 2.0,
+                    rate: ALLOTMENT,
+                    burst: ALLOTMENT * 2.0,
                     // Generous: the cold-start era alone holds
                     // rate × ~5 s in flight; concurrency is not the
                     // isolation mechanism under test here.
@@ -522,8 +482,8 @@ impl NoisyNeighbor {
                     priority: 3,
                 },
                 TenantConfig {
-                    rate: allot,
-                    burst: allot * 2.0,
+                    rate: ALLOTMENT,
+                    burst: ALLOTMENT * 2.0,
                     max_concurrent: 32,
                     priority: 0,
                 },
@@ -543,14 +503,14 @@ impl NoisyNeighbor {
         // toward the p99 — by then the victim's containers are warm, so
         // the quantile measures steady-state service, not the shared
         // cold-start era both arms pay identically.
-        let victim_n = (self.victim_rate * self.duration.as_secs_f64()).round() as u64;
-        let window_start = SimDuration::from_secs_f64(self.duration.as_secs_f64() * 0.25);
-        let window = SimDuration::from_secs_f64(self.duration.as_secs_f64() * 0.5);
+        let victim_n = (VICTIM_RATE * DURATION.as_secs_f64()).round() as u64;
+        let window_start = SimDuration::from_secs_f64(DURATION.as_secs_f64() * 0.25);
+        let window = SimDuration::from_secs_f64(DURATION.as_secs_f64() * 0.5);
         let latencies: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         let failed = Rc::new(RefCell::new(0u64));
         {
             let sim2 = sim.clone();
-            let mean = 1.0 / self.victim_rate;
+            let mean = 1.0 / VICTIM_RATE;
             let (latencies, failed) = (latencies.clone(), failed.clone());
             let (w0, w1) = (
                 faasim_simcore::SimTime::ZERO + window_start,
@@ -585,13 +545,13 @@ impl NoisyNeighbor {
             });
         }
 
-        // Aggressor: bursts at `burst_multiplier`× the victim's rate
+        // Aggressor: bursts at `BURST_MULTIPLIER`× the victim's rate
         // through the middle half of the run, single-shot (a client that
         // hammers without backoff — the tenant the door exists for).
         if aggressor_on {
             let sim2 = sim.clone();
             let gw2 = gw.clone();
-            let mean = 1.0 / (self.victim_rate * self.burst_multiplier);
+            let mean = 1.0 / (VICTIM_RATE * BURST_MULTIPLIER);
             sim.spawn(async move {
                 sim2.sleep(window_start).await;
                 let mut rng = sim2.rng("chaos.noisy.aggressor");
@@ -656,8 +616,8 @@ impl Scenario for NoisyNeighbor {
         }
 
         // The door must clamp the aggressor to its token allotment...
-        let window_secs = self.duration.as_secs_f64() * 0.5;
-        let admit_cap = (self.allotment() * window_secs + self.allotment() * 2.0 + 16.0) as u64;
+        let window_secs = DURATION.as_secs_f64() * 0.5;
+        let admit_cap = (ALLOTMENT * window_secs + ALLOTMENT * 2.0 + 16.0) as u64;
         if hostile.aggressor.admitted > admit_cap {
             violations.push(format!(
                 "hostile arm: aggressor admitted {} > cap {}",
@@ -681,11 +641,14 @@ impl Scenario for NoisyNeighbor {
                 "victim p99 moved {:.1} ms -> {:.1} ms under a {}x burst (bound {}x)",
                 quiet.p99 * 1e3,
                 hostile.p99 * 1e3,
-                self.burst_multiplier,
+                BURST_MULTIPLIER,
                 self.p99_bound
             ));
         }
-        if self.expect_no_failures && quiet.victim_failed + hostile.victim_failed > 0 {
+        // Chaos kills can legitimately exhaust the victim's retries; a
+        // calm plan leaves nothing that may fail.
+        let calm = self.plan == FaultPlan::calm();
+        if calm && quiet.victim_failed + hostile.victim_failed > 0 {
             violations.push(format!(
                 "victim failed {} quiet / {} hostile requests under a calm plan",
                 quiet.victim_failed, hostile.victim_failed

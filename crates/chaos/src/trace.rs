@@ -16,24 +16,12 @@ pub struct TraceReplay {
     name: &'static str,
     plan: FaultPlan,
     cfg: ReplayConfig,
-    /// A calm plan must complete every request successfully.
-    expect_no_failures: bool,
 }
 
 impl TraceReplay {
     /// Build a scenario from explicit parts.
-    pub fn new(
-        name: &'static str,
-        plan: FaultPlan,
-        cfg: ReplayConfig,
-        expect_no_failures: bool,
-    ) -> TraceReplay {
-        TraceReplay {
-            name,
-            plan,
-            cfg,
-            expect_no_failures,
-        }
+    pub fn new(name: &'static str, plan: FaultPlan, cfg: ReplayConfig) -> TraceReplay {
+        TraceReplay { name, plan, cfg }
     }
 
     /// CI-smoke trace (~1,500 invocations over two minutes).
@@ -51,7 +39,6 @@ impl TraceReplay {
             "trace-replay/calm",
             FaultPlan::calm(),
             TraceReplay::smoke_config(),
-            true,
         )
     }
 
@@ -62,7 +49,6 @@ impl TraceReplay {
             "trace-replay/hostile",
             FaultPlan::hostile(),
             TraceReplay::smoke_config(),
-            false,
         )
     }
 
@@ -88,7 +74,8 @@ impl Scenario for TraceReplay {
         );
         let r = &out.report;
         violations.extend(r.violations());
-        if self.expect_no_failures && r.failed > 0 {
+        // A calm plan must complete every request successfully.
+        if self.plan == FaultPlan::calm() && r.failed > 0 {
             violations.push(format!("{} requests failed under a calm plan", r.failed));
         }
         RunReport {

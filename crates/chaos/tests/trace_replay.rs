@@ -14,7 +14,7 @@ fn ten_k() -> ReplayConfig {
 }
 
 fn scenario() -> TraceReplay {
-    TraceReplay::new("trace-replay/determinism", FaultPlan::hostile(), ten_k(), false)
+    TraceReplay::new("trace-replay/determinism", FaultPlan::hostile(), ten_k())
 }
 
 #[test]

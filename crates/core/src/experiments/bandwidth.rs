@@ -22,8 +22,6 @@ pub struct BandwidthParams {
     pub concurrency_levels: Vec<usize>,
     /// Bytes each function transfers per measurement.
     pub transfer_bytes: u64,
-    /// Lambda memory (affects packing only; 640 MB packs 20 per host).
-    pub memory_mb: u64,
 }
 
 impl Default for BandwidthParams {
@@ -31,7 +29,6 @@ impl Default for BandwidthParams {
         BandwidthParams {
             concurrency_levels: vec![1, 2, 4, 8, 12, 16, 20],
             transfer_bytes: 25_000_000, // 200 Mbit per function
-            memory_mb: 640,
         }
     }
 }
@@ -42,7 +39,6 @@ impl BandwidthParams {
         BandwidthParams {
             concurrency_levels: vec![1, 20],
             transfer_bytes: 5_000_000,
-            ..BandwidthParams::default()
         }
     }
 }
@@ -164,6 +160,9 @@ pub fn run(params: &BandwidthParams, seed: u64) -> BandwidthResult {
     plain(|run| run_on(run, params, seed))
 }
 
+/// Lambda memory (affects packing only; 640 MB packs 20 per host).
+const MEMORY_MB: u64 = 640;
+
 /// The sweep on any backend: a download that fails leaves an entry in
 /// `run.failures` and no rate.
 pub fn run_on<B: Backend>(run: &mut Run<B>, params: &BandwidthParams, seed: u64) -> BandwidthResult {
@@ -171,7 +170,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &BandwidthParams, seed: u64)
     for (i, &k) in params.concurrency_levels.iter().enumerate() {
         let scope = format!("bandwidth/{k}");
         let (per_fn, cloud) =
-            measure(run, &scope, seed + i as u64, params.memory_mb, k, params.transfer_bytes);
+            measure(run, &scope, seed + i as u64, MEMORY_MB, k, params.transfer_bytes);
         points.push(BandwidthPoint {
             concurrency: k,
             per_function_mbps: per_fn,
@@ -194,8 +193,6 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &BandwidthParams, seed: u64)
 pub struct MemorySweepParams {
     /// Memory sizes to sweep (MB).
     pub memory_mbs: Vec<u64>,
-    /// Concurrent functions per point (enough to saturate a host).
-    pub concurrency: usize,
     /// Bytes each function transfers.
     pub transfer_bytes: u64,
 }
@@ -204,7 +201,6 @@ impl Default for MemorySweepParams {
     fn default() -> Self {
         MemorySweepParams {
             memory_mbs: vec![128, 320, 640, 1_024, 1_536, 3_008],
-            concurrency: 20,
             transfer_bytes: 25_000_000,
         }
     }
@@ -216,7 +212,6 @@ impl MemorySweepParams {
         MemorySweepParams {
             memory_mbs: vec![640, 3_008],
             transfer_bytes: 5_000_000,
-            ..MemorySweepParams::default()
         }
     }
 }
@@ -267,15 +262,18 @@ impl MemorySweepResult {
     }
 }
 
+/// Concurrent functions per memory-sweep point (enough to saturate a host).
+const CONCURRENCY: usize = 20;
+
 /// Run the memory sweep.
 pub fn run_memory_sweep(params: &MemorySweepParams, seed: u64) -> MemorySweepResult {
     plain(|run| {
         let mut points = Vec::new();
         for (i, &memory_mb) in params.memory_mbs.iter().enumerate() {
             let scope = format!("bandwidth/{memory_mb}MB");
-            let (concurrency, bytes) = (params.concurrency, params.transfer_bytes);
+            let bytes = params.transfer_bytes;
             let (per_function_mbps, cloud) =
-                measure(run, &scope, seed + i as u64, memory_mb, concurrency, bytes);
+                measure(run, &scope, seed + i as u64, memory_mb, CONCURRENCY, bytes);
             let profile = cloud.faas.profile();
             let by_mem = (profile.host_mem_mb / memory_mb).max(1) as usize;
             points.push(MemorySweepPoint {
@@ -333,7 +331,6 @@ mod tests {
         let params = BandwidthParams {
             concurrency_levels: vec![1, 2, 4, 8, 20],
             transfer_bytes: 5_000_000,
-            memory_mb: 640,
         };
         let r = run(&params, 7);
         for w in r.points.windows(2) {

@@ -51,8 +51,6 @@ use crate::report::{fmt_latency, fmt_ratio, Table};
 pub struct DataShippingParams {
     /// Dataset sizes (MB) to sweep.
     pub dataset_mbs: Vec<u64>,
-    /// Object size in MB.
-    pub object_mb: u64,
     /// Override the platform's 15-minute execution cap (used by tests to
     /// exercise execution chaining without simulating tens of GB).
     pub lifetime_cap: Option<SimDuration>,
@@ -62,7 +60,6 @@ impl Default for DataShippingParams {
     fn default() -> Self {
         DataShippingParams {
             dataset_mbs: vec![10, 100, 1_000, 10_000, 30_000],
-            object_mb: 10,
             lifetime_cap: None,
         }
     }
@@ -73,7 +70,6 @@ impl DataShippingParams {
     pub fn quick() -> DataShippingParams {
         DataShippingParams {
             dataset_mbs: vec![10, 250],
-            object_mb: 10,
             lifetime_cap: None,
         }
     }
@@ -152,6 +148,8 @@ impl DataShippingResult {
 }
 
 const LOG_LINE: &str = "GET /assets/app.js 200\n";
+/// Object size in MB.
+const OBJECT_MB: u64 = 10;
 
 /// Open a cloud of `profile` holding the dataset in bucket `logs`.
 /// Returns it with its clients, the object count and the lines per object.
@@ -160,12 +158,11 @@ fn populate<B: Backend>(
     profile: CloudProfile,
     seed: u64,
     dataset_mb: u64,
-    object_mb: u64,
 ) -> (Cloud, B::Clients, usize, u64) {
     let (cloud, clients, _) = run.open(profile, seed);
     cloud.blob.create_bucket("logs");
-    let objects = (dataset_mb / object_mb).max(1) as usize;
-    let lines_per_object = (object_mb * 1_000_000) / LOG_LINE.len() as u64;
+    let objects = (dataset_mb / OBJECT_MB).max(1) as usize;
+    let lines_per_object = (OBJECT_MB * 1_000_000) / LOG_LINE.len() as u64;
     // Symbolic body: one 23-byte pattern repeated; O(1) to build and put,
     // regardless of object size.
     let body = Payload::synthetic(LOG_LINE, lines_per_object);
@@ -191,8 +188,7 @@ pub fn run(params: &DataShippingParams, seed: u64) -> DataShippingResult {
         for (i, &dataset_mb) in params.dataset_mbs.iter().enumerate() {
             let seed = seed + i as u64;
             let (d2c, execs, d2c_cost, expected) = data_to_code(run, params, dataset_mb, seed);
-            let (c2d, c2d_cost) =
-                run_code_to_data(run, dataset_mb, params.object_mb, seed + 1000, expected);
+            let (c2d, c2d_cost) = run_code_to_data(run, dataset_mb, seed + 1000, expected);
             points.push(DataShippingPoint {
                 dataset_mb,
                 data_to_code: d2c,
@@ -225,8 +221,7 @@ pub fn data_to_code<B: Backend>(
     if let Some(cap) = params.lifetime_cap {
         profile.faas.max_lifetime = cap;
     }
-    let (cloud, clients, objects, lines_per_object) =
-        populate(run, profile, seed, dataset_mb, params.object_mb);
+    let (cloud, clients, objects, lines_per_object) = populate(run, profile, seed, dataset_mb);
     let expected = objects as u64 * lines_per_object;
 
     let progress = Rc::new(RefCell::new((0usize, 0u64))); // (next object, count)
@@ -296,12 +291,11 @@ pub fn data_to_code<B: Backend>(
 fn run_code_to_data(
     run: &mut Run<Plain>,
     dataset_mb: u64,
-    object_mb: u64,
     seed: u64,
     expected: u64,
 ) -> (SimDuration, f64) {
     let profile = CloudProfile::aws_2018().exact();
-    let (cloud, ..) = populate(run, profile, seed, dataset_mb, object_mb);
+    let (cloud, ..) = populate(run, profile, seed, dataset_mb);
 
     let query = cloud.query.clone();
     cloud.faas.register(FunctionSpec::new(
@@ -384,7 +378,6 @@ mod tests {
         let r = run(
             &DataShippingParams {
                 dataset_mbs: vec![500],
-                object_mb: 10,
                 lifetime_cap: Some(SimDuration::from_secs(10)),
             },
             77,
@@ -410,7 +403,6 @@ mod tests {
         let r = run(
             &DataShippingParams {
                 dataset_mbs: vec![paper_mb],
-                object_mb: 10,
                 lifetime_cap: None,
             },
             7,

@@ -27,10 +27,6 @@ pub struct ElectionParams {
     pub polls_per_second: f64,
     /// Leader kills measured (averaged).
     pub rounds: usize,
-    /// Cluster size for the cost extrapolation (paper: 1,000).
-    pub extrapolate_nodes: u64,
-    /// Function lifetime used for the %-time claim (paper: 900 s).
-    pub lifetime: SimDuration,
     /// The `slices` of [`failover_drill`]: the undisturbed cluster needs one.
     pub wait_slices: u32,
 }
@@ -41,8 +37,6 @@ impl Default for ElectionParams {
             nodes: 10,
             polls_per_second: 4.0,
             rounds: 5,
-            extrapolate_nodes: 1_000,
-            lifetime: SimDuration::from_secs(900),
             wait_slices: 1,
         }
     }
@@ -69,7 +63,7 @@ pub struct ElectionResult {
     pub fraction_electing: f64,
     /// Steady-state KV requests per node-second.
     pub requests_per_node_second: f64,
-    /// Extrapolated $/hr for `extrapolate_nodes` at the steady rate.
+    /// Extrapolated $/hr for `EXTRAPOLATE_NODES` at the steady rate.
     pub hourly_cost_extrapolated: f64,
     /// All measured rounds.
     pub rounds: Vec<SimDuration>,
@@ -116,7 +110,7 @@ impl ElectionResult {
             format!("{:.1}/node/s", self.requests_per_node_second),
         ]);
         t.row(&[
-            format!("cost at {} nodes", params.extrapolate_nodes),
+            format!("cost at {EXTRAPOLATE_NODES} nodes"),
             format!(
                 "{}/hr",
                 faasim_pricing::format_dollars(self.hourly_cost_extrapolated)
@@ -188,6 +182,11 @@ pub(super) fn mean_round(rounds: &[SimDuration]) -> SimDuration {
     )
 }
 
+/// Cluster size for the cost extrapolation (paper: 1,000).
+const EXTRAPOLATE_NODES: u64 = 1_000;
+/// Function lifetime used for the %-time claim (paper: 900 s).
+const LIFETIME: SimDuration = SimDuration::from_secs(900);
+
 /// Run the study.
 pub fn run(params: &ElectionParams, seed: u64) -> ElectionResult {
     plain(|run| run_on(run, params, seed))
@@ -240,11 +239,9 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) 
     run.fail("election", failures);
 
     let mean_round = mean_round(&rounds);
-    let fraction = mean_round.as_secs_f64() / params.lifetime.as_secs_f64();
-    let hourly = steady_requests
-        * params.extrapolate_nodes as f64
-        * 3600.0
-        * cloud.prices.kv_read_per_request;
+    let fraction = mean_round.as_secs_f64() / LIFETIME.as_secs_f64();
+    let hourly =
+        steady_requests * EXTRAPOLATE_NODES as f64 * 3600.0 * cloud.prices.kv_read_per_request;
     run.close("election", &cloud);
     ElectionResult {
         mean_round,
@@ -264,12 +261,8 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &ElectionParams, seed: u64) 
 pub struct ChurnParams {
     /// Cluster size.
     pub nodes: u64,
-    /// Poll rate (paper: 4/s).
-    pub polls_per_second: f64,
     /// Function lifetime (paper: 900 s).
     pub lifetime: SimDuration,
-    /// Delay between a death and its replacement invocation joining.
-    pub respawn_delay: SimDuration,
     /// Measurement window after initial convergence.
     pub window: SimDuration,
 }
@@ -278,9 +271,7 @@ impl Default for ChurnParams {
     fn default() -> Self {
         ChurnParams {
             nodes: 10,
-            polls_per_second: 4.0,
             lifetime: SimDuration::from_secs(900),
-            respawn_delay: SimDuration::from_millis(300),
             window: SimDuration::from_hours(2),
         }
     }
@@ -293,7 +284,6 @@ impl ChurnParams {
             nodes: 5,
             lifetime: SimDuration::from_secs(300),
             window: SimDuration::from_secs(1_800),
-            ..ChurnParams::default()
         }
     }
 }
@@ -322,6 +312,11 @@ impl ChurnResult {
     }
 }
 
+/// Poll rate of the churn study (paper: 4/s).
+const CHURN_POLLS_PER_SECOND: f64 = 4.0;
+/// Delay between a death and its replacement invocation joining.
+const RESPAWN_DELAY: SimDuration = SimDuration::from_millis(300);
+
 /// Run the churn study: nodes live for one Lambda lifetime, die, and are
 /// replaced; measure the fraction of time the cluster lacks agreement.
 pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
@@ -331,7 +326,7 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
     let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
     BlackboardTransport::setup(&cloud.kv);
     let observer = ElectionObserver::new();
-    let poll = SimDuration::from_secs_f64(1.0 / params.polls_per_second);
+    let poll = SimDuration::from_secs_f64(1.0 / CHURN_POLLS_PER_SECOND);
     let cfg = BullyConfig::blackboard_2018().scaled(poll.as_secs_f64() / 0.25);
     let members: Vec<NodeId> = (1..=params.nodes).collect();
 
@@ -346,7 +341,6 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
         let cfg = cfg.clone();
         let members = members.clone();
         let lifetime = params.lifetime;
-        let respawn = params.respawn_delay;
         let handles = handles.clone();
         let nodes = params.nodes;
         cloud.sim.clone().spawn(async move {
@@ -363,7 +357,7 @@ pub fn run_churn(params: &ChurnParams, seed: u64) -> ChurnResult {
                 handle.kill();
                 observer.mark_dead(id, sim.now());
                 handles.borrow_mut().push(handle);
-                sim.sleep(respawn).await;
+                sim.sleep(RESPAWN_DELAY).await;
             }
         });
     }

@@ -34,16 +34,6 @@ pub struct PredictionParams {
     pub batches: usize,
     /// Documents per batch (paper/SQS cap: 10).
     pub batch_size: usize,
-    /// Words per document.
-    pub doc_words: usize,
-    /// Size of the serialized blacklist model fetched from the object
-    /// store in the unoptimized deployment. Calibrated to ~500 KB so the
-    /// fetch accounts for the paper's 559 ms vs 447 ms gap.
-    pub model_bytes: usize,
-    /// Reference-core time to censor one document.
-    pub per_doc_ref_work: SimDuration,
-    /// Messages/second for the cost extrapolation (paper: 1M).
-    pub extrapolate_rate: f64,
 }
 
 impl Default for PredictionParams {
@@ -51,10 +41,6 @@ impl Default for PredictionParams {
         PredictionParams {
             batches: 1_000,
             batch_size: 10,
-            doc_words: 100,
-            model_bytes: 500_000,
-            per_doc_ref_work: SimDuration::from_micros(20),
-            extrapolate_rate: 1e6,
         }
     }
 }
@@ -166,6 +152,11 @@ impl PredictionResult {
     }
 }
 
+/// Messages/second for the cost extrapolation (paper: 1M).
+const EXTRAPOLATE_RATE: f64 = 1e6;
+/// Reference-core time to censor one document.
+const PER_DOC_REF_WORK: SimDuration = SimDuration::from_micros(20);
+
 /// Run all four deployments.
 pub fn run(params: &PredictionParams, seed: u64) -> PredictionResult {
     plain(|run| run_on_plain(params, seed, run))
@@ -183,10 +174,10 @@ fn run_on_plain(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> P
     // requests per message (send + batched receive; deletes folded in).
     let book = faasim_pricing::PriceBook::aws_2018();
     let requests_per_msg = 1.1;
-    let sqs_hourly = params.extrapolate_rate * 3600.0 * requests_per_msg * book.queue_per_request;
+    let sqs_hourly = EXTRAPOLATE_RATE * 3600.0 * requests_per_msg * book.queue_per_request;
     // EC2 fleet sized by the measured busy time per batch.
     let throughput = params.batch_size as f64 / per_batch_busy.as_secs_f64();
-    let instances = (params.extrapolate_rate / throughput).ceil() as u32;
+    let instances = (EXTRAPOLATE_RATE / throughput).ceil() as u32;
     let ec2_hourly = instances as f64 * book.ec2_hourly("m5.large");
 
     PredictionResult {
@@ -199,10 +190,13 @@ fn run_on_plain(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> P
     }
 }
 
+/// Words per document.
+const DOC_WORDS: usize = 100;
+
 fn make_docs(params: &PredictionParams, seed: u64) -> Vec<Bytes> {
     (0..params.batch_size)
         .map(|i| {
-            Bytes::from(synthetic_document(500, params.doc_words, seed * 1000 + i as u64).into_bytes())
+            Bytes::from(synthetic_document(500, DOC_WORDS, seed * 1000 + i as u64).into_bytes())
         })
         .collect()
 }
@@ -235,6 +229,11 @@ pub fn serving_cloud<B: Backend>(
     (cloud, clients)
 }
 
+/// Size of the serialized blacklist model fetched from the object store
+/// in the unoptimized deployment. Calibrated to ~500 KB so the fetch
+/// accounts for the paper's 559 ms vs 447 ms gap.
+const MODEL_BYTES: usize = 500_000;
+
 /// Deployments 1 & 2: Lambda behind a queue trigger.
 fn run_lambda(
     params: &PredictionParams,
@@ -243,14 +242,13 @@ fn run_lambda(
     run: &mut Run<Plain>,
 ) -> Deployment {
     // The serialized model is what the unoptimized deployment fetches.
-    let (cloud, clients) = serving_cloud(run, seed, QueueConfig::default(), params.model_bytes);
+    let (cloud, clients) = serving_cloud(run, seed, QueueConfig::default(), MODEL_BYTES);
     let model = DirtyWordModel::synthetic(500);
 
     // Completion notifications: handler -> measurement loop.
     let (done_tx, mut done_rx) = faasim_simcore::channel::<u64>();
     let blob = cloud.blob.clone();
     let queue = cloud.queue.clone();
-    let per_doc = params.per_doc_ref_work;
     cloud.faas.register(FunctionSpec::new(
         "classify",
         1_024,
@@ -276,7 +274,7 @@ fn run_lambda(
                     let text = std::str::from_utf8(&doc).expect("utf8 docs");
                     let out = model.censor(text);
                     censored.push(faasim_payload::Payload::from(out.text.into_bytes()));
-                    ctx.cpu(per_doc).await;
+                    ctx.cpu(PER_DOC_REF_WORK).await;
                 }
                 let result = encode_batch(&censored);
                 if optimized {
@@ -349,7 +347,6 @@ fn run_ec2_sqs(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> De
     let host = vm.host().clone();
     let vm2 = vm.clone();
     let n = params.batches;
-    let per_doc = params.per_doc_ref_work;
     let docs = make_docs(params, seed);
     let hist = cloud.sim.block_on(async move {
         let mut hist = Histogram::new();
@@ -368,7 +365,7 @@ fn run_ec2_sqs(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> De
                 let body = m.body.bytes();
                 let text = std::str::from_utf8(&body).expect("utf8");
                 let _ = model.censor(text);
-                vm2.cpu_work(per_doc).await;
+                vm2.cpu_work(PER_DOC_REF_WORK).await;
             }
             let receipts = got.into_iter().map(|m| m.receipt).collect();
             queue.delete_batch(&host, receipts).await.expect("delete");
@@ -398,7 +395,6 @@ fn run_ec2_zmq(
     let server_sock = cloud.fabric.bind(server.host(), 6000).expect("bind");
     let client_sock = cloud.fabric.bind(client.host(), 6000).expect("bind");
     let server_addr = server_sock.addr();
-    let per_doc = params.per_doc_ref_work;
     let server_vm = server.clone();
     cloud.sim.spawn(async move {
         loop {
@@ -406,7 +402,7 @@ fn run_ec2_zmq(
             let body = req.payload.bytes();
             let text = std::str::from_utf8(&body).expect("utf8");
             let out = model.censor(text);
-            server_vm.cpu_work(per_doc).await;
+            server_vm.cpu_work(PER_DOC_REF_WORK).await;
             server_sock
                 .reply(&req, Bytes::from(out.text.into_bytes()))
                 .await;

@@ -31,10 +31,6 @@ pub struct Table1Params {
     /// Time limit of the long-running I/O functions (paper: the platform's
     /// 15-minute cap).
     pub lambda_time_limit: SimDuration,
-    /// Payload size (paper: 1 KB).
-    pub payload_bytes: usize,
-    /// Use constant (mean) latencies so the table is exact.
-    pub exact: bool,
     /// Override the platform profile (e.g. the Firecracker ablation).
     pub firecracker: bool,
 }
@@ -46,8 +42,6 @@ impl Default for Table1Params {
             io_trials: 5_000,
             rtt_trials: 10_000,
             lambda_time_limit: SimDuration::from_secs(900),
-            payload_bytes: 1_024,
-            exact: true,
             firecracker: false,
         }
     }
@@ -184,18 +178,19 @@ pub fn run(params: &Table1Params, seed: u64) -> Table1Result {
     plain(|run| run_on(run, params, seed))
 }
 
+/// Payload size (paper: 1 KB).
+const PAYLOAD_BYTES: usize = 1_024;
+
 /// The experiment on any backend: a trial that fails leaves an entry in
 /// `run.failures` where it would have left a sample.
 pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) -> Table1Result {
-    let mut profile = CloudProfile::aws_2018();
-    if params.exact {
-        profile = profile.exact();
-    }
+    // Constant (mean) latencies, so the table is exact.
+    let mut profile = CloudProfile::aws_2018().exact();
     if params.firecracker {
         profile = profile.firecracker();
     }
     let (cloud, clients, invoker) = run.open(profile, seed);
-    let payload = Payload::from(Bytes::from(vec![0u8; params.payload_bytes]));
+    let payload = Payload::from(Bytes::from(vec![0u8; PAYLOAD_BYTES]));
     cloud.blob.create_bucket("bench");
     cloud.kv.create_table("bench");
 

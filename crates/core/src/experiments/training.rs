@@ -31,34 +31,31 @@ use crate::report::{fmt_ratio, PaperRow, Table};
 pub struct TrainingParams {
     /// Total featurized dataset size in MB (paper: 90 GB).
     pub dataset_mb: u64,
-    /// Batch size in MB (paper: 100 MB).
-    pub batch_mb: u64,
     /// Full passes over the data (paper: 10).
     pub epochs: u32,
-    /// Lambda memory (paper: 640 MB).
-    pub lambda_memory_mb: u64,
     /// The training function's time limit (paper: the platform's
     /// 15-minute cap).
     pub lambda_time_limit: SimDuration,
-    /// Reference-core-seconds of compute per iteration (calibrated 0.2).
-    pub iteration_ref_work: SimDuration,
-    /// EC2 instance type (paper: m4.large).
-    pub instance_type: String,
 }
 
 impl Default for TrainingParams {
     fn default() -> Self {
         TrainingParams {
             dataset_mb: 90_000,
-            batch_mb: 100,
             epochs: 10,
-            lambda_memory_mb: 640,
             lambda_time_limit: SimDuration::from_secs(900),
-            iteration_ref_work: SimDuration::from_millis(200),
-            instance_type: "m4.large".to_owned(),
         }
     }
 }
+
+/// Batch size in MB (paper: 100 MB).
+const BATCH_MB: u64 = 100;
+/// Lambda memory (paper: 640 MB).
+const LAMBDA_MEMORY_MB: u64 = 640;
+/// Reference-core-seconds of compute per iteration (calibrated 0.2).
+const ITERATION_REF_WORK: SimDuration = SimDuration::from_millis(200);
+/// EC2 instance type (paper: m4.large).
+const INSTANCE_TYPE: &str = "m4.large";
 
 impl TrainingParams {
     /// Reduced scale for tests: 45 GB, one epoch — still big enough that
@@ -73,7 +70,7 @@ impl TrainingParams {
 
     /// Total iterations implied by the parameters.
     pub fn total_iterations(&self) -> u64 {
-        (self.dataset_mb / self.batch_mb) * self.epochs as u64
+        (self.dataset_mb / BATCH_MB) * self.epochs as u64
     }
 }
 
@@ -189,7 +186,7 @@ pub fn run(params: &TrainingParams, seed: u64) -> TrainingResult {
 pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: u64) -> TrainingSide {
     let (cloud, clients, _) = run.open(CloudProfile::aws_2018().exact(), seed);
     cloud.blob.create_bucket("training");
-    let batch_bytes = params.batch_mb * 1_000_000;
+    let batch_bytes = BATCH_MB * 1_000_000;
     // One symbolic batch object stands in for all of them: a
     // [`Payload::zeros`] carries only its length, and transfer time
     // depends only on size (DESIGN.md §1.4) — so the paper's 100 MB
@@ -210,10 +207,9 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
     let total_iters = params.total_iterations();
     let done = Rc::new(Cell::new(0u64));
     let d = done.clone();
-    let ref_work = params.iteration_ref_work;
     cloud.faas.register(FunctionSpec::new(
         "train",
-        params.lambda_memory_mb,
+        LAMBDA_MEMORY_MB,
         params.lambda_time_limit,
         move |ctx, _payload| {
             let clients = clients.clone();
@@ -227,7 +223,7 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
                         .blob(UNBOUNDED, |blob| blob.get(ctx.host(), "training", "batch"))
                         .await
                         .map_err(FnError::Handler)?;
-                    ctx.cpu(ref_work).await;
+                    ctx.cpu(ITERATION_REF_WORK).await;
                     d.set(d.get() + 1);
                 }
                 Ok(Bytes::new())
@@ -258,17 +254,16 @@ fn run_ec2(params: &TrainingParams, seed: u64, run: &mut Run<Plain>) -> Training
     let (cloud, ..) = run.open(CloudProfile::aws_2018().exact(), seed);
     let vm = cloud
         .ec2
-        .provision_ready(&params.instance_type, 0)
+        .provision_ready(INSTANCE_TYPE, 0)
         .expect("instance type");
     let total_iters = params.total_iterations();
-    let batch_bytes = params.batch_mb * 1_000_000;
-    let ref_work = params.iteration_ref_work;
+    let batch_bytes = BATCH_MB * 1_000_000;
     let t0 = cloud.sim.now();
     let vm2 = vm.clone();
     cloud.sim.block_on(async move {
         for _ in 0..total_iters {
             vm2.ebs_read(batch_bytes).await;
-            vm2.cpu_work_parallel(ref_work).await;
+            vm2.cpu_work_parallel(ITERATION_REF_WORK).await;
         }
     });
     let total_time = cloud.sim.now() - t0;

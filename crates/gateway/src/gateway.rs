@@ -61,27 +61,23 @@ pub struct GatewayConfig {
     /// in-flight count reaches `watermark[p] * max_in_flight`. Must be
     /// non-decreasing so higher tiers never shed before lower ones.
     pub shed_watermarks: [f64; TIERS],
-    /// Per-tenant circuit breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Constant gateway processing overhead added to every *admitted*
-    /// request (no randomness: the gateway must not perturb RNG
-    /// streams).
-    pub overhead: SimDuration,
 }
 
 impl GatewayConfig {
     /// Defaults around the given tenant set: 4096 in flight, watermarks
-    /// at 50/70/85/97%, stock breaker, 1 ms of gateway overhead.
+    /// at 50/70/85/97%.
     pub fn new(tenants: Vec<TenantConfig>) -> GatewayConfig {
         GatewayConfig {
             tenants,
             max_in_flight: 4096,
             shed_watermarks: [0.50, 0.70, 0.85, 0.97],
-            breaker: BreakerConfig::default(),
-            overhead: SimDuration::from_millis(1),
         }
     }
 }
+
+/// Constant gateway processing overhead added to every *admitted*
+/// request (no randomness: the gateway must not perturb RNG streams).
+const OVERHEAD: SimDuration = SimDuration::from_millis(1);
 
 /// Typed admission refusals — the errors a retrying client backs off
 /// on. Execution errors of *admitted* requests are not here: they stay
@@ -200,7 +196,6 @@ struct GatewayInner {
     tenants: Vec<TenantRt>,
     max_in_flight: usize,
     shed_at: [usize; TIERS],
-    overhead: SimDuration,
     price_per_request: f64,
     hot: GwHot,
     in_flight: Cell<usize>,
@@ -258,7 +253,7 @@ impl Gateway {
                 sem: Semaphore::new(cfg.max_concurrent),
                 // One shared counter name: per-tenant detail lives in
                 // the recorder-free TenantStats, not the registry.
-                breaker: CircuitBreaker::new(sim, recorder.clone(), "gateway.tenant", config.breaker.clone()),
+                breaker: CircuitBreaker::new(sim, recorder.clone(), "gateway.tenant", BreakerConfig::default()),
                 stats: RefCell::new(TenantStats::default()),
                 cfg,
             })
@@ -280,7 +275,6 @@ impl Gateway {
                 tenants,
                 max_in_flight: config.max_in_flight,
                 shed_at,
-                overhead: config.overhead,
                 price_per_request: prices.gateway_per_request,
                 hot,
                 in_flight: Cell::new(0),
@@ -372,9 +366,7 @@ impl Gateway {
     ) -> Result<InvokeOutcome, GatewayError> {
         let admission = self.try_admit(tenant)?;
         let inner = Rc::clone(&self.inner);
-        if !inner.overhead.is_zero() {
-            inner.sim.sleep(inner.overhead).await;
-        }
+        inner.sim.sleep(OVERHEAD).await;
         let out = inner.faas.invoke(func, payload).await;
         let breaker_failure = matches!(&out.result, Err(e) if e.is_transient());
         admission.complete(!breaker_failure);
@@ -493,15 +485,13 @@ mod tests {
     }
 
     fn gateway(cloud: &Cloud, tenants: Vec<TenantConfig>) -> Gateway {
-        let mut cfg = GatewayConfig::new(tenants);
-        cfg.overhead = SimDuration::ZERO;
         Gateway::new(
             &cloud.sim,
             &cloud.faas,
             cloud.ledger.clone(),
             cloud.recorder.clone(),
             &cloud.prices,
-            cfg,
+            GatewayConfig::new(tenants),
         )
     }
 
@@ -590,7 +580,6 @@ mod tests {
         };
         let mut cfg = GatewayConfig::new(vec![low, high]);
         cfg.max_in_flight = 100;
-        cfg.overhead = SimDuration::ZERO;
         let gw = Gateway::new(
             &cloud.sim,
             &cloud.faas,

@@ -55,12 +55,11 @@ mod tests {
         ));
         // A refill slow enough (20 s/token) that no amount of cold-start
         // latency on the first call can hide the shed of the second.
-        let mut cfg = GatewayConfig::new(vec![TenantConfig {
+        let cfg = GatewayConfig::new(vec![TenantConfig {
             rate: 0.05,
             burst: 1.0,
             ..TenantConfig::default()
         }]);
-        cfg.overhead = SimDuration::ZERO;
         let gw = Gateway::new(
             &cloud.sim,
             &cloud.faas,
@@ -108,12 +107,11 @@ mod tests {
         ));
         // Zero rate, burst 1: after the first admission the tenant is
         // rate limited forever.
-        let mut cfg = GatewayConfig::new(vec![TenantConfig {
+        let cfg = GatewayConfig::new(vec![TenantConfig {
             rate: 0.0,
             burst: 1.0,
             ..TenantConfig::default()
         }]);
-        cfg.overhead = SimDuration::ZERO;
         let gw = Gateway::new(
             &cloud.sim,
             &cloud.faas,

@@ -27,8 +27,11 @@ mod replay;
 mod sketch;
 mod workload;
 
-pub use replay::{replay, replay_with, GatewaySpec, ReplayConfig, ReplayOutcome, ReplayReport};
+pub use replay::{
+    replay, replay_with, GatewaySpec, ReplayConfig, ReplayOutcome, ReplayReport, EXEC_CV,
+};
 pub use sketch::QuantileSketch;
 pub use workload::{
-    function_name, tenant_of, ArrivalKind, TraceConfig, TraceEvent, TraceGenerator,
+    function_name, tenant_of, ArrivalKind, TraceConfig, TraceEvent, TraceGenerator, EXEC_MEAN_MS,
+    FUNC_ZIPF_S,
 };

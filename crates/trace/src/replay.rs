@@ -22,9 +22,7 @@ use faasim::{Cloud, CloudProfile};
 use faasim_faas::{FaasPlatform, FunctionId, FunctionSpec, InvokeOutcome, PackingStats};
 use faasim_gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, TenantConfig};
 use faasim_payload::Payload;
-use faasim_resilience::{
-    settled, BreakerConfig, Deadline, RetryError, RetryPolicy, Retrying, Service,
-};
+use faasim_resilience::{settled, Deadline, RetryError, RetryPolicy, Retrying, Service};
 use faasim_simcore::{nearest_rank, Semaphore, SimDuration, SimProfile, SimTime};
 
 use crate::sketch::QuantileSketch;
@@ -42,7 +40,8 @@ pub struct ReplayConfig {
     /// Client-side retry policy; `None` invokes the platform directly
     /// (one attempt per trace event).
     pub retry: Option<RetryPolicy>,
-    /// How often the keep-alive reaper reclaims idle containers.
+    /// How often the keep-alive reaper reclaims idle containers. Must be
+    /// positive: [`replay_with`] panics on zero.
     pub reap_every: SimDuration,
     /// Cap on concurrently in-flight client requests (bounds memory).
     pub max_in_flight: usize,
@@ -73,8 +72,6 @@ const CONC_FLOOR: usize = 64;
 /// `max_in_flight`. Replay-oriented: shed only near saturation, and
 /// never the top tier before the hard cap.
 const WATERMARKS: [f64; faasim_gateway::TIERS] = [0.85, 0.90, 0.95, 1.0];
-/// Constant per-request gateway overhead.
-const OVERHEAD: SimDuration = SimDuration::from_millis(1);
 
 /// Priority tier for a tenant in replay: round-robin from the hottest
 /// tenant down, so every tier is populated and tenant 0 (the heaviest)
@@ -103,8 +100,6 @@ impl GatewaySpec {
             tenants,
             max_in_flight,
             shed_watermarks: WATERMARKS,
-            breaker: BreakerConfig::default(),
-            overhead: OVERHEAD,
         }
     }
 }
@@ -477,15 +472,26 @@ pub fn replay(cfg: &ReplayConfig, seed: u64, chaos: &dyn Fn(&Cloud)) -> ReplayOu
     replay_with(cfg, seed, chaos, &mut |_| {})
 }
 
+/// Coefficient of variation of execution time *within* a function.
+pub const EXEC_CV: f64 = 0.25;
+
 /// Like [`replay`], but also hands the quiesced cloud to `finish` after
 /// the last request completes — the hook the chaos harness uses to run
 /// its cross-service invariant checks before the cloud is dropped.
+///
+/// # Panics
+/// Panics when `cfg.reap_every` is zero: the reaper's zero-length sleep
+/// is ready at once, so it would spin without virtual time advancing.
 pub fn replay_with(
     cfg: &ReplayConfig,
     seed: u64,
     chaos: &dyn Fn(&Cloud),
     finish: &mut dyn FnMut(&Cloud),
 ) -> ReplayOutcome {
+    assert!(
+        !cfg.reap_every.is_zero(),
+        "ReplayConfig::reap_every must be positive: a zero period never lets the reaper yield"
+    );
     let cloud = Cloud::new(cfg.profile.clone(), seed);
     chaos(&cloud);
     let sim = cloud.sim.clone();
@@ -497,10 +503,9 @@ pub fn replay_with(
     let mut ids = Vec::with_capacity((cfg.trace.apps * cfg.trace.funcs_per_app) as usize);
     for app in 0..cfg.trace.apps {
         for func in 0..cfg.trace.funcs_per_app {
-            let (memory_mb, mean_exec) = function_profile(&cfg.trace, seed, app, func);
+            let (memory_mb, mean_exec) = function_profile(seed, app, func);
             let rng = exec_rng.clone();
             let mean = mean_exec.as_secs_f64();
-            let cv = cfg.trace.exec_cv;
             ids.push(faas.register(FunctionSpec::new(
                 function_name(app, func),
                 memory_mb,
@@ -516,7 +521,7 @@ pub fn replay_with(
                         // the virtual-time fair-share allocator.
                         ctx.host().nic_transfer(payload.len() as u64).await;
                         let work =
-                            SimDuration::from_secs_f64(rng.borrow_mut().lognormal_mean_cv(mean, cv));
+                            SimDuration::from_secs_f64(rng.borrow_mut().lognormal_mean_cv(mean, EXEC_CV));
                         ctx.cpu(work).await;
                         Ok(Payload::new())
                     }
@@ -817,6 +822,17 @@ mod tests {
         assert_eq!(r.invocations, 300);
         // Single-shot sheds (if any) must be counted as shed requests.
         assert_eq!(r.failed, r.front_door.expect("front-door section").shed_requests);
+    }
+
+    /// A zero reaper period would spin inside one poll with virtual time
+    /// stopped; the replay refuses it up front instead of hanging.
+    #[test]
+    #[should_panic(expected = "reap_every")]
+    fn zero_reap_period_panics_instead_of_hanging() {
+        let mut cfg = ReplayConfig::small();
+        cfg.trace.max_events = 10;
+        cfg.reap_every = SimDuration::ZERO;
+        replay(&cfg, 1, &|_| {});
     }
 
     /// Each identity broken in turn on a hand-built report yields that

@@ -54,8 +54,6 @@ pub struct TraceConfig {
     pub funcs_per_app: u32,
     /// Zipf exponent over app popularity (higher ⇒ heavier head).
     pub zipf_s: f64,
-    /// Zipf exponent for picking a function within an app.
-    pub func_zipf_s: f64,
     /// Aggregate arrival rate across all apps, invocations/sec.
     pub total_rate: f64,
     /// Trace horizon: no arrivals are generated past this point.
@@ -72,28 +70,12 @@ pub struct TraceConfig {
     pub burst_off: SimDuration,
     /// Period of the diurnal cycle.
     pub diurnal_period: SimDuration,
-    /// Diurnal modulation amplitude in `[0, 1)`.
-    pub diurnal_amplitude: f64,
-    /// Mean request payload size in bytes (lognormal).
-    pub payload_mean_bytes: f64,
-    /// Coefficient of variation of the payload size.
-    pub payload_cv: f64,
-    /// Per-function mean execution time is drawn log-uniformly from this
-    /// range (milliseconds) — a heavy-tailed spread *across* functions.
-    pub exec_mean_ms: (f64, f64),
-    /// Coefficient of variation of execution time *within* a function.
-    pub exec_cv: f64,
-    /// Memory sizes functions are assigned from (uniformly by hash).
-    pub memory_choices_mb: Vec<u64>,
     /// Configured timeout for every generated function.
     pub func_timeout: SimDuration,
     /// Number of tenants apps are assigned to (Zipf over tenants). With
     /// `tenants <= 1` no tenant stream is ever consulted, so the event
     /// stream is byte-identical to a tenantless trace.
     pub tenants: u32,
-    /// Zipf exponent over tenant popularity (higher ⇒ the hottest
-    /// tenant owns more apps).
-    pub tenant_zipf_s: f64,
 }
 
 impl Default for TraceConfig {
@@ -110,7 +92,6 @@ impl TraceConfig {
             apps: 64,
             funcs_per_app: 4,
             zipf_s: 1.1,
-            func_zipf_s: 1.0,
             total_rate: 36.0,
             duration: SimDuration::from_mins(5),
             max_events: u64::MAX,
@@ -119,15 +100,8 @@ impl TraceConfig {
             burst_on: SimDuration::from_secs(20),
             burst_off: SimDuration::from_secs(60),
             diurnal_period: SimDuration::from_mins(5),
-            diurnal_amplitude: 0.8,
-            payload_mean_bytes: 4096.0,
-            payload_cv: 1.0,
-            exec_mean_ms: (5.0, 2000.0),
-            exec_cv: 0.25,
-            memory_choices_mb: vec![128, 256, 512, 1024, 1536, 2048, 3008],
             func_timeout: SimDuration::from_secs(60),
             tenants: 4,
-            tenant_zipf_s: 1.0,
         }
     }
 
@@ -166,6 +140,10 @@ impl TraceConfig {
     }
 }
 
+/// Zipf exponent over tenant popularity (higher ⇒ the hottest tenant
+/// owns more apps).
+const TENANT_ZIPF_S: f64 = 1.0;
+
 /// The tenant owning `app` at this seed: a Zipf draw over tenants from
 /// the app's own `trace.tenant.<app>` stream, so tenancy is independent
 /// of arrival generation. With `tenants <= 1` nothing is drawn and the
@@ -175,7 +153,7 @@ pub fn tenant_of(cfg: &TraceConfig, seed: u64, app: u32) -> u32 {
         return 0;
     }
     let mut rng = SimRng::stream(seed, &format!("trace.tenant.{app}"));
-    rng.zipf(cfg.tenants as usize, cfg.tenant_zipf_s) as u32
+    rng.zipf(cfg.tenants as usize, TENANT_ZIPF_S) as u32
 }
 
 /// Expected mean arrival rate per tenant (invocations/sec): the Zipf
@@ -194,16 +172,21 @@ pub fn function_name(app: u32, func: u32) -> String {
     format!("a{app}-f{func}")
 }
 
+/// Per-function mean execution time is drawn log-uniformly from this
+/// range (milliseconds) — a heavy-tailed spread *across* functions.
+pub const EXEC_MEAN_MS: (f64, f64) = (5.0, 2000.0);
+/// Memory sizes functions are assigned from (uniformly by hash).
+const MEMORY_CHOICES_MB: [u64; 7] = [128, 256, 512, 1024, 1536, 2048, 3008];
+
 /// Allocated memory in MB (which also sets the CPU share) and mean
 /// execution time on a reference core of function `(app, func)`, derived
 /// deterministically from `(seed, app, func)` — no table of 100k specs
 /// needs to exist anywhere.
-pub(crate) fn function_profile(cfg: &TraceConfig, seed: u64, app: u32, func: u32) -> (u64, SimDuration) {
+pub(crate) fn function_profile(seed: u64, app: u32, func: u32) -> (u64, SimDuration) {
     let mut rng = SimRng::stream(seed, &format!("trace.fn.{app}.{func}"));
-    let (lo, hi) = cfg.exec_mean_ms;
-    let (lo, hi) = (lo.max(0.001), hi.max(lo.max(0.001)));
+    let (lo, hi) = EXEC_MEAN_MS;
     let mean_ms = lo * (hi / lo).powf(rng.unit_f64());
-    let memory_mb = *rng.choose(&cfg.memory_choices_mb).unwrap_or(&128);
+    let memory_mb = *rng.choose(&MEMORY_CHOICES_MB).expect("memory choices");
     (memory_mb, SimDuration::from_secs_f64(mean_ms / 1e3))
 }
 
@@ -217,6 +200,9 @@ struct AppState {
     on: bool,
 }
 
+/// Diurnal modulation amplitude in `[0, 1)`.
+const DIURNAL_AMPLITUDE: f64 = 0.8;
+
 impl AppState {
     /// Next arrival strictly derived from this app's own stream, so the
     /// merged trace is independent of iteration interleaving.
@@ -224,8 +210,7 @@ impl AppState {
         match self.kind {
             ArrivalKind::Poisson => from + exp_gap(&mut self.rng, self.rate),
             ArrivalKind::Diurnal => {
-                let amp = cfg.diurnal_amplitude.clamp(0.0, 0.999);
-                let peak = self.rate * (1.0 + amp);
+                let peak = self.rate * (1.0 + DIURNAL_AMPLITUDE);
                 let period = cfg.diurnal_period.as_secs_f64().max(1e-9);
                 let mut t = from;
                 // Thinning: propose at the peak rate, accept against the
@@ -233,7 +218,7 @@ impl AppState {
                 loop {
                     t += exp_gap(&mut self.rng, peak);
                     let phase = std::f64::consts::TAU * t.as_secs_f64() / period;
-                    let instantaneous = self.rate * (1.0 + amp * phase.sin());
+                    let instantaneous = self.rate * (1.0 + DIURNAL_AMPLITUDE * phase.sin());
                     if self.rng.unit_f64() * peak < instantaneous {
                         return t;
                     }
@@ -326,6 +311,13 @@ impl TraceGenerator {
     }
 }
 
+/// Zipf exponent for picking a function within an app.
+pub const FUNC_ZIPF_S: f64 = 1.0;
+/// Mean request payload size in bytes (lognormal).
+const PAYLOAD_MEAN_BYTES: f64 = 4096.0;
+/// Coefficient of variation of the payload size.
+const PAYLOAD_CV: f64 = 1.0;
+
 impl Iterator for TraceGenerator {
     type Item = TraceEvent;
 
@@ -337,11 +329,11 @@ impl Iterator for TraceGenerator {
         let st = &mut self.apps[app as usize];
         let func = st
             .rng
-            .zipf(self.cfg.funcs_per_app.max(1) as usize, self.cfg.func_zipf_s)
+            .zipf(self.cfg.funcs_per_app.max(1) as usize, FUNC_ZIPF_S)
             as u32;
         let payload_bytes = st
             .rng
-            .lognormal_mean_cv(self.cfg.payload_mean_bytes.max(1.0), self.cfg.payload_cv)
+            .lognormal_mean_cv(PAYLOAD_MEAN_BYTES, PAYLOAD_CV)
             .clamp(64.0, 1024.0 * 1024.0) as u64;
         let next = st.next_arrival(at, &self.cfg);
         if next <= self.horizon {
@@ -419,12 +411,11 @@ mod tests {
 
     #[test]
     fn function_profiles_are_stable() {
-        let cfg = TraceConfig::small();
-        let (memory_mb, mean_exec) = function_profile(&cfg, 42, 3, 1);
-        assert_eq!((memory_mb, mean_exec), function_profile(&cfg, 42, 3, 1));
-        let (lo, hi) = cfg.exec_mean_ms;
+        let (memory_mb, mean_exec) = function_profile(42, 3, 1);
+        assert_eq!((memory_mb, mean_exec), function_profile(42, 3, 1));
+        let (lo, hi) = EXEC_MEAN_MS;
         let ms = mean_exec.as_secs_f64() * 1e3;
         assert!(ms >= lo && ms <= hi);
-        assert!(cfg.memory_choices_mb.contains(&memory_mb));
+        assert!(MEMORY_CHOICES_MB.contains(&memory_mb));
     }
 }

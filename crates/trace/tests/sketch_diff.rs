@@ -8,7 +8,9 @@
 use std::collections::BTreeMap;
 
 use faasim_simcore::{nearest_rank, Histogram, SimRng};
-use faasim_trace::{replay_with, QuantileSketch, ReplayConfig, TraceConfig};
+use faasim_trace::{
+    replay_with, QuantileSketch, ReplayConfig, TraceConfig, EXEC_CV, EXEC_MEAN_MS, FUNC_ZIPF_S,
+};
 use proptest::prelude::*;
 
 /// The sketch as it was first written: one `BTreeMap` entry per occupied
@@ -113,7 +115,7 @@ fn assert_same_answers(sketch: &QuantileSketch, oracle: &BTreeSketch) {
 /// mean from `function_profile`'s log-uniform draw on the function's own
 /// stream, then one `lognormal_mean_cv` sample around that mean.
 fn handler_draws(cfg: &TraceConfig, seed: u64, n: usize) -> Vec<f64> {
-    let (lo, hi) = cfg.exec_mean_ms;
+    let (lo, hi) = EXEC_MEAN_MS;
     let mean_secs = |app: usize, func: usize| {
         let mut rng = SimRng::stream(seed, &format!("trace.fn.{app}.{func}"));
         lo * (hi / lo).powf(rng.unit_f64()) / 1e3
@@ -122,8 +124,8 @@ fn handler_draws(cfg: &TraceConfig, seed: u64, n: usize) -> Vec<f64> {
     (0..n)
         .map(|_| {
             let app = rng.zipf(cfg.apps as usize, cfg.zipf_s);
-            let func = rng.zipf(cfg.funcs_per_app as usize, cfg.func_zipf_s);
-            rng.lognormal_mean_cv(mean_secs(app, func), cfg.exec_cv)
+            let func = rng.zipf(cfg.funcs_per_app as usize, FUNC_ZIPF_S);
+            rng.lognormal_mean_cv(mean_secs(app, func), EXEC_CV)
         })
         .collect()
 }

@@ -158,7 +158,6 @@ fn main() {
         let params = prediction::PredictionParams {
             batches: 200,
             batch_size: batch,
-            ..Default::default()
         };
         let r = prediction::run(&params, SEED + batch as u64);
         let per = |label: &str| r.latency_of(label).as_secs_f64() * 1e3 / batch as f64;

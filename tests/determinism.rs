@@ -10,6 +10,8 @@ use faasim::faas::FunctionSpec;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
 
+mod jittered;
+
 #[test]
 fn table1_is_bit_reproducible() {
     let a = table1::run(&table1::Table1Params::quick(), 5);
@@ -23,15 +25,14 @@ fn table1_is_bit_reproducible() {
 #[test]
 fn jittered_runs_differ_across_seeds_but_not_within() {
     let params = table1::Table1Params {
-        exact: false,
         invocations: 30,
         io_trials: 30,
         rtt_trials: 30,
         ..table1::Table1Params::quick()
     };
-    let a = table1::run(&params, 5);
-    let b = table1::run(&params, 5);
-    let c = table1::run(&params, 6);
+    let a = jittered::table1_run(&params, 5);
+    let b = jittered::table1_run(&params, 5);
+    let c = jittered::table1_run(&params, 6);
     assert_eq!(
         a.mean_of("Func. Invoc. (1KB)"),
         b.mean_of("Func. Invoc. (1KB)")
@@ -137,14 +138,13 @@ mod probe_replay {
     #[test]
     fn different_seeds_perturb_the_probe() {
         let params = table1::Table1Params {
-            exact: false,
             invocations: 30,
             io_trials: 30,
             rtt_trials: 30,
             ..table1::Table1Params::quick()
         };
-        let a = table1::run(&params, 11);
-        let c = table1::run(&params, 12);
+        let a = jittered::table1_run(&params, 11);
+        let c = jittered::table1_run(&params, 12);
         assert_ne!(a.probe, c.probe, "jittered runs must differ across seeds");
     }
 }

@@ -5,6 +5,8 @@
 use faasim::experiments::{agents_cmp, bandwidth, election, prediction, table1, training};
 use faasim::trends;
 
+mod jittered;
+
 #[test]
 fn table1_ordering_and_bands() {
     let r = table1::run(&table1::Table1Params::quick(), 999);
@@ -31,11 +33,7 @@ fn table1_ordering_and_bands() {
 #[test]
 fn table1_with_jitter_keeps_shape() {
     // Realistic latency spreads (not exact means) must preserve the story.
-    let params = table1::Table1Params {
-        exact: false,
-        ..table1::Table1Params::quick()
-    };
-    let r = table1::run(&params, 1000);
+    let r = jittered::table1_run(&table1::Table1Params::quick(), 1000);
     assert!(r.ratio_of("Func. Invoc. (1KB)") > 500.0);
     assert!(r.ratio_of("Lambda I/O (DynamoDB)") > 20.0);
     assert!((r.ratio_of("EC2 NW (0MQ)") - 1.0).abs() < 1e-9);
