@@ -21,7 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use faasim_net::{Addr, Fabric, Host, Message, NetError, Socket};
-use faasim_simcore::{LatencyModel, LazyCounter, Recorder, Sim, SimDuration};
+use faasim_simcore::{LazyCounter, Recorder, Sim, SimDuration};
 
 /// Errors from agent operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,11 +78,12 @@ pub struct AgentRuntime {
     fabric: Fabric,
     recorder: Recorder,
     counters: Rc<Counters>,
-    /// Latency of an (uncached) directory lookup — an autoscaling
-    /// metadata service, KV-class.
-    pub lookup_latency: LatencyModel,
     state: Rc<RefCell<RuntimeState>>,
 }
+
+/// Latency of an (uncached) directory lookup — an autoscaling metadata
+/// service, KV-class.
+const LOOKUP_LATENCY: SimDuration = SimDuration::from_millis(1);
 
 impl AgentRuntime {
     /// Create a runtime on the fabric.
@@ -99,7 +100,6 @@ impl AgentRuntime {
                 request_retries: LazyCounter::new("agents.request_retries"),
                 migrations: LazyCounter::new("agents.migrations"),
             }),
-            lookup_latency: LatencyModel::Constant(SimDuration::from_millis(1)),
             state: Rc::new(RefCell::new(RuntimeState {
                 directory: HashMap::new(),
                 next_port: 9000,
@@ -137,11 +137,7 @@ impl AgentRuntime {
 
     /// Authoritative (slow-path) lookup, paying the directory latency.
     async fn lookup(&self, name: &str) -> Result<DirEntry, AgentError> {
-        let latency = {
-            let mut rng = self.sim.rng("agents.directory");
-            self.lookup_latency.sample(&mut rng)
-        };
-        self.sim.sleep(latency).await;
+        self.sim.sleep(LOOKUP_LATENCY).await;
         self.counters.directory_lookups.incr(&self.recorder);
         self.state
             .borrow()

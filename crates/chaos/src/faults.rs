@@ -57,10 +57,10 @@ impl FaultPlan {
     /// Install every knob on `cloud` and schedule the storms relative to
     /// the current virtual time.
     pub fn apply(&self, cloud: &Cloud) {
-        cloud.fabric.set_faults(self.net.clone());
+        cloud.fabric.set_faults(self.net);
         cloud.kv.set_faults(self.kv);
         cloud.blob.set_faults(self.blob);
-        cloud.queue.set_faults(self.queue.clone());
+        cloud.queue.set_faults(self.queue);
         cloud.faas.set_faults(self.faas);
 
         let t0 = cloud.sim.now();

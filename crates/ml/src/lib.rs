@@ -15,8 +15,8 @@
 //!
 //! This crate is pure computation, usable on its own: it never touches a
 //! `Sim`, and takes from `faasim-simcore` only the workspace's one
-//! deterministic hasher. The `faasim` core runs these workloads *on* the
-//! simulated cloud.
+//! deterministic hasher and its one seeded generator, `SimRng`. The
+//! `faasim` core runs these workloads *on* the simulated cloud.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,8 +8,7 @@
 //! its seed, and its *learnability* matters more than its realism: the
 //! paper's experiment only needs "a corpus on which the MLP's loss falls".
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use faasim_simcore::SimRng;
 
 /// One synthetic review.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,7 +50,7 @@ impl Default for ReviewGenConfig {
 #[derive(Clone, Debug)]
 pub struct ReviewGenerator {
     cfg: ReviewGenConfig,
-    rng: SmallRng,
+    rng: SimRng,
 }
 
 impl ReviewGenerator {
@@ -59,38 +58,37 @@ impl ReviewGenerator {
     pub fn new(cfg: ReviewGenConfig, seed: u64) -> ReviewGenerator {
         ReviewGenerator {
             cfg,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SimRng::from_seed(seed),
         }
     }
 
     fn zipf_rank(&mut self, n: usize) -> usize {
         // Simple inverse-power sampling, adequate for corpus shape.
-        let u: f64 = self.rng.random::<f64>().max(1e-12);
+        let u = self.rng.unit_f64().max(1e-12);
         let x = (n as f64).powf(u) - 1.0;
         (x as usize).min(n - 1)
     }
 
     /// Generate one review.
     pub fn generate(&mut self) -> Review {
-        let len = self
-            .rng
-            .random_range(self.cfg.doc_len.0..=self.cfg.doc_len.1.max(self.cfg.doc_len.0));
+        let (lo, hi) = self.cfg.doc_len;
+        let len = self.rng.range_usize(lo..hi.max(lo) + 1);
         // Sentiment of this review in [-1, 1].
-        let polarity: f32 = self.rng.random_range(-1.0..1.0f32);
+        let polarity = self.rng.uniform(-1.0, 1.0) as f32;
         let mut tokens: Vec<String> = Vec::with_capacity(len);
         let mut sentiment_sum = 0.0f32;
         let mut sentiment_count = 0u32;
         for _ in 0..len {
-            let r: f32 = self.rng.random();
+            let r = self.rng.unit_f64() as f32;
             // ~25% of tokens carry sentiment, biased by the polarity.
             if r < 0.25 {
-                let positive = self.rng.random::<f32>() < (polarity + 1.0) / 2.0;
+                let positive = (self.rng.unit_f64() as f32) < (polarity + 1.0) / 2.0;
                 if positive {
-                    let w = self.rng.random_range(0..self.cfg.positive_words);
+                    let w = self.rng.range_usize(0..self.cfg.positive_words);
                     tokens.push(format!("good{w}"));
                     sentiment_sum += 1.0;
                 } else {
-                    let w = self.rng.random_range(0..self.cfg.negative_words);
+                    let w = self.rng.range_usize(0..self.cfg.negative_words);
                     tokens.push(format!("bad{w}"));
                     sentiment_sum -= 1.0;
                 }
@@ -109,7 +107,7 @@ impl ReviewGenerator {
             // Cheap normal-ish noise: mean of 4 uniforms.
             let mut acc = 0.0f32;
             for _ in 0..4 {
-                acc += self.rng.random::<f32>() - 0.5;
+                acc += self.rng.unit_f64() as f32 - 0.5;
             }
             acc * self.cfg.rating_noise * (12.0f32 / 4.0).sqrt()
         };

@@ -97,26 +97,17 @@ impl NetProfile {
 /// default to zero, and the fabric consumes no extra RNG draws while they
 /// are zero — enabling chaos never perturbs the event stream of a
 /// fault-free run at the same seed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct NetFaults {
-    /// Probability that a sampled one-way latency gets a spike added.
+    /// Probability that a sampled one-way latency gets `DELAY_SPIKE` added.
     pub delay_spike_prob: f64,
-    /// Extra latency added when a spike hits.
-    pub delay_spike: LatencyModel,
     /// Probability that a datagram is silently lost on the wire (after
     /// paying the sender's NIC, like real packet loss).
     pub loss_prob: f64,
 }
 
-impl Default for NetFaults {
-    fn default() -> Self {
-        NetFaults {
-            delay_spike_prob: 0.0,
-            delay_spike: LatencyModel::Constant(SimDuration::from_millis(50)),
-            loss_prob: 0.0,
-        }
-    }
-}
+/// Extra latency added when a spike hits.
+const DELAY_SPIKE: SimDuration = SimDuration::from_millis(50);
 
 /// NIC contention statistics, sampled at every transfer start via the
 /// link's O(1) accessors (`active_flows` / `fair_share_estimate`). The
@@ -314,7 +305,7 @@ impl Fabric {
         let mut latency = model.sample(&mut rng);
         let faults = self.inner.faults.borrow();
         if faults.delay_spike_prob > 0.0 && rng.chance(faults.delay_spike_prob) {
-            latency += faults.delay_spike.sample(&mut rng);
+            latency += DELAY_SPIKE;
             self.inner
                 .counters
                 .chaos_delay_spikes

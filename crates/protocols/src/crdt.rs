@@ -190,7 +190,10 @@ mod tests {
                 .collect();
             let mut rng = faasim_simcore::SimRng::from_seed(seed);
             for _ in 0..2 {
-                rng.shuffle(&mut pairs);
+                // Fisher–Yates.
+                for i in (1..pairs.len()).rev() {
+                    pairs.swap(i, rng.range_usize(0..i + 1));
+                }
                 for &(i, j) in &pairs {
                     let other = counters[j].clone();
                     counters[i].merge(&other);

@@ -49,7 +49,7 @@ use faasim_net::{Fabric, Host, NicConfig};
 use faasim_payload::LineRunScanner;
 use faasim_pricing::{LazyItem, Ledger, PriceBook, Service};
 use faasim_simcore::{
-    gbps, join_all, Bps, JoinHandle, LatencyModel, LazyCounter, Recorder, Sim, SimDuration,
+    gbps, join_all, Bps, JoinHandle, LatencyModel, LazyCounter, Recorder, Sim, SimDuration, SimRng,
 };
 
 use kernel::{kernel_for, ScanKernel};
@@ -211,6 +211,8 @@ pub struct QueryService {
     ledger: Ledger,
     recorder: Recorder,
     handles: Rc<Handles>,
+    /// One planning stream for the service, so each query draws afresh.
+    rng: Rc<RefCell<SimRng>>,
     /// Service-internal host: scans run *next to the data*, not through
     /// the caller's NIC — the architectural point of the push-down.
     service_host: Host,
@@ -242,6 +244,7 @@ impl QueryService {
                 bytes_scanned: LazyCounter::new("query.bytes_scanned"),
                 bill_tb_scanned: LazyItem::new(Service::Query, "tb-scanned"),
             }),
+            rng: Rc::new(RefCell::new(sim.rng("query.planning"))),
             service_host,
         }
     }
@@ -252,7 +255,7 @@ impl QueryService {
     pub async fn run(&self, caller: &Host, spec: QuerySpec) -> Result<QueryOutput, QueryError> {
         let t0 = self.sim.now();
         let planning = {
-            let mut rng = self.sim.rng("query.planning");
+            let mut rng = self.rng.borrow_mut();
             self.profile.planning_latency.sample(&mut rng)
         };
         self.sim.sleep(planning).await;
@@ -744,6 +747,10 @@ mod tests {
     }
 
     fn setup() -> World {
+        setup_with(QueryProfile::aws_2018().exact())
+    }
+
+    fn setup_with(profile: QueryProfile) -> World {
         let sim = Sim::new(31);
         let recorder = Recorder::new();
         let fabric = Fabric::new(&sim, NetProfile::aws_2018().exact(), recorder.clone());
@@ -761,7 +768,7 @@ mod tests {
             &sim,
             &fabric,
             &blob,
-            QueryProfile::aws_2018().exact(),
+            profile,
             prices,
             ledger.clone(),
             recorder.clone(),
@@ -833,6 +840,18 @@ mod tests {
                 (Service::Query, "tb-scanned".to_owned()),
             ]
         );
+    }
+
+    #[test]
+    fn each_query_draws_its_own_planning_latency() {
+        // Storage and network run exact, so only planning can vary.
+        let w = setup_with(QueryProfile::aws_2018());
+        put_log(&w, "day-1", &["GET /a 200"]);
+        let spec = || QuerySpec::new("logs", "day-", Aggregate::CountAll);
+        let took: Vec<_> = (0..4)
+            .map(|_| run_query(&w, spec()).unwrap().duration)
+            .collect();
+        assert!(took.windows(2).all(|p| p[0] != p[1]), "{took:?}");
     }
 
     #[test]

@@ -184,28 +184,19 @@ impl QueueState {
 /// edges of at-least-once delivery. Zero by default; no RNG draws are
 /// consumed while every probability is zero, so enabling chaos never
 /// perturbs a fault-free run at the same seed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct QueueFaults {
     /// Probability that a client-sent message is enqueued twice with two
     /// distinct ids (upstream duplication — the sender's retry after a
     /// lost acknowledgment).
     pub duplicate_prob: f64,
     /// Probability that a client-sent message only becomes visible after
-    /// an extra [`QueueFaults::delay`] (a slow shard).
+    /// an extra `CHAOS_DELAY` (a slow shard).
     pub delay_prob: f64,
-    /// The extra delay applied when [`QueueFaults::delay_prob`] hits.
-    pub delay: LatencyModel,
 }
 
-impl Default for QueueFaults {
-    fn default() -> Self {
-        QueueFaults {
-            duplicate_prob: 0.0,
-            delay_prob: 0.0,
-            delay: LatencyModel::Constant(SimDuration::from_secs(1)),
-        }
-    }
-}
+/// The extra delay applied when [`QueueFaults::delay_prob`] hits.
+const CHAOS_DELAY: SimDuration = SimDuration::from_secs(1);
 
 struct ServiceState {
     queues: BTreeMap<String, QueueState>,
@@ -332,7 +323,7 @@ impl QueueService {
                 if !client_send {
                     return (1, SimDuration::ZERO);
                 }
-                let faults = st.faults.clone();
+                let faults = st.faults;
                 let copies = if faults.duplicate_prob > 0.0 && st.rng.chance(faults.duplicate_prob)
                 {
                     2
@@ -340,7 +331,7 @@ impl QueueService {
                     1
                 };
                 let delay = if faults.delay_prob > 0.0 && st.rng.chance(faults.delay_prob) {
-                    faults.delay.sample(&mut st.rng)
+                    CHAOS_DELAY
                 } else {
                     SimDuration::ZERO
                 };

@@ -5,21 +5,22 @@
 //! adding a component (or reordering calls) never perturbs the draws seen
 //! by another component.
 //!
-//! Samplers beyond the uniform ones are hand-rolled (Box–Muller for the
-//! normal family) to keep the dependency set minimal.
+//! The generator is xoshiro256++ seeded through SplitMix64, and every
+//! sampler is hand-rolled here (Box–Muller for the log-normal), so this
+//! file alone fixes each stream bit for bit.
 
 use std::ops::Range;
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-
 use crate::time::SimDuration;
 
-/// Deterministic random stream.
+/// Deterministic random stream: xoshiro256++ state.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    rng: SmallRng,
+    s: [u64; 4],
 }
+
+/// SplitMix64's increment (the 64-bit golden ratio).
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// FNV-1a, used to mix a stream label into the root seed.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -33,18 +34,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// SplitMix64 finalizer; decorrelates seeds that differ in few bits.
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
 impl SimRng {
-    /// A stream derived directly from a seed.
+    /// A stream derived directly from a seed: SplitMix64 expands the
+    /// mixed seed into the four state words.
     pub fn from_seed(seed: u64) -> SimRng {
-        SimRng {
-            rng: SmallRng::seed_from_u64(splitmix64(seed)),
+        let base = splitmix64(seed);
+        let mut s = [0u64, 1, 2, 3].map(|i| splitmix64(base.wrapping_add(i.wrapping_mul(GOLDEN))));
+        // xoshiro must not be seeded with all zeros.
+        if s == [0; 4] {
+            s[0] = GOLDEN;
         }
+        SimRng { s }
     }
 
     /// The stream identified by `(root_seed, label)`.
@@ -52,19 +58,31 @@ impl SimRng {
         SimRng::from_seed(root_seed ^ fnv1a(label.as_bytes()))
     }
 
-    /// Uniform `u64` in `range`.
+    /// The next 64 uniform bits (one xoshiro256++ step).
+    fn next_u64(&mut self) -> u64 {
+        let [s0, s1, s2, s3] = self.s;
+        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        let (s2, s3) = (s2 ^ s0, s3 ^ s1);
+        self.s = [s0 ^ s3, s1 ^ s2, s2 ^ (s1 << 17), s3.rotate_left(45)];
+        result
+    }
+
+    /// Uniform `u64` in `range`, by widening multiply (no rejection).
+    /// Panics on an empty range.
     pub fn range_u64(&mut self, range: Range<u64>) -> u64 {
-        self.rng.random_range(range)
+        assert!(range.start < range.end, "cannot sample empty range");
+        let span = (range.end - range.start) as u128;
+        range.start + ((self.next_u64() as u128 * span) >> 64) as u64
     }
 
-    /// Uniform `usize` in `range`.
+    /// Uniform `usize` in `range`. Panics on an empty range.
     pub fn range_usize(&mut self, range: Range<usize>) -> usize {
-        self.rng.random_range(range)
+        self.range_u64(range.start as u64..range.end as u64) as usize
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)`, from the top 53 bits.
     pub fn unit_f64(&mut self) -> f64 {
-        self.rng.random::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in `[lo, hi)`.
@@ -79,16 +97,11 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn std_normal(&mut self) -> f64 {
+    fn std_normal(&mut self) -> f64 {
         // Avoid ln(0).
         let u1 = 1.0 - self.unit_f64();
         let u2 = self.unit_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.std_normal()
     }
 
     /// Log-normal parameterized by the *mean* of the distribution itself and
@@ -158,14 +171,6 @@ impl SimRng {
         }
     }
 
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range_usize(0..i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Pick a uniformly random element.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
@@ -173,11 +178,6 @@ impl SimRng {
         } else {
             Some(&xs[self.range_usize(0..xs.len())])
         }
-    }
-
-    /// Raw access to the underlying RNG for `rand` APIs.
-    pub fn raw(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 }
 
@@ -190,17 +190,6 @@ impl SimRng {
 pub enum LatencyModel {
     /// Always exactly this long.
     Constant(SimDuration),
-    /// Uniform between the two bounds.
-    Uniform(SimDuration, SimDuration),
-    /// Normal with mean/std, truncated below at `floor`.
-    Normal {
-        /// Mean of the untruncated distribution.
-        mean: SimDuration,
-        /// Standard deviation.
-        std_dev: SimDuration,
-        /// Samples below this are clamped up to it.
-        floor: SimDuration,
-    },
     /// Log-normal given mean and coefficient of variation, floored.
     LogNormal {
         /// Mean of the distribution itself (not of the underlying normal).
@@ -210,13 +199,6 @@ pub enum LatencyModel {
         /// Samples below this are clamped up to it.
         floor: SimDuration,
     },
-    /// Exponential with the given mean, shifted up by `base`.
-    ShiftedExponential {
-        /// Constant added to every sample.
-        base: SimDuration,
-        /// Mean of the exponential component.
-        mean_extra: SimDuration,
-    },
 }
 
 impl LatencyModel {
@@ -224,24 +206,9 @@ impl LatencyModel {
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
             LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform(lo, hi) => {
-                let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-                SimDuration::from_secs_f64(rng.uniform(lo.as_secs_f64(), hi.as_secs_f64()))
-            }
-            LatencyModel::Normal {
-                mean,
-                std_dev,
-                floor,
-            } => {
-                let v = rng.normal(mean.as_secs_f64(), std_dev.as_secs_f64());
-                SimDuration::from_secs_f64(v).max(floor)
-            }
             LatencyModel::LogNormal { mean, cv, floor } => {
                 let v = rng.lognormal_mean_cv(mean.as_secs_f64(), cv);
                 SimDuration::from_secs_f64(v).max(floor)
-            }
-            LatencyModel::ShiftedExponential { base, mean_extra } => {
-                base + SimDuration::from_secs_f64(rng.exponential(mean_extra.as_secs_f64()))
             }
         }
     }
@@ -249,11 +216,7 @@ impl LatencyModel {
     /// The exact mean of the distribution.
     pub fn mean(&self) -> SimDuration {
         match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform(lo, hi) => (lo + hi) / 2,
-            LatencyModel::Normal { mean, .. } => mean,
-            LatencyModel::LogNormal { mean, .. } => mean,
-            LatencyModel::ShiftedExponential { base, mean_extra } => base + mean_extra,
+            LatencyModel::Constant(d) | LatencyModel::LogNormal { mean: d, .. } => d,
         }
     }
 
@@ -284,11 +247,11 @@ mod tests {
     fn normal_moments_are_close() {
         let mut rng = SimRng::from_seed(11);
         let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| rng.std_normal()).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.06, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.06, "std {}", var.sqrt());
+        assert!(mean.abs() < 0.03, "mean {mean}");
+        assert!((var.sqrt() - 1.0).abs() < 0.03, "std {}", var.sqrt());
     }
 
     #[test]
@@ -345,17 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_permutes() {
-        let mut rng = SimRng::from_seed(17);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn choose_handles_empty() {
         let mut rng = SimRng::from_seed(18);
         let empty: &[u32] = &[];
@@ -368,20 +320,10 @@ mod tests {
         let mut rng = SimRng::from_seed(19);
         let models = [
             LatencyModel::Constant(SimDuration::from_millis(53)),
-            LatencyModel::Uniform(SimDuration::from_millis(40), SimDuration::from_millis(66)),
-            LatencyModel::Normal {
-                mean: SimDuration::from_millis(53),
-                std_dev: SimDuration::from_millis(5),
-                floor: SimDuration::from_millis(1),
-            },
             LatencyModel::LogNormal {
                 mean: SimDuration::from_millis(53),
                 cv: 0.1,
                 floor: SimDuration::from_millis(1),
-            },
-            LatencyModel::ShiftedExponential {
-                base: SimDuration::from_millis(50),
-                mean_extra: SimDuration::from_millis(3),
             },
         ];
         for m in &models {
@@ -409,5 +351,107 @@ mod tests {
         let b = m.sample(&mut rng);
         assert_eq!(a, b);
         assert_eq!(a, SimDuration::from_millis(53));
+    }
+
+    /// The first 8 results of every draw non-test code makes. Every golden
+    /// pin rests on these streams; a generator, sampler or libm change
+    /// that moves one fails here, at the draw, before it moves a digest.
+    #[test]
+    fn known_answers() {
+        fn first8<T>(mut draw: impl FnMut(&mut SimRng) -> T) -> Vec<T> {
+            let mut rng = SimRng::stream(2019, "kat");
+            (0..8).map(|_| draw(&mut rng)).collect()
+        }
+        let lat = LatencyModel::LogNormal {
+            mean: SimDuration::from_millis(53),
+            cv: 0.1,
+            floor: SimDuration::from_micros(26_500),
+        };
+        assert_eq!(
+            first8(|r| r.range_u64(0..1 << 40)),
+            [
+                347290212594,
+                661359870342,
+                833714842228,
+                542144884603,
+                605310221890,
+                109408809363,
+                766732765687,
+                600961793758
+            ]
+        );
+        assert_eq!(
+            first8(|r| r.range_usize(3..17)),
+            [7, 11, 13, 9, 10, 4, 12, 10]
+        );
+        assert_eq!(
+            first8(SimRng::unit_f64),
+            [
+                0.3158586083325682,
+                0.6015032980414616,
+                0.7582592317959025,
+                0.49307790013992236,
+                0.5505264397379726,
+                0.09950673244349817,
+                0.6973393880687543,
+                0.5465715673916324
+            ]
+        );
+        assert_eq!(
+            first8(|r| r.uniform(-1.0, 1.0)),
+            [
+                -0.36828278333486364,
+                0.20300659608292326,
+                0.516518463591805,
+                -0.01384419972015527,
+                0.1010528794759451,
+                -0.8009865351130037,
+                0.39467877613750857,
+                0.09314313478326475
+            ]
+        );
+        assert_eq!(
+            first8(|r| r.chance(0.3)),
+            [false, false, false, false, false, true, false, false]
+        );
+        assert_eq!(
+            first8(|r| r.exponential(3.0)),
+            [
+                1.1387720092730578,
+                2.760168170775872,
+                4.259667998233802,
+                2.0381938091621055,
+                2.3990347413889177,
+                0.3144377721999846,
+                3.5854295816444908,
+                2.372753499323586
+            ]
+        );
+        assert_eq!(
+            first8(|r| r.lognormal_mean_cv(0.053, 0.2)),
+            [
+                0.04524286196461452,
+                0.03723553376111823,
+                0.06367292983002253,
+                0.03876480194855138,
+                0.0575110448300119,
+                0.06279371771622633,
+                0.06184188790896614,
+                0.03998075568496985
+            ]
+        );
+        assert_eq!(
+            first8(|r| r.zipf(1000, 1.0)),
+            [7, 187, 43, 122, 3, 91, 14, 197]
+        );
+        assert_eq!(first8(|r| r.zipf(100, 1.5)), [8, 2, 6, 1, 9, 6, 0, 1]);
+        assert_eq!(
+            first8(|r| *r.choose(&[2u8, 3, 5, 7, 11]).unwrap()),
+            [3, 7, 7, 5, 5, 2, 7, 5]
+        );
+        assert_eq!(
+            first8(|r| lat.sample(r).as_nanos()),
+            [49180009, 44584145, 58416859, 45497223, 55497500, 58009165, 57564592, 46210542]
+        );
     }
 }
