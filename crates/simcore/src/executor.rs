@@ -50,9 +50,11 @@
 //! timer would pin the memory of a finished task until the timer's
 //! deadline — and a replay cancels one 120 s timeout per invocation. So
 //! the wheel holds only `(at, seq, token)`; what fires lives in the timer
-//! slab ([`TimerSlot`]), and [`Sim::cancel_wake`] takes the waker out of
-//! its slot and drops it on the spot. The tombstone left in the wheel is
-//! 24 bytes that point at a recycled slot.
+//! slab ([`TimerSlot`]). [`Sim::cancel_wake`] drops the waker, frees the
+//! slot and unlinks the wheel entry on the spot, so a replay's pending
+//! timers are its live ones. Only an entry the wheel has already moved
+//! into its sorted front buffer or parked in its far-future overflow heap
+//! stays behind, as a token whose generation its slot no longer carries.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -66,7 +68,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
+use crate::wheel::{Slotted, TimerWheel};
 
 /// Identifier of a spawned task: a registry index in the low 32 bits and
 /// the entry's generation in the high 32, so ids are not reused when
@@ -301,12 +303,19 @@ struct Registered {
     gen: u32,
 }
 
-/// Handle to a pending timer's slot in the timer slab. Cancelling a
-/// wake-timer empties a recycled slot, guarded by a generation check.
-#[derive(Copy, Clone, Debug)]
+/// Handle to a pending timer's slot in the timer slab. The slot's
+/// generation moves on when the timer fires or is canceled, so a wheel
+/// entry whose token no longer matches it is a canceled timer's tombstone.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct TimerToken {
     index: u32,
     gen: u32,
+}
+
+impl Slotted for TimerToken {
+    fn slot(self) -> usize {
+        self.index as usize
+    }
 }
 
 /// What a pending timer does when it fires.
@@ -315,8 +324,7 @@ enum TimerAction {
     Call(Box<dyn FnOnce()>),
 }
 
-/// One timer-slab slot. `action` is `None` while the slot is free and
-/// after its wake-timer was canceled (the wheel entry is then a tombstone).
+/// One timer-slab slot. `action` is `None` while the slot is free.
 struct TimerSlot {
     gen: u32,
     action: Option<TimerAction>,
@@ -369,12 +377,15 @@ impl Inner {
 
     /// Recycle the slot of a timer that left the wheel, making its token
     /// stale. Returns what the timer was to do, `None` if it had been
-    /// canceled.
+    /// canceled (its slot was recycled then).
     #[inline]
     fn release_timer(&self, token: TimerToken) -> Option<TimerAction> {
         let action = {
             let mut slots = self.timer_slots.borrow_mut();
             let slot = &mut slots[token.index as usize];
+            if slot.gen != token.gen {
+                return None;
+            }
             slot.gen = slot.gen.wrapping_add(1);
             slot.action.take()
         };
@@ -650,28 +661,32 @@ impl Sim {
     }
 
     /// Register a waker to fire at virtual instant `at` (clamped to now).
-    /// [`Sim::cancel_wake`] with the returned token cancels the wakeup: the
-    /// entry is discarded lazily without advancing the clock to it.
+    /// [`Sim::cancel_wake`] with the returned token cancels the wakeup
+    /// without advancing the clock to it.
     pub(crate) fn register_wake_at(&self, at: SimTime, waker: Waker) -> TimerToken {
         let at = at.max(self.now());
         let seq = self.next_seq();
         self.inner.push_timer(at, seq, TimerAction::Wake(waker))
     }
 
-    /// Cancel a pending wake-timer. A stale token (the timer already fired
-    /// and its slot was recycled) is a no-op.
+    /// Cancel a pending wake-timer: its slot is recycled and its wheel
+    /// entry unlinked at once. A stale token (the timer already fired or
+    /// was canceled) is a no-op.
     pub(crate) fn cancel_wake(&self, token: TimerToken) {
+        let inner = &*self.inner;
         let waker = {
-            let mut slots = self.inner.timer_slots.borrow_mut();
+            let mut slots = inner.timer_slots.borrow_mut();
             let slot = &mut slots[token.index as usize];
             if slot.gen != token.gen {
                 return;
             }
+            slot.gen = slot.gen.wrapping_add(1);
             slot.action.take()
         };
-        self.inner.timer_cancels.set(self.inner.timer_cancels.get() + 1);
-        // The waker goes now, not when the tombstone leaves the wheel: it
-        // pins its task's block (see the module docs).
+        inner.timer_free.borrow_mut().push(token.index);
+        inner.timers.borrow_mut().remove(token);
+        inner.timer_cancels.set(inner.timer_cancels.get() + 1);
+        // The waker pins its task's block (see the module docs).
         drop(waker);
     }
 
@@ -816,21 +831,10 @@ impl Sim {
     /// join this very batch, so the queue is re-examined after each one.
     fn fire_next_timers(&self, horizon: SimTime) -> bool {
         let inner = &*self.inner;
-        // Reaper for wheel GC (see `TimerWheel::peek_min_gc`): report
-        // whether an entry is a canceled timer's tombstone, releasing its
-        // slot if so.
-        let mut reap = |token: &TimerToken| -> bool {
-            {
-                let mut slots = inner.timer_slots.borrow_mut();
-                let slot = &mut slots[token.index as usize];
-                if slot.action.is_some() {
-                    return false;
-                }
-                slot.gen = slot.gen.wrapping_add(1);
-            }
-            inner.timer_free.borrow_mut().push(token.index);
-            true
-        };
+        // Whether an entry is a canceled timer's tombstone (see
+        // `TimerWheel::peek_min_gc`): its slot has moved on.
+        let mut reap =
+            |token: &TimerToken| inner.timer_slots.borrow()[token.index as usize].gen != token.gen;
         // Find the earliest live instant, discarding canceled heads so
         // they cannot drag the clock forward.
         let at = {

@@ -20,6 +20,15 @@
 //! file drives the wheel against the old `BinaryHeap` implementation
 //! (kept here as the test oracle) through randomized push/cancel/drain
 //! churn to prove the orders never diverge.
+//!
+//! A canceled timer leaves at once. The wheel remembers, per item slot
+//! (the executor's timer-slab index), the bucket and position of the
+//! entry's last bucketing; [`TimerWheel::remove`] checks that hint
+//! against the bucket and swap-removes the entry, so every bucket holds
+//! live entries only. An entry already in `front` or in the overflow heap
+//! is not found that way and stays as a tombstone: the overflow migration
+//! drops it through the caller's GC hook, and the executor discards it
+//! when it reaches the head of `front`.
 
 use std::collections::VecDeque;
 
@@ -27,12 +36,21 @@ use std::collections::VecDeque;
 const GRAN_BITS: u32 = 10;
 /// Log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;
-/// Slots per level.
+/// Slots per level (at most 64: a level's occupancy is one `u64`).
 const SLOTS: usize = 1 << LEVEL_BITS;
+/// Mask that yields a slot index from a shifted time.
+const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Number of wheel levels; beyond them the overflow heap takes over.
 const LEVELS: usize = 8;
 /// Shift that yields a time's top-level lap number.
 const TOP_SHIFT: u32 = GRAN_BITS + LEVEL_BITS * LEVELS as u32;
+
+/// What the wheel needs of an item to unlink it: a small dense index (the
+/// executor's timer-slab slot) to remember its bucket under, and equality
+/// to tell it from a later item on the same slot.
+pub(crate) trait Slotted: Copy + Eq {
+    fn slot(self) -> usize;
+}
 
 /// One pending timer: absolute firing time, global registration sequence
 /// (the FIFO tie-break), and the executor's payload.
@@ -72,7 +90,9 @@ impl<T> Ord for OverflowOrd<T> {
 /// - wheel entries share `front_bound`'s top-level lap, overflow entries
 ///   do not;
 /// - `front_bound` is monotonically non-decreasing, so the minimum entry
-///   is always `front.front()` once the buffer is refilled.
+///   is always `front.front()` once the buffer is refilled;
+/// - every bucket entry is live and `hints[item.slot()]` names its bucket
+///   and position.
 pub(crate) struct TimerWheel<T> {
     front: VecDeque<WheelEntry<T>>,
     front_bound: u64,
@@ -81,6 +101,9 @@ pub(crate) struct TimerWheel<T> {
     slots: Box<[Vec<WheelEntry<T>>]>,
     /// Per-level slot-occupancy bitmask.
     occupied: [u64; LEVELS],
+    /// Per item slot: `(bucket, position)` of its last `insert_wheel`.
+    /// Stale once the entry leaves the bucket, so checked before use.
+    hints: Vec<(u32, u32)>,
     overflow: std::collections::BinaryHeap<OverflowOrd<T>>,
     len: usize,
     // Profiling counters (see `SimProfile`).
@@ -89,13 +112,14 @@ pub(crate) struct TimerWheel<T> {
     overflow_pushes: u64,
 }
 
-impl<T> TimerWheel<T> {
+impl<T: Slotted> TimerWheel<T> {
     pub(crate) fn new() -> TimerWheel<T> {
         TimerWheel {
             front: VecDeque::new(),
             front_bound: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
+            hints: Vec::new(),
             overflow: std::collections::BinaryHeap::new(),
             len: 0,
             peak_len: 0,
@@ -152,37 +176,52 @@ impl<T> TimerWheel<T> {
 
     /// Pop the minimum pending entry.
     pub(crate) fn pop_min(&mut self) -> Option<WheelEntry<T>> {
-        self.pop_min_gc(&mut |_| false)
-    }
-
-    /// [`TimerWheel::peek_min`], garbage-collecting dead entries on the
-    /// way: whenever a refill re-buckets entries (cascades, overflow
-    /// migration, front-buffer fill), any entry `dead` reports is dropped
-    /// on the spot instead of being carried down level by level. Canceled
-    /// far-future timers (e.g. every per-invocation timeout that did not
-    /// fire) otherwise cascade through several levels before dying at
-    /// their deadline. `dead` must be pure w.r.t. the wheel: it may
-    /// release external per-entry state but must not touch the wheel.
-    pub(crate) fn peek_min_gc(
-        &mut self,
-        dead: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<&WheelEntry<T>> {
         if self.front.is_empty() {
-            self.refill_front(dead);
-        }
-        self.front.front()
-    }
-
-    /// [`TimerWheel::pop_min`] with the GC hook of [`TimerWheel::peek_min_gc`].
-    pub(crate) fn pop_min_gc(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<WheelEntry<T>> {
-        if self.front.is_empty() {
-            self.refill_front(dead);
+            self.refill_front(&mut |_| false);
         }
         let e = self.front.pop_front();
         if e.is_some() {
             self.len -= 1;
         }
         e
+    }
+
+    /// [`TimerWheel::peek_min`], dropping the dead entries a refill
+    /// migrates out of the overflow heap instead of bucketing them: the
+    /// one place a tombstone can re-enter the buckets, since a canceled
+    /// bucket entry was unlinked by [`TimerWheel::remove`]. Dead entries
+    /// already in `front` are the caller's to skip. `dead` must be pure
+    /// w.r.t. the wheel.
+    pub(crate) fn peek_min_gc(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<&WheelEntry<T>> {
+        if self.front.is_empty() {
+            self.refill_front(dead);
+        }
+        self.front.front()
+    }
+
+    /// Unlink `item`'s entry if it sits in a bucket: swap-remove it, fix
+    /// the moved entry's hint and clear the bucket's occupancy bit if it
+    /// empties. Returns false, leaving the entry, when it is in `front`
+    /// or the overflow heap (or gone).
+    pub(crate) fn remove(&mut self, item: T) -> bool {
+        let Some(&(b, pos)) = self.hints.get(item.slot()) else {
+            return false;
+        };
+        let (b, pos) = (b as usize, pos as usize);
+        let Some(bucket) = self.slots.get_mut(b) else {
+            return false;
+        };
+        if !bucket.get(pos).is_some_and(|e| e.item == item) {
+            return false;
+        }
+        bucket.swap_remove(pos);
+        match bucket.get(pos) {
+            Some(moved) => self.hints[moved.item.slot()] = (b as u32, pos as u32),
+            None if bucket.is_empty() => self.occupied[b / SLOTS] &= !(1u64 << (b % SLOTS)),
+            None => {}
+        }
+        self.len -= 1;
+        true
     }
 
     /// Remove every pending entry, in no particular order. The floor, the
@@ -214,8 +253,14 @@ impl<T> TimerWheel<T> {
             ((63 - x.leading_zeros()) / LEVEL_BITS) as usize
         };
         debug_assert!(level < LEVELS);
-        let slot = ((entry.at >> (GRAN_BITS + level as u32 * LEVEL_BITS)) & 63) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
+        let slot = ((entry.at >> (GRAN_BITS + level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
+        let b = level * SLOTS + slot;
+        let index = entry.item.slot();
+        if index >= self.hints.len() {
+            self.hints.resize(index + 1, (u32::MAX, 0));
+        }
+        self.hints[index] = (b as u32, self.slots[b].len() as u32);
+        self.slots[b].push(entry);
         self.occupied[level] |= 1 << slot;
     }
 
@@ -226,17 +271,12 @@ impl<T> TimerWheel<T> {
         lap | ((slot as u64) << (GRAN_BITS + level as u32 * LEVEL_BITS))
     }
 
-    /// Re-bucket every live entry of slot `(level, slot)` into lower
-    /// levels, dropping entries `dead` reports.
-    fn cascade(&mut self, level: usize, slot: usize, dead: &mut dyn FnMut(&T) -> bool) {
+    /// Re-bucket every entry of slot `(level, slot)` into lower levels.
+    fn cascade(&mut self, level: usize, slot: usize) {
         self.occupied[level] &= !(1u64 << slot);
         let mut v = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+        self.cascades += v.len() as u64;
         for e in v.drain(..) {
-            if dead(&e.item) {
-                self.len -= 1;
-                continue;
-            }
-            self.cascades += 1;
             self.insert_wheel(e);
         }
         self.slots[level * SLOTS + slot] = v; // keep the bucket's allocation
@@ -244,7 +284,7 @@ impl<T> TimerWheel<T> {
 
     /// Current slot index of the floor at `level`.
     fn cursor(&self, level: usize) -> usize {
-        ((self.front_bound >> (GRAN_BITS + level as u32 * LEVEL_BITS)) & 63) as usize
+        ((self.front_bound >> (GRAN_BITS + level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize
     }
 
     /// Pull the earliest occupied slot into the (empty) front buffer,
@@ -259,7 +299,7 @@ impl<T> TimerWheel<T> {
             for level in (1..LEVELS).rev() {
                 let idx = self.cursor(level);
                 if self.occupied[level] & (1u64 << idx) != 0 {
-                    self.cascade(level, idx, dead);
+                    self.cascade(level, idx);
                 }
             }
             // Earliest level-0 slot at or after the floor.
@@ -271,22 +311,11 @@ impl<T> TimerWheel<T> {
                 self.front_bound = self.front_bound.max(end);
                 self.occupied[0] &= !(1u64 << s);
                 let mut v = std::mem::take(&mut self.slots[s]);
-                v.retain(|e| {
-                    let live = !dead(&e.item);
-                    if !live {
-                        self.len -= 1;
-                    }
-                    live
-                });
                 // Stable, and slot contents are pushed in ascending seq —
                 // already-ordered runs make this near-linear.
                 v.sort_by_key(|e| (e.at, e.seq));
                 self.front.extend(v.drain(..));
                 self.slots[s] = v;
-                if self.front.is_empty() {
-                    // Every entry in the slot was dead; keep searching.
-                    continue 'search;
-                }
                 return;
             }
             // Advance the floor to the earliest occupied future slot
@@ -297,7 +326,7 @@ impl<T> TimerWheel<T> {
                 if mask != 0 {
                     let s = mask.trailing_zeros() as usize;
                     self.front_bound = self.front_bound.max(self.slot_base(level, s));
-                    self.cascade(level, s, dead);
+                    self.cascade(level, s);
                     continue 'search;
                 }
             }
@@ -351,6 +380,23 @@ mod tests {
         fn pop(&mut self) -> Option<(u64, u64, u32)> {
             self.heap.pop().map(|Reverse(e)| e)
         }
+        /// Drop `id`'s entry; whether it had one.
+        fn remove(&mut self, id: u32) -> bool {
+            let before = self.heap.len();
+            self.heap.retain(|Reverse((_, _, i))| *i != id);
+            self.heap.len() < before
+        }
+    }
+
+    impl Slotted for u32 {
+        fn slot(self) -> usize {
+            self as usize
+        }
+    }
+
+    /// Whether `id` has an entry in one of the wheel's buckets.
+    fn in_a_bucket(wheel: &TimerWheel<u32>, id: u32) -> bool {
+        wheel.slots.iter().flatten().any(|e| e.item == id)
     }
 
     /// Drain both queues to exhaustion, asserting identical pop order.
@@ -444,10 +490,10 @@ mod tests {
 
     #[test]
     fn orders_across_slot_and_level_boundaries() {
-        // Timers exactly at wheel-slot and level boundaries: 2^10 (slot
-        // width), 2^16 (level 1), 2^22 (level 2), ... up to the 2^58
-        // overflow lap boundary, each with ±1 neighbours and a
-        // same-instant pair to exercise the seq tie-break.
+        // Timers exactly at wheel-slot and level boundaries: the slot
+        // width, each level's span, ... up to the overflow lap boundary,
+        // each with ±1 neighbours and a same-instant pair to exercise the
+        // seq tie-break.
         let mut wheel = TimerWheel::new();
         let mut oracle = HeapOracle::new();
         let mut seq = 0u64;
@@ -456,13 +502,14 @@ mod tests {
             oracle.push(at, seq, seq as u32);
             seq += 1;
         };
-        for level in 0..=8u32 {
+        for level in 0..=LEVELS as u32 {
             let b = 1u64 << (GRAN_BITS + LEVEL_BITS * level);
-            for at in [b - 1, b, b + 1, b, 3 * b, 3 * b] {
+            for at in [b - 1, b, b + 1, b, b.saturating_mul(3), b.saturating_mul(3)] {
                 push(&mut wheel, &mut oracle, at);
             }
         }
-        for at in [0, 1, u64::MAX - 1, u64::MAX, u64::MAX, 1u64 << 58, (1u64 << 58) - 1] {
+        let lap = 1u64 << TOP_SHIFT;
+        for at in [0, 1, u64::MAX - 1, u64::MAX, u64::MAX, lap, lap - 1] {
             push(&mut wheel, &mut oracle, at);
         }
         assert_same_order(&mut wheel, &mut oracle);
@@ -496,15 +543,18 @@ mod tests {
         let mut wheel = TimerWheel::new();
         let mut oracle = HeapOracle::new();
         let lap = 1u64 << TOP_SHIFT;
-        // Two future laps plus near-term entries, interleaved.
+        // The start of the last lap `u64` reaches, and two laps before it.
+        let last = (u64::MAX >> TOP_SHIFT) * lap;
+        let (far, farther) = (last - 2 * lap, last - lap);
+        // Future laps plus near-term entries, interleaved.
         let times = [
-            3 * lap + 7,
+            farther + 7,
             5,
-            2 * lap,
-            3 * lap + 7,
+            far,
+            farther + 7,
             lap - 1,
-            2 * lap + 123_456_789,
-            7 * lap + (lap - 1),
+            far + 123_456_789 % lap,
+            last + (lap - 1),
         ];
         for (seq, &at) in times.iter().enumerate() {
             wheel.push(at, seq as u64, seq as u32);
@@ -512,6 +562,49 @@ mod tests {
         }
         assert!(wheel.overflow_pushes() > 0);
         assert_same_order(&mut wheel, &mut oracle);
+    }
+
+    #[test]
+    fn removing_the_last_entry_of_a_bucket_clears_its_bit() {
+        let mut wheel = TimerWheel::new();
+        let mut oracle = HeapOracle::new();
+        // Three entries in level 2's slot 1, one at level 0.
+        let b = 1u64 << (GRAN_BITS + 2 * LEVEL_BITS);
+        for (id, at) in [(0, b), (1, b + 5), (2, b + 9), (3, 5)] {
+            wheel.push(at, id as u64, id);
+        }
+        oracle.push(5, 3, 3);
+        assert_eq!(wheel.occupied[2], 1 << 1);
+        // Swap-removing the first entry moves the last into its place.
+        assert!(wheel.remove(0));
+        assert!(wheel.remove(2), "the moved entry's hint was fixed");
+        assert_eq!(wheel.occupied[2], 1 << 1, "one entry left in the bucket");
+        assert!(wheel.remove(1));
+        assert_eq!(wheel.occupied[2], 0);
+        assert!(!wheel.remove(1), "a second remove finds nothing");
+        assert_same_order(&mut wheel, &mut oracle);
+    }
+
+    #[test]
+    fn an_entry_in_front_or_overflow_stays_a_tombstone() {
+        let mut wheel = TimerWheel::new();
+        let canceled = [false, true, true, false];
+        let lap = 1u64 << TOP_SHIFT;
+        for (id, at) in [(0, 5), (1, 6), (2, lap), (3, 100_000)] {
+            wheel.push(at, id as u64, id);
+        }
+        assert_eq!(wheel.peek_min().map(|e| e.item), Some(0)); // 0 and 1 in `front`
+        assert!(wheel.overflow_pushes() == 1);
+        assert!(!wheel.remove(1));
+        assert!(!wheel.remove(2));
+        let mut popped = Vec::new();
+        while wheel.peek_min_gc(&mut |&id| canceled[id as usize]).is_some() {
+            popped.push(wheel.pop_min().expect("peeked").item);
+        }
+        // 1 still pops, for the caller to skip as canceled; the overflow
+        // migration dropped 2.
+        assert_eq!(popped, [0, 1, 3]);
+        assert!(wheel.is_empty());
     }
 
     proptest! {
@@ -532,14 +625,15 @@ mod tests {
                 match kind {
                     // Push: delta shaped to land on/near boundaries often.
                     0..=5 => {
-                        let level = (a % 9) as u32;
-                        let base = 1u64 << (GRAN_BITS + LEVEL_BITS * level.min(8));
+                        // Every level, and the overflow lap past the top.
+                        let level = (a % (LEVELS as u64 + 1)) as u32;
+                        let base = 1u64 << (GRAN_BITS + LEVEL_BITS * level);
                         let jitter = match b % 5 {
                             0 => 0,
                             1 => 1,
                             2 => base.saturating_sub(1),
                             3 => (a >> 32) % (base.saturating_mul(4).max(1)),
-                            _ => b as u64 % 1024,
+                            _ => b as u64 % (1 << GRAN_BITS),
                         };
                         let at = if b % 7 == 0 {
                             last_at // deliberate same-instant collision
@@ -553,11 +647,20 @@ mod tests {
                         oracle.push(at, seq, (canceled.len() - 1) as u32);
                         seq += 1;
                     }
-                    // Cancel a random still-pending id.
+                    // Cancel a random id, as the executor does: unlink it
+                    // if it sits in a bucket, else leave a tombstone.
                     6..=7 => {
                         if !canceled.is_empty() {
                             let idx = a as usize % canceled.len();
-                            canceled[idx] = true;
+                            if !canceled[idx] {
+                                canceled[idx] = true;
+                                let id = idx as u32;
+                                let removed = wheel.remove(id);
+                                prop_assert!(!in_a_bucket(&wheel, id));
+                                if removed {
+                                    prop_assert!(oracle.remove(id));
+                                }
+                            }
                         }
                     }
                     // Drain one instant under a horizon.

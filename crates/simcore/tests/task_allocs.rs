@@ -78,19 +78,19 @@ fn spawning_a_detached_task_is_one_allocation() {
 }
 
 /// A replay's invocations each run under a 120 s timeout that never
-/// fires: its timer is canceled and stays in the wheel as a tombstone
-/// until the clock gets there. A tombstone that still held the task's
-/// waker would pin every finished task's block, ballast and all.
+/// fires: its timer is canceled long before its deadline. A canceled
+/// timer that still held the task's waker until the clock got there would
+/// pin every finished task's block, ballast and all.
 #[test]
 fn a_canceled_timeout_does_not_pin_its_finished_task() {
     const TASKS: usize = 10_000;
     let before = live_bytes();
     let sim = Sim::new(1);
-    // A live timer ahead of the tombstones: canceled timers at the very
-    // front of the wheel are swept as soon as the run loop looks at them.
+    // A live timer past the horizon, so the run ends with work pending,
+    // as a replay's reaper keeps it.
     sim.call_at(SimTime::from_nanos(60_000_000_000), || {});
     // Like a replay's invocations, the tasks come and go a thousand at a
-    // time while their tombstones pile up.
+    // time.
     for wave in 0..TASKS / 1_000 {
         for i in 0..1_000u64 {
             let s = sim.clone();
@@ -108,10 +108,11 @@ fn a_canceled_timeout_does_not_pin_its_finished_task() {
     assert_eq!(sim.stats().tasks_alive, 0);
     let profile = sim.profile();
     assert_eq!(profile.timer_cancels, TASKS as u64);
-    // The clock stopped at the horizon because timers remain: the live one
-    // and, behind it, the tombstones, whose wheel slot no cascade visits
-    // before the clock is within ~17 s of them.
+    // The clock stopped at the horizon because the live timer remains.
+    // The canceled ones left the wheel as they were canceled, so at most
+    // one wave's two timers per task were ever pending beside it.
     assert_eq!(sim.now(), SimTime::from_nanos(1_000_000_000));
+    assert_eq!(profile.peak_pending_timers, 1 + 2 * 1_000);
 
     let held = live_bytes() - before;
     assert!(

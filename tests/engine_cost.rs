@@ -32,13 +32,20 @@ fn platform() -> ReplayConfig {
 }
 
 /// Replay `cfg` under `plan`; the engine counts of a run that served
-/// every arrival.
+/// every arrival. Each invocation arms a lifetime cap that is canceled
+/// long before it would fire, so pending timers track live tasks only if
+/// a canceled timer leaves the engine at once.
 fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> SimProfile {
     let out = replay(cfg, SEED, &|cloud| plan.apply(cloud));
     let r = &out.report;
     assert_eq!(r.violations(), Vec::<String>::new());
     assert_eq!((r.generated, r.invocations), (ARRIVALS, ARRIVALS));
-    r.engine
+    let p = r.engine;
+    assert!(
+        p.peak_pending_timers <= 2 * p.peak_live_tasks,
+        "canceled timers pile up: {p}"
+    );
+    p
 }
 
 fn pins(p: &SimProfile) -> String {
@@ -65,14 +72,14 @@ fn a_direct_replay_costs_the_engine_what_it_did() {
     let p = engine_counts(&cfg, &FaultPlan::calm());
     assert_eq!(
         pins(&p),
-        "polls 106650 spawns 20002 pushes 106710 fires 86710 cancels 20000 cascades 36639 overflow 0 peak_pending 20821 peak_live 2684"
+        "polls 106650 spawns 20002 pushes 106710 fires 86710 cancels 20000 cascades 36639 overflow 0 peak_pending 3033 peak_live 2684"
     );
 }
 
 #[test]
 fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
     let mut cfg = platform();
-    cfg.gateway = Some(GatewaySpec::default());
+    cfg.gateway = Some(GatewaySpec);
     cfg.retry = Some(RetryPolicy {
         max_attempts: 8,
         ..RetryPolicy::default()
@@ -87,6 +94,6 @@ fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
     let p = engine_counts(&cfg, &plan);
     assert_eq!(
         pins(&p),
-        "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 20017 peak_live 2697"
+        "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 3288 peak_live 2697"
     );
 }
