@@ -594,7 +594,7 @@ mod tests {
             wheel.push(at, id as u64, id);
         }
         assert_eq!(wheel.peek_min().map(|e| e.item), Some(0)); // 0 and 1 in `front`
-        assert!(wheel.overflow_pushes() == 1);
+        assert_eq!(wheel.overflow_pushes(), 1);
         assert!(!wheel.remove(1));
         assert!(!wheel.remove(2));
         let mut popped = Vec::new();
