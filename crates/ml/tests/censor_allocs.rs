@@ -2,45 +2,11 @@
 //! documents per paper-scale pass): pin its heap traffic with a counting
 //! allocator. The budget is the output buffer plus one spare.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use faasim_ml::{synthetic_document, DirtyWordModel};
 
-thread_local! {
-    /// Per-thread, so the test harness's own threads cannot disturb the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers every operation to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching it
-// neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+#[path = "../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_of;
 
 #[test]
 fn censoring_a_100_word_document_allocates_at_most_twice() {

@@ -3,8 +3,6 @@
 //! of an empty inbox — so a poll that finds no message must not touch the
 //! heap: pinned here with a counting allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::rc::Rc;
 
 use faasim_kv::{KvProfile, KvStore};
@@ -13,35 +11,9 @@ use faasim_pricing::{Ledger, PriceBook};
 use faasim_protocols::{BlackboardTransport, Transport};
 use faasim_simcore::{mbps, Recorder, Sim, SimDuration};
 
-thread_local! {
-    /// Per-thread, so the test harness's own threads cannot disturb the counts.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static REALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers every operation to `System` unchanged; the counters are
-// const-initialized thread-local `Cell`s with no destructor, so touching
-// them neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
+use counting_alloc::{fresh_blocks, regrowths};
 
 /// Poll cycles before the measured ones. The first interns the series;
 /// the rest are for the timer wheel, whose 512 buckets each get a buffer
@@ -83,14 +55,14 @@ fn an_empty_blackboard_poll_allocates_nothing() {
             assert!(s.timeout(turn, follower.recv()).await.is_none());
         }
         let mut fresh = [0u64; MEASURED];
-        let regrown = REALLOCS.with(Cell::get);
+        let regrown = regrowths();
         for cycle in &mut fresh {
-            let before = ALLOCS.with(Cell::get);
+            let before = fresh_blocks();
             assert!(s.timeout(turn, follower.recv()).await.is_none());
-            *cycle = ALLOCS.with(Cell::get) - before;
+            *cycle = fresh_blocks() - before;
         }
         assert_eq!(follower.last_heartbeat().map(|(id, _)| id), Some(2));
-        (fresh, REALLOCS.with(Cell::get) - regrown)
+        (fresh, regrowths() - regrown)
     });
 
     assert_eq!(

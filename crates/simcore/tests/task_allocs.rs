@@ -3,7 +3,6 @@
 //! canceled timeout is still in the wheel, and a block that lives exactly
 //! as long as the last waker pointing at it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::future::poll_fn;
 use std::hint::black_box;
@@ -12,48 +11,9 @@ use std::task::{Poll, Waker};
 
 use faasim_simcore::{channel, Sim, SimDuration, SimTime};
 
-thread_local! {
-    /// Per-thread, so the test harness's own threads cannot disturb the counts.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers every operation to `System` unchanged; the counters are
-// const-initialized thread-local `Cell`s with no destructor, so touching
-// them neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        LIVE_BYTES.with(|c| c.set(c.get() + layout.size() as i64));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.with(|c| c.set(c.get() - layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        LIVE_BYTES.with(|c| c.set(c.get() + new_size as i64 - layout.size() as i64));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
-
-fn live_bytes() -> i64 {
-    LIVE_BYTES.with(Cell::get)
-}
+#[path = "../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations_of, live_bytes};
 
 /// What each task below carries inline in its future.
 const BALLAST: usize = 4096;
