@@ -82,12 +82,16 @@ profile:
 ## Non-test source lines per crate: every `src/**/*.rs`, each counted up
 ## to its test module, the first `#[cfg(test)]` at column 0 (a doc comment
 ## that mentions the attribute, or one indented on a single test-only
-## method, does not end the file). The meter for ROADMAP's subtraction pass.
+## method, does not end the file). `total` is the crates/ meter for
+## ROADMAP's subtraction pass; the vendored shims/ crates follow it, and
+## the last line is the meter with them.
 loc:
-	@for c in crates/*; do \
-		find $$c/src -name '*.rs' | xargs awk -v crate=$$c \
+	@for c in crates/* shims/*/; do \
+		find $${c%/}/src -name '*.rs' | xargs awk -v crate=$${c%/} \
 			'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { printf "%7d  %s\n", n, crate }'; \
-	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+	done | awk '/ shims\// && !shims++ { printf "%7d  total\n", total } \
+		{ print; all += $$1 } !shims { total += $$1 } \
+		END { if (!shims) printf "%7d  total\n", total; printf "%7d  total with shims/\n", all }'
 
 ## Dependency order (DESIGN.md §3), normal edges only: the core crate
 ## must not reach a layer above it, nor the resilience crate the core.
