@@ -315,8 +315,8 @@ impl Drop for Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim_net::{NetProfile, NicConfig};
+    use faasim_payload::Payload;
     use faasim_simcore::{mbps, SimTime};
 
     fn world(seed: u64) -> (Sim, Fabric, AgentRuntime) {
@@ -350,12 +350,12 @@ mod tests {
         sim.spawn(async move {
             loop {
                 let req = server.recv().await;
-                server.reply(&req, Bytes::from_static(b"pong")).await;
+                server.reply(&req, Payload::from_static(b"pong")).await;
             }
         });
         let reply = sim.block_on(async move {
             client
-                .request("server", Bytes::from_static(b"ping"))
+                .request("server", Payload::from_static(b"ping"))
                 .await
                 .unwrap()
         });
@@ -379,9 +379,9 @@ mod tests {
             let sim = sim.clone();
             async move {
                 let t0 = sim.now();
-                client.request("server", Bytes::new()).await.unwrap();
+                client.request("server", Payload::new()).await.unwrap();
                 let t1 = sim.now();
-                client.request("server", Bytes::new()).await.unwrap();
+                client.request("server", Payload::new()).await.unwrap();
                 let t2 = sim.now();
                 (t1 - t0, t2 - t1)
             }
@@ -403,7 +403,7 @@ mod tests {
             rt.spawn(&host(&fabric), "solo"),
             Err(AgentError::NameTaken(_))
         ));
-        let err = sim.block_on(async move { a.send("ghost", Bytes::new()).await });
+        let err = sim.block_on(async move { a.send("ghost", Payload::new()).await });
         assert_eq!(err, Err(AgentError::UnknownAgent("ghost".into())));
     }
 
@@ -417,20 +417,20 @@ mod tests {
         sim.spawn(async move {
             // Serve one request, migrate with 10 MB of state, keep serving.
             let req = server.recv().await;
-            server.reply(&req, Bytes::from_static(b"before")).await;
+            server.reply(&req, Payload::from_static(b"before")).await;
             server.migrate(&new_home, 10_000_000).await;
             loop {
                 let req = server.recv().await;
-                server.reply(&req, Bytes::from_static(b"after")).await;
+                server.reply(&req, Payload::from_static(b"after")).await;
             }
         });
         let (a, b) = sim.block_on({
             let sim = sim.clone();
             async move {
-                let a = client.request("server", Bytes::new()).await.unwrap();
+                let a = client.request("server", Payload::new()).await.unwrap();
                 // Give the migration time to finish.
                 sim.sleep(SimDuration::from_secs(1)).await;
-                let b = client.request("server", Bytes::new()).await.unwrap();
+                let b = client.request("server", Payload::new()).await.unwrap();
                 (a, b)
             }
         });
@@ -449,7 +449,7 @@ mod tests {
         // Drop the server after registration: requests must fail cleanly.
         let name = server.name().to_owned();
         drop(server);
-        let err = sim.block_on(async move { client.request(&name, Bytes::new()).await });
+        let err = sim.block_on(async move { client.request(&name, Payload::new()).await });
         assert!(matches!(err, Err(AgentError::UnknownAgent(_))));
     }
 

@@ -2,9 +2,9 @@
 //! spawn / request / migrate keep the directory consistent and requests
 //! to live agents always succeed (possibly via the stale-cache retry).
 
-use bytes::Bytes;
 use faasim_agents::AgentRuntime;
 use faasim_net::{Fabric, NetProfile, NicConfig};
+use faasim_payload::Payload;
 use faasim_simcore::{mbps, Recorder, Sim, SimDuration};
 use proptest::prelude::*;
 
@@ -80,14 +80,14 @@ proptest! {
                     Action::Probe(w) => {
                         let name = format!("worker-{w}");
                         let got = prober
-                            .request(&name, Bytes::from_static(b"ping"))
+                            .request(&name, Payload::from_static(b"ping"))
                             .await;
                         if got.is_err() {
                             // One retry after the runtime-level retry: the
                             // worker may have been mid-migration.
                             sim2.sleep(SimDuration::from_millis(100)).await;
                             all_ok &= prober
-                                .request(&name, Bytes::from_static(b"ping"))
+                                .request(&name, Payload::from_static(b"ping"))
                                 .await
                                 .is_ok();
                         }
@@ -97,7 +97,7 @@ proptest! {
                         // Nudge the worker loop awake so it applies the
                         // migration before the next probe.
                         let _ = prober
-                            .send(&format!("worker-{w}"), Bytes::from_static(b"nudge"))
+                            .send(&format!("worker-{w}"), Payload::from_static(b"nudge"))
                             .await;
                         sim2.sleep(SimDuration::from_millis(50)).await;
                     }

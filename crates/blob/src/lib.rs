@@ -475,7 +475,6 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim_net::{Fabric, NetProfile, NicConfig};
     use faasim_simcore::{mbps, Sim};
 
@@ -526,7 +525,7 @@ mod tests {
         let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
         let got = sim.block_on(async move {
             store
-                .put(&host, "b", "k", Bytes::from_static(b"hello"))
+                .put(&host, "b", "k", Payload::from_static(b"hello"))
                 .await
                 .unwrap();
             store.get(&host, "b", "k").await.unwrap()
@@ -539,7 +538,7 @@ mod tests {
         // Table 1: Lambda/EC2 I/O to S3, 1KB write+read ≈ 106–108 ms.
         let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
         sim.block_on(async move {
-            let data = Bytes::from(vec![0u8; 1024]);
+            let data = Payload::from(vec![0u8; 1024]);
             store.put(&host, "b", "k", data).await.unwrap();
             store.get(&host, "b", "k").await.unwrap();
         });
@@ -587,7 +586,7 @@ mod tests {
         let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
         sim.block_on(async move {
             store
-                .put(&host, "b", "k", Bytes::from_static(b"x"))
+                .put(&host, "b", "k", Payload::from_static(b"x"))
                 .await
                 .unwrap();
             store.delete(&host, "b", "k").await.unwrap();
@@ -607,7 +606,7 @@ mod tests {
         let keys = sim.block_on(async move {
             for k in ["logs/1", "logs/2", "data/1"] {
                 store
-                    .put(&host, "b", k, Bytes::from_static(b"v"))
+                    .put(&host, "b", k, Payload::from_static(b"v"))
                     .await
                     .unwrap();
             }
@@ -624,7 +623,7 @@ mod tests {
             let store = store.clone();
             async move {
                 store
-                    .put(&host, "b", "k", Bytes::from_static(b"hello world"))
+                    .put(&host, "b", "k", Payload::from_static(b"hello world"))
                     .await
                     .unwrap();
                 let mid = store.get_range(&host, "b", "k", 6..11).await.unwrap();
@@ -675,15 +674,15 @@ mod tests {
         let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
         let listed = sim.block_on(async move {
             store
-                .put(&host, "b", "logs/1", Bytes::from_static(b"abc"))
+                .put(&host, "b", "logs/1", Payload::from_static(b"abc"))
                 .await
                 .unwrap();
             store
-                .put(&host, "b", "logs/2", Bytes::from_static(b"defgh"))
+                .put(&host, "b", "logs/2", Payload::from_static(b"defgh"))
                 .await
                 .unwrap();
             store
-                .put(&host, "b", "data/1", Bytes::from_static(b"x"))
+                .put(&host, "b", "data/1", Payload::from_static(b"x"))
                 .await
                 .unwrap();
             store.list_objects(&host, "b", "logs/").await.unwrap()
@@ -703,13 +702,13 @@ mod tests {
             let store = store.clone();
             async move {
                 store
-                    .put(&host, "b", "k", Bytes::from_static(b"v1"))
+                    .put(&host, "b", "k", Payload::from_static(b"v1"))
                     .await
                     .unwrap();
                 // Wait out the first version's visibility lag.
                 store.sim.sleep(SimDuration::from_secs(6)).await;
                 store
-                    .put(&host, "b", "k", Bytes::from_static(b"v2"))
+                    .put(&host, "b", "k", Payload::from_static(b"v2"))
                     .await
                     .unwrap();
                 // Immediately after the overwrite: still see v1.
@@ -728,7 +727,7 @@ mod tests {
         let (sim, store, host, ledger) = setup(BlobProfile::aws_2018().exact());
         sim.block_on(async move {
             store
-                .put(&host, "b", "k", Bytes::from_static(b"x"))
+                .put(&host, "b", "k", Payload::from_static(b"x"))
                 .await
                 .unwrap();
             store.get(&host, "b", "k").await.unwrap();
@@ -745,11 +744,11 @@ mod tests {
         let (sim, store, host, _) = setup(BlobProfile::aws_2018().exact());
         sim.block_on(async move {
             store
-                .put(&host, "b", "k", Bytes::from(vec![0u8; 100]))
+                .put(&host, "b", "k", Payload::from(vec![0u8; 100]))
                 .await
                 .unwrap();
             store
-                .put(&host, "b", "k", Bytes::from(vec![0u8; 50]))
+                .put(&host, "b", "k", Payload::from(vec![0u8; 50]))
                 .await
                 .unwrap();
             assert_eq!(store.stored_bytes(), 50);

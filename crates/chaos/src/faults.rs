@@ -84,7 +84,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use faasim_payload::Payload;
 
     fn digest_of(plan: Option<&FaultPlan>, seed: u64) -> String {
         let cloud = Cloud::new(CloudProfile::aws_2018().exact(), seed);
@@ -100,9 +100,9 @@ mod tests {
             for i in 0..20u8 {
                 // Faults are allowed (and expected) under a hostile plan.
                 let _ = blob
-                    .put(&host, "b", &format!("k{i}"), Bytes::from(vec![i; 64]))
+                    .put(&host, "b", &format!("k{i}"), Payload::from(vec![i; 64]))
                     .await;
-                let _ = kv.put(&host, "t", &format!("k{i}"), Bytes::from(vec![i])).await;
+                let _ = kv.put(&host, "t", &format!("k{i}"), Payload::from(vec![i])).await;
             }
         });
         cloud.recorder.digest()
@@ -148,16 +148,16 @@ mod tests {
             "f",
             128,
             SimDuration::from_secs(10),
-            |_ctx, _| async move { Ok(Bytes::new()) },
+            |_ctx, _| async move { Ok(Payload::new()) },
         ));
         let faas = cloud.faas.clone();
         let sim = cloud.sim.clone();
         cloud.sim.block_on(async move {
-            faas.invoke("f", Bytes::new()).await.result.unwrap();
+            faas.invoke("f", Payload::new()).await.result.unwrap();
             sim.sleep(SimDuration::from_secs(60)).await;
             // The storm at t=30s evicted the idle container, so this
             // invocation is cold again.
-            faas.invoke("f", Bytes::new()).await.result.unwrap();
+            faas.invoke("f", Payload::new()).await.result.unwrap();
         });
         assert_eq!(cloud.recorder.counter("faas.chaos_evicted"), 1);
         assert_eq!(cloud.recorder.counter("faas.invoke.cold"), 2);

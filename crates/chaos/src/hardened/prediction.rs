@@ -13,7 +13,6 @@
 //! exactly one committed result, and a poison batch lands in the DLQ
 //! rather than looping.
 
-use bytes::Bytes;
 use faasim::experiments::clients::{Clients, Run, UNBOUNDED};
 use faasim::experiments::prediction::serving_cloud;
 use faasim_faas::{add_queue_trigger, decode_batch, FnError, FunctionSpec};
@@ -79,7 +78,7 @@ pub(super) fn run(run: &mut Run<Faulty<'_>>, seed: u64) {
                         return Err(FnError::Handler(format!("commit {key}: {e}")));
                     }
                 }
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));

@@ -9,7 +9,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim::protocols::{Crdt, GCounter};
 use faasim::CloudProfile;
 use faasim_faas::{add_queue_trigger, decode_batch, FunctionSpec};
@@ -99,7 +98,7 @@ impl Scenario for CrdtSync {
                 let unbounded = Deadline::unbounded();
                 for step in 0..INCREMENTS_EACH {
                     states.borrow_mut()[idx].increment(r, 1);
-                    let snapshot = Bytes::from(states.borrow()[idx].encode());
+                    let snapshot = Payload::from(states.borrow()[idx].encode());
                     // A publish that exhausts its retries is not fatal —
                     // the next step republishes a superseding snapshot.
                     let _ = kv
@@ -121,7 +120,7 @@ impl Scenario for CrdtSync {
                 }
                 // Quiesce: keep publishing + merging until propagated.
                 for _round in 0..20u64 {
-                    let snapshot = Bytes::from(states.borrow()[idx].encode());
+                    let snapshot = Payload::from(states.borrow()[idx].encode());
                     let publish = kv.call(unbounded, |kv| kv.put(&host, "crdt", &my_key, snapshot.clone()));
                     if publish.await.is_err() {
                         stuck
@@ -224,7 +223,7 @@ impl Scenario for QueuePipeline {
                         let id = u32::from_le_bytes(m.bytes()[..4].try_into().expect("4-byte payload"));
                         *s.borrow_mut().entry(id).or_insert(0) += 1;
                     }
-                    Ok(Bytes::new())
+                    Ok(Payload::new())
                 }
             },
         ));
@@ -236,7 +235,7 @@ impl Scenario for QueuePipeline {
         cloud.sim.spawn(async move {
             for i in 0..MESSAGES {
                 queue
-                    .send(&host, "jobs", Bytes::from(i.to_le_bytes().to_vec()))
+                    .send(&host, "jobs", Payload::from(i.to_le_bytes().to_vec()))
                     .await
                     .expect("queue exists");
             }
@@ -461,7 +460,7 @@ impl NoisyNeighbor {
             SimDuration::from_secs(5),
             |ctx, _payload| async move {
                 ctx.cpu(SimDuration::from_millis(20)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
 

@@ -182,7 +182,7 @@ impl Drop for Cloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use faasim_payload::Payload;
 
     #[test]
     fn cloud_wires_services_over_one_ledger() {
@@ -191,7 +191,7 @@ mod tests {
         let host = cloud.client_host();
         let blob = cloud.blob.clone();
         cloud.sim.block_on(async move {
-            blob.put(&host, "b", "k", Bytes::from_static(b"x"))
+            blob.put(&host, "b", "k", Payload::from_static(b"x"))
                 .await
                 .unwrap();
         });
@@ -224,7 +224,7 @@ mod tests {
                 let (blob, _p) = (blob.clone(), p.clone());
                 async move {
                     blob.put(ctx.host(), "results", "k", payload).await.expect("bucket");
-                    Ok(Bytes::new())
+                    Ok(Payload::new())
                 }
             },
         ));
@@ -236,7 +236,7 @@ mod tests {
             let _p = p;
             loop {
                 let req = sock.recv().await;
-                sock.reply(&req, Bytes::new()).await;
+                sock.reply(&req, Payload::new()).await;
             }
         });
         let (sim, p) = (cloud.sim.clone(), pinned.clone());
@@ -250,7 +250,7 @@ mod tests {
         // (`block_on` would run the day-long callback to completion).
         let (queue, producer) = (cloud.queue.clone(), cloud.client_host());
         cloud.sim.spawn(async move {
-            queue.send(&producer, "in", Bytes::from_static(b"doc")).await.expect("send");
+            queue.send(&producer, "in", Payload::from_static(b"doc")).await.expect("send");
         });
         cloud.sim.run_for(SimDuration::from_secs(60));
         assert_eq!(cloud.recorder.counter("blob.put"), 1);

@@ -5,7 +5,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_faas::FunctionSpec;
 use faasim_payload::Payload;
 use faasim_simcore::{join_all, SimDuration};
@@ -132,7 +131,7 @@ fn measure<B: Backend>(
                 ctx.host().nic_transfer(bytes).await;
                 let secs = (ctx.sim().now() - t0).as_secs_f64();
                 r.borrow_mut().push(bytes as f64 * 8.0 / secs / 1e6);
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));

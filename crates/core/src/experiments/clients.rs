@@ -327,7 +327,6 @@ pub async fn chain(
 mod tests {
     use std::rc::Rc;
 
-    use bytes::Bytes;
     use faasim_faas::FunctionSpec;
 
     use super::*;
@@ -347,7 +346,7 @@ mod tests {
                 SimDuration::from_secs(1),
                 move |_, _| {
                     let _held = (clients.clone(), witness.clone());
-                    async move { Ok(Bytes::new()) }
+                    async move { Ok(Payload::new()) }
                 },
             ));
             let invoked = async move { invoker.call("f", &Payload::default(), UNBOUNDED).await };

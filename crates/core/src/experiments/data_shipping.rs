@@ -35,7 +35,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_faas::{FnError, FunctionSpec};
 use faasim_payload::Payload;
 use faasim_query::{Aggregate, QuerySpec};
@@ -235,12 +234,12 @@ pub fn data_to_code<B: Backend>(
             let p = p.clone();
             async move {
                 if payload.eq_bytes(b"warmup") {
-                    return Ok(Bytes::new());
+                    return Ok(Payload::new());
                 }
                 loop {
                     let next = p.borrow().0;
                     if next >= objects {
-                        return Ok(Bytes::new());
+                        return Ok(Payload::new());
                     }
                     let key = format!("part-{next:05}");
                     let body = clients
@@ -269,7 +268,7 @@ pub fn data_to_code<B: Backend>(
     let warm = cloud.faas.clone();
     cloud
         .sim
-        .block_on(async move { warm.invoke("aggregate", Bytes::from_static(b"warmup")).await });
+        .block_on(async move { warm.invoke("aggregate", Payload::from_static(b"warmup")).await });
     let t0 = cloud.sim.now();
     let p = progress.clone();
     let left = move || (objects - p.borrow().0) as u64;
@@ -306,7 +305,7 @@ fn run_code_to_data(
             let query = query.clone();
             async move {
                 if payload.eq_bytes(b"warmup") {
-                    return Ok(Bytes::new());
+                    return Ok(Payload::new());
                 }
                 let out = query
                     .run(
@@ -315,9 +314,7 @@ fn run_code_to_data(
                     )
                     .await
                     .expect("query");
-                Ok(Bytes::from(
-                    (out.rows[0].1 as u64).to_le_bytes().to_vec(),
-                ))
+                Ok(Payload::from((out.rows[0].1 as u64).to_le_bytes().to_vec()))
             }
         },
     ));
@@ -325,10 +322,10 @@ fn run_code_to_data(
     let warm = cloud.faas.clone();
     cloud
         .sim
-        .block_on(async move { warm.invoke("orchestrate", Bytes::from_static(b"warmup")).await });
+        .block_on(async move { warm.invoke("orchestrate", Payload::from_static(b"warmup")).await });
     let t0 = cloud.sim.now();
     let got = cloud.sim.block_on(async move {
-        let out = faas.invoke("orchestrate", Bytes::new()).await;
+        let out = faas.invoke("orchestrate", Payload::new()).await;
         u64::from_le_bytes(
             out.result.expect("query result").bytes()[..8]
                 .try_into()

@@ -15,7 +15,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_faas::{add_queue_trigger, decode_batch, encode_batch, FunctionSpec};
 use faasim_ml::{synthetic_document, DirtyWordModel};
 use faasim_payload::Payload;
@@ -193,11 +192,9 @@ fn run_on_plain(params: &PredictionParams, seed: u64, run: &mut Run<Plain>) -> P
 /// Words per document.
 const DOC_WORDS: usize = 100;
 
-fn make_docs(params: &PredictionParams, seed: u64) -> Vec<Bytes> {
+fn make_docs(params: &PredictionParams, seed: u64) -> Vec<Payload> {
     (0..params.batch_size)
-        .map(|i| {
-            Bytes::from(synthetic_document(500, DOC_WORDS, seed * 1000 + i as u64).into_bytes())
-        })
+        .map(|i| Payload::from(synthetic_document(500, DOC_WORDS, seed * 1000 + i as u64)))
         .collect()
 }
 
@@ -273,7 +270,7 @@ fn run_lambda(
                     let doc = doc.bytes();
                     let text = std::str::from_utf8(&doc).expect("utf8 docs");
                     let out = model.censor(text);
-                    censored.push(faasim_payload::Payload::from(out.text.into_bytes()));
+                    censored.push(Payload::from(out.text));
                     ctx.cpu(PER_DOC_REF_WORK).await;
                 }
                 let result = encode_batch(&censored);
@@ -291,7 +288,7 @@ fn run_lambda(
                         .expect("results bucket");
                 }
                 let _ = done_tx.send(ctx.sim().now().as_nanos());
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -300,7 +297,7 @@ fn run_lambda(
     let producer = cloud.client_host();
     let sim = cloud.sim.clone();
     let n = params.batches;
-    let docs: Vec<Payload> = make_docs(params, seed).into_iter().map(Payload::from).collect();
+    let docs = make_docs(params, seed);
     let hist = cloud.sim.block_on(async move {
         // Warm-up: pay the one-time container cold start outside the
         // measurement, as a steady-state serving system would have.
@@ -403,9 +400,7 @@ fn run_ec2_zmq(
             let text = std::str::from_utf8(&body).expect("utf8");
             let out = model.censor(text);
             server_vm.cpu_work(PER_DOC_REF_WORK).await;
-            server_sock
-                .reply(&req, Bytes::from(out.text.into_bytes()))
-                .await;
+            server_sock.reply(&req, Payload::from(out.text)).await;
         }
     });
     let sim = cloud.sim.clone();

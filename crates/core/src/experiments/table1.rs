@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_faas::{FnError, FunctionSpec};
 use faasim_kv::Consistency;
 use faasim_net::Host;
@@ -190,7 +189,7 @@ pub fn run_on<B: Backend>(run: &mut Run<B>, params: &Table1Params, seed: u64) ->
         profile = profile.firecracker();
     }
     let (cloud, clients, invoker) = run.open(profile, seed);
-    let payload = Payload::from(Bytes::from(vec![0u8; PAYLOAD_BYTES]));
+    let payload = Payload::from(vec![0u8; PAYLOAD_BYTES]);
     cloud.blob.create_bucket("bench");
     cloud.kv.create_table("bench");
 
@@ -333,7 +332,7 @@ fn lambda_io<C: Clients>(
                     res.borrow_mut().record_duration(ctx.sim().now() - t0);
                     done += 1;
                 }
-                Ok(Bytes::from(done.to_le_bytes().to_vec()))
+                Ok(Payload::from(done.to_le_bytes().to_vec()))
             }
         },
     ));

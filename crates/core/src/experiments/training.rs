@@ -15,7 +15,6 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_faas::{FnError, FunctionSpec};
 use faasim_payload::Payload;
 use faasim_pricing::Service;
@@ -226,7 +225,7 @@ pub fn lambda_side<B: Backend>(run: &mut Run<B>, params: &TrainingParams, seed: 
                     ctx.cpu(ITERATION_REF_WORK).await;
                     d.set(d.get() + 1);
                 }
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));

@@ -18,7 +18,7 @@
 //!   paper-vs-measured row.
 //!
 //! ```
-//! use bytes::Bytes;
+//! use faasim::payload::Payload;
 //! use faasim::{Cloud, CloudProfile};
 //!
 //! let cloud = Cloud::new(CloudProfile::aws_2018().exact(), 42);
@@ -26,7 +26,7 @@
 //! let host = cloud.client_host();
 //! let blob = cloud.blob.clone();
 //! cloud.sim.block_on(async move {
-//!     blob.put(&host, "demo", "hello", Bytes::from_static(b"world"))
+//!     blob.put(&host, "demo", "hello", Payload::from_static(b"world"))
 //!         .await
 //!         .unwrap();
 //!     blob.get(&host, "demo", "hello").await.unwrap();

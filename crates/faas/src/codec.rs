@@ -7,19 +7,14 @@
 //! way through a queue trigger: only the 4-byte prefixes are ever
 //! materialized.
 
-use bytes::Bytes;
 use faasim_payload::Payload;
 
 /// Encode a batch of byte strings into one payload.
 pub fn encode_batch(items: &[Payload]) -> Payload {
     let mut parts: Vec<Payload> = Vec::with_capacity(1 + 2 * items.len());
-    parts.push(Payload::from(Bytes::from(
-        (items.len() as u32).to_le_bytes().to_vec(),
-    )));
+    parts.push(Payload::from((items.len() as u32).to_le_bytes().to_vec()));
     for item in items {
-        parts.push(Payload::from(Bytes::from(
-            (item.len() as u32).to_le_bytes().to_vec(),
-        )));
+        parts.push(Payload::from((item.len() as u32).to_le_bytes().to_vec()));
         parts.push(item.clone());
     }
     Payload::concat(parts)

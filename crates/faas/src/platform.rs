@@ -8,7 +8,6 @@ use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_net::{Fabric, Host, HostId, NicStats};
 use faasim_payload::Payload;
 use faasim_pricing::{ItemId, Ledger, PriceBook, Service};
@@ -109,7 +108,7 @@ impl fmt::Debug for FunctionSpec {
 
 impl FunctionSpec {
     /// Define a function from an async closure. The handler may return any
-    /// body type convertible into [`Payload`] (`Payload`, `Bytes`, `Vec<u8>`,
+    /// body type convertible into [`Payload`] (`Payload`, `Vec<u8>`, `String`,
     /// static slices/strings), so plain byte-producing handlers compile
     /// unchanged while data-plane-aware ones stay symbolic.
     pub fn new<F, Fut, R>(
@@ -141,7 +140,7 @@ pub struct FnCtx {
     sim: Sim,
     host: Host,
     container_id: u64,
-    cache: Rc<RefCell<HashMap<String, Bytes>>>,
+    cache: Rc<RefCell<HashMap<String, Payload>>>,
     deadline: SimTime,
     cpu_fraction: f64,
     memory_mb: u64,
@@ -185,7 +184,7 @@ impl FnCtx {
     /// same container, is lost on cold start — exactly the caching
     /// behaviour §3 constraint (1) describes ("no way to ensure that
     /// subsequent invocations are run on the same VM").
-    pub fn container_cache(&self) -> Rc<RefCell<HashMap<String, Bytes>>> {
+    pub fn container_cache(&self) -> Rc<RefCell<HashMap<String, Payload>>> {
         self.cache.clone()
     }
 }
@@ -230,7 +229,7 @@ struct Container {
     host_idx: usize,
     host: Host,
     mem_mb: u64,
-    cache: Rc<RefCell<HashMap<String, Bytes>>>,
+    cache: Rc<RefCell<HashMap<String, Payload>>>,
     busy: bool,
     idle_since: SimTime,
     /// When the container was placed — the start of its residency window
@@ -1029,8 +1028,8 @@ mod tests {
         platform.register(noop_spec("noop"));
         let p = platform.clone();
         let (first, second) = sim.block_on(async move {
-            let a = p.invoke("noop", Bytes::from(vec![0u8; 1024])).await;
-            let b = p.invoke("noop", Bytes::from(vec![0u8; 1024])).await;
+            let a = p.invoke("noop", Payload::from(vec![0u8; 1024])).await;
+            let b = p.invoke("noop", Payload::from(vec![0u8; 1024])).await;
             (a, b)
         });
         assert!(first.cold);
@@ -1060,7 +1059,7 @@ mod tests {
             },
         ));
         let p = platform.clone();
-        sim.block_on(async move { p.invoke("shared", Bytes::new()).await });
+        sim.block_on(async move { p.invoke("shared", Payload::new()).await });
         assert_eq!(owners.get(), 2);
         assert_eq!(Rc::strong_count(&platform.state.borrow().functions[id.index()].spec), 1);
     }
@@ -1069,7 +1068,7 @@ mod tests {
     fn unknown_function_errors() {
         let (sim, platform, _, _) = setup();
         let p = platform.clone();
-        let out = sim.block_on(async move { p.invoke("ghost", Bytes::new()).await });
+        let out = sim.block_on(async move { p.invoke("ghost", Payload::new()).await });
         assert!(matches!(out.result, Err(FnError::NotFound(_))));
     }
 
@@ -1082,7 +1081,7 @@ mod tests {
         let (sim, platform, ledger, _) = setup();
         assert_eq!(platform.function_id("b"), None);
         let p = platform.clone();
-        let out = sim.block_on(async move { p.invoke_id(foreign, Bytes::new()).await });
+        let out = sim.block_on(async move { p.invoke_id(foreign, Payload::new()).await });
         assert_eq!(out.result, Err(FnError::NotFound("fn#1".into())));
         assert_eq!(platform.container_count(), 0);
         assert_eq!(ledger.total(), 0.0);
@@ -1094,22 +1093,22 @@ mod tests {
         let id = platform.register(noop_spec("f"));
         platform.register(noop_spec("other"));
         let p = platform.clone();
-        let first = sim.block_on(async move { p.invoke_id(id, Bytes::new()).await });
+        let first = sim.block_on(async move { p.invoke_id(id, Payload::new()).await });
         assert!(first.cold);
         // The replacement answers differently but inherits id and pool.
         let again = platform.register(FunctionSpec::new(
             "f",
             128,
             SimDuration::from_secs(60),
-            |_ctx, _| async move { Ok(Bytes::from_static(b"v2")) },
+            |_ctx, _| async move { Ok(Payload::from_static(b"v2")) },
         ));
         assert_eq!(again, id);
         assert_eq!(platform.function_id("f"), Some(id));
         let p = platform.clone();
-        let second = sim.block_on(async move { p.invoke("f", Bytes::new()).await });
+        let second = sim.block_on(async move { p.invoke("f", Payload::new()).await });
         assert!(!second.cold, "re-registering dropped the warm pool");
         assert_eq!(second.container, first.container);
-        assert_eq!(second.result.unwrap().bytes(), Bytes::from_static(b"v2"));
+        assert_eq!(second.result.unwrap(), Payload::from_static(b"v2"));
     }
 
     #[test]
@@ -1129,9 +1128,9 @@ mod tests {
                         let id = ids[i % 3];
                         async move {
                             if by_id {
-                                p.invoke_id(id, Bytes::new()).await
+                                p.invoke_id(id, Payload::new()).await
                             } else {
-                                p.invoke(["a", "b", "c"][i % 3], Bytes::new()).await
+                                p.invoke(["a", "b", "c"][i % 3], Payload::new()).await
                             }
                         }
                     })
@@ -1150,21 +1149,21 @@ mod tests {
         let b = platform.register(noop_spec("b"));
         let (p, s) = (platform.clone(), sim.clone());
         sim.block_on(async move {
-            let first_a = p.invoke_id(a, Bytes::new()).await;
+            let first_a = p.invoke_id(a, Payload::new()).await;
             // Reap `a`'s container; its warm entry still names the slot.
             s.sleep(SimDuration::from_mins(11)).await;
             p.reap_idle();
             assert_eq!(p.container_count(), 0);
             // `b` cold-starts into the freed slot and goes idle there.
-            let first_b = p.invoke_id(b, Bytes::new()).await;
+            let first_b = p.invoke_id(b, Payload::new()).await;
             assert!(first_b.cold);
             assert_eq!(p.state.borrow().containers.slots.len(), 1, "slot was not reused");
             // `a` must not be handed `b`'s container through the old hint.
-            let second_a = p.invoke_id(a, Bytes::new()).await;
+            let second_a = p.invoke_id(a, Payload::new()).await;
             assert!(second_a.cold);
             assert_ne!(second_a.container, first_b.container);
             assert_ne!(second_a.container, first_a.container);
-            let second_b = p.invoke_id(b, Bytes::new()).await;
+            let second_b = p.invoke_id(b, Payload::new()).await;
             assert!(!second_b.cold);
             assert_eq!(second_b.container, first_b.container);
             assert_eq!(p.container_count(), 2);
@@ -1182,11 +1181,11 @@ mod tests {
             SimDuration::from_hours(5), // user asks for 5 h; platform caps
             |ctx, _| async move {
                 ctx.sim().sleep(SimDuration::from_hours(1)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let p = platform.clone();
-        let out = sim.block_on(async move { p.invoke("long", Bytes::new()).await });
+        let out = sim.block_on(async move { p.invoke("long", Payload::new()).await });
         match out.result {
             Err(FnError::TimedOut { after }) => {
                 assert_eq!(after, SimDuration::from_secs(900));
@@ -1206,19 +1205,16 @@ mod tests {
             |ctx, _| async move {
                 let cache = ctx.container_cache();
                 let mut cache = cache.borrow_mut();
-                let hits = cache
-                    .get("count")
-                    .map(|b| b[0])
-                    .unwrap_or(0);
-                cache.insert("count".into(), Bytes::from(vec![hits + 1]));
-                Ok(Bytes::from(vec![hits + 1]))
+                let hits = cache.get("count").map(|b| b.bytes()[0]).unwrap_or(0);
+                cache.insert("count".into(), Payload::from(vec![hits + 1]));
+                Ok(Payload::from(vec![hits + 1]))
             },
         ));
         let p = platform.clone();
         let counts = sim.block_on(async move {
             let mut counts = Vec::new();
             for _ in 0..3 {
-                let out = p.invoke("stateful", Bytes::new()).await;
+                let out = p.invoke("stateful", Payload::new()).await;
                 counts.push(out.result.unwrap().bytes()[0]);
             }
             counts
@@ -1237,13 +1233,13 @@ mod tests {
             SimDuration::from_secs(900),
             |ctx, _| async move {
                 ctx.cpu(SimDuration::from_millis(200)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let p = platform.clone();
         let out = sim.block_on(async move {
-            let _warm = p.invoke("train-iter", Bytes::new()).await;
-            p.invoke("train-iter", Bytes::new()).await
+            let _warm = p.invoke("train-iter", Payload::new()).await;
+            p.invoke("train-iter", Payload::new()).await
         });
         let exec_s = out.exec.as_secs_f64();
         assert!((exec_s - 0.59).abs() < 0.01, "exec {exec_s}");
@@ -1263,9 +1259,7 @@ mod tests {
                 // 35.875 Mbit so that at 28.7 Mbps it takes 1.25 s.
                 ctx.host().nic_transfer(4_484_375).await;
                 let took = ctx.sim().now() - t0;
-                Ok(Bytes::from(
-                    took.as_nanos().to_le_bytes().to_vec(),
-                ))
+                Ok(Payload::from(took.as_nanos().to_le_bytes().to_vec()))
             },
         ));
         let p = platform.clone();
@@ -1273,7 +1267,7 @@ mod tests {
             let futs: Vec<_> = (0..20)
                 .map(|_| {
                     let p = p.clone();
-                    async move { p.invoke("download", Bytes::new()).await }
+                    async move { p.invoke("download", Payload::new()).await }
                 })
                 .collect();
             join_all(futs).await
@@ -1297,7 +1291,7 @@ mod tests {
             SimDuration::from_secs(900),
             |ctx, _| async move {
                 ctx.sim().sleep(SimDuration::from_secs(10)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let p = platform.clone();
@@ -1305,7 +1299,7 @@ mod tests {
             let futs: Vec<_> = (0..21)
                 .map(|_| {
                     let p = p.clone();
-                    async move { p.invoke("hold", Bytes::new()).await }
+                    async move { p.invoke("hold", Payload::new()).await }
                 })
                 .collect();
             join_all(futs).await
@@ -1322,11 +1316,11 @@ mod tests {
             SimDuration::from_secs(60),
             |ctx, _| async move {
                 ctx.sim().sleep(SimDuration::from_millis(130)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let p = platform.clone();
-        let out = sim.block_on(async move { p.invoke("quick", Bytes::new()).await });
+        let out = sim.block_on(async move { p.invoke("quick", Payload::new()).await });
         assert_eq!(out.billed, SimDuration::from_millis(200));
         let gb_s = ledger.item_quantity(Service::Faas, "gb-seconds");
         assert!((gb_s - 0.2).abs() < 1e-9, "gb-s {gb_s}");
@@ -1354,7 +1348,7 @@ mod tests {
             SimDuration::from_secs(60),
             |ctx, _| async move {
                 ctx.sim().sleep(SimDuration::from_secs(10)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let p = platform.clone();
@@ -1362,7 +1356,7 @@ mod tests {
             let futs: Vec<_> = (0..4)
                 .map(|_| {
                     let p = p.clone();
-                    async move { p.invoke("slow", Bytes::new()).await }
+                    async move { p.invoke("slow", Payload::new()).await }
                 })
                 .collect();
             join_all(futs).await
@@ -1379,7 +1373,7 @@ mod tests {
         let p = platform.clone();
         let s = sim.clone();
         sim.block_on(async move {
-            p.invoke("noop", Bytes::new()).await;
+            p.invoke("noop", Payload::new()).await;
             assert_eq!(p.container_count(), 1);
             // Within keep-alive: still warm.
             s.sleep(SimDuration::from_mins(5)).await;
@@ -1407,7 +1401,7 @@ mod tests {
             SimDuration::from_secs(900),
             |ctx, _| async move {
                 ctx.sim().sleep(SimDuration::from_mins(12)).await;
-                Ok(Bytes::new())
+                Ok(Payload::new())
             },
         ));
         let (p2, s2) = (platform.clone(), sim.clone());
@@ -1421,9 +1415,9 @@ mod tests {
         });
         let p = platform.clone();
         let (first, second) = sim.block_on(async move {
-            let a = p.invoke("slow", Bytes::new()).await;
+            let a = p.invoke("slow", Payload::new()).await;
             // Released this instant: must be reused warm despite the storm.
-            let b = p.invoke("slow", Bytes::new()).await;
+            let b = p.invoke("slow", Payload::new()).await;
             (a, b)
         });
         assert!(first.result.is_ok(), "storm killed a busy container");
@@ -1439,7 +1433,7 @@ mod tests {
             s.sleep(SimDuration::from_mins(11)).await;
             p.reap_idle();
             assert_eq!(p.container_count(), 0);
-            p.invoke("slow", Bytes::new()).await
+            p.invoke("slow", Payload::new()).await
         });
         assert!(third.cold);
         assert_eq!(recorder.counter("faas.invoke.cold"), 2);
@@ -1448,7 +1442,7 @@ mod tests {
         let p = platform.clone();
         let fourth = sim.block_on(async move {
             assert_eq!(p.evict_warm(), 1);
-            p.invoke("slow", Bytes::new()).await
+            p.invoke("slow", Payload::new()).await
         });
         assert!(fourth.cold);
         assert_eq!(recorder.counter("faas.invoke.cold"), 3);
@@ -1461,10 +1455,10 @@ mod tests {
         let p = platform.clone();
         let s = sim.clone();
         let (a, b, c) = sim.block_on(async move {
-            let a = p.invoke("noop", Bytes::new()).await;
-            let b = p.invoke("noop", Bytes::new()).await;
+            let a = p.invoke("noop", Payload::new()).await;
+            let b = p.invoke("noop", Payload::new()).await;
             s.sleep(SimDuration::from_mins(11)).await;
-            let c = p.invoke("noop", Bytes::new()).await;
+            let c = p.invoke("noop", Payload::new()).await;
             (a, b, c)
         });
         assert!(a.cold);
@@ -1485,7 +1479,7 @@ mod tests {
                 // Arrivals far sparser than the keep-alive window...
                 s.sleep(SimDuration::from_mins(30)).await;
                 p.reap_idle();
-                outs.push(p.invoke("noop", Bytes::new()).await);
+                outs.push(p.invoke("noop", Payload::new()).await);
             }
             outs
         });

@@ -7,8 +7,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use faasim_payload::Payload;
 use faasim_net::{Fabric, NicConfig};
+use faasim_payload::Payload;
 use faasim_queue::{QueueService, MAX_BATCH};
 use faasim_simcore::{mbps, SimDuration};
 
@@ -81,7 +81,6 @@ pub fn add_queue_trigger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use crate::config::FaasProfile;
     use crate::platform::FunctionSpec;
     use faasim_net::NetProfile;
@@ -140,7 +139,7 @@ mod tests {
                 async move {
                     let docs = crate::codec::decode_batch(&payload).unwrap();
                     p.set(p.get() + docs.len());
-                    Ok(Bytes::new())
+                    Ok(Payload::new())
                 }
             },
         ));
@@ -151,7 +150,7 @@ mod tests {
         w.sim.spawn(async move {
             for i in 0..25u8 {
                 queues
-                    .send(&host, "in", Bytes::from(vec![i]))
+                    .send(&host, "in", Payload::from(vec![i]))
                     .await
                     .unwrap();
             }
@@ -185,7 +184,7 @@ mod tests {
                     if a.get() < 3 {
                         Err(crate::platform::FnError::Handler("transient".into()))
                     } else {
-                        Ok(Bytes::new())
+                        Ok(Payload::new())
                     }
                 }
             },
@@ -194,7 +193,7 @@ mod tests {
         let host = w.fabric.add_host(0, NicConfig::simple(mbps(1000.0)));
         let queues = w.queues.clone();
         w.sim.spawn(async move {
-            queues.send(&host, "in", Bytes::from_static(b"m")).await.unwrap();
+            queues.send(&host, "in", Payload::from_static(b"m")).await.unwrap();
         });
         // Let redeliveries happen, then stop the trigger so the run ends.
         w.sim.run_until(faasim_simcore::SimTime::ZERO + SimDuration::from_secs(60));

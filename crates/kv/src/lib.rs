@@ -473,7 +473,6 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim_net::{Fabric, NetProfile, NicConfig};
     use faasim_simcore::mbps;
 
@@ -504,7 +503,7 @@ mod tests {
         sim.block_on({
             let kv = kv.clone();
             async move {
-                kv.put(&host, "t", "k", Bytes::from_static(b"a"))
+                kv.put(&host, "t", "k", Payload::from_static(b"a"))
                     .await
                     .unwrap();
             }
@@ -524,14 +523,14 @@ mod tests {
         let (sim, kv, host, _) = setup();
         sim.block_on(async move {
             let v1 = kv
-                .put(&host, "t", "k", Bytes::from_static(b"a"))
+                .put(&host, "t", "k", Payload::from_static(b"a"))
                 .await
                 .unwrap();
             let item = kv.get(&host, "t", "k", Consistency::Strong).await.unwrap();
             assert!(item.value.eq_bytes(b"a"));
             assert_eq!(item.version, v1);
             let v2 = kv
-                .put(&host, "t", "k", Bytes::from_static(b"b"))
+                .put(&host, "t", "k", Payload::from_static(b"b"))
                 .await
                 .unwrap();
             assert!(v2 > v1);
@@ -543,7 +542,7 @@ mod tests {
         // Table 1: 11 ms write+read for DynamoDB.
         let (sim, kv, host, _) = setup();
         sim.block_on(async move {
-            let data = Bytes::from(vec![0u8; 1024]);
+            let data = Payload::from(vec![0u8; 1024]);
             kv.put(&host, "t", "k", data).await.unwrap();
             kv.get(&host, "t", "k", Consistency::Strong).await.unwrap();
         });
@@ -560,7 +559,7 @@ mod tests {
                     &host,
                     "t",
                     "leader",
-                    Bytes::from_static(b"n1"),
+                    Payload::from_static(b"n1"),
                     Condition::NotExists,
                 )
                 .await;
@@ -569,7 +568,7 @@ mod tests {
                     &host,
                     "t",
                     "leader",
-                    Bytes::from_static(b"n2"),
+                    Payload::from_static(b"n2"),
                     Condition::NotExists,
                 )
                 .await;
@@ -588,11 +587,11 @@ mod tests {
         let (sim, kv, host, _) = setup();
         sim.block_on(async move {
             let v1 = kv
-                .put(&host, "t", "k", Bytes::from_static(b"a"))
+                .put(&host, "t", "k", Payload::from_static(b"a"))
                 .await
                 .unwrap();
             // Writer B sneaks in.
-            kv.put(&host, "t", "k", Bytes::from_static(b"b"))
+            kv.put(&host, "t", "k", Payload::from_static(b"b"))
                 .await
                 .unwrap();
             // Writer A's CAS on the old version must fail.
@@ -601,7 +600,7 @@ mod tests {
                     &host,
                     "t",
                     "k",
-                    Bytes::from_static(b"c"),
+                    Payload::from_static(b"c"),
                     Condition::VersionIs(v1),
                 )
                 .await;
@@ -615,7 +614,7 @@ mod tests {
     fn item_size_limit_enforced() {
         let (sim, kv, host, _) = setup();
         sim.block_on(async move {
-            let big = Bytes::from(vec![0u8; MAX_ITEM_BYTES + 1]);
+            let big = Payload::from(vec![0u8; MAX_ITEM_BYTES + 1]);
             assert!(matches!(
                 kv.put(&host, "t", "k", big.clone()).await,
                 Err(KvError::ItemTooLarge(_))
@@ -646,11 +645,11 @@ mod tests {
         sim.block_on({
             let kv = kv.clone();
             async move {
-                kv.put(&host, "t", "k", Bytes::from_static(b"old"))
+                kv.put(&host, "t", "k", Payload::from_static(b"old"))
                     .await
                     .unwrap();
                 kv.sim.sleep(SimDuration::from_secs(2)).await;
-                kv.put(&host, "t", "k", Bytes::from_static(b"new"))
+                kv.put(&host, "t", "k", Payload::from_static(b"new"))
                     .await
                     .unwrap();
                 // Within the replication lag, an eventual read sees "old"...
@@ -678,7 +677,7 @@ mod tests {
         let (sim, kv, host, _) = setup();
         let keys = sim.block_on(async move {
             for k in ["inbox/3/b", "inbox/3/a", "inbox/4/x", "other"] {
-                kv.put(&host, "t", k, Bytes::from_static(b"m"))
+                kv.put(&host, "t", k, Payload::from_static(b"m"))
                     .await
                     .unwrap();
             }
@@ -696,7 +695,7 @@ mod tests {
     fn delete_then_get_missing() {
         let (sim, kv, host, _) = setup();
         sim.block_on(async move {
-            kv.put(&host, "t", "k", Bytes::from_static(b"x"))
+            kv.put(&host, "t", "k", Payload::from_static(b"x"))
                 .await
                 .unwrap();
             kv.delete(&host, "t", "k").await.unwrap();
@@ -712,7 +711,7 @@ mod tests {
     fn billing_counts_reads_writes_and_failed_cas() {
         let (sim, kv, host, ledger) = setup();
         sim.block_on(async move {
-            kv.put(&host, "t", "k", Bytes::from_static(b"x"))
+            kv.put(&host, "t", "k", Payload::from_static(b"x"))
                 .await
                 .unwrap();
             kv.get(&host, "t", "k", Consistency::Strong).await.unwrap();
@@ -721,7 +720,7 @@ mod tests {
                     &host,
                     "t",
                     "k",
-                    Bytes::from_static(b"y"),
+                    Payload::from_static(b"y"),
                     Condition::NotExists,
                 )
                 .await; // fails, still billed
@@ -735,7 +734,7 @@ mod tests {
         let (sim, kv, host, ledger) = setup();
         sim.block_on(async move {
             for i in 0..5 {
-                kv.put(&host, "t", &format!("p/{i}"), Bytes::from_static(b"v"))
+                kv.put(&host, "t", &format!("p/{i}"), Payload::from_static(b"v"))
                     .await
                     .unwrap();
             }

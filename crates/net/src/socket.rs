@@ -296,7 +296,6 @@ impl Drop for Socket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use crate::fabric::{NetProfile, NicConfig};
     use faasim_simcore::{mbps, Recorder, Sim, SimDuration};
 
@@ -318,7 +317,7 @@ mod tests {
         assert!(rec.histogram_names().is_empty());
         let to = sb.addr();
         sim.spawn(async move {
-            sa.send(to, Bytes::from_static(b"hello")).await;
+            sa.send(to, Payload::from_static(b"hello")).await;
             fabric_sleep(&sa).await;
         });
         sim.block_on(async move { sb.recv().await });
@@ -340,7 +339,7 @@ mod tests {
         let sb = fabric.bind(&b, 5000).unwrap();
         let to = sb.addr();
         sim.spawn(async move {
-            sa.send(to, Bytes::from_static(b"hello")).await;
+            sa.send(to, Payload::from_static(b"hello")).await;
             // Keep the socket alive until delivery.
             fabric_sleep(&sa).await;
         });
@@ -368,7 +367,7 @@ mod tests {
             }
         });
         sim.block_on(async move {
-            let payload = Bytes::from(vec![0u8; 1024]);
+            let payload = Payload::from(vec![0u8; 1024]);
             client.request(server_addr, payload).await.unwrap()
         });
         // Two one-way hops at 145 µs each plus NIC serialization of ~1 KB
@@ -404,7 +403,7 @@ mod tests {
         };
         let rec = fabric.recorder().clone();
         sim.block_on(async move {
-            sa.send(ghost, Bytes::from_static(b"void")).await;
+            sa.send(ghost, Payload::from_static(b"void")).await;
             fabric_sleep(&sa).await;
         });
         assert_eq!(rec.counter("net.messages_dropped"), 1);
@@ -423,7 +422,7 @@ mod tests {
         let out = sim.block_on(async move {
             s.timeout(
                 SimDuration::from_millis(100),
-                sa.request(ghost, Bytes::new()),
+                sa.request(ghost, Payload::new()),
             )
             .await
         });
@@ -443,14 +442,14 @@ mod tests {
         sim.block_on({
             let sim = sim.clone();
             async move {
-                sa.send(to_b, Bytes::from_static(b"x")).await;
-                sb.send(to_a, Bytes::from_static(b"y")).await;
+                sa.send(to_b, Payload::from_static(b"x")).await;
+                sb.send(to_a, Payload::from_static(b"y")).await;
                 sim.sleep(SimDuration::from_millis(10)).await;
                 assert!(sa.try_recv().is_none());
                 assert!(sb.try_recv().is_none());
                 // Heal: traffic flows again.
                 sa.host().fabric().heal_partition();
-                sa.send(to_b, Bytes::from_static(b"z")).await;
+                sa.send(to_b, Payload::from_static(b"z")).await;
                 sim.sleep(SimDuration::from_millis(10)).await;
                 assert!(sb.try_recv().is_some());
             }
@@ -478,8 +477,8 @@ mod tests {
             async move {
                 let c2 = client.clone();
                 faasim_simcore::join2(
-                    async move { client.request(server_addr, Bytes::from_static(b"one")).await },
-                    async move { c2.request(server_addr, Bytes::from_static(b"two")).await },
+                    async move { client.request(server_addr, Payload::from_static(b"one")).await },
+                    async move { c2.request(server_addr, Payload::from_static(b"two")).await },
                 )
                 .await
             }
@@ -503,10 +502,10 @@ mod tests {
         sim.spawn(async move {
             loop {
                 let req = sc.recv().await;
-                sc.reply(&req, Bytes::new()).await;
+                sc.reply(&req, Payload::new()).await;
             }
         });
-        sim.block_on(async move { sa.request(to, Bytes::new()).await.unwrap() });
+        sim.block_on(async move { sa.request(to, Payload::new()).await.unwrap() });
         // Two 630 µs hops ≈ 1.26 ms (the Pingmesh figure from the paper).
         let ms = sim.now().as_secs_f64() * 1e3;
         assert!((ms - 1.26).abs() < 0.05, "rtt {ms} ms");

@@ -1,8 +1,9 @@
 //! # faasim-payload
 //!
-//! The **symbolic payload data plane**: a drop-in replacement for raw
-//! [`Bytes`] bodies that carries payload *metadata* on the hot path and
-//! only materializes bytes when content actually matters.
+//! The **symbolic payload data plane**: the one body type every service
+//! of the simulated cloud takes and returns. It carries payload
+//! *metadata* on the hot path and only materializes bytes when content
+//! actually matters; its real bytes sit in a shared [`Bytes`] buffer.
 //!
 //! The simulated cloud times transfers, meters NICs, and bills storage
 //! purely off `len()` — so a 20 GB log file does not need 20 GB of RAM
@@ -30,6 +31,7 @@ use std::fmt;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
+mod bytes;
 mod text;
 
 pub use bytes::Bytes;
@@ -71,7 +73,7 @@ impl Payload {
 
     /// A payload of a static byte string.
     pub fn from_static(data: &'static [u8]) -> Payload {
-        Payload::inline(Bytes::from_static(data))
+        Payload::inline(Bytes::from(data))
     }
 
     /// `pattern` repeated `repeats` times, stored in O(|pattern|).
@@ -160,16 +162,19 @@ impl Payload {
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Payload {
         let len = self.len();
         let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
+            Bound::Included(&n) => Some(n),
+            Bound::Excluded(&n) => n.checked_add(1),
+            Bound::Unbounded => Some(0),
         };
         let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => len,
+            Bound::Included(&n) => n.checked_add(1),
+            Bound::Excluded(&n) => Some(n),
+            Bound::Unbounded => Some(len),
         };
-        assert!(start <= end && end <= len, "slice range out of bounds");
+        let (start, end) = match (start, end) {
+            (Some(start), Some(end)) if start <= end && end <= len => (start, end),
+            _ => panic!("slice range out of bounds"),
+        };
         if start == end {
             return Payload::new();
         }
@@ -561,12 +566,6 @@ impl PartialEq<Vec<u8>> for Payload {
     }
 }
 
-impl PartialEq<Bytes> for Payload {
-    fn eq(&self, other: &Bytes) -> bool {
-        self.eq_bytes(other)
-    }
-}
-
 impl From<Bytes> for Payload {
     fn from(b: Bytes) -> Payload {
         Payload::inline(b)
@@ -742,6 +741,29 @@ mod tests {
         assert_eq!(z.len(), 200_000);
         assert!(z.chunks().all(|c| c.iter().all(|&b| b == 0)));
         assert_eq!(z.chunks().map(|c| c.len()).sum::<usize>(), 200_000);
+    }
+
+    #[test]
+    fn an_inline_payload_shares_its_buffer() {
+        let buf = Bytes::from(b"hello world".to_vec());
+        let p = Payload::inline(buf.clone());
+        // "Free for inline payloads": `bytes()` hands back the same buffer.
+        assert_eq!(p.bytes().as_ptr(), buf.as_ptr());
+        assert_eq!(p.slice(6..).bytes().as_ptr(), buf[6..].as_ptr());
+        assert_eq!(p.slice(6..), *b"world".as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "slice range out of bounds")]
+    fn slice_to_an_included_usize_max_panics() {
+        let _ = Payload::from_static(b"hello world").slice(..=usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice range out of bounds")]
+    fn slice_from_an_excluded_usize_max_panics() {
+        let _ = Payload::from_static(b"hello world")
+            .slice((Bound::Excluded(usize::MAX), Bound::Unbounded));
     }
 }
 

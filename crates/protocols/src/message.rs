@@ -1,7 +1,5 @@
 //! Election protocol messages and their wire encoding.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Identifier of a protocol participant. The bully protocol elects the
 /// highest live id.
 pub type NodeId = u64;
@@ -56,18 +54,18 @@ impl ElectionMsg {
     }
 
     /// Serialize (1 tag byte + 8 id bytes + 8 epoch bytes).
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let (tag, from, epoch) = match *self {
             ElectionMsg::Election { from, epoch } => (0u8, from, epoch),
             ElectionMsg::Answer { from, epoch } => (1, from, epoch),
             ElectionMsg::Coordinator { from } => (2, from, 0),
             ElectionMsg::Heartbeat { from } => (3, from, 0),
         };
-        let mut buf = BytesMut::with_capacity(17);
-        buf.put_u8(tag);
-        buf.put_u64_le(from);
-        buf.put_u64_le(epoch);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(17);
+        buf.push(tag);
+        buf.extend_from_slice(&from.to_le_bytes());
+        buf.extend_from_slice(&epoch.to_le_bytes());
+        buf
     }
 
     /// Deserialize; `None` on malformed input.

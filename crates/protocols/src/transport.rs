@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim_kv::{Consistency, KvError, KvStore};
 use faasim_net::{Addr, Fabric, Host, Kind, Socket};
 use faasim_simcore::{Sim, SimDuration, SimTime};
@@ -113,11 +112,11 @@ impl BlackboardTransport {
         self.closed = true;
     }
 
-    fn encode_hb(&self, now: SimTime) -> Bytes {
+    fn encode_hb(&self, now: SimTime) -> Vec<u8> {
         let mut v = Vec::with_capacity(16);
         v.extend_from_slice(&self.me.to_le_bytes());
         v.extend_from_slice(&now.as_nanos().to_le_bytes());
-        Bytes::from(v)
+        v
     }
 
     fn decode_hb(bytes: &[u8]) -> Option<(NodeId, SimTime)> {

@@ -427,7 +427,6 @@ impl QueryService {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bytes::Bytes;
     use faasim_blob::BlobProfile;
     use faasim_net::NetProfile;
     use faasim_payload::Payload;
@@ -485,7 +484,7 @@ mod proptests {
             for (i, doc) in docs.iter().enumerate() {
                 let blob = blob.clone();
                 let client = client.clone();
-                let body = Bytes::from(doc.join("\n").into_bytes());
+                let body = Payload::from(doc.join("\n"));
                 let key = format!("obj-{i:03}");
                 sim.block_on(async move {
                     blob.put(&client, "logs", &key, body).await.unwrap();
@@ -732,9 +731,9 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim_blob::BlobProfile;
     use faasim_net::NetProfile;
+    use faasim_payload::Payload;
     use faasim_simcore::mbps;
 
     struct World {
@@ -787,7 +786,7 @@ mod tests {
     fn put_log(w: &World, key: &str, lines: &[&str]) {
         let blob = w.blob.clone();
         let client = w.client.clone();
-        let body = Bytes::from(lines.join("\n").into_bytes());
+        let body = Payload::from(lines.join("\n"));
         let key = key.to_owned();
         w.sim.block_on(async move {
             blob.put(&client, "logs", &key, body).await.unwrap();
@@ -951,7 +950,7 @@ mod tests {
             let key = format!("big-{i}");
             w.sim.block_on(async move {
                 let line = "GET /path 200\n".repeat(lines_per_object as usize);
-                blob.put(&client, "logs", &key, Bytes::from(line.into_bytes()))
+                blob.put(&client, "logs", &key, Payload::from(line))
                     .await
                     .unwrap();
             });

@@ -629,7 +629,6 @@ impl QueueService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim_net::{Fabric, NetProfile, NicConfig};
     use faasim_simcore::mbps;
 
@@ -658,7 +657,7 @@ mod tests {
         assert!(recorder.histogram_names().is_empty());
         assert!(ledger.breakdown().is_empty());
         sim.block_on(async move {
-            svc.send(&host, "q", Bytes::from_static(b"m1"))
+            svc.send(&host, "q", Payload::from_static(b"m1"))
                 .await
                 .unwrap();
         });
@@ -676,7 +675,7 @@ mod tests {
     fn send_receive_delete_roundtrip() {
         let (sim, svc, host, _) = setup();
         sim.block_on(async move {
-            svc.send(&host, "q", Bytes::from_static(b"m1")).await.unwrap();
+            svc.send(&host, "q", Payload::from_static(b"m1")).await.unwrap();
             let got = svc
                 .receive(&host, "q", 10, SimDuration::from_secs(1))
                 .await
@@ -695,8 +694,7 @@ mod tests {
         sim.block_on({
             let svc = svc.clone();
             async move {
-                let bodies: Vec<Bytes> =
-                    (0..10).map(|_| Bytes::from_static(b"doc")).collect();
+                let bodies: Vec<Payload> = (0..10).map(|_| Payload::from_static(b"doc")).collect();
                 svc.send_batch(&host, "q", bodies).await.unwrap();
                 let t0 = svc.sim.now();
                 let got = svc
@@ -716,14 +714,14 @@ mod tests {
     fn batch_cap_enforced() {
         let (sim, svc, host, _) = setup();
         sim.block_on(async move {
-            let bodies: Vec<Bytes> = (0..11).map(|_| Bytes::new()).collect();
+            let bodies: Vec<Payload> = (0..11).map(|_| Payload::new()).collect();
             assert!(matches!(
                 svc.send_batch(&host, "q", bodies).await,
                 Err(QueueError::BatchTooLarge(11))
             ));
             // receive() clamps silently to 10.
             for _ in 0..15 {
-                svc.send(&host, "q", Bytes::new()).await.unwrap();
+                svc.send(&host, "q", Payload::new()).await.unwrap();
             }
             let got = svc
                 .receive(&host, "q", 100, SimDuration::ZERO)
@@ -741,7 +739,7 @@ mod tests {
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(SimDuration::from_secs(2)).await;
-            svc2.send(&host2, "q", Bytes::from_static(b"late")).await.unwrap();
+            svc2.send(&host2, "q", Payload::from_static(b"late")).await.unwrap();
         });
         let got = sim.block_on(async move {
             svc.receive(&host, "q", 10, SimDuration::from_secs(20)).await.unwrap()
@@ -774,7 +772,7 @@ mod tests {
         sim.block_on({
             let svc = svc.clone();
             async move {
-                svc.send(&host, "q", Bytes::from_static(b"m")).await.unwrap();
+                svc.send(&host, "q", Payload::from_static(b"m")).await.unwrap();
                 let first = svc
                     .receive(&host, "q", 1, SimDuration::ZERO)
                     .await
@@ -820,7 +818,7 @@ mod tests {
         sim.block_on({
             let svc = svc.clone();
             async move {
-                svc.send(&host, "q", Bytes::from_static(b"poison")).await.unwrap();
+                svc.send(&host, "q", Payload::from_static(b"poison")).await.unwrap();
                 // Receive twice without deleting (processing "fails").
                 for _ in 0..2 {
                     let got = svc
@@ -846,7 +844,7 @@ mod tests {
     fn billing_counts_requests_not_messages() {
         let (sim, svc, host, ledger) = setup();
         sim.block_on(async move {
-            let bodies: Vec<Bytes> = (0..10).map(|_| Bytes::new()).collect();
+            let bodies: Vec<Payload> = (0..10).map(|_| Payload::new()).collect();
             svc.send_batch(&host, "q", bodies).await.unwrap(); // 1 request
             let got = svc
                 .receive(&host, "q", 10, SimDuration::ZERO)
@@ -865,7 +863,7 @@ mod tests {
         let (sim, svc, host, _) = setup();
         sim.block_on(async move {
             assert!(matches!(
-                svc.send(&host, "ghost", Bytes::new()).await,
+                svc.send(&host, "ghost", Payload::new()).await,
                 Err(QueueError::NoSuchQueue(_))
             ));
             assert!(matches!(
@@ -880,7 +878,7 @@ mod tests {
         let (sim, svc, host, _) = setup();
         let got = sim.block_on(async move {
             for i in 0..5u8 {
-                svc.send(&host, "q", Bytes::from(vec![i])).await.unwrap();
+                svc.send(&host, "q", Payload::from(vec![i])).await.unwrap();
             }
             svc.receive(&host, "q", 10, SimDuration::ZERO).await.unwrap()
         });

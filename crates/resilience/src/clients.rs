@@ -193,7 +193,6 @@ impl RetryingInvoker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use faasim::{Cloud, CloudProfile};
     use faasim_faas::{FaasFaults, FunctionSpec};
     use faasim_kv::{Consistency, KvFaults};
@@ -221,7 +220,7 @@ mod tests {
                 let key = format!("k{i}");
                 let open = Deadline::unbounded();
                 client
-                    .call(open, |kv| kv.put(&host, "t", &key, Bytes::from(vec![i])))
+                    .call(open, |kv| kv.put(&host, "t", &key, Payload::from(vec![i])))
                     .await?;
                 client
                     .call(open, |kv| kv.get(&host, "t", &key, Consistency::Strong))
@@ -256,7 +255,7 @@ mod tests {
         cloud.sim.block_on(async move {
             let spent = Deadline::at(sim.now());
             let late = client
-                .call(spent, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
+                .call(spent, |kv| kv.put(&host, "t", "k", Payload::from_static(b"v")))
                 .await;
             assert!(matches!(
                 late,
@@ -267,7 +266,7 @@ mod tests {
             let twin = client.clone();
             let open = Deadline::unbounded();
             client
-                .call(open, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
+                .call(open, |kv| kv.put(&host, "t", "k", Payload::from_static(b"v")))
                 .await
                 .unwrap();
             twin.call(open, |kv| kv.get(&host, "t", "k", Consistency::Strong))
@@ -429,7 +428,7 @@ mod tests {
         let (stored, invoked, again) = cloud.sim.block_on(async move {
             let by = Deadline::at(sim.now() + SimDuration::from_secs(60));
             let stored = kv
-                .call(by, |kv| kv.put(&host, "t", "k", Bytes::from_static(b"v")))
+                .call(by, |kv| kv.put(&host, "t", "k", Payload::from_static(b"v")))
                 .await;
             let invoked = invoker.invoke("work", &Payload::inline("x"), by).await;
             let again = invoker.inner().invoke("work", Payload::inline("x")).await;

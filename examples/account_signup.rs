@@ -14,9 +14,9 @@
 //! cargo run --example account_signup
 //! ```
 
-use bytes::Bytes;
 use faasim::faas::{add_queue_trigger, decode_batch, FunctionSpec};
 use faasim::kv::Consistency;
+use faasim::payload::Payload;
 use faasim::queue::QueueConfig;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
@@ -70,7 +70,7 @@ fn main() {
                             .unwrap_or_default();
                         progress.push(b'+');
                         ctx.cpu(SimDuration::from_micros(500)).await; // the logic
-                        kv.put(ctx.host(), "signups", &user_id, Bytes::from(progress))
+                        kv.put(ctx.host(), "signups", &user_id, Payload::from(progress))
                             .await
                             .expect("signups table");
                         queue
@@ -78,7 +78,7 @@ fn main() {
                             .await
                             .expect("next queue");
                     }
-                    Ok(Bytes::new())
+                    Ok(Payload::new())
                 }
             },
         ));
@@ -94,7 +94,7 @@ fn main() {
         let t0 = sim.now();
         for u in 0..users {
             queue
-                .send(&client, STAGES[0], Bytes::from(format!("user-{u:02}").into_bytes()))
+                .send(&client, STAGES[0], Payload::from(format!("user-{u:02}")))
                 .await
                 .expect("intake queue");
         }

@@ -15,8 +15,8 @@
 //! cargo run --release --example disorderly_vs_coordination
 //! ```
 
-use bytes::Bytes;
 use faasim::net::{Fabric, NicConfig};
+use faasim::payload::Payload;
 use faasim::protocols::{
     build_directory, spawn_node, BullyConfig, Crdt, ElectionObserver, GCounter, SocketTransport,
 };
@@ -71,7 +71,7 @@ fn main() {
                 // Push state to one random peer; absorb anything received.
                 let peer = rng.range_usize(0..addrs.len());
                 if peer != i {
-                    let snapshot = Bytes::from(counters.borrow()[i].encode());
+                    let snapshot = Payload::from(counters.borrow()[i].encode());
                     sock.send(addrs[peer], snapshot).await;
                 }
                 while let Some(msg) = sock.try_recv() {
@@ -84,7 +84,7 @@ fn main() {
             // Quiesce: a few rounds of full broadcast so every replica's
             // final state reaches everyone.
             for _ in 0..4 {
-                let snapshot = Bytes::from(counters.borrow()[i].encode());
+                let snapshot = Payload::from(counters.borrow()[i].encode());
                 for (peer, &addr) in addrs.iter().enumerate() {
                     if peer != i {
                         sock.send(addr, snapshot.clone()).await;

@@ -11,8 +11,8 @@
 //! cargo run --example image_pipeline
 //! ```
 
-use bytes::Bytes;
 use faasim::faas::FunctionSpec;
+use faasim::payload::Payload;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
 
@@ -40,11 +40,11 @@ fn main() {
                 let work =
                     SimDuration::from_micros(original.len() as u64 / 100);
                 ctx.cpu(work).await;
-                let thumb = Bytes::from(vec![0u8; original.len() / 20]);
+                let thumb = Payload::from(vec![0u8; original.len() / 20]);
                 blob.put(ctx.host(), "thumbnails", &format!("{key}.thumb"), thumb)
                     .await
                     .expect("thumbnail bucket");
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -65,7 +65,7 @@ fn main() {
                 let size = rng.range_u64(500_000..4_000_000) as usize;
                 async move {
                     let key = format!("img-{i:03}.jpg");
-                    blob.put(&uploader, "uploads", &key, Bytes::from(vec![0u8; size]))
+                    blob.put(&uploader, "uploads", &key, Payload::from(vec![0u8; size]))
                         .await
                         .expect("upload");
                     faas.invoke("thumbnail", key.into_bytes())

@@ -12,8 +12,8 @@
 //! cargo run --release --example log_analytics
 //! ```
 
-use bytes::Bytes;
 use faasim::faas::FunctionSpec;
+use faasim::payload::Payload;
 use faasim::query::{Aggregate, QuerySpec};
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
@@ -40,7 +40,7 @@ fn main() {
                 &uploader,
                 "access-logs",
                 &format!("2018-11-02/{hour:02}.log"),
-                Bytes::from(lines.into_bytes()),
+                Payload::from(lines),
             )
             .await
             .expect("bucket");
@@ -77,14 +77,14 @@ fn main() {
                 for (status, count) in &out.rows {
                     report.push_str(&format!("{status} {count}\n"));
                 }
-                Ok(Bytes::from(report.into_bytes()))
+                Ok(Payload::from(report))
             }
         },
     ));
 
     let faas = cloud.faas.clone();
     let out = cloud.sim.block_on(async move {
-        faas.invoke("daily-report", Bytes::from_static(b"2018-11-02"))
+        faas.invoke("daily-report", Payload::from_static(b"2018-11-02"))
             .await
     });
     println!("\nstatus histogram for 2018-11-02:");

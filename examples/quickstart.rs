@@ -5,8 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use bytes::Bytes;
 use faasim::faas::FunctionSpec;
+use faasim::payload::Payload;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
 
@@ -30,10 +30,10 @@ fn main() {
                 let message = format!("hello, {name}!");
                 // I/O from inside a function pays the shared host NIC and
                 // the service's per-request latency.
-                blob.put(ctx.host(), "greetings", &name, Bytes::from(message.clone().into_bytes()))
+                blob.put(ctx.host(), "greetings", &name, Payload::from(message.clone()))
                     .await
                     .expect("bucket exists");
-                Ok(Bytes::from(message.into_bytes()))
+                Ok(Payload::from(message))
             }
         },
     ));
@@ -42,8 +42,8 @@ fn main() {
     // 2018), the second hits it warm (~300 ms — the paper's Table 1).
     let faas = cloud.faas.clone();
     let (cold, warm) = cloud.sim.block_on(async move {
-        let cold = faas.invoke("greet", Bytes::from_static(b"ada")).await;
-        let warm = faas.invoke("greet", Bytes::from_static(b"grace")).await;
+        let cold = faas.invoke("greet", Payload::from_static(b"ada")).await;
+        let warm = faas.invoke("greet", Payload::from_static(b"grace")).await;
         (cold, warm)
     });
 

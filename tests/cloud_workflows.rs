@@ -5,9 +5,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use faasim::faas::{add_queue_trigger, decode_batch, FnError, FunctionSpec};
 use faasim::kv::Consistency;
+use faasim::payload::Payload;
 use faasim::pricing::Service;
 use faasim::queue::QueueConfig;
 use faasim::simcore::{join_all, SimDuration};
@@ -40,7 +40,7 @@ fn blob_event_to_function_to_queue_pipeline() {
                     .send(ctx.host(), "out", body)
                     .await
                     .expect("out queue");
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -53,7 +53,7 @@ fn blob_event_to_function_to_queue_pipeline() {
             let (host, blob, faas) = (host.clone(), blob.clone(), faas.clone());
             async move {
                 let key = format!("doc-{i}");
-                blob.put(&host, "in", &key, Bytes::from(vec![i; 100]))
+                blob.put(&host, "in", &key, Payload::from(vec![i; 100]))
                     .await
                     .unwrap();
                 faas.invoke("fan", key.into_bytes()).await.result.unwrap();
@@ -82,9 +82,9 @@ fn warm_state_is_best_effort_only() {
         |ctx, _| async move {
             let cache = ctx.container_cache();
             let mut cache = cache.borrow_mut();
-            let n = cache.get("n").map(|b| b[0]).unwrap_or(0) + 1;
-            cache.insert("n".into(), Bytes::from(vec![n]));
-            Ok(Bytes::from(vec![n]))
+            let n = cache.get("n").map(|b| b.bytes()[0]).unwrap_or(0) + 1;
+            cache.insert("n".into(), Payload::from(vec![n]));
+            Ok(Payload::from(vec![n]))
         },
     ));
     let faas = c.faas.clone();
@@ -92,14 +92,14 @@ fn warm_state_is_best_effort_only() {
     let (warm_counts, after_expiry) = c.sim.block_on(async move {
         let mut warm = Vec::new();
         for _ in 0..3 {
-            let out = faas.invoke("counter", Bytes::new()).await;
+            let out = faas.invoke("counter", Payload::new()).await;
             warm.push(out.result.unwrap().bytes()[0]);
         }
         // Idle past the keep-alive window: the container (and its state)
         // is reclaimed.
         sim.sleep(SimDuration::from_mins(20)).await;
         faas.reap_idle();
-        let out = faas.invoke("counter", Bytes::new()).await;
+        let out = faas.invoke("counter", Payload::new()).await;
         (warm, out.result.unwrap().bytes()[0])
     });
     assert_eq!(warm_counts, vec![1, 2, 3]);
@@ -136,7 +136,7 @@ fn queue_trigger_at_least_once_after_function_crash() {
                 for m in decode_batch(&payload).unwrap() {
                     s.borrow_mut().push(m.bytes()[0]);
                 }
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -144,7 +144,7 @@ fn queue_trigger_at_least_once_after_function_crash() {
     let host = c.client_host();
     let queue = c.queue.clone();
     c.sim.spawn(async move {
-        queue.send(&host, "jobs", Bytes::from(vec![42])).await.unwrap();
+        queue.send(&host, "jobs", Payload::from(vec![42])).await.unwrap();
     });
     c.sim
         .run_until(c.sim.now() + SimDuration::from_secs(60));
@@ -164,7 +164,7 @@ fn fan_out_scales_without_provisioning() {
         SimDuration::from_secs(60),
         |ctx, _| async move {
             ctx.cpu(SimDuration::from_millis(100)).await;
-            Ok(Bytes::new())
+            Ok(Payload::new())
         },
     ));
     assert_eq!(c.faas.container_count(), 0);
@@ -174,7 +174,7 @@ fn fan_out_scales_without_provisioning() {
             .map(|_| {
                 let f = faas.clone();
                 async move {
-                    let out = f.invoke("work", Bytes::new()).await;
+                    let out = f.invoke("work", Payload::new()).await;
                     assert!(out.result.is_ok());
                 }
             })
@@ -203,7 +203,7 @@ fn storage_mediated_state_visible_across_functions() {
                 kv.put(ctx.host(), "state", "shared", payload)
                     .await
                     .expect("table");
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -225,8 +225,8 @@ fn storage_mediated_state_visible_across_functions() {
     ));
     let faas = c.faas.clone();
     let got = c.sim.block_on(async move {
-        faas.invoke("writer", Bytes::from_static(b"handoff")).await;
-        faas.invoke("reader", Bytes::new()).await.result.unwrap()
+        faas.invoke("writer", Payload::from_static(b"handoff")).await;
+        faas.invoke("reader", Payload::new()).await.result.unwrap()
     });
     assert!(got.eq_bytes(b"handoff"));
 }
@@ -240,7 +240,7 @@ fn ec2_and_lambda_share_the_same_storage() {
     let blob = c.blob.clone();
     let host = vm.host().clone();
     c.sim.block_on(async move {
-        blob.put(&host, "shared", "from-vm", Bytes::from_static(b"serverful"))
+        blob.put(&host, "shared", "from-vm", Payload::from_static(b"serverful"))
             .await
             .unwrap();
     });
@@ -257,7 +257,7 @@ fn ec2_and_lambda_share_the_same_storage() {
     let faas = c.faas.clone();
     let got = c
         .sim
-        .block_on(async move { faas.invoke("consume", Bytes::new()).await.result.unwrap() });
+        .block_on(async move { faas.invoke("consume", Payload::new()).await.result.unwrap() });
     assert!(got.eq_bytes(b"serverful"));
     vm.terminate();
     assert!(c.ledger.total_for(Service::Compute) > 0.0);

@@ -5,9 +5,9 @@
 //! and still agree once writes quiesce. No coordination protocol, no
 //! leader, no 16.7-second elections.
 
-use bytes::Bytes;
 use faasim::kv::{Consistency, KvError, KvProfile};
 use faasim::net::{Fabric, NetProfile, NicConfig};
+use faasim::payload::Payload;
 use faasim::pricing::{Ledger, PriceBook};
 use faasim::protocols::{Crdt, GCounter};
 use faasim::simcore::{mbps, LatencyModel, Recorder, Sim, SimDuration};
@@ -48,7 +48,7 @@ fn gcounters_converge_through_eventually_consistent_storage() {
                 // Local disorderly work...
                 states.borrow_mut()[idx].increment(r, 1);
                 // ...publish own snapshot (strong write),
-                let snapshot = Bytes::from(states.borrow()[idx].encode());
+                let snapshot = Payload::from(states.borrow()[idx].encode());
                 kv.put(&host, "crdt", &my_key, snapshot).await.unwrap();
                 // ...and gossip: merge a peer's (possibly very stale)
                 // snapshot read with EVENTUAL consistency.
@@ -77,7 +77,7 @@ fn gcounters_converge_through_eventually_consistent_storage() {
             // Quiesce phase: publish final state, then keep gossiping
             // until everything has propagated.
             for round in 0..20u64 {
-                let snapshot = Bytes::from(states.borrow()[idx].encode());
+                let snapshot = Payload::from(states.borrow()[idx].encode());
                 kv.put(&host, "crdt", &my_key, snapshot).await.unwrap();
                 for peer in 1..=replicas {
                     if peer == r {

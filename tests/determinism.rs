@@ -2,11 +2,11 @@
 //! reproduces every experiment bit-for-bit, and different seeds actually
 //! differ when distributions have spread.
 
-use bytes::Bytes;
 use faasim::experiments::{
     agents_cmp, bandwidth, cold_starts, data_shipping, election, prediction, table1, training,
 };
 use faasim::faas::FunctionSpec;
+use faasim::payload::Payload;
 use faasim::simcore::SimDuration;
 use faasim::{Cloud, CloudProfile};
 
@@ -171,7 +171,7 @@ fn whole_cloud_metric_digest_is_reproducible() {
         let faas = cloud.faas.clone();
         cloud.sim.block_on(async move {
             for i in 0..20u8 {
-                faas.invoke("touch", Bytes::from(vec![i])).await;
+                faas.invoke("touch", Payload::from(vec![i])).await;
             }
         });
         (cloud.recorder.digest(), cloud.ledger.report())

@@ -1,6 +1,6 @@
 //! Property-based tests over the workspace's core invariants.
 
-use bytes::Bytes;
+use faasim::payload::Payload;
 use proptest::prelude::*;
 
 use faasim::faas::{decode_batch, encode_batch};
@@ -117,7 +117,7 @@ proptest! {
             let svc = svc.clone();
             async move {
                 for b in &bodies {
-                    svc.send(&host, "q", Bytes::from(vec![*b])).await.unwrap();
+                    svc.send(&host, "q", Payload::from(vec![*b])).await.unwrap();
                 }
                 let mut got = Vec::new();
                 while got.len() < n {
@@ -167,7 +167,7 @@ proptest! {
         let counts = sim.block_on({
             let svc = svc.clone();
             async move {
-                svc.send(&host, "q", Bytes::from_static(b"x")).await.unwrap();
+                svc.send(&host, "q", Payload::from_static(b"x")).await.unwrap();
                 let mut counts = Vec::new();
                 for _ in 0..receives {
                     let got = svc
@@ -230,7 +230,7 @@ proptest! {
                 } else {
                     socks[to].addr()
                 };
-                socks[from].send(to_addr, Bytes::from_static(b"m")).await;
+                socks[from].send(to_addr, Payload::from_static(b"m")).await;
             }
             // Let everything in flight land.
             sim2.sleep(SimDuration::from_secs(1)).await;

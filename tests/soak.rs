@@ -3,9 +3,9 @@
 //! composed system stay coherent under chaos" test — every service, one
 //! simulation, randomized clients.
 
-use bytes::Bytes;
 use faasim::faas::{add_queue_trigger, FunctionSpec};
 use faasim::kv::Consistency;
+use faasim::payload::Payload;
 use faasim::pricing::Service;
 use faasim::queue::QueueConfig;
 use faasim::simcore::SimDuration;
@@ -58,7 +58,7 @@ fn mixed_workload_soak_preserves_global_invariants() {
                         .expect("results queue");
                     p.set(p.get() + 1);
                 }
-                Ok(Bytes::new())
+                Ok(Payload::new())
             }
         },
     ));
@@ -77,8 +77,8 @@ fn mixed_workload_soak_preserves_global_invariants() {
             let deadline = SimDuration::from_hours(2);
             while sim.now().as_secs_f64() < deadline.as_secs_f64() {
                 let burst = rng.range_usize(1..10);
-                let bodies: Vec<Bytes> = (0..burst)
-                    .map(|_| Bytes::from(vec![rng.range_u64(0..50) as u8]))
+                let bodies: Vec<Payload> = (0..burst)
+                    .map(|_| Payload::from(vec![rng.range_u64(0..50) as u8]))
                     .collect();
                 produced.set(produced.get() + bodies.len() as u64);
                 queue
