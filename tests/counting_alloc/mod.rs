@@ -1,8 +1,8 @@
 //! A counting global allocator for the tests that pin heap traffic. A
 //! test file includes it with `#[path]` and it becomes that test
 //! binary's `#[global_allocator]`. It counts fresh blocks, regrowths
-//! (`realloc`) and live bytes, per thread, so the test harness's own
-//! threads cannot disturb the counts.
+//! (`realloc`), bytes handed out and live bytes, per thread, so the test
+//! harness's own threads cannot disturb the counts.
 
 // Each test that includes this module reads only some of the counters.
 #![allow(dead_code)]
@@ -13,6 +13,7 @@ use std::cell::Cell;
 thread_local! {
     static FRESH: Cell<u64> = const { Cell::new(0) };
     static REGROWN: Cell<u64> = const { Cell::new(0) };
+    static HANDED_OUT: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
@@ -24,6 +25,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         FRESH.with(|c| c.set(c.get() + 1));
+        HANDED_OUT.with(|c| c.set(c.get() + layout.size() as u64));
         LIVE_BYTES.with(|c| c.set(c.get() + layout.size() as i64));
         unsafe { System.alloc(layout) }
     }
@@ -35,6 +37,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REGROWN.with(|c| c.set(c.get() + 1));
+        HANDED_OUT.with(|c| c.set(c.get() + new_size as u64));
         LIVE_BYTES.with(|c| c.set(c.get() + new_size as i64 - layout.size() as i64));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +61,12 @@ pub fn allocations_of(f: impl FnOnce()) -> u64 {
     let before = fresh_blocks() + regrowths();
     f();
     fresh_blocks() + regrowths() - before
+}
+
+/// Bytes this thread has been handed: each fresh block's size and each
+/// regrown block's new size.
+pub fn bytes_handed_out() -> u64 {
+    HANDED_OUT.with(Cell::get)
 }
 
 /// Bytes this thread holds: allocated and not yet freed.

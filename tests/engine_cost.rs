@@ -1,5 +1,6 @@
-//! Engine-cost pins: what a replayed invocation costs the executor and
-//! the timer wheel, as exact [`SimProfile`] counts.
+//! Engine-cost pins: what a replayed invocation costs the executor, the
+//! timer wheel and the heap, as exact [`SimProfile`] counts and exact
+//! allocation counts.
 //!
 //! Two 20 000-arrival replays of the paper-scale trace at seed 2019, on
 //! the platform of the repo benchmark's two replay workloads: straight
@@ -9,9 +10,19 @@
 //! ones, and unlike wall-clock they cannot be fooled by a noisy host.
 //!
 //! A change that adds engine work to the invocation path (one more poll,
-//! one more timer) fails here. A change that removes some re-blesses the
-//! moved counts downward in the same commit.
+//! one more timer, one more allocation) fails here. A change that removes
+//! some re-blesses the moved counts downward in the same commit.
+//!
+//! The heap is counted around `replay(..)` alone, on the test's own
+//! thread, by the counting allocator the `*_allocs` tests share. Debug
+//! and release builds read the same allocations and the same bytes: a
+//! future's layout is fixed before optimization. Should the bytes ever
+//! differ between the two, pin them in release builds only.
 
+#[path = "counting_alloc/mod.rs"]
+mod counting_alloc;
+
+use counting_alloc::{bytes_handed_out, fresh_blocks, regrowths};
 use faasim_chaos::FaultPlan;
 use faasim_resilience::RetryPolicy;
 use faasim_simcore::{SimDuration, SimProfile};
@@ -31,12 +42,24 @@ fn platform() -> ReplayConfig {
     cfg
 }
 
-/// Replay `cfg` under `plan`; the engine counts of a run that served
-/// every arrival. Each invocation arms a lifetime cap that is canceled
-/// long before it would fire, so pending timers track live tasks only if
-/// a canceled timer leaves the engine at once.
-fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> SimProfile {
+/// What a replay cost the heap: allocations (a regrowth counts as one)
+/// and the bytes they handed out.
+struct Heap {
+    allocs: u64,
+    bytes: u64,
+}
+
+/// Replay `cfg` under `plan`; the engine and heap counts of a run that
+/// served every arrival. Each invocation arms a lifetime cap that is
+/// canceled long before it would fire, so pending timers track live
+/// tasks only if a canceled timer leaves the engine at once.
+fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> (SimProfile, Heap) {
+    let (allocs, bytes) = (fresh_blocks() + regrowths(), bytes_handed_out());
     let out = replay(cfg, SEED, &|cloud| plan.apply(cloud));
+    let heap = Heap {
+        allocs: fresh_blocks() + regrowths() - allocs,
+        bytes: bytes_handed_out() - bytes,
+    };
     let r = &out.report;
     assert_eq!(r.violations(), Vec::<String>::new());
     assert_eq!((r.generated, r.invocations), (ARRIVALS, ARRIVALS));
@@ -45,7 +68,7 @@ fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> SimProfile {
         p.peak_pending_timers <= 2 * p.peak_live_tasks,
         "canceled timers pile up: {p}"
     );
-    p
+    (p, heap)
 }
 
 fn pins(p: &SimProfile) -> String {
@@ -63,17 +86,22 @@ fn pins(p: &SimProfile) -> String {
     )
 }
 
+fn heap_pins(h: &Heap) -> String {
+    format!("allocs {} bytes {}", h.allocs, h.bytes)
+}
+
 #[test]
 fn a_direct_replay_costs_the_engine_what_it_did() {
     let mut cfg = platform();
     cfg.gateway = None;
     cfg.retry = None;
     cfg.trace.func_timeout = SimDuration::from_secs(120);
-    let p = engine_counts(&cfg, &FaultPlan::calm());
+    let (p, heap) = engine_counts(&cfg, &FaultPlan::calm());
     assert_eq!(
         pins(&p),
         "polls 106650 spawns 20002 pushes 106710 fires 86710 cancels 20000 cascades 36639 overflow 0 peak_pending 3033 peak_live 2684"
     );
+    assert_eq!(heap_pins(&heap), "allocs 236307 bytes 57385177");
 }
 
 #[test]
@@ -91,9 +119,10 @@ fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
     plan.storms = (1..=STORMS)
         .map(|k| SimDuration::from_secs_f64(trace_secs * k as f64 / (STORMS + 1) as f64))
         .collect();
-    let p = engine_counts(&cfg, &plan);
+    let (p, heap) = engine_counts(&cfg, &plan);
     assert_eq!(
         pins(&p),
         "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 3288 peak_live 2697"
     );
+    assert_eq!(heap_pins(&heap), "allocs 241728 bytes 58464759");
 }
