@@ -17,9 +17,14 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// The empty buffer.
+    /// The empty buffer. Allocates nothing: every empty `Bytes` shares
+    /// the one static buffer std keeps for `Arc::<[u8]>::default()`.
     pub fn new() -> Bytes {
-        Bytes::from(Vec::new())
+        Bytes {
+            data: Arc::default(),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// The bytes at `range`, sharing this buffer. Panics when `range`

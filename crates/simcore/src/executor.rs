@@ -66,6 +66,7 @@ use std::ptr::NonNull;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use crate::link::LinkTimer;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{Slotted, TimerWheel};
@@ -322,6 +323,8 @@ impl Slotted for TimerToken {
 enum TimerAction {
     Wake(Waker),
     Call(Box<dyn FnOnce()>),
+    /// A fair-share link's completion; fired with its entry's `(at, seq)`.
+    Link(LinkTimer),
 }
 
 /// One timer-slab slot. `action` is `None` while the slot is free.
@@ -695,15 +698,16 @@ impl Sim {
     /// the escape hatch used by resources such as bandwidth links.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
         let at = at.max(self.now());
-        self.call_at_seq(at, self.next_seq(), f);
+        let seq = self.next_seq();
+        self.inner.push_timer(at, seq, TimerAction::Call(Box::new(f)));
     }
 
-    /// [`Sim::call_at`] at a position in the event order reserved earlier:
-    /// `seq` was drawn from [`Sim::next_seq`] and `(at, seq)` has not been
-    /// reached yet.
-    pub(crate) fn call_at_seq(&self, at: SimTime, seq: u64, f: impl FnOnce() + 'static) {
+    /// Fire a link's `timer` at a position in the event order reserved
+    /// earlier: `seq` was drawn from [`Sim::next_seq`] and `(at, seq)` has
+    /// not been reached yet.
+    pub(crate) fn push_link_timer(&self, (at, seq): (SimTime, u64), timer: LinkTimer) {
         debug_assert!(at >= self.now() && seq < self.inner.seq.get());
-        self.inner.push_timer(at, seq, TimerAction::Call(Box::new(f)));
+        self.inner.push_timer(at, seq, TimerAction::Link(timer));
     }
 
     /// Run `f` after a delay.
@@ -826,8 +830,8 @@ impl Sim {
     ///
     /// Pops are batched under one wheel borrow and the wakes run after —
     /// legal because a wake only appends to the ready queue and so can
-    /// never reorder the pop sequence. A `Call` action ends its batch:
-    /// callbacks may push new timers at the firing instant, which must
+    /// never reorder the pop sequence. A `Call` or `Link` action ends its
+    /// batch: callbacks may push new timers at the firing instant, which must
     /// join this very batch, so the queue is re-examined after each one.
     fn fire_next_timers(&self, horizon: SimTime) -> bool {
         let inner = &*self.inner;
@@ -874,8 +878,8 @@ impl Sim {
                         .set(inner.events_processed.get() + 1);
                     match inner.release_timer(entry.item) {
                         Some(TimerAction::Wake(w)) => wakers.push(w),
-                        Some(TimerAction::Call(f)) => {
-                            call = Some(f);
+                        Some(action) => {
+                            call = Some((action, entry.seq));
                             break;
                         }
                         None => {} // canceled
@@ -888,7 +892,11 @@ impl Sim {
                 w.wake();
             }
             match call {
-                Some(f) => f(),
+                Some((TimerAction::Call(f), _)) => f(),
+                Some((TimerAction::Link(timer), seq)) => {
+                    timer.fire(self, (SimTime::from_nanos(at), seq));
+                }
+                Some((TimerAction::Wake(_), _)) => unreachable!("wakes are batched"),
                 None => break,
             }
         }

@@ -27,7 +27,7 @@ use faasim_simcore::{nearest_rank, Semaphore, SimDuration, SimProfile, SimTime};
 
 use crate::sketch::QuantileSketch;
 use crate::workload::{
-    function_name, function_profile, tenant_rates, TraceConfig, TraceGenerator,
+    function_name, function_profile, tenant_rates, TraceConfig, TraceEvent, TraceGenerator,
 };
 
 /// Replay knobs on top of the trace itself.
@@ -464,6 +464,43 @@ struct ReqCtx {
     done: Cell<bool>,
 }
 
+impl ReqCtx {
+    /// Index of `ev`'s function in `names` and `ids`.
+    fn func(&self, ev: &TraceEvent) -> usize {
+        (ev.app * self.funcs_per_app + ev.func) as usize
+    }
+
+    /// Book the request `ev`, issued at `t0`, as finished now. `shed`
+    /// marks a failure that was a gateway admission refusal rather than
+    /// an execution failure.
+    fn complete(&self, ev: &TraceEvent, t0: SimTime, ok: bool, shed: bool) {
+        let now = self.sim.now();
+        let latency = now.duration_since(t0).as_secs_f64();
+        let mut st = self.stats.borrow_mut();
+        st.sketch.insert(latency);
+        if let Some(tenant) = st.per_tenant.get_mut(ev.tenant as usize) {
+            tenant.insert(latency);
+        }
+        let agg = &mut st.per_app[ev.app as usize];
+        agg.completed += 1;
+        agg.lat_sum += latency;
+        st.seen_funcs[self.func(ev)] = true;
+        if ok {
+            st.succeeded += 1;
+        } else {
+            st.failed += 1;
+            if shed {
+                st.gw_shed += 1;
+            }
+        }
+        st.completed += 1;
+        st.last_done = now;
+        if self.total.get() == Some(st.completed) {
+            self.done.set(true);
+        }
+    }
+}
+
 /// Run `cfg` at `seed`, applying `chaos` to the freshly built cloud
 /// before any traffic flows (pass `&|_| {}` for a fault-free replay —
 /// the hook keeps this crate independent of the chaos crate while its
@@ -595,6 +632,10 @@ pub fn replay_with(
         let inflight2 = inflight.clone();
         // One shared zero block keeps symbolic payloads allocation-free.
         let zero_block = Payload::zeros(256).bytes();
+        // A request with neither gateway nor retry layer is one platform
+        // call. Its task leaves out the other arm's futures, which would
+        // more than double its block.
+        let direct = cfg.gateway.is_none() && cfg.retry.is_none();
         sim.spawn_detached(async move {
             let mut spawned = 0u64;
             for ev in gen {
@@ -606,53 +647,36 @@ pub fn replay_with(
                     zero_block.clone(),
                     ev.payload_bytes.div_ceil(zero_block.len() as u64).max(1),
                 );
-                ctx2.sim.spawn_detached(async move {
-                    let t0 = ctx3.sim.now();
-                    let func = (ev.app * ctx3.funcs_per_app + ev.func) as usize;
-                    let call = (ev.tenant, ctx3.ids[func], ctx3.names[func].as_str());
-                    // The final attempt's outcome, or the error it ended on
-                    // (none when a retry layer gave up on a budget).
-                    let outcome = match &ctx3.retry {
-                        Some(retry) => retry
-                            .call(Deadline::unbounded(), |d| d.attempt(call, payload.clone()))
-                            .await
-                            .map_err(RetryError::into_inner),
-                        None => ctx3.door.attempt(call, payload).await.map_err(Some),
-                    };
-                    // `shed` marks a failure that was a gateway admission
-                    // refusal rather than an execution failure.
-                    let (ok, shed) = match outcome {
-                        Ok(_) => (true, false),
-                        Err(last) => (false, last.is_some_and(|e| e.is_shed())),
-                    };
-                    let now = ctx3.sim.now();
-                    let latency = now.duration_since(t0).as_secs_f64();
-                    {
-                        let mut st = ctx3.stats.borrow_mut();
-                        st.sketch.insert(latency);
-                        if let Some(tenant) = st.per_tenant.get_mut(ev.tenant as usize) {
-                            tenant.insert(latency);
-                        }
-                        let agg = &mut st.per_app[ev.app as usize];
-                        agg.completed += 1;
-                        agg.lat_sum += latency;
-                        st.seen_funcs[func] = true;
-                        if ok {
-                            st.succeeded += 1;
-                        } else {
-                            st.failed += 1;
-                            if shed {
-                                st.gw_shed += 1;
-                            }
-                        }
-                        st.completed += 1;
-                        st.last_done = now;
-                        if ctx3.total.get() == Some(st.completed) {
-                            ctx3.done.set(true);
-                        }
-                    }
-                    drop(permit);
-                });
+                if direct {
+                    ctx2.sim.spawn_detached(async move {
+                        let t0 = ctx3.sim.now();
+                        let id = ctx3.ids[ctx3.func(&ev)];
+                        let out = ctx3.door.faas.invoke_id(id, payload).await;
+                        ctx3.complete(&ev, t0, out.result.is_ok(), false);
+                        drop(permit);
+                    });
+                } else {
+                    ctx2.sim.spawn_detached(async move {
+                        let t0 = ctx3.sim.now();
+                        let func = ctx3.func(&ev);
+                        let call = (ev.tenant, ctx3.ids[func], ctx3.names[func].as_str());
+                        // The final attempt's outcome, or the error it ended
+                        // on (none when a retry layer gave up on a budget).
+                        let outcome = match &ctx3.retry {
+                            Some(retry) => retry
+                                .call(Deadline::unbounded(), |d| d.attempt(call, payload.clone()))
+                                .await
+                                .map_err(RetryError::into_inner),
+                            None => ctx3.door.attempt(call, payload).await.map_err(Some),
+                        };
+                        let (ok, shed) = match outcome {
+                            Ok(_) => (true, false),
+                            Err(last) => (false, last.is_some_and(|e| e.is_shed())),
+                        };
+                        ctx3.complete(&ev, t0, ok, shed);
+                        drop(permit);
+                    });
+                }
             }
             ctx2.total.set(Some(spawned));
             if ctx2.stats.borrow().completed == spawned {
