@@ -374,10 +374,6 @@ impl LinkState {
         self.classes.binary_search_by_key(&bits, |c| c.bits)
     }
 
-    fn class(&self, bits: u64) -> Option<&CapClass> {
-        self.class_index(bits).ok().map(|i| &self.classes[i])
-    }
-
     fn class_mut(&mut self, bits: u64) -> Option<&mut CapClass> {
         self.class_index(bits).ok().map(|i| &mut self.classes[i])
     }
@@ -600,7 +596,9 @@ impl LinkState {
             return;
         }
         let Some(cap) = flow.cap_bps else { return };
-        let saturated = self.class(cap.to_bits()).is_some_and(|c| c.saturated);
+        let saturated = self
+            .class_index(cap.to_bits())
+            .is_ok_and(|i| self.classes[i].saturated);
         if saturated && matches!(flow.phase, Phase::Virtual { .. }) {
             self.relevel_member(id, cap, true, now);
         }

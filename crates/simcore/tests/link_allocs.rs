@@ -2,8 +2,7 @@
 //! a link that has carried a transfer before and is idle again, a capped
 //! transfer allocates nothing from join to completion. Its rate class
 //! reuses the id list the last class left behind, and its completion
-//! timer goes into the wheel as the link's state, not as a boxed
-//! closure.
+//! timer goes into the wheel as the link's state.
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -15,9 +15,9 @@
 //!
 //! The heap is counted around `replay(..)` alone, on the test's own
 //! thread, by the counting allocator the `*_allocs` tests share. Debug
-//! and release builds read the same allocations and the same bytes: a
-//! future's layout is fixed before optimization. Should the bytes ever
-//! differ between the two, pin them in release builds only.
+//! and release builds read the same allocations and the same bytes.
+//! Should the bytes ever differ between the two (a future laid out
+//! differently), pin them in release builds only.
 
 #[path = "counting_alloc/mod.rs"]
 mod counting_alloc;
@@ -42,24 +42,19 @@ fn platform() -> ReplayConfig {
     cfg
 }
 
-/// What a replay cost the heap: allocations (a regrowth counts as one)
-/// and the bytes they handed out.
-struct Heap {
-    allocs: u64,
-    bytes: u64,
-}
-
-/// Replay `cfg` under `plan`; the engine and heap counts of a run that
-/// served every arrival. Each invocation arms a lifetime cap that is
-/// canceled long before it would fire, so pending timers track live
+/// Replay `cfg` under `plan`; the engine counts of a run that served
+/// every arrival, and its heap traffic as `allocs A bytes B` (a regrowth
+/// counts as one allocation). Each invocation arms a lifetime cap that
+/// is canceled long before it would fire, so pending timers track live
 /// tasks only if a canceled timer leaves the engine at once.
-fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> (SimProfile, Heap) {
+fn engine_counts(cfg: &ReplayConfig, plan: &FaultPlan) -> (SimProfile, String) {
     let (allocs, bytes) = (fresh_blocks() + regrowths(), bytes_handed_out());
     let out = replay(cfg, SEED, &|cloud| plan.apply(cloud));
-    let heap = Heap {
-        allocs: fresh_blocks() + regrowths() - allocs,
-        bytes: bytes_handed_out() - bytes,
-    };
+    let heap = format!(
+        "allocs {} bytes {}",
+        fresh_blocks() + regrowths() - allocs,
+        bytes_handed_out() - bytes
+    );
     let r = &out.report;
     assert_eq!(r.violations(), Vec::<String>::new());
     assert_eq!((r.generated, r.invocations), (ARRIVALS, ARRIVALS));
@@ -86,10 +81,6 @@ fn pins(p: &SimProfile) -> String {
     )
 }
 
-fn heap_pins(h: &Heap) -> String {
-    format!("allocs {} bytes {}", h.allocs, h.bytes)
-}
-
 #[test]
 fn a_direct_replay_costs_the_engine_what_it_did() {
     let mut cfg = platform();
@@ -101,7 +92,7 @@ fn a_direct_replay_costs_the_engine_what_it_did() {
         pins(&p),
         "polls 106650 spawns 20002 pushes 106710 fires 86710 cancels 20000 cascades 36639 overflow 0 peak_pending 3033 peak_live 2684"
     );
-    assert_eq!(heap_pins(&heap), "allocs 157722 bytes 31353961");
+    assert_eq!(heap, "allocs 157722 bytes 31353961");
 }
 
 #[test]
@@ -124,5 +115,5 @@ fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
         pins(&p),
         "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 3288 peak_live 2697"
     );
-    assert_eq!(heap_pins(&heap), "allocs 162426 bytes 44670479");
+    assert_eq!(heap, "allocs 162426 bytes 44670479");
 }
