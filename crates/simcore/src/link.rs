@@ -144,9 +144,8 @@ struct Flow {
 
 /// All flows sharing one cap value, water-filled as a unit.
 struct CapClass {
-    /// `cap.to_bits()`: the class's sort key (positive floats order the
-    /// same as their bit patterns).
-    bits: u64,
+    /// The class's rate; `cap.to_bits()` is its sort key (positive floats
+    /// order the same as their bit patterns).
     cap: Bps,
     /// Live (not done, not canceled) member flows.
     members: usize,
@@ -265,7 +264,7 @@ struct LinkState {
     active: usize,
     /// Live flows currently in [`Phase::Virtual`].
     virtual_n: usize,
-    /// Rate classes in ascending `bits` order. A link sees one or two
+    /// Rate classes in ascending cap order. A link sees one or two
     /// distinct caps, so a sorted `Vec` beats a map. A class goes when
     /// its last member leaves; its `ids` list, emptied, waits in
     /// `spare_ids` for the next class, so a transfer on a warm link
@@ -371,7 +370,7 @@ impl LinkState {
 
     /// Where class `bits` sits in `classes`, or where it would go.
     fn class_index(&self, bits: u64) -> Result<usize, usize> {
-        self.classes.binary_search_by_key(&bits, |c| c.bits)
+        self.classes.binary_search_by_key(&bits, |c| c.cap.to_bits())
     }
 
     fn class_mut(&mut self, bits: u64) -> Option<&mut CapClass> {
@@ -496,7 +495,7 @@ impl LinkState {
                 budget -= class.cap * class.members as f64;
                 n_rem -= class.members;
             } else {
-                boundary = class.bits;
+                boundary = class.cap.to_bits();
                 break;
             }
         }
@@ -509,8 +508,9 @@ impl LinkState {
         self.flips.clear();
         let mut flips = std::mem::take(&mut self.flips);
         for class in &self.classes {
-            if class.saturated != (class.bits < boundary) {
-                flips.push(class.bits);
+            let bits = class.cap.to_bits();
+            if class.saturated != (bits < boundary) {
+                flips.push(bits);
             }
         }
         for &bits in &flips {
@@ -648,7 +648,6 @@ impl LinkState {
         let i = self.class_index(bits).unwrap_or_else(|i| {
             let ids = self.spare_ids.pop().unwrap_or_default();
             let class = CapClass {
-                bits,
                 cap,
                 members: 0,
                 saturated: false,
@@ -931,7 +930,7 @@ impl FairShareLink {
             }
         }
         let classes: Vec<(u64, usize)> =
-            st.classes.iter().map(|c| (c.bits, c.members)).collect();
+            st.classes.iter().map(|c| (c.cap.to_bits(), c.members)).collect();
         if classes != live.into_iter().collect::<Vec<_>>() {
             faults.push(format!("classes {classes:?} do not match the live capped flows"));
         }
@@ -939,7 +938,7 @@ impl FairShareLink {
             let mut listed: Vec<u64> = Vec::new();
             for &id in &class.ids {
                 match st.flow_ref(id) {
-                    Some(f) if f.cap_bps.map(f64::to_bits) != Some(class.bits) => {
+                    Some(f) if f.cap_bps.map(f64::to_bits) != Some(class.cap.to_bits()) => {
                         faults.push(format!("class {} lists flow {id} of another cap", class.cap));
                     }
                     Some(f) if !f.done => listed.push(id),
