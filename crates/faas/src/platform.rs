@@ -813,9 +813,14 @@ impl FaasPlatform {
         }
     }
 
-    /// Invoke `func` synchronously and await its outcome.
+    /// Invoke `func` synchronously and await its outcome. The name
+    /// resolves once, then the call runs the [`invoke_id`](Self::invoke_id)
+    /// path; an unregistered name is [`FnError::NotFound`].
     pub async fn invoke(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
-        self.invoke_named(func, payload.into(), false).await
+        match self.function_id(func) {
+            Some(id) => self.invoke_inner(id, payload.into(), false).await,
+            None => InvokeOutcome::not_found(func.to_owned()),
+        }
     }
 
     /// [`invoke`](Self::invoke) by the id [`register`](Self::register)
@@ -826,17 +831,10 @@ impl FaasPlatform {
     }
 
     /// Invoke via the queue-trigger path (adds the event-source dispatch
-    /// overhead). Used by [`crate::add_queue_trigger`]'s pollers.
-    pub async fn invoke_triggered(&self, func: &str, payload: impl Into<Payload>) -> InvokeOutcome {
-        self.invoke_named(func, payload.into(), true).await
-    }
-
-    /// Resolve `func` once, then run the id path.
-    async fn invoke_named(&self, func: &str, payload: Payload, triggered: bool) -> InvokeOutcome {
-        match self.function_id(func) {
-            Some(id) => self.invoke_inner(id, payload, triggered).await,
-            None => InvokeOutcome::not_found(func.to_owned()),
-        }
+    /// overhead). Used by [`crate::add_queue_trigger`]'s pollers, which
+    /// resolve their function once when the trigger is added.
+    pub(crate) async fn invoke_triggered(&self, func: FunctionId, payload: Payload) -> InvokeOutcome {
+        self.invoke_inner(func, payload, true).await
     }
 
     async fn invoke_inner(

@@ -33,6 +33,10 @@ impl TriggerHandle {
 /// [`crate::codec::encode_batch`]), and deletes the batch on success.
 /// Failed invocations leave messages to reappear after the visibility
 /// timeout (at-least-once semantics).
+///
+/// # Panics
+/// Panics if `func` is not registered: the trigger resolves it once, here,
+/// and a re-`register` of the name keeps the id it binds to.
 pub fn add_queue_trigger(
     platform: &FaasPlatform,
     queues: &QueueService,
@@ -41,11 +45,13 @@ pub fn add_queue_trigger(
     queue: &str,
     batch_size: usize,
 ) -> TriggerHandle {
+    let func = platform
+        .function_id(func)
+        .unwrap_or_else(|| panic!("no such function: {func}"));
     let stop = Rc::new(Cell::new(false));
     let handle = TriggerHandle { stop: stop.clone() };
     let platform = platform.clone();
     let queues = queues.clone();
-    let func = func.to_owned();
     let queue = queue.to_owned();
     let batch_size = batch_size.clamp(1, MAX_BATCH);
     // The poller is part of the managed service; its host models the
@@ -68,7 +74,7 @@ pub fn add_queue_trigger(
             }
             let bodies: Vec<Payload> = received.iter().map(|m| m.body.clone()).collect();
             let payload = encode_batch(&bodies);
-            let outcome = platform.invoke_triggered(&func, payload).await;
+            let outcome = platform.invoke_triggered(func, payload).await;
             if outcome.result.is_ok() {
                 let receipts = received.into_iter().map(|m| m.receipt).collect();
                 let _ = queues.delete_batch(&poller_host, receipts).await;
@@ -199,6 +205,46 @@ mod tests {
         w.sim.run_until(faasim_simcore::SimTime::ZERO + SimDuration::from_secs(60));
         trigger.stop();
         assert_eq!(attempts.get(), 3, "two failures then success");
+        assert_eq!(w.queues.queue_len("in"), 0);
+    }
+
+    /// A trigger resolves its function once, when added: an unregistered
+    /// name is a deployment error, not a batch redelivered forever. The id
+    /// it binds survives a re-`register`, so the trigger runs the new spec.
+    #[test]
+    fn a_trigger_binds_a_registered_function_by_id() {
+        let w = setup();
+        w.queues.create_queue("in", QueueConfig::default());
+        let unregistered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            add_queue_trigger(&w.platform, &w.queues, &w.fabric, "ghost", "in", 10)
+        }));
+        let msg = unregistered
+            .err()
+            .and_then(|panic| panic.downcast::<String>().ok())
+            .expect("a trigger on an unregistered name panics");
+        assert!(msg.contains("no such function"), "{msg}");
+
+        let runs = Rc::new(Cell::new((0u32, 0u32)));
+        let spec = |second: bool| {
+            let runs = runs.clone();
+            FunctionSpec::new("consumer", 256, SimDuration::from_secs(30), move |_ctx, _payload| {
+                let (first, again) = runs.get();
+                runs.set(if second { (first, again + 1) } else { (first + 1, again) });
+                async { Ok(Payload::new()) }
+            })
+        };
+        w.platform.register(spec(false));
+        let _trigger = add_queue_trigger(&w.platform, &w.queues, &w.fabric, "consumer", "in", 1);
+        w.platform.register(spec(true));
+        let host = w.fabric.add_host(0, NicConfig::simple(mbps(1000.0)));
+        let queues = w.queues.clone();
+        w.sim.spawn(async move {
+            for i in 0..3u8 {
+                queues.send(&host, "in", Payload::from(vec![i])).await.unwrap();
+            }
+        });
+        w.sim.run();
+        assert_eq!(runs.get(), (0, 3), "every batch ran the re-registered spec");
         assert_eq!(w.queues.queue_len("in"), 0);
     }
 }

@@ -11,9 +11,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 
-use faasim_faas::{FaasPlatform, InvokeOutcome};
+use faasim_faas::{FaasPlatform, FunctionId, InvokeOutcome};
 use faasim_payload::Payload;
 use faasim_pricing::{ItemId, Ledger, PriceBook, Service};
 use faasim_resilience::{BreakerConfig, CircuitBreaker};
@@ -364,10 +365,36 @@ impl Gateway {
         func: &str,
         payload: impl Into<Payload>,
     ) -> Result<InvokeOutcome, GatewayError> {
+        self.admitted(tenant, |faas| faas.invoke(func, payload)).await
+    }
+
+    /// [`invoke`](Self::invoke) by the id [`FaasPlatform::register`]
+    /// returned: the same admission and the same invocation without the
+    /// name lookup.
+    pub async fn invoke_id(
+        &self,
+        tenant: u32,
+        func: FunctionId,
+        payload: impl Into<Payload>,
+    ) -> Result<InvokeOutcome, GatewayError> {
+        self.admitted(tenant, |faas| faas.invoke_id(func, payload)).await
+    }
+
+    /// The admission body both invoke paths share. `call` builds the
+    /// platform call only after the overhead sleep, so the request's
+    /// future holds the call's arguments or the call, never both.
+    async fn admitted<'a, Fut>(
+        &'a self,
+        tenant: u32,
+        call: impl FnOnce(&'a FaasPlatform) -> Fut,
+    ) -> Result<InvokeOutcome, GatewayError>
+    where
+        Fut: Future<Output = InvokeOutcome>,
+    {
         let admission = self.try_admit(tenant)?;
-        let inner = Rc::clone(&self.inner);
+        let inner = &*self.inner;
         inner.sim.sleep(OVERHEAD).await;
-        let out = inner.faas.invoke(func, payload).await;
+        let out = call(&inner.faas).await;
         let breaker_failure = matches!(&out.result, Err(e) if e.is_transient());
         admission.complete(!breaker_failure);
         Ok(out)
@@ -715,38 +742,75 @@ mod tests {
         });
     }
 
+    /// A seeded two-tenant workload, one tenant rate-limited, sent by
+    /// name or by id: the recorder digest, the bill and each tenant's
+    /// counters.
+    fn seeded_workload(seed: u64, by_id: bool) -> (String, String, Vec<TenantStats>) {
+        let cloud = cloud(seed);
+        let id = cloud.faas.function_id("work").expect("registered");
+        let gw = gateway(
+            &cloud,
+            vec![
+                TenantConfig { rate: 20.0, burst: 10.0, ..TenantConfig::default() },
+                TenantConfig { rate: 5.0, burst: 3.0, ..TenantConfig::default() },
+            ],
+        );
+        let gw2 = gw.clone();
+        let sim = cloud.sim.clone();
+        cloud.sim.block_on(async move {
+            let calls: Vec<_> = (0..40u32)
+                .map(|i| {
+                    let gw = gw2.clone();
+                    let sim = sim.clone();
+                    async move {
+                        sim.sleep(SimDuration::from_millis(25 * u64::from(i % 7))).await;
+                        let _ = if by_id {
+                            gw.invoke_id(i % 2, id, Payload::inline("x")).await
+                        } else {
+                            gw.invoke(i % 2, "work", Payload::inline("x")).await
+                        };
+                    }
+                })
+                .collect();
+            join_all(calls).await;
+        });
+        let stats = (0..2).map(|t| gw.tenant_stats(t)).collect();
+        (cloud.recorder.digest(), cloud.ledger.report(), stats)
+    }
+
     #[test]
     fn same_seed_same_decisions() {
-        let run = |seed: u64| -> (String, Vec<TenantStats>) {
-            let cloud = cloud(seed);
-            let gw = gateway(
-                &cloud,
-                vec![
-                    TenantConfig { rate: 20.0, burst: 10.0, ..TenantConfig::default() },
-                    TenantConfig { rate: 5.0, burst: 3.0, ..TenantConfig::default() },
-                ],
-            );
-            let gw2 = gw.clone();
-            let sim = cloud.sim.clone();
-            cloud.sim.block_on(async move {
-                let calls: Vec<_> = (0..40u32)
-                    .map(|i| {
-                        let gw = gw2.clone();
-                        let sim = sim.clone();
-                        async move {
-                            sim.sleep(SimDuration::from_millis(25 * u64::from(i % 7))).await;
-                            let _ = gw.invoke(i % 2, "work", Payload::inline("x")).await;
-                        }
-                    })
-                    .collect();
-                join_all(calls).await;
-            });
-            let stats = (0..2).map(|t| gw.tenant_stats(t)).collect();
-            (cloud.recorder.digest(), stats)
-        };
-        let (d1, s1) = run(42);
-        let (d2, s2) = run(42);
+        let (d1, b1, s1) = seeded_workload(42, false);
+        let (d2, b2, s2) = seeded_workload(42, false);
         assert_eq!(d1, d2, "gateway decisions must be byte-identical");
+        assert_eq!(b1, b2);
         assert_eq!(s1, s2);
+        assert!(s1[1].bucket_shed > 0, "the slow tenant is rate limited: {:?}", s1[1]);
+    }
+
+    #[test]
+    fn by_name_and_by_id_are_the_same_request() {
+        let (by_name, by_id) = (seeded_workload(42, false), seeded_workload(42, true));
+        assert_eq!(by_name.0, by_id.0, "recorder digest");
+        assert_eq!(by_name.1, by_id.1, "bill");
+        assert_eq!(by_name.2, by_id.2, "tenant stats");
+    }
+
+    /// A name the platform never registered is still a request: admitted,
+    /// billed, and answered with a `NotFound` that names it.
+    #[test]
+    fn an_unknown_name_is_admitted_billed_and_not_found() {
+        let cloud = cloud(3);
+        let gw = gateway(&cloud, vec![TenantConfig::default()]);
+        let gw2 = gw.clone();
+        let out = cloud
+            .sim
+            .block_on(async move { gw2.invoke(0, "ghost", Payload::new()).await })
+            .expect("admitted");
+        assert_eq!(out.result, Err(faasim_faas::FnError::NotFound("ghost".into())));
+        let st = gw.tenant_stats(0);
+        assert!(st.conserved(), "{st:?}");
+        assert_eq!((st.offered, st.admitted, st.succeeded), (1, 1, 1));
+        assert_eq!(cloud.ledger.item_quantity(Service::Gateway, "requests"), 1.0);
     }
 }

@@ -406,8 +406,8 @@ struct Stats {
 }
 
 /// How a request reaches the platform: through the gateway tier when
-/// one is configured, straight in (by id, never touching a name)
-/// otherwise.
+/// one is configured, straight in otherwise. Both ways go by the
+/// function's id; no request touches a name.
 #[derive(Clone)]
 struct FrontDoor {
     faas: FaasPlatform,
@@ -415,14 +415,15 @@ struct FrontDoor {
 }
 
 impl FrontDoor {
-    /// One attempt at `(tenant, function id, name)`, seen through [`settled`].
+    /// One attempt at function `id` for `tenant`, seen through [`settled`].
     async fn attempt(
         &self,
-        (tenant, id, name): (u32, FunctionId, &str),
+        tenant: u32,
+        id: FunctionId,
         payload: Payload,
     ) -> Result<InvokeOutcome, GatewayError> {
         settled(match &self.gateway {
-            Some(gw) => gw.invoke(tenant, name, payload).await?,
+            Some(gw) => gw.invoke_id(tenant, id, payload).await?,
             None => self.faas.invoke_id(id, payload).await,
         })
     }
@@ -445,17 +446,16 @@ impl Service for FrontDoor {
 }
 
 /// Everything a spawned request task needs, bundled so the hot loop
-/// clones one `Rc` per invocation instead of a handful of handles.
+/// clones one `Rc` per invocation instead of a handful of handles. A
+/// request carries only `(tenant, id)`: names stay at registration.
 struct ReqCtx {
     sim: faasim_simcore::Sim,
     door: FrontDoor,
     /// The client-side retry layer around the door, when configured.
     retry: Option<Retrying<FrontDoor>>,
     stats: RefCell<Stats>,
-    /// Function names pre-rendered once (`app * funcs_per_app + func`),
-    /// so the per-event path never formats a `String`.
-    names: Vec<String>,
-    /// The ids the platform registered them under, same indexing.
+    /// The ids the platform registered the trace's functions under,
+    /// indexed `app * funcs_per_app + func`.
     ids: Vec<FunctionId>,
     funcs_per_app: u32,
     /// Requests spawned, set once the driver has spawned its last; `done`
@@ -465,7 +465,7 @@ struct ReqCtx {
 }
 
 impl ReqCtx {
-    /// Index of `ev`'s function in `names` and `ids`.
+    /// Index of `ev`'s function in `ids`.
     fn func(&self, ev: &TraceEvent) -> usize {
         (ev.app * self.funcs_per_app + ev.func) as usize
     }
@@ -604,9 +604,6 @@ pub fn replay_with(
         door,
         retry,
         stats: RefCell::new(stats),
-        names: (0..cfg.trace.apps)
-            .flat_map(|app| (0..funcs_per_app).map(move |func| function_name(app, func)))
-            .collect(),
         ids,
         funcs_per_app,
         total: Cell::new(None),
@@ -658,16 +655,15 @@ pub fn replay_with(
                 } else {
                     ctx2.sim.spawn_detached(async move {
                         let t0 = ctx3.sim.now();
-                        let func = ctx3.func(&ev);
-                        let call = (ev.tenant, ctx3.ids[func], ctx3.names[func].as_str());
+                        let id = ctx3.ids[ctx3.func(&ev)];
                         // The final attempt's outcome, or the error it ended
                         // on (none when a retry layer gave up on a budget).
                         let outcome = match &ctx3.retry {
                             Some(retry) => retry
-                                .call(Deadline::unbounded(), |d| d.attempt(call, payload.clone()))
+                                .call(Deadline::unbounded(), |d| d.attempt(ev.tenant, id, payload.clone()))
                                 .await
                                 .map_err(RetryError::into_inner),
-                            None => ctx3.door.attempt(call, payload).await.map_err(Some),
+                            None => ctx3.door.attempt(ev.tenant, id, payload).await.map_err(Some),
                         };
                         let (ok, shed) = match outcome {
                             Ok(_) => (true, false),

@@ -1,12 +1,11 @@
-//! Edge-shaped traces through the direct client, which invokes the
+//! Edge-shaped traces through the direct replay, which invokes the
 //! platform by the `FunctionId`s registration returned: an empty trace
-//! and a one-function trace must replay to completion, and the by-id
-//! client must see the same run as the by-name clients sitting on the
-//! same platform.
+//! and a one-function trace must replay to completion, and a retry layer
+//! that never has to retry must leave the platform's run as it was.
 
 use faasim_trace::{replay, ReplayConfig};
 
-/// No gateway and no retries: `Client::Direct`, the id path.
+/// No gateway and no retries: one platform call per request.
 fn direct_cfg() -> ReplayConfig {
     let mut cfg = ReplayConfig::small();
     cfg.gateway = None;
@@ -50,18 +49,16 @@ fn one_app_one_function_trace_replays_to_completion() {
 }
 
 #[test]
-fn by_id_client_sees_the_same_platform_as_the_by_name_client() {
-    // The retrying client reaches the platform through `invoke(&str)`;
-    // on a calm trace it never retries, so the platform does the same
-    // work in the same order as under the direct by-id client. The
-    // recorder digests differ only by the retry layer's own series, so
-    // compare what the platform produced: the bill and the report's
-    // platform-side numbers.
-    let mut by_id = direct_cfg();
-    by_id.trace.max_events = 2_000;
-    let mut by_name = by_id.clone();
-    by_name.retry = Some(Default::default());
-    let (a, b) = (replay(&by_id, 7, &|_| {}), replay(&by_name, 7, &|_| {}));
+fn a_calm_retry_layer_changes_nothing_the_platform_does() {
+    // On a calm trace the retry layer never retries, so the platform does
+    // the same work in the same order as without it. The recorder digests
+    // differ only by the retry layer's own series, so compare what the
+    // platform produced: the bill and the report's platform-side numbers.
+    let mut once = direct_cfg();
+    once.trace.max_events = 2_000;
+    let mut retrying = once.clone();
+    retrying.retry = Some(Default::default());
+    let (a, b) = (replay(&once, 7, &|_| {}), replay(&retrying, 7, &|_| {}));
     assert_eq!(a.bill, b.bill);
     let (ra, rb) = (&a.report, &b.report);
     assert_eq!(ra.attempts, rb.attempts);
