@@ -105,20 +105,22 @@ layers:
 	echo "layers: ok"
 
 ## Handles, not names (DESIGN.md §3): the crates whose operations are
-## simulated by the million record and bill through handles. Fails on a
-## metric call with a string-literal name, or a by-name `ledger.charge`,
-## in their non-test code (each file up to its test module, as in
-## `loc`). A handle's own `charge` takes `&ledger` first and passes.
+## simulated by the million record and bill through handles, and the
+## replay invokes by id. Fails on a metric call with a string-literal
+## name, or a by-name `ledger.charge`, in the per-operation crates, and on
+## any by-name `.invoke(` in crates/trace, in their non-test code (each
+## file up to its test module, as in `loc`). A handle's own `charge` takes
+## `&ledger` first and passes.
 names:
-	@hits=$$(for c in kv blob queue net agents compute; do \
+	@hits=$$(for c in kv blob queue net agents compute trace; do \
 		find crates/$$c/src -name '*.rs' | xargs awk \
-			'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } \
-			!test && (/\.(record|record_duration|add|incr)\([ \t]*"/ || /\.charge\(([^&]|$$)/) \
+			'FNR == 1 { test = 0; replay = (FILENAME ~ /^crates\/trace\//) } /^#\[cfg\(test\)\]/ { test = 1 } \
+			!test && (replay ? /\.invoke\(/ : /\.(record|record_duration|add|incr)\([ \t]*"/ || /\.charge\(([^&]|$$)/) \
 				{ printf "%s:%d:%s\n", FILENAME, FNR, $$0 }'; \
 	done); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; \
-		echo "names: a per-operation crate records or bills by name; use a LazyCounter/LazyHist/LazyItem" >&2; exit 1; fi; \
+		echo "names: a per-operation crate records or bills by name (use a LazyCounter/LazyHist/LazyItem), or the replay invokes by name (use invoke_id)" >&2; exit 1; fi; \
 	echo "names: ok"
 
 ## Public surface with a caller: every `pub fn|struct|enum|trait|type|const`
@@ -126,8 +128,11 @@ names:
 ## as in `loc`) must be named somewhere else. Its name has to occur as a
 ## word, outside `//` comments and `pub use` lines, in another `.rs` file
 ## under crates/, examples/, tests/ or benchmark/src/, or in its own file
-## before the test module. An item kept only as a test's reference carries
-## an indented `#[cfg(test)]` and is skipped. Fails listing the uncalled.
+## before the test module. A `fn` counts only where it is called or named
+## as a path (`name(`, `::name` as the path's last segment), not where a
+## field, a variable or a module of its name appears.
+## An item kept only as a test's reference carries an indented
+## `#[cfg(test)]` and is skipped. Fails listing the uncalled.
 surface:
 	@hits=$$(find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' | sort | xargs awk ' \
 		FNR == 1 { test = 0; skip = 0; inuse = 0; src = (FILENAME ~ /^crates\/[^\/]+\/src\//) } \
@@ -138,18 +143,27 @@ surface:
 		src && !test && line ~ /^[ \t]+#\[cfg\(test\)\]/ { skip = 1 } \
 		src && !test && match(line, /^[ \t]*pub[ \t]+((const|async|unsafe)[ \t]+)*(fn|struct|enum|trait|type|const)[ \t]+[A-Za-z_][A-Za-z0-9_]*/) { \
 			name = substr(line, RSTART, RLENGTH); sub(/.*[ \t]/, "", name); \
-			if (!skip) { n++; dname[n] = name; dfile[n] = FILENAME; dline[n] = FNR } \
+			if (!skip) { n++; dname[n] = name; dfile[n] = FILENAME; dline[n] = FNR; dfn[n] = (substr(line, RSTART, RLENGTH) ~ /fn[ \t]/) } \
 		} \
 		line !~ /^[ \t]*(#\[.*)?$$/ { skip = 0 } \
 		{ \
+			rest = line; gsub(/fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, "", rest); \
+			while (match(rest, /(::)?[A-Za-z_][A-Za-z0-9_]*\(|::[A-Za-z_][A-Za-z0-9_]*/)) { \
+				c = "call " substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH); \
+				if (c !~ /\($$/ && rest ~ /^::[A-Za-z_]/) continue; gsub(/[:(]/, "", c); \
+				if (!((c, FILENAME) in seen)) { seen[c, FILENAME] = 1; nfiles[c]++ } \
+				if (src && !test) own[FILENAME, c]++ \
+			} \
 			gsub(/[^A-Za-z0-9_]+/, " ", line); k = split(line, w, " "); \
 			for (i = 1; i <= k; i++) { \
 				if (!((w[i], FILENAME) in seen)) { seen[w[i], FILENAME] = 1; nfiles[w[i]]++ } \
 				if (src && !test) own[FILENAME, w[i]]++ \
 			} \
 		} \
-		END { for (i = 1; i <= n; i++) if (nfiles[dname[i]] < 2 && own[dfile[i], dname[i]] < 2) \
-			printf "%s:%d: %s\n", dfile[i], dline[i], dname[i] }'); \
+		END { for (i = 1; i <= n; i++) { \
+			if (dfn[i]) { c = "call " dname[i]; unused = nfiles[c] - ((c, dfile[i]) in seen) < 1 && own[dfile[i], c] < 1 } \
+			else unused = nfiles[dname[i]] < 2 && own[dfile[i], dname[i]] < 2; \
+			if (unused) printf "%s:%d: %s\n", dfile[i], dline[i], dname[i] } }'); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; \
 		echo "surface: public items nothing calls; delete them (or mark a test-only reference #[cfg(test)])" >&2; exit 1; fi; \

@@ -32,8 +32,6 @@ pub struct InstanceType {
     pub nic: NicConfig,
     /// Attached-volume read bandwidth, bits/second.
     pub ebs_read_bandwidth: Bps,
-    /// Attached-volume write bandwidth, bits/second.
-    pub ebs_write_bandwidth: Bps,
     /// Per-core speed relative to the reference core (an m4.large core).
     pub cpu_speed: f64,
 }
@@ -52,7 +50,6 @@ pub fn instance_catalog() -> Vec<InstanceType> {
             mem_mb: 8 * 1024,
             nic: NicConfig::simple(mbps(450.0)),
             ebs_read_bandwidth: gbps(20.0),
-            ebs_write_bandwidth: gbps(2.0),
             cpu_speed: 1.0,
         },
         InstanceType {
@@ -61,7 +58,6 @@ pub fn instance_catalog() -> Vec<InstanceType> {
             mem_mb: 8 * 1024,
             nic: NicConfig::simple(gbps(10.0)),
             ebs_read_bandwidth: gbps(20.0),
-            ebs_write_bandwidth: gbps(4.0),
             cpu_speed: 1.1,
         },
         InstanceType {
@@ -70,7 +66,6 @@ pub fn instance_catalog() -> Vec<InstanceType> {
             mem_mb: 16 * 1024,
             nic: NicConfig::simple(gbps(10.0)),
             ebs_read_bandwidth: gbps(20.0),
-            ebs_write_bandwidth: gbps(4.0),
             cpu_speed: 1.1,
         },
         InstanceType {
@@ -79,7 +74,6 @@ pub fn instance_catalog() -> Vec<InstanceType> {
             mem_mb: 4 * 1024,
             nic: NicConfig::simple(gbps(10.0)),
             ebs_read_bandwidth: gbps(20.0),
-            ebs_write_bandwidth: gbps(4.0),
             cpu_speed: 1.25,
         },
     ]
@@ -155,7 +149,6 @@ impl Ec2 {
                 terminated_at: Cell::new(None),
                 cpu: Semaphore::new(itype.vcpus as usize),
                 ebs_read: FairShareLink::new(&self.sim, itype.ebs_read_bandwidth),
-                ebs_write: FairShareLink::new(&self.sim, itype.ebs_write_bandwidth),
                 ledger: self.ledger.clone(),
                 itype,
             }),
@@ -174,7 +167,6 @@ struct VmInner {
     terminated_at: Cell<Option<SimTime>>,
     cpu: Semaphore,
     ebs_read: FairShareLink,
-    ebs_write: FairShareLink,
     ledger: Ledger,
 }
 
@@ -225,11 +217,6 @@ impl Vm {
     /// concurrent volume reads on this VM).
     pub async fn ebs_read(&self, bytes: u64) {
         self.inner.ebs_read.transfer(bytes, None).await;
-    }
-
-    /// Write `bytes` to the attached volume.
-    pub async fn ebs_write(&self, bytes: u64) {
-        self.inner.ebs_write.transfer(bytes, None).await;
     }
 
     /// Uptime so far (or total uptime if terminated).

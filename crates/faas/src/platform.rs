@@ -143,7 +143,6 @@ pub struct FnCtx {
     cache: Rc<RefCell<HashMap<String, Payload>>>,
     deadline: SimTime,
     cpu_fraction: f64,
-    memory_mb: u64,
 }
 
 impl FnCtx {
@@ -161,11 +160,6 @@ impl FnCtx {
     /// Identifier of the container running this invocation.
     pub fn container_id(&self) -> u64 {
         self.container_id
-    }
-
-    /// Allocated memory.
-    pub fn memory_mb(&self) -> u64 {
-        self.memory_mb
     }
 
     /// Time left before the platform kills this invocation.
@@ -895,7 +889,6 @@ impl FaasPlatform {
             cache,
             deadline,
             cpu_fraction: self.profile.cpu_fraction(spec.memory_mb),
-            memory_mb: spec.memory_mb,
         };
         // Chaos: decide up front whether (and when) this invocation's
         // container dies mid-flight. The kill instant is uniform over the

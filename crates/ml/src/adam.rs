@@ -44,11 +44,6 @@ impl Adam {
         }
     }
 
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Apply one update to `model` from `grads`.
     pub fn step(&mut self, model: &mut Mlp, grads: &Gradients) {
         self.t += 1;
@@ -143,7 +138,7 @@ mod tests {
             last < first * 0.05,
             "loss did not drop enough: {first} -> {last}"
         );
-        assert_eq!(t.opt.steps(), 501);
+        assert_eq!(t.opt.t, 501);
     }
 
     #[test]
@@ -166,7 +161,7 @@ mod tests {
         let t = Trainer::paper_setup(3);
         assert_eq!(t.model.param_count(), 68_001);
         assert!((t.opt.lr - 0.001).abs() < 1e-9);
-        assert_eq!(t.opt.steps(), 0);
+        assert_eq!(t.opt.t, 0);
     }
 
     #[test]

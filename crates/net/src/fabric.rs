@@ -384,11 +384,6 @@ impl Host {
         self.id
     }
 
-    /// The rack this host lives in.
-    pub fn rack(&self) -> RackId {
-        self.state.rack
-    }
-
     /// The fabric this host is attached to.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
@@ -397,11 +392,6 @@ impl Host {
     /// The host's NIC link (shared by every flow to/from this host).
     pub fn nic(&self) -> &FairShareLink {
         &self.state.nic
-    }
-
-    /// The per-flow ceiling configured for this host, if any.
-    pub fn per_flow_cap(&self) -> Option<Bps> {
-        self.state.per_flow_cap
     }
 
     /// Contention statistics sampled at transfer starts on this host.

@@ -549,12 +549,6 @@ impl Sim {
         self.inner.now.get()
     }
 
-    /// The root seed this simulation was created with.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.inner.seed
-    }
-
     /// Derive a named random stream. The same `(seed, label)` pair always
     /// yields the same stream, independent of call order — give each
     /// component its own label.
@@ -1011,13 +1005,6 @@ pub struct Sleep {
     deadline: SimTime,
     cancel: Option<TimerToken>,
     fired: bool,
-}
-
-impl Sleep {
-    /// The instant this sleep completes.
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
 }
 
 impl Future for Sleep {

@@ -718,11 +718,6 @@ impl FairShareLink {
         }
     }
 
-    /// Total capacity in bits/second.
-    pub fn capacity_bps(&self) -> Bps {
-        self.st.borrow().capacity_bps
-    }
-
     /// Number of in-flight transfers. O(1): a live counter, not a scan.
     pub fn active_flows(&self) -> usize {
         self.st.borrow().active

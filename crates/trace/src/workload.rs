@@ -304,11 +304,6 @@ impl TraceGenerator {
             emitted: 0,
         }
     }
-
-    /// Events emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
 }
 
 /// Zipf exponent for picking a function within an app.

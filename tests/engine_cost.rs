@@ -92,7 +92,7 @@ fn a_direct_replay_costs_the_engine_what_it_did() {
         pins(&p),
         "polls 106650 spawns 20002 pushes 106710 fires 86710 cancels 20000 cascades 36639 overflow 0 peak_pending 3033 peak_live 2684"
     );
-    assert_eq!(heap, "allocs 134109 bytes 30341969");
+    assert_eq!(heap, "allocs 134109 bytes 30021969");
 }
 
 #[test]
@@ -115,5 +115,5 @@ fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
         pins(&p),
         "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 3288 peak_live 2697"
     );
-    assert_eq!(heap, "allocs 138813 bytes 42225015");
+    assert_eq!(heap, "allocs 138813 bytes 41904215");
 }
