@@ -4,7 +4,7 @@
 CARGO ?= cargo
 export CARGO_NET_OFFLINE = true
 
-.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile loc layers names surface clean
+.PHONY: build test test-all chaos-sweep chaos-experiments trace-replay bench bench-compare bench-trend profile golden-diff loc layers names surface clean
 
 ## Release build of the whole workspace.
 build:
@@ -78,6 +78,29 @@ bench-trend:
 PROFILE_SCALE ?= 100k
 profile:
 	PROFILE_SCALE=$(PROFILE_SCALE) $(CARGO) bench -p faasim-bench --bench profile
+
+## Row-by-row byte identity against another commit. tests/golden.rs
+## keeps the digest, bill and report texts behind each pin in
+## target/golden/<row>.txt as it checks the row. This runs it in a
+## `git worktree` of REV under target/golden-diff/ (with this tree's
+## tests/golden.rs, so both sides run the same rows), then here, and
+## diffs the two sets of texts: nothing printed means every row is
+## byte-identical; a difference names the row and the series that moved.
+## Pin failures on either side are the diff's to explain, so they do not
+## stop it; a side that writes no texts does.
+golden-diff:
+	@test -n "$(REV)" || { echo "usage: make golden-diff REV=<rev>" >&2; exit 2; }
+	@set -e; out=$(CURDIR)/target/golden-diff; here=$${CARGO_TARGET_DIR:-$(CURDIR)/target}/golden; \
+	rm -rf $$out/tree $$out/rev $$out/build/golden $$here; git worktree prune; \
+	git worktree add -q --detach $$out/tree $(REV); \
+	cp tests/golden.rs $$out/tree/tests/golden.rs; \
+	(cd $$out/tree && CARGO_TARGET_DIR=$$out/build $(CARGO) test -q --test golden >$$out/rev.log 2>&1) || true; \
+	git worktree remove --force $$out/tree; \
+	test -d $$out/build/golden || { tail -20 $$out/rev.log >&2; echo "golden-diff: $(REV) wrote no texts" >&2; exit 1; }; \
+	mv $$out/build/golden $$out/rev; \
+	$(CARGO) test -q --test golden >$$out/here.log 2>&1 || true; \
+	test -d $$here || { tail -20 $$out/here.log >&2; echo "golden-diff: this tree wrote no texts" >&2; exit 1; }; \
+	diff -r $$out/rev $$here
 
 ## Non-test source lines per crate: every `src/**/*.rs`, each counted up
 ## to its test module, the first `#[cfg(test)]` at column 0 (a doc comment

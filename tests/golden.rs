@@ -7,7 +7,13 @@
 //! A refactor that claims to be digest-neutral must leave this file
 //! untouched. A change that *means* to move a digest re-blesses: the
 //! failure message prints the full table in source form.
+//!
+//! Each row also leaves the texts behind its pins in
+//! `target/golden/<row>.txt`, so `make golden-diff REV=<rev>` can say
+//! which series of which row moved against another commit.
 
+use std::fs;
+use std::path::Path;
 use std::sync::OnceLock;
 
 use faasim::experiments::{
@@ -31,6 +37,14 @@ fn fnv1a(parts: &[&str]) -> u64 {
         }
     }
     h
+}
+
+/// Keep the texts a row's pins hash in `target/golden/<label>.txt`, one
+/// part after another.
+fn keep(label: &str, parts: &[&str]) {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).with_file_name("golden").join(format!("{label}.txt"));
+    fs::create_dir_all(path.parent().expect("a row's directory")).expect("create target/golden");
+    fs::write(&path, parts.join("\n")).expect("write a golden row's text");
 }
 
 /// A golden row as it reads in this file: its label, then its pins.
@@ -60,8 +74,10 @@ fn scenario_rows(scenarios: &[(&str, &dyn Scenario)]) -> Vec<String> {
     for (label, scenario) in scenarios {
         for seed in SEEDS {
             let run = scenario.run(seed);
-            assert!(run.violations.is_empty(), "{label} seed {seed}: {:?}", run.violations);
-            rows.push(source_row(&format!("{label}@{seed}"), &[fnv1a(&[&run.digest, &run.bill])]));
+            let label = format!("{label}@{seed}");
+            keep(&label, &[&run.digest, &run.bill]);
+            assert!(run.violations.is_empty(), "{label}: {:?}", run.violations);
+            rows.push(source_row(&label, &[fnv1a(&[&run.digest, &run.bill])]));
         }
     }
     rows
@@ -113,6 +129,9 @@ fn replay_client_shapes_match_golden() {
                 for seed in SEEDS {
                     let out = replay(&cfg, seed, &|cloud| plan.apply(cloud));
                     let r = &out.report;
+                    let label = format!("replay/{gw_name}/{retry_name}/{plan_name}@{seed}");
+                    let report = format!("{r:?}");
+                    keep(&label, &[&out.digest, &out.bill, &report]);
                     assert_eq!(r.generated, 2_000);
                     assert_eq!(r.violations(), Vec::<String>::new(), "{gw_name}/{retry_name}");
                     if retry && plan_name == "hostile" {
@@ -127,8 +146,8 @@ fn replay_client_shapes_match_golden() {
                         assert!(out.digest.contains(counter), "{counter} missing:\n{}", out.digest);
                     }
                     actual.push(source_row(
-                        &format!("replay/{gw_name}/{retry_name}/{plan_name}@{seed}"),
-                        &[fnv1a(&[&out.digest, &out.bill]), fnv1a(&[&format!("{r:?}")])],
+                        &label,
+                        &[fnv1a(&[&out.digest, &out.bill]), fnv1a(&[&report])],
                     ));
                 }
             }
@@ -166,7 +185,9 @@ fn paper_runs() -> &'static (Vec<String>, Vec<String>) {
         ];
         let pins = probes.map(|(name, probe)| {
             let parts: Vec<&str> = probe.digests.iter().chain(&probe.bills).map(String::as_str).collect();
-            source_row(&format!("{name}@{SEED}"), &[fnv1a(&parts)])
+            let label = format!("{name}@{SEED}");
+            keep(&label, &parts);
+            source_row(&label, &[fnv1a(&parts)])
         });
 
         let groups = [
@@ -185,6 +206,7 @@ fn paper_runs() -> &'static (Vec<String>, Vec<String>) {
                 refs.push(reference_row(&label, &row.paper.to_string(), row.measured.to_bits()));
             }
         }
+        keep("paper-references", &[&refs.concat()]);
         (pins.to_vec(), refs)
     })
 }
