@@ -827,7 +827,11 @@ impl FaasPlatform {
     /// Invoke via the queue-trigger path (adds the event-source dispatch
     /// overhead). Used by [`crate::add_queue_trigger`]'s pollers, which
     /// resolve their function once when the trigger is added.
-    pub(crate) async fn invoke_triggered(&self, func: FunctionId, payload: Payload) -> InvokeOutcome {
+    pub(crate) async fn invoke_triggered(
+        &self,
+        func: FunctionId,
+        payload: Payload,
+    ) -> InvokeOutcome {
         self.invoke_inner(func, payload, true).await
     }
 

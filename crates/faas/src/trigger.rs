@@ -227,11 +227,20 @@ mod tests {
         let runs = Rc::new(Cell::new((0u32, 0u32)));
         let spec = |second: bool| {
             let runs = runs.clone();
-            FunctionSpec::new("consumer", 256, SimDuration::from_secs(30), move |_ctx, _payload| {
-                let (first, again) = runs.get();
-                runs.set(if second { (first, again + 1) } else { (first + 1, again) });
-                async { Ok(Payload::new()) }
-            })
+            FunctionSpec::new(
+                "consumer",
+                256,
+                SimDuration::from_secs(30),
+                move |_ctx, _payload| {
+                    let (first, again) = runs.get();
+                    runs.set(if second {
+                        (first, again + 1)
+                    } else {
+                        (first + 1, again)
+                    });
+                    async { Ok(Payload::new()) }
+                },
+            )
         };
         w.platform.register(spec(false));
         let _trigger = add_queue_trigger(&w.platform, &w.queues, &w.fabric, "consumer", "in", 1);

@@ -415,11 +415,10 @@ struct FrontDoor {
 }
 
 impl FrontDoor {
-    /// One attempt at function `id` for `tenant`, seen through [`settled`].
+    /// One attempt at `(tenant, function id)`, seen through [`settled`].
     async fn attempt(
         &self,
-        tenant: u32,
-        id: FunctionId,
+        (tenant, id): (u32, FunctionId),
         payload: Payload,
     ) -> Result<InvokeOutcome, GatewayError> {
         settled(match &self.gateway {
@@ -655,15 +654,15 @@ pub fn replay_with(
                 } else {
                     ctx2.sim.spawn_detached(async move {
                         let t0 = ctx3.sim.now();
-                        let id = ctx3.ids[ctx3.func(&ev)];
+                        let call = (ev.tenant, ctx3.ids[ctx3.func(&ev)]);
                         // The final attempt's outcome, or the error it ended
                         // on (none when a retry layer gave up on a budget).
                         let outcome = match &ctx3.retry {
                             Some(retry) => retry
-                                .call(Deadline::unbounded(), |d| d.attempt(ev.tenant, id, payload.clone()))
+                                .call(Deadline::unbounded(), |d| d.attempt(call, payload.clone()))
                                 .await
                                 .map_err(RetryError::into_inner),
-                            None => ctx3.door.attempt(ev.tenant, id, payload).await.map_err(Some),
+                            None => ctx3.door.attempt(call, payload).await.map_err(Some),
                         };
                         let (ok, shed) = match outcome {
                             Ok(_) => (true, false),

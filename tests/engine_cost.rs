@@ -115,5 +115,5 @@ fn a_front_door_replay_under_faults_costs_the_engine_what_it_did() {
         pins(&p),
         "polls 130120 spawns 20002 pushes 130279 fires 110229 cancels 20050 cascades 126164 overflow 0 peak_pending 3288 peak_live 2697"
     );
-    assert_eq!(heap, "allocs 138813 bytes 41904215");
+    assert_eq!(heap, "allocs 138813 bytes 41744215");
 }
